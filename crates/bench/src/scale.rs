@@ -81,6 +81,13 @@ pub struct ScalePoint {
     /// Milliseconds spent scoring uncached plans (the evaluator's wall
     /// time), the denominator of `evals_per_sec`.
     pub score_ms: f64,
+    /// Milliseconds the request spent building and training its crossover
+    /// agent, rollout scoring excluded
+    /// ([`atlas_core::SearchStages::rl_train_ms`]).
+    pub rl_train_ms: f64,
+    /// Milliseconds the request spent in the crossover operator producing
+    /// offspring ([`atlas_core::SearchStages::crossover_ms`]).
+    pub crossover_ms: f64,
     /// Raw single-plan `QualityModel::evaluate` throughput (evals/sec) of
     /// the scoring microbench — no cache, no threads, just the kernel.
     pub scalar_evals_per_sec: f64,
@@ -212,6 +219,8 @@ pub fn run_scale_point_volume(components: usize, sites: usize, volume_scale: f64
         evals_per_sec: stats.evaluations_per_sec(),
         kernel_compile_ms: stats.kernel_compile_ms,
         score_ms: stats.wall_time_ms,
+        rl_train_ms: report.stages.rl_train_ms,
+        crossover_ms: report.stages.crossover_ms,
         scalar_evals_per_sec,
         batch_evals_per_sec,
         delta_probe_evals_per_sec,
@@ -591,6 +600,8 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
                 "      \"evals_per_sec\": {:.1},\n",
                 "      \"kernel_compile_ms\": {:.2},\n",
                 "      \"score_ms\": {:.2},\n",
+                "      \"rl_train_ms\": {:.2},\n",
+                "      \"crossover_ms\": {:.2},\n",
                 "      \"scalar_evals_per_sec\": {:.1},\n",
                 "      \"batch_evals_per_sec\": {:.1},\n",
                 "      \"delta_probe_evals_per_sec\": {:.1},\n",
@@ -617,6 +628,8 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
             p.evals_per_sec,
             p.kernel_compile_ms,
             p.score_ms,
+            p.rl_train_ms,
+            p.crossover_ms,
             p.scalar_evals_per_sec,
             p.batch_evals_per_sec,
             p.delta_probe_evals_per_sec,
@@ -729,6 +742,8 @@ mod tests {
             evals_per_sec: 1_000.0,
             kernel_compile_ms: 3.25,
             score_ms: 200.0,
+            rl_train_ms: 14.5,
+            crossover_ms: 0.75,
             scalar_evals_per_sec: 30_000.0,
             batch_evals_per_sec: 90_000.0,
             delta_probe_evals_per_sec: 150_000.0,
@@ -753,6 +768,8 @@ mod tests {
         assert!(json.contains("\"bench\": \"scale\""));
         assert!(json.contains("\"kernel_compile_ms\": 3.25"));
         assert!(json.contains("\"score_ms\": 200.00"));
+        assert!(json.contains("\"rl_train_ms\": 14.50"));
+        assert!(json.contains("\"crossover_ms\": 0.75"));
         assert!(json.contains("\"scalar_evals_per_sec\": 30000.0"));
         assert!(json.contains("\"batch_evals_per_sec\": 90000.0"));
         assert!(json.contains("\"delta_probe_evals_per_sec\": 150000.0"));

@@ -1,7 +1,7 @@
 //! Expected resource demand: the `Ũ^r_c[t]` series consumed by the
 //! constraint and cost models.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,8 +23,10 @@ pub struct ResourceDemand {
     /// Expected storage in GB: `storage_gb[component][step]`.
     pub storage_gb: Vec<Vec<f64>>,
     /// Expected bytes transferred per step on each directed component edge:
-    /// `edge_bytes[(from, to)][step]`.
-    pub edge_bytes: HashMap<(usize, usize), Vec<f64>>,
+    /// `edge_bytes[(from, to)][step]`. Ordered, because the cost model sums
+    /// over this map: a hash map's per-process iteration order moved the
+    /// last bits of `Q_Cost` from one run to the next.
+    pub edge_bytes: BTreeMap<(usize, usize), Vec<f64>>,
 }
 
 impl ResourceDemand {
@@ -38,7 +40,7 @@ impl ResourceDemand {
             cpu_cores: vec![vec![0.0; steps]; n],
             memory_gb: vec![vec![0.0; steps]; n],
             storage_gb: vec![vec![0.0; steps]; n],
-            edge_bytes: HashMap::new(),
+            edge_bytes: BTreeMap::new(),
         }
     }
 

@@ -69,7 +69,8 @@ pub use preferences::MigrationPreferences;
 pub use profile::{ApiProfile, ApplicationProfile, ComponentProfile};
 pub use quality::{PlanQuality, QualityModel, ScoredPlan};
 pub use recommender::{
-    random_site, RecommendedPlan, Recommender, RecommenderConfig, ARCHIVE_CAPACITY,
+    random_site, RecommendationReport, RecommendedPlan, Recommender, RecommenderConfig,
+    SearchStages, ARCHIVE_CAPACITY,
 };
 pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig};
 pub use security::{BreachDetector, BreachReport};

@@ -21,6 +21,7 @@
 //! the answer by later population churn.
 
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,6 +173,26 @@ pub struct RecommendedPlan {
     pub quality: PlanQuality,
 }
 
+/// Wall-clock milliseconds one run spent in the stages of the search that
+/// are not plan scoring (scoring is [`EvalStats::wall_time_ms`] of
+/// [`RecommendationReport::eval`]). Measured inside
+/// [`Recommender::recommend_with`]; what the stages and scoring leave of the
+/// request is archive upkeep, tournaments, mutation and bookkeeping.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SearchStages {
+    /// ① Drawing the random initial population.
+    pub init_ms: f64,
+    /// Building and training the crossover agent — parent sampling, policy
+    /// sampling, policy-gradient updates — without the time its rollout
+    /// children spent being scored. Zero for uniform crossover.
+    pub rl_train_ms: f64,
+    /// The crossover operator producing offspring: policy inference for the
+    /// learned agent, the coin flips for uniform crossover.
+    pub crossover_ms: f64,
+    /// The NSGA-II survival sorts (one per generation).
+    pub survive_ms: f64,
+}
+
 /// Summary of one recommendation run.
 #[derive(Debug, Clone)]
 pub struct RecommendationReport {
@@ -194,6 +215,8 @@ pub struct RecommendationReport {
     /// run that shared it. `eval_lifetime.cache_hits - eval.cache_hits` is
     /// the warmth inherited from (or contributed by) other requests.
     pub eval_lifetime: EvalStats,
+    /// Where the run's own time went, stage by stage.
+    pub stages: SearchStages,
 }
 
 impl RecommendationReport {
@@ -225,6 +248,10 @@ impl RecommendationReport {
                 .expect("finite")
         })
     }
+}
+
+fn millis(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1_000.0
 }
 
 /// The DRL-based genetic recommender.
@@ -294,6 +321,8 @@ impl<'a> Recommender<'a> {
         // Off-prem genes pick their site uniformly; in the two-site model
         // the site is forced (no extra draw), preserving the historical
         // random stream.
+        let mut stages = SearchStages::default();
+        let init_start = Instant::now();
         let mut seeds: Vec<MigrationPlan> = Vec::with_capacity(self.config.population);
         while seeds.len() < self.config.population {
             let cloud_fraction = rng.gen_range(0.05..0.95);
@@ -304,6 +333,7 @@ impl<'a> Recommender<'a> {
             self.apply_pins(&mut plan);
             seeds.push(plan);
         }
+        stages.init_ms = millis(init_start.elapsed());
         // The population retains each member's per-trace scoring state
         // (ScoredPlan) so offspring can be re-scored incrementally against
         // their parents. With delta scoring off, members carry only their
@@ -337,12 +367,15 @@ impl<'a> Recommender<'a> {
         let mut agent = None;
         let mut reward_progression = Vec::new();
         if self.config.strategy == CrossoverStrategy::ReinforcementLearning {
+            let train_start = Instant::now();
+            let mut scoring = Duration::ZERO;
             let mut rl_config = self.config.rl.clone();
             // Keep training within half of the remaining budget.
             let budget = (self.config.max_visited.saturating_sub(seen.len())) / 2;
             rl_config.iterations = rl_config.iterations.min(budget.max(1));
             let mut a = CrossoverAgent::new(n, rl_config).with_site_count(site_count);
             reward_progression = a.train_scored(&population, |pi, pj, child| {
+                let scoring_start = Instant::now();
                 let quality = if delta {
                     let di = hamming(child.sites(), pi.sites());
                     let dj = hamming(child.sites(), pj.sites());
@@ -357,8 +390,10 @@ impl<'a> Recommender<'a> {
                 if quality.feasible {
                     archive.insert(child, quality.objectives());
                 }
+                scoring += scoring_start.elapsed();
                 quality
             });
+            stages.rl_train_ms = millis(train_start.elapsed().saturating_sub(scoring));
             requested += reward_progression.len();
             agent = Some(a);
         }
@@ -373,9 +408,11 @@ impl<'a> Recommender<'a> {
                 .iter()
                 .map(|p| p.quality().objectives())
                 .collect();
+            let survive_start = Instant::now();
             let survival = survive(&objectives, &feasible, self.config.population);
             population = take_selected(population, &survival.selected);
             let (rank, crowding) = (survival.rank, survival.crowding);
+            stages.survive_ms += millis(survive_start.elapsed());
 
             let offspring_target = self
                 .config
@@ -390,12 +427,14 @@ impl<'a> Recommender<'a> {
             while offspring.len() < offspring_target {
                 let a = binary_tournament(&mut rng, &rank, &crowding);
                 let b = binary_tournament(&mut rng, &rank, &crowding);
+                let crossover_start = Instant::now();
                 let mut sites = match (&mut agent, self.config.strategy) {
                     (Some(agent), CrossoverStrategy::ReinforcementLearning) => {
                         agent.crossover_sites(population[a].sites(), population[b].sites())
                     }
                     _ => uniform_crossover(&mut rng, population[a].sites(), population[b].sites()),
                 };
+                stages.crossover_ms += millis(crossover_start.elapsed());
                 alphabet_mutation(
                     &mut rng,
                     &mut sites,
@@ -481,6 +520,7 @@ impl<'a> Recommender<'a> {
             reward_progression,
             eval: evaluator.local_stats().since(&local_start),
             eval_lifetime: evaluator.stats(),
+            stages,
         }
     }
 
@@ -700,5 +740,14 @@ mod tests {
                 .recommend();
         assert!(uniform.reward_progression.is_empty());
         assert!(!uniform.plans.is_empty());
+
+        // The stage breakdown follows the strategy: only the learned agent
+        // trains; both draw a population, cross over and run survival sorts.
+        assert!(rl.stages.rl_train_ms > 0.0);
+        assert_eq!(uniform.stages.rl_train_ms, 0.0);
+        for report in [&rl, &uniform] {
+            let stages = report.stages;
+            assert!(stages.init_ms > 0.0 && stages.crossover_ms > 0.0 && stages.survive_ms > 0.0);
+        }
     }
 }

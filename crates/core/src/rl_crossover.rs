@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use atlas_nn::{ActorCritic, ActorCriticConfig};
 
-use atlas_sim::SiteId;
+use atlas_sim::{ComponentId, SiteId};
 
 use crate::eval::PlanEvaluator;
 use crate::plan::MigrationPlan;
@@ -64,6 +64,10 @@ pub struct CrossoverAgent {
     site_count: usize,
     rng: StdRng,
     reward_history: Vec<f64>,
+    /// The policy input and the sampled action of the current parent pair,
+    /// reused by every training step and every crossover.
+    state: Vec<f64>,
+    action: Vec<bool>,
 }
 
 impl CrossoverAgent {
@@ -83,6 +87,8 @@ impl CrossoverAgent {
             site_count: 2,
             rng,
             reward_history: Vec::new(),
+            state: Vec::with_capacity(component_count * 2),
+            action: Vec::with_capacity(component_count),
         }
     }
 
@@ -156,22 +162,22 @@ impl CrossoverAgent {
     ) -> Vec<f64> {
         assert!(dataset.len() >= 2, "training needs at least two plans");
         let mut rewards = Vec::with_capacity(self.config.iterations);
+        let mut child = MigrationPlan::all_onprem(self.agent.action_dim());
         for _ in 0..self.config.iterations {
             let i = self.rng.gen_range(0..dataset.len());
             let mut j = self.rng.gen_range(0..dataset.len());
             if i == j {
                 j = (j + 1) % dataset.len();
             }
-            let state = self.state_of_sites(dataset[i].sites(), dataset[j].sites());
-            let action = self.agent.sample(&state);
-            let child = MigrationPlan::from_sites(self.child_sites_of(
-                &action,
-                dataset[i].sites(),
-                dataset[j].sites(),
-            ));
-            let child_quality = score(&dataset[i], &dataset[j], &child);
-            let reward = self.reward(&child_quality, &dataset[i].quality(), &dataset[j].quality());
-            self.agent.update(&state, &action, reward);
+            let (parent_a, parent_b) = (&dataset[i], &dataset[j]);
+            self.sample_action(parent_a.sites(), parent_b.sites());
+            let genes = self.child_sites_of(&self.action, parent_a.sites(), parent_b.sites());
+            for (c, site) in genes.enumerate() {
+                child.set(ComponentId(c), site);
+            }
+            let child_quality = score(parent_a, parent_b, &child);
+            let reward = self.reward(&child_quality, &parent_a.quality(), &parent_b.quality());
+            self.agent.update(&self.state, &self.action, reward);
             rewards.push(reward);
         }
         self.reward_history.extend_from_slice(&rewards);
@@ -193,23 +199,21 @@ impl CrossoverAgent {
     /// keeps its population as retained [`ScoredPlan`]s). Consumes the same
     /// random draws as [`Self::crossover`].
     pub fn crossover_sites(&mut self, parent_a: &[SiteId], parent_b: &[SiteId]) -> Vec<SiteId> {
-        let state = self.state_of_sites(parent_a, parent_b);
-        let action = self.agent.sample(&state);
-        self.child_sites_of(&action, parent_a, parent_b)
+        self.sample_action(parent_a, parent_b);
+        self.child_sites_of(&self.action, parent_a, parent_b)
+            .collect()
     }
 
     /// Deterministic (greedy) child of two parents.
     pub fn crossover_greedy(
-        &self,
+        &mut self,
         parent_a: &MigrationPlan,
         parent_b: &MigrationPlan,
     ) -> MigrationPlan {
-        let state = self.state_of(parent_a, parent_b);
-        MigrationPlan::from_sites(self.child_sites_of(
-            &self.agent.greedy(&state),
-            parent_a.sites(),
-            parent_b.sites(),
-        ))
+        self.load_state(parent_a.sites(), parent_b.sites());
+        let action = self.agent.greedy(&self.state);
+        let genes = self.child_sites_of(&action, parent_a.sites(), parent_b.sites());
+        MigrationPlan::from_sites(genes.collect())
     }
 
     /// All rewards observed during training, in order.
@@ -217,48 +221,51 @@ impl CrossoverAgent {
         &self.reward_history
     }
 
-    /// Mean reward over a window of the most recent training iterations.
+    /// Mean reward over a window of the most recent training iterations
+    /// (0.0 when the window holds none: no history yet, or `window == 0`).
     pub fn recent_mean_reward(&self, window: usize) -> f64 {
-        if self.reward_history.is_empty() {
-            return 0.0;
-        }
         let n = self.reward_history.len();
         let slice = &self.reward_history[n.saturating_sub(window)..];
+        if slice.is_empty() {
+            return 0.0;
+        }
         slice.iter().sum::<f64>() / slice.len() as f64
     }
 
-    fn state_of(&self, a: &MigrationPlan, b: &MigrationPlan) -> Vec<f64> {
-        self.state_of_sites(a.sites(), b.sites())
+    /// Load the policy input for a parent pair: both site assignments
+    /// normalised to `[0, 1]`, exactly [`MigrationPlan::to_features_scaled`]
+    /// applied to each genome.
+    fn load_state(&mut self, a: &[SiteId], b: &[SiteId]) {
+        let scale = (self.site_count.saturating_sub(1)).max(1) as f64;
+        self.state.clear();
+        self.state
+            .extend(a.iter().chain(b).map(|s| s.0 as f64 / scale));
     }
 
-    /// The policy input for a parent pair: both site assignments normalised
-    /// to `[0, 1]`, exactly [`MigrationPlan::to_features_scaled`] applied to
-    /// each genome.
-    fn state_of_sites(&self, a: &[SiteId], b: &[SiteId]) -> Vec<f64> {
-        let scale = (self.site_count.saturating_sub(1)).max(1) as f64;
-        let mut state = Vec::with_capacity(a.len() + b.len());
-        state.extend(a.iter().map(|s| s.0 as f64 / scale));
-        state.extend(b.iter().map(|s| s.0 as f64 / scale));
-        state
+    /// Load a parent pair and sample the policy's action for it.
+    fn sample_action(&mut self, a: &[SiteId], b: &[SiteId]) {
+        self.load_state(a, b);
+        self.agent.sample_into(&self.state, &mut self.action);
     }
 
     /// Decode one policy action into a child genome. Two-site agents emit
     /// the placement directly (the paper's formulation, bit-identical to the
     /// historical decode); N-site agents treat the action as a per-gene
     /// parent-inheritance mask.
-    fn child_sites_of(&self, action: &[bool], a: &[SiteId], b: &[SiteId]) -> Vec<SiteId> {
-        if self.site_count <= 2 {
-            action
-                .iter()
-                .map(|&bit| if bit { SiteId::CLOUD } else { SiteId::ON_PREM })
-                .collect()
-        } else {
-            action
-                .iter()
-                .enumerate()
-                .map(|(i, &from_a)| if from_a { a[i] } else { b[i] })
-                .collect()
-        }
+    fn child_sites_of<'a>(
+        &self,
+        action: &'a [bool],
+        a: &'a [SiteId],
+        b: &'a [SiteId],
+    ) -> impl Iterator<Item = SiteId> + 'a {
+        let two_site = self.site_count <= 2;
+        let genes = action.iter().enumerate();
+        genes.map(move |(i, &bit)| match (two_site, bit) {
+            (true, true) => SiteId::CLOUD,
+            (true, false) => SiteId::ON_PREM,
+            (false, true) => a[i],
+            (false, false) => b[i],
+        })
     }
 }
 
@@ -366,5 +373,23 @@ mod tests {
         let a = agent(4);
         assert_eq!(a.recent_mean_reward(100), 0.0);
         assert!(a.reward_history().is_empty());
+    }
+
+    /// An empty window over a non-empty history is an empty mean, not 0/0.
+    #[test]
+    fn recent_mean_reward_over_an_empty_window_is_zero() {
+        let mut a = agent(4);
+        let dataset: Vec<ScoredPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
+            .iter()
+            .map(|bits| {
+                let plan = MigrationPlan::from_bits(bits);
+                ScoredPlan::quality_only(plan.to_sites(), quality(2.0, 1.0, 50.0, true))
+            })
+            .collect();
+        let rewards = a.train_scored(&dataset, |_, _, _| quality(1.0, 0.5, 40.0, true));
+        assert_eq!(rewards, vec![3.0; 10]);
+        assert_eq!(a.recent_mean_reward(0), 0.0);
+        assert_eq!(a.recent_mean_reward(4), 3.0);
+        assert_eq!(a.recent_mean_reward(1_000), 3.0);
     }
 }

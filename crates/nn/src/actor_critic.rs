@@ -15,7 +15,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
-use crate::matrix::Matrix;
 use crate::mlp::Mlp;
 
 /// Hyperparameters of the actor-critic agent.
@@ -50,7 +49,8 @@ impl Default for ActorCriticConfig {
     }
 }
 
-/// A Bernoulli-policy actor plus a scalar critic.
+/// A Bernoulli-policy actor plus a scalar critic. The agent owns every
+/// buffer of its training step: [`ActorCritic::update`] allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ActorCritic {
     actor: Mlp,
@@ -59,6 +59,8 @@ pub struct ActorCritic {
     critic_opt: Adam,
     config: ActorCriticConfig,
     rng: StdRng,
+    /// Loss gradient at the actor's logits, rebuilt by every update.
+    d_logits: Vec<f64>,
 }
 
 fn sigmoid(x: f64) -> f64 {
@@ -88,6 +90,7 @@ impl ActorCritic {
             critic_opt,
             config,
             rng,
+            d_logits: vec![0.0; action_dim],
         }
     }
 
@@ -102,31 +105,35 @@ impl ActorCritic {
     }
 
     /// The per-bit probabilities `P(bit = 1 | state)`.
-    pub fn probabilities(&self, state: &[f64]) -> Vec<f64> {
-        self.actor
-            .predict(state)
-            .iter()
-            .map(|&l| sigmoid(l))
-            .collect()
+    pub fn probabilities(&mut self, state: &[f64]) -> Vec<f64> {
+        let logits = self.actor.forward(state);
+        logits.iter().map(|&l| sigmoid(l)).collect()
     }
 
     /// Sample an action (bit vector) from the current policy.
     pub fn sample(&mut self, state: &[f64]) -> Vec<bool> {
-        let probs = self.probabilities(state);
-        probs.iter().map(|&p| self.rng.gen::<f64>() < p).collect()
+        let mut action = Vec::with_capacity(self.action_dim());
+        self.sample_into(state, &mut action);
+        action
+    }
+
+    /// [`Self::sample`] into a caller-owned buffer (cleared first): the
+    /// same draws from the same random stream, one per bit in order.
+    pub fn sample_into(&mut self, state: &[f64], action: &mut Vec<bool>) {
+        let logits = self.actor.forward(state);
+        action.clear();
+        action.extend(logits.iter().map(|&l| self.rng.gen::<f64>() < sigmoid(l)));
     }
 
     /// Greedy action: take each bit with probability ≥ 0.5.
-    pub fn greedy(&self, state: &[f64]) -> Vec<bool> {
-        self.probabilities(state)
-            .iter()
-            .map(|&p| p >= 0.5)
-            .collect()
+    pub fn greedy(&mut self, state: &[f64]) -> Vec<bool> {
+        let logits = self.actor.forward(state);
+        logits.iter().map(|&l| sigmoid(l) >= 0.5).collect()
     }
 
     /// Critic's estimate of the expected reward of a state.
-    pub fn value(&self, state: &[f64]) -> f64 {
-        self.critic.predict(state)[0]
+    pub fn value(&mut self, state: &[f64]) -> f64 {
+        self.critic.forward(state)[0]
     }
 
     /// One actor-critic update from a single `(state, action, reward)`
@@ -135,19 +142,11 @@ impl ActorCritic {
         assert_eq!(state.len(), self.state_dim(), "state width mismatch");
         assert_eq!(action.len(), self.action_dim(), "action width mismatch");
 
-        let input = Matrix::row_vector(state);
-
         // ---- Critic: minimise 0.5 (V(s) - r)^2. ----
-        let critic_cache = self.critic.forward(&input);
-        let value = critic_cache.output().get(0, 0);
+        let value = self.critic.forward(state)[0];
         let advantage = reward - value;
-        self.critic.zero_grad();
-        self.critic
-            .backward(&critic_cache, &Matrix::row_vector(&[value - reward]));
-        let mut critic_params = self.critic.parameters();
-        let critic_grads = self.critic.gradients();
-        self.critic_opt.step(&mut critic_params, &critic_grads);
-        self.critic.set_parameters(&critic_params);
+        self.critic.backward(&[value - reward]);
+        self.critic.step(&mut self.critic_opt);
 
         // ---- Actor: maximise advantage-weighted log-likelihood + entropy. --
         // For a Bernoulli policy parameterised by logits z with p = σ(z):
@@ -155,31 +154,21 @@ impl ActorCritic {
         //   ∂ H(π) / ∂z_i       = -z_i · p_i · (1 - p_i)
         // We minimise  -(A · log π + c · H), so the output gradient is
         //   -(A · (a_i - p_i)) + c · z_i · p_i · (1 - p_i).
-        let actor_cache = self.actor.forward(&input);
-        let logits = actor_cache.output().data().to_vec();
-        let d_out: Vec<f64> = logits
-            .iter()
-            .zip(action.iter())
-            .map(|(&z, &a)| {
-                let p = sigmoid(z);
-                let a = if a { 1.0 } else { 0.0 };
-                -(advantage * (a - p)) + self.config.entropy_coeff * z * p * (1.0 - p)
-            })
-            .collect();
-        self.actor.zero_grad();
-        self.actor
-            .backward(&actor_cache, &Matrix::row_vector(&d_out));
-        let mut actor_params = self.actor.parameters();
-        let actor_grads = self.actor.gradients();
-        self.actor_opt.step(&mut actor_params, &actor_grads);
-        self.actor.set_parameters(&actor_params);
+        let logits = self.actor.forward(state);
+        for ((d, &z), &a) in self.d_logits.iter_mut().zip(logits).zip(action) {
+            let p = sigmoid(z);
+            let a = if a { 1.0 } else { 0.0 };
+            *d = -(advantage * (a - p)) + self.config.entropy_coeff * z * p * (1.0 - p);
+        }
+        self.actor.backward(&self.d_logits);
+        self.actor.step(&mut self.actor_opt);
 
         advantage
     }
 
     /// Log-probability of an action under the current policy (useful for
     /// diagnostics and tests).
-    pub fn log_prob(&self, state: &[f64], action: &[bool]) -> f64 {
+    pub fn log_prob(&mut self, state: &[f64], action: &[bool]) -> f64 {
         self.probabilities(state)
             .iter()
             .zip(action.iter())
@@ -198,6 +187,7 @@ impl ActorCritic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn small_config(seed: u64) -> ActorCriticConfig {
         ActorCriticConfig {
@@ -212,7 +202,7 @@ mod tests {
 
     #[test]
     fn shapes_and_probabilities_are_valid() {
-        let agent = ActorCritic::new(6, 3, small_config(1));
+        let mut agent = ActorCritic::new(6, 3, small_config(1));
         assert_eq!(agent.state_dim(), 6);
         assert_eq!(agent.action_dim(), 3);
         let probs = agent.probabilities(&[0.0; 6]);
@@ -295,5 +285,95 @@ mod tests {
             advantage > 0.5,
             "a surprising reward should have positive advantage"
         );
+    }
+    /// Train the fused agent and the allocating oracle side by side for
+    /// `steps` steps on fresh random states whose features are
+    /// `site / (site_count − 1)`, sampling every action from both so the
+    /// random streams stay pinned, with rewards that drive the advantage
+    /// positive, negative and (every fifth step) exactly zero. Advantages
+    /// are compared with `to_bits()` every step, all actor and critic
+    /// parameters at the end.
+    fn assert_training_matches_the_reference(
+        state_dim: usize,
+        action_dim: usize,
+        config: ActorCriticConfig,
+        site_count: u32,
+        steps: usize,
+    ) {
+        let mut fused = ActorCritic::new(state_dim, action_dim, config.clone());
+        let mut oracle = reference::ActorCritic::new(state_dim, action_dim, config);
+        let mut rng = StdRng::seed_from_u64(99);
+        let rewards = [3.0, -1.0, 0.0, 2.0, -3.0, 1.0, -2.0];
+        let (mut positive, mut negative, mut zero) = (0, 0, 0);
+        for step in 0..steps {
+            let state: Vec<f64> = (0..state_dim)
+                .map(|_| f64::from(rng.gen_range(0..site_count)) / f64::from(site_count - 1))
+                .collect();
+            let action = fused.sample(&state);
+            assert_eq!(
+                action,
+                oracle.sample(&state),
+                "step {step}: sampled actions"
+            );
+            let reward = if step % 5 == 4 {
+                fused.value(&state)
+            } else {
+                rewards[step % rewards.len()]
+            };
+            let advantage = fused.update(&state, &action, reward);
+            let expected = oracle.update(&state, &action, reward);
+            assert_eq!(
+                advantage.to_bits(),
+                expected.to_bits(),
+                "step {step}: advantage"
+            );
+            match advantage {
+                a if a > 0.0 => positive += 1,
+                a if a < 0.0 => negative += 1,
+                _ => zero += 1,
+            }
+        }
+        assert!(
+            positive > 0 && negative > 0 && zero > 0,
+            "all advantage signs seen"
+        );
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(fused.actor.parameters()),
+            bits(oracle.actor.parameters())
+        );
+        assert_eq!(
+            bits(fused.critic.parameters()),
+            bits(oracle.critic.parameters())
+        );
+    }
+
+    /// The dims every serving request trains at: 100 components,
+    /// `RecommenderConfig::fast()` hidden sizes, the default critic.
+    fn serving_config() -> ActorCriticConfig {
+        ActorCriticConfig {
+            actor_hidden: vec![48, 48],
+            seed: 17,
+            ..ActorCriticConfig::default()
+        }
+    }
+
+    #[test]
+    fn fused_training_is_bit_identical_at_the_serving_dims() {
+        assert_training_matches_the_reference(200, 100, serving_config(), 2, 150);
+    }
+
+    #[test]
+    fn fused_training_is_bit_identical_on_fractional_site_features() {
+        assert_training_matches_the_reference(200, 100, serving_config(), 4, 150);
+    }
+
+    /// The paper's actor on the social network: 58 → 128 → 128 → 128 → 29.
+    #[test]
+    fn fused_training_is_bit_identical_at_the_paper_dims() {
+        for site_count in [2, 3] {
+            let config = ActorCriticConfig::default();
+            assert_training_matches_the_reference(58, 29, config, site_count, 150);
+        }
     }
 }

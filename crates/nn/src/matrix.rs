@@ -1,9 +1,9 @@
-//! Dense row-major matrices.
+//! Dense row-major matrices: the storage of a layer's weights.
 //!
-//! Only the operations needed by the MLP forward/backward passes are
-//! provided; everything is `f64` and allocation-happy but fast enough for
-//! the small networks Atlas trains (a few hundred units, a thousand
-//! iterations).
+//! A [`Matrix`] is a shape plus one flat `f64` buffer. The training path
+//! never builds a temporary matrix — the layers in [`crate::mlp`] walk the
+//! rows of [`Matrix::data`] directly — so this type carries construction
+//! and access only, no algebra.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -44,21 +44,10 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
-    }
-
-    /// Mutable element access.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        self.data[r * self.cols + c] = v;
     }
 
     /// The underlying row-major data.
@@ -69,105 +58,6 @@ impl Matrix {
     /// Mutable access to the underlying row-major data.
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Matrix product `self × other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
-    }
-
-    /// Element-wise sum with another matrix of identical shape.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Add a row vector to every row (bias broadcast).
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
-        assert_eq!(row.rows, 1);
-        assert_eq!(row.cols, self.cols);
-        let mut out = self.clone();
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[i * self.cols + j] += row.get(0, j);
-            }
-        }
-        out
-    }
-
-    /// Element-wise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Column-wise sums, returned as a 1×cols row vector.
-    pub fn column_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j] += self.get(i, j);
-            }
-        }
-        out
     }
 
     /// Number of elements.
@@ -192,59 +82,18 @@ mod tests {
         let mut m = Matrix::zeros(2, 3);
         assert_eq!(m.len(), 6);
         assert!(!m.is_empty());
-        m.set(1, 2, 5.0);
+        m.data_mut()[5] = 5.0;
         assert_eq!(m.get(1, 2), 5.0);
         assert_eq!(m.get(0, 0), 0.0);
-        let v = Matrix::row_vector(&[1.0, 2.0]);
+        let v = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         assert_eq!((v.rows, v.cols), (1, 2));
+        assert_eq!(v.data(), &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "data length")]
     fn from_vec_checks_length() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.rows, 2);
-        assert_eq!(c.cols, 2);
-        assert_eq!(c.get(0, 0), 58.0);
-        assert_eq!(c.get(0, 1), 64.0);
-        assert_eq!(c.get(1, 0), 139.0);
-        assert_eq!(c.get(1, 1), 154.0);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!((t.rows, t.cols), (3, 2));
-        assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
-    fn elementwise_operations() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![10.0, 20.0, 30.0]);
-        assert_eq!(a.add(&b).data(), &[11.0, 18.0, 33.0]);
-        assert_eq!(a.hadamard(&b).data(), &[10.0, -40.0, 90.0]);
-        assert_eq!(a.map(f64::abs).data(), &[1.0, 2.0, 3.0]);
-        assert_eq!(a.sum(), 2.0);
-    }
-
-    #[test]
-    fn broadcasting_and_column_sums() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let bias = Matrix::row_vector(&[10.0, 20.0]);
-        let shifted = a.add_row_broadcast(&bias);
-        assert_eq!(shifted.data(), &[11.0, 22.0, 13.0, 24.0]);
-        let sums = a.column_sums();
-        assert_eq!(sums.data(), &[4.0, 6.0]);
     }
 
     #[test]

@@ -1,61 +1,113 @@
-//! Multi-layer perceptrons with manual backpropagation.
+//! Multi-layer perceptrons with manual backpropagation, one sample at a
+//! time, over buffers the network owns.
 //!
 //! The network is a stack of dense layers with ReLU activations on every
-//! hidden layer and a linear final layer. `forward` caches the activations
-//! needed by `backward`, which accumulates parameter gradients and returns
-//! the gradient with respect to the input (unused by Atlas but handy for
-//! testing the chain rule end-to-end).
+//! hidden layer and a linear final layer. [`Mlp::forward`] writes every
+//! layer's output into a preallocated activation row, [`Mlp::backward`]
+//! overwrites each layer's gradient buffers from those rows, and
+//! [`Mlp::step`] hands weights and gradients to [`Adam`] tensor by tensor —
+//! a training step allocates nothing and copies no parameter.
+//!
+//! The loops keep the floating-point operations, and their order, of the
+//! batch-matrix implementation they replaced (see the crate docs for the
+//! contract); the `reference` oracle holds them to it bit for bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+use crate::adam::Adam;
 use crate::matrix::Matrix;
 
-/// One dense layer: `y = x·W + b`.
+/// One dense layer: `y = x·W + b`, with `W` stored `inputs × outputs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Dense {
     weights: Matrix,
-    bias: Matrix,
+    bias: Vec<f64>,
     grad_weights: Matrix,
-    grad_bias: Matrix,
+    grad_bias: Vec<f64>,
 }
 
 impl Dense {
     fn new(inputs: usize, outputs: usize, rng: &mut StdRng) -> Self {
         Self {
             weights: Matrix::he_init(inputs, outputs, rng),
-            bias: Matrix::zeros(1, outputs),
+            bias: vec![0.0; outputs],
             grad_weights: Matrix::zeros(inputs, outputs),
-            grad_bias: Matrix::zeros(1, outputs),
+            grad_bias: vec![0.0; outputs],
+        }
+    }
+
+    /// `out = x·W + b`, through ReLU when `relu`. Each output accumulates
+    /// `x_k · W[k][j]` over `k` ascending, skipping `x_k == 0`, and adds the
+    /// bias last.
+    fn forward(&self, input: &[f64], out: &mut [f64], relu: bool) {
+        out.fill(0.0);
+        let rows = self.weights.data().chunks_exact(self.weights.cols);
+        for (&x, row) in input.iter().zip(rows) {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &w) in out.iter_mut().zip(row) {
+                *o += x * w;
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(&self.bias) {
+            *o += b;
+            if relu {
+                *o = o.max(0.0);
+            }
+        }
+    }
+
+    /// Overwrite the gradients from this layer's input row and `delta`
+    /// (the loss gradient at its pre-activations), and write the gradient
+    /// at the input when someone downstream reads it. `0.0 + x` is what
+    /// accumulating into a zeroed buffer computed: it turns `-0.0` into
+    /// `0.0` and changes nothing else. `delta · Wᵀ` is a dot product per
+    /// row of `W`, summed over `j` ascending and skipping `delta_j == 0`.
+    fn backward(&mut self, input: &[f64], delta: &[f64], input_grad: Option<&mut [f64]>) {
+        let cols = self.weights.cols;
+        let grad_rows = self.grad_weights.data_mut().chunks_exact_mut(cols);
+        for (&x, grad_row) in input.iter().zip(grad_rows) {
+            if x == 0.0 {
+                grad_row.fill(0.0);
+            } else {
+                for (g, &d) in grad_row.iter_mut().zip(delta) {
+                    *g = 0.0 + x * d;
+                }
+            }
+        }
+        for (g, &d) in self.grad_bias.iter_mut().zip(delta) {
+            *g = 0.0 + d;
+        }
+        let Some(input_grad) = input_grad else { return };
+        let rows = self.weights.data().chunks_exact(cols);
+        for (out, row) in input_grad.iter_mut().zip(rows) {
+            let mut sum = 0.0;
+            for (&d, &w) in delta.iter().zip(row) {
+                if d != 0.0 {
+                    sum += d * w;
+                }
+            }
+            *out = sum;
         }
     }
 }
 
-/// Cached activations of one forward pass.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Input and the post-activation output of every layer (len = layers+1).
-    activations: Vec<Matrix>,
-    /// Pre-activation outputs of every layer (len = layers).
-    pre_activations: Vec<Matrix>,
-}
-
-impl ForwardCache {
-    /// The network output of this pass.
-    pub fn output(&self) -> &Matrix {
-        self.activations
-            .last()
-            .expect("cache always has activations")
-    }
-}
-
 /// A multi-layer perceptron with ReLU hidden layers and a linear output
-/// layer.
+/// layer, together with the workspace of its single-sample training step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     sizes: Vec<usize>,
+    /// `activations[0]` is the last input, `activations[i + 1]` the output
+    /// of layer `i` (after its ReLU, for hidden layers).
+    activations: Vec<Vec<f64>>,
+    /// Two rows as wide as the widest layer: the backward pass reads the
+    /// current layer's delta from one and writes the next one's into the
+    /// other.
+    deltas: [Vec<f64>; 2],
 }
 
 impl Mlp {
@@ -66,14 +118,18 @@ impl Mlp {
             sizes.len() >= 2,
             "an MLP needs at least input and output sizes"
         );
+        assert!(sizes.iter().all(|&s| s > 0), "layers cannot be empty");
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = sizes
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], &mut rng))
             .collect();
+        let widest = *sizes.iter().max().expect("sizes validated above");
         Self {
             layers,
             sizes: sizes.to_vec(),
+            activations: sizes.iter().map(|&s| vec![0.0; s]).collect(),
+            deltas: [vec![0.0; widest], vec![0.0; widest]],
         }
     }
 
@@ -95,111 +151,85 @@ impl Mlp {
             .sum()
     }
 
-    /// Run the network on a batch (rows = samples), caching activations.
-    pub fn forward(&self, input: &Matrix) -> ForwardCache {
-        assert_eq!(input.cols, self.input_dim(), "input width mismatch");
-        let mut activations = vec![input.clone()];
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
+    /// Run the network on one sample and return its output, which stays
+    /// readable (and is what [`Self::backward`] differentiates) until the
+    /// next call.
+    pub fn forward(&mut self, input: &[f64]) -> &[f64] {
+        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
+        self.activations[0].copy_from_slice(input);
+        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let z = activations
-                .last()
-                .expect("non-empty")
-                .matmul(&layer.weights)
-                .add_row_broadcast(&layer.bias);
-            pre_activations.push(z.clone());
-            let a = if i + 1 == self.layers.len() {
-                z // linear output layer
-            } else {
-                z.map(|x| x.max(0.0)) // ReLU
-            };
-            activations.push(a);
+            let (before, after) = self.activations.split_at_mut(i + 1);
+            layer.forward(&before[i], &mut after[0], i != last);
         }
-        ForwardCache {
-            activations,
-            pre_activations,
-        }
+        &self.activations[last + 1]
     }
 
-    /// Convenience: forward pass on a single sample, returning the output
-    /// values.
-    pub fn predict(&self, input: &[f64]) -> Vec<f64> {
-        let cache = self.forward(&Matrix::row_vector(input));
-        cache.output().data().to_vec()
-    }
-
-    /// Backpropagate `d_output` (gradient of the loss w.r.t. the network
-    /// output) through the cached pass, *accumulating* parameter gradients.
-    /// Returns the gradient w.r.t. the input.
-    pub fn backward(&mut self, cache: &ForwardCache, d_output: &Matrix) -> Matrix {
-        assert_eq!(d_output.cols, self.output_dim());
-        let mut grad = d_output.clone();
-        for i in (0..self.layers.len()).rev() {
-            // Through the activation (linear for the last layer, ReLU else).
-            if i + 1 != self.layers.len() {
-                let mask = cache.pre_activations[i].map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                grad = grad.hadamard(&mask);
+    /// Backpropagate `d_output` (gradient of the loss w.r.t. the output of
+    /// the last [`Self::forward`]) and *overwrite* every layer's parameter
+    /// gradients. The gradient w.r.t. the network input is not computed:
+    /// nothing reads it.
+    pub fn backward(&mut self, d_output: &[f64]) {
+        assert_eq!(d_output.len(), self.output_dim(), "output width mismatch");
+        let last = self.layers.len() - 1;
+        let [delta, next] = &mut self.deltas;
+        delta[..d_output.len()].copy_from_slice(d_output);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let delta_i = &mut delta[..self.sizes[i + 1]];
+            if i != last {
+                // Through the ReLU: an output is positive exactly when its
+                // pre-activation was.
+                for (d, &a) in delta_i.iter_mut().zip(&self.activations[i + 1]) {
+                    *d *= if a > 0.0 { 1.0 } else { 0.0 };
+                }
             }
-            let input_act = &cache.activations[i];
-            let gw = input_act.transpose().matmul(&grad);
-            let gb = grad.column_sums();
-            self.layers[i].grad_weights = self.layers[i].grad_weights.add(&gw);
-            self.layers[i].grad_bias = self.layers[i].grad_bias.add(&gb);
-            grad = grad.matmul(&self.layers[i].weights.transpose());
+            let input_grad = (i > 0).then(|| &mut next[..self.sizes[i]]);
+            layer.backward(&self.activations[i], delta_i, input_grad);
+            std::mem::swap(delta, next);
         }
-        grad
     }
 
-    /// Reset all accumulated gradients to zero.
-    pub fn zero_grad(&mut self) {
+    /// One optimizer step on the gradients of the last [`Self::backward`],
+    /// in place: `optimizer` sees each layer's weights, then its bias.
+    pub fn step(&mut self, optimizer: &mut Adam) {
+        optimizer.step(self.layers.iter_mut().flat_map(|layer| {
+            [
+                (layer.weights.data_mut(), layer.grad_weights.data()),
+                (&mut layer.bias[..], &layer.grad_bias[..]),
+            ]
+        }));
+    }
+}
+
+/// Flattened views for tests: the differential and finite-difference
+/// checks address parameters by index, the training path never does.
+#[cfg(test)]
+impl Mlp {
+    /// All parameters (weights then bias per layer — [`Self::step`]'s order).
+    pub(crate) fn parameters(&self) -> Vec<f64> {
+        let tensors = self.layers.iter().flat_map(|l| [l.weights.data(), &l.bias]);
+        tensors.flatten().copied().collect()
+    }
+
+    /// The gradients of the last backward pass, in the same order.
+    pub(crate) fn gradients(&self) -> Vec<f64> {
+        let tensors = self
+            .layers
+            .iter()
+            .flat_map(|l| [l.grad_weights.data(), &l.grad_bias]);
+        tensors.flatten().copied().collect()
+    }
+
+    /// Overwrite all parameters (inverse of [`Self::parameters`]).
+    pub(crate) fn set_parameters(&mut self, params: &[f64]) {
+        assert_eq!(params.len(), self.parameter_count());
+        let mut rest = params;
         for layer in &mut self.layers {
-            layer.grad_weights = Matrix::zeros(layer.weights.rows, layer.weights.cols);
-            layer.grad_bias = Matrix::zeros(1, layer.bias.cols);
-        }
-    }
-
-    /// Flatten all parameters into one vector (weights then bias per layer).
-    pub fn parameters(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.parameter_count());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.weights.data());
-            out.extend_from_slice(layer.bias.data());
-        }
-        out
-    }
-
-    /// Flatten all accumulated gradients in the same order as
-    /// [`Mlp::parameters`].
-    pub fn gradients(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.parameter_count());
-        for layer in &self.layers {
-            out.extend_from_slice(layer.grad_weights.data());
-            out.extend_from_slice(layer.grad_bias.data());
-        }
-        out
-    }
-
-    /// Overwrite all parameters from a flattened vector (inverse of
-    /// [`Mlp::parameters`]).
-    pub fn set_parameters(&mut self, params: &[f64]) {
-        assert_eq!(
-            params.len(),
-            self.parameter_count(),
-            "parameter count mismatch"
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            let w = layer.weights.len();
-            layer
-                .weights
-                .data_mut()
-                .copy_from_slice(&params[offset..offset + w]);
-            offset += w;
-            let b = layer.bias.len();
-            layer
-                .bias
-                .data_mut()
-                .copy_from_slice(&params[offset..offset + b]);
-            offset += b;
+            for tensor in [layer.weights.data_mut(), &mut layer.bias[..]] {
+                let (head, tail) = rest.split_at(tensor.len());
+                tensor.copy_from_slice(head);
+                rest = tail;
+            }
         }
     }
 }
@@ -207,14 +237,15 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     #[test]
     fn shapes_and_parameter_count() {
-        let mlp = Mlp::new(&[4, 8, 3], 0);
+        let mut mlp = Mlp::new(&[4, 8, 3], 0);
         assert_eq!(mlp.input_dim(), 4);
         assert_eq!(mlp.output_dim(), 3);
         assert_eq!(mlp.parameter_count(), 4 * 8 + 8 + 8 * 3 + 3);
-        let out = mlp.predict(&[0.1, -0.2, 0.3, 0.4]);
+        let out = mlp.forward(&[0.1, -0.2, 0.3, 0.4]);
         assert_eq!(out.len(), 3);
     }
 
@@ -222,6 +253,12 @@ mod tests {
     #[should_panic(expected = "at least input and output")]
     fn too_few_sizes_panics() {
         let _ = Mlp::new(&[4], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn mismatched_input_panics() {
+        let _ = Mlp::new(&[4, 2], 0).forward(&[0.0; 3]);
     }
 
     #[test]
@@ -240,6 +277,11 @@ mod tests {
         let c = Mlp::new(&[6, 10, 2], 4);
         assert_eq!(a.parameters(), b.parameters());
         assert_ne!(a.parameters(), c.parameters());
+        // The oracle draws the same initial weights in the same order.
+        assert_eq!(
+            a.parameters(),
+            reference::Mlp::new(&[6, 10, 2], 3).parameters()
+        );
     }
 
     /// Numerical gradient check: backprop must agree with finite differences
@@ -247,32 +289,25 @@ mod tests {
     #[test]
     fn gradient_check_against_finite_differences() {
         let mut mlp = Mlp::new(&[3, 4, 2], 11);
-        let input = Matrix::row_vector(&[0.5, -0.3, 0.8]);
+        let input = [0.5, -0.3, 0.8];
         let target = [0.2, -0.1];
 
         // Loss = 0.5 * ||out - target||^2 → dL/dout = out - target.
-        let loss_of = |mlp: &Mlp| {
+        let loss_of = |mlp: &mut Mlp| {
             let out = mlp.forward(&input);
-            out.output()
-                .data()
-                .iter()
+            out.iter()
                 .zip(target.iter())
                 .map(|(o, t)| 0.5 * (o - t).powi(2))
                 .sum::<f64>()
         };
 
-        let cache = mlp.forward(&input);
-        let d_out = Matrix::row_vector(
-            &cache
-                .output()
-                .data()
-                .iter()
-                .zip(target.iter())
-                .map(|(o, t)| o - t)
-                .collect::<Vec<f64>>(),
-        );
-        mlp.zero_grad();
-        mlp.backward(&cache, &d_out);
+        let d_out: Vec<f64> = mlp
+            .forward(&input)
+            .iter()
+            .zip(target.iter())
+            .map(|(o, t)| o - t)
+            .collect();
+        mlp.backward(&d_out);
         let analytic = mlp.gradients();
 
         let params = mlp.parameters();
@@ -286,8 +321,7 @@ mod tests {
             m_plus.set_parameters(&plus);
             let mut m_minus = mlp.clone();
             m_minus.set_parameters(&minus);
-            let numeric = (loss_of(&m_plus) - loss_of(&m_minus)) / (2.0 * eps);
-            let _ = (&mut m_plus, &mut m_minus);
+            let numeric = (loss_of(&mut m_plus) - loss_of(&mut m_minus)) / (2.0 * eps);
             assert!(
                 (numeric - analytic[idx]).abs() < 1e-4,
                 "gradient mismatch at {idx}: numeric {numeric} vs analytic {}",
@@ -311,21 +345,21 @@ mod tests {
         ];
         let lr = 0.05;
         for _ in 0..4_000 {
-            mlp.zero_grad();
+            // Full-batch descent: sum the per-sample gradients.
+            let mut grads = vec![0.0; mlp.parameter_count()];
             for (x, y) in &data {
-                let input = Matrix::row_vector(x);
-                let cache = mlp.forward(&input);
-                let out = cache.output().get(0, 0);
-                let d_out = Matrix::row_vector(&[out - y]);
-                mlp.backward(&cache, &d_out);
+                let out = mlp.forward(x)[0];
+                mlp.backward(&[out - y]);
+                for (sum, g) in grads.iter_mut().zip(mlp.gradients()) {
+                    *sum += g;
+                }
             }
             let params = mlp.parameters();
-            let grads = mlp.gradients();
             let updated: Vec<f64> = params.iter().zip(&grads).map(|(p, g)| p - lr * g).collect();
             mlp.set_parameters(&updated);
         }
         for (x, y) in &data {
-            let out = mlp.predict(x)[0];
+            let out = mlp.forward(x)[0];
             assert!(
                 (out - y).abs() < 0.2,
                 "XOR({x:?}) predicted {out}, expected {y}"
@@ -334,13 +368,39 @@ mod tests {
     }
 
     #[test]
-    fn zero_grad_clears_accumulated_gradients() {
+    fn backward_overwrites_the_previous_gradients() {
         let mut mlp = Mlp::new(&[2, 3, 1], 9);
-        let input = Matrix::row_vector(&[1.0, -1.0]);
-        let cache = mlp.forward(&input);
-        mlp.backward(&cache, &Matrix::row_vector(&[1.0]));
-        assert!(mlp.gradients().iter().any(|&g| g != 0.0));
-        mlp.zero_grad();
+        mlp.forward(&[1.0, -1.0]);
+        mlp.backward(&[1.0]);
+        let first = mlp.gradients();
+        assert!(first.iter().any(|&g| g != 0.0));
+        mlp.backward(&[1.0]);
+        assert_eq!(mlp.gradients(), first, "gradients must not accumulate");
+        mlp.backward(&[0.0]);
         assert!(mlp.gradients().iter().all(|&g| g == 0.0));
+    }
+
+    /// Forward outputs and every gradient equal the oracle's bit for bit,
+    /// on binary inputs (zero skips taken) and fractional ones.
+    #[test]
+    fn forward_and_backward_match_the_reference_bit_for_bit() {
+        let sizes = [6, 9, 7, 4];
+        let mut fused = Mlp::new(&sizes, 21);
+        let mut oracle = reference::Mlp::new(&sizes, 21);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for input in [
+            [1.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, 1.0 / 3.0],
+            [0.0; 6],
+        ] {
+            let cache = oracle.forward(&Matrix::row_vector(&input));
+            let out = fused.forward(&input).to_vec();
+            assert_eq!(bits(&out), bits(cache.output().data()));
+            let d_out: Vec<f64> = out.iter().map(|o| o - 0.25).collect();
+            oracle.zero_grad();
+            oracle.backward(&cache, &Matrix::row_vector(&d_out));
+            fused.backward(&d_out);
+            assert_eq!(bits(&fused.gradients()), bits(&oracle.gradients()));
+        }
     }
 }

@@ -8,13 +8,43 @@ use atlas::baselines::{
     AffinityGaAdvisor, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor, RemapAdvisor,
 };
 use atlas::core::{
-    Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, Recommender, RecommenderConfig,
+    Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, RecommendationReport, Recommender,
+    RecommenderConfig,
 };
 use atlas::sim::{
     AppTopology, ClusterSpec, Location, OverloadModel, Placement, SimConfig, Simulator,
 };
 use atlas::telemetry::TelemetryStore;
 use atlas_bench::{Application, Experiment, ExperimentOptions};
+
+/// FNV-1a digest of everything a recommendation promises to keep stable:
+/// every plan's genome and the bits of its three indicators, in front
+/// order, then the bits of the agent's reward progression. The expected
+/// values in the tests below were recorded on the allocating batch-matrix
+/// `atlas-nn` that PR 12 replaced, so a change that claims "fronts did not
+/// move" is checked by `cargo test -q`, not only by the benchmark's
+/// hypervolume. A digest that moves on purpose is re-recorded and named in
+/// CHANGES.md.
+fn front_digest(report: &RecommendationReport) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for recommended in &report.plans {
+        for site in recommended.plan.sites() {
+            mix(site.index() as u64);
+        }
+        mix(recommended.quality.performance.to_bits());
+        mix(recommended.quality.availability.to_bits());
+        mix(recommended.quality.cost.to_bits());
+    }
+    for reward in &report.reward_progression {
+        mix(reward.to_bits());
+    }
+    hash
+}
 
 fn learn(
     app: &AppTopology,
@@ -64,6 +94,11 @@ fn social_network_end_to_end_recommendation() {
     let report = atlas.recommend(current.clone(), preferences.clone());
 
     assert!(!report.plans.is_empty(), "Atlas must find feasible plans");
+    assert_eq!(
+        front_digest(&report),
+        0x78CD_B18D_D67C_B43E,
+        "social-network front moved from the PR-12 parent"
+    );
     for recommended in &report.plans {
         assert!(recommended.quality.feasible);
         // Pinned user data never leaves the on-prem cluster.
@@ -218,6 +253,11 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
         !reference.plans.is_empty(),
         "the recommender must complete with plans on a 100-component scenario"
     );
+    assert_eq!(
+        front_digest(reference),
+        0xED45_AB54_8F1B_BC13,
+        "100-component 2-site front moved from the PR-12 parent"
+    );
     for plan in &reference.plans {
         assert!(plan.quality.feasible);
         assert_eq!(
@@ -348,6 +388,11 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
     assert!(
         !reference.plans.is_empty(),
         "the multi-region recommender must complete with plans"
+    );
+    assert_eq!(
+        front_digest(reference),
+        0x2FE2_8C97_A643_3681,
+        "100-component 4-site front moved from the PR-12 parent"
     );
     for plan in &reference.plans {
         assert!(plan.quality.feasible);
