@@ -23,6 +23,7 @@
 //!   advisor can be stressed far beyond the two hand-built applications.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod hotel_reservation;

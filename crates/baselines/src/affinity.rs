@@ -341,19 +341,6 @@ mod tests {
         );
     }
 
-    /// REMaP and IntMA recommend byte-identical plans with the scorer's
-    /// delta path on and off.
-    #[test]
-    fn advisors_are_identical_with_and_without_the_delta_path() {
-        let ctx = test_context(7.0);
-        let on = RemapAdvisor.recommend_with(&ctx.scorer().with_delta_path(true));
-        let off = RemapAdvisor.recommend_with(&ctx.scorer().with_delta_path(false));
-        assert_eq!(on, off);
-        let on = IntMaAdvisor.recommend_with(&ctx.scorer().with_delta_path(true));
-        let off = IntMaAdvisor.recommend_with(&ctx.scorer().with_delta_path(false));
-        assert_eq!(on, off);
-    }
-
     #[test]
     fn advisors_produce_feasible_plans() {
         let ctx = test_context(7.0);

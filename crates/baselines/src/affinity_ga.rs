@@ -156,26 +156,24 @@ impl AffinityGaAdvisor {
                 provenance.push((changes.len() <= change_cap).then_some((parent, changes)));
                 offspring.push(sites);
             }
-            let child_scores = if scorer.delta_path() {
-                let mut scores: Vec<Option<PlacementScore>> = vec![None; offspring.len()];
-                let mut batched: Vec<usize> = Vec::new();
-                for (k, prov) in provenance.iter().enumerate() {
-                    match prov {
-                        Some((p, changes)) => {
-                            scores[k] = Some(scorer.score_changes(&population[*p], changes));
-                        }
-                        None => batched.push(k),
+            let mut child_scores: Vec<Option<PlacementScore>> = vec![None; offspring.len()];
+            let mut batched: Vec<usize> = Vec::new();
+            for (k, prov) in provenance.iter().enumerate() {
+                match prov {
+                    Some((p, changes)) => {
+                        child_scores[k] = Some(scorer.score_changes(&population[*p], changes));
                     }
+                    None => batched.push(k),
                 }
-                let fresh: Vec<Vec<SiteId>> =
-                    batched.iter().map(|&k| offspring[k].clone()).collect();
-                for (k, score) in batched.iter().zip(scorer.score_batch(&fresh)) {
-                    scores[*k] = Some(score);
-                }
-                scores.into_iter().map(|s| s.expect("scored")).collect()
-            } else {
-                scorer.score_batch(&offspring)
-            };
+            }
+            let fresh: Vec<Vec<SiteId>> = batched.iter().map(|&k| offspring[k].clone()).collect();
+            for (k, score) in batched.iter().zip(scorer.score_batch(&fresh)) {
+                child_scores[*k] = Some(score);
+            }
+            let child_scores: Vec<PlacementScore> = child_scores
+                .into_iter()
+                .map(|s| s.expect("every child is scored by one of the two routes"))
+                .collect();
             requested += offspring.len();
             for (child, score) in offspring.into_iter().zip(&child_scores) {
                 if score.feasible {
@@ -291,19 +289,6 @@ mod tests {
             (0..64).any(|_| random_site(&mut rng, 0.9, 3) == atlas_sim::SiteId(2))
         };
         assert!(sampler_uses_site_2);
-    }
-
-    /// The GA front is byte-identical with the delta offspring path on and
-    /// off: provenance scoring changes how children reach the cache, never
-    /// what they score.
-    #[test]
-    fn fronts_are_identical_with_and_without_the_delta_path() {
-        let ctx = test_context(7.0);
-        let advisor = AffinityGaAdvisor::fast();
-        let on = advisor.recommend_with(&ctx.scorer().with_delta_path(true));
-        let off = advisor.recommend_with(&ctx.scorer().with_delta_path(false));
-        assert_eq!(on, off);
-        assert!(!on.is_empty());
     }
 
     #[test]

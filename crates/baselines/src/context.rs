@@ -240,7 +240,6 @@ pub struct PlacementScore {
 pub struct BaselineScorer<'a> {
     ctx: &'a BaselineContext,
     threads: usize,
-    delta: bool,
     constraints: ConstraintKernel,
     /// The context's cost model pre-bound to its demand (bit-identical,
     /// allocation-free; see [`atlas_cloud::CompiledCost`]).
@@ -254,7 +253,6 @@ impl<'a> BaselineScorer<'a> {
         Self {
             ctx,
             threads: effective_threads(0),
-            delta: true,
             constraints: ConstraintKernel::new(&ctx.preferences)
                 .with_owned_site_limits(ctx.owned_site_limits.clone()),
             cost: ctx.cost_model.compile(&ctx.demand),
@@ -267,20 +265,6 @@ impl<'a> BaselineScorer<'a> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = effective_threads(threads);
         self
-    }
-
-    /// Enable or disable the delta probe path of [`Self::score_move`] and
-    /// [`Self::score_changes`] (builder style; on by default). Disabled,
-    /// probes clone the base placement and go through [`Self::score`] —
-    /// same scores, same cache accounting, just one allocation per probe.
-    pub fn with_delta_path(mut self, on: bool) -> Self {
-        self.delta = on;
-        self
-    }
-
-    /// Whether the allocation-free delta probe path is enabled.
-    pub fn delta_path(&self) -> bool {
-        self.delta
     }
 
     /// The wrapped context.
@@ -312,8 +296,8 @@ impl<'a> BaselineScorer<'a> {
 
     /// Score one site assignment, serving duplicates from the cache.
     pub fn score(&self, sites: &[SiteId]) -> PlacementScore {
-        let key = sites.to_vec();
-        self.cache.get_or_compute(&key, |k| self.compute(k))
+        self.cache
+            .get_or_compute(sites, <[SiteId]>::to_vec, |k| self.compute(k))
     }
 
     /// Score `base` with one component moved to another site — the shape of
@@ -322,21 +306,14 @@ impl<'a> BaselineScorer<'a> {
         self.score_changes(base, &[(component, site)])
     }
 
-    /// Score `base` with a few components moved — the shape of a GA
-    /// mutation offspring whose parent is known. With the delta path on,
-    /// the probe placement is materialised in the thread-local scratch and
-    /// looked up in the cache by reference, so a cache hit (the common case
-    /// of local search re-probing its neighbourhood) allocates nothing.
-    /// Scores and cache accounting are identical to cloning the base and
-    /// calling [`Self::score`], which is what the disabled path does.
+    /// Score `base` with a few components moved (applied in order) — the
+    /// shape of a GA mutation offspring whose parent is known. The probe
+    /// placement is materialised in the thread-local scratch and looked up
+    /// in the cache by reference, so a cache hit (the common case of local
+    /// search re-probing its neighbourhood) allocates nothing. Scores and
+    /// cache accounting are identical to applying the changes to a clone of
+    /// the base and calling [`Self::score`].
     pub fn score_changes(&self, base: &[SiteId], changes: &[(usize, SiteId)]) -> PlacementScore {
-        if !self.delta {
-            let mut sites = base.to_vec();
-            for &(c, s) in changes {
-                sites[c] = s;
-            }
-            return self.score(&sites);
-        }
         with_scratch(|s| {
             let EvalScratch { sites, cost, .. } = s;
             sites.clear();
@@ -344,7 +321,7 @@ impl<'a> BaselineScorer<'a> {
             for &(c, s2) in changes {
                 sites[c] = s2;
             }
-            self.cache.get_or_compute_with(
+            self.cache.get_or_compute(
                 sites.as_slice(),
                 |k: &[SiteId]| k.to_vec(),
                 |k| self.compute_on(k, cost),
@@ -522,30 +499,49 @@ mod tests {
         assert_eq!(scorer.stats().cache_hits, 2);
     }
 
-    /// The delta probe path returns the same scores and burns the same
-    /// cache accounting as cloning the base placement, toggle on or off.
+    /// `score_changes(base, changes) == score(&applied)`, scores and cache
+    /// accounting alike, whichever of the two reaches a placement first.
     #[test]
-    fn delta_probes_match_cloned_scores_and_accounting() {
+    fn change_probes_match_scoring_the_applied_placement() {
         let ctx = test_context(7.0);
-        for delta in [true, false] {
-            let scorer = ctx.scorer().with_delta_path(delta);
-            assert_eq!(scorer.delta_path(), delta);
-            let base = vec![SiteId::ON_PREM; 3];
-            let moved = scorer.score_move(&base, 1, SiteId::CLOUD);
-            let mut clone = base.clone();
-            clone[1] = SiteId::CLOUD;
-            assert_eq!(moved, scorer.score(&clone));
-            // Re-probing is a cache hit, not a new evaluation.
-            let again = scorer.score_move(&base, 1, SiteId::CLOUD);
-            assert_eq!(again, moved);
-            let multi = scorer.score_changes(&base, &[(0, SiteId::CLOUD), (2, SiteId::CLOUD)]);
-            assert_eq!(
-                multi,
-                scorer.score(&[SiteId::CLOUD, SiteId::ON_PREM, SiteId::CLOUD])
-            );
-            assert_eq!(scorer.unique_evaluations(), 2);
-            assert_eq!(scorer.stats().cache_hits, 3, "delta={delta}");
+        let apply = |base: &[SiteId], changes: &[(usize, SiteId)]| {
+            let mut sites = base.to_vec();
+            for &(c, s) in changes {
+                sites[c] = s;
+            }
+            sites
+        };
+        let base = vec![SiteId::ON_PREM; 3];
+        let probes: [&[(usize, SiteId)]; 4] = [
+            &[(1, SiteId::CLOUD)],
+            &[(0, SiteId::CLOUD), (2, SiteId::CLOUD)],
+            &[(1, SiteId::CLOUD), (1, SiteId::ON_PREM)], // a no-op: the base itself
+            &[],
+        ];
+        // Probe first, then score the applied placement: the second lookup
+        // of each placement is a hit.
+        let probed = ctx.scorer();
+        // Score first, then probe: same scores, same accounting.
+        let scored = ctx.scorer();
+        for changes in probes {
+            let applied = apply(&base, changes);
+            let a = probed.score_changes(&base, changes);
+            assert_eq!(a, probed.score(&applied));
+            let b = scored.score(&applied);
+            assert_eq!(b, scored.score_changes(&base, changes));
+            assert_eq!(a, b);
+            assert_eq!(a, ctx.scorer().score(&applied), "a cold scorer agrees");
+            assert_eq!(probed.stats().cache_hits, scored.stats().cache_hits);
+            assert_eq!(probed.unique_evaluations(), scored.unique_evaluations());
         }
+        // Three distinct placements (the last two probes are the base);
+        // every other request — 8 in total — was a cache hit.
+        assert_eq!(probed.unique_evaluations(), 3);
+        assert_eq!(probed.stats().cache_hits, 5);
+        assert_eq!(
+            probed.score_move(&base, 1, SiteId::CLOUD),
+            probed.score(&apply(&base, probes[0]))
+        );
     }
 
     /// Later changes overwrite earlier ones for the same component, exactly

@@ -25,6 +25,7 @@
 //! reuse.)
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod affinity;
 pub mod affinity_ga;

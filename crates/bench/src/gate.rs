@@ -640,8 +640,8 @@ pub fn check(
                 Some(s) => verdicts.push(Verdict::Fail(format!(
                     "{label}: speedup_vs_serial {s:.2} < {MIN_SERVING_SPEEDUP} with \
                      {workers:.0} workers: the hub's worker pool no longer beats a serial \
-                     request loop; check serve()'s fan-out and the shard contention of the \
-                     epoch cache"
+                     request loop; check serve()'s fan-out and contention on the epoch \
+                     cache's lock"
                 ))),
                 None => verdicts.push(Verdict::Fail(format!(
                     "{label}: fresh BENCH_service.json lacks speedup_vs_serial \

@@ -18,6 +18,7 @@
 //!   used to derive node counts over time.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod autoscaler;
 pub mod cost;

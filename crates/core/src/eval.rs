@@ -7,15 +7,14 @@
 //!
 //! * **Memoisation** — results are cached keyed on [`MigrationPlan`]'s
 //!   `Hash`, so duplicate plans (common after pin-application and low-rate
-//!   mutation) are scored exactly once. The cache is sharded into
-//!   [`MEMO_SHARDS`] independently-locked segments keyed by the top bits of
-//!   the plan hash, so concurrent recommendation requests sharing one cache
-//!   (the multi-tenant [`hub`](crate::hub)) never serialise on a single
-//!   mutex;
+//!   mutation) are scored exactly once. One lock guards the map and its
+//!   counters; scoring always happens outside it, so concurrent
+//!   recommendation requests sharing one cache (the multi-tenant
+//!   [`hub`](crate::hub)) wait only for each other's map operations;
 //! * **Batching** — [`PlanEvaluator::evaluate_batch`] dedupes a whole
-//!   generation and fans the uncached plans out across
-//!   [`std::thread::scope`] workers ([`QualityModel`] is `Send + Sync`, so
-//!   scoring needs no locks);
+//!   generation and fans the uncached plans out, [`LANE_WIDTH`] to a
+//!   structure-of-arrays lane group, across [`std::thread::scope`] workers
+//!   ([`QualityModel`] is `Send + Sync`, so scoring needs no locks);
 //! * **Statistics** — [`EvalStats`] reports unique evaluations, cache hits
 //!   and scoring wall time, surfaced in
 //!   [`RecommendationReport`](crate::recommender::RecommendationReport).
@@ -79,6 +78,7 @@
 //! assert_eq!(stats.cache_hits, 1);
 //! ```
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -169,8 +169,8 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Minimum number of items each worker must receive before [`parallel_map`]
-/// spawns a thread scope. Spawning scoped workers costs tens of
+/// Minimum number of items each worker must receive before
+/// [`parallel_map_grouped`] spawns a thread scope. Spawning scoped workers costs tens of
 /// microseconds per batch; fanning out a generation-sized batch of cheap
 /// kernel evaluations used to *lose* wall time (PR 3 measured a 0.91×
 /// "speedup"), so small batches now run serially and large batches cap
@@ -188,8 +188,8 @@ pub const MIN_ITEMS_PER_WORKER: usize = 16;
 /// bit-identical, so the threshold never changes a score.
 pub const DELTA_DIFF_THRESHOLD: f64 = 0.25;
 
-/// Default number of plans scored per structure-of-arrays lane group by
-/// [`PlanEvaluator::evaluate_batch`] (see
+/// Number of plans scored per structure-of-arrays lane group by every
+/// [`PlanEvaluator`] batch path (see
 /// [`QualityModel::evaluate_lanes`]). Sixteen lanes amortise the op decode
 /// and wave bookkeeping of the compiled kernel without spilling the
 /// per-lane cursor/stack working set out of cache (measured on a
@@ -197,117 +197,76 @@ pub const DELTA_DIFF_THRESHOLD: f64 = 0.25;
 /// adds only a few percent more).
 pub const LANE_WIDTH: usize = 16;
 
-/// Number of independently-locked segments a [`MemoCache`] splits its
-/// entries across (a power of two; the shard is the top bits of the
-/// [`PlanKeyHasher`] key hash). One global mutex made the memo cache the
-/// serialisation point of multi-tenant serving: every concurrent
-/// recommendation request funnelled its probes and inserts through the same
-/// lock. Sixteen shards spread a uniform hash across sixteen locks, so the
-/// expected contention at N concurrent requests drops by 16× while the
-/// aggregate accounting stays exact (per-shard counters merge on read).
-pub const MEMO_SHARDS: usize = 16;
-
 /// Deterministically map a pure function over a slice with up to `threads`
-/// scoped workers. Results come back in input order regardless of the thread
-/// count. Batches smaller than 2 × [`MIN_ITEMS_PER_WORKER`] run serially on
+/// scoped workers, `f` mapping whole *groups* of up to `group` consecutive
+/// items to one result per item (the shape of the lane-batched kernel).
+/// Results come back in input order regardless of the thread count.
+/// Batches smaller than 2 × [`MIN_ITEMS_PER_WORKER`] items run serially on
 /// the calling thread (no scope is spawned); larger batches are distributed
-/// in contiguous chunks across at most `items.len() /
-/// MIN_ITEMS_PER_WORKER` workers, so every spawned thread has enough work
-/// to amortise its start-up cost.
+/// in contiguous chunks — rounded to whole groups, so no group straddles a
+/// thread boundary — across at most `items.len() / MIN_ITEMS_PER_WORKER`
+/// workers, so every spawned thread has enough work to amortise its
+/// start-up cost. `f` must return exactly as many results as it was given
+/// items.
 ///
 /// This is the fan-out primitive shared by [`PlanEvaluator`] and the cached
 /// baseline scorer in `atlas-baselines`.
+pub fn parallel_map_grouped<T, R, I, F>(items: &[T], threads: usize, group: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: IntoIterator<Item = R>,
+    F: Fn(&[T]) -> I + Sync,
+{
+    let group = group.max(1);
+    let run = |chunk: &[T]| {
+        let mut out = Vec::with_capacity(chunk.len());
+        for items in chunk.chunks(group) {
+            let before = out.len();
+            out.extend(f(items));
+            debug_assert_eq!(out.len() - before, items.len(), "one result per item");
+        }
+        out
+    };
+    let workers = effective_threads(threads)
+        .min(items.len() / MIN_ITEMS_PER_WORKER)
+        .max(1);
+    if workers <= 1 {
+        return run(items);
+    }
+    let chunk = items.len().div_ceil(group).div_ceil(workers) * group;
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|chunk| scope.spawn(move || run(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// [`parallel_map_grouped`] at group size 1: one call of `f` per item.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = effective_threads(threads)
-        .min(items.len() / MIN_ITEMS_PER_WORKER)
-        .max(1);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every worker fills its chunk"))
-        .collect()
-}
-
-/// Like [`parallel_map`], but `f` maps whole *groups* of up to `group`
-/// consecutive items to one result per item (the shape of the lane-batched
-/// kernel). Worker chunks are rounded to whole groups so no group straddles
-/// a thread boundary; results come back in input order, and the serial
-/// fall-back applies the same [`MIN_ITEMS_PER_WORKER`] rule in items (not
-/// groups). `f` must return exactly as many results as it was given items.
-pub fn parallel_map_grouped<T, R, F>(items: &[T], threads: usize, group: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let group = group.max(1);
-    let workers = effective_threads(threads)
-        .min(items.len() / MIN_ITEMS_PER_WORKER)
-        .max(1);
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in items.chunks(group) {
-            let values = f(chunk);
-            debug_assert_eq!(values.len(), chunk.len(), "one result per item");
-            out.extend(values);
-        }
-        return out;
-    }
-    let groups = items.len().div_ceil(group);
-    let chunk = groups.div_ceil(workers) * group;
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (in_group, out_group) in in_chunk.chunks(group).zip(out_chunk.chunks_mut(group))
-                {
-                    let values = f(in_group);
-                    debug_assert_eq!(values.len(), in_group.len(), "one result per item");
-                    for (slot, value) in out_group.iter_mut().zip(values) {
-                        *slot = Some(value);
-                    }
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every worker fills its chunk"))
-        .collect()
+    parallel_map_grouped(items, threads, 1, |item| Some(f(&item[0])))
 }
 
 /// Deterministic word-folding hasher for plan-keyed tables (the memo cache,
-/// its shard selector, the batch dedupe maps and the recommender's
-/// request-local visited set). A plan key hashes as hundreds of site ids,
-/// and the standard library's DoS-resistant SipHash spends more time on
-/// that than the delta re-score the lookup guards; these tables are
-/// process-local and never fed attacker-chosen keys, so a multiply-xor
-/// fold (one rotate + xor + multiply per 8-byte word) is safe and several
-/// times cheaper. Only lookup speed changes: nothing iterates these maps,
-/// so bucket order — the only thing a hasher can influence — is
-/// unobservable.
+/// the batch dedupe maps and the recommender's request-local visited set).
+/// A plan key hashes as hundreds of site ids, and the standard library's
+/// DoS-resistant SipHash spends more time on that than the delta re-score
+/// the lookup guards; these tables are process-local and never fed
+/// attacker-chosen keys, so a multiply-xor fold (one rotate + xor +
+/// multiply per 8-byte word) is safe and several times cheaper. Only lookup
+/// speed changes: nothing iterates these maps, so bucket order — the only
+/// thing a hasher can influence — is unobservable.
 #[derive(Debug, Default)]
 pub struct PlanKeyHasher(u64);
 
@@ -340,83 +299,61 @@ type PlanKeyMap<K, V> = HashMap<K, V, BuildHasherDefault<PlanKeyHasher>>;
 /// request-local visited-budget tracker.
 pub type PlanKeySet<K> = HashSet<K, BuildHasherDefault<PlanKeyHasher>>;
 
-/// The [`PlanKeyHasher`] hash of one key (shared by the shard selector and
-/// the shard maps — the [`std::borrow::Borrow`] contract keeps borrowed and
-/// owned forms agreeing).
-fn plan_key_hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
-    let mut hasher = PlanKeyHasher::default();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The shard index of one key hash: the top bits, so the shard selector and
-/// the in-shard bucket index (which hashbrown takes from the low bits) stay
-/// independent.
-fn shard_of(hash: u64) -> usize {
-    (hash >> (64 - MEMO_SHARDS.trailing_zeros())) as usize & (MEMO_SHARDS - 1)
-}
-
-/// One independently-locked segment of a [`MemoCache`]: its slice of the
-/// entries plus the hit counter for probes that landed here. Keeping the
-/// counter inside the shard means hit accounting rides the lock the probe
-/// already holds — no shared atomic on the hot path.
+/// Everything a [`MemoCache`] guards with its one lock: the entries and the
+/// accounting, so a probe counts its hit under the lock it already holds.
 #[derive(Debug)]
-struct MemoShard<K, V> {
+struct MemoState<K, V> {
     cache: PlanKeyMap<K, V>,
     cache_hits: usize,
+    batches: usize,
+    wall_time: Duration,
 }
 
-/// Outcome counters of one batched cache lookup, as seen by the caller that
-/// issued it: how many requests the cache answered, how many unique keys
-/// the batch computed, and the batch wall time. [`PlanEvaluator`] folds
-/// these into its evaluator-local statistics so per-request accounting
-/// stays exact even when many evaluators share one cache.
+/// Which cache/batch slot serves one input position of a batched lookup:
+/// a cache hit, or the `k`-th freshly computed result (shared by every
+/// in-batch duplicate of the same key).
+enum Slot<V> {
+    Hit(V),
+    Pending(usize),
+}
+
+/// Outcome counters of one cache lookup, as seen by the caller that issued
+/// it. [`PlanEvaluator`] folds these into its evaluator-local statistics so
+/// per-request accounting stays exact even when many evaluators share one
+/// cache.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchOutcome {
+struct LookupOutcome {
     /// Requests answered from the cache, including in-batch duplicates.
-    pub hits: usize,
-    /// Unique keys computed by this batch.
-    pub computed: usize,
-    /// Wall time of the whole batch (probe + compute + insert).
-    pub elapsed: Duration,
+    hits: usize,
+    /// Unique keys computed by this lookup.
+    computed: usize,
+    /// Wall time of the lookup (probe + compute).
+    elapsed: Duration,
 }
 
 /// The memoisation + batching core shared by [`PlanEvaluator`] and the
-/// baselines' placement scorer: a result cache sharded into [`MEMO_SHARDS`]
-/// independently-locked segments (shard = top bits of the
-/// [`PlanKeyHasher`] key hash) with hit/batch/wall-time accounting and a
-/// deduplicated, thread-parallel batch path. The compute function is
-/// supplied per call, so one cache can serve any pure scoring function over
-/// its key type — and one cache can serve many concurrent callers without
-/// funnelling them through a single mutex.
-///
-/// Batch-level counters (`batches`, in-batch duplicate hits, wall time) are
-/// plain atomics bumped once per batch, not per key; per-key hit counters
-/// live inside the shard the probe already locked.
+/// baselines' placement scorer: a result cache behind one lock with
+/// hit/batch/wall-time accounting and a deduplicated, thread-parallel batch
+/// path. The compute function is supplied per call, so one cache can serve
+/// any pure scoring function over its key type. Computation always happens
+/// outside the lock — a lookup of one key or of a whole batch takes it
+/// twice, to probe and to insert — so concurrent callers sharing one cache
+/// (the multi-tenant [`hub`](crate::hub)) only ever wait for map
+/// operations, never for scoring.
 #[derive(Debug)]
 pub struct MemoCache<K, V> {
-    shards: Vec<Mutex<MemoShard<K, V>>>,
-    batches: AtomicUsize,
-    /// Requests served by in-batch duplicates of keys being computed (they
-    /// hit no shard, so they are accounted once per batch here).
-    dup_hits: AtomicUsize,
-    wall_time_nanos: AtomicU64,
+    state: Mutex<MemoState<K, V>>,
 }
 
 impl<K, V> Default for MemoCache<K, V> {
     fn default() -> Self {
         Self {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| {
-                    Mutex::new(MemoShard {
-                        cache: PlanKeyMap::default(),
-                        cache_hits: 0,
-                    })
-                })
-                .collect(),
-            batches: AtomicUsize::new(0),
-            dup_hits: AtomicUsize::new(0),
-            wall_time_nanos: AtomicU64::new(0),
+            state: Mutex::new(MemoState {
+                cache: PlanKeyMap::default(),
+                cache_hits: 0,
+                batches: 0,
+                wall_time: Duration::ZERO,
+            }),
         }
     }
 }
@@ -426,141 +363,112 @@ where
     K: Hash + Eq + Clone,
     V: Copy,
 {
-    /// Probe one key, counting a cache hit on success. The caller computes
-    /// and [`Self::insert`]s on a miss — the split keeps the (possibly
-    /// expensive) compute outside every lock.
-    pub fn probe(&self, key: &K) -> Option<V> {
-        let mut shard = self.shards[shard_of(plan_key_hash(key))].lock();
-        match shard.cache.get(key) {
-            Some(&value) => {
-                shard.cache_hits += 1;
-                Some(value)
-            }
-            None => None,
-        }
+    /// Probe one key — through any borrowed form of it, so a probe never
+    /// allocates an owned key — counting a cache hit on success. The caller
+    /// computes and [`Self::insert`]s on a miss; the split keeps the
+    /// (possibly expensive) compute outside the lock.
+    pub fn probe<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut state = self.state.lock();
+        let value = state.cache.get(key).copied();
+        state.cache_hits += usize::from(value.is_some());
+        value
     }
 
     /// Record one computed value and the wall time its computation took.
     /// Two callers racing to compute the same key both insert the same
     /// value (computation is pure), so last-write-wins is benign.
-    pub fn insert(&self, key: &K, value: V, elapsed: Duration) {
-        self.wall_time_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        let mut shard = self.shards[shard_of(plan_key_hash(key))].lock();
-        shard.cache.insert(key.clone(), value);
+    pub fn insert(&self, key: K, value: V, elapsed: Duration) {
+        let mut state = self.state.lock();
+        state.wall_time += elapsed;
+        state.cache.insert(key, value);
     }
 
-    /// Probe a whole batch, returning the cached value per input position.
-    /// Positions map to shards up front, then each shard is locked exactly
-    /// once — a batch touches at most [`MEMO_SHARDS`] locks regardless of
-    /// its size, and hits are counted in the shard that served them.
-    pub fn probe_batch(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); MEMO_SHARDS];
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[shard_of(plan_key_hash(key))].push(i);
-        }
-        let mut out: Vec<Option<V>> = vec![None; keys.len()];
-        for (s, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[s].lock();
-            let mut hits = 0usize;
-            for &i in positions {
-                if let Some(&value) = shard.cache.get(&keys[i]) {
-                    out[i] = Some(value);
-                    hits += 1;
-                }
-            }
-            shard.cache_hits += hits;
-        }
-        out
-    }
-
-    /// Record one batch's computed entries plus its accounting: the batch
-    /// counter, the requests served by in-batch duplicates (`dup_hits`) and
-    /// the batch wall time. Entries are grouped so each shard is locked
-    /// once.
-    pub fn insert_batch(&self, entries: &[(&K, V)], dup_hits: usize, elapsed: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.dup_hits.fetch_add(dup_hits, Ordering::Relaxed);
-        self.wall_time_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); MEMO_SHARDS];
-        for (i, (key, _)) in entries.iter().enumerate() {
-            by_shard[shard_of(plan_key_hash(*key))].push(i);
-        }
-        for (s, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[s].lock();
-            for &i in positions {
-                let (key, value) = entries[i];
-                shard.cache.insert(key.clone(), value);
-            }
-        }
-    }
-
-    /// Look up one key, computing and caching its value on a miss.
-    pub fn get_or_compute(&self, key: &K, compute: impl FnOnce(&K) -> V) -> V {
+    /// Look up one key, computing and caching its value on a miss. The
+    /// lookup goes through a borrowed form of the key (e.g. `&[SiteId]` for
+    /// a `Vec<SiteId>` cache), so probes that hit the cache never allocate
+    /// an owned key; on a miss, `own` materialises the owned key for
+    /// insertion and `compute` scores it.
+    pub fn get_or_compute<Q>(
+        &self,
+        key: &Q,
+        own: impl FnOnce(&Q) -> K,
+        compute: impl FnOnce(&Q) -> V,
+    ) -> V
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if let Some(value) = self.probe(key) {
             return value;
         }
         let start = Instant::now();
         let value = compute(key);
-        self.insert(key, value, start.elapsed());
+        self.insert(own(key), value, start.elapsed());
         value
     }
 
-    /// The batched lookup core: dedupe the batch against the cache and
-    /// against itself, compute the remaining unique keys with `compute_all`
-    /// (one value per key, in first-appearance order), insert, and return
-    /// the values in input order together with the [`BatchOutcome`]
-    /// counters of this call.
-    pub fn get_or_compute_batch_outcome<F>(
+    /// The batched lookup core behind every batch path: probe the whole
+    /// batch under one lock, dedupe the misses against each other, compute
+    /// the first appearances with `compute_all` (given their input
+    /// positions; one result per position, in order), then cache
+    /// `value_of(result)` for each and account the batch under one more
+    /// lock. Returns which slot serves each input position, the computed
+    /// results and the batch's counters.
+    fn resolve_batch<C>(
         &self,
         keys: &[K],
-        compute_all: F,
-    ) -> (Vec<V>, BatchOutcome)
-    where
-        F: FnOnce(&[&K]) -> Vec<V>,
-    {
+        compute_all: impl FnOnce(&[usize]) -> Vec<C>,
+        value_of: impl Fn(&C) -> V,
+    ) -> (Vec<Slot<V>>, Vec<C>, LookupOutcome) {
         let start = Instant::now();
-        // Which cache/batch slot serves each input position.
-        enum Slot<V> {
-            Hit(V),
-            Pending(usize),
-        }
-        let probed = self.probe_batch(keys);
-        let mut uncached: Vec<&K> = Vec::new();
+        let probed: Vec<Option<V>> = {
+            let state = self.state.lock();
+            keys.iter()
+                .map(|key| state.cache.get(key).copied())
+                .collect()
+        };
+        let mut uncached: Vec<usize> = Vec::new();
         let mut pending_of: PlanKeyMap<&K, usize> = PlanKeyMap::default();
-        let mut slots: Vec<Slot<V>> = Vec::with_capacity(keys.len());
-        let mut probe_hits = 0usize;
-        let mut dup_hits = 0usize;
-        for (key, cached) in keys.iter().zip(&probed) {
-            if let Some(value) = cached {
-                probe_hits += 1;
-                slots.push(Slot::Hit(*value));
-            } else if let Some(&k) = pending_of.get(key) {
-                dup_hits += 1;
-                slots.push(Slot::Pending(k));
-            } else {
-                let k = uncached.len();
-                uncached.push(key);
-                pending_of.insert(key, k);
-                slots.push(Slot::Pending(k));
-            }
-        }
-        let computed = compute_all(&uncached);
-        debug_assert_eq!(computed.len(), uncached.len(), "one value per unique key");
-        let elapsed = start.elapsed();
-        let entries: Vec<(&K, V)> = uncached
-            .iter()
-            .copied()
-            .zip(computed.iter().copied())
+        let slots = probed
+            .into_iter()
+            .enumerate()
+            .map(|(i, cached)| match cached {
+                Some(value) => Slot::Hit(value),
+                None => Slot::Pending(*pending_of.entry(&keys[i]).or_insert_with(|| {
+                    uncached.push(i);
+                    uncached.len() - 1
+                })),
+            })
             .collect();
-        self.insert_batch(&entries, dup_hits, elapsed);
+        let computed = compute_all(&uncached);
+        debug_assert_eq!(computed.len(), uncached.len(), "one result per unique key");
+        let outcome = LookupOutcome {
+            hits: keys.len() - uncached.len(),
+            computed: uncached.len(),
+            elapsed: start.elapsed(),
+        };
+        let mut state = self.state.lock();
+        for (&i, result) in uncached.iter().zip(&computed) {
+            state.cache.insert(keys[i].clone(), value_of(result));
+        }
+        state.cache_hits += outcome.hits;
+        state.batches += 1;
+        state.wall_time += outcome.elapsed;
+        (slots, computed, outcome)
+    }
+
+    /// [`Self::resolve_batch`] for results that *are* the cached values:
+    /// the values in input order plus the batch's counters.
+    fn values_batch(
+        &self,
+        keys: &[K],
+        compute_all: impl FnOnce(&[usize]) -> Vec<V>,
+    ) -> (Vec<V>, LookupOutcome) {
+        let (slots, computed, outcome) = self.resolve_batch(keys, compute_all, |&value| value);
         let values = slots
             .into_iter()
             .map(|slot| match slot {
@@ -568,14 +476,7 @@ where
                 Slot::Pending(k) => computed[k],
             })
             .collect();
-        (
-            values,
-            BatchOutcome {
-                hits: probe_hits + dup_hits,
-                computed: uncached.len(),
-                elapsed,
-            },
-        )
+        (values, outcome)
     }
 
     /// Look up a batch of keys, returning values in input order. Cached and
@@ -587,124 +488,34 @@ where
         V: Send,
         F: Fn(&K) -> V + Sync,
     {
-        self.get_or_compute_batch_outcome(keys, |uncached| {
-            parallel_map(uncached, threads, |key| compute(key))
-        })
-        .0
-    }
-
-    /// Like [`Self::get_or_compute`], but looked up through a borrowed form
-    /// of the key (e.g. `&[SiteId]` for a `Vec<SiteId>` cache), so probes
-    /// that hit the cache never allocate an owned key. On a miss, `own`
-    /// materialises the owned key for insertion and `compute` scores it.
-    /// Accounting (hits, wall time) is identical to the owned entry point;
-    /// the [`std::borrow::Borrow`] contract keeps the borrowed and owned
-    /// hashes — and therefore the shard — in agreement.
-    pub fn get_or_compute_with<Q>(
-        &self,
-        key: &Q,
-        own: impl FnOnce(&Q) -> K,
-        compute: impl FnOnce(&Q) -> V,
-    ) -> V
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        {
-            let mut shard = self.shards[shard_of(plan_key_hash(key))].lock();
-            if let Some(&value) = shard.cache.get(key) {
-                shard.cache_hits += 1;
-                return value;
-            }
-        }
-        let start = Instant::now();
-        let value = compute(key);
-        self.wall_time_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let mut shard = self.shards[shard_of(plan_key_hash(key))].lock();
-        shard.cache.insert(own(key), value);
-        value
-    }
-
-    /// Like [`Self::get_or_compute_batch`], but the uncached unique keys are
-    /// computed in *groups* of up to `group` keys by `compute_group` (one
-    /// value per key, in group order) — the entry point of the lane-batched
-    /// kernel. Deduplication, ordering and accounting are identical to the
-    /// per-key batch path.
-    pub fn get_or_compute_batch_grouped<F>(
-        &self,
-        keys: &[K],
-        threads: usize,
-        group: usize,
-        compute_group: F,
-    ) -> Vec<V>
-    where
-        K: Sync,
-        V: Send,
-        F: Fn(&[&K]) -> Vec<V> + Sync,
-    {
-        self.get_or_compute_batch_outcome(keys, |uncached| {
-            parallel_map_grouped(uncached, threads, group, |group_keys| {
-                compute_group(group_keys)
-            })
-        })
-        .0
+        let compute_all =
+            |uncached: &[usize]| parallel_map(uncached, threads, |&i| compute(&keys[i]));
+        self.values_batch(keys, compute_all).0
     }
 
     /// Distinct keys computed so far (the cache size).
     pub fn unique(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().cache.len()).sum()
+        self.state.lock().cache.len()
     }
 
     /// Requests answered from the cache so far.
     pub fn cache_hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().cache_hits)
-            .sum::<usize>()
-            + self.dup_hits.load(Ordering::Relaxed)
+        self.state.lock().cache_hits
     }
 
     /// Snapshot of the accounting as [`EvalStats`], stamped with the worker
-    /// count the owner fans batches out across. Shard counters are merged
-    /// on read, so the totals are exact.
+    /// count the owner fans batches out across.
     pub fn stats(&self, threads: usize) -> EvalStats {
-        let mut unique_evaluations = 0usize;
-        let mut cache_hits = 0usize;
-        for shard in &self.shards {
-            let shard = shard.lock();
-            unique_evaluations += shard.cache.len();
-            cache_hits += shard.cache_hits;
-        }
+        let state = self.state.lock();
         EvalStats {
-            unique_evaluations,
-            cache_hits: cache_hits + self.dup_hits.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            wall_time_ms: self.wall_time_nanos.load(Ordering::Relaxed) as f64 / 1e6,
+            unique_evaluations: state.cache.len(),
+            cache_hits: state.cache_hits,
+            batches: state.batches,
+            wall_time_ms: state.wall_time.as_secs_f64() * 1e3,
             threads,
             kernel_compile_ms: 0.0,
         }
     }
-}
-
-/// Which cache/batch slot serves one input position of a scored batch:
-/// either a memo-cache hit (quality only — the cache stores no per-trace
-/// state) or the `k`-th freshly computed [`ScoredPlan`].
-enum ScoredSlot {
-    Hit(PlanQuality),
-    Pending(usize),
-}
-
-/// The ascending change set turning `parent` into `child`: one
-/// `(component, new site)` entry per differing position.
-fn diff_changes(parent: &[SiteId], child: &[SiteId]) -> Vec<(ComponentId, SiteId)> {
-    parent
-        .iter()
-        .zip(child)
-        .enumerate()
-        .filter(|&(_, (a, b))| a != b)
-        .map(|(c, (_, &to))| (ComponentId(c), to))
-        .collect()
 }
 
 /// Where a [`PlanEvaluator`]'s memo cache lives: owned by the evaluator
@@ -746,19 +557,16 @@ struct LocalCounters {
 pub struct PlanEvaluator<'a> {
     quality: &'a QualityModel,
     threads: usize,
-    lane_width: usize,
     cache: CacheRef<'a>,
     local: LocalCounters,
 }
 
 impl<'a> PlanEvaluator<'a> {
-    /// Wrap a quality model with one worker per available core and the
-    /// default [`LANE_WIDTH`] batch lanes.
+    /// Wrap a quality model with one worker per available core.
     pub fn new(quality: &'a QualityModel) -> Self {
         Self {
             quality,
             threads: effective_threads(0),
-            lane_width: LANE_WIDTH,
             cache: CacheRef::Owned(MemoCache::default()),
             local: LocalCounters::default(),
         }
@@ -775,11 +583,8 @@ impl<'a> PlanEvaluator<'a> {
         cache: &'a MemoCache<MigrationPlan, PlanQuality>,
     ) -> Self {
         Self {
-            quality,
-            threads: effective_threads(0),
-            lane_width: LANE_WIDTH,
             cache: CacheRef::Shared(cache),
-            local: LocalCounters::default(),
+            ..Self::new(quality)
         }
     }
 
@@ -788,26 +593,6 @@ impl<'a> PlanEvaluator<'a> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = effective_threads(threads);
         self
-    }
-
-    /// Set how many plans [`Self::evaluate_batch`] scores per
-    /// structure-of-arrays lane group (builder style): `1` disables the
-    /// lane path entirely (every plan walks the arenas alone, the pre-batch
-    /// behaviour), `0` restores the default [`LANE_WIDTH`]. Like the thread
-    /// count, the lane width never changes scores, only speed — pinned by
-    /// the end-to-end regression tests.
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = if lane_width == 0 {
-            LANE_WIDTH
-        } else {
-            lane_width
-        };
-        self
-    }
-
-    /// The lane-group width of [`Self::evaluate_batch`] (1 = scalar path).
-    pub fn lane_width(&self) -> usize {
-        self.lane_width
     }
 
     /// The worker-thread count batches fan out across.
@@ -828,68 +613,121 @@ impl<'a> PlanEvaluator<'a> {
         }
     }
 
-    /// Fold one batch's outcome into the evaluator-local counters.
-    fn absorb(&self, outcome: BatchOutcome) {
+    /// Fold one lookup's outcome into the evaluator-local counters
+    /// (`batches` is 1 for a batch call, 0 for a single-plan lookup).
+    fn absorb(&self, outcome: LookupOutcome, batches: usize) {
         self.local
             .computed
             .fetch_add(outcome.computed, Ordering::Relaxed);
         self.local.hits.fetch_add(outcome.hits, Ordering::Relaxed);
-        self.local.batches.fetch_add(1, Ordering::Relaxed);
+        self.local.batches.fetch_add(batches, Ordering::Relaxed);
         self.local
             .wall_time_nanos
             .fetch_add(outcome.elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Evaluate one plan, serving duplicates from the cache.
-    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
+    /// The single-plan lookup behind [`Self::evaluate`] and
+    /// [`Self::evaluate_offspring`]: cache first, `compute` on a miss.
+    fn evaluate_one(
+        &self,
+        plan: &MigrationPlan,
+        compute: impl FnOnce() -> PlanQuality,
+    ) -> PlanQuality {
         if let Some(quality) = self.memo().probe(plan) {
             self.local.hits.fetch_add(1, Ordering::Relaxed);
             return quality;
         }
         let start = Instant::now();
-        let quality = self.quality.evaluate(plan);
-        let elapsed = start.elapsed();
-        self.memo().insert(plan, quality, elapsed);
-        self.local.computed.fetch_add(1, Ordering::Relaxed);
-        self.local
-            .wall_time_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        let quality = compute();
+        let outcome = LookupOutcome {
+            hits: 0,
+            computed: 1,
+            elapsed: start.elapsed(),
+        };
+        self.memo().insert(plan.clone(), quality, outcome.elapsed);
+        self.absorb(outcome, 0);
         quality
+    }
+
+    /// Evaluate one plan, serving duplicates from the cache.
+    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
+        self.evaluate_one(plan, || self.quality.evaluate(plan))
     }
 
     /// Evaluate a batch of plans, returning qualities in input order.
     ///
     /// Plans already cached (or repeated within the batch) are scored once;
     /// the remaining unique plans are scored in structure-of-arrays lane
-    /// groups of [`Self::lane_width`] plans (see
-    /// [`QualityModel::evaluate_lanes`]) fanned out across the evaluator's
-    /// worker threads. The result is bit-identical to calling
-    /// [`QualityModel::evaluate`] on each plan directly, at any lane width
-    /// or thread count.
+    /// groups of [`LANE_WIDTH`] plans (see [`QualityModel::evaluate_lanes`])
+    /// fanned out across the evaluator's worker threads. The result is
+    /// bit-identical to calling [`QualityModel::evaluate`] on each plan
+    /// directly, at any thread count.
     pub fn evaluate_batch(&self, plans: &[MigrationPlan]) -> Vec<PlanQuality> {
-        let (values, outcome) = if self.lane_width <= 1 {
-            self.memo().get_or_compute_batch_outcome(plans, |uncached| {
-                parallel_map(uncached, self.threads, |p| self.quality.evaluate(p))
+        let (values, outcome) = self.memo().values_batch(plans, |uncached| {
+            let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
+            parallel_map_grouped(&uncached, self.threads, LANE_WIDTH, |group| {
+                self.quality.evaluate_lanes(group)
             })
-        } else {
-            self.memo().get_or_compute_batch_outcome(plans, |uncached| {
-                parallel_map_grouped(uncached, self.threads, self.lane_width, |group| {
-                    self.quality.evaluate_lanes(group)
-                })
-            })
-        };
-        self.absorb(outcome);
+        });
+        self.absorb(outcome, 1);
         values
+    }
+
+    /// The scored batch lookup behind [`Self::evaluate_scored_batch`] and
+    /// [`Self::evaluate_offspring_batch`]: resolve `plans` against the memo
+    /// cache and each other, score the first appearances with `compute_all`
+    /// (given their input positions), and hand each computed
+    /// [`ScoredPlan`] to its slot in input order, cloning only for in-batch
+    /// duplicates; cache hits materialise as [`ScoredPlan::quality_only`]
+    /// members (the cache stores only qualities).
+    fn scored_batch(
+        &self,
+        plans: &[MigrationPlan],
+        compute_all: impl FnOnce(&[usize]) -> Vec<ScoredPlan>,
+    ) -> Vec<ScoredPlan> {
+        let (slots, computed, outcome) =
+            self.memo()
+                .resolve_batch(plans, compute_all, ScoredPlan::quality);
+        self.absorb(outcome, 1);
+        let mut uses = vec![0usize; computed.len()];
+        for slot in &slots {
+            if let Slot::Pending(k) = slot {
+                uses[*k] += 1;
+            }
+        }
+        let mut computed: Vec<Option<ScoredPlan>> = computed.into_iter().map(Some).collect();
+        slots
+            .into_iter()
+            .zip(plans)
+            .map(|(slot, plan)| match slot {
+                Slot::Hit(quality) => ScoredPlan::quality_only(plan.to_sites(), quality),
+                Slot::Pending(k) => {
+                    uses[k] -= 1;
+                    match uses[k] {
+                        0 => computed[k].take(),
+                        _ => computed[k].clone(),
+                    }
+                    .expect("a computed plan is taken by its last use")
+                }
+            })
+            .collect()
+    }
+
+    /// Cold-score plans with their per-trace state retained, in
+    /// [`LANE_WIDTH`] lane groups across the evaluator's worker threads.
+    fn cold_score(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
+        parallel_map_grouped(plans, self.threads, LANE_WIDTH, |group| {
+            self.quality.evaluate_scored_group(group)
+        })
     }
 
     /// [`Self::evaluate_batch`] with the per-trace state retained: every
     /// returned member is a [`ScoredPlan`] ready to serve as a delta parent
     /// in [`Self::evaluate_offspring_batch`]. Uncached plans are scored
-    /// through the lane-batched scored kernel
-    /// ([`QualityModel::evaluate_scored_lanes`]); plans already in the memo
-    /// cache come back as [`ScoredPlan::quality_only`] members (the cache
-    /// stores only qualities), which simply fall back to cold scoring when
-    /// later used as parents. Qualities are bit-identical to
+    /// through the lane-batched kernel; plans already in the memo cache
+    /// come back as [`ScoredPlan::quality_only`] members (the cache stores
+    /// only qualities), which simply fall back to cold scoring when later
+    /// used as parents. Qualities are bit-identical to
     /// [`Self::evaluate_batch`], and the cache accounting (hits, batches,
     /// wall time) follows the same rules.
     ///
@@ -898,47 +736,10 @@ impl<'a> PlanEvaluator<'a> {
     /// Panics if any plan does not cover every component of the wrapped
     /// model (the retained state needs full-length site assignments).
     pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<ScoredPlan> {
-        let start = Instant::now();
-        let probed = self.memo().probe_batch(plans);
-        let mut uncached: Vec<&MigrationPlan> = Vec::new();
-        let mut pending_of: PlanKeyMap<&MigrationPlan, usize> = PlanKeyMap::default();
-        let mut slots: Vec<ScoredSlot> = Vec::with_capacity(plans.len());
-        let mut probe_hits = 0usize;
-        let mut dup_hits = 0usize;
-        for (plan, cached) in plans.iter().zip(&probed) {
-            if let Some(value) = cached {
-                probe_hits += 1;
-                slots.push(ScoredSlot::Hit(*value));
-            } else if let Some(&k) = pending_of.get(plan) {
-                dup_hits += 1;
-                slots.push(ScoredSlot::Pending(k));
-            } else {
-                let k = uncached.len();
-                uncached.push(plan);
-                pending_of.insert(plan, k);
-                slots.push(ScoredSlot::Pending(k));
-            }
-        }
-        let computed: Vec<ScoredPlan> = if self.lane_width <= 1 {
-            parallel_map(&uncached, self.threads, |p| self.quality.evaluate_scored(p))
-        } else {
-            parallel_map_grouped(&uncached, self.threads, self.lane_width, |group| {
-                self.quality.evaluate_scored_lanes(group)
-            })
-        };
-        let elapsed = start.elapsed();
-        let entries: Vec<(&MigrationPlan, PlanQuality)> = uncached
-            .iter()
-            .copied()
-            .zip(computed.iter().map(ScoredPlan::quality))
-            .collect();
-        self.memo().insert_batch(&entries, dup_hits, elapsed);
-        self.absorb(BatchOutcome {
-            hits: probe_hits + dup_hits,
-            computed: uncached.len(),
-            elapsed,
-        });
-        self.assemble_scored(slots, plans, computed)
+        self.scored_batch(plans, |uncached| {
+            let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
+            self.cold_score(&uncached)
+        })
     }
 
     /// Score one generation of GA offspring against their retained parents:
@@ -952,15 +753,15 @@ impl<'a> PlanEvaluator<'a> {
     /// [`DELTA_DIFF_THRESHOLD`] of the components, the child is re-scored
     /// incrementally through [`QualityModel::evaluate_delta`] (only the
     /// traces referencing a changed component re-run); otherwise it cold-
-    /// scores through the lane-batched scored kernel. Both routes fan out
-    /// across the evaluator's worker threads.
+    /// scores through the lane-batched kernel. Both routes fan out across
+    /// the evaluator's worker threads.
     ///
     /// **Bit-identity contract**: the delta path inherits untouched trace
     /// latencies bit-for-bit and re-sums in the cold path's order, so every
     /// returned quality — and the retained state itself — is bit-identical
-    /// to cold-scoring the child, at any threshold, lane width or thread
-    /// count. The routing decision is pure speed; pinned by the end-to-end
-    /// delta-on/off tests.
+    /// to [`QualityModel::evaluate_scored`] of the child, at any thread
+    /// count. The routing decision is pure speed; pinned by the offspring
+    /// differential property test.
     pub fn evaluate_offspring_batch(
         &self,
         parents: &[&ScoredPlan],
@@ -971,85 +772,37 @@ impl<'a> PlanEvaluator<'a> {
             children.len(),
             "one retained parent per child"
         );
-        let start = Instant::now();
-        let probed = self.memo().probe_batch(children);
-        let mut uncached: Vec<usize> = Vec::new();
-        let mut pending_of: PlanKeyMap<&MigrationPlan, usize> = PlanKeyMap::default();
-        let mut slots: Vec<ScoredSlot> = Vec::with_capacity(children.len());
-        let mut probe_hits = 0usize;
-        let mut dup_hits = 0usize;
-        for (i, (child, cached)) in children.iter().zip(&probed).enumerate() {
-            if let Some(value) = cached {
-                probe_hits += 1;
-                slots.push(ScoredSlot::Hit(*value));
-            } else if let Some(&k) = pending_of.get(child) {
-                dup_hits += 1;
-                slots.push(ScoredSlot::Pending(k));
-            } else {
-                let k = uncached.len();
-                uncached.push(i);
-                pending_of.insert(child, k);
-                slots.push(ScoredSlot::Pending(k));
-            }
-        }
-        // Route each uncached child: small diff against a state-carrying
-        // parent → incremental; everything else → lane-batched cold.
-        let cap = self.delta_change_cap();
-        let kernel_traces = self.quality.kernel().trace_count();
-        let mut delta_jobs: Vec<(usize, &ScoredPlan, Vec<(ComponentId, SiteId)>)> = Vec::new();
-        let mut cold_jobs: Vec<(usize, &MigrationPlan)> = Vec::new();
-        for (k, &i) in uncached.iter().enumerate() {
-            let (parent, child) = (parents[i], &children[i]);
-            if parent.traces().len() == kernel_traces
-                && child.len() == parent.sites().len()
-                && child.len() == self.quality.component_count()
-            {
-                let changes = diff_changes(parent.sites(), child.sites());
-                if changes.len() <= cap {
-                    delta_jobs.push((k, parent, changes));
-                    continue;
+        self.scored_batch(children, |uncached| {
+            // Route each uncached child: small diff against a
+            // state-carrying parent → incremental; everything else →
+            // lane-batched cold. `k` is the child's slot in the result.
+            let mut delta_jobs = Vec::new();
+            let mut cold_slots = Vec::new();
+            let mut cold_plans = Vec::new();
+            for (k, &i) in uncached.iter().enumerate() {
+                match self.delta_changes(parents[i], &children[i]) {
+                    Some(changes) => delta_jobs.push((k, parents[i], changes)),
+                    None => {
+                        cold_slots.push(k);
+                        cold_plans.push(&children[i]);
+                    }
                 }
             }
-            cold_jobs.push((k, child));
-        }
-        let delta_results = parallel_map(&delta_jobs, self.threads, |(_, parent, changes)| {
-            self.quality.evaluate_delta(parent, changes)
-        });
-        let cold_refs: Vec<&MigrationPlan> = cold_jobs.iter().map(|&(_, p)| p).collect();
-        let cold_results: Vec<ScoredPlan> = if self.lane_width <= 1 {
-            parallel_map(&cold_refs, self.threads, |p| {
-                self.quality.evaluate_scored(p)
-            })
-        } else {
-            parallel_map_grouped(&cold_refs, self.threads, self.lane_width, |group| {
-                self.quality.evaluate_scored_lanes(group)
-            })
-        };
-        let mut computed: Vec<Option<ScoredPlan>> = Vec::with_capacity(uncached.len());
-        computed.resize_with(uncached.len(), || None);
-        for ((k, _, _), scored) in delta_jobs.iter().zip(delta_results) {
-            computed[*k] = Some(scored);
-        }
-        for ((k, _), scored) in cold_jobs.iter().zip(cold_results) {
-            computed[*k] = Some(scored);
-        }
-        let computed: Vec<ScoredPlan> = computed
-            .into_iter()
-            .map(|s| s.expect("every uncached child is routed exactly once"))
-            .collect();
-        let elapsed = start.elapsed();
-        let entries: Vec<(&MigrationPlan, PlanQuality)> = uncached
-            .iter()
-            .map(|&i| &children[i])
-            .zip(computed.iter().map(ScoredPlan::quality))
-            .collect();
-        self.memo().insert_batch(&entries, dup_hits, elapsed);
-        self.absorb(BatchOutcome {
-            hits: probe_hits + dup_hits,
-            computed: uncached.len(),
-            elapsed,
-        });
-        self.assemble_scored(slots, children, computed)
+            let delta_results = parallel_map(&delta_jobs, self.threads, |(_, parent, changes)| {
+                self.quality.evaluate_delta(parent, changes)
+            });
+            let mut computed: Vec<Option<ScoredPlan>> = vec![None; uncached.len()];
+            for ((k, _, _), scored) in delta_jobs.iter().zip(delta_results) {
+                computed[*k] = Some(scored);
+            }
+            for (k, scored) in cold_slots.into_iter().zip(self.cold_score(&cold_plans)) {
+                computed[k] = Some(scored);
+            }
+            computed
+                .into_iter()
+                .map(|s| s.expect("every uncached child is routed exactly once"))
+                .collect()
+        })
     }
 
     /// Single-offspring companion of [`Self::evaluate_offspring_batch`] —
@@ -1059,72 +812,41 @@ impl<'a> PlanEvaluator<'a> {
     /// anything else cold-scores. Bit-identical to [`Self::evaluate`] by
     /// the same contract as the batch path.
     pub fn evaluate_offspring(&self, parent: &ScoredPlan, child: &MigrationPlan) -> PlanQuality {
-        if let Some(quality) = self.memo().probe(child) {
-            self.local.hits.fetch_add(1, Ordering::Relaxed);
-            return quality;
-        }
-        let start = Instant::now();
-        let quality = 'compute: {
-            if parent.traces().len() == self.quality.kernel().trace_count()
-                && child.len() == parent.sites().len()
-                && child.len() == self.quality.component_count()
-            {
-                let changes = diff_changes(parent.sites(), child.sites());
-                if changes.len() <= self.delta_change_cap() {
-                    break 'compute self.quality.probe_delta(parent, &changes);
-                }
-            }
-            self.quality.evaluate(child)
-        };
-        let elapsed = start.elapsed();
-        self.memo().insert(child, quality, elapsed);
-        self.local.computed.fetch_add(1, Ordering::Relaxed);
-        self.local
-            .wall_time_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        quality
+        self.evaluate_one(child, || match self.delta_changes(parent, child) {
+            Some(changes) => self.quality.probe_delta(parent, &changes),
+            None => self.quality.evaluate(child),
+        })
     }
 
-    /// Largest change-set size the delta route accepts:
-    /// `max(1, component_count × DELTA_DIFF_THRESHOLD)`.
-    fn delta_change_cap(&self) -> usize {
-        ((self.quality.component_count() as f64 * DELTA_DIFF_THRESHOLD) as usize).max(1)
-    }
-
-    /// Hand each computed [`ScoredPlan`] to its slot in input order,
-    /// cloning only for in-batch duplicates; cache hits materialise as
-    /// [`ScoredPlan::quality_only`] members.
-    fn assemble_scored(
+    /// The ascending change set turning `parent` into `child` — one
+    /// `(component, new site)` entry per differing position — when the
+    /// delta route applies: the parent carries this model's retained
+    /// per-trace state and at most `max(1, component_count ×
+    /// DELTA_DIFF_THRESHOLD)` components differ.
+    fn delta_changes(
         &self,
-        slots: Vec<ScoredSlot>,
-        plans: &[MigrationPlan],
-        computed: Vec<ScoredPlan>,
-    ) -> Vec<ScoredPlan> {
-        let mut uses = vec![0usize; computed.len()];
-        for slot in &slots {
-            if let ScoredSlot::Pending(k) = slot {
-                uses[*k] += 1;
-            }
+        parent: &ScoredPlan,
+        child: &MigrationPlan,
+    ) -> Option<Vec<(ComponentId, SiteId)>> {
+        let n = self.quality.component_count();
+        if parent.traces().len() != self.quality.kernel().trace_count()
+            || parent.sites().len() != n
+            || child.len() != n
+        {
+            return None;
         }
-        let mut computed: Vec<Option<ScoredPlan>> = computed.into_iter().map(Some).collect();
-        slots
-            .into_iter()
-            .zip(plans)
-            .map(|(slot, plan)| match slot {
-                ScoredSlot::Hit(quality) => ScoredPlan::quality_only(plan.to_sites(), quality),
-                ScoredSlot::Pending(k) => {
-                    uses[k] -= 1;
-                    if uses[k] == 0 {
-                        computed[k].take().expect("each pending slot taken once")
-                    } else {
-                        computed[k]
-                            .as_ref()
-                            .expect("pending slots are filled")
-                            .clone()
-                    }
-                }
-            })
-            .collect()
+        let cap = ((n as f64 * DELTA_DIFF_THRESHOLD) as usize).max(1);
+        // One change past the cap is enough to know the diff is too wide.
+        let changes: Vec<(ComponentId, SiteId)> = parent
+            .sites()
+            .iter()
+            .zip(child.sites())
+            .enumerate()
+            .filter(|&(_, (a, b))| a != b)
+            .map(|(c, (_, &to))| (ComponentId(c), to))
+            .take(cap + 1)
+            .collect();
+        (changes.len() <= cap).then_some(changes)
     }
 
     /// Distinct plans scored so far by *anyone* using this evaluator's
@@ -1323,6 +1045,21 @@ mod tests {
     }
 
     #[test]
+    fn grouped_map_never_splits_a_group_across_workers() {
+        // 100 items in groups of 16: every call sees a whole group (the
+        // last one short), in order, at any worker count.
+        let items: Vec<usize> = (0..100).collect();
+        for threads in [1, 2, 3, 8] {
+            let firsts = parallel_map_grouped(&items, threads, 16, |group| {
+                assert!(group.len() == 16 || group[0] == 96);
+                group.iter().map(|_| group[0]).collect::<Vec<_>>()
+            });
+            let expected: Vec<usize> = items.iter().map(|x| x / 16 * 16).collect();
+            assert_eq!(firsts, expected);
+        }
+    }
+
+    #[test]
     fn small_batches_fall_back_to_the_calling_thread() {
         // Below the per-worker work threshold no scope is spawned: every
         // item is computed on the calling thread.
@@ -1394,10 +1131,10 @@ mod tests {
         assert_eq!(delta.unique_evaluations, 0);
     }
 
-    /// Hammer one sharded cache from many threads: every value is correct
-    /// and the merged accounting is exact (requests = hits + uniques).
+    /// Hammer one shared cache from many threads: every value is correct
+    /// and the accounting is exact (requests = hits + uniques).
     #[test]
-    fn sharded_cache_is_consistent_under_concurrent_batches() {
+    fn shared_cache_is_consistent_under_concurrent_batches() {
         let quality = build_quality();
         let cache: MemoCache<MigrationPlan, PlanQuality> = MemoCache::default();
         let n = quality.component_count();

@@ -1,5 +1,5 @@
-//! The multi-tenant advisor hub: concurrent serving over lock-free model
-//! snapshots.
+//! The multi-tenant advisor hub: concurrent serving over epoch-stamped
+//! model snapshots.
 //!
 //! [`AdvisorService`] is a single-tenant event loop behind `&mut self`: one
 //! application, one model, strictly serial rounds. A hosted advisor serves
@@ -12,18 +12,19 @@
 //! * **Epoch-stamped model snapshots** — whenever a tenant's model
 //!   generation changes (bootstrap or drift-triggered relearn), the hub
 //!   publishes the compiled [`QualityModel`] `Arc` plus a *fresh*
-//!   [`MemoCache`] as one [`MEMO_SHARDS`](crate::eval::MEMO_SHARDS)-sharded,
-//!   epoch-stamped snapshot behind an atomic pointer. Recommendation reads
-//!   ([`AdvisorHub::recommend`]) take the snapshot lock-free: they never
-//!   touch the tenant's service mutex, so ingest, drift detection and
-//!   relearn proceed while any number of recommenders are in flight — and
-//!   a recommender keeps scoring against the epoch it started with even if
-//!   a relearn lands mid-search.
+//!   [`MemoCache`] as one epoch-stamped `Arc` behind a small lock.
+//!   A recommendation request ([`AdvisorHub::recommend`]) holds that lock
+//!   only to clone the `Arc`: it never touches the tenant's service mutex,
+//!   so ingest, drift detection and relearn proceed while any number of
+//!   recommenders are in flight — and a recommender keeps scoring against
+//!   the epoch it started with even if a relearn lands mid-search. A
+//!   retired epoch is freed when the last request still holding it
+//!   finishes; nothing needs pruning.
 //! * **Per-epoch shared eval caches** — every request served at one epoch
-//!   warms the same sharded memo cache (scores are pure, so sharing can
-//!   only add cache hits, never change a result), and a new epoch starts
-//!   from an empty cache *by construction*: a stale score cannot survive a
-//!   relearn because the cache it lived in is retired with its epoch.
+//!   warms the same memo cache (scores are pure, so sharing can only add
+//!   cache hits, never change a result), and a new epoch starts from an
+//!   empty cache *by construction*: a stale score cannot survive a relearn
+//!   because the cache it lived in is retired with its epoch.
 //! * **Determinism** — the recommender's search budget is request-local
 //!   (see [`RecommenderConfig::max_visited`]), so a tenant's
 //!   recommendation is bit-identical to running its `AdvisorService`
@@ -34,9 +35,8 @@
 //!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ publish
 //!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (epoch++)
 //!                                                             ▼
-//!                         SnapshotCell (atomic ptr) ──▶ { epoch, Arc<QualityModel>,
-//!                                                          sharded MemoCache }
-//!                                                             ▲  lock-free reads
+//!                   Mutex<Option<Arc<..>>> ──▶ { epoch, Arc<QualityModel>, MemoCache }
+//!                                                             ▲  Arc clone per request
 //!   serve ────── worker pool ── recommend(tenant) ────────────┘
 //! ```
 //!
@@ -121,7 +121,7 @@
 //! }
 //! ```
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -141,79 +141,31 @@ use crate::service::{AdvisorService, ServiceEvent};
 pub struct TenantId(pub usize);
 
 /// One published model generation of a tenant: the epoch stamp, the shared
-/// compiled model and the epoch's own sharded eval cache. Retiring the
-/// epoch retires the cache with it, so a score computed against an older
-/// model can never answer a request at a newer one.
+/// compiled model and the epoch's own eval cache. Retiring the epoch
+/// retires the cache with it, so a score computed against an older model
+/// can never answer a request at a newer one.
 struct PublishedModel {
     epoch: u64,
     model: Arc<QualityModel>,
     cache: MemoCache<MigrationPlan, PlanQuality>,
 }
 
-/// Lock-free publication cell for a tenant's current [`PublishedModel`].
-///
-/// Readers ([`SnapshotCell::load`]) follow one atomic pointer — no lock, no
-/// reference count traffic on the read path. Writers push the new snapshot
-/// into the retention list *first*, then swing the pointer, so the pointer
-/// always targets a retained allocation. Retired snapshots are kept until
-/// [`SnapshotCell::prune`], which requires `&mut self` — exclusive access
-/// proves no `load` borrow is alive, which is what makes the raw-pointer
-/// dereference sound.
-struct SnapshotCell {
-    current: AtomicPtr<PublishedModel>,
-    /// Every snapshot ever published and not yet pruned. Grows by one per
-    /// model generation (relearns are rare events on a human timescale);
-    /// [`AdvisorHub::prune_retired`] trims it to the live snapshot.
-    history: Mutex<Vec<Arc<PublishedModel>>>,
-}
-
-impl SnapshotCell {
-    fn empty() -> Self {
-        Self {
-            current: AtomicPtr::new(std::ptr::null_mut()),
-            history: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Publish a new snapshot: retain it, then swing the pointer.
-    fn publish(&self, snapshot: Arc<PublishedModel>) {
-        let ptr = Arc::as_ptr(&snapshot) as *mut PublishedModel;
-        self.history.lock().push(snapshot);
-        // Release pairs with the Acquire in `load`: a reader that sees the
-        // new pointer sees the fully-initialised snapshot behind it.
-        self.current.store(ptr, Ordering::Release);
-    }
-
-    /// The current snapshot, or `None` before the first publish. Lock-free.
-    fn load(&self) -> Option<&PublishedModel> {
-        let ptr = self.current.load(Ordering::Acquire);
-        if ptr.is_null() {
-            return None;
-        }
-        // SAFETY: `ptr` was derived from an `Arc` held in `history`, which
-        // only ever shrinks in `prune(&mut self)` — impossible while the
-        // `&self` borrow of this return value is alive.
-        Some(unsafe { &*ptr })
-    }
-
-    /// Drop every retired snapshot, keeping only the live one. The `&mut`
-    /// receiver guarantees no outstanding [`Self::load`] borrows.
-    fn prune(&mut self) {
-        let live = *self.current.get_mut();
-        self.history
-            .get_mut()
-            .retain(|s| std::ptr::eq(Arc::as_ptr(s), live));
-    }
-}
-
-/// One registered tenant: its serialised service state, its lock-free
-/// snapshot cell, and the request-side configuration captured at
-/// registration (reads never touch the service mutex).
+/// One registered tenant: its serialised service state, its current
+/// published snapshot (`None` before the first publish; requests clone the
+/// `Arc` out and never touch the service mutex), and the request-side
+/// configuration captured at registration.
 struct TenantSlot {
     name: String,
     service: Mutex<AdvisorService>,
-    snapshot: SnapshotCell,
+    snapshot: Mutex<Option<Arc<PublishedModel>>>,
     recommender: RecommenderConfig,
+}
+
+impl TenantSlot {
+    /// The tenant's current snapshot, if one was published.
+    fn snapshot(&self) -> Option<Arc<PublishedModel>> {
+        self.snapshot.lock().clone()
+    }
 }
 
 /// One answered recommendation request.
@@ -279,7 +231,7 @@ impl AdvisorHub {
             name: name.into(),
             recommender: service.config().atlas.recommender.clone(),
             service: Mutex::new(service),
-            snapshot: SnapshotCell::empty(),
+            snapshot: Mutex::new(None),
         };
         Self::republish(&slot, &slot.service.lock());
         self.tenants.push(slot);
@@ -299,7 +251,7 @@ impl AdvisorHub {
     /// The model epoch a tenant currently serves at, or `None` before its
     /// first publish.
     pub fn published_epoch(&self, tenant: TenantId) -> Option<u64> {
-        self.tenants[tenant.0].snapshot.load().map(|s| s.epoch)
+        self.tenants[tenant.0].snapshot().map(|s| s.epoch)
     }
 
     /// Run `f` against a tenant's service under its lock — the maintenance
@@ -314,12 +266,12 @@ impl AdvisorHub {
     /// tenant's service lock held, so generations publish in order.
     fn republish(slot: &TenantSlot, service: &AdvisorService) {
         let generation = service.model_generation();
-        let published = slot.snapshot.load().map(|s| s.epoch);
-        if published == Some(generation) {
+        let mut snapshot = slot.snapshot.lock();
+        if snapshot.as_ref().map(|s| s.epoch) == Some(generation) {
             return;
         }
         if let Some(model) = service.shared_model() {
-            slot.snapshot.publish(Arc::new(PublishedModel {
+            *snapshot = Some(Arc::new(PublishedModel {
                 epoch: generation,
                 model,
                 // A fresh epoch starts from an empty cache: scores computed
@@ -390,13 +342,13 @@ impl AdvisorHub {
             .collect()
     }
 
-    /// Answer one recommendation request lock-free: read the tenant's
-    /// published snapshot, run the recommender over the epoch's shared
-    /// sharded eval cache with `request_threads` evaluator workers (`0` =
-    /// the tenant's configured count), and stamp the result with the epoch
-    /// it was served at. Never touches the tenant's service mutex, so
-    /// ingest and relearn proceed concurrently; a relearn landing
-    /// mid-request is invisible (the request keeps its snapshot).
+    /// Answer one recommendation request: take the tenant's published
+    /// snapshot, run the recommender over the epoch's shared eval cache
+    /// with `request_threads` evaluator workers (`0` = the tenant's
+    /// configured count), and stamp the result with the epoch it was
+    /// served at. Never touches the tenant's service mutex, so ingest and
+    /// relearn proceed concurrently; a relearn landing mid-request is
+    /// invisible (the request keeps its snapshot alive until it returns).
     ///
     /// # Panics
     ///
@@ -405,8 +357,7 @@ impl AdvisorHub {
     pub fn recommend(&self, tenant: TenantId, request_threads: usize) -> HubReport {
         let slot = &self.tenants[tenant.0];
         let snapshot = slot
-            .snapshot
-            .load()
+            .snapshot()
             .expect("bootstrap the tenant before requesting recommendations");
         let start = Instant::now();
         let mut config = slot.recommender.clone();
@@ -414,8 +365,7 @@ impl AdvisorHub {
             config.threads = request_threads;
         }
         let evaluator = PlanEvaluator::with_shared_cache(&snapshot.model, &snapshot.cache)
-            .with_threads(config.threads)
-            .with_lane_width(config.lane_width);
+            .with_threads(config.threads);
         let report = Recommender::new(&snapshot.model, config).recommend_with(&evaluator);
         HubReport {
             tenant,
@@ -470,16 +420,6 @@ impl AdvisorHub {
             .into_iter()
             .map(|r| r.expect("every request answered"))
             .collect()
-    }
-
-    /// Drop every retired model snapshot (superseded epochs, their models
-    /// and their eval caches), keeping each tenant's live one. Exclusive
-    /// access proves no in-flight request still reads a retired snapshot,
-    /// which is what makes the reclamation safe.
-    pub fn prune_retired(&mut self) {
-        for slot in &mut self.tenants {
-            slot.snapshot.prune();
-        }
     }
 }
 
@@ -641,13 +581,33 @@ mod tests {
         // And the answer matches the serial service's own post-drift run.
         let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().plans.clone());
         assert_eq!(after.report.plans, serial);
+    }
 
-        // Pruning reclaims the retired epoch-1 snapshot and leaves serving
-        // intact.
-        hub.prune_retired();
-        let pruned = hub.recommend(t, 1);
-        assert_eq!(pruned.report.plans, after.report.plans);
-        assert_eq!(pruned.epoch, 2);
+    /// A retired epoch is reclaimed while serving through `&self`: with no
+    /// request in flight, publishing epoch 2 drops the last reference to
+    /// the epoch-1 model (and, with it, the epoch-1 cache).
+    #[test]
+    fn retired_epochs_are_freed_without_exclusive_access() {
+        let (service, corpus) = tenant(16);
+        let mut hub = AdvisorHub::new();
+        let t = hub.add_tenant("drifty", service);
+        hub.bootstrap(t);
+        let epoch1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_model().unwrap()));
+        hub.recommend(t, 1);
+        assert!(
+            epoch1.upgrade().is_some(),
+            "epoch 1 is live while published"
+        );
+
+        let hub = &hub; // serving-side access only from here on
+        let api = corpus[0].root().operation.clone();
+        hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
+        assert_eq!(hub.published_epoch(t), Some(2));
+        assert!(
+            epoch1.upgrade().is_none(),
+            "the retired epoch-1 model is still retained"
+        );
+        assert_eq!(hub.recommend(t, 1).epoch, 2);
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!   the candidate [`Placement`] and a reusable wave-frame stack.
 //!
 //! Scoring a plan is then an iterative, zero-allocation pass: thread-local
-//! [`EvalScratch`] buffers hold the wave stack, the in-cloud flags, the
-//! on-prem index subset and the cost model's scratch, so concurrent
+//! [`EvalScratch`] buffers hold the wave stack, the site assignment, the
+//! lane columns and the cost model's scratch, so concurrent
 //! evaluator workers never contend on the allocator.
 //!
 //! # Bit-identity and the interpretive fallback
@@ -158,7 +158,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use atlas_cloud::{CostScratch, OnPremPeaks, ResourceDemand};
+use atlas_cloud::{CostScratch, OnPremPeaks};
 use atlas_sim::{ComponentId, OwnedSiteLimits, Placement, SiteId, SiteNetwork};
 use atlas_telemetry::Trace;
 
@@ -190,9 +190,6 @@ pub struct EvalScratch {
     /// Site assignment of the candidate plan, indexed like the component
     /// index.
     pub sites: Vec<SiteId>,
-    /// Ascending indices of a component subset (the on-prem components
-    /// during constraint checks).
-    pub subset: Vec<usize>,
     /// Scratch of the cloud cost model.
     pub cost: CostScratch,
     /// Per-lane buffers of the batched (structure-of-arrays) scoring path.
@@ -405,6 +402,16 @@ impl CompiledTrace {
             .any(|c| self.touched.binary_search(c).is_ok())
     }
 
+    /// Append this trace's latency under some plan to that plan's flat
+    /// per-trace state, passing the latency through.
+    fn retain(&self, latency_ms: f64, traces: &mut Vec<ScoredTrace>) -> f64 {
+        traces.push(ScoredTrace {
+            latency_ms,
+            weight: self.weight,
+        });
+        latency_ms
+    }
+
     /// New end-to-end latency (ms) of this trace under the candidate
     /// site assignment `sites` over an `site_count`-site catalog.
     fn run(&self, sites: &[SiteId], site_count: usize, stack: &mut Vec<WaveFrame>) -> f64 {
@@ -442,8 +449,10 @@ impl CompiledTrace {
     }
 
     /// Lane-batched [`Self::run`]: advance every lane of the transposed
-    /// batch through one walk of the instruction stream, adding each lane's
-    /// latency into `acc`. Per lane, the floating-point schedule is exactly
+    /// batch through one walk of the instruction stream, then hand each
+    /// lane's latency to `retain` (as that lane's [`ScoredTrace`], the
+    /// parent state of the delta path — a no-op closure compiles away) and
+    /// add it into `acc`. Per lane, the floating-point schedule is exactly
     /// that of [`Self::run`] — the lanes are arithmetically independent, so
     /// interleaving them preserves bit-identity — while the op decode, the
     /// wave bookkeeping and the `UNKNOWN` resolution are paid once per op
@@ -458,54 +467,7 @@ impl CompiledTrace {
         base: &mut Vec<f64>,
         wend: &mut Vec<f64>,
         acc: &mut [f64],
-    ) {
-        self.walk_lanes(soa, lanes, site_count, cur, base, wend);
-        for (slot, &c) in acc[..lanes].iter_mut().zip(cur[..lanes].iter()) {
-            // Same schedule as the scalar path: latency first, then the
-            // clustering weight — `weight * latency` per trace.
-            *slot += self.weight * ((c - self.root_start).max(0.0) / 1_000.0);
-        }
-    }
-
-    /// [`Self::run_lanes`] with each lane's latency also retained into that
-    /// lane's [`ScoredTrace`] vector (the parent state of the delta path).
-    /// The accumulator arithmetic — `acc += weight * latency` with the
-    /// latency computed first — is the same expression as the unscored
-    /// path, so the per-API sums stay bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lanes_scored(
-        &self,
-        soa: &[SiteId],
-        lanes: usize,
-        site_count: usize,
-        cur: &mut [f64],
-        base: &mut Vec<f64>,
-        wend: &mut Vec<f64>,
-        acc: &mut [f64],
-        scored: &mut [Vec<ScoredTrace>],
-    ) {
-        self.walk_lanes(soa, lanes, site_count, cur, base, wend);
-        for l in 0..lanes {
-            let latency_ms = (cur[l] - self.root_start).max(0.0) / 1_000.0;
-            scored[l].push(ScoredTrace {
-                latency_ms,
-                weight: self.weight,
-            });
-            acc[l] += self.weight * latency_ms;
-        }
-    }
-
-    /// The shared op walk of the lane-batched paths: advance every lane's
-    /// cursor through the instruction stream, leaving the per-lane end time
-    /// in `cur`.
-    fn walk_lanes(
-        &self,
-        soa: &[SiteId],
-        lanes: usize,
-        site_count: usize,
-        cur: &mut [f64],
-        base: &mut Vec<f64>,
-        wend: &mut Vec<f64>,
+        retain: &mut impl FnMut(usize, ScoredTrace),
     ) {
         base.clear();
         wend.clear();
@@ -562,6 +524,19 @@ impl CompiledTrace {
                     }
                 }
             }
+        }
+        for l in 0..lanes {
+            // Same schedule as the scalar path: latency first, then the
+            // clustering weight — `weight * latency` per trace.
+            let latency_ms = (cur[l] - self.root_start).max(0.0) / 1_000.0;
+            retain(
+                l,
+                ScoredTrace {
+                    latency_ms,
+                    weight: self.weight,
+                },
+            );
+            acc[l] += self.weight * latency_ms;
         }
     }
 }
@@ -758,65 +733,18 @@ impl ConstraintKernel {
                 .any(|(i, set)| *i < sites.len() && !set.contains(&sites[*i]))
     }
 
-    /// Whether a placement satisfies every constraint of Eq. 4. `cost` is
-    /// called at most once, and only when a budget is set — pass the
-    /// already-computed plan cost to avoid scoring it twice per evaluation.
-    ///
-    /// The peak-demand sums iterate the on-prem components in ascending
-    /// index order, exactly like the interpretive
-    /// [`QualityModel::feasibility`](crate::quality::QualityModel::feasibility),
-    /// so the verdict is bit-identical.
-    pub fn feasible(
-        &self,
-        demand: &ResourceDemand,
-        sites: &[SiteId],
-        subset: &mut Vec<usize>,
-        cost: impl FnOnce() -> f64,
-    ) -> bool {
-        if self.violates_pins(sites) {
-            return false;
-        }
-        subset.clear();
-        subset.extend((0..sites.len()).filter(|&i| sites[i].is_on_prem()));
-        if self.cpu_limit.is_finite() && demand.peak_cpu(subset) > self.cpu_limit {
-            return false;
-        }
-        if self.memory_limit_gb.is_finite() && demand.peak_memory_gb(subset) > self.memory_limit_gb
-        {
-            return false;
-        }
-        if self.storage_limit_gb.is_finite()
-            && demand.peak_storage_gb(subset) > self.storage_limit_gb
-        {
-            return false;
-        }
-        for limits in &self.owned {
-            subset.clear();
-            subset.extend((0..sites.len()).filter(|&i| sites[i] == limits.site));
-            let peaks = OnPremPeaks {
-                cpu: demand.peak_cpu(subset),
-                memory_gb: demand.peak_memory_gb(subset),
-                storage_gb: demand.peak_storage_gb(subset),
-            };
-            if !Self::owned_site_fits(limits, &peaks) {
-                return false;
-            }
-        }
-        if let Some(budget) = self.budget {
-            if cost() > budget {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// [`Self::feasible`] fed precomputed on-prem peaks (from
-    /// [`CompiledCost::evaluate_with_peaks`]) instead of re-scanning the
+    /// Whether a placement satisfies every constraint of Eq. 4, fed the
+    /// on-prem peaks the cost pass already accumulated
+    /// ([`CompiledCost::evaluate_with_peaks`]) instead of re-scanning the
     /// demand matrix per call. The peaks are bit-identical to the
-    /// interpretive subset sums, so the verdict is too. `site_peaks` is
-    /// consulted only for the owned sites beyond site 0 that carry capacity
-    /// limits (typically [`CompiledCost::site_peaks`] over the scratch the
-    /// cost pass just filled); with no such limits it is never called.
+    /// interpretive subset sums of
+    /// [`QualityModel::feasibility`](crate::quality::QualityModel::feasibility),
+    /// so the verdict is too. `site_peaks` is consulted only for the owned
+    /// sites beyond site 0 that carry capacity limits (typically
+    /// [`CompiledCost::site_peaks`] over the scratch the cost pass just
+    /// filled); with no such limits it is never called. `cost` is called at
+    /// most once, and only when a budget is set — pass the already-computed
+    /// plan cost to avoid scoring it twice per evaluation.
     ///
     /// [`CompiledCost::evaluate_with_peaks`]: atlas_cloud::CompiledCost::evaluate_with_peaks
     /// [`CompiledCost::site_peaks`]: atlas_cloud::CompiledCost::site_peaks
@@ -867,6 +795,22 @@ struct CompiledApi {
     trace_weight_total: f64,
     stateful: Vec<u32>,
     traces: Vec<CompiledTrace>,
+}
+
+impl CompiledApi {
+    /// The weighted per-API mean over the traces in trace order, each
+    /// latency supplied by `latency_ms`; 0.0 without traces. The one
+    /// summation every scalar path shares.
+    fn mean_latency_ms(&self, mut latency_ms: impl FnMut(&CompiledTrace) -> f64) -> f64 {
+        if self.traces.is_empty() {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for trace in &self.traces {
+            sum += trace.weight * latency_ms(trace);
+        }
+        sum / self.trace_weight_total
+    }
 }
 
 /// Compile one API's profile entry into its flat op arena. The result
@@ -1072,30 +1016,33 @@ impl CompiledQuality {
     /// (representative) traces. 0.0 when no traces were retained, like the
     /// interpretive estimate.
     pub fn api_latency_ms(&self, slot: usize, sites: &[SiteId], stack: &mut Vec<WaveFrame>) -> f64 {
-        let api = &self.apis[slot];
-        if api.traces.is_empty() {
-            return 0.0;
-        }
-        api.traces
-            .iter()
-            .map(|t| t.weight * t.run(sites, self.site_count, stack))
-            .sum::<f64>()
-            / api.trace_weight_total
+        self.apis[slot].mean_latency_ms(|t| t.run(sites, self.site_count, stack))
     }
 
-    /// `Q_Perf(p)`: weighted mean of per-API latency ratios.
-    pub fn performance(&self, sites: &[SiteId], stack: &mut Vec<WaveFrame>) -> f64 {
+    /// The one scalar `Q_Perf` fold (Eq. 1): the weighted mean of per-API
+    /// latency ratios, with every trace's latency supplied by `latency_ms`
+    /// — called once per compiled trace, API-major in the compiled order,
+    /// which is also the layout of the flat per-trace state, so a closure
+    /// that re-runs, inherits or retains a trace needs no index from here.
+    /// Every scalar scoring path is this fold over a different closure,
+    /// which is what keeps them bit-identical to each other.
+    fn fold(&self, mut latency_ms: impl FnMut(&CompiledTrace) -> f64) -> f64 {
         if self.apis.is_empty() {
             return 1.0;
         }
         let mut total = 0.0;
         let mut weight_sum = 0.0;
-        for (slot, api) in self.apis.iter().enumerate() {
-            let estimated = self.api_latency_ms(slot, sites, stack).max(1e-9);
+        for api in &self.apis {
+            let estimated = api.mean_latency_ms(&mut latency_ms).max(1e-9);
             total += api.weight * estimated / api.baseline_ms;
             weight_sum += api.weight;
         }
         total / weight_sum
+    }
+
+    /// `Q_Perf(p)`: weighted mean of per-API latency ratios.
+    pub fn performance(&self, sites: &[SiteId], stack: &mut Vec<WaveFrame>) -> f64 {
+        self.fold(|t| t.run(sites, self.site_count, stack))
     }
 
     /// Total number of compiled traces across every API: the length of the
@@ -1107,60 +1054,17 @@ impl CompiledQuality {
     /// Lane-batched [`Self::performance`]: compute `Q_Perf` for every lane
     /// of the batch loaded into `scratch` (see [`LaneScratch::load`]) in one
     /// walk over the instruction arenas, appending per-lane values to `out`.
-    /// Each lane's result is bit-identical to the scalar path.
-    pub fn performance_lanes(&self, scratch: &mut LaneScratch, lanes: usize, out: &mut Vec<f64>) {
-        if self.apis.is_empty() {
-            out.extend(std::iter::repeat(1.0).take(lanes));
-            return;
-        }
-        let LaneScratch {
-            soa,
-            cur,
-            base,
-            wend,
-            acc,
-            total,
-        } = scratch;
-        total[..lanes].iter_mut().for_each(|t| *t = 0.0);
-        let mut weight_sum = 0.0;
-        for api in &self.apis {
-            acc[..lanes].iter_mut().for_each(|a| *a = 0.0);
-            for trace in &api.traces {
-                trace.run_lanes(soa, lanes, self.site_count, cur, base, wend, acc);
-            }
-            for l in 0..lanes {
-                // Empty-trace APIs estimate 0.0 like the scalar path; the
-                // max(1e-9) floor then matches bitwise.
-                let estimated = if api.traces.is_empty() {
-                    0.0f64
-                } else {
-                    acc[l] / api.trace_weight_total
-                }
-                .max(1e-9);
-                total[l] += api.weight * estimated / api.baseline_ms;
-            }
-            weight_sum += api.weight;
-        }
-        out.extend(total[..lanes].iter().map(|t| t / weight_sum));
-    }
-
-    /// Lane-batched [`Self::performance_scored`]: compute `Q_Perf` for
-    /// every lane of the batch loaded into `scratch` in one walk over the
-    /// instruction arenas, appending per-lane values to `out` and filling
-    /// `scored[l]` with lane `l`'s retained per-trace latencies (flat,
-    /// API-major, the same layout as [`Self::performance_scored`]). Each
-    /// lane's result — including the retained state — is bit-identical to
-    /// the scalar scored path.
-    pub fn performance_scored_lanes(
+    /// `retain(l, state)` receives lane `l`'s per-trace latencies in the
+    /// flat API-major layout of [`Self::performance_scored`]; pass a no-op
+    /// closure to discard them. Each lane's result — and its retained state
+    /// — is bit-identical to the scalar path.
+    pub fn performance_lanes(
         &self,
         scratch: &mut LaneScratch,
         lanes: usize,
         out: &mut Vec<f64>,
-        scored: &mut [Vec<ScoredTrace>],
+        mut retain: impl FnMut(usize, ScoredTrace),
     ) {
-        for lane in scored[..lanes].iter_mut() {
-            lane.clear();
-        }
         if self.apis.is_empty() {
             out.extend(std::iter::repeat(1.0).take(lanes));
             return;
@@ -1178,7 +1082,16 @@ impl CompiledQuality {
         for api in &self.apis {
             acc[..lanes].iter_mut().for_each(|a| *a = 0.0);
             for trace in &api.traces {
-                trace.run_lanes_scored(soa, lanes, self.site_count, cur, base, wend, acc, scored);
+                trace.run_lanes(
+                    soa,
+                    lanes,
+                    self.site_count,
+                    cur,
+                    base,
+                    wend,
+                    acc,
+                    &mut retain,
+                );
             }
             for l in 0..lanes {
                 // Empty-trace APIs estimate 0.0 like the scalar path; the
@@ -1206,30 +1119,7 @@ impl CompiledQuality {
         traces: &mut Vec<ScoredTrace>,
     ) -> f64 {
         traces.clear();
-        if self.apis.is_empty() {
-            return 1.0;
-        }
-        let mut total = 0.0;
-        let mut weight_sum = 0.0;
-        for api in &self.apis {
-            let mut estimated = 0.0;
-            if !api.traces.is_empty() {
-                let mut sum = 0.0;
-                for trace in &api.traces {
-                    let latency_ms = trace.run(sites, self.site_count, stack);
-                    traces.push(ScoredTrace {
-                        latency_ms,
-                        weight: trace.weight,
-                    });
-                    sum += trace.weight * latency_ms;
-                }
-                estimated = sum / api.trace_weight_total;
-            }
-            let estimated = estimated.max(1e-9);
-            total += api.weight * estimated / api.baseline_ms;
-            weight_sum += api.weight;
-        }
-        total / weight_sum
+        self.fold(|t| t.retain(t.run(sites, self.site_count, stack), traces))
     }
 
     /// Incremental [`Self::performance_scored`]: re-score against `sites`
@@ -1257,37 +1147,15 @@ impl CompiledQuality {
             "parent state does not match this kernel's compiled traces"
         );
         next.clear();
-        if self.apis.is_empty() {
-            return 1.0;
-        }
-        let mut total = 0.0;
-        let mut weight_sum = 0.0;
-        let mut slot = 0usize;
-        for api in &self.apis {
-            let mut estimated = 0.0;
-            if !api.traces.is_empty() {
-                let mut sum = 0.0;
-                for trace in &api.traces {
-                    let parent = prev[slot];
-                    slot += 1;
-                    let latency_ms = if trace.mask & changed_mask != 0 && trace.touches(changed) {
-                        trace.run(sites, self.site_count, stack)
-                    } else {
-                        parent.latency_ms
-                    };
-                    next.push(ScoredTrace {
-                        latency_ms,
-                        weight: trace.weight,
-                    });
-                    sum += trace.weight * latency_ms;
-                }
-                estimated = sum / api.trace_weight_total;
-            }
-            let estimated = estimated.max(1e-9);
-            total += api.weight * estimated / api.baseline_ms;
-            weight_sum += api.weight;
-        }
-        total / weight_sum
+        self.fold(|t| {
+            let inherited = prev[next.len()].latency_ms;
+            let latency_ms = if t.mask & changed_mask != 0 && t.touches(changed) {
+                t.run(sites, self.site_count, stack)
+            } else {
+                inherited
+            };
+            t.retain(latency_ms, next)
+        })
     }
 
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
@@ -1315,7 +1183,7 @@ mod tests {
     use crate::plan::MigrationPlan;
     use crate::profile::{ApiProfile, ApplicationProfile};
     use crate::quality::QualityModel;
-    use atlas_cloud::{CostModel, PricingModel};
+    use atlas_cloud::{CostModel, PricingModel, ResourceDemand};
     use atlas_sim::NetworkModel;
     use atlas_telemetry::{Span, SpanId, TraceId};
     use std::collections::{HashMap as Map, HashSet};
@@ -1648,15 +1516,23 @@ mod tests {
         let mut demand = ResourceDemand::zeros(vec!["A".into(), "B".into()], 2, 600);
         demand.fill_cpu(0, 3.0);
         demand.fill_cpu(1, 3.0);
-        let mut subset = Vec::new();
+        let feasible = |sites: &[SiteId], cost: fn() -> f64| {
+            let onprem: Vec<usize> = (0..2).filter(|&i| sites[i].is_on_prem()).collect();
+            let peaks = OnPremPeaks {
+                cpu: demand.peak_cpu(&onprem),
+                memory_gb: demand.peak_memory_gb(&onprem),
+                storage_gb: demand.peak_storage_gb(&onprem),
+            };
+            kernel.feasible_with_peaks(sites, &peaks, |_| unreachable!("no owned sites"), cost)
+        };
         let both_onprem = [SiteId(0), SiteId(0)];
         let b_offloaded = [SiteId(0), SiteId(1)];
         // 6 cores on-prem > 4 → infeasible without calling the cost closure.
-        assert!(!kernel.feasible(&demand, &both_onprem, &mut subset, || panic!("no cost")));
+        assert!(!feasible(&both_onprem, || panic!("no cost")));
         // Offloading B leaves 3 cores; cheap → feasible.
-        assert!(kernel.feasible(&demand, &b_offloaded, &mut subset, || 1.0));
+        assert!(feasible(&b_offloaded, || 1.0));
         // Budget violation.
-        assert!(!kernel.feasible(&demand, &b_offloaded, &mut subset, || 1_000.0));
+        assert!(!feasible(&b_offloaded, || 1_000.0));
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //! resident event loop — streaming ingest, continuous drift detection,
 //! incremental dirty-API relearning and re-recommendation — and
 //! [`hub::AdvisorHub`] serves many such tenants concurrently over
-//! lock-free, epoch-stamped model snapshots with per-epoch shared eval
-//! caches.
+//! epoch-stamped model snapshots with per-epoch shared eval caches.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod advisor;
 pub mod delay;
@@ -56,9 +56,7 @@ pub mod service;
 
 pub use advisor::{Atlas, AtlasConfig};
 pub use delay::DelayInjector;
-pub use eval::{
-    EvalStats, MemoCache, PlanEvaluator, DELTA_DIFF_THRESHOLD, LANE_WIDTH, MEMO_SHARDS,
-};
+pub use eval::{EvalStats, MemoCache, PlanEvaluator, DELTA_DIFF_THRESHOLD, LANE_WIDTH};
 pub use footprint::{FootprintLearner, NetworkFootprint};
 pub use hierarchy::{Dendrogram, DendrogramNode};
 pub use hub::{AdvisorHub, HubReport, TenantId};

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use atlas_cloud::{CompiledCost, CostModel, ResourceDemand, SiteCostModel};
+use atlas_cloud::{CompiledCost, CostModel, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_sim::{Placement, SiteCatalog, SiteId};
 
 use crate::delay::DelayInjector;
@@ -65,9 +65,8 @@ impl ScoredPlan {
     /// A member without retained per-trace state: `traces` is empty, so
     /// this plan can anchor tournaments and fronts but never serve as a
     /// delta parent ([`QualityModel::evaluate_delta`] needs the full
-    /// per-trace vector). Used for cache-hit offspring — their quality is
-    /// known but the memo cache stores only [`PlanQuality`] — and for the
-    /// delta-off search mode.
+    /// per-trace vector). Used for cache-hit offspring: their quality is
+    /// known but the memo cache stores only [`PlanQuality`].
     pub fn quality_only(sites: Vec<SiteId>, quality: PlanQuality) -> Self {
         Self {
             sites,
@@ -458,9 +457,8 @@ impl QualityModel {
     pub fn cost(&self, plan: &MigrationPlan) -> f64 {
         self.debug_assert_in_catalog(plan);
         with_scratch(|s| {
-            fill_sites(&mut s.sites, plan, self.component_count());
             self.cost_kernel
-                .evaluate_with_scratch(&s.sites, &mut s.cost)
+                .evaluate_with_scratch(&plan.sites()[..self.component_count()], &mut s.cost)
                 .total()
         })
     }
@@ -493,16 +491,7 @@ impl QualityModel {
         if plan.len() != self.component_count() {
             return false;
         }
-        with_scratch(|s| {
-            fill_sites(&mut s.sites, plan, self.component_count());
-            let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(&s.sites, &mut s.cost);
-            self.kernel.constraints().feasible_with_peaks(
-                &s.sites,
-                &peaks,
-                |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                || breakdown.total(),
-            )
-        })
+        with_scratch(|s| self.cost_and_feasibility(plan.sites(), &mut s.cost).1)
     }
 
     /// The first violated constraint, if any (useful for diagnostics).
@@ -579,41 +568,78 @@ impl QualityModel {
         None
     }
 
+    /// `Q_Cost` and `λ(p)` of one site assignment, off one pass of the
+    /// compiled cost kernel: the cost is computed once and reused by the
+    /// budget constraint, and the peaks the pass accumulates feed Eq. 4. A
+    /// plan longer than the model is priced over its first
+    /// [`Self::component_count`] components and is infeasible.
+    fn cost_and_feasibility(&self, sites: &[SiteId], scratch: &mut CostScratch) -> (f64, bool) {
+        let covered = &sites[..self.component_count()];
+        let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(covered, scratch);
+        let cost = breakdown.total();
+        let feasible = sites.len() == covered.len()
+            && self.kernel.constraints().feasible_with_peaks(
+                covered,
+                &peaks,
+                |site| self.cost_kernel.site_peaks(scratch, site.index()),
+                || cost,
+            );
+        (cost, feasible)
+    }
+
+    /// The tail every scoring path shares: given a site assignment's
+    /// `Q_Perf` (however it was obtained — scalar walk, lane walk or delta
+    /// re-sum), fill in `Q_Avai`, `Q_Cost` and feasibility, which are pure
+    /// functions of the assignment.
+    fn finish(&self, performance: f64, sites: &[SiteId], scratch: &mut CostScratch) -> PlanQuality {
+        let (cost, feasible) = self.cost_and_feasibility(sites, scratch);
+        PlanQuality {
+            performance,
+            availability: self.kernel.availability(sites, self.current.sites()),
+            cost,
+            feasible,
+        }
+    }
+
     /// Evaluate all three qualities plus feasibility of a plan through the
-    /// compiled kernel. `Q_Cost` is computed once and reused by the budget
-    /// constraint (the interpretive path used to score it twice when a
-    /// budget preference was set).
+    /// compiled kernel.
     pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
         self.debug_assert_in_catalog(plan);
         with_scratch(|s| {
-            let sites = plan.placement().sites();
-            let performance = self.kernel.performance(sites, &mut s.stack);
-            let availability = self.kernel.availability(sites, self.current.sites());
-            fill_sites(&mut s.sites, plan, self.component_count());
-            let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(&s.sites, &mut s.cost);
-            let cost = breakdown.total();
-            let feasible = plan.len() == self.component_count()
-                && self.kernel.constraints().feasible_with_peaks(
-                    &s.sites,
-                    &peaks,
-                    |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                    || cost,
-                );
-            PlanQuality {
-                performance,
-                availability,
-                cost,
-                feasible,
-            }
+            let performance = self.kernel.performance(plan.sites(), &mut s.stack);
+            self.finish(performance, plan.sites(), &mut s.cost)
         })
     }
 
-    /// Batched [`Self::evaluate`]: score one group of plans (the *lanes*)
-    /// through a single structure-of-arrays walk of the compiled arenas.
-    /// `Q_Perf` of all lanes is computed in one pass over the instruction
-    /// streams; availability, cost and feasibility are then filled per lane
-    /// with the usual scratch-backed kernels. Every returned quality is
-    /// bit-identical to evaluating its plan alone.
+    /// One structure-of-arrays walk of the compiled arenas over a group of
+    /// full-length plans (the *lanes*): `Q_Perf` of all lanes is computed
+    /// in one pass over the instruction streams, each lane's per-trace
+    /// state going to `retain` (see [`CompiledQuality::performance_lanes`]),
+    /// then the shared tail fills in the rest per lane.
+    fn score_lanes(
+        &self,
+        plans: &[&MigrationPlan],
+        retain: impl FnMut(usize, ScoredTrace),
+    ) -> Vec<PlanQuality> {
+        for plan in plans {
+            self.debug_assert_in_catalog(plan);
+        }
+        with_scratch(|s| {
+            let site_views: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
+            s.lanes.load(&site_views);
+            let mut perf = Vec::with_capacity(plans.len());
+            self.kernel
+                .performance_lanes(&mut s.lanes, plans.len(), &mut perf, retain);
+            perf.into_iter()
+                .zip(site_views)
+                .map(|(performance, sites)| self.finish(performance, sites, &mut s.cost))
+                .collect()
+        })
+    }
+
+    /// Batched [`Self::evaluate`]: score one group of plans through a
+    /// single structure-of-arrays walk of the compiled arenas. Every
+    /// returned quality is bit-identical to evaluating its plan alone.
     ///
     /// Groups of fewer than two plans, and groups containing a plan that
     /// does not cover every component, fall back to the scalar path.
@@ -622,42 +648,7 @@ impl QualityModel {
         if plans.len() < 2 || plans.iter().any(|p| p.len() != n) {
             return plans.iter().map(|p| self.evaluate(p)).collect();
         }
-        for plan in plans {
-            self.debug_assert_in_catalog(plan);
-        }
-        let lanes = plans.len();
-        with_scratch(|s| {
-            let site_views: Vec<&[SiteId]> = plans.iter().map(|p| p.placement().sites()).collect();
-            s.lanes.load(&site_views);
-            let mut perf = Vec::with_capacity(lanes);
-            self.kernel
-                .performance_lanes(&mut s.lanes, lanes, &mut perf);
-            plans
-                .iter()
-                .enumerate()
-                .map(|(l, plan)| {
-                    let availability = self
-                        .kernel
-                        .availability(site_views[l], self.current.sites());
-                    fill_sites(&mut s.sites, plan, n);
-                    let (breakdown, peaks) =
-                        self.cost_kernel.evaluate_with_peaks(&s.sites, &mut s.cost);
-                    let cost = breakdown.total();
-                    let feasible = self.kernel.constraints().feasible_with_peaks(
-                        &s.sites,
-                        &peaks,
-                        |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                        || cost,
-                    );
-                    PlanQuality {
-                        performance: perf[l],
-                        availability,
-                        cost,
-                        feasible,
-                    }
-                })
-                .collect()
-        })
+        self.score_lanes(plans, |_, _| {})
     }
 
     /// [`Self::evaluate`] with the per-trace latencies retained: the parent
@@ -670,108 +661,54 @@ impl QualityModel {
     /// needs a full-length site assignment to mutate).
     pub fn evaluate_scored(&self, plan: &MigrationPlan) -> ScoredPlan {
         self.debug_assert_in_catalog(plan);
+        self.assert_covers(plan);
+        with_scratch(|s| {
+            let sites = plan.to_sites();
+            let mut traces = Vec::with_capacity(self.kernel.trace_count());
+            let performance = self
+                .kernel
+                .performance_scored(&sites, &mut s.stack, &mut traces);
+            let quality = self.finish(performance, &sites, &mut s.cost);
+            ScoredPlan {
+                sites,
+                traces,
+                quality,
+            }
+        })
+    }
+
+    /// [`Self::evaluate_scored`] for one lane group of the plan evaluator:
+    /// two or more plans share a single structure-of-arrays walk that
+    /// retains every lane's per-trace latencies; each returned
+    /// [`ScoredPlan`] — quality and retained state alike — is bit-identical
+    /// to [`Self::evaluate_scored`] of the same plan.
+    pub(crate) fn evaluate_scored_group(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
+        if plans.len() < 2 {
+            return plans.iter().map(|p| self.evaluate_scored(p)).collect();
+        }
+        plans.iter().for_each(|p| self.assert_covers(p));
+        let mut traces: Vec<Vec<ScoredTrace>> = (0..plans.len())
+            .map(|_| Vec::with_capacity(self.kernel.trace_count()))
+            .collect();
+        let qualities = self.score_lanes(plans, |l, trace| traces[l].push(trace));
+        plans
+            .iter()
+            .zip(traces)
+            .zip(qualities)
+            .map(|((plan, traces), quality)| ScoredPlan {
+                sites: plan.to_sites(),
+                traces,
+                quality,
+            })
+            .collect()
+    }
+
+    fn assert_covers(&self, plan: &MigrationPlan) {
         assert_eq!(
             plan.len(),
             self.component_count(),
             "delta scoring needs a plan covering every component"
         );
-        with_scratch(|s| {
-            let sites = plan.placement().sites().to_vec();
-            let mut traces = Vec::with_capacity(self.kernel.trace_count());
-            let performance = self
-                .kernel
-                .performance_scored(&sites, &mut s.stack, &mut traces);
-            let availability = self.kernel.availability(&sites, self.current.sites());
-            let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(&sites, &mut s.cost);
-            let cost = breakdown.total();
-            let feasible = self.kernel.constraints().feasible_with_peaks(
-                &sites,
-                &peaks,
-                |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                || cost,
-            );
-            ScoredPlan {
-                sites,
-                traces,
-                quality: PlanQuality {
-                    performance,
-                    availability,
-                    cost,
-                    feasible,
-                },
-            }
-        })
-    }
-
-    /// Batched [`Self::evaluate_scored`]: score one group of plans through
-    /// a single structure-of-arrays walk of the compiled arenas, retaining
-    /// every lane's per-trace latencies. Each returned [`ScoredPlan`] —
-    /// quality and retained state alike — is bit-identical to
-    /// [`Self::evaluate_scored`] of the same plan.
-    ///
-    /// Groups of fewer than two plans fall back to the scalar scored path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any plan does not cover every component (like
-    /// [`Self::evaluate_scored`]: the delta path needs full-length site
-    /// assignments).
-    pub fn evaluate_scored_lanes(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
-        let n = self.component_count();
-        for plan in plans {
-            assert_eq!(
-                plan.len(),
-                n,
-                "delta scoring needs a plan covering every component"
-            );
-        }
-        if plans.len() < 2 {
-            return plans.iter().map(|p| self.evaluate_scored(p)).collect();
-        }
-        for plan in plans {
-            self.debug_assert_in_catalog(plan);
-        }
-        let lanes = plans.len();
-        with_scratch(|s| {
-            let site_views: Vec<&[SiteId]> = plans.iter().map(|p| p.placement().sites()).collect();
-            s.lanes.load(&site_views);
-            let mut perf = Vec::with_capacity(lanes);
-            let mut scored: Vec<Vec<ScoredTrace>> = (0..lanes)
-                .map(|_| Vec::with_capacity(self.kernel.trace_count()))
-                .collect();
-            self.kernel
-                .performance_scored_lanes(&mut s.lanes, lanes, &mut perf, &mut scored);
-            plans
-                .iter()
-                .zip(scored)
-                .enumerate()
-                .map(|(l, (plan, traces))| {
-                    let availability = self
-                        .kernel
-                        .availability(site_views[l], self.current.sites());
-                    fill_sites(&mut s.sites, plan, n);
-                    let (breakdown, peaks) =
-                        self.cost_kernel.evaluate_with_peaks(&s.sites, &mut s.cost);
-                    let cost = breakdown.total();
-                    let feasible = self.kernel.constraints().feasible_with_peaks(
-                        &s.sites,
-                        &peaks,
-                        |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                        || cost,
-                    );
-                    ScoredPlan {
-                        sites: site_views[l].to_vec(),
-                        traces,
-                        quality: PlanQuality {
-                            performance: perf[l],
-                            availability,
-                            cost,
-                            feasible,
-                        },
-                    }
-                })
-                .collect()
-        })
     }
 
     /// Incrementally re-score a mutation of `parent`: apply `changes`
@@ -789,9 +726,9 @@ impl QualityModel {
         changes: &[(atlas_sim::ComponentId, SiteId)],
     ) -> ScoredPlan {
         let mut sites = parent.sites.clone();
-        with_scratch(|s| {
+        let mut traces = Vec::with_capacity(parent.traces.len());
+        let quality = with_scratch(|s| {
             let mask = apply_changes(&mut sites, changes, &mut s.changed, self.site_count());
-            let mut traces = Vec::with_capacity(parent.traces.len());
             let performance = self.kernel.performance_delta(
                 &sites,
                 &s.changed,
@@ -800,26 +737,13 @@ impl QualityModel {
                 &mut traces,
                 &mut s.stack,
             );
-            let availability = self.kernel.availability(&sites, self.current.sites());
-            let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(&sites, &mut s.cost);
-            let cost = breakdown.total();
-            let feasible = self.kernel.constraints().feasible_with_peaks(
-                &sites,
-                &peaks,
-                |site| self.cost_kernel.site_peaks(&s.cost, site.index()),
-                || cost,
-            );
-            ScoredPlan {
-                sites,
-                traces,
-                quality: PlanQuality {
-                    performance,
-                    availability,
-                    cost,
-                    feasible,
-                },
-            }
-        })
+            self.finish(performance, &sites, &mut s.cost)
+        });
+        ScoredPlan {
+            sites,
+            traces,
+            quality,
+        }
     }
 
     /// Allocation-free probe of a mutation of `parent`: like
@@ -847,21 +771,7 @@ impl QualityModel {
             let performance =
                 self.kernel
                     .performance_delta(sites, changed, mask, &parent.traces, scored, stack);
-            let availability = self.kernel.availability(sites, self.current.sites());
-            let (breakdown, peaks) = self.cost_kernel.evaluate_with_peaks(sites, cost);
-            let cost_total = breakdown.total();
-            let feasible = self.kernel.constraints().feasible_with_peaks(
-                sites,
-                &peaks,
-                |site| self.cost_kernel.site_peaks(cost, site.index()),
-                || cost_total,
-            );
-            PlanQuality {
-                performance,
-                availability,
-                cost: cost_total,
-                feasible,
-            }
+            self.finish(performance, sites, cost)
         })
     }
 
@@ -877,12 +787,6 @@ impl QualityModel {
             feasible: self.feasibility(plan).is_none(),
         }
     }
-}
-
-/// Fill `sites` with the plan's site assignment for components `0..n`.
-fn fill_sites(sites: &mut Vec<SiteId>, plan: &MigrationPlan, n: usize) {
-    sites.clear();
-    sites.extend((0..n).map(|i| plan.site(atlas_sim::ComponentId(i))));
 }
 
 /// Apply a change list to a site assignment in order, recording the sorted,

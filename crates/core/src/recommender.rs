@@ -10,11 +10,10 @@
 //! at 10,000 ≈ 0.002 % of the space).
 //!
 //! The loop is *delta-native*: population members are retained
-//! [`ScoredPlan`]s, each offspring is diffed against its nearer tournament
-//! parent and re-scored incrementally
-//! ([`PlanEvaluator::evaluate_offspring_batch`]) — bit-identical to cold
-//! scoring, so [`RecommenderConfig::delta_search`] is purely a speed
-//! toggle. Every feasible plan the search evaluates (initial population,
+//! [`ScoredPlan`]s, and each offspring is diffed against its nearer
+//! tournament parent and re-scored incrementally
+//! ([`PlanEvaluator::evaluate_offspring_batch`], pinned bit-identical to
+//! cold scoring by property test). Every feasible plan the search evaluates (initial population,
 //! GA offspring, RL training rollouts) is offered to an external
 //! [`ParetoArchive`], and the recommendation is that archive's front — a
 //! Pareto-optimal plan discovered early can no longer be displaced from
@@ -79,18 +78,6 @@ pub struct RecommenderConfig {
     /// Worker threads of the plan evaluator (`0` = one per available core).
     /// The thread count never changes the recommendation, only its speed.
     pub threads: usize,
-    /// Structure-of-arrays lane width of the plan evaluator (`0` = the
-    /// default [`crate::eval::LANE_WIDTH`], `1` = the scalar per-plan
-    /// path). Like the thread count, the lane width never changes the
-    /// recommendation, only its speed.
-    pub lane_width: usize,
-    /// Whether offspring are scored incrementally against their nearer
-    /// tournament parent ([`PlanEvaluator::evaluate_offspring_batch`],
-    /// default) or always cold. Like the thread count and lane width this
-    /// never changes the recommendation, only its speed: the delta kernel
-    /// is bit-identical to cold scoring and the memo-cache accounting is
-    /// the same on both paths.
-    pub delta_search: bool,
 }
 
 impl Default for RecommenderConfig {
@@ -103,8 +90,6 @@ impl Default for RecommenderConfig {
             rl: RlCrossoverConfig::default(),
             seed: 23,
             threads: 0,
-            lane_width: 0,
-            delta_search: true,
         }
     }
 }
@@ -124,8 +109,6 @@ impl RecommenderConfig {
             },
             seed: 23,
             threads: 0,
-            lane_width: 0,
-            delta_search: true,
         }
     }
 
@@ -145,21 +128,6 @@ impl RecommenderConfig {
     /// available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Replace the evaluator lane width (builder style; `0` = the default
-    /// [`crate::eval::LANE_WIDTH`], `1` = the scalar per-plan path).
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = lane_width;
-        self
-    }
-
-    /// Enable or disable delta offspring scoring (builder style; on by
-    /// default). Never changes the recommendation, only its speed —
-    /// pinned by the end-to-end toggle tests.
-    pub fn with_delta_search(mut self, delta_search: bool) -> Self {
-        self.delta_search = delta_search;
         self
     }
 }
@@ -220,33 +188,29 @@ pub struct RecommendationReport {
 }
 
 impl RecommendationReport {
+    /// The plan minimising `key`, compared field by field under
+    /// [`f64::total_cmp`] so a NaN indicator loses instead of panicking.
+    fn min_by_key(&self, key: impl Fn(&PlanQuality) -> [f64; 2]) -> Option<&RecommendedPlan> {
+        self.plans.iter().min_by(|a, b| {
+            let (a, b) = (key(&a.quality), key(&b.quality));
+            a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1]))
+        })
+    }
+
     /// The plan with the best (lowest) predicted performance impact.
     pub fn performance_optimized(&self) -> Option<&RecommendedPlan> {
-        self.plans.iter().min_by(|a, b| {
-            a.quality
-                .performance
-                .partial_cmp(&b.quality.performance)
-                .expect("finite")
-        })
+        self.min_by_key(|q| [q.performance, q.performance])
     }
 
     /// The plan with the least predicted disruption, ties broken by
     /// performance.
     pub fn availability_optimized(&self) -> Option<&RecommendedPlan> {
-        self.plans.iter().min_by(|a, b| {
-            (a.quality.availability, a.quality.performance)
-                .partial_cmp(&(b.quality.availability, b.quality.performance))
-                .expect("finite")
-        })
+        self.min_by_key(|q| [q.availability, q.performance])
     }
 
     /// The cheapest plan, ties broken by performance.
     pub fn cost_optimized(&self) -> Option<&RecommendedPlan> {
-        self.plans.iter().min_by(|a, b| {
-            (a.quality.cost, a.quality.performance)
-                .partial_cmp(&(b.quality.cost, b.quality.performance))
-                .expect("finite")
-        })
+        self.min_by_key(|q| [q.cost, q.performance])
     }
 }
 
@@ -272,9 +236,7 @@ impl<'a> Recommender<'a> {
     /// [`RecommenderConfig::threads`] workers; use [`Self::recommend_with`]
     /// to share a warm evaluator across runs.
     pub fn recommend(&self) -> RecommendationReport {
-        let evaluator = PlanEvaluator::new(self.quality)
-            .with_threads(self.config.threads)
-            .with_lane_width(self.config.lane_width);
+        let evaluator = PlanEvaluator::new(self.quality).with_threads(self.config.threads);
         self.recommend_with(&evaluator)
     }
 
@@ -310,7 +272,6 @@ impl<'a> Recommender<'a> {
         let mut requested = 0usize;
         let request_cap = self.config.max_visited.saturating_mul(8).max(64);
 
-        let delta = self.config.delta_search;
         // Every feasible plan the search evaluates is offered to the
         // external archive, so the final front survives population churn.
         let mut archive: ParetoArchive<MigrationPlan, [f64; 3]> =
@@ -336,18 +297,8 @@ impl<'a> Recommender<'a> {
         stages.init_ms = millis(init_start.elapsed());
         // The population retains each member's per-trace scoring state
         // (ScoredPlan) so offspring can be re-scored incrementally against
-        // their parents. With delta scoring off, members carry only their
-        // quality — the cold path never reads the retained traces.
-        let mut population: Vec<ScoredPlan> = if delta {
-            evaluator.evaluate_scored_batch(&seeds)
-        } else {
-            let qualities = evaluator.evaluate_batch(&seeds);
-            seeds
-                .iter()
-                .zip(qualities)
-                .map(|(plan, quality)| ScoredPlan::quality_only(plan.to_sites(), quality))
-                .collect()
-        };
+        // their parents.
+        let mut population: Vec<ScoredPlan> = evaluator.evaluate_scored_batch(&seeds);
         requested += population.len();
         for (plan, member) in seeds.iter().zip(&population) {
             if !seen.contains(plan) {
@@ -361,9 +312,8 @@ impl<'a> Recommender<'a> {
         // Train the RL crossover agent on the initial population (the paper
         // trains Λ_θ during the application-learning phase). Parent
         // qualities come from the retained population; each rollout child
-        // is scored through the evaluator — incrementally against its
-        // nearer parent when delta scoring is on — and unique ones count
-        // against the budget.
+        // is scored through the evaluator, incrementally against its nearer
+        // parent, and unique ones count against the budget.
         let mut agent = None;
         let mut reward_progression = Vec::new();
         if self.config.strategy == CrossoverStrategy::ReinforcementLearning {
@@ -376,14 +326,10 @@ impl<'a> Recommender<'a> {
             let mut a = CrossoverAgent::new(n, rl_config).with_site_count(site_count);
             reward_progression = a.train_scored(&population, |pi, pj, child| {
                 let scoring_start = Instant::now();
-                let quality = if delta {
-                    let di = hamming(child.sites(), pi.sites());
-                    let dj = hamming(child.sites(), pj.sites());
-                    let parent = if dj < di { pj } else { pi };
-                    evaluator.evaluate_offspring(parent, child)
-                } else {
-                    evaluator.evaluate(child)
-                };
+                let di = hamming(child.sites(), pi.sites());
+                let dj = hamming(child.sites(), pj.sites());
+                let parent = if dj < di { pj } else { pi };
+                let quality = evaluator.evaluate_offspring(parent, child);
                 if !seen.contains(child) {
                     seen.insert(child.clone());
                 }
@@ -448,17 +394,8 @@ impl<'a> Recommender<'a> {
                 parent_of.push(if db < da { b } else { a });
                 offspring.push(child);
             }
-            let scored: Vec<ScoredPlan> = if delta {
-                let parents: Vec<&ScoredPlan> = parent_of.iter().map(|&i| &population[i]).collect();
-                evaluator.evaluate_offspring_batch(&parents, &offspring)
-            } else {
-                let qualities = evaluator.evaluate_batch(&offspring);
-                offspring
-                    .iter()
-                    .zip(qualities)
-                    .map(|(plan, quality)| ScoredPlan::quality_only(plan.to_sites(), quality))
-                    .collect()
-            };
+            let parents: Vec<&ScoredPlan> = parent_of.iter().map(|&i| &population[i]).collect();
+            let scored = evaluator.evaluate_offspring_batch(&parents, &offspring);
             requested += offspring.len();
             for (plan, child) in offspring.iter().zip(&scored) {
                 if !seen.contains(plan) {
@@ -507,12 +444,9 @@ impl<'a> Recommender<'a> {
                 })
                 .collect()
         };
-        plans.sort_by(|a, b| {
-            a.quality
-                .performance
-                .partial_cmp(&b.quality.performance)
-                .expect("finite")
-        });
+        // total_cmp: a NaN indicator (hostile telemetry) sorts last instead
+        // of aborting the request; finite values order as before.
+        plans.sort_by(|a, b| a.quality.performance.total_cmp(&b.quality.performance));
 
         RecommendationReport {
             plans,
@@ -679,17 +613,53 @@ mod tests {
         }
     }
 
+    /// A NaN indicator (hostile telemetry) must not abort a request: the
+    /// selectors order with `total_cmp`, under which NaN sorts after every
+    /// finite value, so a NaN-quality plan simply never wins.
     #[test]
-    fn delta_offspring_scoring_never_changes_the_recommendation() {
-        let quality = build_quality(burst_preferences(12.0));
-        let on = Recommender::new(&quality, RecommenderConfig::fast()).recommend();
-        let off = Recommender::new(&quality, RecommenderConfig::fast().with_delta_search(false))
-            .recommend();
-        assert_eq!(on.plans, off.plans, "delta scoring must be invisible");
-        assert_eq!(on.visited, off.visited);
-        assert_eq!(on.reward_progression, off.reward_progression);
-        assert_eq!(on.eval.unique_evaluations, off.eval.unique_evaluations);
-        assert!(!on.plans.is_empty());
+    fn selectors_survive_a_nan_quality_plan() {
+        let plan = |performance: f64, availability: f64, cost: f64| RecommendedPlan {
+            plan: MigrationPlan::all_onprem(2),
+            quality: PlanQuality {
+                performance,
+                availability,
+                cost,
+                feasible: true,
+            },
+        };
+        let report = RecommendationReport {
+            plans: vec![
+                plan(f64::NAN, f64::NAN, f64::NAN),
+                plan(1.5, 0.0, 9.0),
+                plan(1.1, 2.0, 3.0),
+                plan(1.3, 0.0, 3.0),
+            ],
+            visited: 4,
+            reward_progression: Vec::new(),
+            eval: EvalStats::default(),
+            eval_lifetime: EvalStats::default(),
+            stages: SearchStages::default(),
+        };
+        assert_eq!(
+            report.performance_optimized().unwrap().quality.performance,
+            1.1
+        );
+        // Ties on the first key break by performance.
+        assert_eq!(
+            report.availability_optimized().unwrap().quality.performance,
+            1.3
+        );
+        assert_eq!(report.cost_optimized().unwrap().quality.performance, 1.1);
+        // The front sort uses the same order: NaN goes last.
+        let mut plans = report.plans.clone();
+        plans.sort_by(|a, b| a.quality.performance.total_cmp(&b.quality.performance));
+        assert!(plans[3].quality.performance.is_nan());
+        // Only NaN plans: still an answer, not a panic.
+        let only_nan = RecommendationReport {
+            plans: vec![plan(f64::NAN, f64::NAN, f64::NAN)],
+            ..report
+        };
+        assert!(only_nan.cost_optimized().is_some());
     }
 
     #[test]

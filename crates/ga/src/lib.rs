@@ -16,6 +16,7 @@
 //!   survives population churn.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod archive;
 pub mod nsga2;

@@ -49,6 +49,7 @@
 //! `to_bits()` over whole training runs.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod actor_critic;
 pub mod adam;

@@ -27,6 +27,7 @@
 //!   paper Figure 2.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod calltree;
 pub mod cluster;

@@ -19,6 +19,7 @@
 //! *queries* it, mirroring the paper's non-intrusive design principle.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod metrics;

@@ -4,9 +4,6 @@ use atlas::apps::{
     hotel_reservation, social_network, synthesize, CallGraphShape, SocialNetworkOptions,
     SynthOptions, WorkloadGenerator, WorkloadOptions,
 };
-use atlas::baselines::{
-    AffinityGaAdvisor, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor, RemapAdvisor,
-};
 use atlas::core::{
     Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, RecommendationReport, Recommender,
     RecommenderConfig,
@@ -15,7 +12,6 @@ use atlas::sim::{
     AppTopology, ClusterSpec, Location, OverloadModel, Placement, SimConfig, Simulator,
 };
 use atlas::telemetry::TelemetryStore;
-use atlas_bench::{Application, Experiment, ExperimentOptions};
 
 /// FNV-1a digest of everything a recommendation promises to keep stable:
 /// every plan's genome and the bits of its three indicators, in front
@@ -541,213 +537,4 @@ fn footprints_are_accurate_for_most_apis() {
         good >= 6,
         "at least two thirds of the APIs should have well-learned footprints, got {good}/9"
     );
-}
-
-/// PR-6 regression: the batched SoA lanes and the incremental delta
-/// re-scoring path are pure accelerations. With either switched off, the
-/// recommender and all five baselines must reproduce byte-identical plans
-/// and Pareto fronts at every thread count, on a seed application and on a
-/// generated 4-site scenario.
-#[test]
-fn batch_and_delta_toggles_never_change_any_recommendation() {
-    let quick = ExperimentOptions {
-        max_visited: 200,
-        population: 12,
-        learn_day_seconds: Some(30),
-        ..ExperimentOptions::quick()
-    };
-    let scenarios: Vec<(&str, Experiment)> = vec![
-        ("social-network", Experiment::set_up(quick.clone())),
-        (
-            "synthetic-4-site",
-            Experiment::set_up(ExperimentOptions {
-                application: Application::Synthetic(SynthOptions {
-                    components: 40,
-                    shape: CallGraphShape::Layered,
-                    stateful_fraction: 0.2,
-                    apis: 6,
-                    call_depth: 4,
-                    site_count: 4,
-                    ..SynthOptions::default()
-                }),
-                seed: 77,
-                ..quick
-            }),
-        ),
-    ];
-
-    for (name, exp) in &scenarios {
-        for threads in [1usize, 2, 8] {
-            // Recommender: default lanes (LANE_WIDTH-wide SoA batches)
-            // against the scalar per-plan path. Everything must match, down
-            // to the budget accounting and the training trajectory, because
-            // lane scoring is bit-identical to scalar scoring.
-            let config = RecommenderConfig {
-                max_visited: 200,
-                population: 12,
-                ..RecommenderConfig::fast()
-            }
-            .with_threads(threads);
-            let batched =
-                Recommender::new(&exp.quality, config.clone().with_lane_width(0)).recommend();
-            let scalar = Recommender::new(&exp.quality, config.with_lane_width(1)).recommend();
-            assert!(!batched.plans.is_empty(), "{name}/{threads}");
-            assert_eq!(
-                batched.plans.len(),
-                scalar.plans.len(),
-                "{name}/{threads} threads: front size"
-            );
-            for (a, b) in batched.plans.iter().zip(&scalar.plans) {
-                assert_eq!(a.plan, b.plan, "{name}/{threads} threads");
-                assert_eq!(
-                    a.quality.performance.to_bits(),
-                    b.quality.performance.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.availability.to_bits(),
-                    b.quality.availability.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.cost.to_bits(),
-                    b.quality.cost.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.feasible, b.quality.feasible,
-                    "{name}/{threads} threads"
-                );
-            }
-            assert_eq!(batched.visited, scalar.visited, "{name}/{threads} threads");
-            assert_eq!(
-                batched.reward_progression, scalar.reward_progression,
-                "{name}/{threads} threads"
-            );
-            assert_eq!(
-                batched.eval.unique_evaluations, scalar.eval.unique_evaluations,
-                "{name}/{threads} threads"
-            );
-
-            // The four scorer-driven baselines: delta re-scoring on vs. off.
-            let ctx = &exp.baseline_ctx;
-            let on = ctx.scorer().with_threads(threads).with_delta_path(true);
-            let off = ctx.scorer().with_threads(threads).with_delta_path(false);
-            assert_eq!(
-                RemapAdvisor.recommend_with(&on),
-                RemapAdvisor.recommend_with(&off),
-                "{name}/{threads} threads: REMaP"
-            );
-            assert_eq!(
-                IntMaAdvisor.recommend_with(&on),
-                IntMaAdvisor.recommend_with(&off),
-                "{name}/{threads} threads: IntMA"
-            );
-            assert_eq!(
-                AffinityGaAdvisor::fast().recommend_with(&on),
-                AffinityGaAdvisor::fast().recommend_with(&off),
-                "{name}/{threads} threads: affinity GA front"
-            );
-            assert_eq!(
-                RandomSearchAdvisor::fast().recommend_with(&on),
-                RandomSearchAdvisor::fast().recommend_with(&off),
-                "{name}/{threads} threads: random-search front"
-            );
-
-            // Greedy probes the context directly (it never builds a scorer),
-            // so the toggle cannot reach it; pin that it is deterministic
-            // and unchanged between the two scorer constructions anyway.
-            assert_eq!(
-                GreedyAdvisor::largest_first().recommend(ctx),
-                GreedyAdvisor::largest_first().recommend(ctx),
-                "{name}/{threads} threads: greedy"
-            );
-        }
-    }
-}
-
-/// PR-9 regression: delta-native offspring scoring (population retained as
-/// `ScoredPlan`s, children diffed against their nearer tournament parent and
-/// re-scored incrementally) is a pure acceleration. With the toggle off the
-/// recommender must reproduce byte-identical recommendations, budget
-/// accounting and training trajectories at every thread count, on a seed
-/// application and on a generated 4-site scenario.
-#[test]
-fn delta_offspring_toggle_never_changes_any_recommendation() {
-    let quick = ExperimentOptions {
-        max_visited: 200,
-        population: 12,
-        learn_day_seconds: Some(30),
-        ..ExperimentOptions::quick()
-    };
-    let scenarios: Vec<(&str, Experiment)> = vec![
-        ("social-network", Experiment::set_up(quick.clone())),
-        (
-            "synthetic-4-site",
-            Experiment::set_up(ExperimentOptions {
-                application: Application::Synthetic(SynthOptions {
-                    components: 40,
-                    shape: CallGraphShape::Layered,
-                    stateful_fraction: 0.2,
-                    apis: 6,
-                    call_depth: 4,
-                    site_count: 4,
-                    ..SynthOptions::default()
-                }),
-                seed: 77,
-                ..quick
-            }),
-        ),
-    ];
-
-    for (name, exp) in &scenarios {
-        for threads in [1usize, 2, 8] {
-            let config = RecommenderConfig {
-                max_visited: 200,
-                population: 12,
-                ..RecommenderConfig::fast()
-            }
-            .with_threads(threads);
-            let on =
-                Recommender::new(&exp.quality, config.clone().with_delta_search(true)).recommend();
-            let off = Recommender::new(&exp.quality, config.with_delta_search(false)).recommend();
-            assert!(!on.plans.is_empty(), "{name}/{threads}");
-            assert_eq!(
-                on.plans.len(),
-                off.plans.len(),
-                "{name}/{threads} threads: front size"
-            );
-            for (a, b) in on.plans.iter().zip(&off.plans) {
-                assert_eq!(a.plan, b.plan, "{name}/{threads} threads");
-                assert_eq!(
-                    a.quality.performance.to_bits(),
-                    b.quality.performance.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.availability.to_bits(),
-                    b.quality.availability.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.cost.to_bits(),
-                    b.quality.cost.to_bits(),
-                    "{name}/{threads} threads"
-                );
-                assert_eq!(
-                    a.quality.feasible, b.quality.feasible,
-                    "{name}/{threads} threads"
-                );
-            }
-            assert_eq!(on.visited, off.visited, "{name}/{threads} threads");
-            assert_eq!(
-                on.reward_progression, off.reward_progression,
-                "{name}/{threads} threads"
-            );
-            assert_eq!(
-                on.eval.unique_evaluations, off.eval.unique_evaluations,
-                "{name}/{threads} threads"
-            );
-        }
-    }
 }

@@ -10,7 +10,7 @@ use atlas::apps::{
 };
 use atlas::core::{
     kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MigrationPlan, MigrationPreferences,
-    PlanEvaluator, QualityModel,
+    PlanEvaluator, QualityModel, ScoredPlan,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{
@@ -29,6 +29,35 @@ fn shared_quality() -> &'static QualityModel {
         Experiment::set_up(ExperimentOptions {
             max_visited: 100,
             population: 8,
+            ..ExperimentOptions::quick()
+        })
+        .quality
+    })
+}
+
+/// The two models of the offspring differential property: the 2-site
+/// social network of [`shared_quality`] and a generated 40-component
+/// 4-site scenario.
+fn offspring_model(idx: usize) -> &'static QualityModel {
+    static FOUR_SITE: OnceLock<QualityModel> = OnceLock::new();
+    if idx == 0 {
+        return shared_quality();
+    }
+    FOUR_SITE.get_or_init(|| {
+        Experiment::set_up(ExperimentOptions {
+            application: Application::Synthetic(SynthOptions {
+                components: 40,
+                shape: CallGraphShape::Layered,
+                stateful_fraction: 0.2,
+                apis: 6,
+                call_depth: 4,
+                site_count: 4,
+                ..SynthOptions::default()
+            }),
+            seed: 77,
+            max_visited: 100,
+            population: 8,
+            learn_day_seconds: Some(30),
             ..ExperimentOptions::quick()
         })
         .quality
@@ -571,6 +600,127 @@ proptest! {
         prop_assert_eq!(reverted.quality().feasible, cold.quality().feasible);
         for (a, b) in reverted.traces().iter().zip(cold.traces()) {
             prop_assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits());
+        }
+    }
+
+    /// The evaluator's offspring routes are invisible: on the 2-site and
+    /// the 4-site model, at 1, 2 and 8 threads,
+    /// `evaluate_offspring_batch(parents, children)` returns — qualities
+    /// *and* retained per-trace state — exactly
+    /// `QualityModel::evaluate_scored` of each child, and the single-child
+    /// `evaluate_offspring` returns exactly `QualityModel::evaluate`. The
+    /// batch mixes diffs on both sides of `DELTA_DIFF_THRESHOLD` (0, 1,
+    /// the cap itself, cap + 1, most of the genome), in-batch duplicates,
+    /// children already in the cache and `ScoredPlan::quality_only`
+    /// parents, and is large enough that both routes fan out across
+    /// workers.
+    #[test]
+    fn offspring_routes_match_cold_scoring_bit_for_bit(
+        model in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let quality = offspring_model(model);
+        let n = quality.component_count();
+        let site_count = quality.site_count() as u64;
+        let cap = ((n as f64 * atlas::core::DELTA_DIFF_THRESHOLD) as usize).max(1);
+        let hash = |a: u64, b: u64| {
+            (seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+                .rotate_left(23)
+                .wrapping_mul(0x1656_67B1_9E37_79F9)
+        };
+
+        // Six parents; every third one carries no retained state.
+        let parent_plans: Vec<MigrationPlan> = (0..6u64)
+            .map(|p| {
+                let sites = (0..n as u64).map(|i| SiteId((hash(p, i) % site_count) as u16));
+                MigrationPlan::from_sites(sites.collect())
+            })
+            .collect();
+        let parents: Vec<ScoredPlan> = parent_plans
+            .iter()
+            .enumerate()
+            .map(|(p, plan)| match p % 3 {
+                2 => ScoredPlan::quality_only(plan.to_sites(), quality.evaluate(plan)),
+                _ => quality.evaluate_scored(plan),
+            })
+            .collect();
+
+        // 96 children: child j moves `diff` distinct genes of parent j % 6
+        // to a different site, cycling through diffs around the cap; every
+        // eleventh child repeats an earlier one.
+        let diffs = [0, 1, cap, cap + 1, n - 1, (cap / 2).max(1), n / 2];
+        let mut children: Vec<MigrationPlan> = Vec::new();
+        let mut parent_of: Vec<usize> = Vec::new();
+        for j in 0..96usize {
+            if j % 11 == 10 {
+                let earlier = hash(99, j as u64) as usize % j;
+                children.push(children[earlier].clone());
+                parent_of.push(parent_of[earlier]);
+                continue;
+            }
+            let p = j % parents.len();
+            let diff = diffs[j % diffs.len()];
+            let mut sites = parent_plans[p].to_sites();
+            let first = hash(7, j as u64) as usize % n;
+            for g in (0..diff).map(|k| (first + k) % n) {
+                let shift = 1 + hash(j as u64, g as u64) % (site_count - 1);
+                sites[g] = SiteId(((u64::from(sites[g].0) + shift) % site_count) as u16);
+            }
+            children.push(MigrationPlan::from_sites(sites));
+            parent_of.push(p);
+        }
+        let parent_refs: Vec<&ScoredPlan> = parent_of.iter().map(|&p| &parents[p]).collect();
+        let precached: Vec<&MigrationPlan> = children.iter().step_by(13).collect();
+        let cold: Vec<ScoredPlan> = children.iter().map(|c| quality.evaluate_scored(c)).collect();
+        let distinct: std::collections::HashSet<&MigrationPlan> = children.iter().collect();
+
+        for threads in [1usize, 2, 8] {
+            let evaluator = PlanEvaluator::new(quality).with_threads(threads);
+            for plan in &precached {
+                evaluator.evaluate(plan);
+            }
+            let scored = evaluator.evaluate_offspring_batch(&parent_refs, &children);
+            prop_assert_eq!(scored.len(), children.len());
+            for ((child, got), want) in children.iter().zip(&scored).zip(&cold) {
+                prop_assert_eq!(got.sites(), child.sites());
+                prop_assert_eq!(got.quality().performance.to_bits(), want.quality().performance.to_bits());
+                prop_assert_eq!(got.quality().availability.to_bits(), want.quality().availability.to_bits());
+                prop_assert_eq!(got.quality().cost.to_bits(), want.quality().cost.to_bits());
+                prop_assert_eq!(got.quality().feasible, want.quality().feasible);
+                // Cache hits carry no state; everything computed here
+                // (either route, duplicates included) carries the cold
+                // state exactly.
+                if precached.contains(&child) {
+                    prop_assert!(got.traces().is_empty());
+                } else {
+                    prop_assert_eq!(got.traces().len(), want.traces().len());
+                    for (a, b) in got.traces().iter().zip(want.traces()) {
+                        prop_assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits());
+                        prop_assert_eq!(a.weight().to_bits(), b.weight().to_bits());
+                    }
+                }
+            }
+            // Every request is either a compute or a hit, and each
+            // distinct child was computed exactly once.
+            let stats = evaluator.local_stats();
+            prop_assert_eq!(stats.unique_evaluations, distinct.len());
+            prop_assert_eq!(stats.requests(), precached.len() + children.len());
+
+            // The single-child form, on a cold cache and then a warm one.
+            let single = PlanEvaluator::new(quality).with_threads(threads);
+            for _pass in 0..2 {
+                for ((parent, child), want) in parent_refs.iter().zip(&children).zip(&cold) {
+                    let got = single.evaluate_offspring(parent, child);
+                    let want = want.quality();
+                    prop_assert_eq!(got, quality.evaluate(child));
+                    prop_assert_eq!(got.performance.to_bits(), want.performance.to_bits());
+                    prop_assert_eq!(got.availability.to_bits(), want.availability.to_bits());
+                    prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+                    prop_assert_eq!(got.feasible, want.feasible);
+                }
+            }
+            prop_assert_eq!(single.local_stats().unique_evaluations, distinct.len());
         }
     }
 
