@@ -4,8 +4,10 @@
 //! the incremental-vs-cold relearn speedup. A second sweep serves a
 //! round-robin request pattern through a multi-tenant [`atlas_core::AdvisorHub`]
 //! — serial loop vs concurrent worker pool at 1/2/8 per-request evaluator
-//! threads — measuring requests/second, p50/p99 latency and scaling
-//! efficiency while checking bit-identical answers.
+//! threads, each figure the median of five `serve` calls over a pattern
+//! sized to keep one call measurable — measuring requests/second, p50/p99
+//! latency, scaling efficiency and the per-epoch training time the requests
+//! no longer pay, while checking bit-identical answers.
 //!
 //! The sweeps (defaults: the 100-component acceptance point and the
 //! 4-tenant serving grid; override with `ATLAS_SERVICE_COMPONENTS=25,100`
@@ -34,7 +36,7 @@ fn bench_service(c: &mut Criterion) {
     for p in &points {
         println!(
             "service: {:>3} components  {} sites  {:>4} apis  \
-             ingest {:>9.0} traces/s  drift→rec {:>7.1} ms  \
+             ingest {:>9.0} traces/s  drift→rec {:>7.1} ms (train {:.1} ms)  \
              relearn {:>6.2} ms vs cold {:>7.2} ms ({:>5.1}x)  \
              {} drift apis  {} evicted",
             p.components,
@@ -42,6 +44,7 @@ fn bench_service(c: &mut Criterion) {
             p.apis,
             p.ingest_traces_per_sec,
             p.drift_to_recommendation_ms,
+            p.train_ms,
             p.incremental_relearn_ms,
             p.cold_relearn_ms,
             p.relearn_speedup,
@@ -62,7 +65,7 @@ fn bench_service(c: &mut Criterion) {
         println!(
             "serving: {:>3} components  {} tenants  {} req  rt={}  workers={}  \
              serial {:>6.1} req/s  concurrent {:>6.1} req/s ({:.2}x, eff {:.2})  \
-             p50 {:>6.2} ms  p99 {:>6.2} ms  {}",
+             p50 {:>6.2} ms  p99 {:>6.2} ms  train/epoch {:.1} ms  {}",
             s.components,
             s.tenants,
             s.requests,
@@ -74,6 +77,7 @@ fn bench_service(c: &mut Criterion) {
             s.scaling_efficiency,
             s.p50_latency_ms,
             s.p99_latency_ms,
+            s.train_ms,
             if s.deterministic {
                 "deterministic"
             } else {

@@ -97,11 +97,13 @@ pub const MAX_DRIFT_LATENCY_REGRESSION: f64 = 2.0;
 
 /// Minimum tolerated `speedup_vs_serial` at a serving point's
 /// single-evaluator-thread row when the hub actually had more than one
-/// worker. A same-machine ratio over the identical request pattern, so
-/// hardware never excuses falling below it: the concurrent worker pool must
-/// beat a serial request loop by this much or the multi-tenant hub has lost
-/// its reason to exist. On a single-core runner (`workers` 1) the
-/// "concurrent" run is the identical serial path and the gate is vacuous.
+/// worker. A same-machine ratio over the identical request pattern — each
+/// side the median of five `serve` calls long enough that thread start-up
+/// is noise (see `service::run_serving_grid`) — so hardware never excuses
+/// falling below it: the concurrent worker pool must beat a serial request
+/// loop by this much or the multi-tenant hub has lost its reason to exist.
+/// On a single-core runner (`workers` 1) the "concurrent" run is the
+/// identical serial path and the gate is vacuous.
 pub const MIN_SERVING_SPEEDUP: f64 = 1.5;
 
 /// Extract the number following `"key":` in a JSON document generated by

@@ -25,7 +25,11 @@
 //! 1/2/8 per-request evaluator threads, measuring requests/second, p50/p99
 //! request latency, speedup over the serial loop and scaling efficiency —
 //! while asserting every concurrent answer is bit-identical to the serial
-//! one (the hub's epoch-snapshot contract).
+//! one (the hub's epoch-snapshot contract). A request at a published epoch
+//! searches with the agent the tenant's service trained once for that
+//! epoch, so it costs about a millisecond; the pattern is therefore sized
+//! from a timed warm round until one `serve` call runs long enough to
+//! measure, and every figure is the median of [`SERVING_RUNS`] calls.
 //!
 //! The `service` bench target runs both and emits `BENCH_service.json` at
 //! the workspace root next to `BENCH_scale.json` for CI tracking.
@@ -67,8 +71,11 @@ pub struct ServicePoint {
     /// Distinct APIs that fired a drift event during day 2.
     pub drift_apis: usize,
     /// Wall milliseconds from the first drift confirmation to the new
-    /// recommendation (incremental relearn + recompile + search).
+    /// recommendation (incremental relearn + recompile + training + search).
     pub drift_to_recommendation_ms: f64,
+    /// The part of `drift_to_recommendation_ms` spent training the
+    /// crossover agent for the new model generation.
+    pub train_ms: f64,
     /// Incremental relearn+recompile milliseconds of the controlled
     /// single-API episode.
     pub incremental_relearn_ms: f64,
@@ -229,6 +236,7 @@ pub fn run_service_point(components: usize) -> ServicePoint {
     let mut drift_apis = std::collections::HashSet::new();
     let mut evicted_traces = 0usize;
     let mut drift_to_recommendation_ms = 0.0;
+    let mut train_ms = 0.0;
     let mut saw_drift = false;
     for event in service.timeline() {
         match event {
@@ -237,9 +245,14 @@ pub fn run_service_point(components: usize) -> ServicePoint {
                 saw_drift = true;
                 drift_apis.insert(api.clone());
             }
-            ServiceEvent::Rerecommended { latency_ms, .. } => {
+            ServiceEvent::Rerecommended {
+                latency_ms,
+                train_ms: trained_in_ms,
+                ..
+            } => {
                 if saw_drift && drift_to_recommendation_ms == 0.0 {
                     drift_to_recommendation_ms = *latency_ms;
+                    train_ms = *trained_in_ms;
                 }
             }
             ServiceEvent::Relearned { .. } => {}
@@ -274,6 +287,7 @@ pub fn run_service_point(components: usize) -> ServicePoint {
         evicted_traces,
         drift_apis: drift_apis.len(),
         drift_to_recommendation_ms,
+        train_ms,
         incremental_relearn_ms,
         cold_relearn_ms,
         relearn_speedup: cold_relearn_ms / incremental_relearn_ms.max(1e-9),
@@ -365,25 +379,31 @@ pub struct ServingPoint {
     pub components: usize,
     /// Number of tenants behind the hub.
     pub tenants: usize,
-    /// Requests in the round-robin pattern.
+    /// Requests in the round-robin pattern (per measured `serve` call).
     pub requests: usize,
     /// Per-request evaluator threads (the grid's second dimension).
     pub request_threads: usize,
     /// Hub worker threads actually used by the concurrent run.
     pub workers: usize,
     /// Requests/second of the serial loop (one request at a time, one
-    /// evaluator thread) over the same pattern.
+    /// evaluator thread) over the same pattern: median of
+    /// [`SERVING_RUNS`] calls.
     pub serial_requests_per_sec: f64,
-    /// Requests/second of the hub's concurrent worker pool.
+    /// Requests/second of the hub's concurrent worker pool: median of
+    /// [`SERVING_RUNS`] calls.
     pub concurrent_requests_per_sec: f64,
     /// `concurrent_requests_per_sec / serial_requests_per_sec`.
     pub speedup_vs_serial: f64,
     /// `speedup_vs_serial / workers` — 1.0 is perfect scaling.
     pub scaling_efficiency: f64,
-    /// Median per-request latency of the concurrent run, milliseconds.
+    /// Median per-request latency over the concurrent runs, milliseconds.
     pub p50_latency_ms: f64,
-    /// 99th-percentile per-request latency of the concurrent run.
+    /// 99th-percentile per-request latency over the concurrent runs.
     pub p99_latency_ms: f64,
+    /// Milliseconds a tenant's service spent training the crossover agent
+    /// its epoch's requests share (median over tenants): paid once per
+    /// published epoch, by none of the requests measured here.
+    pub train_ms: f64,
     /// Mean per-request unique evaluations (the request-local
     /// `RecommendationReport::eval` view).
     pub request_unique_evals: f64,
@@ -408,8 +428,24 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Requests per tenant in the serving pattern.
+/// Fewest requests per tenant in the serving pattern.
 const SERVING_ROUNDS: usize = 6;
+
+/// Measured `serve` calls per figure: each requests/second is the median
+/// of this many back-to-back calls over the same pattern.
+pub const SERVING_RUNS: usize = 5;
+
+/// Shortest useful `serve` call. Scoped-thread start-up and scheduler
+/// jitter are a fixed cost per call, so the pattern is grown (from a timed
+/// warm round, never from a per-machine setting) until a perfectly scaling
+/// worker pool would still need this long to drain it.
+const MIN_SERVE_SECONDS: f64 = 0.5;
+
+/// Median of a sample (nearest rank, like [`percentile`]).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    percentile(&values, 0.50)
+}
 
 /// Build a bootstrapped multi-tenant hub: `tenants` independent synthetic
 /// applications (distinct seeds) at the given component count, each fed its
@@ -455,43 +491,63 @@ fn serving_hub(components: usize, tenants: usize) -> (AdvisorHub, Vec<TenantId>)
 /// throughput, latency percentiles and scaling — and checking every
 /// concurrent answer bit-identical to the serial one.
 pub fn run_serving_grid(components: usize, tenants: usize) -> Vec<ServingPoint> {
+    serving_grid(components, tenants, MIN_SERVE_SECONDS)
+}
+
+/// [`run_serving_grid`] with the shortest acceptable `serve` call given.
+fn serving_grid(components: usize, tenants: usize, min_serve_s: f64) -> Vec<ServingPoint> {
     let (mut hub, ids) = serving_hub(components, tenants);
-    let requests: Vec<TenantId> = (0..SERVING_ROUNDS)
-        .flat_map(|_| ids.iter().copied())
-        .collect();
+    let workers = effective_threads(0);
 
     // Warm each tenant's epoch cache once so both the serial loop and the
-    // concurrent runs measure the steady-state serving path.
+    // concurrent runs measure the steady-state serving path, then time one
+    // warm serial round to size the pattern.
     for &id in &ids {
         hub.recommend(id, 1);
     }
-
-    // Serial-loop ground truth: one worker, one evaluator thread.
     hub.set_threads(1);
     let start = Instant::now();
-    let serial_reports = hub.serve(&requests, 1);
-    let serial_s = start.elapsed().as_secs_f64();
-    let serial_requests_per_sec = requests.len() as f64 / serial_s.max(1e-9);
-    let mut truths: Vec<HubTruth> = Vec::with_capacity(tenants);
-    for &id in &ids {
-        let report = serial_reports
-            .iter()
-            .find(|r| r.tenant == id)
-            .expect("every tenant appears in the pattern");
-        truths.push(HubTruth {
-            plans: report.report.plans.clone(),
-            visited: report.report.visited,
-        });
-    }
+    let round = hub.serve(&ids, 1);
+    let round_s = start.elapsed().as_secs_f64().max(1e-9);
+    let rounds = ((min_serve_s * workers as f64 / round_s).ceil() as usize).max(SERVING_ROUNDS);
+    let requests: Vec<TenantId> = (0..rounds).flat_map(|_| ids.iter().copied()).collect();
+    let workers = workers.min(requests.len());
+    let requests_per_sec = |elapsed_s: f64| requests.len() as f64 / elapsed_s.max(1e-9);
+
+    let train_ms = median(
+        ids.iter()
+            .map(|&id| hub.with_tenant(id, |s| s.shared_policy().map_or(0.0, |p| p.train_ms())))
+            .collect(),
+    );
+
+    // Serial-loop ground truth: one worker, one evaluator thread. The
+    // sizing round already answered every tenant once, in `ids` order.
+    let truths: Vec<HubTruth> = round
+        .into_iter()
+        .map(|r| HubTruth {
+            plans: r.report.plans,
+            visited: r.report.visited,
+        })
+        .collect();
+    let serial_runs = (0..SERVING_RUNS).map(|_| {
+        let start = Instant::now();
+        hub.serve(&requests, 1);
+        requests_per_sec(start.elapsed().as_secs_f64())
+    });
+    let serial_requests_per_sec = median(serial_runs.collect());
 
     let mut points = Vec::new();
     for request_threads in [1usize, 2, 8] {
         hub.set_threads(0); // all available cores
-        let workers = effective_threads(0).min(requests.len()).max(1);
-        let start = Instant::now();
-        let reports = hub.serve(&requests, request_threads);
-        let elapsed = start.elapsed().as_secs_f64();
-        let concurrent_requests_per_sec = requests.len() as f64 / elapsed.max(1e-9);
+        let mut concurrent_runs = Vec::with_capacity(SERVING_RUNS);
+        let mut reports = Vec::with_capacity(SERVING_RUNS * requests.len());
+        for _ in 0..SERVING_RUNS {
+            let start = Instant::now();
+            let served = hub.serve(&requests, request_threads);
+            concurrent_runs.push(requests_per_sec(start.elapsed().as_secs_f64()));
+            reports.extend(served);
+        }
+        let concurrent_requests_per_sec = median(concurrent_runs);
         let speedup = concurrent_requests_per_sec / serial_requests_per_sec.max(1e-9);
 
         let mut latencies: Vec<f64> = reports.iter().map(|r| r.latency_ms).collect();
@@ -535,6 +591,7 @@ pub fn run_serving_grid(components: usize, tenants: usize) -> Vec<ServingPoint> 
             scaling_efficiency: speedup / workers as f64,
             p50_latency_ms: percentile(&latencies, 0.50),
             p99_latency_ms: percentile(&latencies, 0.99),
+            train_ms,
             request_unique_evals,
             request_cache_hits,
             lifetime_unique_evals,
@@ -568,6 +625,7 @@ pub fn service_json(points: &[ServicePoint], serving: &[ServingPoint]) -> String
                 "      \"evicted_traces\": {},\n",
                 "      \"drift_apis\": {},\n",
                 "      \"drift_to_recommendation_ms\": {:.1},\n",
+                "      \"train_ms\": {:.2},\n",
                 "      \"incremental_relearn_ms\": {:.2},\n",
                 "      \"cold_relearn_ms\": {:.2},\n",
                 "      \"relearn_speedup\": {:.2}\n",
@@ -582,6 +640,7 @@ pub fn service_json(points: &[ServicePoint], serving: &[ServingPoint]) -> String
             p.evicted_traces,
             p.drift_apis,
             p.drift_to_recommendation_ms,
+            p.train_ms,
             p.incremental_relearn_ms,
             p.cold_relearn_ms,
             p.relearn_speedup,
@@ -604,6 +663,7 @@ pub fn service_json(points: &[ServicePoint], serving: &[ServingPoint]) -> String
                 "      \"scaling_efficiency\": {:.2},\n",
                 "      \"p50_latency_ms\": {:.2},\n",
                 "      \"p99_latency_ms\": {:.2},\n",
+                "      \"train_ms\": {:.2},\n",
                 "      \"request_unique_evals\": {:.1},\n",
                 "      \"request_cache_hits\": {:.1},\n",
                 "      \"lifetime_unique_evals\": {},\n",
@@ -622,6 +682,7 @@ pub fn service_json(points: &[ServicePoint], serving: &[ServingPoint]) -> String
             s.scaling_efficiency,
             s.p50_latency_ms,
             s.p99_latency_ms,
+            s.train_ms,
             s.request_unique_evals,
             s.request_cache_hits,
             s.lifetime_unique_evals,
@@ -682,7 +743,7 @@ mod tests {
         assert!(p.day1_traces > 0 && p.day2_traces > 0);
         assert!(p.ingest_traces_per_sec > 0.0);
         assert!(p.drift_apis > 0, "drift corpus must fire: {p:?}");
-        assert!(p.drift_to_recommendation_ms > 0.0);
+        assert!(p.drift_to_recommendation_ms > p.train_ms && p.train_ms > 0.0);
         assert!(p.evicted_traces > 0);
         assert!(
             p.incremental_relearn_ms < p.cold_relearn_ms,
@@ -702,6 +763,7 @@ mod tests {
             evicted_traces: 400,
             drift_apis: 3,
             drift_to_recommendation_ms: 120.0,
+            train_ms: 15.0,
             incremental_relearn_ms: 2.0,
             cold_relearn_ms: 9.0,
             relearn_speedup: 4.5,
@@ -718,6 +780,7 @@ mod tests {
             scaling_efficiency: 0.41,
             p50_latency_ms: 21.5,
             p99_latency_ms: 48.0,
+            train_ms: 14.25,
             request_unique_evals: 0.0,
             request_cache_hits: 310.5,
             lifetime_unique_evals: 250,
@@ -732,6 +795,7 @@ mod tests {
         assert!(json.contains("\"tenants\": 4"));
         assert!(json.contains("\"speedup_vs_serial\": 3.25"));
         assert!(json.contains("\"p99_latency_ms\": 48.00"));
+        assert!(json.contains("\"train_ms\": 15.00") && json.contains("\"train_ms\": 14.25"));
         assert!(json.contains("\"deterministic\": 1"));
         assert!(!json.contains(",\n  ]"));
     }
@@ -744,12 +808,14 @@ mod tests {
 
     #[test]
     fn serving_grid_is_deterministic_and_scales() {
-        let points = run_serving_grid(25, 2);
+        // No minimum call length: the pattern stays at its floor.
+        let points = serving_grid(25, 2, 0.0);
         assert_eq!(points.len(), 3, "one point per request-thread count");
         for p in &points {
             assert_eq!(p.components, 25);
             assert_eq!(p.tenants, 2);
             assert_eq!(p.requests, 2 * SERVING_ROUNDS);
+            assert!(p.train_ms > 0.0, "the services trained their agents");
             assert!(p.deterministic, "concurrent != serial at {p:?}");
             assert!(p.serial_requests_per_sec > 0.0);
             assert!(p.concurrent_requests_per_sec > 0.0);

@@ -11,8 +11,9 @@
 //!
 //! * **Epoch-stamped model snapshots** — whenever a tenant's model
 //!   generation changes (bootstrap or drift-triggered relearn), the hub
-//!   publishes the compiled [`QualityModel`] `Arc` plus a *fresh*
-//!   [`MemoCache`] as one epoch-stamped `Arc` behind a small lock.
+//!   publishes the compiled [`QualityModel`] `Arc`, the crossover agent
+//!   trained for it and a *fresh* [`MemoCache`] as one epoch-stamped `Arc`
+//!   behind a small lock.
 //!   A recommendation request ([`AdvisorHub::recommend`]) holds that lock
 //!   only to clone the `Arc`: it never touches the tenant's service mutex,
 //!   so ingest, drift detection and relearn proceed while any number of
@@ -20,6 +21,18 @@
 //!   the epoch it started with even if a relearn lands mid-search. A
 //!   retired epoch is freed when the last request still holding it
 //!   finishes; nothing needs pruning.
+//! * **One training run per epoch** — the crossover agent is a pure
+//!   function of the model and the tenant's recommender configuration, and
+//!   the tenant's service already trains it for its own post-relearn
+//!   recommendation. The hub publishes that
+//!   [`TrainedCrossover`] next to the model, and every
+//!   request at the epoch searches with it
+//!   ([`Recommender::recommend_trained`]): shared, never cloned, never
+//!   written — a request owns only its activation buffers and its position
+//!   in the sampling stream. A request therefore costs a search, not a
+//!   training run, and still returns the service's own answer bit for bit
+//!   (the agent's training rollouts are replayed into the request's
+//!   budget and archive).
 //! * **Per-epoch shared eval caches** — every request served at one epoch
 //!   warms the same memo cache (scores are pure, so sharing can only add
 //!   cache hits, never change a result), and a new epoch starts from an
@@ -35,9 +48,9 @@
 //!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ publish
 //!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (epoch++)
 //!                                                             ▼
-//!                   Mutex<Option<Arc<..>>> ──▶ { epoch, Arc<QualityModel>, MemoCache }
+//!   Mutex<Option<Arc<..>>> ──▶ { epoch, Arc<QualityModel>, Arc<TrainedCrossover>, MemoCache }
 //!                                                             ▲  Arc clone per request
-//!   serve ────── worker pool ── recommend(tenant) ────────────┘
+//!   serve ────── worker pool ── recommend(tenant) ────────────┘  (searches, never trains)
 //! ```
 //!
 //! # Example
@@ -133,6 +146,7 @@ use crate::eval::{effective_threads, MemoCache, PlanEvaluator};
 use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, QualityModel};
 use crate::recommender::{RecommendationReport, Recommender, RecommenderConfig};
+use crate::rl_crossover::TrainedCrossover;
 use crate::service::{AdvisorService, ServiceEvent};
 
 /// Identifier of one tenant registered with an [`AdvisorHub`] (its
@@ -141,12 +155,16 @@ use crate::service::{AdvisorService, ServiceEvent};
 pub struct TenantId(pub usize);
 
 /// One published model generation of a tenant: the epoch stamp, the shared
-/// compiled model and the epoch's own eval cache. Retiring the epoch
-/// retires the cache with it, so a score computed against an older model
-/// can never answer a request at a newer one.
+/// compiled model, the crossover agent the service trained for it and the
+/// epoch's own eval cache. Retiring the epoch retires all of them together,
+/// so neither a score computed against an older model nor a policy trained
+/// on one can answer a request at a newer one.
 struct PublishedModel {
     epoch: u64,
     model: Arc<QualityModel>,
+    /// `None` when the tenant searches without a learned agent (uniform
+    /// crossover, or a budget that left nothing to train on).
+    policy: Option<Arc<TrainedCrossover>>,
     cache: MemoCache<MigrationPlan, PlanQuality>,
 }
 
@@ -274,6 +292,7 @@ impl AdvisorHub {
             *snapshot = Some(Arc::new(PublishedModel {
                 epoch: generation,
                 model,
+                policy: service.shared_policy(),
                 // A fresh epoch starts from an empty cache: scores computed
                 // against the previous model retire with its snapshot.
                 cache: MemoCache::default(),
@@ -343,12 +362,15 @@ impl AdvisorHub {
     }
 
     /// Answer one recommendation request: take the tenant's published
-    /// snapshot, run the recommender over the epoch's shared eval cache
-    /// with `request_threads` evaluator workers (`0` = the tenant's
-    /// configured count), and stamp the result with the epoch it was
-    /// served at. Never touches the tenant's service mutex, so ingest and
-    /// relearn proceed concurrently; a relearn landing mid-request is
-    /// invisible (the request keeps its snapshot alive until it returns).
+    /// snapshot, search with the epoch's trained crossover agent over the
+    /// epoch's shared eval cache with `request_threads` evaluator workers
+    /// (`0` = the tenant's configured count), and stamp the result with the
+    /// epoch it was served at. Nothing is trained here — the service
+    /// trained the agent when it produced the model — and the request
+    /// never touches the tenant's service mutex, so ingest and relearn
+    /// proceed concurrently; a relearn landing mid-request is invisible
+    /// (the request keeps its snapshot — model, agent and cache — alive
+    /// until it returns).
     ///
     /// # Panics
     ///
@@ -359,6 +381,17 @@ impl AdvisorHub {
         let snapshot = slot
             .snapshot()
             .expect("bootstrap the tenant before requesting recommendations");
+        Self::answer(slot, tenant, &snapshot, request_threads)
+    }
+
+    /// Answer a request from the snapshot it took, whatever has been
+    /// published since.
+    fn answer(
+        slot: &TenantSlot,
+        tenant: TenantId,
+        snapshot: &PublishedModel,
+        request_threads: usize,
+    ) -> HubReport {
         let start = Instant::now();
         let mut config = slot.recommender.clone();
         if request_threads != 0 {
@@ -366,7 +399,8 @@ impl AdvisorHub {
         }
         let evaluator = PlanEvaluator::with_shared_cache(&snapshot.model, &snapshot.cache)
             .with_threads(config.threads);
-        let report = Recommender::new(&snapshot.model, config).recommend_with(&evaluator);
+        let report = Recommender::new(&snapshot.model, config)
+            .recommend_trained(&evaluator, snapshot.policy.as_deref());
         HubReport {
             tenant,
             epoch: snapshot.epoch,
@@ -567,9 +601,11 @@ mod tests {
         let after = hub.recommend(t, 1);
         assert_eq!(after.epoch, 2);
         // The epoch-2 cache starts empty: this request computed every plan
-        // it visited itself, and the cache's lifetime totals are exactly
-        // this one request — nothing was inherited from epoch 1.
-        assert_eq!(after.report.visited, after.report.eval.unique_evaluations);
+        // it asked for itself (all it visited but the agent's replayed
+        // rollouts), and the cache's lifetime totals are exactly this one
+        // request — nothing was inherited from epoch 1.
+        let unique = after.report.eval.unique_evaluations;
+        assert!(0 < unique && unique <= after.report.visited);
         assert_eq!(
             after.report.eval_lifetime.unique_evaluations, after.report.eval.unique_evaluations,
             "a stale epoch-1 entry survived into the epoch-2 cache"
@@ -585,7 +621,8 @@ mod tests {
 
     /// A retired epoch is reclaimed while serving through `&self`: with no
     /// request in flight, publishing epoch 2 drops the last reference to
-    /// the epoch-1 model (and, with it, the epoch-1 cache).
+    /// the epoch-1 model and the agent trained for it (and, with them, the
+    /// epoch-1 cache).
     #[test]
     fn retired_epochs_are_freed_without_exclusive_access() {
         let (service, corpus) = tenant(16);
@@ -593,9 +630,10 @@ mod tests {
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
         let epoch1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_model().unwrap()));
+        let policy1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_policy().unwrap()));
         hub.recommend(t, 1);
         assert!(
-            epoch1.upgrade().is_some(),
+            epoch1.upgrade().is_some() && policy1.upgrade().is_some(),
             "epoch 1 is live while published"
         );
 
@@ -607,7 +645,80 @@ mod tests {
             epoch1.upgrade().is_none(),
             "the retired epoch-1 model is still retained"
         );
+        assert!(
+            policy1.upgrade().is_none(),
+            "the retired epoch-1 crossover agent is still retained"
+        );
         assert_eq!(hub.recommend(t, 1).epoch, 2);
+    }
+
+    /// A request answers from the snapshot it took — model, agent and
+    /// cache of one epoch — even when the next epoch is published before
+    /// it finishes; it never searches the old model with the new agent or
+    /// the other way round.
+    #[test]
+    fn a_request_keeps_its_epochs_agent_across_a_publish() {
+        let (service, corpus) = tenant(17);
+        let mut hub = AdvisorHub::new();
+        let t = hub.add_tenant("drifty", service);
+        hub.bootstrap(t);
+        let on_time = hub.recommend(t, 1);
+        let slot = &hub.tenants[t.0];
+        let taken = slot.snapshot().expect("published at bootstrap");
+
+        let api = corpus[0].root().operation.clone();
+        hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
+        assert_eq!(hub.published_epoch(t), Some(2));
+        let published = slot.snapshot().expect("republished by the feed");
+        let (old, new) = (taken.policy.as_ref(), published.policy.as_ref());
+        assert!(
+            !Arc::ptr_eq(old.unwrap(), new.unwrap()),
+            "one agent per epoch"
+        );
+
+        let late = AdvisorHub::answer(slot, t, &taken, 1);
+        assert_eq!(late.epoch, 1);
+        assert_eq!(late.report.plans, on_time.report.plans);
+        assert_eq!(late.report.visited, on_time.report.visited);
+        assert_eq!(
+            late.report.reward_progression,
+            on_time.report.reward_progression
+        );
+        let after = hub.recommend(t, 1);
+        let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().clone());
+        assert_eq!(after.epoch, 2);
+        assert_eq!(after.report.plans, serial.plans);
+        assert_eq!(after.report.reward_progression, serial.reward_progression);
+    }
+
+    /// A hub request trains nothing: it bills no training time, and what it
+    /// asks the evaluator for is the initial population and the offspring —
+    /// the agent's rollouts come with the published epoch.
+    #[test]
+    fn requests_search_with_the_published_agent_and_never_train() {
+        let mut hub = AdvisorHub::new();
+        let t = hub.add_tenant("steady", tenant(18).0);
+        hub.bootstrap(t);
+        let (serial, policy) = hub.with_tenant(t, |s| {
+            (
+                s.recommendation().unwrap().clone(),
+                s.shared_policy().unwrap(),
+            )
+        });
+        // The service's own run paid for training, and says so.
+        assert!(serial.stages.rl_train_ms > 0.0);
+        assert_eq!(serial.stages.rl_train_ms, policy.train_ms());
+        for _ in 0..2 {
+            let served = hub.recommend(t, 1).report;
+            assert_eq!(served.stages.rl_train_ms, 0.0);
+            assert_eq!(served.plans, serial.plans);
+            assert_eq!(served.visited, serial.visited);
+            assert_eq!(served.reward_progression, policy.reward_progression());
+            assert_eq!(
+                served.eval.requests() + policy.rollouts().len(),
+                serial.eval.requests()
+            );
+        }
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub use recommender::{
     random_site, RecommendationReport, RecommendedPlan, Recommender, RecommenderConfig,
     SearchStages, ARCHIVE_CAPACITY,
 };
-pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig};
+pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
 pub use security::{BreachDetector, BreachReport};
 pub use service::{AdvisorService, AdvisorServiceConfig, PlanDelta, ServiceEvent};

@@ -18,6 +18,29 @@
 //! [`ParetoArchive`], and the recommendation is that archive's front — a
 //! Pareto-optimal plan discovered early can no longer be displaced from
 //! the answer by later population churn.
+//!
+//! # Train once, search many times
+//!
+//! The paper trains Λ_θ while it learns the application and only *uses* it
+//! when a recommendation is asked for. The recommender is split the same
+//! way: [`Recommender::train`] turns the scored initial population into a
+//! [`TrainedCrossover`] — a pure function of the model and the
+//! configuration, so one artefact serves a whole model epoch — and one
+//! search body runs with whatever artefact it is handed.
+//! [`Recommender::recommend`] / [`Recommender::recommend_with`] train and
+//! then call that body; [`Recommender::recommend_trained`] calls it with an
+//! artefact trained earlier (the hub's path) and never trains.
+//!
+//! The training rollouts are part of the recommendation — their unique
+//! plans spend budget and their feasible plans compete for the front — so
+//! they travel in the artefact and the body replays them into its own
+//! visited set, request count and archive, in training order, before the
+//! first generation. The budget therefore stays request-local whether
+//! training ran a moment ago or once for the epoch, and both entry points
+//! return the same plans, `visited` and `reward_progression`, bit for bit
+//! (pinned by property test). What differs is the bill: a run that trained
+//! reports the training time and the rollouts' scoring, a run that was
+//! handed the artefact reports neither.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -35,7 +58,7 @@ use atlas_sim::SiteId;
 use crate::eval::{EvalStats, PlanEvaluator, PlanKeySet};
 use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
-use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig};
+use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
 
 /// Capacity of the external non-dominated archive accumulating every
 /// feasible plan the search evaluates. Beyond this many mutually
@@ -143,8 +166,8 @@ pub struct RecommendedPlan {
 
 /// Wall-clock milliseconds one run spent in the stages of the search that
 /// are not plan scoring (scoring is [`EvalStats::wall_time_ms`] of
-/// [`RecommendationReport::eval`]). Measured inside
-/// [`Recommender::recommend_with`]; what the stages and scoring leave of the
+/// [`RecommendationReport::eval`]). Measured inside the recommender; what
+/// the stages and scoring leave of the
 /// request is archive upkeep, tournaments, mutation and bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStages {
@@ -152,7 +175,10 @@ pub struct SearchStages {
     pub init_ms: f64,
     /// Building and training the crossover agent — parent sampling, policy
     /// sampling, policy-gradient updates — without the time its rollout
-    /// children spent being scored. Zero for uniform crossover.
+    /// children spent being scored. Zero for uniform crossover, and zero
+    /// for a run that was handed an agent trained earlier
+    /// ([`Recommender::recommend_trained`]): the run that trained it
+    /// reports the cost.
     pub rl_train_ms: f64,
     /// The crossover operator producing offspring: policy inference for the
     /// learned agent, the coin flips for uniform crossover.
@@ -166,12 +192,15 @@ pub struct SearchStages {
 pub struct RecommendationReport {
     /// The Pareto-optimal plans found, sorted by predicted performance.
     pub plans: Vec<RecommendedPlan>,
-    /// Number of *distinct* candidate plans this run asked the evaluator to
-    /// score — what the [`RecommenderConfig::max_visited`] budget counts.
-    /// Request-local: independent of cache warmth or concurrent sharing.
+    /// Number of *distinct* candidate plans behind this recommendation —
+    /// initial population, training rollouts (scored by this run or
+    /// replayed from the agent it was handed) and offspring: what the
+    /// [`RecommenderConfig::max_visited`] budget counts. Request-local:
+    /// independent of cache warmth or concurrent sharing.
     pub visited: usize,
     /// Reward progression of the crossover agent (empty for uniform
-    /// crossover) — the curve of paper Figure 21b.
+    /// crossover) — the curve of paper Figure 21b. A run handed an agent
+    /// trained earlier reports that agent's curve.
     pub reward_progression: Vec<f64>,
     /// Per-request evaluation statistics: the computes, cache hits and
     /// scoring wall time attributable to *this run alone*, exact even when
@@ -224,13 +253,34 @@ pub struct Recommender<'a> {
     config: RecommenderConfig,
 }
 
+/// What ① leaves behind: the initial population, scored, and the search's
+/// random stream positioned after its draws. Training reads it; the search
+/// body consumes it.
+struct InitialPopulation {
+    seeds: Vec<MigrationPlan>,
+    /// Each seed with its per-trace scoring state retained, so offspring
+    /// (and training rollouts) can be re-scored incrementally against it.
+    scored: Vec<ScoredPlan>,
+    rng: StdRng,
+    init_ms: f64,
+}
+
+/// Count `plan` against the request-local budget (cloning it only the first
+/// time it is seen).
+fn mark_seen(seen: &mut PlanKeySet<MigrationPlan>, plan: &MigrationPlan) {
+    if !seen.contains(plan) {
+        seen.insert(plan.clone());
+    }
+}
+
 impl<'a> Recommender<'a> {
     /// Create a recommender over a quality model.
     pub fn new(quality: &'a QualityModel, config: RecommenderConfig) -> Self {
         Self { quality, config }
     }
 
-    /// Run the search and return the Pareto-optimal recommendations.
+    /// Train the crossover agent, then search with it, and return the
+    /// Pareto-optimal recommendations.
     ///
     /// All scoring goes through a fresh [`PlanEvaluator`] with
     /// [`RecommenderConfig::threads`] workers; use [`Self::recommend_with`]
@@ -240,8 +290,8 @@ impl<'a> Recommender<'a> {
         self.recommend_with(&evaluator)
     }
 
-    /// Run the search on a caller-supplied evaluator, sharing its memo cache
-    /// (and accumulating into its statistics). The budget counts the
+    /// [`Self::recommend`] on a caller-supplied evaluator, sharing its memo
+    /// cache (and accumulating into its statistics). The budget counts the
     /// *distinct plans this run requests* — tracked in a request-local set,
     /// not by watching the cache grow — so the search trajectory, the
     /// stopping point and therefore the recommendation are bit-identical
@@ -250,39 +300,70 @@ impl<'a> Recommender<'a> {
     /// this). [`RecommendationReport::eval`] likewise reports only this
     /// run's computes and hits.
     pub fn recommend_with(&self, evaluator: &PlanEvaluator<'_>) -> RecommendationReport {
+        self.train_and_recommend(evaluator).1
+    }
+
+    /// [`Self::recommend_with`], also handing back the agent it trained so
+    /// later requests at the same model can [`Self::recommend_trained`]
+    /// with it instead of training again. The report is that of a run that
+    /// trained: [`SearchStages::rl_train_ms`] is the training time and
+    /// [`RecommendationReport::eval`] includes the rollouts' scoring.
+    pub fn train_and_recommend(
+        &self,
+        evaluator: &PlanEvaluator<'_>,
+    ) -> (Option<TrainedCrossover>, RecommendationReport) {
+        let local_start = evaluator.local_stats();
+        let initial = self.initial_population(evaluator);
+        let trained = self.train_on(&initial, evaluator);
+        let mut report = self.search(evaluator, local_start, initial, trained.as_ref());
+        report.stages.rl_train_ms = trained.as_ref().map_or(0.0, TrainedCrossover::train_ms);
+        (trained, report)
+    }
+
+    /// Train the crossover agent on the initial population (the paper
+    /// trains Λ_θ during the application-learning phase) without searching.
+    /// The artefact is a pure function of the model and this recommender's
+    /// configuration — the initial population comes from
+    /// [`RecommenderConfig::seed`], the agent from
+    /// [`RecommenderConfig::rl`] — so it is valid for every request at
+    /// this model epoch. `None` when there is nothing to train: uniform
+    /// crossover, fewer than two plans to pair, or no budget left after the
+    /// initial population.
+    pub fn train(&self, evaluator: &PlanEvaluator<'_>) -> Option<TrainedCrossover> {
+        self.train_on(&self.initial_population(evaluator), evaluator)
+    }
+
+    /// Search with an agent trained earlier by [`Self::train`] (or
+    /// [`Self::train_and_recommend`]) *on this model with this
+    /// configuration*; `None` searches with uniform crossover. Nothing is
+    /// trained and the artefact is not written to. The training rollouts
+    /// recorded in the artefact are replayed into this run's visited set,
+    /// request count and archive at the point training used to run, so the
+    /// budget stays request-local and plans, `visited` and
+    /// `reward_progression` are bit-identical to [`Self::recommend_with`];
+    /// [`SearchStages::rl_train_ms`] is `0.0` and
+    /// [`RecommendationReport::eval`] counts what this run asked the
+    /// evaluator for — the initial population and the offspring, not the
+    /// replayed rollouts.
+    pub fn recommend_trained(
+        &self,
+        evaluator: &PlanEvaluator<'_>,
+        trained: Option<&TrainedCrossover>,
+    ) -> RecommendationReport {
+        let local_start = evaluator.local_stats();
+        let initial = self.initial_population(evaluator);
+        self.search(evaluator, local_start, initial, trained)
+    }
+
+    /// ① Population initialisation: random plans that respect the pins
+    /// (cheap to enforce up-front) with varying off-prem fractions.
+    /// Off-prem genes pick their site uniformly; in the two-site model the
+    /// site is forced (no extra draw), preserving the historical random
+    /// stream.
+    fn initial_population(&self, evaluator: &PlanEvaluator<'_>) -> InitialPopulation {
         let n = self.quality.component_count();
         let site_count = self.quality.site_count();
-        let local_start = evaluator.local_stats();
-        // The gene alphabet of the search: every site of the catalog. For
-        // the paper's two-site model this is {on-prem, cloud} and the whole
-        // search consumes the random stream exactly like the historical
-        // binary encoding (uniform crossover draws one bool per gene either
-        // way; the alphabet mutation degenerates to a bit flip).
-        let site_alphabet: Vec<SiteId> = (0..site_count as u16).map(SiteId).collect();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        // The request-local visited set: every distinct plan this run asks
-        // the evaluator to score, whether the (possibly shared) cache
-        // answers it or not. Scoring is pure, so tracking requests instead
-        // of cache growth keeps the trajectory — and the recommendation —
-        // independent of cache warmth and of concurrent requests.
-        let mut seen: PlanKeySet<MigrationPlan> = PlanKeySet::default();
-        // The budget counts distinct plans, so a converged population
-        // producing mostly repeated offspring could spin for a long time;
-        // cap the total number of evaluation *requests* as a safety valve.
-        let mut requested = 0usize;
-        let request_cap = self.config.max_visited.saturating_mul(8).max(64);
-
-        // Every feasible plan the search evaluates is offered to the
-        // external archive, so the final front survives population churn.
-        let mut archive: ParetoArchive<MigrationPlan, [f64; 3]> =
-            ParetoArchive::new(ARCHIVE_CAPACITY);
-
-        // ① Population initialisation: random plans that respect the pins
-        // (cheap to enforce up-front) with varying off-prem fractions.
-        // Off-prem genes pick their site uniformly; in the two-site model
-        // the site is forced (no extra draw), preserving the historical
-        // random stream.
-        let mut stages = SearchStages::default();
         let init_start = Instant::now();
         let mut seeds: Vec<MigrationPlan> = Vec::with_capacity(self.config.population);
         while seeds.len() < self.config.population {
@@ -294,57 +375,124 @@ impl<'a> Recommender<'a> {
             self.apply_pins(&mut plan);
             seeds.push(plan);
         }
-        stages.init_ms = millis(init_start.elapsed());
-        // The population retains each member's per-trace scoring state
-        // (ScoredPlan) so offspring can be re-scored incrementally against
-        // their parents.
-        let mut population: Vec<ScoredPlan> = evaluator.evaluate_scored_batch(&seeds);
-        requested += population.len();
+        let init_ms = millis(init_start.elapsed());
+        let scored = evaluator.evaluate_scored_batch(&seeds);
+        InitialPopulation {
+            seeds,
+            scored,
+            rng,
+            init_ms,
+        }
+    }
+
+    /// Train the agent on the scored initial population. Parent qualities
+    /// come from the retained population; each rollout child is scored
+    /// through the evaluator, incrementally against its nearer parent, and
+    /// recorded with its quality for the search to replay.
+    fn train_on(
+        &self,
+        initial: &InitialPopulation,
+        evaluator: &PlanEvaluator<'_>,
+    ) -> Option<TrainedCrossover> {
+        let distinct: PlanKeySet<&MigrationPlan> = initial.seeds.iter().collect();
+        let remaining = self.config.max_visited.saturating_sub(distinct.len());
+        if self.config.strategy != CrossoverStrategy::ReinforcementLearning
+            || initial.scored.len() < 2
+            || remaining == 0
+        {
+            return None;
+        }
+        let train_start = Instant::now();
+        let mut scoring = Duration::ZERO;
+        let mut rl_config = self.config.rl.clone();
+        // Keep training within half of the remaining budget.
+        rl_config.iterations = rl_config.iterations.min((remaining / 2).max(1));
+        let mut rollouts = Vec::with_capacity(rl_config.iterations);
+        let mut agent = CrossoverAgent::new(self.quality.component_count(), rl_config)
+            .with_site_count(self.quality.site_count());
+        agent.train_scored(&initial.scored, |pi, pj, child| {
+            let scoring_start = Instant::now();
+            let di = hamming(child.sites(), pi.sites());
+            let dj = hamming(child.sites(), pj.sites());
+            let parent = if dj < di { pj } else { pi };
+            let quality = evaluator.evaluate_offspring(parent, child);
+            rollouts.push((child.clone(), quality));
+            scoring += scoring_start.elapsed();
+            quality
+        });
+        let train_ms = millis(train_start.elapsed().saturating_sub(scoring));
+        Some(agent.into_trained(rollouts, train_ms))
+    }
+
+    /// ②–⑤ The one search body, run with whatever agent it is handed —
+    /// freshly trained by the caller, shared from an earlier run, or none.
+    fn search(
+        &self,
+        evaluator: &PlanEvaluator<'_>,
+        local_start: EvalStats,
+        initial: InitialPopulation,
+        trained: Option<&TrainedCrossover>,
+    ) -> RecommendationReport {
+        // The gene alphabet of the search: every site of the catalog. For
+        // the paper's two-site model this is {on-prem, cloud} and the whole
+        // search consumes the random stream exactly like the historical
+        // binary encoding (uniform crossover draws one bool per gene either
+        // way; the alphabet mutation degenerates to a bit flip).
+        let site_alphabet: Vec<SiteId> =
+            (0..self.quality.site_count() as u16).map(SiteId).collect();
+        let InitialPopulation {
+            seeds,
+            scored: mut population,
+            mut rng,
+            init_ms,
+        } = initial;
+        let mut stages = SearchStages {
+            init_ms,
+            ..SearchStages::default()
+        };
+        // The request-local visited set: every distinct plan this run asks
+        // the evaluator to score, whether the (possibly shared) cache
+        // answers it or not. Scoring is pure, so tracking requests instead
+        // of cache growth keeps the trajectory — and the recommendation —
+        // independent of cache warmth and of concurrent requests.
+        let mut seen: PlanKeySet<MigrationPlan> = PlanKeySet::default();
+        // The budget counts distinct plans, so a converged population
+        // producing mostly repeated offspring could spin for a long time;
+        // cap the total number of evaluation *requests* as a safety valve.
+        let mut requested = population.len();
+        let request_cap = self.config.max_visited.saturating_mul(8).max(64);
+
+        // Every feasible plan the search evaluates is offered to the
+        // external archive, so the final front survives population churn.
+        let mut archive: ParetoArchive<MigrationPlan, [f64; 3]> =
+            ParetoArchive::new(ARCHIVE_CAPACITY);
         for (plan, member) in seeds.iter().zip(&population) {
-            if !seen.contains(plan) {
-                seen.insert(plan.clone());
-            }
+            mark_seen(&mut seen, plan);
             if member.quality().feasible {
                 archive.insert(plan, member.quality().objectives());
             }
         }
 
-        // Train the RL crossover agent on the initial population (the paper
-        // trains Λ_θ during the application-learning phase). Parent
-        // qualities come from the retained population; each rollout child
-        // is scored through the evaluator, incrementally against its nearer
-        // parent, and unique ones count against the budget.
-        let mut agent = None;
+        // The agent's training rollouts are plans this recommendation
+        // visited: unique ones count against the budget and feasible ones
+        // compete for the front, whether training ran a moment ago or once
+        // for the whole model epoch. Replaying them here, in training
+        // order, is what keeps the budget request-local.
+        let mut sampler = None;
         let mut reward_progression = Vec::new();
-        if self.config.strategy == CrossoverStrategy::ReinforcementLearning {
-            let train_start = Instant::now();
-            let mut scoring = Duration::ZERO;
-            let mut rl_config = self.config.rl.clone();
-            // Keep training within half of the remaining budget.
-            let budget = (self.config.max_visited.saturating_sub(seen.len())) / 2;
-            rl_config.iterations = rl_config.iterations.min(budget.max(1));
-            let mut a = CrossoverAgent::new(n, rl_config).with_site_count(site_count);
-            reward_progression = a.train_scored(&population, |pi, pj, child| {
-                let scoring_start = Instant::now();
-                let di = hamming(child.sites(), pi.sites());
-                let dj = hamming(child.sites(), pj.sites());
-                let parent = if dj < di { pj } else { pi };
-                let quality = evaluator.evaluate_offspring(parent, child);
-                if !seen.contains(child) {
-                    seen.insert(child.clone());
-                }
+        if let Some(trained) = trained {
+            for (child, quality) in trained.rollouts() {
+                mark_seen(&mut seen, child);
                 if quality.feasible {
                     archive.insert(child, quality.objectives());
                 }
-                scoring += scoring_start.elapsed();
-                quality
-            });
-            stages.rl_train_ms = millis(train_start.elapsed().saturating_sub(scoring));
-            requested += reward_progression.len();
-            agent = Some(a);
+            }
+            requested += trained.rollouts().len();
+            reward_progression = trained.reward_progression().to_vec();
+            sampler = Some(trained.sampler());
         }
 
-        // ②–⑤ Generations: evaluate, survive, pair, cross over. One fused
+        // Generations: evaluate, survive, pair, cross over. One fused
         // non-dominated sort per generation yields both the survivors and
         // the rank/crowding driving the tournaments. Survivors are moved
         // (not cloned) into the next generation by index permutation.
@@ -374,11 +522,10 @@ impl<'a> Recommender<'a> {
                 let a = binary_tournament(&mut rng, &rank, &crowding);
                 let b = binary_tournament(&mut rng, &rank, &crowding);
                 let crossover_start = Instant::now();
-                let mut sites = match (&mut agent, self.config.strategy) {
-                    (Some(agent), CrossoverStrategy::ReinforcementLearning) => {
-                        agent.crossover_sites(population[a].sites(), population[b].sites())
-                    }
-                    _ => uniform_crossover(&mut rng, population[a].sites(), population[b].sites()),
+                let (parent_a, parent_b) = (population[a].sites(), population[b].sites());
+                let mut sites = match &mut sampler {
+                    Some(sampler) => sampler.crossover_sites(parent_a, parent_b),
+                    None => uniform_crossover(&mut rng, parent_a, parent_b),
                 };
                 stages.crossover_ms += millis(crossover_start.elapsed());
                 alphabet_mutation(
@@ -398,9 +545,7 @@ impl<'a> Recommender<'a> {
             let scored = evaluator.evaluate_offspring_batch(&parents, &offspring);
             requested += offspring.len();
             for (plan, child) in offspring.iter().zip(&scored) {
-                if !seen.contains(plan) {
-                    seen.insert(plan.clone());
-                }
+                mark_seen(&mut seen, plan);
                 if child.quality().feasible {
                     archive.insert(plan, child.quality().objectives());
                 }
@@ -698,6 +843,40 @@ mod tests {
         assert!(warm.eval_lifetime.cache_hits >= cold.eval_lifetime.cache_hits);
         assert_eq!(evaluator.unique_evaluations(), cold.visited);
         assert!(!warm.plans.is_empty());
+    }
+
+    /// Degenerate budgets train nothing instead of panicking or
+    /// overspending: one plan cannot be paired, and a budget the initial
+    /// population already used up leaves no rollout to pay for. Both fall
+    /// back to uniform crossover.
+    #[test]
+    fn degenerate_budgets_skip_training() {
+        let quality = build_quality(burst_preferences(12.0));
+        let single = RecommenderConfig {
+            population: 1,
+            max_visited: 12,
+            ..RecommenderConfig::fast()
+        };
+        let report = Recommender::new(&quality, single).recommend();
+        assert!(report.reward_progression.is_empty());
+        assert!(report.visited <= 12);
+
+        let spent = RecommenderConfig {
+            population: 8,
+            max_visited: 8,
+            ..RecommenderConfig::fast()
+        };
+        let recommender = Recommender::new(&quality, spent);
+        let evaluator = crate::eval::PlanEvaluator::new(&quality);
+        assert!(recommender.train(&evaluator).is_none());
+        let report = recommender.recommend_with(&evaluator);
+        assert!(
+            report.visited <= 8,
+            "visited {} > max_visited",
+            report.visited
+        );
+        assert!(report.reward_progression.is_empty());
+        assert_eq!(report.stages.rl_train_ms, 0.0);
     }
 
     #[test]

@@ -9,11 +9,31 @@
 //! ```text
 //! Reward(p; p_i, p_j) = (−1)^{1−λ(p)} · Σ_Q 𝟙[ min(Q(p_i), Q(p_j)) > Q(p) ]
 //! ```
+//!
+//! Two types split the agent's life the way the paper does: a
+//! [`CrossoverAgent`] is the agent *while it trains* (actor, critic, both
+//! optimizers, every training buffer), and the recommender ends that by
+//! reducing it to a [`TrainedCrossover`] — the inference-only artefact a
+//! recommendation uses. The artefact holds
+//!
+//! * the actor's weights ([`atlas_nn::Policy`]), read through `&self`;
+//! * the policy-sampling random stream as training left it;
+//! * the training rollouts — every child the policy proposed, with the
+//!   quality it scored — and the reward curve.
+//!
+//! It is a pure function of (model, recommender config), so it is built
+//! once per model epoch and shared behind an `Arc`: each search takes a
+//! sampler that owns its activation buffers and its own copy of the random
+//! stream, and never writes to the artefact. The rollouts are
+//! kept because the search counts them: they are plans the recommendation
+//! visited, so a search that uses the artefact replays them into its own
+//! budget and archive (see [`Recommender`](crate::recommender::Recommender))
+//! and returns exactly the front it would have found by training inline.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use atlas_nn::{ActorCritic, ActorCriticConfig};
+use atlas_nn::{Activations, ActorCritic, ActorCriticConfig, Policy};
 
 use atlas_sim::{ComponentId, SiteId};
 
@@ -171,7 +191,12 @@ impl CrossoverAgent {
             }
             let (parent_a, parent_b) = (&dataset[i], &dataset[j]);
             self.sample_action(parent_a.sites(), parent_b.sites());
-            let genes = self.child_sites_of(&self.action, parent_a.sites(), parent_b.sites());
+            let genes = child_sites_of(
+                self.site_count,
+                &self.action,
+                parent_a.sites(),
+                parent_b.sites(),
+            );
             for (c, site) in genes.enumerate() {
                 child.set(ComponentId(c), site);
             }
@@ -200,8 +225,7 @@ impl CrossoverAgent {
     /// random draws as [`Self::crossover`].
     pub fn crossover_sites(&mut self, parent_a: &[SiteId], parent_b: &[SiteId]) -> Vec<SiteId> {
         self.sample_action(parent_a, parent_b);
-        self.child_sites_of(&self.action, parent_a, parent_b)
-            .collect()
+        child_sites_of(self.site_count, &self.action, parent_a, parent_b).collect()
     }
 
     /// Deterministic (greedy) child of two parents.
@@ -210,10 +234,27 @@ impl CrossoverAgent {
         parent_a: &MigrationPlan,
         parent_b: &MigrationPlan,
     ) -> MigrationPlan {
-        self.load_state(parent_a.sites(), parent_b.sites());
+        let (a, b) = (parent_a.sites(), parent_b.sites());
+        load_state(&mut self.state, self.site_count, a, b);
         let action = self.agent.greedy(&self.state);
-        let genes = self.child_sites_of(&action, parent_a.sites(), parent_b.sites());
-        MigrationPlan::from_sites(genes.collect())
+        MigrationPlan::from_sites(child_sites_of(self.site_count, &action, a, b).collect())
+    }
+
+    /// End training and keep what inference needs: the actor's weights
+    /// (moved, not copied), the policy-sampling stream where it stands, the
+    /// reward curve — plus the `rollouts` the caller observed through
+    /// [`Self::train_scored`]'s closure and the `train_ms` it measured.
+    /// The critic, both optimizers and every training buffer are dropped.
+    pub(crate) fn into_trained(self, rollouts: Vec<Rollout>, train_ms: f64) -> TrainedCrossover {
+        let (policy, rng) = self.agent.into_policy();
+        TrainedCrossover {
+            policy,
+            rng,
+            site_count: self.site_count,
+            rollouts,
+            reward_progression: self.reward_history,
+            train_ms,
+        }
     }
 
     /// All rewards observed during training, in order.
@@ -232,40 +273,121 @@ impl CrossoverAgent {
         slice.iter().sum::<f64>() / slice.len() as f64
     }
 
-    /// Load the policy input for a parent pair: both site assignments
-    /// normalised to `[0, 1]`, exactly [`MigrationPlan::to_features_scaled`]
-    /// applied to each genome.
-    fn load_state(&mut self, a: &[SiteId], b: &[SiteId]) {
-        let scale = (self.site_count.saturating_sub(1)).max(1) as f64;
-        self.state.clear();
-        self.state
-            .extend(a.iter().chain(b).map(|s| s.0 as f64 / scale));
-    }
-
     /// Load a parent pair and sample the policy's action for it.
     fn sample_action(&mut self, a: &[SiteId], b: &[SiteId]) {
-        self.load_state(a, b);
+        load_state(&mut self.state, self.site_count, a, b);
         self.agent.sample_into(&self.state, &mut self.action);
     }
+}
 
-    /// Decode one policy action into a child genome. Two-site agents emit
-    /// the placement directly (the paper's formulation, bit-identical to the
-    /// historical decode); N-site agents treat the action as a per-gene
-    /// parent-inheritance mask.
-    fn child_sites_of<'a>(
-        &self,
-        action: &'a [bool],
-        a: &'a [SiteId],
-        b: &'a [SiteId],
-    ) -> impl Iterator<Item = SiteId> + 'a {
-        let two_site = self.site_count <= 2;
-        let genes = action.iter().enumerate();
-        genes.map(move |(i, &bit)| match (two_site, bit) {
-            (true, true) => SiteId::CLOUD,
-            (true, false) => SiteId::ON_PREM,
-            (false, true) => a[i],
-            (false, false) => b[i],
-        })
+/// Load the policy input for a parent pair: both site assignments
+/// normalised to `[0, 1]`, exactly [`MigrationPlan::to_features_scaled`]
+/// applied to each genome.
+fn load_state(state: &mut Vec<f64>, site_count: usize, a: &[SiteId], b: &[SiteId]) {
+    let scale = (site_count.saturating_sub(1)).max(1) as f64;
+    state.clear();
+    state.extend(a.iter().chain(b).map(|s| s.0 as f64 / scale));
+}
+
+/// Decode one policy action into a child genome. Two-site agents emit the
+/// placement directly (the paper's formulation, bit-identical to the
+/// historical decode); N-site agents treat the action as a per-gene
+/// parent-inheritance mask.
+fn child_sites_of<'a>(
+    site_count: usize,
+    action: &'a [bool],
+    a: &'a [SiteId],
+    b: &'a [SiteId],
+) -> impl Iterator<Item = SiteId> + 'a {
+    let two_site = site_count <= 2;
+    let genes = action.iter().enumerate();
+    genes.map(move |(i, &bit)| match (two_site, bit) {
+        (true, true) => SiteId::CLOUD,
+        (true, false) => SiteId::ON_PREM,
+        (false, true) => a[i],
+        (false, false) => b[i],
+    })
+}
+
+/// One training rollout: a child the policy proposed and the quality the
+/// evaluator gave it.
+pub type Rollout = (MigrationPlan, PlanQuality);
+
+/// A crossover agent whose training has ended, reduced to what a search
+/// needs (see the [module docs](self)): immutable, `Sync`, and shared —
+/// not cloned — by every search at the model epoch it was trained for.
+#[derive(Debug)]
+pub struct TrainedCrossover {
+    policy: Policy,
+    /// The policy-sampling stream as training left it; every sampler starts
+    /// from a copy.
+    rng: StdRng,
+    site_count: usize,
+    rollouts: Vec<Rollout>,
+    reward_progression: Vec<f64>,
+    train_ms: f64,
+}
+
+impl TrainedCrossover {
+    /// The training rollouts, in training order.
+    pub fn rollouts(&self) -> &[Rollout] {
+        &self.rollouts
+    }
+
+    /// The reward of each training iteration (paper Figure 21b).
+    pub fn reward_progression(&self) -> &[f64] {
+        &self.reward_progression
+    }
+
+    /// Wall-clock milliseconds the training run spent outside plan scoring
+    /// (what [`SearchStages::rl_train_ms`](crate::recommender::SearchStages)
+    /// reports for the run that trained).
+    pub fn train_ms(&self) -> f64 {
+        self.train_ms
+    }
+
+    /// A sampler over the shared policy, positioned where training ended.
+    /// Samplers are independent: each replays the same stream.
+    pub(crate) fn sampler(&self) -> CrossoverSampler<'_> {
+        CrossoverSampler {
+            trained: self,
+            rng: self.rng.clone(),
+            activations: self.policy.activations(),
+            state: Vec::with_capacity(self.policy.state_dim()),
+            action: Vec::with_capacity(self.policy.action_dim()),
+        }
+    }
+}
+
+/// One search's handle on a [`TrainedCrossover`]: the activation buffers
+/// and the random-stream position are its own, the weights are borrowed.
+#[derive(Debug)]
+pub(crate) struct CrossoverSampler<'a> {
+    trained: &'a TrainedCrossover,
+    rng: StdRng,
+    activations: Activations,
+    state: Vec<f64>,
+    action: Vec<bool>,
+}
+
+impl CrossoverSampler<'_> {
+    /// [`CrossoverAgent::crossover_sites`] on the shared policy: the same
+    /// child, from the same draws, that the agent itself would have
+    /// produced at this point of its stream.
+    pub(crate) fn crossover_sites(
+        &mut self,
+        parent_a: &[SiteId],
+        parent_b: &[SiteId],
+    ) -> Vec<SiteId> {
+        let trained = self.trained;
+        load_state(&mut self.state, trained.site_count, parent_a, parent_b);
+        trained.policy.sample_into(
+            &mut self.activations,
+            &mut self.rng,
+            &self.state,
+            &mut self.action,
+        );
+        child_sites_of(trained.site_count, &self.action, parent_a, parent_b).collect()
     }
 }
 

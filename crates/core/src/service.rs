@@ -24,11 +24,16 @@
 //!                   QualityModel::relearn_dirty (profile + kernel, in place)
 //!                                     │
 //!                                     ▼
-//!              Recommender::recommend_with(warm PlanEvaluator)
-//!                                     │
+//!     Recommender::train_and_recommend ──▶ Arc<TrainedCrossover>, kept
+//!                                     │     for the hub to publish
 //!                                     ▼
 //!              ServiceEvent timeline (ingest / drift / relearn / plans)
 //! ```
+//!
+//! The crossover agent is trained here, once per model generation, as part
+//! of the service's own re-recommendation; the trained artefact is kept
+//! ([`AdvisorService::shared_policy`]) so a serving layer can answer every
+//! later request at that generation without training again.
 //!
 //! Every stage appends [`ServiceEvent`]s to the returned timeline, so a
 //! caller replaying a day of traffic gets an auditable log of what the
@@ -44,11 +49,13 @@ use atlas_sim::{Placement, SiteId};
 use atlas_telemetry::{TelemetryStore, Trace};
 
 use crate::advisor::{Atlas, AtlasConfig};
+use crate::eval::PlanEvaluator;
 use crate::monitor::{DriftDetector, DriftReport};
 use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
 use crate::quality::QualityModel;
 use crate::recommender::{RecommendationReport, Recommender};
+use crate::rl_crossover::TrainedCrossover;
 
 /// Default number of [`ServiceEvent`]s a resident service retains in its
 /// timeline before evicting oldest-first (see
@@ -164,8 +171,12 @@ pub enum ServiceEvent {
         /// relative to the previous round's preferred plan.
         deltas: Vec<PlanDelta>,
         /// Wall-clock milliseconds from drift confirmation to the new
-        /// recommendation (relearn + recompile + search).
+        /// recommendation (relearn + recompile + training + search).
         latency_ms: f64,
+        /// The part of `latency_ms` spent training the crossover agent for
+        /// the new model generation (`0.0` under uniform crossover) — paid
+        /// here once, not by the requests served at that generation.
+        train_ms: f64,
     },
 }
 
@@ -187,6 +198,10 @@ pub struct AdvisorService {
     /// incremental resync. Snapshot holders compare generations to know
     /// when to republish.
     model_generation: u64,
+    /// The crossover agent trained for the current model generation by the
+    /// service's own recommendation run (`None` before bootstrap, and when
+    /// that run had nothing to train). Published next to the model.
+    policy: Option<Arc<TrainedCrossover>>,
     detectors: HashMap<String, DriftDetector>,
     /// Store epoch the model was last synchronised to.
     synced_epoch: u64,
@@ -221,6 +236,7 @@ impl AdvisorService {
             current,
             model: None,
             model_generation: 0,
+            policy: None,
             detectors: HashMap::new(),
             synced_epoch: 0,
             recommendation: None,
@@ -249,6 +265,15 @@ impl AdvisorService {
     /// never observes a model change mid-search.
     pub fn shared_model(&self) -> Option<Arc<QualityModel>> {
         self.model.clone()
+    }
+
+    /// A shared handle to the crossover agent trained for the current model
+    /// generation — the inference-only artefact of the service's own latest
+    /// recommendation run, valid for exactly the model
+    /// [`Self::shared_model`] returns. `None` before bootstrap, under
+    /// uniform crossover, or when the budget left nothing to train on.
+    pub fn shared_policy(&self) -> Option<Arc<TrainedCrossover>> {
+        self.policy.clone()
     }
 
     /// The model generation: `0` before bootstrap, bumped by the bootstrap
@@ -440,16 +465,19 @@ impl AdvisorService {
         self.recommend(start);
     }
 
-    /// Run the recommender over the current model through a warm
-    /// [`PlanEvaluator`](crate::eval::PlanEvaluator) (shared across the
-    /// whole GA run — the memo cache makes revisited plans free; it is
-    /// rebuilt per model generation because a relearn invalidates every
-    /// cached score), record the report and log the plan deltas against
-    /// the previous round's preferred plan.
+    /// Train the crossover agent for the current model and run the
+    /// recommender with it, through one [`PlanEvaluator`] (shared across
+    /// training and the whole GA run — the memo cache makes revisited plans
+    /// free; it is rebuilt per model generation because a relearn
+    /// invalidates every cached score). Keeps the trained agent for
+    /// [`Self::shared_policy`], records the report and logs the plan deltas
+    /// against the previous round's preferred plan.
     fn recommend(&mut self, since: Instant) {
         let model = self.model.as_deref().expect("recommend requires a model");
-        let recommender = Recommender::new(model, self.config.atlas.recommender.clone());
-        let report = recommender.recommend();
+        let config = self.config.atlas.recommender.clone();
+        let evaluator = PlanEvaluator::new(model).with_threads(config.threads);
+        let (trained, report) = Recommender::new(model, config).train_and_recommend(&evaluator);
+        self.policy = trained.map(Arc::new);
         let preferred = report
             .performance_optimized()
             .map(|p| p.plan.clone())
@@ -475,6 +503,7 @@ impl AdvisorService {
             plans: report.plans.len(),
             deltas,
             latency_ms: since.elapsed().as_secs_f64() * 1_000.0,
+            train_ms: report.stages.rl_train_ms,
         });
         self.preferred = preferred;
         self.recommendation = Some(report);

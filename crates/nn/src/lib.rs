@@ -7,22 +7,33 @@
 //!
 //! * [`matrix`] — dense row-major weight storage;
 //! * [`mlp`] — multi-layer perceptrons with ReLU hidden activations and
-//!   manual backpropagation;
+//!   manual backpropagation, split into shareable [`Weights`] and a
+//!   per-reader [`Activations`] workspace;
 //! * [`adam`] — the Adam optimizer;
 //! * [`actor_critic`] — a Bernoulli-policy actor plus a scalar critic with a
 //!   single-sample advantage update, which is exactly what the
-//!   reward-driven crossover agent of Atlas needs.
+//!   reward-driven crossover agent of Atlas needs, and the inference-only
+//!   [`Policy`] an agent leaves behind when its training ends.
 //!
-//! # Design: one sample, no allocation
+//! # Design: one sample, no allocation, weights apart from workspace
 //!
-//! Atlas trains a fresh agent inside every recommendation request, one
-//! `(state, action, reward)` sample per step, so the training step *is* the
-//! request's latency. There is no batch dimension and no matrix algebra:
-//! each [`Mlp`] owns one activation row per layer and two delta rows,
-//! `forward` and `backward` overwrite those and the per-layer gradient
-//! buffers, and [`Adam`] updates weights in place through an offset into
-//! its moment vectors. After construction, [`ActorCritic::update`] touches
-//! the heap only to read and write buffers it already owns.
+//! Atlas trains its agent one `(state, action, reward)` sample per step,
+//! once per model epoch, and then samples it from every recommendation
+//! request served at that epoch — concurrently. There is no batch dimension
+//! and no matrix algebra: an [`Mlp`] owns one activation row per layer and
+//! two delta rows, `forward` and `backward` overwrite those and the
+//! per-layer gradient buffers, and [`Adam`] updates weights in place
+//! through an offset into its moment vectors. After construction,
+//! [`ActorCritic::update`] touches the heap only to read and write buffers
+//! it already owns.
+//!
+//! What a forward pass *reads* is kept apart from what it *writes*:
+//! [`Weights::forward`] takes `&self` and a caller-owned [`Activations`].
+//! [`ActorCritic::into_policy`] ends training by moving the actor's weights
+//! into a [`Policy`] — no critic, no optimizer moments, no gradients — and
+//! any number of samplers then share that one copy, each bringing its own
+//! workspace and its own position in the sampling stream. Sampling a shared
+//! policy allocates nothing either.
 //!
 //! # The operation-order contract
 //!
@@ -33,7 +44,11 @@
 //!
 //! * **forward** — output `j` of a layer starts at `0.0`, accumulates
 //!   `x_k · W[k][j]` over `k` ascending, skips `x_k == 0`, and adds the
-//!   bias last (then ReLU on hidden layers);
+//!   bias last (then ReLU on hidden layers). There is one implementation,
+//!   [`Weights::forward`]: the training step and a shared [`Policy`] run
+//!   the same loops over the same weights, so a request that samples the
+//!   shared policy draws, bit for bit, what the agent that trained it
+//!   would have drawn;
 //! * **backward** — a weight gradient is `0.0 + x_k · δ_j` (all zeros
 //!   where `x_k == 0`), a bias gradient `0.0 + δ_j`; the delta handed to
 //!   the layer below is, per input `k`, the sum of `δ_j · W[k][j]` over `j`
@@ -42,7 +57,10 @@
 //!   `p -= lr · (m / (1 − β₁ᵗ)) / (√(v / (1 − β₂ᵗ)) + ε)`: three divisions
 //!   and a square root, no hoisted reciprocal;
 //! * **randomness** — He-init draws weights layer by layer in row-major
-//!   order, and sampling draws one uniform per action bit, in order.
+//!   order, and sampling draws one uniform per action bit, in order, from
+//!   one stream: [`ActorCritic::into_policy`] hands that stream over where
+//!   training left it, and a sampler that continues from a copy of it
+//!   continues the agent's own sequence.
 //!
 //! The allocating batch-matrix implementation this replaced survives as a
 //! test-only oracle, and differential tests compare the two with
@@ -58,7 +76,7 @@ pub mod mlp;
 #[cfg(test)]
 mod reference;
 
-pub use actor_critic::{ActorCritic, ActorCriticConfig};
+pub use actor_critic::{ActorCritic, ActorCriticConfig, Policy};
 pub use adam::Adam;
 pub use matrix::Matrix;
-pub use mlp::Mlp;
+pub use mlp::{Activations, Mlp, Weights};

@@ -1,12 +1,21 @@
 //! Multi-layer perceptrons with manual backpropagation, one sample at a
-//! time, over buffers the network owns.
+//! time, over preallocated buffers.
 //!
 //! The network is a stack of dense layers with ReLU activations on every
-//! hidden layer and a linear final layer. [`Mlp::forward`] writes every
-//! layer's output into a preallocated activation row, [`Mlp::backward`]
-//! overwrites each layer's gradient buffers from those rows, and
-//! [`Mlp::step`] hands weights and gradients to [`Adam`] tensor by tensor —
-//! a training step allocates nothing and copies no parameter.
+//! hidden layer and a linear final layer. It is split along what a reader
+//! may share:
+//!
+//! * [`Weights`] — the parameters alone. [`Weights::forward`] reads them
+//!   through `&self`, so any number of threads can run the same trained
+//!   network at once;
+//! * [`Activations`] — one output row per layer: the workspace a forward
+//!   pass writes, owned by whoever runs it;
+//! * [`Mlp`] — weights, one workspace, and the gradient and delta buffers
+//!   of the training step. [`Mlp::forward`] *is* [`Weights::forward`] over
+//!   the network's own workspace, [`Mlp::backward`] overwrites each layer's
+//!   gradient buffers from those rows, and [`Mlp::step`] hands weights and
+//!   gradients to [`Adam`] tensor by tensor — a training step allocates
+//!   nothing and copies no parameter.
 //!
 //! The loops keep the floating-point operations, and their order, of the
 //! batch-matrix implementation they replaced (see the crate docs for the
@@ -19,22 +28,20 @@ use serde::{Deserialize, Serialize};
 use crate::adam::Adam;
 use crate::matrix::Matrix;
 
-/// One dense layer: `y = x·W + b`, with `W` stored `inputs × outputs`.
+/// One dense layer's tensors: `y = x·W + b`, with `W` stored
+/// `inputs × outputs`. The same shape holds a layer's parameters and its
+/// gradients.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
-    grad_weights: Matrix,
-    grad_bias: Vec<f64>,
 }
 
 impl Dense {
-    fn new(inputs: usize, outputs: usize, rng: &mut StdRng) -> Self {
+    fn zeros(inputs: usize, outputs: usize) -> Self {
         Self {
-            weights: Matrix::he_init(inputs, outputs, rng),
+            weights: Matrix::zeros(inputs, outputs),
             bias: vec![0.0; outputs],
-            grad_weights: Matrix::zeros(inputs, outputs),
-            grad_bias: vec![0.0; outputs],
         }
     }
 
@@ -60,15 +67,21 @@ impl Dense {
         }
     }
 
-    /// Overwrite the gradients from this layer's input row and `delta`
-    /// (the loss gradient at its pre-activations), and write the gradient
-    /// at the input when someone downstream reads it. `0.0 + x` is what
+    /// Overwrite `grad` from this layer's input row and `delta` (the loss
+    /// gradient at its pre-activations), and write the gradient at the
+    /// input when someone downstream reads it. `0.0 + x` is what
     /// accumulating into a zeroed buffer computed: it turns `-0.0` into
     /// `0.0` and changes nothing else. `delta · Wᵀ` is a dot product per
     /// row of `W`, summed over `j` ascending and skipping `delta_j == 0`.
-    fn backward(&mut self, input: &[f64], delta: &[f64], input_grad: Option<&mut [f64]>) {
+    fn backward(
+        &self,
+        grad: &mut Dense,
+        input: &[f64],
+        delta: &[f64],
+        input_grad: Option<&mut [f64]>,
+    ) {
         let cols = self.weights.cols;
-        let grad_rows = self.grad_weights.data_mut().chunks_exact_mut(cols);
+        let grad_rows = grad.weights.data_mut().chunks_exact_mut(cols);
         for (&x, grad_row) in input.iter().zip(grad_rows) {
             if x == 0.0 {
                 grad_row.fill(0.0);
@@ -78,7 +91,7 @@ impl Dense {
                 }
             }
         }
-        for (g, &d) in self.grad_bias.iter_mut().zip(delta) {
+        for (g, &d) in grad.bias.iter_mut().zip(delta) {
             *g = 0.0 + d;
         }
         let Some(input_grad) = input_grad else { return };
@@ -95,25 +108,20 @@ impl Dense {
     }
 }
 
-/// A multi-layer perceptron with ReLU hidden layers and a linear output
-/// layer, together with the workspace of its single-sample training step.
+/// The parameters of a multi-layer perceptron, and nothing a forward pass
+/// writes: [`Self::forward`] takes `&self`, so a trained network can be
+/// shared (e.g. behind an `Arc`) by readers that each bring their own
+/// [`Activations`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Mlp {
+pub struct Weights {
     layers: Vec<Dense>,
     sizes: Vec<usize>,
-    /// `activations[0]` is the last input, `activations[i + 1]` the output
-    /// of layer `i` (after its ReLU, for hidden layers).
-    activations: Vec<Vec<f64>>,
-    /// Two rows as wide as the widest layer: the backward pass reads the
-    /// current layer's delta from one and writes the next one's into the
-    /// other.
-    deltas: [Vec<f64>; 2],
 }
 
-impl Mlp {
-    /// Create an MLP with the given layer sizes, e.g. `\[58, 128, 128, 128, 29\]`
-    /// for the paper's actor network on the social network application.
-    pub fn new(sizes: &[usize], seed: u64) -> Self {
+impl Weights {
+    /// He-initialised parameters for the given layer sizes, drawn layer by
+    /// layer in row-major order from `seed`.
+    fn new(sizes: &[usize], seed: u64) -> Self {
         assert!(
             sizes.len() >= 2,
             "an MLP needs at least input and output sizes"
@@ -122,14 +130,14 @@ impl Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = sizes
             .windows(2)
-            .map(|w| Dense::new(w[0], w[1], &mut rng))
+            .map(|w| Dense {
+                weights: Matrix::he_init(w[0], w[1], &mut rng),
+                bias: vec![0.0; w[1]],
+            })
             .collect();
-        let widest = *sizes.iter().max().expect("sizes validated above");
         Self {
             layers,
             sizes: sizes.to_vec(),
-            activations: sizes.iter().map(|&s| vec![0.0; s]).collect(),
-            deltas: [vec![0.0; widest], vec![0.0; widest]],
         }
     }
 
@@ -143,7 +151,7 @@ impl Mlp {
         *self.sizes.last().expect("sizes validated in constructor")
     }
 
-    /// Number of trainable parameters.
+    /// Number of parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers
             .iter()
@@ -151,18 +159,94 @@ impl Mlp {
             .sum()
     }
 
+    /// A zeroed workspace shaped for this network.
+    pub fn activations(&self) -> Activations {
+        Activations {
+            rows: self.sizes.iter().map(|&s| vec![0.0; s]).collect(),
+        }
+    }
+
+    /// Run the network on one sample, writing every layer's output into
+    /// `activations`, and return the last one. The only forward pass in the
+    /// crate: training ([`Mlp::forward`]) and shared inference run these
+    /// same loops, so they agree bit for bit.
+    pub fn forward<'a>(&self, input: &[f64], activations: &'a mut Activations) -> &'a [f64] {
+        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
+        let rows = &mut activations.rows;
+        assert_eq!(rows.len(), self.sizes.len(), "workspace depth mismatch");
+        rows[0].copy_from_slice(input);
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (before, after) = rows.split_at_mut(i + 1);
+            layer.forward(&before[i], &mut after[0], i != last);
+        }
+        &rows[last + 1]
+    }
+}
+
+/// The workspace of a forward pass: `rows[0]` is the last input,
+/// `rows[i + 1]` the output of layer `i` (after its ReLU, for hidden
+/// layers). Built by [`Weights::activations`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Activations {
+    rows: Vec<Vec<f64>>,
+}
+
+/// A multi-layer perceptron with ReLU hidden layers and a linear output
+/// layer, together with the workspace of its single-sample training step.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Mlp {
+    weights: Weights,
+    /// One gradient tensor pair per layer, overwritten by every backward
+    /// pass.
+    grads: Vec<Dense>,
+    activations: Activations,
+    /// Two rows as wide as the widest layer: the backward pass reads the
+    /// current layer's delta from one and writes the next one's into the
+    /// other.
+    deltas: [Vec<f64>; 2],
+}
+
+impl Mlp {
+    /// Create an MLP with the given layer sizes, e.g. `\[58, 128, 128, 128, 29\]`
+    /// for the paper's actor network on the social network application.
+    pub fn new(sizes: &[usize], seed: u64) -> Self {
+        let weights = Weights::new(sizes, seed);
+        let widest = *sizes.iter().max().expect("sizes validated above");
+        Self {
+            grads: sizes.windows(2).map(|w| Dense::zeros(w[0], w[1])).collect(),
+            activations: weights.activations(),
+            deltas: [vec![0.0; widest], vec![0.0; widest]],
+            weights,
+        }
+    }
+
+    /// Input dimensionality.
+    pub fn input_dim(&self) -> usize {
+        self.weights.input_dim()
+    }
+
+    /// Output dimensionality.
+    pub fn output_dim(&self) -> usize {
+        self.weights.output_dim()
+    }
+
+    /// Number of trainable parameters.
+    pub fn parameter_count(&self) -> usize {
+        self.weights.parameter_count()
+    }
+
+    /// Give up the training buffers and keep the parameters: what is left
+    /// of a network once training has ended and only inference remains.
+    pub fn into_weights(self) -> Weights {
+        self.weights
+    }
+
     /// Run the network on one sample and return its output, which stays
     /// readable (and is what [`Self::backward`] differentiates) until the
     /// next call.
     pub fn forward(&mut self, input: &[f64]) -> &[f64] {
-        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
-        self.activations[0].copy_from_slice(input);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (before, after) = self.activations.split_at_mut(i + 1);
-            layer.forward(&before[i], &mut after[0], i != last);
-        }
-        &self.activations[last + 1]
+        self.weights.forward(input, &mut self.activations)
     }
 
     /// Backpropagate `d_output` (gradient of the loss w.r.t. the output of
@@ -171,20 +255,23 @@ impl Mlp {
     /// nothing reads it.
     pub fn backward(&mut self, d_output: &[f64]) {
         assert_eq!(d_output.len(), self.output_dim(), "output width mismatch");
-        let last = self.layers.len() - 1;
+        let sizes = &self.weights.sizes;
+        let rows = &self.activations.rows;
+        let last = self.grads.len() - 1;
         let [delta, next] = &mut self.deltas;
         delta[..d_output.len()].copy_from_slice(d_output);
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let delta_i = &mut delta[..self.sizes[i + 1]];
+        let layers = self.weights.layers.iter().zip(&mut self.grads);
+        for (i, (layer, grad)) in layers.enumerate().rev() {
+            let delta_i = &mut delta[..sizes[i + 1]];
             if i != last {
                 // Through the ReLU: an output is positive exactly when its
                 // pre-activation was.
-                for (d, &a) in delta_i.iter_mut().zip(&self.activations[i + 1]) {
+                for (d, &a) in delta_i.iter_mut().zip(&rows[i + 1]) {
                     *d *= if a > 0.0 { 1.0 } else { 0.0 };
                 }
             }
-            let input_grad = (i > 0).then(|| &mut next[..self.sizes[i]]);
-            layer.backward(&self.activations[i], delta_i, input_grad);
+            let input_grad = (i > 0).then(|| &mut next[..sizes[i]]);
+            layer.backward(grad, &rows[i], delta_i, input_grad);
             std::mem::swap(delta, next);
         }
     }
@@ -192,10 +279,11 @@ impl Mlp {
     /// One optimizer step on the gradients of the last [`Self::backward`],
     /// in place: `optimizer` sees each layer's weights, then its bias.
     pub fn step(&mut self, optimizer: &mut Adam) {
-        optimizer.step(self.layers.iter_mut().flat_map(|layer| {
+        let layers = self.weights.layers.iter_mut().zip(&self.grads);
+        optimizer.step(layers.flat_map(|(layer, grad)| {
             [
-                (layer.weights.data_mut(), layer.grad_weights.data()),
-                (&mut layer.bias[..], &layer.grad_bias[..]),
+                (layer.weights.data_mut(), grad.weights.data()),
+                (&mut layer.bias[..], &grad.bias[..]),
             ]
         }));
     }
@@ -207,16 +295,14 @@ impl Mlp {
 impl Mlp {
     /// All parameters (weights then bias per layer — [`Self::step`]'s order).
     pub(crate) fn parameters(&self) -> Vec<f64> {
-        let tensors = self.layers.iter().flat_map(|l| [l.weights.data(), &l.bias]);
+        let layers = self.weights.layers.iter();
+        let tensors = layers.flat_map(|l| [l.weights.data(), &l.bias]);
         tensors.flatten().copied().collect()
     }
 
     /// The gradients of the last backward pass, in the same order.
     pub(crate) fn gradients(&self) -> Vec<f64> {
-        let tensors = self
-            .layers
-            .iter()
-            .flat_map(|l| [l.grad_weights.data(), &l.grad_bias]);
+        let tensors = self.grads.iter().flat_map(|l| [l.weights.data(), &l.bias]);
         tensors.flatten().copied().collect()
     }
 
@@ -224,7 +310,7 @@ impl Mlp {
     pub(crate) fn set_parameters(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.parameter_count());
         let mut rest = params;
-        for layer in &mut self.layers {
+        for layer in &mut self.weights.layers {
             for tensor in [layer.weights.data_mut(), &mut layer.bias[..]] {
                 let (head, tail) = rest.split_at(tensor.len());
                 tensor.copy_from_slice(head);

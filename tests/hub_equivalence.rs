@@ -13,8 +13,9 @@
 //!   recommendation as one monolithic feed.
 //! * **Mid-relearn consistency** — requests racing a tenant's
 //!   drift-triggered relearn are each served at a well-defined epoch:
-//!   every answer matches that epoch's serial recommendation, and other
-//!   tenants are entirely unaffected.
+//!   every answer matches that epoch's serial recommendation — its plans
+//!   and the reward curve of the crossover agent trained for that epoch —
+//!   and other tenants are entirely unaffected.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -228,7 +229,11 @@ proptest! {
 
 /// A tenant relearning mid-flight never disturbs another tenant's
 /// concurrent requests, and its own racing requests are each served at a
-/// well-defined epoch whose answer matches that epoch's serial run.
+/// well-defined epoch whose answer matches that epoch's serial run: the
+/// model *and* the crossover agent of the snapshot the request took, even
+/// when the feed published the next epoch before it finished. (The forced
+/// version of that interleaving is
+/// `hub::tests::a_request_keeps_its_epochs_agent_across_a_publish`.)
 #[test]
 fn mid_relearn_requests_stay_epoch_consistent() {
     let (drifting, corpus) = tenant(41);
@@ -238,6 +243,18 @@ fn mid_relearn_requests_stay_epoch_consistent() {
     let b = hub.add_tenant("steady", steady);
     hub.bootstrap(a);
     hub.bootstrap(b);
+    // A request reports the reward curve of the agent it searched with,
+    // and the service's own run is the one that trained that agent.
+    let trained_rewards = |t: TenantId| {
+        hub.with_tenant(t, |s| {
+            s.recommendation().unwrap().reward_progression.clone()
+        })
+    };
+    let a_rewards1 = trained_rewards(a);
+    assert!(
+        !a_rewards1.is_empty(),
+        "the tenants search with a learned agent"
+    );
     let a_epoch1 = hub.recommend(a, 1).report.plans;
     let b_epoch1 = hub.recommend(b, 1).report.plans;
 
@@ -263,17 +280,24 @@ fn mid_relearn_requests_stay_epoch_consistent() {
     assert_eq!(hub.published_epoch(a), Some(2), "the drift must relearn");
     assert_eq!(hub.published_epoch(b), Some(1));
     let a_epoch2 = hub.with_tenant(a, |s| s.recommendation().unwrap().plans.clone());
+    let a_rewards2 = trained_rewards(a);
 
     for report in racing {
+        assert_eq!(
+            report.report.stages.rl_train_ms, 0.0,
+            "requests never train"
+        );
         if report.tenant == b {
             assert_eq!(report.epoch, 1, "tenant B never relearned");
             assert_eq!(report.report.plans, b_epoch1);
         } else {
-            match report.epoch {
-                1 => assert_eq!(report.report.plans, a_epoch1),
-                2 => assert_eq!(report.report.plans, a_epoch2),
+            let (plans, rewards) = match report.epoch {
+                1 => (&a_epoch1, &a_rewards1),
+                2 => (&a_epoch2, &a_rewards2),
                 epoch => panic!("request served at impossible epoch {epoch}"),
-            }
+            };
+            assert_eq!(&report.report.plans, plans);
+            assert_eq!(&report.report.reward_progression, rewards);
         }
     }
 

@@ -8,9 +8,10 @@ use atlas::apps::{
     synthesize, synthesize_drift_phase, CallGraphShape, SynthOptions, SynthScenario,
     WorkloadGenerator,
 };
+use atlas::core::recommender::RecommendationReport;
 use atlas::core::{
-    kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MigrationPlan, MigrationPreferences,
-    PlanEvaluator, QualityModel, ScoredPlan,
+    kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MemoCache, MigrationPlan,
+    MigrationPreferences, PlanEvaluator, QualityModel, Recommender, RecommenderConfig, ScoredPlan,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{
@@ -35,6 +36,27 @@ fn shared_quality() -> &'static QualityModel {
     })
 }
 
+/// The generated 40-component 4-site scenario behind [`offspring_model`]
+/// and [`search_model`].
+fn four_site_experiment() -> Experiment {
+    Experiment::set_up(ExperimentOptions {
+        application: Application::Synthetic(SynthOptions {
+            components: 40,
+            shape: CallGraphShape::Layered,
+            stateful_fraction: 0.2,
+            apis: 6,
+            call_depth: 4,
+            site_count: 4,
+            ..SynthOptions::default()
+        }),
+        seed: 77,
+        max_visited: 100,
+        population: 8,
+        learn_day_seconds: Some(30),
+        ..ExperimentOptions::quick()
+    })
+}
+
 /// The two models of the offspring differential property: the 2-site
 /// social network of [`shared_quality`] and a generated 40-component
 /// 4-site scenario.
@@ -43,25 +65,48 @@ fn offspring_model(idx: usize) -> &'static QualityModel {
     if idx == 0 {
         return shared_quality();
     }
-    FOUR_SITE.get_or_init(|| {
-        Experiment::set_up(ExperimentOptions {
-            application: Application::Synthetic(SynthOptions {
-                components: 40,
-                shape: CallGraphShape::Layered,
-                stateful_fraction: 0.2,
-                apis: 6,
-                call_depth: 4,
-                site_count: 4,
-                ..SynthOptions::default()
-            }),
-            seed: 77,
-            max_visited: 100,
-            population: 8,
-            learn_day_seconds: Some(30),
-            ..ExperimentOptions::quick()
-        })
-        .quality
+    FOUR_SITE.get_or_init(|| four_site_experiment().quality)
+}
+
+/// The three models of the train-once property: the two of
+/// [`offspring_model`], plus the 4-site scenario under a preference set
+/// that pins components both ways — some to one site, some to a site set —
+/// so every initial plan and offspring passes through the pin repair while
+/// the rollout children are scored as the policy emitted them.
+fn search_model(idx: usize) -> &'static QualityModel {
+    static PINNED: OnceLock<QualityModel> = OnceLock::new();
+    if idx < 2 {
+        return offspring_model(idx);
+    }
+    PINNED.get_or_init(|| {
+        let exp = four_site_experiment();
+        let preferences = exp
+            .preferences
+            .clone()
+            .pin(ComponentId(3), SiteId(2))
+            .pin(ComponentId(11), Location::OnPrem)
+            .pin_to_sites(ComponentId(7), vec![SiteId(1), SiteId(3)])
+            .pin_to_sites(ComponentId(19), vec![SiteId(0), SiteId(2)]);
+        exp.atlas.quality_model(exp.current.clone(), preferences)
     })
+}
+
+/// Everything of a report the train-once property pins, floats as bits:
+/// the plans with their objectives, `visited`, and the reward curve.
+type SearchOutcome = (Vec<(MigrationPlan, [u64; 3])>, usize, Vec<u64>);
+
+fn search_outcome(report: &RecommendationReport) -> SearchOutcome {
+    let plans = report
+        .plans
+        .iter()
+        .map(|p| (p.plan.clone(), p.quality.objectives().map(f64::to_bits)))
+        .collect();
+    let rewards = report
+        .reward_progression
+        .iter()
+        .map(|r| r.to_bits())
+        .collect();
+    (plans, report.visited, rewards)
 }
 
 /// Shared two-day replay corpus for the streaming-ingest properties: a
@@ -887,6 +932,73 @@ proptest! {
         for (endpoint, weight) in &scenario.workload.api_mix {
             prop_assert!(scenario.topology.api(endpoint).is_some());
             prop_assert!(*weight > 0.0);
+        }
+    }
+
+    /// Training once and searching with the artefact is invisible: on the
+    /// 2-site social network, the generated 4-site model and its pinned
+    /// variant, under the learned agent and under uniform crossover (no
+    /// artefact), `train` + `recommend_trained` returns the plans, quality
+    /// bits, `visited` and `reward_progression` of `recommend()` — at 1, 2
+    /// and 8 evaluator threads, on a cold cache, on a warm one and on a
+    /// cache shared between handles. The artefact is not written to: every
+    /// search from it returns the same answer. The bill differs exactly as
+    /// documented: a search that was handed the artefact asks the evaluator
+    /// for everything `recommend()` does except the replayed rollouts.
+    #[test]
+    fn training_once_then_searching_matches_training_inline(
+        model in 0usize..3,
+        strategy in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let quality = search_model(model);
+        let mut config = RecommenderConfig {
+            population: 8,
+            max_visited: 60,
+            seed,
+            threads: 1,
+            ..RecommenderConfig::fast()
+        };
+        config.rl.seed = seed ^ 0x51ED;
+        if strategy == 0 {
+            config = config.with_uniform_crossover();
+        }
+        let recommender = Recommender::new(quality, config);
+        let inline = recommender.recommend();
+        let expected = search_outcome(&inline);
+        prop_assert!(!inline.plans.is_empty());
+        prop_assert_eq!(inline.reward_progression.is_empty(), strategy == 0);
+
+        for threads in [1usize, 2, 8] {
+            let evaluator = PlanEvaluator::new(quality).with_threads(threads);
+            let trained = recommender.train(&evaluator);
+            prop_assert_eq!(trained.is_none(), strategy == 0);
+            let rollouts = trained.as_ref().map_or(0, |t| t.rollouts().len());
+            prop_assert_eq!(rollouts, inline.reward_progression.len());
+
+            // Cold for the offspring, warm for what training scored.
+            let first = recommender.recommend_trained(&evaluator, trained.as_ref());
+            prop_assert_eq!(&search_outcome(&first), &expected);
+            prop_assert_eq!(first.eval.requests() + rollouts, inline.eval.requests());
+            prop_assert_eq!(first.stages.rl_train_ms, 0.0);
+            // Training and the search between them scored what the inline
+            // run scored, once each.
+            prop_assert_eq!(first.eval_lifetime.unique_evaluations, inline.visited);
+
+            // Entirely warm, from the same — unmodified — artefact.
+            let second = recommender.recommend_trained(&evaluator, trained.as_ref());
+            prop_assert_eq!(&search_outcome(&second), &expected);
+            prop_assert_eq!(second.eval.unique_evaluations, 0);
+            prop_assert_eq!(second.eval.requests(), first.eval.requests());
+
+            // A cache shared between handles, as the hub shares an epoch's:
+            // cold for the first handle, warm for the second.
+            let cache = MemoCache::default();
+            for _ in 0..2 {
+                let handle = PlanEvaluator::with_shared_cache(quality, &cache).with_threads(threads);
+                let shared = recommender.recommend_trained(&handle, trained.as_ref());
+                prop_assert_eq!(&search_outcome(&shared), &expected);
+            }
         }
     }
 
