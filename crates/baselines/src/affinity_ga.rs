@@ -18,6 +18,13 @@ use atlas_sim::SiteId;
 
 use crate::context::{BaselineContext, BaselineScorer, PlacementScore};
 
+/// Largest share of its genes a child may change against its nearer parent
+/// and still be scored as a change probe. `BaselineScorer::score_changes`
+/// has no compiled traces to skip — it applies the change list to a scratch
+/// placement, gene by gene, and scores that whole — so the share of *genes*
+/// is the right variable here.
+const DELTA_GENE_SHARE: f64 = 0.25;
+
 /// The affinity-based NSGA-II advisor.
 #[derive(Debug, Clone, Copy)]
 pub struct AffinityGaAdvisor {
@@ -89,7 +96,7 @@ impl AffinityGaAdvisor {
             ParetoArchive::new(ARCHIVE_CAPACITY);
         // The delta path routes children whose diff against their nearer
         // tournament parent stays small; larger diffs are batch-scored.
-        let change_cap = ((n as f64 * atlas_core::DELTA_DIFF_THRESHOLD) as usize).max(1);
+        let change_cap = ((n as f64 * DELTA_GENE_SHARE) as usize).max(1);
 
         let mut population: Vec<Vec<SiteId>> = (0..self.population)
             .map(|_| {

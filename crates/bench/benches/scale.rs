@@ -9,10 +9,7 @@
 //! sweep with `ATLAS_SCALE_COMPONENTS=25,50` (CI runs the smallest size
 //! only).
 
-use atlas_bench::scale::{
-    run_scale_point, run_scale_point_sites, run_scale_point_volume, sizes_from_env, sweep_points,
-    volume_point, write_scale_json,
-};
+use atlas_bench::scale::{run_scale_point, run_sweep, sizes_from_env, write_scale_json};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_scale(c: &mut Criterion) {
@@ -26,24 +23,20 @@ fn bench_scale(c: &mut Criterion) {
     });
     group.finish();
 
-    let mut points: Vec<_> = sweep_points(&sizes)
-        .into_iter()
-        .map(|(n, s)| run_scale_point_sites(n, s))
-        .collect();
-    if let Some((n, volume)) = volume_point(&sizes) {
-        points.push(run_scale_point_volume(n, 2, volume));
-    }
+    let points = run_sweep(&sizes);
     for p in &points {
         println!(
             "scale: {:>3} components  {} sites  {:>4.0}x volume  {:>4} apis  \
-             recommend {:>8.1} ms  {:>6.1} evals/s  learn {:>7.2} ms ({:>5.1}x vs vec)  \
-             cache hit rate {:.2}  {} plans",
+             recommend {:>8.1} ms  {:>6.1} evals/s ({} delta / {} lane)  \
+             learn {:>7.2} ms ({:>5.1}x vs vec)  cache hit rate {:.2}  {} plans",
             p.components,
             p.sites,
             p.volume_scale,
             p.apis,
             p.recommend_ms,
             p.evals_per_sec,
+            p.delta_scored,
+            p.lane_scored,
             p.learn_ms,
             p.learn_speedup,
             p.cache_hit_rate,

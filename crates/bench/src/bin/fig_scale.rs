@@ -12,22 +12,12 @@
 //! sweep with `ATLAS_SCALE_COMPONENTS=25,50`.
 
 use atlas_bench::print_row;
-use atlas_bench::scale::{
-    run_scale_point_sites, run_scale_point_volume, sizes_from_env, sweep_points, volume_point,
-    write_scale_json,
-};
+use atlas_bench::scale::{run_sweep, sizes_from_env, write_scale_json};
 
 fn main() {
     println!("Scale sweep: Atlas end-to-end on generated scenarios");
     println!("----------------------------------------------------");
-    let sizes = sizes_from_env();
-    let mut points = Vec::new();
-    for (components, sites) in sweep_points(&sizes) {
-        points.push(run_scale_point_sites(components, sites));
-    }
-    if let Some((components, volume)) = volume_point(&sizes) {
-        points.push(run_scale_point_volume(components, 2, volume));
-    }
+    let points = run_sweep(&sizes_from_env());
     for p in &points {
         print_row(
             &format!(
@@ -38,6 +28,8 @@ fn main() {
                 ("apis", p.apis as f64),
                 ("recommend_ms", p.recommend_ms),
                 ("evals_per_sec", p.evals_per_sec),
+                ("delta_scored", p.delta_scored as f64),
+                ("lane_scored", p.lane_scored as f64),
                 ("scalar_evals_per_sec", p.scalar_evals_per_sec),
                 ("batch_evals_per_sec", p.batch_evals_per_sec),
                 ("delta_probe_evals_per_sec", p.delta_probe_evals_per_sec),

@@ -15,6 +15,11 @@
 //! * the batched structure-of-arrays scoring path falls behind the scalar
 //!   kernel (`batch_evals_per_sec` vs `scalar_evals_per_sec`) at any fresh
 //!   sweep point,
+//! * a batch-only search scores its plans at the one-plan rate: at any
+//!   fresh uniform-crossover sweep point with [`MIN_ROUTED_COMPONENTS`]+
+//!   components the in-search `evals_per_sec` is nearer
+//!   `scalar_evals_per_sec` than `batch_evals_per_sec` (offspring routed
+//!   to the wrong scorer),
 //! * the arena ingest throughput (`ingest_traces_per_sec`) regresses by more
 //!   than 2× against its committed value,
 //! * the delta-native offspring scoring throughput
@@ -69,6 +74,15 @@ pub const MAX_EVALS_PER_SEC_REGRESSION: f64 = 2.0;
 /// noise without letting a real "batching makes scoring slower" regression
 /// through.
 pub const MIN_BATCH_VS_SCALAR: f64 = 0.9;
+
+/// Smallest sweep size at which a batch-only (uniform-crossover) search's
+/// in-search `evals_per_sec` is held against the raw kernel rates. From
+/// here up walking the compiled traces is most of an evaluation, so where a
+/// generation's children are scored shows in the figure; below it an
+/// evaluation costs a few microseconds and the search figure is dominated
+/// by per-batch overheads (memo probing, state assembly) the raw kernel
+/// microbenches never pay.
+pub const MIN_ROUTED_COMPONENTS: usize = 250;
 
 /// Minimum tolerated `learn_speedup` (clustered arena learning vs the
 /// Vec-store baseline) at the sweep's high-volume companion point. The
@@ -486,6 +500,45 @@ pub fn check(
             _ => verdicts.push(Verdict::Fail(format!(
                 "{label}: fresh BENCH_scale.json lacks scalar_evals_per_sec/batch_evals_per_sec \
                  (regenerate with the current bench)"
+            ))),
+        }
+    }
+
+    // Routing gate: from MIN_ROUTED_COMPONENTS up, a search that trains no
+    // agent scores every plan through a batch path, so its in-search
+    // throughput (memo cache, offspring routing, lane groups and delta
+    // re-scores all engaged) must sit nearer the lane kernel's rate than the
+    // scalar kernel's — above their geometric mean. All three figures come
+    // from the same run on the same machine. This is the check that catches
+    // offspring sent to the wrong route: PR 15 found wide crossover
+    // children re-run trace by trace, one plan at a time, reading as
+    // "in-search 2.9 k/s, scalar 2.8 k/s, lanes 11.8 k/s". Searches that
+    // train the agent carry no such gate: their ~120 rollouts are single-
+    // plan scores by construction, each cache-cold after a policy-gradient
+    // step, and put the blend at 1.0–1.3x scalar whatever the routing.
+    for (components, sites) in scale_points(fresh_scale) {
+        let number = |key| scale_point_number_at(fresh_scale, components, sites, key);
+        if components < MIN_ROUTED_COMPONENTS || number("uniform_crossover") != Some(1.0) {
+            continue;
+        }
+        let label = format!("batch-only search @ {components} components / {sites} sites");
+        match (
+            number("evals_per_sec"),
+            number("scalar_evals_per_sec"),
+            number("batch_evals_per_sec"),
+        ) {
+            (Some(e), Some(s), Some(b)) if e >= (s * b).sqrt() => verdicts.push(Verdict::Ok(
+                format!("{label}: {e:.1} evals/sec in-search vs {s:.1} scalar / {b:.1} lanes"),
+            )),
+            (Some(e), Some(s), Some(b)) => verdicts.push(Verdict::Fail(format!(
+                "{label}: the search scored its plans at {e:.1} evals/sec, nearer the scalar \
+                 kernel's {s:.1} than the lane kernel's {b:.1}; check which route offspring \
+                 take (delta_scored / lane_scored in BENCH_scale.json) and \
+                 PlanEvaluator::evaluate_offspring_batch"
+            ))),
+            _ => verdicts.push(Verdict::Fail(format!(
+                "{label}: fresh BENCH_scale.json lacks evals_per_sec/scalar_evals_per_sec/\
+                 batch_evals_per_sec (regenerate with the current bench)"
             ))),
         }
     }
@@ -1079,6 +1132,41 @@ mod tests {
             None,
             None
         )));
+    }
+
+    /// The routing gate fires when a batch-only search scores nearer the
+    /// scalar rate than the lane rate — PR 15's parent read 2.9 k against
+    /// 2.8 k scalar and 11.5 k lanes — and when a stale bench left a field
+    /// out; searches that train the agent and small points never carry it.
+    #[test]
+    fn batch_only_search_at_the_scalar_rate_fails() {
+        let sweep = |components: usize, uniform: u8, evals: &str| {
+            format!(
+                r#"{{"points": [ {{ "components": {components}, "sites": 4, {evals}
+                    "uniform_crossover": {uniform}, "scalar_evals_per_sec": 2800.0,
+                    "batch_evals_per_sec": 11500.0 }} ]}}"#
+            )
+        };
+        let gate = |doc: &str| -> Vec<Verdict> {
+            check(RECOMMENDER, doc, SERVICE, None, None, None)
+                .into_iter()
+                .filter(
+                    |v| matches!(v, Verdict::Ok(m) | Verdict::Fail(m) if m.contains("batch-only")),
+                )
+                .collect()
+        };
+        let healthy = gate(&sweep(500, 1, r#""evals_per_sec": 9700.0,"#));
+        assert!(matches!(&healthy[..], [Verdict::Ok(m)] if m.contains("500 components / 4 sites")));
+        let misrouted = gate(&sweep(500, 1, r#""evals_per_sec": 2900.0,"#));
+        assert!(matches!(&misrouted[..], [Verdict::Fail(m)] if m.contains("nearer the scalar")));
+        let stale = gate(&sweep(500, 1, ""));
+        assert!(matches!(&stale[..], [Verdict::Fail(m)] if m.contains("lacks evals_per_sec")));
+        // A search that trains the agent, a small point, and the shared
+        // fixture (whose 250-component point scores below its scalar rate
+        // with the agent) carry no such gate.
+        assert!(gate(&sweep(500, 0, r#""evals_per_sec": 2900.0,"#)).is_empty());
+        assert!(gate(&sweep(240, 1, r#""evals_per_sec": 2900.0,"#)).is_empty());
+        assert!(gate(SCALE).is_empty());
     }
 
     /// The offspring-search gate fires on a >2x throughput collapse and

@@ -44,6 +44,14 @@ pub const VOLUME_COMPONENTS: usize = 100;
 /// Traffic-volume multiplier of the high-volume companion point.
 pub const VOLUME_SCALE_FACTOR: f64 = 10.0;
 
+/// Component count of the wide companion point: a [`MULTI_SITE_COUNT`]-site
+/// application searched with uniform crossover — the shape of the
+/// end-to-end benchmark's `cold-wide` workload, where plan scoring is most
+/// of a request and nearly every crossover child touches nearly every
+/// compiled trace, so the snapshot records which scoring route the search's
+/// plans took at the size where the choice matters.
+pub const WIDE_COMPONENTS: usize = 500;
+
 /// Representative cap per API used by the learn microbench (matches the
 /// harness's `traces_per_api`).
 const LEARN_TRACES_PER_API: usize = 40;
@@ -81,6 +89,15 @@ pub struct ScalePoint {
     /// Milliseconds spent scoring uncached plans (the evaluator's wall
     /// time), the denominator of `evals_per_sec`.
     pub score_ms: f64,
+    /// Of the search's unique evaluations, the plans re-scored incrementally
+    /// against a retained parent ([`atlas_core::EvalStats::delta_scored`]).
+    pub delta_scored: usize,
+    /// Of the search's unique evaluations, the plans cold-scored in lane
+    /// groups ([`atlas_core::EvalStats::lane_scored`]).
+    pub lane_scored: usize,
+    /// Whether the search ran plain uniform crossover instead of training
+    /// the crossover agent (the wide companion point).
+    pub uniform_crossover: bool,
     /// Milliseconds the request spent building and training its crossover
     /// agent, rollout scoring excluded
     /// ([`atlas_core::SearchStages::rl_train_ms`]).
@@ -176,6 +193,21 @@ pub fn run_scale_point_sites(components: usize, sites: usize) -> ScalePoint {
 /// application, so its learn metrics isolate how ingest, profiling and
 /// kernel compilation scale with observation count.
 pub fn run_scale_point_volume(components: usize, sites: usize, volume_scale: f64) -> ScalePoint {
+    run_point(components, sites, volume_scale, false)
+}
+
+/// Run the full pipeline at one `(components, sites)` point searched with
+/// plain uniform crossover: no agent is trained, so scoring is the search.
+pub fn run_scale_point_uniform(components: usize, sites: usize) -> ScalePoint {
+    run_point(components, sites, 1.0, true)
+}
+
+fn run_point(
+    components: usize,
+    sites: usize,
+    volume_scale: f64,
+    uniform_crossover: bool,
+) -> ScalePoint {
     let synth = options_for_volume(components, sites, volume_scale);
     // Derive an on-prem CPU limit that forces offloading: 60 % of the peak
     // expected demand under the 5× burst, computed from the generator's
@@ -192,11 +224,14 @@ pub fn run_scale_point_volume(components: usize, sites: usize, volume_scale: f64
         ..ExperimentOptions::quick()
     });
 
-    let config = RecommenderConfig {
+    let mut config = RecommenderConfig {
         population: 16,
         max_visited: 250,
         ..RecommenderConfig::fast()
     };
+    if uniform_crossover {
+        config = config.with_uniform_crossover();
+    }
     let start = Instant::now();
     let report = Recommender::new(&exp.quality, config).recommend();
     let recommend_ms = start.elapsed().as_secs_f64() * 1_000.0;
@@ -219,6 +254,9 @@ pub fn run_scale_point_volume(components: usize, sites: usize, volume_scale: f64
         evals_per_sec: stats.evaluations_per_sec(),
         kernel_compile_ms: stats.kernel_compile_ms,
         score_ms: stats.wall_time_ms,
+        delta_scored: stats.delta_scored,
+        lane_scored: stats.lane_scored,
+        uniform_crossover,
         rl_train_ms: report.stages.rl_train_ms,
         crossover_ms: report.stages.crossover_ms,
         scalar_evals_per_sec,
@@ -467,9 +505,14 @@ const SEARCH_BENCH_PARENTS: usize = 16;
 /// Mutated genes per GA-shaped microbench child: one — the smallest GA
 /// step and the delta path's canonical shape. Cold scoring already has its
 /// own figure (`batch_evals_per_sec`), so the search figure deliberately
-/// keeps every child delta-eligible: it isolates the incremental offspring
-/// machinery (parent diffing, memo probing, touched-trace re-scoring,
-/// retained-state assembly) that the generational loop adds on top.
+/// keeps children as narrow as a child can be: it isolates the incremental
+/// offspring machinery (parent diffing, routing, memo probing,
+/// touched-trace re-scoring, retained-state assembly) that the
+/// generational loop adds on top. Where one gene's traces are a small share
+/// of the kernel the child is delta-scored — nearly all of them from 250
+/// components up; a 25- or 50-component kernel has 3–7 traces, so many
+/// genes alone touch more than the routing cutoff and those children join
+/// a lane group.
 const SEARCH_BENCH_GENES: usize = 1;
 
 /// Measure the delta-native search throughput, in offspring/sec: score
@@ -559,6 +602,32 @@ pub fn volume_point(sizes: &[usize]) -> Option<(usize, f64)> {
     Some((components, VOLUME_SCALE_FACTOR))
 }
 
+/// The `(components, sites)` of the sweep's wide companion, run with
+/// uniform crossover ([`run_scale_point_uniform`]): only when the sweep
+/// covers [`WIDE_COMPONENTS`] — the full local sweep; narrow CI overrides
+/// skip it.
+pub fn wide_point(sizes: &[usize]) -> Option<(usize, usize)> {
+    sizes
+        .contains(&WIDE_COMPONENTS)
+        .then_some((WIDE_COMPONENTS, MULTI_SITE_COUNT))
+}
+
+/// Run every point of one sweep, in `BENCH_scale.json` order: the
+/// [`sweep_points`], the [`volume_point`] and the [`wide_point`].
+pub fn run_sweep(sizes: &[usize]) -> Vec<ScalePoint> {
+    let mut points: Vec<ScalePoint> = sweep_points(sizes)
+        .into_iter()
+        .map(|(n, s)| run_scale_point_sites(n, s))
+        .collect();
+    if let Some((n, volume)) = volume_point(sizes) {
+        points.push(run_scale_point_volume(n, 2, volume));
+    }
+    if let Some((n, s)) = wide_point(sizes) {
+        points.push(run_scale_point_uniform(n, s));
+    }
+    points
+}
+
 /// Parse an `ATLAS_SCALE_COMPONENTS`-style override. An override that
 /// yields no usable size falls back to the *smallest* default only (never
 /// silently to the full sweep: whoever sets the variable wants a narrow
@@ -600,6 +669,9 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
                 "      \"evals_per_sec\": {:.1},\n",
                 "      \"kernel_compile_ms\": {:.2},\n",
                 "      \"score_ms\": {:.2},\n",
+                "      \"delta_scored\": {},\n",
+                "      \"lane_scored\": {},\n",
+                "      \"uniform_crossover\": {},\n",
                 "      \"rl_train_ms\": {:.2},\n",
                 "      \"crossover_ms\": {:.2},\n",
                 "      \"scalar_evals_per_sec\": {:.1},\n",
@@ -628,6 +700,9 @@ pub fn scale_json(points: &[ScalePoint]) -> String {
             p.evals_per_sec,
             p.kernel_compile_ms,
             p.score_ms,
+            p.delta_scored,
+            p.lane_scored,
+            u8::from(p.uniform_crossover),
             p.rl_train_ms,
             p.crossover_ms,
             p.scalar_evals_per_sec,
@@ -679,6 +754,12 @@ mod tests {
         assert!(point.evals_per_sec > 0.0);
         assert!(point.kernel_compile_ms > 0.0);
         assert!(point.score_ms > 0.0);
+        assert!(point.delta_scored + point.lane_scored <= point.unique_evaluations);
+        assert!(
+            point.lane_scored >= 16,
+            "the initial population is lane-scored"
+        );
+        assert!(!point.uniform_crossover);
         assert!(point.scalar_evals_per_sec > 0.0);
         assert!(point.batch_evals_per_sec > 0.0);
         assert!(point.delta_probe_evals_per_sec > 0.0);
@@ -742,6 +823,9 @@ mod tests {
             evals_per_sec: 1_000.0,
             kernel_compile_ms: 3.25,
             score_ms: 200.0,
+            delta_scored: 120,
+            lane_scored: 64,
+            uniform_crossover: false,
             rl_train_ms: 14.5,
             crossover_ms: 0.75,
             scalar_evals_per_sec: 30_000.0,
@@ -760,6 +844,7 @@ mod tests {
         let mut q = p.clone();
         q.components = 50;
         q.sites = 4;
+        q.uniform_crossover = true;
         let json = scale_json(&[p, q]);
         assert!(json.contains("\"components\": 25"));
         assert!(json.contains("\"components\": 50"));
@@ -768,6 +853,10 @@ mod tests {
         assert!(json.contains("\"bench\": \"scale\""));
         assert!(json.contains("\"kernel_compile_ms\": 3.25"));
         assert!(json.contains("\"score_ms\": 200.00"));
+        assert!(json.contains("\"delta_scored\": 120"));
+        assert!(json.contains("\"lane_scored\": 64"));
+        assert!(json.contains("\"uniform_crossover\": 0"));
+        assert!(json.contains("\"uniform_crossover\": 1"));
         assert!(json.contains("\"rl_train_ms\": 14.50"));
         assert!(json.contains("\"crossover_ms\": 0.75"));
         assert!(json.contains("\"scalar_evals_per_sec\": 30000.0"));
@@ -808,6 +897,16 @@ mod tests {
         // Narrow CI override: the companion follows the smallest size.
         let narrow = sweep_points(&[25]);
         assert_eq!(narrow, vec![(25, 2), (25, MULTI_SITE_COUNT)]);
+    }
+
+    #[test]
+    fn only_the_full_sweep_carries_the_wide_companion() {
+        assert_eq!(
+            wide_point(&DEFAULT_SIZES),
+            Some((WIDE_COMPONENTS, MULTI_SITE_COUNT))
+        );
+        assert_eq!(wide_point(&[25]), None);
+        assert_eq!(wide_point(&[25, 250]), None);
     }
 
     #[test]

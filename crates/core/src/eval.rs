@@ -25,6 +25,24 @@
 //! Evaluation is pure, so neither the cache nor the thread count changes any
 //! score: a recommendation run is bit-identical at 1 or N worker threads.
 //!
+//! # Offspring routing
+//!
+//! [`PlanEvaluator::evaluate_offspring_batch`] scores each uncached child
+//! of a generation by one of two routes, both pinned bit-identical to
+//! [`QualityModel::evaluate_scored`]: the **delta** route re-runs, one plan
+//! at a time, only the compiled traces the child's diff against its parent
+//! touches; the **lane** route cold-scores [`LANE_WIDTH`] children in one
+//! walk of every trace. What decides between them is the share of the
+//! kernel's work the diff re-runs — the op-weighted count of touched traces
+//! over the total, read exactly off the kernel's component → trace
+//! incidence index ([`CompiledQuality::touched_work`]) — against
+//! [`DELTA_WORK_SHARE`]. It is *not* the number of genes the diff changes:
+//! on a 500-component application a child that changes 5 % of its genes
+//! already touches ~90 % of the traces. [`EvalStats::delta_scored`] and
+//! [`EvalStats::lane_scored`] report how a search's plans split.
+//!
+//! [`CompiledQuality::touched_work`]: crate::kernel::CompiledQuality::touched_work
+//!
 //! # Example
 //!
 //! Score a small batch of plans through the evaluator and observe that
@@ -89,6 +107,7 @@ use serde::{Deserialize, Serialize};
 
 use atlas_sim::{ComponentId, SiteId};
 
+use crate::kernel::with_scratch;
 use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
 
@@ -112,6 +131,14 @@ pub struct EvalStats {
     /// at construction (see [`crate::kernel`]); `0.0` for scorers without a
     /// compiled kernel (e.g. the baselines' placement scorer).
     pub kernel_compile_ms: f64,
+    /// Of the unique evaluations, the plans re-scored incrementally against
+    /// a retained parent: only the traces their diff touches were re-run
+    /// (see [`DELTA_WORK_SHARE`]).
+    pub delta_scored: usize,
+    /// Of the unique evaluations, the plans cold-scored by a batch path in
+    /// [`LANE_WIDTH`] lane groups. The rest — `unique_evaluations` minus
+    /// both counts — were single-plan scalar walks.
+    pub lane_scored: usize,
 }
 
 impl EvalStats {
@@ -153,6 +180,8 @@ impl EvalStats {
             wall_time_ms: (self.wall_time_ms - earlier.wall_time_ms).max(0.0),
             threads: self.threads,
             kernel_compile_ms: self.kernel_compile_ms,
+            delta_scored: self.delta_scored.saturating_sub(earlier.delta_scored),
+            lane_scored: self.lane_scored.saturating_sub(earlier.lane_scored),
         }
     }
 }
@@ -177,16 +206,39 @@ pub fn effective_threads(requested: usize) -> usize {
 /// their worker count at one worker per `MIN_ITEMS_PER_WORKER` items.
 pub const MIN_ITEMS_PER_WORKER: usize = 16;
 
-/// Fraction of components that may differ between an offspring and its
-/// retained parent for the offspring to ride the incremental delta path in
-/// [`PlanEvaluator::evaluate_offspring_batch`]. Above the threshold the
-/// change set touches so many compiled traces that a delta re-score decays
-/// into "scalar re-run plus bookkeeping" and loses to the lane-batched cold
-/// path, so wide diffs (early-generation crossover between distant parents,
-/// policy-decoded RL children) fall back to cold scoring. The routing is
-/// purely a speed decision: the delta and cold paths are pinned
-/// bit-identical, so the threshold never changes a score.
-pub const DELTA_DIFF_THRESHOLD: f64 = 0.25;
+/// Largest share of the kernel's work — compiled-trace ops, see
+/// [`CompiledQuality::total_work`](crate::kernel::CompiledQuality::total_work)
+/// — an offspring's diff against its retained parent may touch for the
+/// offspring to ride the incremental delta path in
+/// [`PlanEvaluator::evaluate_offspring_batch`]; a wider diff joins a
+/// [`LANE_WIDTH`] cold group.
+///
+/// The delta path re-runs the touched traces one plan at a time, at the
+/// scalar walk's cost per op; a full lane group walks *every* trace but
+/// shares each op's decode and wave bookkeeping between sixteen plans. The
+/// break-even share is therefore the scalar : 16-lane cost of one trace
+/// walk per plan. Measured by the end-to-end benchmark's kernel probes on
+/// its `cold-wide` workload (500 components, 4 sites, 448 compiled traces;
+/// 2 vCPUs): `kernel.scalar_evals_per_s` 2.4–2.9 k against
+/// `kernel.lanes_evals_per_s` 11.0–12.0 k, i.e. 1 : 4.2 on average — and
+/// that is per whole evaluation, `Q_Cost` and feasibility included, which
+/// both routes pay alike, so the walk alone is a little further apart. A
+/// quarter is that ratio rounded towards the lane path, which leaves room
+/// for the parent diff and the per-child state allocation the delta route
+/// adds. Smaller kernels amortise less (the 2-site sweep points of
+/// `BENCH_scale.json` read 1 : 2.2 at 250 components and 1 : 3.2 at 500),
+/// but there a whole score is cheap enough that the choice stops mattering:
+/// at 100 components the search's scoring is ≈ 1 ms under either route.
+///
+/// One exception needs no constant: a cold group that would hold a single
+/// plan *is* the scalar walk of every trace, and a delta re-score never
+/// re-runs more than every trace, so a lone wide child goes back to the
+/// delta route.
+///
+/// The routing is purely a speed decision: both routes are pinned
+/// bit-identical to [`QualityModel::evaluate_scored`], so this constant
+/// never changes a score.
+pub const DELTA_WORK_SHARE: f64 = 0.25;
 
 /// Number of plans scored per structure-of-arrays lane group by every
 /// [`PlanEvaluator`] batch path (see
@@ -307,6 +359,23 @@ struct MemoState<K, V> {
     cache_hits: usize,
     batches: usize,
     wall_time: Duration,
+    routes: Routes,
+}
+
+/// How the plans one lookup computed were scored (see
+/// [`EvalStats::delta_scored`] and [`EvalStats::lane_scored`]); both zero
+/// for scalar walks and for scorers without a compiled kernel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Routes {
+    delta: usize,
+    lanes: usize,
+}
+
+impl std::ops::AddAssign for Routes {
+    fn add_assign(&mut self, other: Self) {
+        self.delta += other.delta;
+        self.lanes += other.lanes;
+    }
 }
 
 /// Which cache/batch slot serves one input position of a batched lookup:
@@ -327,6 +396,8 @@ struct LookupOutcome {
     hits: usize,
     /// Unique keys computed by this lookup.
     computed: usize,
+    /// How the computed keys were scored.
+    routes: Routes,
     /// Wall time of the lookup (probe + compute).
     elapsed: Duration,
 }
@@ -353,6 +424,7 @@ impl<K, V> Default for MemoCache<K, V> {
                 cache_hits: 0,
                 batches: 0,
                 wall_time: Duration::ZERO,
+                routes: Routes::default(),
             }),
         }
     }
@@ -382,8 +454,14 @@ where
     /// Two callers racing to compute the same key both insert the same
     /// value (computation is pure), so last-write-wins is benign.
     pub fn insert(&self, key: K, value: V, elapsed: Duration) {
+        self.insert_routed(key, value, elapsed, Routes::default());
+    }
+
+    /// [`Self::insert`] that also accounts how the value was scored.
+    fn insert_routed(&self, key: K, value: V, elapsed: Duration, routes: Routes) {
         let mut state = self.state.lock();
         state.wall_time += elapsed;
+        state.routes += routes;
         state.cache.insert(key, value);
     }
 
@@ -414,14 +492,15 @@ where
     /// The batched lookup core behind every batch path: probe the whole
     /// batch under one lock, dedupe the misses against each other, compute
     /// the first appearances with `compute_all` (given their input
-    /// positions; one result per position, in order), then cache
-    /// `value_of(result)` for each and account the batch under one more
-    /// lock. Returns which slot serves each input position, the computed
-    /// results and the batch's counters.
+    /// positions; one result per position, in order, and a [`Routes`] to
+    /// fill in with how it scored them), then cache `value_of(result)` for
+    /// each and account the batch under one more lock. Returns which slot
+    /// serves each input position, the computed results and the batch's
+    /// counters.
     fn resolve_batch<C>(
         &self,
         keys: &[K],
-        compute_all: impl FnOnce(&[usize]) -> Vec<C>,
+        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<C>,
         value_of: impl Fn(&C) -> V,
     ) -> (Vec<Slot<V>>, Vec<C>, LookupOutcome) {
         let start = Instant::now();
@@ -444,11 +523,13 @@ where
                 })),
             })
             .collect();
-        let computed = compute_all(&uncached);
+        let mut routes = Routes::default();
+        let computed = compute_all(&uncached, &mut routes);
         debug_assert_eq!(computed.len(), uncached.len(), "one result per unique key");
         let outcome = LookupOutcome {
             hits: keys.len() - uncached.len(),
             computed: uncached.len(),
+            routes,
             elapsed: start.elapsed(),
         };
         let mut state = self.state.lock();
@@ -458,6 +539,7 @@ where
         state.cache_hits += outcome.hits;
         state.batches += 1;
         state.wall_time += outcome.elapsed;
+        state.routes += routes;
         (slots, computed, outcome)
     }
 
@@ -466,7 +548,7 @@ where
     fn values_batch(
         &self,
         keys: &[K],
-        compute_all: impl FnOnce(&[usize]) -> Vec<V>,
+        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<V>,
     ) -> (Vec<V>, LookupOutcome) {
         let (slots, computed, outcome) = self.resolve_batch(keys, compute_all, |&value| value);
         let values = slots
@@ -488,8 +570,9 @@ where
         V: Send,
         F: Fn(&K) -> V + Sync,
     {
-        let compute_all =
-            |uncached: &[usize]| parallel_map(uncached, threads, |&i| compute(&keys[i]));
+        let compute_all = |uncached: &[usize], _: &mut Routes| {
+            parallel_map(uncached, threads, |&i| compute(&keys[i]))
+        };
         self.values_batch(keys, compute_all).0
     }
 
@@ -514,6 +597,8 @@ where
             wall_time_ms: state.wall_time.as_secs_f64() * 1e3,
             threads,
             kernel_compile_ms: 0.0,
+            delta_scored: state.routes.delta,
+            lane_scored: state.routes.lanes,
         }
     }
 }
@@ -540,6 +625,8 @@ struct LocalCounters {
     hits: AtomicUsize,
     batches: AtomicUsize,
     wall_time_nanos: AtomicU64,
+    delta_scored: AtomicUsize,
+    lane_scored: AtomicUsize,
 }
 
 /// Cached, batched, thread-parallel front end to a [`QualityModel`].
@@ -624,34 +711,43 @@ impl<'a> PlanEvaluator<'a> {
         self.local
             .wall_time_nanos
             .fetch_add(outcome.elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.local
+            .delta_scored
+            .fetch_add(outcome.routes.delta, Ordering::Relaxed);
+        self.local
+            .lane_scored
+            .fetch_add(outcome.routes.lanes, Ordering::Relaxed);
     }
 
     /// The single-plan lookup behind [`Self::evaluate`] and
-    /// [`Self::evaluate_offspring`]: cache first, `compute` on a miss.
+    /// [`Self::evaluate_offspring`]: cache first, `compute` on a miss,
+    /// which also says by which route it scored the plan.
     fn evaluate_one(
         &self,
         plan: &MigrationPlan,
-        compute: impl FnOnce() -> PlanQuality,
+        compute: impl FnOnce() -> (PlanQuality, Routes),
     ) -> PlanQuality {
         if let Some(quality) = self.memo().probe(plan) {
             self.local.hits.fetch_add(1, Ordering::Relaxed);
             return quality;
         }
         let start = Instant::now();
-        let quality = compute();
+        let (quality, routes) = compute();
         let outcome = LookupOutcome {
             hits: 0,
             computed: 1,
+            routes,
             elapsed: start.elapsed(),
         };
-        self.memo().insert(plan.clone(), quality, outcome.elapsed);
+        self.memo()
+            .insert_routed(plan.clone(), quality, outcome.elapsed, routes);
         self.absorb(outcome, 0);
         quality
     }
 
     /// Evaluate one plan, serving duplicates from the cache.
     pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
-        self.evaluate_one(plan, || self.quality.evaluate(plan))
+        self.evaluate_one(plan, || (self.quality.evaluate(plan), Routes::default()))
     }
 
     /// Evaluate a batch of plans, returning qualities in input order.
@@ -663,7 +759,8 @@ impl<'a> PlanEvaluator<'a> {
     /// bit-identical to calling [`QualityModel::evaluate`] on each plan
     /// directly, at any thread count.
     pub fn evaluate_batch(&self, plans: &[MigrationPlan]) -> Vec<PlanQuality> {
-        let (values, outcome) = self.memo().values_batch(plans, |uncached| {
+        let (values, outcome) = self.memo().values_batch(plans, |uncached, routes| {
+            routes.lanes = uncached.len();
             let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
             parallel_map_grouped(&uncached, self.threads, LANE_WIDTH, |group| {
                 self.quality.evaluate_lanes(group)
@@ -683,7 +780,7 @@ impl<'a> PlanEvaluator<'a> {
     fn scored_batch(
         &self,
         plans: &[MigrationPlan],
-        compute_all: impl FnOnce(&[usize]) -> Vec<ScoredPlan>,
+        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<ScoredPlan>,
     ) -> Vec<ScoredPlan> {
         let (slots, computed, outcome) =
             self.memo()
@@ -736,7 +833,8 @@ impl<'a> PlanEvaluator<'a> {
     /// Panics if any plan does not cover every component of the wrapped
     /// model (the retained state needs full-length site assignments).
     pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<ScoredPlan> {
-        self.scored_batch(plans, |uncached| {
+        self.scored_batch(plans, |uncached, routes| {
+            routes.lanes = uncached.len();
             let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
             self.cold_score(&uncached)
         })
@@ -748,13 +846,16 @@ impl<'a> PlanEvaluator<'a> {
     /// For each `(parents[i], children[i])` pair the memo cache is
     /// consulted first (hits — including in-batch duplicates — are free and
     /// come back as [`ScoredPlan::quality_only`] members). Each uncached
-    /// child is then diffed against its parent's site assignment: when the
-    /// parent carries retained per-trace state and the diff touches at most
-    /// [`DELTA_DIFF_THRESHOLD`] of the components, the child is re-scored
-    /// incrementally through [`QualityModel::evaluate_delta`] (only the
-    /// traces referencing a changed component re-run); otherwise it cold-
-    /// scores through the lane-batched kernel. Both routes fan out across
-    /// the evaluator's worker threads.
+    /// child is then diffed against its parent's site assignment and
+    /// routed (see the [module docs](self#offspring-routing)): when the
+    /// parent carries retained per-trace state and the traces the diff
+    /// touches hold at most [`DELTA_WORK_SHARE`] of the kernel's work, the
+    /// child is re-scored incrementally through
+    /// [`QualityModel::evaluate_delta`] (only those traces re-run);
+    /// otherwise it cold-scores through the lane-batched kernel — except
+    /// that a cold group which would hold a single plan hands it back to
+    /// the delta route. Both routes fan out across the evaluator's worker
+    /// threads.
     ///
     /// **Bit-identity contract**: the delta path inherits untouched trace
     /// latencies bit-for-bit and re-sums in the cold path's order, so every
@@ -772,31 +873,42 @@ impl<'a> PlanEvaluator<'a> {
             children.len(),
             "one retained parent per child"
         );
-        self.scored_batch(children, |uncached| {
-            // Route each uncached child: small diff against a
-            // state-carrying parent → incremental; everything else →
-            // lane-batched cold. `k` is the child's slot in the result.
+        self.scored_batch(children, |uncached, routes| {
+            // Route each uncached child; `k` is its slot in the result. A
+            // cold child keeps its change set when it has one, in case it
+            // ends up alone in its lane group.
+            let delta_budget = self.quality.kernel().total_work() as f64 * DELTA_WORK_SHARE;
             let mut delta_jobs = Vec::new();
-            let mut cold_slots = Vec::new();
-            let mut cold_plans = Vec::new();
+            let mut cold = Vec::new();
             for (k, &i) in uncached.iter().enumerate() {
-                match self.delta_changes(parents[i], &children[i]) {
-                    Some(changes) => delta_jobs.push((k, parents[i], changes)),
-                    None => {
-                        cold_slots.push(k);
-                        cold_plans.push(&children[i]);
+                match self.diff(parents[i], &children[i]) {
+                    Some(changes) if self.touched_work(&changes) as f64 <= delta_budget => {
+                        delta_jobs.push((k, parents[i], changes))
                     }
+                    wide => cold.push((k, wide)),
                 }
             }
+            if cold.len() % LANE_WIDTH == 1 {
+                if let Some(at) = cold.iter().rposition(|(_, wide)| wide.is_some()) {
+                    let (k, wide) = cold.remove(at);
+                    let changes = wide.expect("picked for having a change set");
+                    delta_jobs.push((k, parents[uncached[k]], changes));
+                }
+            }
+            routes.delta = delta_jobs.len();
+            routes.lanes = cold.len();
+
             let delta_results = parallel_map(&delta_jobs, self.threads, |(_, parent, changes)| {
                 self.quality.evaluate_delta(parent, changes)
             });
+            let cold_plans: Vec<&MigrationPlan> =
+                cold.iter().map(|&(k, _)| &children[uncached[k]]).collect();
             let mut computed: Vec<Option<ScoredPlan>> = vec![None; uncached.len()];
             for ((k, _, _), scored) in delta_jobs.iter().zip(delta_results) {
                 computed[*k] = Some(scored);
             }
-            for (k, scored) in cold_slots.into_iter().zip(self.cold_score(&cold_plans)) {
-                computed[k] = Some(scored);
+            for ((k, _), scored) in cold.iter().zip(self.cold_score(&cold_plans)) {
+                computed[*k] = Some(scored);
             }
             computed
                 .into_iter()
@@ -807,23 +919,29 @@ impl<'a> PlanEvaluator<'a> {
 
     /// Single-offspring companion of [`Self::evaluate_offspring_batch`] —
     /// the shape of an RL training rollout, which scores one child per
-    /// policy sample. Cache first; a small diff against a state-carrying
-    /// parent rides the allocation-free [`QualityModel::probe_delta`];
-    /// anything else cold-scores. Bit-identical to [`Self::evaluate`] by
+    /// policy sample. Cache first; against a state-carrying parent the
+    /// child rides the allocation-free [`QualityModel::probe_delta`]
+    /// however wide its diff — with one plan there is no lane group to
+    /// join, and a delta probe re-runs at most every trace once, which is
+    /// all a cold score does. Only a parent without this model's retained
+    /// state (or a length mismatch) falls back to the cold
+    /// [`QualityModel::evaluate`]. Bit-identical to [`Self::evaluate`] by
     /// the same contract as the batch path.
     pub fn evaluate_offspring(&self, parent: &ScoredPlan, child: &MigrationPlan) -> PlanQuality {
-        self.evaluate_one(child, || match self.delta_changes(parent, child) {
-            Some(changes) => self.quality.probe_delta(parent, &changes),
-            None => self.quality.evaluate(child),
+        self.evaluate_one(child, || match self.diff(parent, child) {
+            Some(changes) => (
+                self.quality.probe_delta(parent, &changes),
+                Routes { delta: 1, lanes: 0 },
+            ),
+            None => (self.quality.evaluate(child), Routes::default()),
         })
     }
 
     /// The ascending change set turning `parent` into `child` — one
     /// `(component, new site)` entry per differing position — when the
-    /// delta route applies: the parent carries this model's retained
-    /// per-trace state and at most `max(1, component_count ×
-    /// DELTA_DIFF_THRESHOLD)` components differ.
-    fn delta_changes(
+    /// delta route is open at all: the parent carries this model's retained
+    /// per-trace state and both cover every component.
+    fn diff(
         &self,
         parent: &ScoredPlan,
         child: &MigrationPlan,
@@ -835,18 +953,28 @@ impl<'a> PlanEvaluator<'a> {
         {
             return None;
         }
-        let cap = ((n as f64 * DELTA_DIFF_THRESHOLD) as usize).max(1);
-        // One change past the cap is enough to know the diff is too wide.
-        let changes: Vec<(ComponentId, SiteId)> = parent
+        let changes = parent
             .sites()
             .iter()
             .zip(child.sites())
             .enumerate()
             .filter(|&(_, (a, b))| a != b)
             .map(|(c, (_, &to))| (ComponentId(c), to))
-            .take(cap + 1)
             .collect();
-        (changes.len() <= cap).then_some(changes)
+        Some(changes)
+    }
+
+    /// The work of the compiled traces a change set touches — what a delta
+    /// re-score of it re-runs — read off the kernel's incidence index.
+    fn touched_work(&self, changes: &[(ComponentId, SiteId)]) -> u64 {
+        let kernel = self.quality.kernel();
+        with_scratch(|s| {
+            kernel.clear_touched(&mut s.touched);
+            for &(component, _) in changes {
+                kernel.touch(component.0, &mut s.touched);
+            }
+            kernel.touched_work(&s.touched)
+        })
     }
 
     /// Distinct plans scored so far by *anyone* using this evaluator's
@@ -886,6 +1014,8 @@ impl<'a> PlanEvaluator<'a> {
             wall_time_ms: self.local.wall_time_nanos.load(Ordering::Relaxed) as f64 / 1e6,
             threads: self.threads,
             kernel_compile_ms: self.quality.kernel_compile_ms(),
+            delta_scored: self.local.delta_scored.load(Ordering::Relaxed),
+            lane_scored: self.local.lane_scored.load(Ordering::Relaxed),
         }
     }
 }
@@ -1093,6 +1223,103 @@ mod tests {
             stats.kernel_compile_ms > 0.0,
             "the quality model's kernel compile time is surfaced"
         );
+    }
+
+    /// Offspring are routed by the trace work their diff touches, not by
+    /// how many genes it changes: on a 250-component 4-site model a child
+    /// one gene away from its parent is delta-scored, children 10 % of
+    /// their genes away — far under the old 25 %-of-genes cap, yet touching
+    /// most of the traces — are lane-scored, and a lone wide child, whose
+    /// cold group would be a one-plan scalar walk, is delta-scored.
+    #[test]
+    fn offspring_are_routed_by_touched_work_not_gene_count() {
+        let quality = crate::testkit::generated(250, 4, 30, 11).model;
+        let n = quality.component_count();
+        let kernel = quality.kernel();
+        assert!(kernel.trace_count() >= 64);
+        let parent_plan = MigrationPlan::all_onprem(n);
+        let parent = quality.evaluate_scored(&parent_plan);
+        // Child `k` moves `genes` evenly spread genes, starting at gene `k`.
+        let child = |k: usize, genes: usize| {
+            let mut sites = parent_plan.to_sites();
+            for g in 0..genes {
+                sites[(k + g * n / genes) % n] = SiteId(1 + (k % 3) as u16);
+            }
+            MigrationPlan::from_sites(sites)
+        };
+        let share = |plan: &MigrationPlan| {
+            let evaluator = PlanEvaluator::new(&quality);
+            let changes = evaluator.diff(&parent, plan).expect("a retained parent");
+            evaluator.touched_work(&changes) as f64 / kernel.total_work() as f64
+        };
+        let narrow = child(7, 1);
+        let wide: Vec<MigrationPlan> = (0..5).map(|k| child(k, n / 10)).collect();
+        assert!(share(&narrow) <= DELTA_WORK_SHARE, "{}", share(&narrow));
+        for plan in &wide {
+            assert!(share(plan) > DELTA_WORK_SHARE, "{}", share(plan));
+        }
+
+        let routed = |children: &[MigrationPlan]| {
+            let evaluator = PlanEvaluator::new(&quality).with_threads(1);
+            let parents = vec![&parent; children.len()];
+            let scored = evaluator.evaluate_offspring_batch(&parents, children);
+            for (child, got) in children.iter().zip(&scored) {
+                let cold = quality.evaluate_scored(child);
+                assert_eq!(got.quality(), cold.quality());
+                assert_eq!(got.traces(), cold.traces());
+            }
+            let stats = evaluator.local_stats();
+            assert_eq!(stats.unique_evaluations, children.len());
+            // On an owned cache the lifetime view carries the same split.
+            let lifetime = evaluator.stats();
+            assert_eq!(
+                (lifetime.delta_scored, lifetime.lane_scored),
+                (stats.delta_scored, stats.lane_scored)
+            );
+            (stats.delta_scored, stats.lane_scored)
+        };
+        // A generation of one narrow and five wide children splits 1 : 5.
+        let mut generation = wide.clone();
+        generation.push(narrow.clone());
+        assert_eq!(routed(&generation), (1, 5));
+        assert_eq!(routed(std::slice::from_ref(&narrow)), (1, 0));
+        // A lone wide child — a cold group of one — goes back to delta, and
+        // so does the one left over after a full lane group.
+        assert_eq!(routed(&wide[..1]), (1, 0));
+        let seventeen: Vec<MigrationPlan> = (0..17).map(|k| child(k, n / 10)).collect();
+        assert_eq!(routed(&seventeen), (1, 16));
+        // Without a retained parent there is nothing to go back to.
+        let bare = ScoredPlan::quality_only(parent_plan.to_sites(), parent.quality());
+        let evaluator = PlanEvaluator::new(&quality);
+        evaluator.evaluate_offspring_batch(&[&bare], &wide[..1]);
+        assert_eq!(evaluator.local_stats().delta_scored, 0);
+        assert_eq!(evaluator.local_stats().lane_scored, 1);
+
+        // The single-child form has no lane group to join: any child of a
+        // retained parent is delta-scored, however wide; a bare parent's
+        // is a scalar walk, which neither counter counts.
+        let single = PlanEvaluator::new(&quality);
+        assert_eq!(
+            single.evaluate_offspring(&parent, &wide[0]),
+            quality.evaluate(&wide[0])
+        );
+        assert_eq!(
+            single.evaluate_offspring(&bare, &wide[1]),
+            quality.evaluate(&wide[1])
+        );
+        let stats = single.local_stats();
+        assert_eq!(
+            (
+                stats.unique_evaluations,
+                stats.delta_scored,
+                stats.lane_scored
+            ),
+            (2, 1, 0)
+        );
+        // The counters subtract like the rest of the stream.
+        let later = single.stats();
+        assert_eq!(later.since(&stats).delta_scored, 0);
+        assert_eq!(later.since(&EvalStats::default()).delta_scored, 1);
     }
 
     /// Two evaluator handles over one shared cache: the cache-wide view

@@ -76,11 +76,21 @@
 //! references. [`CompiledQuality::performance_scored`] therefore retains
 //! one [`ScoredTrace`] (the trace's latency under the scored plan) per
 //! compiled trace, and [`CompiledQuality::performance_delta`] re-scores a
-//! mutated plan by re-running **only** the traces whose reference set
-//! intersects the changed-component list (a bloom fingerprint rejects most
-//! untouched traces without walking their reference sets); every other
-//! trace inherits its parent latency. Three invariants make the shortcut
-//! exact rather than approximate:
+//! mutated plan by re-running **only** the traces that reference a changed
+//! component; every other trace inherits its parent latency. Which traces
+//! those are is read off the **component → trace incidence index** the
+//! compile pass builds: one bitset row per component over the flat
+//! API-major trace order (bit `t` of row `c` is set iff trace `t` has a hop
+//! whose caller or callee is `c`), plus every trace's op count. A change
+//! set's touched traces are the OR of its rows
+//! ([`CompiledQuality::touch`]), the delta walk tests one bit per trace,
+//! and the op-weighted popcount ([`CompiledQuality::touched_work`]) is the
+//! exact share of the kernel's work the re-score will re-run — which is
+//! what the evaluator routes offspring on (see
+//! [`DELTA_WORK_SHARE`](crate::eval::DELTA_WORK_SHARE)). The index is
+//! exact, not a filter: a set bit means the trace *does* reference the
+//! component. Three invariants make the shortcut exact rather than
+//! approximate:
 //!
 //! 1. **Purity** — re-running an untouched trace would reproduce its
 //!    retained latency bit-for-bit, so inheriting it loses nothing;
@@ -194,8 +204,9 @@ pub struct EvalScratch {
     pub cost: CostScratch,
     /// Per-lane buffers of the batched (structure-of-arrays) scoring path.
     pub lanes: LaneScratch,
-    /// Sorted ids of the components changed by a delta re-score.
-    pub changed: Vec<u32>,
+    /// The traces a change set touches, one bit per compiled trace in the
+    /// flat API-major order (see [`CompiledQuality::clear_touched`]).
+    pub touched: Vec<u64>,
     /// Per-trace latencies retained during a delta probe.
     pub scored: Vec<ScoredTrace>,
 }
@@ -338,15 +349,6 @@ struct CompiledTrace {
     weight: f64,
     ops: Vec<Op>,
     link_costs: Vec<f64>,
-    /// Ascending, deduplicated ids of every indexed component referenced by
-    /// a `Call` op (callers and callees; `UNKNOWN` excluded). The trace's
-    /// latency is a pure function of the sites of exactly these components,
-    /// which is what makes per-trace reuse in the delta path bitwise-safe.
-    touched: Vec<u32>,
-    /// Bloom fingerprint of `touched` (bit `id % 64`): a zero intersection
-    /// with a change set's fingerprint proves the trace is unaffected
-    /// without walking `touched`.
-    mask: u64,
 }
 
 impl CompiledTrace {
@@ -372,7 +374,21 @@ impl CompiledTrace {
             &mut ops,
             &mut link_costs,
         );
-        let mut touched: Vec<u32> = ops
+        Self {
+            root_start: trace.root().start_us as f64,
+            weight,
+            ops,
+            link_costs,
+        }
+    }
+
+    /// The indexed components this trace's latency depends on: the caller
+    /// and callee of every hop (`UNKNOWN` excluded — it always reads as
+    /// on-prem), with repeats. The trace's latency is a pure function of
+    /// the sites of exactly these components, which is what makes per-trace
+    /// reuse in the delta path bitwise-safe.
+    fn references(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ops
             .iter()
             .filter_map(|op| match *op {
                 Op::Call { caller, callee, .. } => Some([caller, callee]),
@@ -380,26 +396,6 @@ impl CompiledTrace {
             })
             .flatten()
             .filter(|&id| id != UNKNOWN)
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let mask = touched.iter().fold(0u64, |m, &id| m | (1u64 << (id % 64)));
-        Self {
-            root_start: trace.root().start_us as f64,
-            weight,
-            ops,
-            link_costs,
-            touched,
-            mask,
-        }
-    }
-
-    /// Whether any id of the (ascending) change set is referenced by this
-    /// trace's hops.
-    fn touches(&self, changed: &[u32]) -> bool {
-        changed
-            .iter()
-            .any(|c| self.touched.binary_search(c).is_ok())
     }
 
     /// Append this trace's latency under some plan to that plan's flat
@@ -863,6 +859,45 @@ fn compile_api(
     }
 }
 
+/// The component → trace incidence index of a compiled kernel (see the
+/// [module docs](self#delta-re-scoring-invariants)): which compiled traces
+/// reference which component, and how much walking each trace costs.
+/// About 32 KB at 500 components × 448 traces.
+#[derive(Debug, Clone, PartialEq)]
+struct Incidence {
+    /// `u64` words per row: `trace_ops.len().div_ceil(64)`.
+    words: usize,
+    /// One bitset row per indexed component, `words` words each: bit `t` of
+    /// row `c` is set iff flat trace `t` has a `Call` whose caller or callee
+    /// is `c`.
+    rows: Vec<u64>,
+    /// Op count of every compiled trace in the flat API-major order — the
+    /// unit of "work" a walk of that trace costs, scalar or per lane.
+    trace_ops: Vec<u32>,
+    /// Σ `trace_ops`: the work of one cold score.
+    total_ops: u64,
+}
+
+impl Incidence {
+    fn build(apis: &[CompiledApi], components: usize) -> Self {
+        let traces = || apis.iter().flat_map(|api| &api.traces);
+        let trace_ops: Vec<u32> = traces().map(|t| t.ops.len() as u32).collect();
+        let words = trace_ops.len().div_ceil(64);
+        let mut rows = vec![0u64; components * words];
+        for (t, trace) in traces().enumerate() {
+            for id in trace.references() {
+                rows[id as usize * words + t / 64] |= 1u64 << (t % 64);
+            }
+        }
+        Self {
+            words,
+            rows,
+            total_ops: trace_ops.iter().map(|&ops| u64::from(ops)).sum(),
+            trace_ops,
+        }
+    }
+}
+
 /// The compiled evaluation kernel of one [`QualityModel`]: every API's
 /// traces as flat instruction arenas plus the precompiled constraint
 /// kernel. See the [module docs](self) for the compile/score contract.
@@ -872,6 +907,7 @@ fn compile_api(
 pub struct CompiledQuality {
     apis: Vec<CompiledApi>,
     api_index: HashMap<String, usize>,
+    incidence: Incidence,
     constraints: ConstraintKernel,
     site_count: usize,
     compile_ms: f64,
@@ -915,6 +951,7 @@ impl CompiledQuality {
             ));
         }
         Self {
+            incidence: Incidence::build(&apis, component_index.len()),
             apis,
             api_index,
             constraints: ConstraintKernel::new(preferences),
@@ -934,6 +971,8 @@ impl CompiledQuality {
     /// model-wide footprint, network, current placement and preferences,
     /// which this call must keep fixed), recompiling exactly the dirty APIs
     /// is bit-identical to a cold compile from the updated profile.
+    /// The incidence index is rebuilt whole (a dirty API may change its
+    /// trace count, which shifts every later trace's position).
     /// `compile_ms` is restamped with the incremental compile time. The
     /// constraint kernel (including any owned-site limits) is untouched.
     #[allow(clippy::too_many_arguments)]
@@ -980,6 +1019,7 @@ impl CompiledQuality {
             api_index.insert(name.clone(), apis.len());
             apis.push(compiled);
         }
+        self.incidence = Incidence::build(&apis, component_index.len());
         self.apis = apis;
         self.api_index = api_index;
         self.compile_ms = start.elapsed().as_secs_f64() * 1_000.0;
@@ -1048,7 +1088,46 @@ impl CompiledQuality {
     /// Total number of compiled traces across every API: the length of the
     /// flat per-trace state retained by [`Self::performance_scored`].
     pub fn trace_count(&self) -> usize {
-        self.apis.iter().map(|a| a.traces.len()).sum()
+        self.incidence.trace_ops.len()
+    }
+
+    /// Reset `touched` to the empty trace set of this kernel: one bit per
+    /// compiled trace in the flat API-major order, all clear.
+    pub fn clear_touched(&self, touched: &mut Vec<u64>) {
+        touched.clear();
+        touched.resize(self.incidence.words, 0);
+    }
+
+    /// Add to `touched` every compiled trace that references `component`
+    /// (an index into the component index): one OR of its incidence row.
+    pub fn touch(&self, component: usize, touched: &mut [u64]) {
+        let words = self.incidence.words;
+        let row = &self.incidence.rows[component * words..(component + 1) * words];
+        for (word, bits) in touched.iter_mut().zip(row) {
+            *word |= bits;
+        }
+    }
+
+    /// The work — instruction-stream ops — of re-running exactly the traces
+    /// in `touched`: what a delta re-score of that change set walks.
+    pub fn touched_work(&self, touched: &[u64]) -> u64 {
+        let mut work = 0;
+        for (w, &word) in touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                work += u64::from(self.incidence.trace_ops[t]);
+                bits &= bits - 1;
+            }
+        }
+        work
+    }
+
+    /// The work of walking every compiled trace once: what a cold score
+    /// costs, per plan in the scalar walk and per lane group in the lane
+    /// walk.
+    pub fn total_work(&self) -> u64 {
+        self.incidence.total_ops
     }
 
     /// Lane-batched [`Self::performance`]: compute `Q_Perf` for every lane
@@ -1123,20 +1202,18 @@ impl CompiledQuality {
     }
 
     /// Incremental [`Self::performance_scored`]: re-score against `sites`
-    /// re-running only the traces that reference a changed component
-    /// (`changed` ascending, `changed_mask` its bloom fingerprint — see
-    /// [`ScoredTrace`]); every other trace inherits its parent latency from
+    /// re-running only the traces in `touched` — the traces that reference
+    /// a changed component, built with [`Self::clear_touched`] and
+    /// [`Self::touch`]; every other trace inherits its parent latency from
     /// `prev` bit-for-bit. The per-API means and the weighted total are
     /// re-summed in the original order over identical values, so the result
     /// is bit-identical to a cold re-score. `prev` must hold
     /// [`Self::trace_count`] entries from the parent's scoring; the fresh
     /// per-trace state is written to `next`.
-    #[allow(clippy::too_many_arguments)]
     pub fn performance_delta(
         &self,
         sites: &[SiteId],
-        changed: &[u32],
-        changed_mask: u64,
+        touched: &[u64],
         prev: &[ScoredTrace],
         next: &mut Vec<ScoredTrace>,
         stack: &mut Vec<WaveFrame>,
@@ -1148,11 +1225,11 @@ impl CompiledQuality {
         );
         next.clear();
         self.fold(|t| {
-            let inherited = prev[next.len()].latency_ms;
-            let latency_ms = if t.mask & changed_mask != 0 && t.touches(changed) {
+            let i = next.len();
+            let latency_ms = if touched[i / 64] >> (i % 64) & 1 != 0 {
                 t.run(sites, self.site_count, stack)
             } else {
-                inherited
+                prev[i].latency_ms
             };
             t.retain(latency_ms, next)
         })
@@ -1367,6 +1444,155 @@ mod tests {
             current,
             component_index,
         )
+    }
+
+    /// Flat indices of the compiled traces with a `Call` whose caller or
+    /// callee is in `changed`: the definition the incidence index must
+    /// reproduce.
+    fn brute_force_touched(kernel: &CompiledQuality, changed: &[usize]) -> Vec<usize> {
+        let hit = |id: u32| id != UNKNOWN && changed.contains(&(id as usize));
+        kernel
+            .apis
+            .iter()
+            .flat_map(|api| &api.traces)
+            .enumerate()
+            .filter(|(_, trace)| {
+                trace.ops.iter().any(
+                    |op| matches!(*op, Op::Call { caller, callee, .. } if hit(caller) || hit(callee)),
+                )
+            })
+            .map(|(t, _)| t)
+            .collect()
+    }
+
+    /// Seeded random change sets of every width: the OR of the incidence
+    /// rows is exactly the brute-force touched set, and its op-weighted
+    /// popcount is exactly the ops of those traces.
+    fn assert_index_matches_brute_force(model: &QualityModel, seed: u64) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let kernel = model.kernel();
+        let n = model.component_count();
+        let ops: Vec<u64> = kernel
+            .apis
+            .iter()
+            .flat_map(|api| &api.traces)
+            .map(|t| t.ops.len() as u64)
+            .collect();
+        assert_eq!(ops.len(), kernel.trace_count());
+        assert_eq!(kernel.total_work(), ops.iter().sum::<u64>());
+        // One row per indexed component: `UNKNOWN` has none.
+        assert_eq!(
+            kernel.incidence.rows.len(),
+            n * kernel.incidence.words,
+            "one row per indexed component"
+        );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut touched = Vec::new();
+        for case in 0..200 {
+            let width = match case {
+                0 => 0,
+                1 => n,
+                _ => rng.gen_range(1..=n),
+            };
+            // Repeats allowed: OR-ing a row twice changes nothing.
+            let changed: Vec<usize> = (0..width).map(|_| rng.gen_range(0..n)).collect();
+            kernel.clear_touched(&mut touched);
+            for &c in &changed {
+                kernel.touch(c, &mut touched);
+            }
+            let from_index: Vec<usize> = (0..kernel.trace_count())
+                .filter(|t| touched[t / 64] >> (t % 64) & 1 != 0)
+                .collect();
+            let brute = brute_force_touched(kernel, &changed);
+            assert_eq!(from_index, brute, "change set {changed:?}");
+            assert_eq!(
+                kernel.touched_work(&touched),
+                brute.iter().map(|&t| ops[t]).sum::<u64>(),
+                "change set {changed:?}"
+            );
+            // No bit beyond the last trace is ever set.
+            assert_eq!(
+                touched
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum::<usize>(),
+                brute.len()
+            );
+        }
+    }
+
+    #[test]
+    fn incidence_index_matches_brute_force_with_unknown_components() {
+        let model = three_site_model_with_externals();
+        assert_index_matches_brute_force(&model, 17);
+        // Every hop of the fixture but Frontend → Store has an unindexed
+        // end; both traces still hang off both indexed components, and off
+        // nothing else.
+        let kernel = model.kernel();
+        assert_eq!(kernel.trace_count(), 2);
+        assert_eq!(kernel.incidence.rows, vec![0b11, 0b11]);
+        for trace in kernel.apis.iter().flat_map(|api| &api.traces) {
+            assert!(trace.references().all(|id| id != UNKNOWN));
+        }
+    }
+
+    #[test]
+    fn incidence_index_matches_brute_force_and_survives_a_relearn() {
+        let crate::testkit::Generated {
+            scenario,
+            store,
+            mut model,
+        } = crate::testkit::generated(200, 4, 30, 5);
+        assert!(model.kernel().trace_count() > 64, "more than one word");
+        assert_index_matches_brute_force(&model, 23);
+
+        // Drift the first API in the compiled order: a later batch of its
+        // traces in which one hop calls a different component. Relearning
+        // changes that API's representatives — shifting every later trace's
+        // flat position — and the components they reference.
+        let api = model.profile().apis.keys().min().unwrap().clone();
+        let index = model.component_index().to_vec();
+        let mut drifted = store.traces_for_api(&api);
+        drifted.truncate(8);
+        for trace in &mut drifted {
+            trace.trace_id = atlas_telemetry::TraceId(trace.trace_id.0 ^ (1 << 62));
+            let callee = trace.nodes[1].span.component.clone();
+            let other = index.iter().rev().find(|name| **name != callee).unwrap();
+            trace.nodes[1].span.component = other.clone();
+            for node in &mut trace.nodes {
+                node.span.trace_id = trace.trace_id;
+                node.span.start_us += 40_000_000;
+            }
+        }
+        store.ingest_batch(drifted);
+        let before = model.kernel().incidence.clone();
+        model.relearn_dirty(
+            &store,
+            &scenario.stateful_names(),
+            crate::testkit::TRACES_PER_API,
+            std::slice::from_ref(&api),
+        );
+        assert!(
+            model.kernel().incidence != before,
+            "the relearn moved the index"
+        );
+
+        let mut api_order: Vec<String> = model.profile().apis.keys().cloned().collect();
+        api_order.sort();
+        let cold = CompiledQuality::compile(
+            model.profile(),
+            model.footprint(),
+            scenario.catalog.network(),
+            model.preferences(),
+            model.current_placement(),
+            model.component_index(),
+            &api_order,
+        );
+        assert!(
+            model.kernel().incidence == cold.incidence,
+            "the relearned index is the cold compile's"
+        );
+        assert_index_matches_brute_force(&model, 29);
     }
 
     #[test]

@@ -53,10 +53,12 @@ pub mod recommender;
 pub mod rl_crossover;
 pub mod security;
 pub mod service;
+#[cfg(test)]
+mod testkit;
 
 pub use advisor::{Atlas, AtlasConfig};
 pub use delay::DelayInjector;
-pub use eval::{EvalStats, MemoCache, PlanEvaluator, DELTA_DIFF_THRESHOLD, LANE_WIDTH};
+pub use eval::{EvalStats, MemoCache, PlanEvaluator, LANE_WIDTH};
 pub use footprint::{FootprintLearner, NetworkFootprint};
 pub use hierarchy::{Dendrogram, DendrogramNode};
 pub use hub::{AdvisorHub, HubReport, TenantId};

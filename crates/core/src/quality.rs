@@ -728,11 +728,10 @@ impl QualityModel {
         let mut sites = parent.sites.clone();
         let mut traces = Vec::with_capacity(parent.traces.len());
         let quality = with_scratch(|s| {
-            let mask = apply_changes(&mut sites, changes, &mut s.changed, self.site_count());
+            self.apply_changes(&mut sites, changes, &mut s.touched);
             let performance = self.kernel.performance_delta(
                 &sites,
-                &s.changed,
-                mask,
+                &s.touched,
                 &parent.traces,
                 &mut traces,
                 &mut s.stack,
@@ -761,18 +760,49 @@ impl QualityModel {
                 stack,
                 sites,
                 cost,
-                changed,
+                touched,
                 scored,
                 ..
             } = s;
             sites.clear();
             sites.extend_from_slice(&parent.sites);
-            let mask = apply_changes(sites, changes, changed, self.site_count());
+            self.apply_changes(sites, changes, touched);
             let performance =
                 self.kernel
-                    .performance_delta(sites, changed, mask, &parent.traces, scored, stack);
+                    .performance_delta(sites, touched, &parent.traces, scored, stack);
             self.finish(performance, sites, cost)
         })
+    }
+
+    /// Apply a change list to a site assignment in order, collecting into
+    /// `touched` the compiled traces that reference a component whose site
+    /// differs from the parent's at any point of the application. A change
+    /// that re-states a component's current site is a no-op and touches
+    /// nothing.
+    fn apply_changes(
+        &self,
+        sites: &mut [SiteId],
+        changes: &[(atlas_sim::ComponentId, SiteId)],
+        touched: &mut Vec<u64>,
+    ) {
+        let site_count = self.site_count();
+        self.kernel.clear_touched(touched);
+        for &(component, site) in changes {
+            assert!(
+                component.0 < sites.len(),
+                "delta change names component {} outside the {}-component model",
+                component.0,
+                sites.len()
+            );
+            assert!(
+                site.index() < site_count,
+                "delta change names a site outside the {site_count}-site catalog"
+            );
+            if sites[component.0] != site {
+                sites[component.0] = site;
+                self.kernel.touch(component.0, touched);
+            }
+        }
     }
 
     /// Interpretive reference of [`Self::evaluate`]: scores every indicator
@@ -787,39 +817,6 @@ impl QualityModel {
             feasible: self.feasibility(plan).is_none(),
         }
     }
-}
-
-/// Apply a change list to a site assignment in order, recording the sorted,
-/// deduplicated ids of the components whose site differs from the parent's
-/// at any point of the application, and return their bloom fingerprint. A
-/// change that re-states a component's current site is a no-op and does not
-/// mark the component as touched.
-fn apply_changes(
-    sites: &mut [SiteId],
-    changes: &[(atlas_sim::ComponentId, SiteId)],
-    changed: &mut Vec<u32>,
-    site_count: usize,
-) -> u64 {
-    changed.clear();
-    for &(component, site) in changes {
-        assert!(
-            component.0 < sites.len(),
-            "delta change names component {} outside the {}-component model",
-            component.0,
-            sites.len()
-        );
-        assert!(
-            site.index() < site_count,
-            "delta change names a site outside the {site_count}-site catalog"
-        );
-        if sites[component.0] != site {
-            sites[component.0] = site;
-            changed.push(component.0 as u32);
-        }
-    }
-    changed.sort_unstable();
-    changed.dedup();
-    changed.iter().fold(0u64, |m, &id| m | (1u64 << (id % 64)))
 }
 
 #[cfg(test)]

@@ -11,9 +11,11 @@
 //!
 //! The loop is *delta-native*: population members are retained
 //! [`ScoredPlan`]s, and each offspring is diffed against its nearer
-//! tournament parent and re-scored incrementally
-//! ([`PlanEvaluator::evaluate_offspring_batch`], pinned bit-identical to
-//! cold scoring by property test). Every feasible plan the search evaluates (initial population,
+//! tournament parent and then either re-scored incrementally or — when the
+//! diff touches too much of the compiled trace work for that to pay —
+//! cold-scored in a lane group ([`PlanEvaluator::evaluate_offspring_batch`];
+//! both routes pinned bit-identical to cold scoring by property test).
+//! Every feasible plan the search evaluates (initial population,
 //! GA offspring, RL training rollouts) is offered to an external
 //! [`ParetoArchive`], and the recommendation is that archive's front — a
 //! Pareto-optimal plan discovered early can no longer be displaced from

@@ -654,11 +654,12 @@ proptest! {
     /// *and* retained per-trace state — exactly
     /// `QualityModel::evaluate_scored` of each child, and the single-child
     /// `evaluate_offspring` returns exactly `QualityModel::evaluate`. The
-    /// batch mixes diffs on both sides of `DELTA_DIFF_THRESHOLD` (0, 1,
-    /// the cap itself, cap + 1, most of the genome), in-batch duplicates,
-    /// children already in the cache and `ScoredPlan::quality_only`
-    /// parents, and is large enough that both routes fan out across
-    /// workers.
+    /// batch mixes diffs on both sides of the `DELTA_WORK_SHARE` cutoff —
+    /// picked by the trace work they touch, not by gene count: no gene, one
+    /// gene, the widest run of genes still under the cutoff, the narrowest
+    /// over it, all but one gene — with in-batch duplicates, children
+    /// already in the cache and `ScoredPlan::quality_only` parents, and is
+    /// large enough that both routes fan out across workers.
     #[test]
     fn offspring_routes_match_cold_scoring_bit_for_bit(
         model in 0usize..2,
@@ -667,7 +668,22 @@ proptest! {
         let quality = offspring_model(model);
         let n = quality.component_count();
         let site_count = quality.site_count() as u64;
-        let cap = ((n as f64 * atlas::core::DELTA_DIFF_THRESHOLD) as usize).max(1);
+        let kernel = quality.kernel();
+        let delta_budget = kernel.total_work() as f64 * atlas::core::eval::DELTA_WORK_SHARE;
+        // Length of the longest run of genes from `first` on (wrapping)
+        // whose touched trace work stays within the delta budget; one gene
+        // more is the narrowest run over it. 0 when a single gene already
+        // touches too much.
+        let widest_under = |first: usize| {
+            let mut touched = Vec::new();
+            kernel.clear_touched(&mut touched);
+            (0..n)
+                .take_while(|k| {
+                    kernel.touch((first + k) % n, &mut touched);
+                    kernel.touched_work(&touched) as f64 <= delta_budget
+                })
+                .count()
+        };
         let hash = |a: u64, b: u64| {
             (seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
@@ -691,10 +707,9 @@ proptest! {
             })
             .collect();
 
-        // 96 children: child j moves `diff` distinct genes of parent j % 6
-        // to a different site, cycling through diffs around the cap; every
-        // eleventh child repeats an earlier one.
-        let diffs = [0, 1, cap, cap + 1, n - 1, (cap / 2).max(1), n / 2];
+        // 96 children: child j moves a run of `diff` genes of parent j % 6
+        // to a different site, cycling through diffs around the cutoff;
+        // every eleventh child repeats an earlier one.
         let mut children: Vec<MigrationPlan> = Vec::new();
         let mut parent_of: Vec<usize> = Vec::new();
         for j in 0..96usize {
@@ -705,9 +720,11 @@ proptest! {
                 continue;
             }
             let p = j % parents.len();
-            let diff = diffs[j % diffs.len()];
-            let mut sites = parent_plans[p].to_sites();
             let first = hash(7, j as u64) as usize % n;
+            let under = widest_under(first);
+            prop_assert!(under < n, "changing every gene re-runs every trace");
+            let diff = [0, 1, under, under + 1, n - 1, (under / 2).max(1), n / 2][j % 7];
+            let mut sites = parent_plans[p].to_sites();
             for g in (0..diff).map(|k| (first + k) % n) {
                 let shift = 1 + hash(j as u64, g as u64) % (site_count - 1);
                 sites[g] = SiteId(((u64::from(sites[g].0) + shift) % site_count) as u16);
@@ -719,6 +736,8 @@ proptest! {
         let precached: Vec<&MigrationPlan> = children.iter().step_by(13).collect();
         let cold: Vec<ScoredPlan> = children.iter().map(|c| quality.evaluate_scored(c)).collect();
         let distinct: std::collections::HashSet<&MigrationPlan> = children.iter().collect();
+        let precached_distinct: std::collections::HashSet<&MigrationPlan> =
+            precached.iter().copied().collect();
 
         for threads in [1usize, 2, 8] {
             let evaluator = PlanEvaluator::new(quality).with_threads(threads);
@@ -751,6 +770,13 @@ proptest! {
             let stats = evaluator.local_stats();
             prop_assert_eq!(stats.unique_evaluations, distinct.len());
             prop_assert_eq!(stats.requests(), precached.len() + children.len());
+            // ...by one of the two routes (the pre-cached ones were scalar
+            // walks), and the batch exercised both.
+            prop_assert_eq!(
+                stats.delta_scored + stats.lane_scored,
+                distinct.len() - precached_distinct.len()
+            );
+            prop_assert!(stats.delta_scored > 0 && stats.lane_scored > 0);
 
             // The single-child form, on a cold cache and then a warm one.
             let single = PlanEvaluator::new(quality).with_threads(threads);
@@ -766,6 +792,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(single.local_stats().unique_evaluations, distinct.len());
+            prop_assert_eq!(single.local_stats().lane_scored, 0);
         }
     }
 
