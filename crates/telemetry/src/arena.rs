@@ -6,7 +6,9 @@
 //!
 //! * **Interning** — component and operation names are mapped to dense `u32`
 //!   ids once at ingest ([`NameInterner`]); queries and indexes operate on
-//!   ids and only resolve back to strings at the API boundary.
+//!   ids and only resolve back to strings at the API boundary. The
+//!   name → id maps are the only hashed structures on the write path, and
+//!   they keep std's keyed hash because their keys arrive in telemetry.
 //! * **SoA span columns** — spans live in flat parallel columns
 //!   (`span_parent` / `span_component` / `span_start_us` / …) addressed
 //!   through a CSR-style `trace_offsets` column, with per-trace root
@@ -18,7 +20,16 @@
 //!   `(trace, invocation count)` are maintained at ingest, so
 //!   `apis()` / `traces_for_api` / `windowed_invocations` /
 //!   `api_request_counts_in` answer from indexes instead of O(total-traces)
-//!   rescans.
+//!   rescans. Both are addressed by the dense ids, not hashed: the API
+//!   lists sit in a `Vec` indexed by operation id, the edge lists in an
+//!   adjacency `Vec` indexed by caller id whose few out-edges are sorted by
+//!   callee.
+//! * **One write path** — a batch is ingested in one streaming pass
+//!   (`append_batch`): each trace's spans are appended to the columns, its
+//!   edges are read back from the columns just written and counted by
+//!   sorting a reused scratch buffer, and its index is appended to its
+//!   API's list; a list the batch appended to out of time order is sorted
+//!   once when the batch ends. [`TraceArena::push`] is the one-trace batch.
 //!
 //! Consumers that only need to *read* traces borrow [`TraceView`]s over the
 //! columns; full [`Trace`] values are materialised only when a caller needs
@@ -36,7 +47,9 @@
 //! weight 1.0, which keeps downstream weighted scoring bit-identical to
 //! unweighted scoring when every trace is structurally unique.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::network::PairKey;
 use crate::span::{Span, SpanId, TraceId};
@@ -47,14 +60,22 @@ use crate::{us_to_ms, Micros, Seconds};
 /// Sentinel parent index marking the root span of a trace.
 const NO_PARENT: u32 = u32::MAX;
 
+/// Narrow a column length or index to the `u32` the columns store. A store
+/// that outgrows them fails loudly here instead of wrapping.
+fn index_u32(n: usize, what: &str) -> u32 {
+    u32::try_from(n).expect(what)
+}
+
 /// A string interner mapping names to dense `u32` ids.
 ///
 /// Ids are assigned in first-seen order and never recycled; resolution is an
-/// index into a flat `Vec<String>`.
+/// index into a flat name table. Names arrive in telemetry, so the
+/// name → id map keeps std's keyed hash; a name is stored once and shared
+/// between the table and the map.
 #[derive(Debug, Default, Clone)]
 pub struct NameInterner {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
 }
 
 impl NameInterner {
@@ -63,9 +84,10 @@ impl NameInterner {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
+        let id = index_u32(self.names.len(), "interned name count fits u32");
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 
@@ -91,7 +113,7 @@ impl NameInterner {
 
     /// Iterate over all interned names in id order.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.iter().map(|name| &**name)
     }
 }
 
@@ -105,6 +127,24 @@ pub struct WeightedTrace {
     /// as the weight of the representative in per-API weighted means.
     pub weight: f64,
 }
+
+/// The posting list of one operation id, plus what the batch being appended
+/// has done to it so far.
+#[derive(Debug, Default)]
+struct ApiPostings {
+    /// Trace indices sorted by `(root_start_us, trace index)`; empty for an
+    /// operation that never was a root.
+    traces: Vec<u32>,
+    /// The current batch appended to `traces`.
+    touched: bool,
+    /// The current batch appended a trace that starts before its
+    /// predecessor, so `traces` has to be re-sorted when the batch ends.
+    unsorted: bool,
+}
+
+/// `(trace index, invocation count)` postings of one directed edge, in
+/// ingest order.
+type EdgePostings = Vec<(u32, u32)>;
 
 /// Columnar, index-accelerated storage for ingested traces.
 #[derive(Debug, Default)]
@@ -131,13 +171,20 @@ pub struct TraceArena {
     span_start_us: Vec<Micros>,
     span_duration_us: Vec<Micros>,
 
-    // Incremental indexes.
-    /// API id → trace indices sorted by `(root_start_us, trace index)`.
-    by_api: HashMap<u32, Vec<u32>>,
-    /// Directed component edge → `(trace index, invocation count)` postings
-    /// in ingest order. Self-calls are never recorded.
-    by_edge: HashMap<(u32, u32), Vec<(u32, u32)>>,
+    // Incremental indexes, addressed by dense interned ids: no hashing.
+    /// Operation id → the traces rooted at that operation.
+    by_api: Vec<ApiPostings>,
+    /// Caller component id → `(callee component id, postings)` sorted by
+    /// callee. Self-calls are never recorded.
+    by_edge: Vec<Vec<(u32, EdgePostings)>>,
     max_root_start_us: Option<Micros>,
+
+    // Scratch reused across appends.
+    /// `(caller, callee)` of every cross-component call of the trace being
+    /// appended.
+    edge_scratch: Vec<(u32, u32)>,
+    /// Operation ids whose posting list the current batch appended to.
+    touched_apis: Vec<u32>,
 }
 
 impl TraceArena {
@@ -162,9 +209,46 @@ impl TraceArena {
     }
 
     /// Ingest one trace: intern its names, append its spans to the columns
-    /// and update the per-API and per-edge indexes.
+    /// and update the per-API and per-edge indexes. Returns its index.
     pub fn push(&mut self, trace: &Trace) -> u32 {
-        let idx = self.trace_ids.len() as u32;
+        self.append_batch(std::iter::once(trace), |_| {});
+        index_u32(self.trace_ids.len() - 1, "trace count fits u32")
+    }
+
+    /// Ingest a batch of traces in one streaming pass — each trace is
+    /// consumed (and, when owned, dropped) right after its spans are
+    /// appended — then restore the order of the posting lists the batch
+    /// appended to out of time order. Calls `on_api` once per distinct API
+    /// the batch added a trace to, and returns the number of traces added.
+    pub(crate) fn append_batch<T: Borrow<Trace>>(
+        &mut self,
+        traces: impl IntoIterator<Item = T>,
+        mut on_api: impl FnMut(&str),
+    ) -> usize {
+        let before = self.trace_ids.len();
+        for trace in traces {
+            self.append(trace.borrow());
+        }
+        for api_id in self.touched_apis.drain(..) {
+            let postings = &mut self.by_api[api_id as usize];
+            if postings.unsorted {
+                let starts = &self.root_start_us;
+                postings.traces.sort_by_key(|&t| (starts[t as usize], t));
+            }
+            postings.touched = false;
+            postings.unsorted = false;
+            on_api(self.operations.resolve(api_id));
+        }
+        self.trace_ids.len() - before
+    }
+
+    /// The one place spans enter the columns and the indexes. Leaves the
+    /// trace's per-API posting list possibly out of order, flagged for
+    /// [`TraceArena::append_batch`] to sort once.
+    fn append(&mut self, trace: &Trace) {
+        let idx = index_u32(self.trace_ids.len(), "trace count fits u32");
+        let base = self.span_parent.len();
+        let end = index_u32(base + trace.nodes.len(), "span count fits u32");
         let root = trace.root();
         let api_id = self.operations.intern(&root.operation);
 
@@ -176,44 +260,75 @@ impl TraceArena {
         if self.trace_offsets.is_empty() {
             self.trace_offsets.push(0);
         }
-        let mut edge_counts: HashMap<(u32, u32), u32> = HashMap::new();
         for node in &trace.nodes {
-            let comp = self.components.intern(&node.span.component);
             self.span_parent.push(match node.parent {
-                Some(p) => p as u32,
+                Some(p) => index_u32(p, "parent index fits u32"),
                 None => NO_PARENT,
             });
-            self.span_component.push(comp);
+            self.span_component
+                .push(self.components.intern(&node.span.component));
             self.span_operation
                 .push(self.operations.intern(&node.span.operation));
             self.span_id.push(node.span.span_id);
             self.span_start_us.push(node.span.start_us);
             self.span_duration_us.push(node.span.duration_us);
-            if let Some(p) = node.parent {
-                let caller = self.components.intern(&trace.nodes[p].span.component);
-                if caller != comp {
-                    *edge_counts.entry((caller, comp)).or_insert(0) += 1;
+        }
+        self.trace_offsets.push(end);
+
+        // Directed edges, read back from the columns just written: a parent
+        // may sort after its child (`Trace::nodes` is start-time ordered),
+        // so the callers are only all known once the trace is in. Slicing at
+        // `base` keeps a bad parent index a panic, never another trace's
+        // component.
+        let components = &self.span_component[base..];
+        self.edge_scratch.clear();
+        for (&parent, &callee) in self.span_parent[base..].iter().zip(components) {
+            if parent != NO_PARENT {
+                let caller = components[parent as usize];
+                if caller != callee {
+                    self.edge_scratch.push((caller, callee));
                 }
             }
         }
-        self.trace_offsets.push(self.span_parent.len() as u32);
-
-        for (edge, n) in edge_counts {
-            self.by_edge.entry(edge).or_default().push((idx, n));
+        self.edge_scratch.sort_unstable();
+        if self.by_edge.len() < self.components.len() {
+            self.by_edge.resize_with(self.components.len(), Vec::new);
+        }
+        let mut edges = self.edge_scratch.iter().copied().peekable();
+        while let Some(edge @ (caller, callee)) = edges.next() {
+            let mut count = 1u32;
+            while edges.next_if_eq(&edge).is_some() {
+                count += 1;
+            }
+            let out = &mut self.by_edge[caller as usize];
+            let at = match out.binary_search_by_key(&callee, |&(to, _)| to) {
+                Ok(at) => at,
+                Err(at) => {
+                    out.insert(at, (callee, Vec::new()));
+                    at
+                }
+            };
+            out[at].1.push((idx, count));
         }
 
-        // Keep the per-API posting list sorted by (root start, trace index).
-        // The simulator emits traces in near-chronological order, so the
-        // binary-searched insertion point is almost always the end.
-        let postings = self.by_api.entry(api_id).or_default();
-        let pos = postings.partition_point(|&t| self.root_start_us[t as usize] <= root.start_us);
-        postings.insert(pos, idx);
+        if self.by_api.len() < self.operations.len() {
+            self.by_api
+                .resize_with(self.operations.len(), ApiPostings::default);
+        }
+        let postings = &mut self.by_api[api_id as usize];
+        if !postings.touched {
+            postings.touched = true;
+            self.touched_apis.push(api_id);
+        }
+        if let Some(&last) = postings.traces.last() {
+            postings.unsorted |= self.root_start_us[last as usize] > root.start_us;
+        }
+        postings.traces.push(idx);
 
         self.max_root_start_us = Some(match self.max_root_start_us {
             Some(m) => m.max(root.start_us),
             None => root.start_us,
         });
-        idx
     }
 
     /// Remove every stored trace and index (interned names included).
@@ -304,30 +419,23 @@ impl TraceArena {
         self.span_start_us = span_start_us;
         self.span_duration_us = span_duration_us;
 
-        self.by_api.retain(|_, postings| {
-            postings.retain_mut(|t| {
-                let old = *t as usize;
-                if keep[old] {
-                    *t = remap[old];
-                    true
-                } else {
-                    false
-                }
+        // Keep a posting of a surviving trace, under its new index.
+        let renumber = |t: &mut u32| {
+            let old = *t as usize;
+            if keep[old] {
+                *t = remap[old];
+            }
+            keep[old]
+        };
+        for postings in &mut self.by_api {
+            postings.traces.retain_mut(renumber);
+        }
+        for out in &mut self.by_edge {
+            out.retain_mut(|(_, postings)| {
+                postings.retain_mut(|(t, _)| renumber(t));
+                !postings.is_empty()
             });
-            !postings.is_empty()
-        });
-        self.by_edge.retain(|_, postings| {
-            postings.retain_mut(|(t, _)| {
-                let old = *t as usize;
-                if keep[old] {
-                    *t = remap[old];
-                    true
-                } else {
-                    false
-                }
-            });
-            !postings.is_empty()
-        });
+        }
 
         // Eviction keeps exactly the traces at or after the cutoff, so
         // whenever anything survives the maximum-start trace survives too.
@@ -350,9 +458,8 @@ impl TraceArena {
     /// Sorted, deduplicated names of all APIs (root operations) observed.
     pub fn api_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self
-            .by_api
-            .keys()
-            .map(|&id| self.operations.resolve(id).to_string())
+            .api_ids()
+            .map(|id| self.operations.resolve(id).to_string())
             .collect();
         v.sort();
         v
@@ -363,12 +470,20 @@ impl TraceArena {
         self.components.iter()
     }
 
+    /// Ids of the operations that root at least one stored trace.
+    fn api_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..)
+            .zip(&self.by_api)
+            .filter(|(_, postings)| !postings.traces.is_empty())
+            .map(|(id, _)| id)
+    }
+
     /// Trace indices of an API, sorted by `(root_start_us, trace index)`.
     pub fn api_trace_indices(&self, api: &str) -> &[u32] {
         self.operations
             .get(api)
-            .and_then(|id| self.by_api.get(&id))
-            .map_or(&[], Vec::as_slice)
+            .and_then(|id| self.by_api.get(id as usize))
+            .map_or(&[], |postings| &postings.traces)
     }
 
     /// Number of traces stored for an API.
@@ -420,7 +535,17 @@ impl TraceArena {
     /// Trace indices of an API whose root start lies in `[start_s, end_s)`,
     /// located by binary search over the time-sorted per-API index.
     pub fn api_trace_indices_in(&self, api: &str, start_s: Seconds, end_s: Seconds) -> &[u32] {
-        let indices = self.api_trace_indices(api);
+        self.trace_indices_in(self.api_trace_indices(api), start_s, end_s)
+    }
+
+    /// The part of a time-sorted posting list whose root starts lie in
+    /// `[start_s, end_s)`.
+    fn trace_indices_in<'a>(
+        &self,
+        indices: &'a [u32],
+        start_s: Seconds,
+        end_s: Seconds,
+    ) -> &'a [u32] {
         let lo_us = start_s.saturating_mul(1_000_000);
         let hi_us = end_s.saturating_mul(1_000_000);
         let lo = indices.partition_point(|&t| self.root_start_us[t as usize] < lo_us);
@@ -432,11 +557,11 @@ impl TraceArena {
     /// answered per API by binary search instead of a full-store scan.
     pub fn api_request_counts_in(&self, start_s: Seconds, end_s: Seconds) -> HashMap<String, u64> {
         let mut out = HashMap::new();
-        for &id in self.by_api.keys() {
-            let api = self.operations.resolve(id);
-            let n = self.api_trace_indices_in(api, start_s, end_s).len() as u64;
+        for id in self.api_ids() {
+            let traces = &self.by_api[id as usize].traces;
+            let n = self.trace_indices_in(traces, start_s, end_s).len() as u64;
             if n > 0 {
-                out.insert(api.to_string(), n);
+                out.insert(self.operations.resolve(id).to_string(), n);
             }
         }
         out
@@ -459,11 +584,8 @@ impl TraceArena {
         ) else {
             return out;
         };
-        let Some(postings) = self.by_edge.get(&(from, to)) else {
-            return out;
-        };
         let mut by_api: HashMap<u32, Vec<f64>> = HashMap::new();
-        for &(t, n) in postings {
+        for &(t, n) in self.edge_postings(from, to) {
             let idx = windowing.index_of_us(self.root_start_us[t as usize]);
             if idx >= window_count {
                 continue;
@@ -476,6 +598,18 @@ impl TraceArena {
             out.insert(self.operations.resolve(api_id).to_string(), windows);
         }
         out
+    }
+
+    /// `(trace index, invocation count)` postings of the directed edge
+    /// between two component ids, in ingest order.
+    fn edge_postings(&self, from: u32, to: u32) -> &[(u32, u32)] {
+        self.by_edge
+            .get(from as usize)
+            .and_then(|out| {
+                let at = out.binary_search_by_key(&to, |&(callee, _)| callee).ok()?;
+                Some(out[at].1.as_slice())
+            })
+            .unwrap_or(&[])
     }
 
     /// Rebuild an owned [`Trace`] from the columns.
@@ -750,6 +884,144 @@ mod tests {
         assert_eq!(starts, vec![1_000_000, 4_000_000, 9_000_000]);
         assert_eq!(arena.api_trace_indices_in("/a", 1, 5).len(), 2);
         assert_eq!(arena.max_root_start_us(), Some(9_000_000));
+    }
+
+    /// A trace from `(span id, parent span id, component, start)` rows; the
+    /// first row is the root.
+    fn shaped_trace(id: u64, rows: &[(u64, Option<u64>, &str, Micros)]) -> Trace {
+        let spans = rows
+            .iter()
+            .map(|&(span, parent, component, start)| {
+                Span::new(
+                    TraceId(id),
+                    SpanId(span),
+                    parent.map(SpanId),
+                    component,
+                    if parent.is_none() { "/a" } else { "op" },
+                    start,
+                    10,
+                )
+            })
+            .collect();
+        Trace::from_spans(spans).unwrap()
+    }
+
+    fn postings(arena: &TraceArena, from: &str, to: &str) -> Vec<(u32, u32)> {
+        let id = |name| arena.components.get(name).expect("component was ingested");
+        arena.edge_postings(id(from), id(to)).to_vec()
+    }
+
+    #[test]
+    fn a_child_that_starts_before_its_parent_still_counts_the_edge() {
+        // `Trace::nodes` is start-time ordered, so `U` (start 50) sorts
+        // before the span that called it (`M`, start 100): its parent index
+        // is larger than its own.
+        let t = shaped_trace(
+            1,
+            &[
+                (1, None, "F", 0),
+                (2, Some(1), "M", 100),
+                (3, Some(2), "U", 50),
+            ],
+        );
+        assert_eq!(t.nodes[1].span.component, "U");
+        assert_eq!(t.nodes[1].parent, Some(2));
+        let mut arena = TraceArena::new();
+        let idx = arena.push(&t);
+        assert_eq!(postings(&arena, "M", "U"), vec![(idx, 1)]);
+        assert_eq!(postings(&arena, "F", "M"), vec![(idx, 1)]);
+        assert!(postings(&arena, "F", "U").is_empty());
+        assert_eq!(arena.materialize(idx), t);
+    }
+
+    #[test]
+    fn a_self_call_is_never_an_edge() {
+        let t = shaped_trace(
+            1,
+            &[
+                (1, None, "F", 0),
+                (2, Some(1), "F", 10),
+                (3, Some(2), "U", 20),
+            ],
+        );
+        let mut arena = TraceArena::new();
+        let idx = arena.push(&t);
+        assert!(postings(&arena, "F", "F").is_empty());
+        assert_eq!(postings(&arena, "F", "U"), vec![(idx, 1)]);
+        assert_eq!(arena.by_edge.iter().map(Vec::len).sum::<usize>(), 1);
+    }
+
+    #[test]
+    fn an_edge_crossed_three_times_is_one_posting_with_count_three() {
+        let t = shaped_trace(
+            7,
+            &[
+                (1, None, "F", 0),
+                (2, Some(1), "U", 10),
+                (3, Some(1), "M", 20),
+                (4, Some(1), "U", 30),
+                (5, Some(1), "U", 40),
+            ],
+        );
+        let mut arena = TraceArena::new();
+        arena.push(&tree_trace(1, "/a", 0, 100, &["F", "U"]));
+        let idx = arena.push(&t);
+        assert_eq!(postings(&arena, "F", "U"), vec![(0, 1), (idx, 3)]);
+        assert_eq!(postings(&arena, "F", "M"), vec![(idx, 1)]);
+        let w = Windowing::new(0, 5);
+        let inv = arena.windowed_invocations(&PairKey::new("F", "U"), &w, 1);
+        assert_eq!(inv["/a"], vec![4.0]);
+    }
+
+    #[test]
+    fn a_fully_reversed_batch_leaves_the_posting_lists_sorted() {
+        // Newest first, with duplicate start times, over two APIs; the
+        // batch must end in the order one-at-a-time pushes keep.
+        let traces: Vec<Trace> = (0..40u64)
+            .map(|i| {
+                let api = if i % 3 == 0 { "/a" } else { "/b" };
+                tree_trace(i + 1, api, (40 - i) / 2 * 1_000_000, 10, &["F", "U"])
+            })
+            .collect();
+        let mut batched = TraceArena::new();
+        let mut stamped = Vec::new();
+        let added = batched.append_batch(&traces, |api| stamped.push(api.to_string()));
+        assert_eq!(added, traces.len());
+        assert_eq!(stamped, vec!["/a", "/b"], "each API reported once");
+
+        let mut pushed = TraceArena::new();
+        for t in &traces {
+            pushed.push(t);
+        }
+        for api in ["/a", "/b"] {
+            let indices = batched.api_trace_indices(api);
+            assert_eq!(indices, pushed.api_trace_indices(api));
+            let keys: Vec<(Micros, u32)> = indices
+                .iter()
+                .map(|&t| (batched.view(t).root_start_us(), t))
+                .collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{api}: {keys:?}");
+        }
+    }
+
+    #[test]
+    fn interned_names_are_stored_once_and_resolve_back() {
+        let mut names = NameInterner::default();
+        let (a, b) = (names.intern("Frontend"), names.intern("User"));
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(names.intern("Frontend"), a);
+        assert_eq!(names.get("User"), Some(b));
+        assert_eq!(names.get("Media"), None);
+        assert_eq!(names.resolve(b), "User");
+        assert_eq!(names.iter().collect::<Vec<_>>(), vec!["Frontend", "User"]);
+        // One allocation shared by the id → name table and the name → id map.
+        assert_eq!(Arc::strong_count(&names.names[0]), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "span count fits u32")]
+    fn outgrowing_the_u32_columns_fails_loudly() {
+        index_u32(u32::MAX as usize + 1, "span count fits u32");
     }
 
     #[test]

@@ -60,16 +60,29 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    /// Push one trace, stamping its API with the current epoch.
-    fn push_stamped(&mut self, trace: &Trace) {
-        let api = &trace.root().operation;
-        match self.api_epochs.get_mut(api) {
-            Some(e) => *e = self.epoch,
+    /// The one write path: append `traces` to the arena under a new epoch
+    /// (an empty batch bumps nothing) and stamp every API that received a
+    /// trace with it, once per API. Returns the number of traces appended.
+    fn append(&mut self, traces: impl IntoIterator<Item = Trace>) -> usize {
+        let epoch = self.epoch + 1;
+        let api_epochs = &mut self.api_epochs;
+        let ingested = self
+            .arena
+            .append_batch(traces, |api| Self::stamp(api_epochs, api, epoch));
+        if ingested > 0 {
+            self.epoch = epoch;
+        }
+        ingested
+    }
+
+    /// Record that `api`'s trace set changed at `epoch`.
+    fn stamp(api_epochs: &mut BTreeMap<String, u64>, api: &str, epoch: u64) {
+        match api_epochs.get_mut(api) {
+            Some(e) => *e = epoch,
             None => {
-                self.api_epochs.insert(api.clone(), self.epoch);
+                api_epochs.insert(api.to_string(), epoch);
             }
         }
-        self.arena.push(trace);
     }
 
     /// Enforce the retention window, if any. Returns the eviction count.
@@ -85,7 +98,7 @@ impl StoreInner {
         }
         let before = self.arena.len();
         for api in self.arena.evict_older_than(cutoff_us) {
-            self.api_epochs.insert(api, self.epoch);
+            Self::stamp(&mut self.api_epochs, &api, self.epoch);
         }
         before - self.arena.len()
     }
@@ -111,7 +124,9 @@ impl TelemetryStore {
 
     /// Create an empty store that retains only the trailing `window_s`
     /// seconds of traces (relative to the latest observed root start).
-    /// Retention is enforced on every [`TelemetryStore::ingest_batch`].
+    /// Retention is enforced on every [`TelemetryStore::ingest_batch`] and
+    /// [`TelemetryStore::ingest_trace`]; an eviction compacts the columns,
+    /// so a resident feed should arrive in batches.
     pub fn with_retention_window_s(window_s: Seconds) -> Self {
         let store = Self::default();
         store.inner.write().retention_window_s = Some(window_s);
@@ -119,7 +134,7 @@ impl TelemetryStore {
     }
 
     /// Change (or clear) the retention window. Takes effect on the next
-    /// [`TelemetryStore::ingest_batch`].
+    /// ingest.
     pub fn set_retention_window_s(&self, window_s: Option<Seconds>) {
         self.inner.write().retention_window_s = window_s;
     }
@@ -133,24 +148,9 @@ impl TelemetryStore {
     // Ingestion (used by the simulator and the resident service).
     // ------------------------------------------------------------------
 
-    /// Ingest a completed trace.
+    /// Ingest a completed trace: a one-trace [`TelemetryStore::ingest_batch`].
     pub fn ingest_trace(&self, trace: Trace) {
-        let mut inner = self.inner.write();
-        inner.epoch += 1;
-        inner.push_stamped(&trace);
-    }
-
-    /// Ingest many traces at once.
-    pub fn ingest_traces(&self, traces: impl IntoIterator<Item = Trace>) {
-        let mut inner = self.inner.write();
-        let mut bumped = false;
-        for trace in traces {
-            if !bumped {
-                inner.epoch += 1;
-                bumped = true;
-            }
-            inner.push_stamped(&trace);
-        }
+        self.ingest_batch(std::iter::once(trace));
     }
 
     /// Streaming ingest: append a batch of traces, then enforce the
@@ -163,17 +163,12 @@ impl TelemetryStore {
     /// consumer needs to resync.
     pub fn ingest_batch(&self, traces: impl IntoIterator<Item = Trace>) -> IngestReport {
         let mut inner = self.inner.write();
-        let before = inner.arena.len();
-        let mut bumped = false;
-        for trace in traces {
-            if !bumped {
-                inner.epoch += 1;
-                bumped = true;
-            }
-            inner.push_stamped(&trace);
-        }
-        let ingested = inner.arena.len() - before;
-        let evicted = if bumped { inner.enforce_retention() } else { 0 };
+        let ingested = inner.append(traces);
+        let evicted = if ingested > 0 {
+            inner.enforce_retention()
+        } else {
+            0
+        };
         IngestReport {
             ingested,
             evicted,

@@ -7,8 +7,12 @@
 //! full scan. Property tests feed both stores the same randomly structured
 //! traces (duplicate start timestamps, out-of-order ingest, self-calls,
 //! repeated call-tree shapes) and compare the whole query surface.
+//!
+//! A second reference, [`RetainedReference`], adds the retention window and
+//! the per-API change epochs on top of the flat list, and pins that a stream
+//! leaves the same store behind however it is cut into ingest calls.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -202,6 +206,128 @@ impl VecStore {
     }
 }
 
+/// The naive model of a store with a retention window: the flat list, plus
+/// the epoch discipline and the eviction rule of
+/// `TelemetryStore::ingest_batch` applied by full scans.
+struct RetainedReference {
+    kept: VecStore,
+    window_s: u64,
+    epoch: u64,
+    api_epochs: BTreeMap<String, u64>,
+    ingested: usize,
+    evicted: usize,
+}
+
+impl RetainedReference {
+    fn new(window_s: u64) -> Self {
+        Self {
+            kept: VecStore::new(Vec::new()),
+            window_s,
+            epoch: 0,
+            api_epochs: BTreeMap::new(),
+            ingested: 0,
+            evicted: 0,
+        }
+    }
+
+    fn ingest_batch(&mut self, batch: &[Trace]) {
+        if batch.is_empty() {
+            return;
+        }
+        self.epoch += 1;
+        self.ingested += batch.len();
+        for t in batch {
+            self.api_epochs
+                .insert(t.root().operation.clone(), self.epoch);
+            self.kept.traces.push(t.clone());
+        }
+        let latest = self.kept.traces.iter().map(|t| t.root().start_us).max();
+        let cutoff = latest
+            .expect("the batch was not empty")
+            .saturating_sub(self.window_s * 1_000_000);
+        let before = self.kept.traces.len();
+        for t in self
+            .kept
+            .traces
+            .iter()
+            .filter(|t| t.root().start_us < cutoff)
+        {
+            self.api_epochs
+                .insert(t.root().operation.clone(), self.epoch);
+        }
+        self.kept.traces.retain(|t| t.root().start_us >= cutoff);
+        self.evicted += before - self.kept.traces.len();
+    }
+
+    fn dirty_apis_since(&self, since: u64) -> (u64, Vec<String>) {
+        let dirty = self
+            .api_epochs
+            .iter()
+            .filter(|&(_, &e)| e > since)
+            .map(|(api, _)| api.clone())
+            .collect();
+        (self.epoch, dirty)
+    }
+}
+
+/// The window grid and the time range the queries are probed with.
+struct Probe {
+    window_width: u64,
+    window_count: usize,
+    start_s: u64,
+    end_s: u64,
+}
+
+/// The arena-backed store answers every trace query like the flat list.
+fn assert_matches_reference(store: &TelemetryStore, reference: &VecStore, probe: &Probe) {
+    assert_eq!(store.trace_count(), reference.trace_count());
+    assert_eq!(store.span_count(), reference.span_count());
+    assert_eq!(store.apis(), reference.apis());
+    assert_eq!(store.latest_trace_second(), reference.latest_trace_second());
+
+    let mut apis = reference.apis();
+    apis.push("/missing".to_string());
+    for api in &apis {
+        assert_eq!(store.traces_for_api(api), reference.traces_for_api(api));
+        for limit in [0usize, 1, 3, 1_000] {
+            assert_eq!(
+                store.recent_traces_for_api(api, limit),
+                reference.recent_traces_for_api(api, limit)
+            );
+        }
+        assert_eq!(
+            store.traces_for_api_in(api, probe.start_s, probe.end_s),
+            reference.traces_for_api_in(api, probe.start_s, probe.end_s)
+        );
+        assert_eq!(store.api_trace_count(api), reference.api_trace_count(api));
+        assert_eq!(
+            store.api_mean_latency_ms(api).to_bits(),
+            reference.api_mean_latency_ms(api).to_bits()
+        );
+        let (got, want) = (store.api_latencies_ms(api), reference.api_latencies_ms(api));
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+        assert_eq!(store.api_components(api), reference.api_components(api));
+    }
+
+    assert_eq!(
+        store.api_request_counts_in(probe.start_s, probe.end_s),
+        reference.api_request_counts_in(probe.start_s, probe.end_s)
+    );
+
+    let windowing = Windowing::new(0, probe.window_width);
+    let mut edges = reference.edges();
+    edges.push(PairKey::new("Nowhere", "Elsewhere"));
+    for pair in &edges {
+        assert_eq!(
+            store.windowed_invocations(pair, &windowing, probe.window_count),
+            reference.windowed_invocations(pair, &windowing, probe.window_count)
+        );
+    }
+}
+
 /// Build a deterministic but varied trace from a handful of random words:
 /// 1–5 spans, arbitrary tree shape, components drawn from a small pool so
 /// duplicate structures, shared edges and self-calls all occur.
@@ -266,56 +392,98 @@ proptest! {
             .collect();
 
         let store = TelemetryStore::new();
-        store.ingest_traces(traces.iter().cloned());
+        store.ingest_batch(traces.iter().cloned());
         let reference = VecStore::new(traces);
 
-        prop_assert_eq!(store.trace_count(), reference.trace_count());
-        prop_assert_eq!(store.span_count(), reference.span_count());
-        prop_assert_eq!(store.apis(), reference.apis());
+        // Interned names are never evicted, so the component list is only
+        // comparable on a store that has not evicted.
         prop_assert_eq!(store.components(), reference.components());
-        prop_assert_eq!(store.latest_trace_second(), reference.latest_trace_second());
+        assert_matches_reference(
+            &store,
+            &reference,
+            &Probe {
+                window_width,
+                window_count,
+                start_s: probe_start,
+                end_s: probe_start + probe_len,
+            },
+        );
+    }
 
-        let mut apis = reference.apis();
-        apis.push("/missing".to_string());
-        let probe_end = probe_start + probe_len;
-        for api in &apis {
-            prop_assert_eq!(store.traces_for_api(api), reference.traces_for_api(api));
-            for limit in [0usize, 1, 3, 1_000] {
+    /// A stream leaves the same store behind however it is cut into ingest
+    /// calls — one batch, several batches, one `ingest_trace` per trace —
+    /// with a retention window evicting (and renumbering) along the way:
+    /// each store matches the naive retention model fed the same cuts
+    /// (queries, dirty sets at every epoch, report sums), and the three
+    /// agree on the clustering pass too.
+    #[test]
+    fn a_stream_ingests_the_same_however_it_is_batched(
+        specs in prop::collection::vec(
+            (0u8..3, 0u64..60, any::<u64>()), 1..40),
+        window_s in 1u64..20,
+        cuts in (0usize..40, 0usize..40),
+        window_width in 1u64..10,
+        probe_start in 0u64..30,
+        probe_len in 1u64..12,
+    ) {
+        let traces: Vec<Trace> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(api, slot, seed))| build_trace(i, api, slot * 500_000, seed))
+            .collect();
+        let probe = Probe {
+            window_width,
+            window_count: 6,
+            start_s: probe_start,
+            end_s: probe_start + probe_len,
+        };
+        let (lo, hi) = (cuts.0.min(cuts.1), cuts.0.max(cuts.1));
+        let (lo, hi) = (lo.min(traces.len()), hi.min(traces.len()));
+        let one_batch = vec![&traces[..]];
+        let split = vec![&traces[..lo], &traces[lo..hi], &traces[hi..]];
+        let singly: Vec<&[Trace]> = traces.chunks(1).collect();
+
+        let mut stores = Vec::new();
+        for (batches, by_trace) in [(one_batch, false), (split, false), (singly, true)] {
+            let store = TelemetryStore::with_retention_window_s(window_s);
+            let mut reference = RetainedReference::new(window_s);
+            let (mut ingested, mut evicted) = (0, 0);
+            for batch in batches {
+                reference.ingest_batch(batch);
+                if by_trace {
+                    store.ingest_trace(batch[0].clone());
+                } else {
+                    let report = store.ingest_batch(batch.iter().cloned());
+                    ingested += report.ingested;
+                    evicted += report.evicted;
+                    prop_assert_eq!(report.epoch, reference.epoch);
+                }
+            }
+            if !by_trace {
+                prop_assert_eq!((ingested, evicted), (reference.ingested, reference.evicted));
+            }
+            assert_matches_reference(&store, &reference.kept, &probe);
+            for since in 0..=reference.epoch {
                 prop_assert_eq!(
-                    store.recent_traces_for_api(api, limit),
-                    reference.recent_traces_for_api(api, limit)
+                    store.dirty_apis_since(since),
+                    reference.dirty_apis_since(since)
                 );
             }
-            prop_assert_eq!(
-                store.traces_for_api_in(api, probe_start, probe_end),
-                reference.traces_for_api_in(api, probe_start, probe_end)
-            );
-            prop_assert_eq!(store.api_trace_count(api), reference.api_trace_count(api));
-            prop_assert_eq!(
-                store.api_mean_latency_ms(api).to_bits(),
-                reference.api_mean_latency_ms(api).to_bits()
-            );
-            let (got, want) = (store.api_latencies_ms(api), reference.api_latencies_ms(api));
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
-            prop_assert_eq!(store.api_components(api), reference.api_components(api));
+            stores.push(store);
         }
 
-        prop_assert_eq!(
-            store.api_request_counts_in(probe_start, probe_end),
-            reference.api_request_counts_in(probe_start, probe_end)
-        );
-
-        let windowing = Windowing::new(0, window_width);
-        let mut edges = reference.edges();
-        edges.push(PairKey::new("Nowhere", "Elsewhere"));
-        for pair in &edges {
-            prop_assert_eq!(
-                store.windowed_invocations(pair, &windowing, window_count),
-                reference.windowed_invocations(pair, &windowing, window_count)
-            );
+        for api in stores[0].apis() {
+            for cap in [1usize, 3, 50] {
+                let want = stores[0].weighted_traces_for_api(&api, cap);
+                for other in &stores[1..] {
+                    let got = other.weighted_traces_for_api(&api, cap);
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(&g.trace, &w.trace);
+                        prop_assert_eq!(g.weight.to_bits(), w.weight.to_bits());
+                    }
+                }
+            }
         }
     }
 
@@ -331,7 +499,7 @@ proptest! {
             .map(|(i, &(api, slot, seed))| build_trace(i, api, slot * 1_000_000, seed))
             .collect();
         let store = TelemetryStore::new();
-        store.ingest_traces(traces.iter().cloned());
+        store.ingest_batch(traces.iter().cloned());
 
         let mut by_id: HashMap<TraceId, &Trace> = HashMap::new();
         for t in &traces {
