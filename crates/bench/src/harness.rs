@@ -14,7 +14,7 @@ use atlas_sim::{
     AppTopology, ClusterSpec, OverloadModel, Placement, RequestSchedule, SimConfig, SimReport,
     Simulator, SiteCatalog,
 };
-use atlas_telemetry::TelemetryStore;
+use atlas_telemetry::{TelemetryStore, Trace, TraceId};
 
 /// Which application an experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -311,6 +311,30 @@ impl Experiment {
         WorkloadGenerator::new(workload)
             .generate(&self.topology)
             .expect("workload matches the topology")
+    }
+}
+
+/// All traces of a store, in root-start order (the replay stream).
+pub fn corpus_of(store: &TelemetryStore) -> Vec<Trace> {
+    let mut traces: Vec<Trace> = store
+        .apis()
+        .into_iter()
+        .flat_map(|api| store.traces_for_api(&api))
+        .collect();
+    traces.sort_by_key(|t| (t.root().start_us, t.trace_id));
+    traces
+}
+
+/// Shift a corpus forward in time by `offset_us` and tag its trace ids (so
+/// a day-2 corpus generated from its own epoch follows day 1 without id
+/// collisions).
+pub fn shift_corpus(traces: &mut [Trace], offset_us: u64, id_tag: u64) {
+    for trace in traces.iter_mut() {
+        trace.trace_id = TraceId(trace.trace_id.0 ^ id_tag);
+        for node in &mut trace.nodes {
+            node.span.trace_id = trace.trace_id;
+            node.span.start_us += offset_us;
+        }
     }
 }
 

@@ -1,21 +1,25 @@
-//! Experiment harness regenerating the figures of the Atlas evaluation.
+//! Experiment harness regenerating the figures of the Atlas evaluation, and
+//! the performance sweep with its regression gate.
 //!
 //! Every figure of the paper's §5 has a corresponding binary in `src/bin/`
-//! (see `DESIGN.md` for the index). The binaries share the set-up code in
-//! [`harness`]: simulate the application under the learning workload,
-//! let Atlas learn, build the baseline context, and evaluate candidate
-//! plans either with Atlas's quality model or by re-running the simulator
-//! under the candidate placement (the "ground truth" substitute for an
-//! actual migration).
+//! (README, "Reproducing the paper figures", has the index). The binaries
+//! share the set-up code in [`harness`]: simulate the application under the
+//! learning workload, let Atlas learn, build the baseline context, and
+//! evaluate candidate plans either with Atlas's quality model or by
+//! re-running the simulator under the candidate placement (the "ground
+//! truth" substitute for an actual migration).
+//!
+//! [`sweep`] and [`gate`] measure nothing themselves: they run the op loops
+//! and probes of the end-to-end benchmark's library (`benchmark/`, the
+//! `atlas_benchmark` crate) over a fixed table of points and hold the result
+//! against the committed `BENCH_sweep.json`.
 
 #![deny(missing_docs)]
 
 pub mod gate;
 pub mod harness;
 pub mod multiplan;
-pub mod scale;
-pub mod service;
+pub mod sweep;
 
-pub use harness::{print_row, Application, Experiment, ExperimentOptions};
-pub use scale::{run_scale_point, ScalePoint};
-pub use service::{run_service_point, ServicePoint};
+pub use atlas_benchmark::scenario::copy_context;
+pub use harness::{corpus_of, print_row, shift_corpus, Application, Experiment, ExperimentOptions};

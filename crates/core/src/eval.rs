@@ -225,10 +225,10 @@ pub const MIN_ITEMS_PER_WORKER: usize = 16;
 /// both routes pay alike, so the walk alone is a little further apart. A
 /// quarter is that ratio rounded towards the lane path, which leaves room
 /// for the parent diff and the per-child state allocation the delta route
-/// adds. Smaller kernels amortise less (the 2-site sweep points of
-/// `BENCH_scale.json` read 1 : 2.2 at 250 components and 1 : 3.2 at 500),
-/// but there a whole score is cheap enough that the choice stops mattering:
-/// at 100 components the search's scoring is ≈ 1 ms under either route.
+/// adds. Smaller kernels amortise less (the same two metrics at the `250x2`
+/// and `500x2` points of `BENCH_sweep.json` read 1 : 2.6 and 1 : 2.9), but
+/// there a whole score is cheap enough that the choice stops mattering: at
+/// 100 components the search's scoring is ≈ 1 ms under either route.
 ///
 /// One exception needs no constant: a cold group that would hold a single
 /// plan *is* the scalar walk of every trace, and a delta re-score never

@@ -12,7 +12,7 @@ use atlas::core::{
 };
 use atlas::sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
 use atlas::telemetry::TelemetryStore;
-use atlas_bench::service::{copy_telemetry_context, corpus_of, shift_corpus};
+use atlas_bench::{copy_context, corpus_of, shift_corpus};
 
 /// Compressed day length of the replay, in seconds.
 const DAY_S: u64 = 60;
@@ -133,14 +133,14 @@ fn main() {
     for batch in day1.chunks(day1.len().div_ceil(4)) {
         print_events("day 1", &service.feed(batch.to_vec()));
     }
-    copy_telemetry_context(&day1_store, service.store(), 0);
+    copy_context(&day1_store, service.store(), 0);
     println!();
     print_events("bootstrap", &service.bootstrap());
 
     // Day 2: the drift corpus streams in behind day 1. Detectors fire, the
     // dirty APIs relearn incrementally, and a fresh recommendation lands.
     println!();
-    copy_telemetry_context(&day2_store, service.store(), DAY_S + 1);
+    copy_context(&day2_store, service.store(), DAY_S + 1);
     for batch in day2.chunks(day2.len().div_ceil(8)) {
         print_events("day 2", &service.feed(batch.to_vec()));
     }

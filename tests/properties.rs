@@ -19,8 +19,9 @@ use atlas::sim::{
     Simulator, SiteId,
 };
 use atlas::telemetry::{TelemetryStore, Trace};
-use atlas_bench::service::{copy_telemetry_context, corpus_of, shift_corpus};
-use atlas_bench::{Application, Experiment, ExperimentOptions};
+use atlas_bench::{
+    copy_context, corpus_of, shift_corpus, Application, Experiment, ExperimentOptions,
+};
 
 /// One quality model (29 components, CPU limit + pinned user data, so random
 /// plans mix feasible and infeasible) shared by every property case.
@@ -822,7 +823,7 @@ proptest! {
 
         // Day 1 streams in `day1_batches` contiguous chunks.
         let store = TelemetryStore::new();
-        copy_telemetry_context(&fx.day1_store, &store, 0);
+        copy_context(&fx.day1_store, &store, 0);
         let size = fx.day1.len().div_ceil(day1_batches).max(1);
         for chunk in fx.day1.chunks(size) {
             store.ingest_batch(chunk.to_vec());
@@ -845,7 +846,7 @@ proptest! {
             .filter(|(i, _)| drift_mask & (1 << i) != 0)
             .map(|(_, api)| api.clone())
             .collect();
-        copy_telemetry_context(&fx.day2_store, &store, CORPUS_DAY_S + 1);
+        copy_context(&fx.day2_store, &store, CORPUS_DAY_S + 1);
         let stream: Vec<Trace> = fx
             .day2
             .iter()
