@@ -18,7 +18,7 @@ use atlas_sim::{
 use crate::datasets::{MediaStats, SocialGraphStats};
 
 /// Options controlling the generated social network model.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SocialNetworkOptions {
     /// Social-graph statistics (fan-out, post sizes).
     pub graph: SocialGraphStats,
@@ -30,16 +30,6 @@ pub struct SocialNetworkOptions {
     /// which lengthens the API when that service is placed across the WAN
     /// from `ComposePostService`.
     pub active_user_mentions: bool,
-}
-
-impl Default for SocialNetworkOptions {
-    fn default() -> Self {
-        Self {
-            graph: SocialGraphStats::default(),
-            media: MediaStats::default(),
-            active_user_mentions: false,
-        }
-    }
 }
 
 /// Component names in index order; kept in one place so tests and

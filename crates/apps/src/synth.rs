@@ -194,8 +194,8 @@ pub struct SynthScenario {
     pub media: MediaStats,
     /// The placement sites of the scenario: on-prem at site 0 plus
     /// `site_count − 1` elastic regions over a geographic link model. For
-    /// `site_count == 2` this is exactly [`SiteCatalog::default`], so the
-    /// scenario scores bit-identically to the historical two-site world.
+    /// `site_count == 2` this is exactly [`SiteCatalog::default`], the
+    /// paper's testbed.
     pub catalog: SiteCatalog,
 }
 
@@ -552,10 +552,10 @@ fn validate(options: &SynthOptions) -> Result<(), SynthError> {
     if !(2..=12).contains(&options.call_depth) {
         return Err(SynthError::CallDepth(options.call_depth));
     }
-    if !(options.data_scale > 0.0) || !options.data_scale.is_finite() {
+    if options.data_scale <= 0.0 || !options.data_scale.is_finite() {
         return Err(SynthError::DataScale(options.data_scale));
     }
-    if !(options.volume_scale > 0.0) || !options.volume_scale.is_finite() {
+    if options.volume_scale <= 0.0 || !options.volume_scale.is_finite() {
         return Err(SynthError::VolumeScale(options.volume_scale));
     }
     if !(2..=16).contains(&options.site_count) {

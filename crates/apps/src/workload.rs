@@ -59,9 +59,10 @@ impl DiurnalProfile {
 /// diurnal profile; the scenario generator (and any hand-built experiment)
 /// can layer additional structure on top of it to stress the advisor with
 /// traffic the seed applications never produce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum WorkloadShape {
     /// The plain two-peak diurnal curve, identical every day.
+    #[default]
     Diurnal,
     /// A flash crowd: on day `day`, the rate spikes to `magnitude`× the
     /// diurnal level inside a narrow Gaussian window centred at day-fraction
@@ -90,12 +91,6 @@ pub enum WorkloadShape {
         /// Intensity floor during the night window (fraction of peak).
         night_level: f64,
     },
-}
-
-impl Default for WorkloadShape {
-    fn default() -> Self {
-        WorkloadShape::Diurnal
-    }
 }
 
 impl WorkloadShape {
@@ -137,7 +132,7 @@ impl WorkloadShape {
             }
             WorkloadShape::BatchNight { night_level } => {
                 let f = day_fraction.rem_euclid(1.0);
-                if f < Self::NIGHT_FRACTION || f >= 1.0 - Self::NIGHT_FRACTION {
+                if !(Self::NIGHT_FRACTION..1.0 - Self::NIGHT_FRACTION).contains(&f) {
                     base.max(night_level.clamp(0.0, 1.0))
                 } else {
                     base

@@ -101,35 +101,8 @@ impl AffinityMatrix {
         self.messages[a][b]
     }
 
-    /// Total bytes crossing the on-prem/cloud boundary for a placement.
-    pub fn cross_boundary_bytes(&self, in_cloud: &[bool]) -> f64 {
-        let n = self.len().min(in_cloud.len());
-        let mut total = 0.0;
-        for p in &self.pairs {
-            let (i, j) = (p.i as usize, p.j as usize);
-            if j < n && in_cloud[i] != in_cloud[j] {
-                total += p.bytes;
-            }
-        }
-        total
-    }
-
-    /// Total messages crossing the boundary for a placement.
-    pub fn cross_boundary_messages(&self, in_cloud: &[bool]) -> f64 {
-        let n = self.len().min(in_cloud.len());
-        let mut total = 0.0;
-        for p in &self.pairs {
-            let (i, j) = (p.i as usize, p.j as usize);
-            if j < n && in_cloud[i] != in_cloud[j] {
-                total += p.messages;
-            }
-        }
-        total
-    }
-
-    /// Total bytes on pairs whose endpoints sit at *different* sites — the
-    /// N-site generalisation of [`Self::cross_boundary_bytes`], summing the
-    /// pairs in the same order (for two sites the two are bit-identical).
+    /// Total bytes on pairs whose endpoints sit at *different* sites (on
+    /// the paper's testbed, the bytes crossing the on-prem/cloud boundary).
     pub fn cross_site_bytes(&self, sites: &[SiteId]) -> f64 {
         let n = self.len().min(sites.len());
         let mut total = 0.0;
@@ -180,8 +153,7 @@ fn affinity_of(score: &PlacementScore, objective: AffinityObjective) -> f64 {
 /// offload components one `(component, site)` move at a time, always picking
 /// the move with the smallest cross-site affinity, until the on-prem
 /// constraints are satisfied; then keep moving components (to any site,
-/// including back on-prem) while it strictly reduces the affinity. The
-/// two-site case probes exactly the historical offload/flip moves.
+/// including back on-prem) while it strictly reduces the affinity.
 fn affinity_search(scorer: &BaselineScorer<'_>, objective: AffinityObjective) -> MigrationPlan {
     // Both phases repeatedly re-probe overlapping placements (each greedy
     // step re-scores every remaining candidate; each improvement round
@@ -330,29 +302,19 @@ mod tests {
             assert_eq!(m.cross_site_bytes(&sites), bytes, "sites {sites:?}");
             assert_eq!(m.cross_site_messages(&sites), messages, "sites {sites:?}");
         }
-        let flags = [false, true, false];
-        assert_eq!(
-            m.cross_boundary_bytes(&flags),
-            m.cross_site_bytes(&BaselineContext::flags_to_sites(&flags))
-        );
-        assert_eq!(
-            m.cross_boundary_messages(&flags),
-            m.cross_site_messages(&BaselineContext::flags_to_sites(&flags))
-        );
     }
 
     #[test]
     fn advisors_produce_feasible_plans() {
         let ctx = test_context(7.0);
         for plan in [RemapAdvisor.recommend(&ctx), IntMaAdvisor.recommend(&ctx)] {
-            let in_cloud: Vec<bool> = plan.to_bits().iter().map(|&b| b == 1).collect();
             assert!(
-                ctx.satisfies_constraints(&in_cloud),
+                ctx.satisfies_site_constraints(plan.sites()),
                 "plan {:?}",
-                plan.to_bits()
+                plan.sites()
             );
             assert!(
-                plan.cloud_components().len() >= 1,
+                !plan.cloud_components().is_empty(),
                 "the CPU limit forces offloading"
             );
         }
@@ -364,15 +326,13 @@ mod tests {
         // offload, both advisors should prefer cutting B-C (offload C) or
         // moving A+B together rather than splitting A and B.
         let ctx = test_context(8.5); // needs ≥ 3 cores offloaded
-        let plan = IntMaAdvisor.recommend(&ctx);
-        let in_cloud: Vec<bool> = plan.to_bits().iter().map(|&b| b == 1).collect();
+        let sites = IntMaAdvisor.recommend(&ctx).to_sites();
         assert!(
-            in_cloud[0] == in_cloud[1],
-            "IntMA should keep the chatty A-B pair collocated: {in_cloud:?}"
+            sites[0] == sites[1],
+            "IntMA should keep the chatty A-B pair collocated: {sites:?}"
         );
-        let remap = RemapAdvisor.recommend(&ctx);
-        let in_cloud: Vec<bool> = remap.to_bits().iter().map(|&b| b == 1).collect();
-        assert!(in_cloud[0] == in_cloud[1]);
+        let sites = RemapAdvisor.recommend(&ctx).to_sites();
+        assert!(sites[0] == sites[1]);
     }
 
     #[test]
@@ -388,11 +348,8 @@ mod tests {
         ctx.preferences = ctx
             .preferences
             .clone()
-            .pin(atlas_sim::ComponentId(1), atlas_sim::Location::OnPrem);
+            .pin(atlas_sim::ComponentId(1), SiteId::ON_PREM);
         let plan = RemapAdvisor.recommend(&ctx);
-        assert_eq!(
-            plan.location(atlas_sim::ComponentId(1)),
-            atlas_sim::Location::OnPrem
-        );
+        assert_eq!(plan.site(atlas_sim::ComponentId(1)), SiteId::ON_PREM);
     }
 }

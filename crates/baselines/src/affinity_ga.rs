@@ -18,13 +18,6 @@ use atlas_sim::SiteId;
 
 use crate::context::{BaselineContext, BaselineScorer, PlacementScore};
 
-/// Largest share of its genes a child may change against its nearer parent
-/// and still be scored as a change probe. `BaselineScorer::score_changes`
-/// has no compiled traces to skip — it applies the change list to a scratch
-/// placement, gene by gene, and scores that whole — so the share of *genes*
-/// is the right variable here.
-const DELTA_GENE_SHARE: f64 = 0.25;
-
 /// The affinity-based NSGA-II advisor.
 #[derive(Debug, Clone, Copy)]
 pub struct AffinityGaAdvisor {
@@ -94,9 +87,6 @@ impl AffinityGaAdvisor {
         // final front survives population churn.
         let mut archive: ParetoArchive<Vec<SiteId>, [f64; 2]> =
             ParetoArchive::new(ARCHIVE_CAPACITY);
-        // The delta path routes children whose diff against their nearer
-        // tournament parent stays small; larger diffs are batch-scored.
-        let change_cap = ((n as f64 * DELTA_GENE_SHARE) as usize).max(1);
 
         let mut population: Vec<Vec<SiteId>> = (0..self.population)
             .map(|_| {
@@ -132,55 +122,15 @@ impl AffinityGaAdvisor {
                 .min(self.max_visited.saturating_sub(visited(scorer)))
                 .max(1);
             let mut offspring = Vec::with_capacity(offspring_target);
-            // Provenance of each child: the population index of its nearer
-            // tournament parent (fewest differing genes, ties to the first)
-            // plus those gene changes. Small-diff children are scored
-            // through the scorer's allocation-free delta path; children
-            // whose diff exceeds the cap are batched.
-            let mut provenance: Vec<Option<(usize, Vec<(usize, SiteId)>)>> =
-                Vec::with_capacity(offspring_target);
             while offspring.len() < offspring_target {
                 let a = binary_tournament(&mut rng, &rank, &crowding);
                 let b = binary_tournament(&mut rng, &rank, &crowding);
                 let mut sites = uniform_crossover(&mut rng, &population[a], &population[b]);
                 alphabet_mutation(&mut rng, &mut sites, &site_alphabet, self.mutation_rate);
                 ctx.apply_pins(&mut sites);
-                // Diff after pinning: pins can revert a mutated gene, and
-                // population members already satisfy them.
-                let diff = |p: &[SiteId]| -> Vec<(usize, SiteId)> {
-                    (0..n)
-                        .filter(|&g| p[g] != sites[g])
-                        .map(|g| (g, sites[g]))
-                        .collect()
-                };
-                let da = diff(&population[a]);
-                let db = diff(&population[b]);
-                let (parent, changes) = if db.len() < da.len() {
-                    (b, db)
-                } else {
-                    (a, da)
-                };
-                provenance.push((changes.len() <= change_cap).then_some((parent, changes)));
                 offspring.push(sites);
             }
-            let mut child_scores: Vec<Option<PlacementScore>> = vec![None; offspring.len()];
-            let mut batched: Vec<usize> = Vec::new();
-            for (k, prov) in provenance.iter().enumerate() {
-                match prov {
-                    Some((p, changes)) => {
-                        child_scores[k] = Some(scorer.score_changes(&population[*p], changes));
-                    }
-                    None => batched.push(k),
-                }
-            }
-            let fresh: Vec<Vec<SiteId>> = batched.iter().map(|&k| offspring[k].clone()).collect();
-            for (k, score) in batched.iter().zip(scorer.score_batch(&fresh)) {
-                child_scores[*k] = Some(score);
-            }
-            let child_scores: Vec<PlacementScore> = child_scores
-                .into_iter()
-                .map(|s| s.expect("every child is scored by one of the two routes"))
-                .collect();
+            let child_scores = scorer.score_batch(&offspring);
             requested += offspring.len();
             for (child, score) in offspring.into_iter().zip(&child_scores) {
                 if score.feasible {
@@ -215,7 +165,8 @@ impl AffinityGaAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::test_context;
+    use crate::context::{seeded_context, test_context, test_context_over, three_site_catalog};
+    use atlas_sim::SiteCatalog;
 
     #[test]
     fn produces_feasible_pareto_plans() {
@@ -223,19 +174,18 @@ mod tests {
         let plans = AffinityGaAdvisor::fast().recommend(&ctx);
         assert!(!plans.is_empty());
         for plan in &plans {
-            let flags: Vec<bool> = plan.to_bits().iter().map(|&b| b == 1).collect();
-            assert!(ctx.satisfies_constraints(&flags));
+            assert!(ctx.satisfies_site_constraints(plan.sites()));
         }
         // No plan dominates another under the GA's own objectives.
+        let objectives = |plan: &MigrationPlan| {
+            [
+                ctx.cross_site_bytes(plan.sites()),
+                ctx.site_cost(plan.sites()),
+            ]
+        };
         for a in &plans {
             for b in &plans {
-                if a != b {
-                    let fa: Vec<bool> = a.to_bits().iter().map(|&x| x == 1).collect();
-                    let fb: Vec<bool> = b.to_bits().iter().map(|&x| x == 1).collect();
-                    let oa = vec![ctx.cross_dc_bytes(&fa), ctx.cost(&fa)];
-                    let ob = vec![ctx.cross_dc_bytes(&fb), ctx.cost(&fb)];
-                    assert!(!atlas_ga::dominates(&oa, &ob) || a.to_bits() == b.to_bits());
-                }
+                assert!(a == b || !atlas_ga::dominates(&objectives(a), &objectives(b)));
             }
         }
     }
@@ -265,19 +215,7 @@ mod tests {
 
     #[test]
     fn searches_the_full_site_alphabet_of_a_catalog() {
-        use atlas_sim::{ClusterSpec, SiteCatalog, SiteNetwork, SiteSpec};
-
-        let cluster = ClusterSpec::default();
-        let pricing = atlas_cloud::PricingModel::default();
-        let catalog = SiteCatalog::new(
-            vec![
-                SiteSpec::owned("dc", cluster.onprem_cpu_cores, 1_000.0, 1_000.0),
-                SiteSpec::elastic("east", pricing.clone()),
-                SiteSpec::elastic("west", pricing),
-            ],
-            SiteNetwork::from_links(3, vec![cluster.network.intra; 9]),
-        );
-        let ctx = test_context(7.0).with_catalog(&catalog);
+        let ctx = test_context_over(7.0, &three_site_catalog());
         assert_eq!(ctx.site_count, 3);
 
         let plans = AffinityGaAdvisor::fast().recommend(&ctx);
@@ -289,13 +227,61 @@ mod tests {
         }
         // The population initialiser and mutation range over all three
         // sites: across the run, some plan must use a site beyond the
-        // binary alphabet (sampled uniformly over {1, 2}, this fails with
+        // first two (sampled uniformly over {1, 2}, this fails with
         // probability ≈ 2^-#offloaded-genes).
         let sampler_uses_site_2 = {
             let mut rng = StdRng::seed_from_u64(3);
             (0..64).any(|_| random_site(&mut rng, 0.9, 3) == atlas_sim::SiteId(2))
         };
         assert!(sampler_uses_site_2);
+    }
+
+    /// FNV-1a digest of a front: every plan's genome and the bits of its two
+    /// objectives, in front order.
+    fn front_digest(ctx: &BaselineContext, plans: &[MigrationPlan]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for plan in plans {
+            for site in plan.sites() {
+                mix(site.index() as u64);
+            }
+            mix(ctx.cross_site_bytes(plan.sites()).to_bits());
+            mix(ctx.site_cost(plan.sites()).to_bits());
+        }
+        hash
+    }
+
+    /// Figures 12–15 compare Atlas against this search, so its fronts are
+    /// pinned like Atlas's own (`tests/end_to_end.rs`): digests, front sizes
+    /// and cache accounting recorded at commit 138d8e1. A digest that moves
+    /// on purpose is re-recorded and named in CHANGES.md.
+    #[test]
+    fn fronts_are_pinned_on_a_seeded_40_component_context() {
+        let two_site = seeded_context(40, 17, &SiteCatalog::default());
+        let three_site = seeded_context(40, 17, &three_site_catalog());
+        for (ctx, digest, front_size, cache_hits) in [
+            (&two_site, 0x41C7_02D8_0EB3_A38E_u64, 12, 35),
+            (&three_site, 0x5F69_E16B_7E0A_D7FA, 3, 41),
+        ] {
+            for threads in [1, 2] {
+                let scorer = ctx.scorer().with_threads(threads);
+                let plans = AffinityGaAdvisor::fast().recommend_with(&scorer);
+                let sites = ctx.site_count;
+                assert_eq!(plans.len(), front_size, "{sites} sites, {threads} threads");
+                assert_eq!(
+                    front_digest(ctx, &plans),
+                    digest,
+                    "{sites}-site front moved ({threads} threads)"
+                );
+                let stats = scorer.stats();
+                assert_eq!(stats.unique_evaluations, 500);
+                assert_eq!(stats.cache_hits, cache_hits);
+            }
+        }
     }
 
     #[test]

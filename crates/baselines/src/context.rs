@@ -1,7 +1,7 @@
 //! Shared inputs of all baseline advisors, plus the cached placement scorer
 //! every baseline routes its objective/constraint queries through.
 
-use atlas_cloud::{CompiledCost, CostModel, CostScratch, ResourceDemand, SiteCostModel};
+use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_core::eval::{effective_threads, EvalStats, MemoCache};
 use atlas_core::kernel::{with_scratch, ConstraintKernel, EvalScratch};
 use atlas_core::{MigrationPlan, MigrationPreferences};
@@ -14,9 +14,9 @@ use crate::affinity::AffinityMatrix;
 /// resource demand, the pairwise affinity observed by the network metrics,
 /// the owner's preferences and the per-site cost model.
 ///
-/// The baselines search the same N-site space as Atlas: build a two-site
-/// context with [`BaselineContext::from_store`] (the paper's comparison) or
-/// generalise it with [`BaselineContext::with_catalog`].
+/// The baselines search the same site space as Atlas: the catalog passed to
+/// [`BaselineContext::from_store`] ([`SiteCatalog::default`] for the paper's
+/// comparison).
 #[derive(Debug, Clone)]
 pub struct BaselineContext {
     /// Component names in plan-index order.
@@ -28,27 +28,29 @@ pub struct BaselineContext {
     /// The owner's constraints (the same ones Atlas receives).
     pub preferences: MigrationPreferences,
     /// Per-site cost model (the paper gives the affinity GA the same cost
-    /// model as Atlas; a two-site instance reproduces it exactly).
+    /// model as Atlas).
     pub cost_model: SiteCostModel,
-    /// Number of sites placements range over (2 without a catalog).
+    /// Number of sites placements range over.
     pub site_count: usize,
     /// The elastic site single-target advisors (greedy) offload to: the
-    /// catalog's cheapest elastic site, or site 1 in the two-site model.
+    /// catalog's cheapest elastic site.
     pub offload_site: SiteId,
-    /// Eq. 4 capacity limits of owned sites at index > 0 (from the
-    /// catalog; empty in the two-site model, where site 1 is elastic).
+    /// Eq. 4 capacity limits of owned sites at index > 0 (empty on the
+    /// paper's testbed, where site 1 is elastic).
     pub owned_site_limits: Vec<OwnedSiteLimits>,
 }
 
 impl BaselineContext {
-    /// Build a two-site context from the telemetry store and the shared
-    /// inputs.
+    /// Build a context from the telemetry store and the shared inputs, over
+    /// the sites of `catalog`: the cost model bills each elastic site under
+    /// its own pricing and the searches range over the catalog's site
+    /// alphabet.
     pub fn from_store(
         store: &TelemetryStore,
         component_index: Vec<String>,
         demand: ResourceDemand,
         preferences: MigrationPreferences,
-        cost_model: CostModel,
+        catalog: &SiteCatalog,
     ) -> Self {
         let affinity = AffinityMatrix::from_store(store, &component_index);
         Self {
@@ -56,22 +58,11 @@ impl BaselineContext {
             demand,
             affinity,
             preferences,
-            cost_model: SiteCostModel::from_models(vec![None, Some(cost_model)]),
-            site_count: 2,
-            offload_site: SiteId::CLOUD,
-            owned_site_limits: Vec::new(),
+            cost_model: catalog.cost_model(),
+            site_count: catalog.len(),
+            offload_site: catalog.cheapest_elastic_site().unwrap_or(SiteId::CLOUD),
+            owned_site_limits: catalog.owned_site_limits(),
         }
-    }
-
-    /// Generalise the context to an N-site catalog (builder style): the
-    /// cost model bills each elastic site under its own pricing and the
-    /// searches range over the catalog's site alphabet.
-    pub fn with_catalog(mut self, catalog: &SiteCatalog) -> Self {
-        self.cost_model = catalog.cost_model();
-        self.site_count = catalog.len();
-        self.offload_site = catalog.cheapest_elastic_site().unwrap_or(SiteId::CLOUD);
-        self.owned_site_limits = catalog.owned_site_limits();
-        self
     }
 
     /// Number of components.
@@ -140,31 +131,16 @@ impl BaselineContext {
         true
     }
 
-    /// Two-site convenience over [`Self::satisfies_site_constraints`].
-    pub fn satisfies_constraints(&self, in_cloud: &[bool]) -> bool {
-        self.satisfies_site_constraints(&Self::flags_to_sites(in_cloud))
-    }
-
     /// Cross-site traffic (bytes over the learning period) of a site
     /// assignment: the affinity objective of REMaP/IntMA and the affinity
-    /// GA, generalised to N sites.
+    /// GA.
     pub fn cross_site_bytes(&self, sites: &[SiteId]) -> f64 {
         self.affinity.cross_site_bytes(sites)
-    }
-
-    /// Two-site convenience over [`Self::cross_site_bytes`].
-    pub fn cross_dc_bytes(&self, in_cloud: &[bool]) -> f64 {
-        self.affinity.cross_boundary_bytes(in_cloud)
     }
 
     /// Hosting cost of a site assignment under the shared cost model.
     pub fn site_cost(&self, sites: &[SiteId]) -> f64 {
         self.cost_model.evaluate(&self.demand, sites).total()
-    }
-
-    /// Two-site convenience over [`Self::site_cost`].
-    pub fn cost(&self, in_cloud: &[bool]) -> f64 {
-        self.site_cost(&Self::flags_to_sites(in_cloud))
     }
 
     /// Apply the placement pins to a site assignment (exact pins overwrite;
@@ -180,19 +156,6 @@ impl BaselineContext {
                 sites[c.0] = allowed[0];
             }
         }
-    }
-
-    /// Convert cloud flags to a plan bit vector.
-    pub fn to_bits(in_cloud: &[bool]) -> Vec<u8> {
-        in_cloud.iter().map(|&b| u8::from(b)).collect()
-    }
-
-    /// Convert cloud flags to the equivalent two-site assignment.
-    pub fn flags_to_sites(in_cloud: &[bool]) -> Vec<SiteId> {
-        in_cloud
-            .iter()
-            .map(|&b| if b { SiteId::CLOUD } else { SiteId::ON_PREM })
-            .collect()
     }
 
     /// Wrap a site assignment as a migration plan.
@@ -212,7 +175,7 @@ impl BaselineContext {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementScore {
     /// Cross-site traffic bytes (REMaP/IntMA/affinity-GA objective; the
-    /// two-site model's cross-datacenter bytes).
+    /// paper's cross-datacenter bytes).
     pub cross_dc_bytes: f64,
     /// Cross-site message exchanges (REMaP's second affinity term).
     pub cross_dc_messages: f64,
@@ -351,10 +314,15 @@ impl<'a> BaselineScorer<'a> {
 }
 
 /// Helper shared by the tests of this crate: ingest a tiny three-component
-/// store with known traffic.
+/// store with known traffic, on the paper's two-site testbed.
 #[cfg(test)]
 pub(crate) fn test_context(cpu_limit: f64) -> BaselineContext {
-    use atlas_cloud::PricingModel;
+    test_context_over(cpu_limit, &SiteCatalog::default())
+}
+
+/// [`test_context`] over an explicit catalog.
+#[cfg(test)]
+pub(crate) fn test_context_over(cpu_limit: f64, catalog: &SiteCatalog) -> BaselineContext {
     use atlas_telemetry::Direction;
 
     let store = TelemetryStore::new();
@@ -375,12 +343,71 @@ pub(crate) fn test_context(cpu_limit: f64) -> BaselineContext {
     demand.fill_edge(0, 1, 1.0e7);
     demand.fill_edge(1, 2, 1.0e5);
     let preferences = MigrationPreferences::with_cpu_limit(cpu_limit);
+    BaselineContext::from_store(&store, names, demand, preferences, catalog)
+}
+
+/// A seeded `n`-component context for the tests that need a search space
+/// too large to enumerate: a call chain plus seeded long-range edges, with
+/// seeded per-component demand and a CPU limit of half the total, so every
+/// feasible placement offloads something.
+#[cfg(test)]
+pub(crate) fn seeded_context(n: usize, seed: u64, catalog: &SiteCatalog) -> BaselineContext {
+    use atlas_telemetry::Direction;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let store = TelemetryStore::new();
+    let names: Vec<String> = (0..n).map(|i| format!("C{i:02}")).collect();
+    let mut demand = ResourceDemand::zeros(names.clone(), 4, 600);
+    let mut total_cpu = 0.0;
+    for c in 0..n {
+        let cpu = rng.gen_range(0.5..4.0);
+        total_cpu += cpu;
+        demand.fill_cpu(c, cpu);
+        demand.fill_memory(c, rng.gen_range(0.5..4.0));
+    }
+    for from in 0..n {
+        let chain = (from + 1 < n).then_some(from + 1);
+        let long_range = (from + 2 < n).then(|| rng.gen_range(from + 2..n));
+        for to in chain.into_iter().chain(long_range) {
+            let request = rng.gen_range(100.0..50_000.0);
+            for t in 0..4u64 {
+                store.record_traffic(&names[from], &names[to], Direction::Request, t, request);
+                store.record_traffic(
+                    &names[from],
+                    &names[to],
+                    Direction::Response,
+                    t,
+                    request / 4.0,
+                );
+            }
+            demand.fill_edge(from, to, request * 1_000.0);
+        }
+    }
     BaselineContext::from_store(
         &store,
         names,
         demand,
-        preferences,
-        CostModel::new(PricingModel::default()),
+        MigrationPreferences::with_cpu_limit(total_cpu / 2.0),
+        catalog,
+    )
+}
+
+/// The paper's testbed plus a second elastic region, all links intra-speed.
+#[cfg(test)]
+pub(crate) fn three_site_catalog() -> SiteCatalog {
+    use atlas_sim::{ClusterSpec, SiteNetwork, SiteSpec};
+
+    let cluster = ClusterSpec::default();
+    let pricing = atlas_cloud::PricingModel::default();
+    SiteCatalog::new(
+        vec![
+            SiteSpec::owned("dc", cluster.onprem_cpu_cores, 1_000.0, 1_000.0),
+            SiteSpec::elastic("east", pricing.clone()),
+            SiteSpec::elastic("west", pricing),
+        ],
+        SiteNetwork::from_links(3, vec![cluster.network.intra; 9]),
     )
 }
 
@@ -388,23 +415,25 @@ pub(crate) fn test_context(cpu_limit: f64) -> BaselineContext {
 mod tests {
     use super::*;
     use atlas_sim::ComponentId as Cid;
-    use atlas_sim::Location;
+
+    const P: SiteId = SiteId::ON_PREM;
+    const C: SiteId = SiteId::CLOUD;
 
     #[test]
     fn constraint_checks_cover_cpu_and_pins() {
         let ctx = test_context(7.0);
         // All on-prem: 11 cores > 7 → infeasible.
-        assert!(!ctx.satisfies_constraints(&[false, false, false]));
+        assert!(!ctx.satisfies_site_constraints(&[P, P, P]));
         // Offload B (6 cores): 5 remain → feasible.
-        assert!(ctx.satisfies_constraints(&[false, true, false]));
+        assert!(ctx.satisfies_site_constraints(&[P, C, P]));
 
         let mut pinned = test_context(100.0);
-        pinned.preferences = pinned.preferences.pin(Cid(1), Location::OnPrem);
-        assert!(!pinned.satisfies_constraints(&[false, true, false]));
-        assert!(pinned.satisfies_constraints(&[true, false, false]));
+        pinned.preferences = pinned.preferences.pin(Cid(1), P);
+        assert!(!pinned.satisfies_site_constraints(&[P, C, P]));
+        assert!(pinned.satisfies_site_constraints(&[C, P, P]));
     }
 
-    /// Eq. 4 owned-site limits at sites beyond index 0: `with_catalog`
+    /// Eq. 4 owned-site limits at sites beyond index 0: the constructor
     /// extracts the owned edge site's finite pools, and the interpretive
     /// check and the compiled scorer agree that the undersized site
     /// rejects components its pools cannot hold.
@@ -430,7 +459,7 @@ mod tests {
             ],
             SiteNetwork::from_links(3, links),
         );
-        let ctx = test_context(100.0).with_catalog(&catalog);
+        let ctx = test_context_over(100.0, &catalog);
         assert_eq!(
             ctx.owned_site_limits,
             vec![OwnedSiteLimits {
@@ -454,37 +483,30 @@ mod tests {
     #[test]
     fn cross_dc_bytes_reflects_the_heavy_edge() {
         let ctx = test_context(7.0);
-        let split_heavy = ctx.cross_dc_bytes(&[false, true, true]); // cuts A-B
-        let split_light = ctx.cross_dc_bytes(&[false, false, true]); // cuts B-C
+        let split_heavy = ctx.cross_site_bytes(&[P, C, C]); // cuts A-B
+        let split_light = ctx.cross_site_bytes(&[P, P, C]); // cuts B-C
         assert!(split_heavy > split_light);
-        assert_eq!(ctx.cross_dc_bytes(&[false, false, false]), 0.0);
+        assert_eq!(ctx.cross_site_bytes(&[P, P, P]), 0.0);
     }
 
     #[test]
     fn scorer_matches_direct_queries_and_caches_duplicates() {
         let ctx = test_context(7.0);
         let scorer = ctx.scorer().with_threads(2);
-        let flags: Vec<Vec<bool>> = vec![
-            vec![false, false, false],
-            vec![false, true, false],
-            vec![true, true, true],
-            vec![false, true, false], // duplicate
+        let placements: Vec<Vec<SiteId>> = vec![
+            vec![P, P, P],
+            vec![P, C, P],
+            vec![C, C, C],
+            vec![P, C, P], // duplicate
         ];
-        let placements: Vec<Vec<SiteId>> = flags
-            .iter()
-            .map(|f| BaselineContext::flags_to_sites(f))
-            .collect();
         let scores = scorer.score_batch(&placements);
-        for ((in_cloud, sites), score) in flags.iter().zip(&placements).zip(&scores) {
-            assert_eq!(score.cross_dc_bytes, ctx.cross_dc_bytes(in_cloud));
+        for (sites, score) in placements.iter().zip(&scores) {
             assert_eq!(score.cross_dc_bytes, ctx.cross_site_bytes(sites));
             assert_eq!(
                 score.cross_dc_messages,
-                ctx.affinity.cross_boundary_messages(in_cloud)
+                ctx.affinity.cross_site_messages(sites)
             );
-            assert_eq!(score.cost, ctx.cost(in_cloud));
             assert_eq!(score.cost, ctx.site_cost(sites));
-            assert_eq!(score.feasible, ctx.satisfies_constraints(in_cloud));
             assert_eq!(score.feasible, ctx.satisfies_site_constraints(sites));
         }
         assert_eq!(scores[1], scores[3]);
@@ -556,24 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn pins_are_applied_and_bits_convert() {
+    fn pins_are_applied_and_plans_wrap_sites() {
         let mut ctx = test_context(7.0);
-        ctx.preferences = ctx.preferences.clone().pin(Cid(0), Location::Cloud);
-        let mut sites = vec![SiteId::ON_PREM; 3];
+        ctx.preferences = ctx.preferences.clone().pin(Cid(0), C);
+        let mut sites = vec![P; 3];
         ctx.apply_pins(&mut sites);
-        assert_eq!(sites, vec![SiteId::CLOUD, SiteId::ON_PREM, SiteId::ON_PREM]);
-        assert_eq!(
-            BaselineContext::to_bits(&[true, false, false]),
-            vec![1, 0, 0]
-        );
-        assert_eq!(
-            BaselineContext::flags_to_sites(&[true, false, false]),
-            vec![SiteId(1), SiteId(0), SiteId(0)]
-        );
-        assert_eq!(BaselineContext::to_plan(&sites).to_bits(), vec![1, 0, 0]);
+        assert_eq!(sites, vec![C, P, P]);
+        assert_eq!(BaselineContext::to_plan(&sites).sites(), sites.as_slice());
         assert_eq!(ctx.component_count(), 3);
         assert!(ctx.peak_cpu_of(1) > ctx.peak_cpu_of(0));
-        assert!(ctx.cost(&[false, true, false]) > 0.0);
+        assert!(ctx.site_cost(&[P, C, P]) > 0.0);
     }
 
     #[test]

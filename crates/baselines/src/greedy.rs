@@ -43,7 +43,7 @@ impl GreedyAdvisor {
 
     /// Recommend a single placement: offload components in busyness order —
     /// to the context's offload site (the catalog's cheapest elastic site;
-    /// the cloud in the paper's two-site model) — until the on-prem
+    /// the cloud on the paper's testbed) — until the on-prem
     /// constraints are satisfied.
     ///
     /// Unlike the affinity/GA baselines, greedy probes each placement
@@ -86,7 +86,7 @@ impl GreedyAdvisor {
 mod tests {
     use super::*;
     use crate::context::test_context;
-    use atlas_sim::{ComponentId, Location};
+    use atlas_sim::{ComponentId, SiteId};
 
     #[test]
     fn largest_first_offloads_the_busiest_component() {
@@ -119,12 +119,9 @@ mod tests {
     #[test]
     fn pinned_components_stay_put() {
         let mut ctx = test_context(7.0);
-        ctx.preferences = ctx
-            .preferences
-            .clone()
-            .pin(ComponentId(1), Location::OnPrem);
+        ctx.preferences = ctx.preferences.clone().pin(ComponentId(1), SiteId::ON_PREM);
         let plan = GreedyAdvisor::largest_first().recommend(&ctx);
-        assert_eq!(plan.location(ComponentId(1)), Location::OnPrem);
+        assert_eq!(plan.site(ComponentId(1)), SiteId::ON_PREM);
         // It must offload others to compensate (A and C).
         assert!(plan.cloud_components().len() >= 2);
     }

@@ -97,9 +97,8 @@ mod tests {
         assert!(!plans.is_empty());
         let mut seen = std::collections::HashSet::new();
         for plan in &plans {
-            let flags: Vec<bool> = plan.to_bits().iter().map(|&b| b == 1).collect();
-            assert!(ctx.satisfies_constraints(&flags));
-            assert!(seen.insert(plan.to_bits()), "plans must be unique");
+            assert!(ctx.satisfies_site_constraints(plan.sites()));
+            assert!(seen.insert(plan.sites()), "plans must be unique");
         }
     }
 

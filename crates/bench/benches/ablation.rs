@@ -4,6 +4,7 @@ use atlas_bench::{Experiment, ExperimentOptions};
 use atlas_core::{
     CrossoverAgent, MigrationPlan, PlanEvaluator, Recommender, RecommenderConfig, RlCrossoverConfig,
 };
+use atlas_sim::SiteId;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_ablation(c: &mut Criterion) {
@@ -26,11 +27,7 @@ fn bench_ablation(c: &mut Criterion) {
     // Reward-ablation: training with and without the feasibility penalty.
     let dataset: Vec<MigrationPlan> = (0..16)
         .map(|i| {
-            MigrationPlan::from_bits(
-                &(0..29)
-                    .map(|j| ((i + j) % 3 == 0) as u8)
-                    .collect::<Vec<u8>>(),
-            )
+            MigrationPlan::from_sites((0..29).map(|j| SiteId(((i + j) % 3 == 0) as u16)).collect())
         })
         .collect();
     for (name, penalty) in [

@@ -1,11 +1,12 @@
 //! Delay-injection throughput: how quickly Atlas previews API latency.
 use atlas_bench::{Experiment, ExperimentOptions};
 use atlas_core::MigrationPlan;
+use atlas_sim::Placement;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_delay(c: &mut Criterion) {
     let exp = Experiment::set_up(ExperimentOptions::quick());
-    let plan = MigrationPlan::from_bits(&vec![1u8; 29]);
+    let plan = MigrationPlan::new(Placement::all_cloud(29));
     let mut group = c.benchmark_group("delay_injection");
     group.sample_size(20);
     group.bench_function("estimate_compose_latency", |b| {

@@ -15,22 +15,16 @@ fn main() {
         .api_mean_latency_ms(api)
         .unwrap_or(0.0);
     println!("estimated mean: {estimated:.1} ms, measured mean: {measured:.1} ms");
-    let injector_dist: Vec<f64> = exp.atlas.profile().apis[api]
-        .traces
-        .iter()
-        .map(|t| {
-            atlas_core::DelayInjector::new(
-                exp.atlas.config().network,
-                exp.atlas.config().component_index.clone(),
-            )
-            .estimate_trace_latency_ms(
-                t,
-                exp.atlas.footprint(),
-                &exp.current,
-                plan.placement(),
-            )
-        })
-        .collect();
+    let injector = atlas_core::DelayInjector::new(
+        exp.catalog.network().clone(),
+        exp.atlas.config().component_index.clone(),
+    );
+    let injector_dist = injector.estimate_latency_distribution_ms(
+        &exp.atlas.profile().apis[api].traces,
+        exp.atlas.footprint(),
+        &exp.current,
+        plan.placement(),
+    );
     let measured_dist: Vec<f64> = {
         let r = exp.measure_plan(plan, 1.0);
         r.outcomes

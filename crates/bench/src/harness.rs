@@ -5,14 +5,14 @@ use atlas_apps::{
     WorkloadGenerator, WorkloadOptions,
 };
 use atlas_baselines::BaselineContext;
-use atlas_cloud::{CostModel, PricingModel, ResourceEstimator, ScalingEstimator};
+use atlas_cloud::{ResourceEstimator, ScalingEstimator};
 use atlas_core::{
     Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, PlanEvaluator, QualityModel,
     RecommenderConfig,
 };
 use atlas_sim::{
     AppTopology, ClusterSpec, OverloadModel, Placement, RequestSchedule, SimConfig, SimReport,
-    Simulator, SiteCatalog,
+    Simulator, SiteCatalog, SiteId,
 };
 use atlas_telemetry::{TelemetryStore, Trace, TraceId};
 
@@ -203,7 +203,7 @@ impl Experiment {
                 "Store000",
             ] {
                 if let Some(c) = topology.component_id(name) {
-                    preferences = preferences.pin(c, atlas_sim::Location::OnPrem);
+                    preferences = preferences.pin(c, SiteId::ON_PREM);
                 }
             }
         }
@@ -216,9 +216,8 @@ impl Experiment {
             component_index,
             demand,
             preferences.clone(),
-            CostModel::new(PricingModel::default()),
-        )
-        .with_catalog(&catalog);
+            &catalog,
+        );
 
         Self {
             topology,
@@ -269,8 +268,7 @@ impl Experiment {
                 seed: self.options.seed + 1,
             },
         )
-        // Multi-region plans pay each ordered pair's own link; the default
-        // 2-entry catalog reproduces the historical two-site simulation.
+        // Multi-region plans pay each ordered pair's own link.
         .with_site_network(self.catalog.network().clone());
         let schedule = WorkloadGenerator::new(self.workload_with(self.options.seed + 1, burst))
             .generate(&self.topology)

@@ -49,7 +49,7 @@ impl CostBreakdown {
     }
 }
 
-/// Reusable buffers for [`CostModel::evaluate_with_scratch`], so hot
+/// Reusable buffers for [`SiteCostModel::evaluate_with_scratch`], so hot
 /// evaluation loops (the plan-evaluation kernel, the baselines' scorer) do
 /// not allocate the cloud-component index list and the per-step storage
 /// series on every call.
@@ -66,7 +66,8 @@ pub struct CostScratch {
     site_storage: Vec<f64>,
 }
 
-/// The cost model: pricing plus the autoscaler it implies.
+/// One elastic site's cost model: its pricing plus the autoscaler it
+/// implies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     pricing: PricingModel,
@@ -88,67 +89,9 @@ impl CostModel {
         &self.pricing
     }
 
-    /// Evaluate the cost of placing the components flagged `true` in
-    /// `in_cloud` (indexed like `demand.component_names`) in the cloud.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `in_cloud.len()` differs from the demand's component count.
-    pub fn evaluate(&self, demand: &ResourceDemand, in_cloud: &[bool]) -> CostBreakdown {
-        self.evaluate_with_scratch(demand, in_cloud, &mut CostScratch::default())
-    }
-
-    /// [`CostModel::evaluate`] with caller-provided scratch buffers, the
-    /// allocation-free variant used by hot evaluation loops. Bit-identical
-    /// to `evaluate`: the arithmetic and its order are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `in_cloud.len()` differs from the demand's component count.
-    pub fn evaluate_with_scratch(
-        &self,
-        demand: &ResourceDemand,
-        in_cloud: &[bool],
-        scratch: &mut CostScratch,
-    ) -> CostBreakdown {
-        assert_eq!(
-            in_cloud.len(),
-            demand.component_count(),
-            "placement must cover every component"
-        );
-        scratch.cloud.clear();
-        scratch
-            .cloud
-            .extend((0..in_cloud.len()).filter(|&i| in_cloud[i]));
-        let (compute, storage) =
-            self.pool_compute_storage(demand, &scratch.cloud, &mut scratch.used_per_step);
-
-        // --- Traffic (Eq. 10): egress from the cloud on cross-location edges.
-        let mut egress_bytes = 0.0;
-        for (&(from, to), series) in &demand.edge_bytes {
-            if in_cloud[from] != in_cloud[to] {
-                // The request leg leaves the cloud when the caller is in the
-                // cloud; the response leg leaves when the callee is. The
-                // demand series aggregates both directions of the exchange,
-                // so half of it is attributed to each leg.
-                let total: f64 = series.iter().sum();
-                egress_bytes += total / 2.0;
-            }
-        }
-        let traffic = self.pricing.egress_cost_for(egress_bytes);
-
-        CostBreakdown {
-            compute,
-            storage,
-            traffic,
-        }
-    }
-
     /// Compute (Eq. 6–7) and storage (Eq. 8–9) cost of hosting the
-    /// components listed in `pool` (ascending indices) in this model's
-    /// cloud. Shared by the two-site [`CostModel::evaluate_with_scratch`]
-    /// and the N-site [`SiteCostModel`] so both price a pool with the exact
-    /// same floating-point operations in the same order.
+    /// components listed in `pool` (ascending indices) at this model's
+    /// site.
     fn pool_compute_storage(
         &self,
         demand: &ResourceDemand,
@@ -188,11 +131,8 @@ impl CostModel {
 /// granularity, storage price, egress price and autoscaler headroom).
 ///
 /// Site `0` (on-prem) carries no model — owned hardware has no marginal
-/// hosting cost, exactly like the original two-site `Q_Cost`. A two-entry
-/// instance ([`SiteCostModel::two_site`]) is bit-identical to
-/// [`CostModel::evaluate`] over the equivalent cloud-flag vector: the pool
-/// pricing shares the same arithmetic and the egress accumulation visits the
-/// same edges in the same order.
+/// hosting cost. A two-entry instance ([`SiteCostModel::two_site`]) is the
+/// paper's `Q_Cost`.
 ///
 /// Egress (Eq. 10 generalised): every cross-site edge splits its traffic in
 /// half — the request leg leaves the caller's site, the response leg leaves
@@ -608,49 +548,59 @@ mod tests {
         d
     }
 
+    const P: SiteId = SiteId::ON_PREM;
+    const C: SiteId = SiteId::CLOUD;
+
+    fn two_site() -> SiteCostModel {
+        SiteCostModel::two_site(PricingModel::default())
+    }
+
     #[test]
     fn all_onprem_costs_nothing() {
-        let model = CostModel::default();
-        let cost = model.evaluate(&demand(), &[false, false, false]);
+        let model = two_site();
+        assert_eq!(model.site_count(), 2);
+        assert!(model.site_model(P).is_none());
+        assert!(model.site_model(C).is_some());
+        let cost = model.evaluate(&demand(), &[P, P, P]);
         assert_eq!(cost.total(), 0.0);
     }
 
     #[test]
     fn compute_cost_counts_only_cloud_components() {
-        let model = CostModel::default();
-        let only_service = model.evaluate(&demand(), &[false, true, false]);
+        let model = two_site();
+        let only_service = model.evaluate(&demand(), &[P, C, P]);
         assert!(only_service.compute > 0.0);
         assert_eq!(only_service.storage, 0.0, "no stateful component offloaded");
-        let service_and_db = model.evaluate(&demand(), &[false, true, true]);
+        let service_and_db = model.evaluate(&demand(), &[P, C, C]);
         assert!(service_and_db.compute >= only_service.compute);
         assert!(service_and_db.storage > 0.0);
     }
 
     #[test]
     fn traffic_cost_only_on_cross_location_edges() {
-        let model = CostModel::default();
+        let model = two_site();
         // Frontend on-prem, Service+DB in cloud → only the 0→1 edge crosses.
-        let split = model.evaluate(&demand(), &[false, true, true]);
+        let split = model.evaluate(&demand(), &[P, C, C]);
         // Everything in cloud → no cross edge, no egress.
-        let all_cloud = model.evaluate(&demand(), &[true, true, true]);
+        let all_cloud = model.evaluate(&demand(), &[C, C, C]);
         assert!(split.traffic > 0.0);
         assert_eq!(all_cloud.traffic, 0.0);
     }
 
     #[test]
     fn colocating_chatty_components_is_cheaper() {
-        let model = CostModel::default();
+        let model = two_site();
         // Offloading only the Service splits both of its heavy edges.
-        let split_both = model.evaluate(&demand(), &[false, true, false]);
+        let split_both = model.evaluate(&demand(), &[P, C, P]);
         // Offloading Service + DB keeps the 1→2 edge local.
-        let keep_pair = model.evaluate(&demand(), &[false, true, true]);
+        let keep_pair = model.evaluate(&demand(), &[P, C, C]);
         assert!(split_both.traffic > keep_pair.traffic);
     }
 
     #[test]
     fn per_day_scaling() {
-        let model = CostModel::default();
-        let cost = model.evaluate(&demand(), &[false, true, true]);
+        let model = two_site();
+        let cost = model.evaluate(&demand(), &[P, C, C]);
         let per_day = cost.per_day(3_600);
         assert!((per_day.total() - cost.total() * 24.0).abs() < 1e-9);
         // Degenerate horizon returns the original.
@@ -660,10 +610,10 @@ mod tests {
     #[test]
     fn providers_change_the_price_not_the_structure() {
         let d = demand();
-        let aws = CostModel::new(PricingModel::preset(Provider::AwsLike))
-            .evaluate(&d, &[false, true, true]);
-        let gcp = CostModel::new(PricingModel::preset(Provider::GcpLike))
-            .evaluate(&d, &[false, true, true]);
+        let aws = SiteCostModel::two_site(PricingModel::preset(Provider::AwsLike))
+            .evaluate(&d, &[P, C, C]);
+        let gcp = SiteCostModel::two_site(PricingModel::preset(Provider::GcpLike))
+            .evaluate(&d, &[P, C, C]);
         assert_ne!(aws.total(), gcp.total());
         assert!(aws.compute > 0.0 && gcp.compute > 0.0);
     }
@@ -671,38 +621,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "placement must cover every component")]
     fn mismatched_placement_panics() {
-        let model = CostModel::default();
-        let _ = model.evaluate(&demand(), &[true]);
-    }
-
-    /// The two-entry site model reproduces the binary cost model to the last
-    /// bit: pool pricing shares the arithmetic and the egress pass visits
-    /// the edges in the same order.
-    #[test]
-    fn two_site_model_is_bit_identical_to_the_binary_cost_model() {
-        let d = demand();
-        let binary = CostModel::default();
-        let sited = SiteCostModel::two_site(PricingModel::default());
-        assert_eq!(sited.site_count(), 2);
-        assert!(sited.site_model(SiteId::ON_PREM).is_none());
-        assert!(sited.site_model(SiteId::CLOUD).is_some());
-        for flags in [
-            [false, false, false],
-            [false, true, false],
-            [false, true, true],
-            [true, true, true],
-            [true, false, true],
-        ] {
-            let sites: Vec<SiteId> = flags
-                .iter()
-                .map(|&f| if f { SiteId::CLOUD } else { SiteId::ON_PREM })
-                .collect();
-            let a = binary.evaluate(&d, &flags);
-            let b = sited.evaluate(&d, &sites);
-            assert_eq!(a.compute.to_bits(), b.compute.to_bits(), "{flags:?}");
-            assert_eq!(a.storage.to_bits(), b.storage.to_bits(), "{flags:?}");
-            assert_eq!(a.traffic.to_bits(), b.traffic.to_bits(), "{flags:?}");
-        }
+        let model = two_site();
+        let _ = model.evaluate(&demand(), &[C]);
     }
 
     /// Each elastic site bills its own pool under its own pricing, and a

@@ -55,8 +55,8 @@
 //! assert!(report.eval.cache_hits > 0);
 //! ```
 
-use atlas_cloud::{CostModel, PricingModel, ResourceDemand, ResourceEstimator, ScalingEstimator};
-use atlas_sim::{NetworkModel, Placement, SiteCatalog};
+use atlas_cloud::{ResourceDemand, ResourceEstimator, ScalingEstimator};
+use atlas_sim::{Placement, SiteCatalog};
 use atlas_telemetry::TelemetryStore;
 
 use crate::delay::DelayInjector;
@@ -76,15 +76,11 @@ pub struct AtlasConfig {
     pub component_index: Vec<String>,
     /// Names of the stateful components (those with persistent volumes).
     pub stateful_components: Vec<String>,
-    /// Network model between and within the two locations (ignored when
-    /// [`AtlasConfig::sites`] is set).
-    pub network: NetworkModel,
-    /// Cloud pricing (ignored when [`AtlasConfig::sites`] is set).
-    pub pricing: PricingModel,
-    /// N-site catalog for multi-region deployments: per-site capacity and
-    /// pricing over per-ordered-pair links. `None` (the default) keeps the
-    /// paper's two-site model built from [`AtlasConfig::network`] and
-    /// [`AtlasConfig::pricing`].
+    /// The sites components can be placed at: per-site capacity and pricing
+    /// over per-ordered-pair links. `None` (the default) means
+    /// [`SiteCatalog::default`], the paper's two-site testbed; pass
+    /// `Some(SiteCatalog::hybrid(&cluster, pricing))` for other links or
+    /// prices.
     pub sites: Option<SiteCatalog>,
     /// Expected traffic growth relative to the learning period (the paper's
     /// burst scenario uses 5×).
@@ -106,8 +102,6 @@ impl AtlasConfig {
         Self {
             component_index,
             stateful_components,
-            network: NetworkModel::default(),
-            pricing: PricingModel::default(),
             sites: None,
             expected_traffic_scale: 5.0,
             traces_per_api: 100,
@@ -127,8 +121,10 @@ pub struct Atlas {
 }
 
 impl Atlas {
-    /// Create an advisor with the given configuration.
-    pub fn new(config: AtlasConfig) -> Self {
+    /// Create an advisor with the given configuration. `sites: None` is
+    /// resolved here, once, to the paper's testbed.
+    pub fn new(mut config: AtlasConfig) -> Self {
+        config.sites.get_or_insert_with(SiteCatalog::default);
         Self {
             config,
             profile: None,
@@ -137,7 +133,7 @@ impl Atlas {
         }
     }
 
-    /// The configuration in use.
+    /// The configuration in use (its `sites` is always `Some`).
     pub fn config(&self) -> &AtlasConfig {
         &self.config
     }
@@ -194,36 +190,29 @@ impl Atlas {
         self.demand.as_ref().expect("call Atlas::learn first")
     }
 
+    /// The catalog in effect.
+    fn catalog(&self) -> &SiteCatalog {
+        let sites = self.config.sites.as_ref();
+        sites.expect("Atlas::new resolves `sites: None` to the default catalog")
+    }
+
     /// Build the quality model for a current placement and a set of owner
-    /// preferences (reusable across recommendation rounds). With
-    /// [`AtlasConfig::sites`] set this is an N-site model over the catalog;
-    /// otherwise the paper's two-site model.
+    /// preferences (reusable across recommendation rounds), over the sites
+    /// of [`AtlasConfig::sites`].
     pub fn quality_model(
         &self,
         current: Placement,
         preferences: MigrationPreferences,
     ) -> QualityModel {
-        match &self.config.sites {
-            Some(catalog) => QualityModel::for_catalog(
-                self.profile().clone(),
-                self.footprint().clone(),
-                catalog,
-                self.demand().clone(),
-                preferences,
-                current,
-                self.config.component_index.clone(),
-            ),
-            None => QualityModel::new(
-                self.profile().clone(),
-                self.footprint().clone(),
-                DelayInjector::new(self.config.network, self.config.component_index.clone()),
-                CostModel::new(self.config.pricing.clone()),
-                self.demand().clone(),
-                preferences,
-                current,
-                self.config.component_index.clone(),
-            ),
-        }
+        QualityModel::for_catalog(
+            self.profile().clone(),
+            self.footprint().clone(),
+            self.catalog(),
+            self.demand().clone(),
+            preferences,
+            current,
+            self.config.component_index.clone(),
+        )
     }
 
     /// **Stage 2 — migration recommendation**: run the DRL-based genetic
@@ -264,13 +253,10 @@ impl Atlas {
         current_before_migration: &Placement,
         measured_after_migration_ms: Vec<f64>,
     ) -> DriftDetector {
-        let injector = match &self.config.sites {
-            Some(catalog) => DelayInjector::with_site_network(
-                catalog.network().clone(),
-                self.config.component_index.clone(),
-            ),
-            None => DelayInjector::new(self.config.network, self.config.component_index.clone()),
-        };
+        let injector = DelayInjector::new(
+            self.catalog().network().clone(),
+            self.config.component_index.clone(),
+        );
         let traces = self
             .profile()
             .apis

@@ -9,17 +9,14 @@
 //! later, parallel siblings shift independently, and background operations
 //! never extend the end-to-end latency.
 
-use atlas_sim::{NetworkModel, Placement, SiteId, SiteNetwork};
+use atlas_sim::{Placement, SiteId, SiteNetwork};
 use atlas_telemetry::{Micros, Trace};
 
 use crate::footprint::NetworkFootprint;
 
 /// Estimates post-migration latencies by replaying traces with injected
-/// delays.
-///
-/// The injector works over an N-site [`SiteNetwork`]; the paper's two-site
-/// world is the [`DelayInjector::new`] constructor, whose 2×2 conversion
-/// reproduces the binary [`NetworkModel`] arithmetic bit for bit.
+/// delays over a [`SiteNetwork`] ([`SiteNetwork::default`] is the paper's
+/// two measured links).
 #[derive(Debug, Clone)]
 pub struct DelayInjector {
     network: SiteNetwork,
@@ -28,14 +25,10 @@ pub struct DelayInjector {
 }
 
 impl DelayInjector {
-    /// Create a two-site injector for an application whose components are
-    /// indexed by `component_index` (the same order used by [`Placement`]).
-    pub fn new(network: NetworkModel, component_index: Vec<String>) -> Self {
-        Self::with_site_network(SiteNetwork::two_site(network), component_index)
-    }
-
-    /// Create an injector over an N-site link matrix.
-    pub fn with_site_network(network: SiteNetwork, component_index: Vec<String>) -> Self {
+    /// Create an injector over a link matrix for an application whose
+    /// components are indexed by `component_index` (the same order used by
+    /// [`Placement`]).
+    pub fn new(network: SiteNetwork, component_index: Vec<String>) -> Self {
         Self {
             network,
             component_index,
@@ -360,7 +353,7 @@ mod tests {
 
     fn injector() -> DelayInjector {
         DelayInjector::new(
-            NetworkModel::default(),
+            SiteNetwork::default(),
             vec![
                 "Frontend".to_string(),
                 "URLShorten".to_string(),
@@ -478,7 +471,7 @@ mod tests {
     fn unknown_components_default_to_onprem() {
         let trace = figure6_trace();
         // The injector only knows about a subset of the components.
-        let inj = DelayInjector::new(NetworkModel::default(), vec!["Frontend".to_string()]);
+        let inj = DelayInjector::new(SiteNetwork::default(), vec!["Frontend".to_string()]);
         let current = Placement::all_onprem(1);
         let est = inj.estimate_trace_latency_ms(&trace, &footprint(), &current, &current);
         assert!((est - 10.0).abs() < 1e-6);

@@ -1027,8 +1027,10 @@ mod tests {
     use crate::preferences::MigrationPreferences;
     use crate::profile::ApplicationProfile;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
-    use atlas_cloud::{CostModel, PricingModel, ResourceEstimator, ScalingEstimator};
-    use atlas_sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
+    use atlas_cloud::{ResourceEstimator, ScalingEstimator};
+    use atlas_sim::{
+        ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog, SiteId,
+    };
     use atlas_telemetry::TelemetryStore;
 
     fn build_quality() -> QualityModel {
@@ -1060,16 +1062,11 @@ mod tests {
             .collect();
         let profile = ApplicationProfile::learn(&store, &stateful, 20);
         let footprint = FootprintLearner::default().learn(&store);
-        let injector = crate::delay::DelayInjector::new(
-            ClusterSpec::default().network,
-            component_index.clone(),
-        );
         let demand = ScalingEstimator::with_scale(5.0).estimate(&store, &component_index, 6, 600);
-        QualityModel::new(
+        QualityModel::for_catalog(
             profile,
             footprint,
-            injector,
-            CostModel::new(PricingModel::default()),
+            &SiteCatalog::default(),
             demand,
             MigrationPreferences::with_cpu_limit(12.0),
             current,
@@ -1082,7 +1079,7 @@ mod tests {
         assert!(count < (1 << n));
         (0..count)
             .map(|k| {
-                MigrationPlan::from_bits(&(0..n).map(|i| ((k >> i) & 1) as u8).collect::<Vec<u8>>())
+                MigrationPlan::from_sites((0..n).map(|i| SiteId(((k >> i) & 1) as u16)).collect())
             })
             .collect()
     }

@@ -508,8 +508,7 @@ mod tests {
             .into_iter()
             .flat_map(|api| scratch.traces_for_api(&api))
             .collect();
-        corpus
-            .sort_by(|a, b| (a.root().start_us, a.trace_id).cmp(&(b.root().start_us, b.trace_id)));
+        corpus.sort_by_key(|t| (t.root().start_us, t.trace_id));
 
         let mut atlas = AtlasConfig::new(scenario.component_index(), scenario.stateful_names());
         atlas.sites = Some(scenario.catalog.clone());

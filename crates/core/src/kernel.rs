@@ -29,7 +29,7 @@
 //!   deployment the traces were collected under), `before_cost` is a baked
 //!   constant per hop — this is why a `CompiledQuality` cannot be reused
 //!   across different current placements and is rebuilt by
-//!   [`QualityModel::new`];
+//!   [`QualityModel::for_catalog`];
 //! * the wave grouping, inter-wave gaps and each node's trailing
 //!   own-compute time are placement-independent functions of the span
 //!   timestamps, so each trace compiles to a flat, recursion-free
@@ -57,10 +57,10 @@
 //!
 //! [`CompiledQuality::performance_lanes`] scores a whole batch of candidate
 //! plans in **one** walk of the instruction arena. [`LaneScratch::load`]
-//! transposes the batch into component-major site columns — `soa[c * lanes
-//! + l]` is the site component `c` occupies in lane `l` — so when an op
-//! touches a component, the sites it occupies across all lanes sit in one
-//! contiguous strip. The interpreter state (the trace cursor, the wave
+//! transposes the batch into component-major site columns —
+//! `soa[c * lanes + l]` is the site component `c` occupies in lane `l` — so
+//! when an op touches a component, the sites it occupies across all lanes
+//! sit in one contiguous strip. The interpreter state (the trace cursor, the wave
 //! `base`/`wend` stacks, the per-API accumulator and the `Q_Perf` totals)
 //! becomes a per-lane array updated in a tight inner loop over the lanes.
 //! Every lane performs exactly the floating-point operations of the scalar
@@ -153,7 +153,7 @@
 //! assert_eq!(parent.quality(), batch[0]);
 //! let moved = quality.evaluate_delta(&parent, &[(ComponentId(0), SiteId::CLOUD)]);
 //! let mut cold = onprem.clone();
-//! cold.set(ComponentId(0), atlas_sim::Location::Cloud);
+//! cold.set(ComponentId(0), SiteId::CLOUD);
 //! assert_eq!(moved.quality(), quality.evaluate(&cold));
 //! // ...and reverting the move restores the parent exactly (A → B → A).
 //! let back = quality.evaluate_delta(&moved, &[(ComponentId(0), SiteId::ON_PREM)]);
@@ -161,7 +161,7 @@
 //! ```
 //!
 //! [`QualityModel`]: crate::quality::QualityModel
-//! [`QualityModel::new`]: crate::quality::QualityModel::new
+//! [`QualityModel::for_catalog`]: crate::quality::QualityModel::for_catalog
 //! [`QualityModel::evaluate_interpretive`]: crate::quality::QualityModel::evaluate_interpretive
 //! [`ScoredPlan`]: crate::quality::ScoredPlan
 
@@ -607,8 +607,7 @@ fn compile_node(
             let caller = resolve(id_of, &span.component);
             let callee = resolve(id_of, &child_span.component);
             // Bake this hop's exchange cost for every ordered site pair
-            // (row-major by caller site). The 2-site table is exactly the
-            // old `[collocated, split]` pair laid out as a 2×2 matrix.
+            // (row-major by caller site).
             let n = network.site_count();
             let cost_base = link_costs.len() as u32;
             for a in 0..n as u16 {
@@ -654,10 +653,10 @@ fn current_site(current: &Placement, id: u32) -> SiteId {
 
 /// The feasibility side of Eq. 4, precompiled: placement pins resolved to
 /// `(index, site)` pairs (plus the site-set pins of the N-site model), the
-/// on-prem resource limits, the capacity limits of any owned sites at index
-/// > 0 (from [`SiteCatalog::owned_site_limits`]), and the budget. Shared by
-/// the core quality kernel and the baselines' placement scorer so every
-/// search path pays the same (allocation-free) constraint check.
+/// on-prem resource limits, the capacity limits of any owned sites at
+/// index > 0 (from [`SiteCatalog::owned_site_limits`]), and the budget.
+/// Shared by the core quality kernel and the baselines' placement scorer so
+/// every search path pays the same (allocation-free) constraint check.
 ///
 /// [`SiteCatalog::owned_site_limits`]: atlas_sim::SiteCatalog::owned_site_limits
 #[derive(Debug, Clone)]
@@ -1260,8 +1259,9 @@ mod tests {
     use crate::plan::MigrationPlan;
     use crate::profile::{ApiProfile, ApplicationProfile};
     use crate::quality::QualityModel;
-    use atlas_cloud::{CostModel, PricingModel, ResourceDemand};
-    use atlas_sim::NetworkModel;
+    use crate::testkit::plan as plan_of;
+    use atlas_cloud::{PricingModel, ResourceDemand};
+    use atlas_sim::SiteCatalog;
     use atlas_telemetry::{Span, SpanId, TraceId};
     use std::collections::{HashMap as Map, HashSet};
 
@@ -1342,11 +1342,10 @@ mod tests {
         demand.fill_cpu(0, 2.0);
         demand.fill_cpu(1, 3.0);
         demand.fill_storage(1, 10.0);
-        QualityModel::new(
+        QualityModel::for_catalog(
             profile,
             footprint,
-            DelayInjector::new(NetworkModel::default(), component_index.clone()),
-            CostModel::new(PricingModel::default()),
+            &SiteCatalog::default(),
             demand,
             MigrationPreferences::with_cpu_limit(4.0).with_budget(1.0e9),
             current,
@@ -1676,8 +1675,8 @@ mod tests {
     #[test]
     fn unknown_components_default_to_onprem_bitwise() {
         let model = model_with_externals();
-        for bits in [[0u8, 0], [0, 1], [1, 0], [1, 1]] {
-            let plan = MigrationPlan::from_bits(&bits);
+        for bits in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {
+            let plan = plan_of(&bits);
             let kernel = model.evaluate(&plan);
             let oracle = model.evaluate_interpretive(&plan);
             assert_eq!(
@@ -1708,12 +1707,12 @@ mod tests {
     fn kernel_latency_matches_the_interpretive_injector() {
         let model = model_with_externals();
         let injector = DelayInjector::new(
-            NetworkModel::default(),
+            SiteNetwork::default(),
             vec!["Frontend".to_string(), "Store".to_string()],
         );
         let current = Placement::all_onprem(2);
-        for bits in [[0u8, 0], [0, 1], [1, 0], [1, 1]] {
-            let plan = MigrationPlan::from_bits(&bits);
+        for bits in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {
+            let plan = plan_of(&bits);
             let direct = injector.estimate_api_latency_ms(
                 &model.profile().apis["/api"].traces,
                 model.footprint(),
@@ -1733,7 +1732,7 @@ mod tests {
     #[test]
     fn constraint_kernel_matches_preference_semantics() {
         let prefs = MigrationPreferences::with_cpu_limit(4.0)
-            .pin(ComponentId(0), atlas_sim::Location::OnPrem)
+            .pin(ComponentId(0), SiteId::ON_PREM)
             .with_budget(100.0);
         let kernel = ConstraintKernel::new(&prefs);
         assert!(kernel.violates_pins(&[SiteId(1), SiteId(0)]));

@@ -2,16 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use atlas_sim::{ComponentId, Location, Placement, PlacementError, SiteId};
+use atlas_sim::{ComponentId, Placement, PlacementError, SiteId};
 
 /// A migration plan: a target placement for every component, evaluated
 /// relative to the current (original) placement.
 ///
-/// Plans are site-indexed (see [`Placement`]): the paper's binary encoding
-/// survives as the two-site special case via
-/// [`MigrationPlan::from_bits`]/[`MigrationPlan::to_bits`], and
-/// [`MigrationPlan::from_sites`]/[`MigrationPlan::to_sites`] carry the full
-/// N-site assignment.
+/// Plans are site-indexed (see [`Placement`]):
+/// [`MigrationPlan::from_sites`]/[`MigrationPlan::sites`] carry the
+/// assignment, and the paper's binary plan variable is the two-site case.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MigrationPlan {
     placement: Placement,
@@ -26,13 +24,6 @@ impl MigrationPlan {
     /// The "do nothing" plan: every component stays on-prem.
     pub fn all_onprem(component_count: usize) -> Self {
         Self::new(Placement::all_onprem(component_count))
-    }
-
-    /// Build from the paper's binary encoding (`0` = on-prem, `1` = cloud).
-    /// Debug builds assert every value is 0 or 1 (see
-    /// [`Placement::from_bits`]).
-    pub fn from_bits(bits: &[u8]) -> Self {
-        Self::new(Placement::from_bits(bits))
     }
 
     /// Build from an explicit site assignment.
@@ -51,12 +42,6 @@ impl MigrationPlan {
         &self.placement
     }
 
-    /// The binary encoding of the plan (lossy for N-site plans: every
-    /// elastic site maps to 1).
-    pub fn to_bits(&self) -> Vec<u8> {
-        self.placement.to_bits()
-    }
-
     /// The site assignment of the plan.
     pub fn to_sites(&self) -> Vec<SiteId> {
         self.placement.to_sites()
@@ -65,28 +50,6 @@ impl MigrationPlan {
     /// The sites of the plan, borrowed (the search paths' genome view).
     pub fn sites(&self) -> &[SiteId] {
         self.placement.sites()
-    }
-
-    /// The plan encoded as an `f64` vector, the representation fed to the
-    /// crossover agent: one input per component holding the raw site index
-    /// (0.0 = on-prem; in the two-site model this is exactly the paper's
-    /// binary feature). Maps straight from the placement — no intermediate
-    /// byte vector is allocated.
-    pub fn to_features(&self) -> Vec<f64> {
-        self.placement.sites().iter().map(|s| s.0 as f64).collect()
-    }
-
-    /// [`MigrationPlan::to_features`] normalised to `[0, 1]` by the catalog
-    /// size: site `s` maps to `s / (site_count − 1)`. For the two-site model
-    /// this is bit-identical to the raw features (division by 1), so the
-    /// binary crossover agent sees the exact inputs it always has.
-    pub fn to_features_scaled(&self, site_count: usize) -> Vec<f64> {
-        let scale = (site_count.saturating_sub(1)).max(1) as f64;
-        self.placement
-            .sites()
-            .iter()
-            .map(|s| s.0 as f64 / scale)
-            .collect()
     }
 
     /// Number of components covered by the plan.
@@ -99,17 +62,12 @@ impl MigrationPlan {
         self.placement.is_empty()
     }
 
-    /// Binary view of a component's placement.
-    pub fn location(&self, c: ComponentId) -> Location {
-        self.placement.location(c)
-    }
-
     /// Site assigned to a component.
     pub fn site(&self, c: ComponentId) -> SiteId {
         self.placement.site(c)
     }
 
-    /// Set a component's site ([`Location`]s convert implicitly).
+    /// Set a component's site.
     pub fn set(&mut self, c: ComponentId, site: impl Into<SiteId>) {
         self.placement.set(c, site);
     }
@@ -134,37 +92,21 @@ impl From<Placement> for MigrationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::plan;
 
     #[test]
-    fn encoding_round_trips() {
-        let plan = MigrationPlan::from_bits(&[0, 1, 0, 1]);
-        assert_eq!(plan.to_bits(), vec![0, 1, 0, 1]);
-        assert_eq!(plan.to_features(), vec![0.0, 1.0, 0.0, 1.0]);
-        assert_eq!(plan.len(), 4);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.location(ComponentId(1)), Location::Cloud);
-        assert_eq!(
-            plan.cloud_components(),
-            vec![ComponentId(1), ComponentId(3)]
-        );
-    }
-
-    #[test]
-    fn site_encoding_and_features() {
-        let sites = vec![SiteId(0), SiteId(2), SiteId(3)];
+    fn site_encoding_round_trips() {
+        let sites = vec![SiteId(0), SiteId(2), SiteId(3), SiteId(0)];
         let plan = MigrationPlan::from_sites(sites.clone());
         assert_eq!(plan.to_sites(), sites);
         assert_eq!(plan.sites(), sites.as_slice());
+        assert_eq!(plan.len(), 4);
+        assert!(!plan.is_empty());
         assert_eq!(plan.site(ComponentId(1)), SiteId(2));
-        assert_eq!(plan.to_features(), vec![0.0, 2.0, 3.0]);
-        // Normalised by a 4-site catalog: /3.
-        let scaled = plan.to_features_scaled(4);
-        assert!((scaled[1] - 2.0 / 3.0).abs() < 1e-15);
-        assert_eq!(scaled[0], 0.0);
-        assert_eq!(scaled[2], 1.0);
-        // Two-site scaling is the identity on binary plans.
-        let binary = MigrationPlan::from_bits(&[0, 1, 1, 0]);
-        assert_eq!(binary.to_features(), binary.to_features_scaled(2));
+        assert_eq!(
+            plan.cloud_components(),
+            vec![ComponentId(1), ComponentId(2)]
+        );
     }
 
     #[test]
@@ -183,12 +125,13 @@ mod tests {
 
     #[test]
     fn mutation_and_conversion() {
-        let mut plan = MigrationPlan::all_onprem(3);
-        plan.set(ComponentId(2), Location::Cloud);
-        assert_eq!(plan.to_bits(), vec![0, 0, 1]);
-        plan.set(ComponentId(0), SiteId(2));
-        assert_eq!(plan.site(ComponentId(0)), SiteId(2));
-        let from_placement: MigrationPlan = Placement::from_bits(&[1, 0]).into();
-        assert_eq!(from_placement.to_bits(), vec![1, 0]);
+        let mut moved = MigrationPlan::all_onprem(3);
+        moved.set(ComponentId(2), SiteId::CLOUD);
+        assert_eq!(moved, plan(&[0, 0, 1]));
+        moved.set(ComponentId(0), 2u16);
+        assert_eq!(moved.site(ComponentId(0)), SiteId(2));
+        let placement = Placement::from_sites(vec![SiteId::CLOUD, SiteId::ON_PREM]);
+        let from_placement: MigrationPlan = placement.clone().into();
+        assert_eq!(from_placement.placement(), &placement);
     }
 }

@@ -14,11 +14,10 @@ use atlas_sim::{ComponentId, SiteId};
 /// performance and availability models (critical APIs count double by
 /// default).
 ///
-/// Placement pins generalise to the N-site model: [`MigrationPreferences::pin`]
-/// fixes a component to one site ([`atlas_sim::Location`]s convert, so the
-/// paper's binary pins read unchanged), and
-/// [`MigrationPreferences::pin_to_sites`] restricts a component to a *set* of
-/// allowed sites (e.g. "any region inside the jurisdiction").
+/// Placement pins come in two kinds: [`MigrationPreferences::pin`] fixes a
+/// component to one site, and [`MigrationPreferences::pin_to_sites`]
+/// restricts a component to a *set* of allowed sites (e.g. "any region
+/// inside the jurisdiction").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationPreferences {
     /// APIs that are critical to the business; weighted
@@ -76,8 +75,7 @@ impl MigrationPreferences {
     }
 
     /// Builder: pin a component to a site (e.g. regulatory data that must
-    /// stay on-prem). [`atlas_sim::Location`]s convert implicitly, so the
-    /// paper's binary pins read unchanged.
+    /// stay on-prem).
     pub fn pin(mut self, component: ComponentId, site: impl Into<SiteId>) -> Self {
         self.pinned.insert(component, site.into());
         self
@@ -132,7 +130,7 @@ impl MigrationPreferences {
 mod tests {
     use super::*;
     use crate::plan::MigrationPlan;
-    use atlas_sim::Location;
+    use crate::testkit::plan;
 
     #[test]
     fn defaults_are_unconstrained() {
@@ -157,10 +155,10 @@ mod tests {
     #[test]
     fn pins_are_checked_against_plans() {
         let p = MigrationPreferences::default()
-            .pin(ComponentId(0), Location::OnPrem)
-            .pin(ComponentId(2), Location::OnPrem);
-        let ok = MigrationPlan::from_bits(&[0, 1, 0]);
-        let bad = MigrationPlan::from_bits(&[0, 0, 1]);
+            .pin(ComponentId(0), SiteId::ON_PREM)
+            .pin(ComponentId(2), SiteId::ON_PREM);
+        let ok = plan(&[0, 1, 0]);
+        let bad = plan(&[0, 0, 1]);
         assert!(!p.violates_pins(&ok));
         assert!(p.violates_pins(&bad));
     }

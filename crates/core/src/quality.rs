@@ -1,7 +1,7 @@
 //! Migration-quality modeling: `Q_Perf`, `Q_Avai`, `Q_Cost` and the
 //! feasibility constraints of Eq. 4.
 //!
-//! Scoring is two-tier since PR 4: [`QualityModel::new`] compiles the
+//! Scoring is two-tier since PR 4: [`QualityModel::for_catalog`] compiles the
 //! learned traces into a [`CompiledQuality`] kernel (see [`crate::kernel`]) and every hot entry point — `evaluate`,
 //! `performance`, `availability`, `cost`, `is_feasible`,
 //! `estimate_api_latency_ms` — scores through it, allocation-free. The
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use atlas_cloud::{CompiledCost, CostModel, CostScratch, ResourceDemand, SiteCostModel};
+use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_sim::{Placement, SiteCatalog, SiteId};
 
 use crate::delay::DelayInjector;
@@ -119,43 +119,14 @@ pub struct QualityModel {
 }
 
 impl QualityModel {
-    /// Assemble a two-site quality model (the paper's binary world): one
-    /// cloud priced by `cost_model`, links from the injector's network.
+    /// Assemble a quality model over a [`SiteCatalog`]: the delay injector
+    /// replays traces against the catalog's per-ordered-pair links, and
+    /// `Q_Cost` bills every elastic site under its own pricing.
+    /// [`SiteCatalog::default`] is the paper's two-site testbed.
     ///
     /// `component_index` defines the component ordering used by plans and by
     /// the demand; `current` is the placement the application runs under
-    /// today (all on-prem in the paper's experiments). For an N-site model
-    /// over a [`SiteCatalog`] use [`QualityModel::for_catalog`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        profile: ApplicationProfile,
-        footprint: NetworkFootprint,
-        injector: DelayInjector,
-        cost_model: CostModel,
-        demand: ResourceDemand,
-        preferences: MigrationPreferences,
-        current: Placement,
-        component_index: Vec<String>,
-    ) -> Self {
-        Self::assemble(
-            profile,
-            footprint,
-            injector,
-            SiteCostModel::from_models(vec![None, Some(cost_model)]),
-            demand,
-            preferences,
-            current,
-            component_index,
-        )
-    }
-
-    /// Assemble an N-site quality model over a [`SiteCatalog`]: the delay
-    /// injector replays traces against the catalog's per-ordered-pair
-    /// links, and `Q_Cost` bills every elastic site under its own pricing.
-    ///
-    /// A 2-entry catalog with default parameters
-    /// ([`SiteCatalog::default`]) scores bit-identically to the two-site
-    /// [`QualityModel::new`] constructor — pinned by regression test.
+    /// today (all on-prem in the paper's experiments).
     #[allow(clippy::too_many_arguments)]
     pub fn for_catalog(
         profile: ApplicationProfile,
@@ -166,57 +137,17 @@ impl QualityModel {
         current: Placement,
         component_index: Vec<String>,
     ) -> Self {
-        let mut model = Self::assemble(
-            profile,
-            footprint,
-            DelayInjector::with_site_network(catalog.network().clone(), component_index.clone()),
-            catalog.cost_model(),
-            demand,
-            preferences,
-            current,
-            component_index,
-        );
-        model
-            .kernel
-            .set_owned_site_limits(catalog.owned_site_limits());
-        model
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        profile: ApplicationProfile,
-        footprint: NetworkFootprint,
-        injector: DelayInjector,
-        cost_model: SiteCostModel,
-        demand: ResourceDemand,
-        preferences: MigrationPreferences,
-        current: Placement,
-        component_index: Vec<String>,
-    ) -> Self {
         assert_eq!(
             current.len(),
             component_index.len(),
             "current placement must cover every component"
         );
-        assert_eq!(
-            injector.component_index(),
-            component_index,
-            "the delay injector must resolve names against the same component \
-             index as the model, or the compiled kernel and the interpretive \
-             oracle would silently disagree"
-        );
-        assert_eq!(
-            injector.site_network().site_count(),
-            cost_model.site_count(),
-            "the link matrix and the cost model must cover the same sites"
-        );
         assert!(
-            current
-                .sites()
-                .iter()
-                .all(|s| s.index() < cost_model.site_count()),
+            current.sites().iter().all(|&s| catalog.contains(s)),
             "the current placement names a site outside the catalog"
         );
+        let injector = DelayInjector::new(catalog.network().clone(), component_index.clone());
+        let cost_model = catalog.cost_model();
         let baseline_latency_ms: HashMap<String, f64> = profile
             .apis
             .iter()
@@ -224,7 +155,7 @@ impl QualityModel {
             .collect();
         let mut api_order: Vec<String> = profile.apis.keys().cloned().collect();
         api_order.sort();
-        let kernel = CompiledQuality::compile(
+        let mut kernel = CompiledQuality::compile(
             &profile,
             &footprint,
             injector.site_network(),
@@ -233,6 +164,7 @@ impl QualityModel {
             &component_index,
             &api_order,
         );
+        kernel.set_owned_site_limits(catalog.owned_site_limits());
         let cost_kernel = cost_model.compile(&demand);
         Self {
             profile,
@@ -304,8 +236,8 @@ impl QualityModel {
         self.component_index.len()
     }
 
-    /// Number of sites plans may place components at (2 in the paper's
-    /// binary model).
+    /// Number of sites plans may place components at (2 on the paper's
+    /// testbed).
     pub fn site_count(&self) -> usize {
         self.cost_model.site_count()
     }
@@ -824,10 +756,8 @@ mod tests {
     use super::*;
     use crate::footprint::FootprintLearner;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
-    use atlas_cloud::{PricingModel, ResourceEstimator, ScalingEstimator};
-    use atlas_sim::{
-        AppTopology, ClusterSpec, ComponentId, Location, OverloadModel, SimConfig, Simulator,
-    };
+    use atlas_cloud::{ResourceEstimator, ScalingEstimator};
+    use atlas_sim::{AppTopology, ClusterSpec, ComponentId, OverloadModel, SimConfig, Simulator};
     use atlas_telemetry::TelemetryStore;
 
     /// Build a fully-learned quality model from a short simulated run of the
@@ -862,13 +792,11 @@ mod tests {
             .collect();
         let profile = ApplicationProfile::learn(&store, &stateful, 40);
         let footprint = FootprintLearner::default().learn(&store);
-        let injector = DelayInjector::new(ClusterSpec::default().network, component_index.clone());
         let demand = ScalingEstimator::with_scale(5.0).estimate(&store, &component_index, 12, 600);
-        let model = QualityModel::new(
+        let model = QualityModel::for_catalog(
             profile,
             footprint,
-            injector,
-            CostModel::new(PricingModel::default()),
+            &SiteCatalog::default(),
             demand,
             preferences,
             current,
@@ -897,7 +825,7 @@ mod tests {
         let (model, app) = build_model(MigrationPreferences::default());
         let user_db = app.component_id("UserMongoDB").unwrap();
         let mut plan = MigrationPlan::all_onprem(app.component_count());
-        plan.set(user_db, Location::Cloud);
+        plan.set(user_db, SiteId::CLOUD);
         let q = model.evaluate(&plan);
         // UserMongoDB is used by several APIs → several disrupted APIs.
         assert!(
@@ -906,6 +834,9 @@ mod tests {
             q.availability
         );
         assert!(q.cost > 0.0);
+        // The per-day figure rescales the 12 × 600 s horizon.
+        let per_day = model.cost_per_day(&plan);
+        assert!((per_day - q.cost * 12.0).abs() < 1e-9 * per_day);
     }
 
     #[test]
@@ -914,9 +845,9 @@ mod tests {
         let post_storage = app.component_id("PostStorageService").unwrap();
         let write_ht = app.component_id("WriteHomeTimelineService").unwrap();
         let mut fg = MigrationPlan::all_onprem(app.component_count());
-        fg.set(post_storage, Location::Cloud);
+        fg.set(post_storage, SiteId::CLOUD);
         let mut bg = MigrationPlan::all_onprem(app.component_count());
-        bg.set(write_ht, Location::Cloud);
+        bg.set(write_ht, SiteId::CLOUD);
         let q_fg = model.performance(&fg);
         let q_bg = model.performance(&bg);
         assert!(
@@ -946,15 +877,15 @@ mod tests {
     fn placement_pins_and_budget_are_enforced() {
         let (model, app) = build_model(
             MigrationPreferences::default()
-                .pin(ComponentId(0), Location::OnPrem)
+                .pin(ComponentId(0), SiteId::ON_PREM)
                 .with_budget(0.000001),
         );
         let mut plan = MigrationPlan::all_onprem(app.component_count());
-        plan.set(ComponentId(0), Location::Cloud);
+        plan.set(ComponentId(0), SiteId::CLOUD);
         assert!(model.feasibility(&plan).unwrap().contains("placement"));
 
         let mut cheap_violation = MigrationPlan::all_onprem(app.component_count());
-        cheap_violation.set(ComponentId(5), Location::Cloud);
+        cheap_violation.set(ComponentId(5), SiteId::CLOUD);
         assert!(model
             .feasibility(&cheap_violation)
             .unwrap()
@@ -969,7 +900,7 @@ mod tests {
         // Offload a component heavily used by /homeTimelineAPI.
         let ht_service = app.component_id("HomeTimelineService").unwrap();
         let mut plan = MigrationPlan::all_onprem(app.component_count());
-        plan.set(ht_service, Location::Cloud);
+        plan.set(ht_service, SiteId::CLOUD);
         let q_plain = plain.performance(&plan);
         let q_critical = critical.performance(&plan);
         assert!(
@@ -983,60 +914,5 @@ mod tests {
         let (model, _) = build_model(MigrationPreferences::default());
         let tiny = MigrationPlan::all_onprem(3);
         assert!(!model.is_feasible(&tiny));
-    }
-
-    /// The 2-entry default [`SiteCatalog`] reproduces the paper's two-site
-    /// quality model bit for bit: building the same learned model through
-    /// [`QualityModel::for_catalog`] scores every indicator identically to
-    /// the binary [`QualityModel::new`] constructor across the seed app's
-    /// plan spectrum (identity, all-cloud, partial offloads, infeasible
-    /// plans). This is the regression pinning the N-site generalisation to
-    /// the historical behaviour.
-    #[test]
-    fn default_two_site_catalog_reproduces_the_binary_model_bitwise() {
-        let preferences = MigrationPreferences::with_cpu_limit(12.0)
-            .pin(ComponentId(0), Location::OnPrem)
-            .with_budget(500.0);
-        let (binary, app) = build_model(preferences.clone());
-        let n = app.component_count();
-        let catalog_model = QualityModel::for_catalog(
-            binary.profile().clone(),
-            binary.footprint().clone(),
-            &SiteCatalog::default(),
-            binary.demand.clone(),
-            preferences,
-            Placement::all_onprem(n),
-            binary.component_index().to_vec(),
-        );
-        assert_eq!(catalog_model.site_count(), 2);
-
-        let mut plans: Vec<MigrationPlan> = vec![
-            MigrationPlan::all_onprem(n),
-            MigrationPlan::new(Placement::all_cloud(n)),
-        ];
-        for salt in 0u64..8 {
-            let bits: Vec<u8> = (0..n)
-                .map(|i| {
-                    ((salt
-                        .wrapping_mul(0x9E37_79B9)
-                        .wrapping_add(i as u64 * 0x85EB))
-                        >> 5) as u8
-                        & 1
-                })
-                .collect();
-            plans.push(MigrationPlan::from_bits(&bits));
-        }
-        for plan in &plans {
-            let a = binary.evaluate(plan);
-            let b = catalog_model.evaluate(plan);
-            assert_eq!(a.performance.to_bits(), b.performance.to_bits());
-            assert_eq!(a.availability.to_bits(), b.availability.to_bits());
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(a.feasible, b.feasible);
-            assert_eq!(
-                binary.cost_per_day(plan).to_bits(),
-                catalog_model.cost_per_day(plan).to_bits()
-            );
-        }
     }
 }

@@ -435,11 +435,11 @@ impl<'a> Recommender<'a> {
         initial: InitialPopulation,
         trained: Option<&TrainedCrossover>,
     ) -> RecommendationReport {
-        // The gene alphabet of the search: every site of the catalog. For
-        // the paper's two-site model this is {on-prem, cloud} and the whole
-        // search consumes the random stream exactly like the historical
-        // binary encoding (uniform crossover draws one bool per gene either
-        // way; the alphabet mutation degenerates to a bit flip).
+        // The gene alphabet of the search: every site of the catalog. On
+        // the paper's testbed this is {on-prem, cloud}: uniform crossover
+        // draws one bool per gene at any alphabet size and the alphabet
+        // mutation degenerates to a bit flip, which keeps 2-site searches
+        // on the random stream their recorded fronts were found on.
         let site_alphabet: Vec<SiteId> =
             (0..self.quality.site_count() as u16).map(SiteId).collect();
         let InitialPopulation {
@@ -650,14 +650,13 @@ pub fn random_site<R: Rng + ?Sized>(rng: &mut R, cloud_fraction: f64, site_count
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayInjector;
     use crate::footprint::FootprintLearner;
     use crate::preferences::MigrationPreferences;
     use crate::profile::ApplicationProfile;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
-    use atlas_cloud::{CostModel, PricingModel, ResourceEstimator, ScalingEstimator};
+    use atlas_cloud::{ResourceEstimator, ScalingEstimator};
     use atlas_sim::{
-        ClusterSpec, ComponentId, Location, OverloadModel, Placement, SimConfig, Simulator,
+        ClusterSpec, ComponentId, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog,
     };
     use atlas_telemetry::TelemetryStore;
 
@@ -691,13 +690,11 @@ mod tests {
             .collect();
         let profile = ApplicationProfile::learn(&store, &stateful, 25);
         let footprint = FootprintLearner::default().learn(&store);
-        let injector = DelayInjector::new(ClusterSpec::default().network, component_index.clone());
         let demand = ScalingEstimator::with_scale(5.0).estimate(&store, &component_index, 8, 600);
-        QualityModel::new(
+        QualityModel::for_catalog(
             profile,
             footprint,
-            injector,
-            CostModel::new(PricingModel::default()),
+            &SiteCatalog::default(),
             demand,
             preferences,
             current,
@@ -736,13 +733,13 @@ mod tests {
     #[test]
     fn pinned_components_are_never_offloaded() {
         let prefs = burst_preferences(12.0)
-            .pin(ComponentId(23), Location::OnPrem) // UserMongoDB
-            .pin(ComponentId(25), Location::OnPrem); // PostStorageMongoDB
+            .pin(ComponentId(23), SiteId::ON_PREM) // UserMongoDB
+            .pin(ComponentId(25), SiteId::ON_PREM); // PostStorageMongoDB
         let quality = build_quality(prefs);
         let report = Recommender::new(&quality, RecommenderConfig::fast()).recommend();
         for plan in &report.plans {
-            assert_eq!(plan.plan.location(ComponentId(23)), Location::OnPrem);
-            assert_eq!(plan.plan.location(ComponentId(25)), Location::OnPrem);
+            assert_eq!(plan.plan.site(ComponentId(23)), SiteId::ON_PREM);
+            assert_eq!(plan.plan.site(ComponentId(25)), SiteId::ON_PREM);
         }
     }
 

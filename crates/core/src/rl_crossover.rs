@@ -75,8 +75,8 @@ impl Default for RlCrossoverConfig {
 /// `i` of the child comes from parent A or parent B, so the learned
 /// operator recombines arbitrary site assignments without growing the
 /// action space. State inputs are the parents' site indices normalised to
-/// `[0, 1]` ([`MigrationPlan::to_features_scaled`]), which reduces to the
-/// historical binary features when `site_count == 2`.
+/// `[0, 1]` (site `s` maps to `s / (site_count − 1)`), which is the paper's
+/// binary feature when `site_count == 2`.
 #[derive(Debug)]
 pub struct CrossoverAgent {
     agent: ActorCritic,
@@ -280,9 +280,8 @@ impl CrossoverAgent {
     }
 }
 
-/// Load the policy input for a parent pair: both site assignments
-/// normalised to `[0, 1]`, exactly [`MigrationPlan::to_features_scaled`]
-/// applied to each genome.
+/// Load the policy input for a parent pair: both site assignments, one
+/// input per component, normalised to `[0, 1]` by the catalog size.
 fn load_state(state: &mut Vec<f64>, site_count: usize, a: &[SiteId], b: &[SiteId]) {
     let scale = (site_count.saturating_sub(1)).max(1) as f64;
     state.clear();
@@ -394,6 +393,7 @@ impl CrossoverSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::plan;
 
     fn quality(perf: f64, avail: f64, cost: f64, feasible: bool) -> PlanQuality {
         PlanQuality {
@@ -445,9 +445,11 @@ mod tests {
 
     #[test]
     fn disabling_the_penalty_keeps_rewards_non_negative() {
-        let mut cfg = RlCrossoverConfig::default();
-        cfg.feasibility_penalty = false;
-        cfg.actor_hidden = vec![8];
+        let cfg = RlCrossoverConfig {
+            feasibility_penalty: false,
+            actor_hidden: vec![8],
+            ..RlCrossoverConfig::default()
+        };
         let a = CrossoverAgent::new(3, cfg);
         let pa = quality(2.0, 1.0, 100.0, true);
         let pb = quality(3.0, 0.0, 80.0, true);
@@ -458,13 +460,31 @@ mod tests {
     #[test]
     fn crossover_produces_plans_of_the_right_size() {
         let mut a = agent(6);
-        let p1 = MigrationPlan::from_bits(&[0, 0, 0, 1, 1, 1]);
-        let p2 = MigrationPlan::from_bits(&[1, 1, 1, 0, 0, 0]);
+        let p1 = plan(&[0, 0, 0, 1, 1, 1]);
+        let p2 = plan(&[1, 1, 1, 0, 0, 0]);
         let child = a.crossover(&p1, &p2);
         assert_eq!(child.len(), 6);
         let greedy = a.crossover_greedy(&p1, &p2);
         assert_eq!(greedy.len(), 6);
-        assert!(child.to_bits().iter().all(|&b| b <= 1));
+        assert!(child.sites().iter().all(|s| s.index() <= 1));
+    }
+
+    #[test]
+    fn policy_input_normalises_site_indices_by_the_catalog_size() {
+        use atlas_sim::SiteId;
+        let a = [SiteId(0), SiteId(2), SiteId(3)];
+        let b = [SiteId(1), SiteId(0), SiteId(3)];
+        let mut state = Vec::new();
+        // A 4-site catalog divides by 3.
+        load_state(&mut state, 4, &a, &b);
+        assert_eq!(state.len(), 6);
+        assert_eq!(state[0], 0.0);
+        assert!((state[1] - 2.0 / 3.0).abs() < 1e-15);
+        assert_eq!(state[2], 1.0);
+        assert!((state[3] - 1.0 / 3.0).abs() < 1e-15);
+        // Two sites divide by 1: the input is the raw plan variable.
+        load_state(&mut state, 2, &b[..2], &a[..1]);
+        assert_eq!(state, vec![1.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -503,9 +523,8 @@ mod tests {
         let mut a = agent(4);
         let dataset: Vec<ScoredPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
             .iter()
-            .map(|bits| {
-                let plan = MigrationPlan::from_bits(bits);
-                ScoredPlan::quality_only(plan.to_sites(), quality(2.0, 1.0, 50.0, true))
+            .map(|sites| {
+                ScoredPlan::quality_only(plan(sites).to_sites(), quality(2.0, 1.0, 50.0, true))
             })
             .collect();
         let rewards = a.train_scored(&dataset, |_, _, _| quality(1.0, 0.5, 40.0, true));

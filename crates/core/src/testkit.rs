@@ -3,12 +3,19 @@
 //! more traces, components or sites than the hand-built fixtures carry.
 
 use atlas_apps::{synthesize, CallGraphShape, SynthOptions, SynthScenario, WorkloadGenerator};
-use atlas_sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
+use atlas_sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteId};
 use atlas_telemetry::TelemetryStore;
 
 use crate::advisor::{Atlas, AtlasConfig};
+use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
 use crate::quality::QualityModel;
+
+/// A plan from raw site indices: `plan(&[0, 1, 0])` offloads component 1 to
+/// site 1.
+pub(crate) fn plan(sites: &[u16]) -> MigrationPlan {
+    MigrationPlan::from_sites(sites.iter().map(|&s| SiteId(s)).collect())
+}
 
 /// Representative traces retained per API.
 pub(crate) const TRACES_PER_API: usize = 40;

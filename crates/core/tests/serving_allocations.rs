@@ -68,7 +68,7 @@ fn hub() -> (AdvisorHub, atlas_core::TenantId) {
         .into_iter()
         .flat_map(|api| store.traces_for_api(&api))
         .collect();
-    corpus.sort_by(|a, b| (a.root().start_us, a.trace_id).cmp(&(b.root().start_us, b.trace_id)));
+    corpus.sort_by_key(|t| (t.root().start_us, t.trace_id));
 
     let mut atlas = AtlasConfig::new(scenario.component_index(), scenario.stateful_names());
     atlas.sites = Some(scenario.catalog.clone());

@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn archive_is_a_pure_function_of_the_insertion_sequence() {
-        let offers = vec![
+        let offers = [
             vec![3.0, 7.0],
             vec![7.0, 3.0],
             vec![5.0, 5.0],

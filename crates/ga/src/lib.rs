@@ -9,8 +9,8 @@
 //! * [`pareto`] — Pareto-dominance tests and front extraction;
 //! * [`nsga2`] — fast non-dominated sorting, crowding distance,
 //!   constraint-aware survival selection and binary tournaments;
-//! * [`operators`] — uniform crossover and alphabet/bit-flip mutation for
-//!   the placement genomes Atlas uses (binary or N-site);
+//! * [`operators`] — uniform crossover and alphabet mutation for
+//!   the placement genomes Atlas uses;
 //! * [`archive`] — a capped, crowding-pruned external non-dominated archive
 //!   that accumulates every evaluated candidate, so the final front
 //!   survives population churn.
@@ -27,7 +27,5 @@ pub use archive::ParetoArchive;
 pub use nsga2::{
     binary_tournament, crowding_distance, fast_non_dominated_sort, select_survivors, take_selected,
 };
-pub use operators::{
-    alphabet_mutation, alphabet_mutation_tracked, bit_flip_mutation, uniform_crossover,
-};
+pub use operators::{alphabet_mutation, uniform_crossover};
 pub use pareto::{dominates, pareto_front_indices};

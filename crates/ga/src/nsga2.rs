@@ -392,7 +392,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let rank = vec![0, 1, 0, 2];
         let crowding = vec![1.0, f64::INFINITY, 2.0, 0.5];
-        let mut wins = vec![0usize; 4];
+        let mut wins = [0usize; 4];
         for _ in 0..2_000 {
             wins[binary_tournament(&mut rng, &rank, &crowding)] += 1;
         }

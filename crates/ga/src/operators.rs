@@ -2,22 +2,19 @@
 //!
 //! The baselines and the random initialisation of Atlas's population use the
 //! classic operators: uniform crossover (each gene comes from either parent
-//! with equal probability) and a resampling mutation over the gene alphabet
-//! ([`bit_flip_mutation`] is the binary special case). Atlas's own crossover
-//! is the learned agent in `atlas-core::rl_crossover`; these operators are
+//! with equal probability) and a resampling mutation over the gene
+//! alphabet. Atlas's own crossover is the learned agent in `atlas-core::rl_crossover`; these operators are
 //! the "existing approaches create offspring by randomly combining the
 //! parents" the paper compares against (§4.2.1).
 //!
-//! The operators are generic over the gene type, so the same code serves the
-//! paper's binary `{on-prem, cloud}` genomes and the N-site `SiteId`
-//! genomes of the multi-region model.
+//! The operators are generic over the gene type; the searches run them over
+//! `SiteId` genomes.
 
 use rand::Rng;
 
 /// Uniform crossover: each gene is copied from either parent with equal
-/// probability. Generic over the gene type (binary `u8` genomes and N-site
-/// id genomes alike); the random stream is one draw per gene regardless of
-/// the alphabet.
+/// probability. Generic over the gene type; the random stream is one draw
+/// per gene regardless of the alphabet.
 ///
 /// # Panics
 ///
@@ -30,25 +27,13 @@ pub fn uniform_crossover<T: Copy, R: Rng + ?Sized>(rng: &mut R, a: &[T], b: &[T]
         .collect()
 }
 
-/// Bit-flip mutation: each gene is flipped (0 ↔ 1) independently with
-/// probability `rate`.
-pub fn bit_flip_mutation<R: Rng + ?Sized>(rng: &mut R, genome: &mut [u8], rate: f64) {
-    for gene in genome.iter_mut() {
-        if rng.gen::<f64>() < rate {
-            *gene = if *gene == 0 { 1 } else { 0 };
-        }
-    }
-}
-
 /// Alphabet mutation: each gene is independently resampled, with probability
 /// `rate`, to a *different* letter of `alphabet`, chosen uniformly.
 ///
-/// This is the N-ary generalisation of [`bit_flip_mutation`], and it
-/// consumes the random stream identically for a two-letter alphabet: one
-/// `f64` draw per gene, and the replacement of a mutated gene is the other
-/// letter without a further draw — so a binary search using it is
-/// bit-identical to one using `bit_flip_mutation`. Larger alphabets pay one
-/// extra draw per *mutated* gene to pick the replacement.
+/// A two-letter alphabet draws one `f64` per gene and replaces a mutated
+/// gene by the other letter without a further draw — the classic bit flip,
+/// and the random stream every recorded 2-site front was searched on. Larger
+/// alphabets pay one extra draw per *mutated* gene to pick the replacement.
 ///
 /// Genes not present in the alphabet are replaced by a uniformly drawn
 /// letter when mutated.
@@ -62,43 +47,12 @@ pub fn alphabet_mutation<T: Copy + Eq, R: Rng + ?Sized>(
     alphabet: &[T],
     rate: f64,
 ) {
-    mutate_alphabet(rng, genome, alphabet, rate, |_| {});
-}
-
-/// [`alphabet_mutation`] that additionally reports *which* genes mutated.
-///
-/// Consumes the random stream identically to the untracked variant (the
-/// tracking is pure bookkeeping), so swapping one for the other never
-/// perturbs a seeded search. The returned indices are ascending and unique;
-/// delta re-scoring uses them to re-price only the traces that touch a
-/// mutated component.
-pub fn alphabet_mutation_tracked<T: Copy + Eq, R: Rng + ?Sized>(
-    rng: &mut R,
-    genome: &mut [T],
-    alphabet: &[T],
-    rate: f64,
-) -> Vec<usize> {
-    let mut changed = Vec::new();
-    mutate_alphabet(rng, genome, alphabet, rate, |idx| changed.push(idx));
-    changed
-}
-
-/// Shared body of the alphabet mutations: one `f64` draw per gene, a
-/// deterministic flip on binary alphabets, one extra draw per mutated gene
-/// otherwise. `on_change` fires once per mutated gene, in genome order.
-fn mutate_alphabet<T: Copy + Eq, R: Rng + ?Sized>(
-    rng: &mut R,
-    genome: &mut [T],
-    alphabet: &[T],
-    rate: f64,
-    mut on_change: impl FnMut(usize),
-) {
     assert!(alphabet.len() >= 2, "mutation needs at least 2 letters");
-    for (idx, gene) in genome.iter_mut().enumerate() {
+    for gene in genome.iter_mut() {
         if rng.gen::<f64>() < rate {
             if alphabet.len() == 2 {
-                // Binary special case: deterministic flip, no extra draw
-                // (keeps 2-site searches bit-identical to bit_flip_mutation).
+                // Two letters: deterministic flip, no extra draw (keeps
+                // 2-site searches on their historical random stream).
                 *gene = if *gene == alphabet[0] {
                     alphabet[1]
                 } else {
@@ -114,7 +68,6 @@ fn mutate_alphabet<T: Copy + Eq, R: Rng + ?Sized>(
                 };
                 *gene = alphabet[k];
             }
-            on_change(idx);
         }
     }
 }
@@ -134,8 +87,8 @@ mod tests {
         assert_eq!(child.len(), 32);
         assert!(child.iter().all(|&g| g == 0 || g == 1));
         // With 32 genes the child is essentially never a clone of one parent.
-        assert!(child.iter().any(|&g| g == 0));
-        assert!(child.iter().any(|&g| g == 1));
+        assert!(child.contains(&0));
+        assert!(child.contains(&1));
     }
 
     #[test]
@@ -157,9 +110,9 @@ mod tests {
     fn mutation_rate_zero_and_one_are_exact() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut genome = vec![0, 1, 0, 1];
-        bit_flip_mutation(&mut rng, &mut genome, 0.0);
+        alphabet_mutation(&mut rng, &mut genome, &[0, 1], 0.0);
         assert_eq!(genome, vec![0, 1, 0, 1]);
-        bit_flip_mutation(&mut rng, &mut genome, 1.0);
+        alphabet_mutation(&mut rng, &mut genome, &[0, 1], 1.0);
         assert_eq!(genome, vec![1, 0, 1, 0]);
     }
 
@@ -167,7 +120,7 @@ mod tests {
     fn mutation_flips_roughly_rate_fraction() {
         let mut rng = StdRng::seed_from_u64(13);
         let mut genome = vec![0u8; 10_000];
-        bit_flip_mutation(&mut rng, &mut genome, 0.1);
+        alphabet_mutation(&mut rng, &mut genome, &[0, 1], 0.1);
         let flipped = genome.iter().filter(|&&g| g == 1).count();
         assert!(
             (800..1_200).contains(&flipped),
@@ -191,18 +144,29 @@ mod tests {
         assert_eq!(bytes.iter().map(|&x| x as u16).collect::<Vec<_>>(), words);
     }
 
-    /// On a two-letter alphabet the generalised mutation is bit-identical to
-    /// `bit_flip_mutation`: same draws, same flips, same resulting stream.
+    /// On a two-letter alphabet the mutation draws exactly one `f64` per
+    /// gene and flips a mutated gene to the other letter: the random stream
+    /// the 2-site fronts depend on.
     #[test]
     fn alphabet_mutation_matches_bit_flip_on_binary_genomes() {
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
-        let mut bits = vec![0u8, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0];
-        let mut sites = bits.clone();
-        bit_flip_mutation(&mut rng_a, &mut bits, 0.4);
+        let before = vec![0u8, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0];
+        let flipped: Vec<u8> = before
+            .iter()
+            .map(|&gene| {
+                if rng_a.gen::<f64>() < 0.4 {
+                    1 - gene
+                } else {
+                    gene
+                }
+            })
+            .collect();
+        let mut sites = before.clone();
         alphabet_mutation(&mut rng_b, &mut sites, &[0u8, 1], 0.4);
-        assert_eq!(bits, sites);
-        // The streams stay aligned after the call.
+        assert_eq!(sites, flipped);
+        assert_ne!(sites, before, "rate 0.4 over 12 genes mutates something");
+        // One draw per gene and no more: the streams stay aligned.
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
@@ -228,30 +192,6 @@ mod tests {
         let mut stray = vec![9u16; 2_000];
         alphabet_mutation(&mut rng, &mut stray, &alphabet, 1.0);
         assert!(stray.iter().all(|g| alphabet.contains(g)));
-    }
-
-    /// The tracked mutation consumes the same stream and produces the same
-    /// genome as the untracked one, while reporting exactly the mutated
-    /// gene indices.
-    #[test]
-    fn tracked_mutation_matches_untracked_and_reports_changes() {
-        for alphabet in [vec![0u16, 1], vec![0u16, 1, 2, 3, 4]] {
-            let mut rng_a = StdRng::seed_from_u64(17);
-            let mut rng_b = StdRng::seed_from_u64(17);
-            let mut plain = vec![0u16, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1];
-            let mut tracked = plain.clone();
-            let before = tracked.clone();
-            alphabet_mutation(&mut rng_a, &mut plain, &alphabet, 0.4);
-            let changed = alphabet_mutation_tracked(&mut rng_b, &mut tracked, &alphabet, 0.4);
-            assert_eq!(plain, tracked);
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-            // Ascending, unique, and exactly the genes that moved.
-            assert!(changed.windows(2).all(|w| w[0] < w[1]));
-            let moved: Vec<usize> = (0..before.len())
-                .filter(|&i| before[i] != tracked[i])
-                .collect();
-            assert_eq!(changed, moved);
-        }
     }
 
     #[test]

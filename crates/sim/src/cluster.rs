@@ -4,81 +4,16 @@
 //! public-cloud datacenter (Massachusetts). The only properties Atlas's
 //! models consume are (i) the capacity of each site, (ii) the node
 //! granularity and pricing of its elastic pools, and (iii) the latency and
-//! bandwidth on every ordered site pair. The two-site world of the paper is
-//! captured by [`ClusterSpec`]/[`NetworkModel`] with the measured values as
-//! defaults; the N-site generalisation is a [`SiteCatalog`] (per-site
-//! capacity + pricing) over a [`SiteNetwork`] (per-ordered-pair
-//! [`LinkSpec`]s), with `OnPrem` as site 0 and a 2-entry catalog whose
-//! defaults reproduce the two-site numbers exactly.
+//! bandwidth on every ordered site pair. A deployment is a [`SiteCatalog`]
+//! (per-site capacity + pricing) over a [`SiteNetwork`] (per-ordered-pair
+//! [`LinkSpec`]s), with on-prem as site 0; the paper's testbed is the
+//! 2-entry default catalog, built from [`ClusterSpec`] and the two measured
+//! links of [`NetworkModel`].
 
 use serde::{Deserialize, Serialize};
 
 pub use atlas_cloud::SiteId;
 use atlas_cloud::{PricingModel, SiteCostModel};
-
-/// Where a component is placed in the paper's two-site model. This is the
-/// binary view of a [`SiteId`]: `OnPrem` is site 0, `Cloud` stands for any
-/// other (elastic) site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Location {
-    /// The on-premises cluster (`p_c = 0` in the paper).
-    OnPrem,
-    /// The public cloud (`p_c = 1`).
-    Cloud,
-}
-
-impl Location {
-    /// Encode as the paper's binary plan variable.
-    pub fn as_bit(self) -> u8 {
-        match self {
-            Location::OnPrem => 0,
-            Location::Cloud => 1,
-        }
-    }
-
-    /// Decode from a binary plan variable (anything non-zero is cloud).
-    pub fn from_bit(bit: u8) -> Self {
-        if bit == 0 {
-            Location::OnPrem
-        } else {
-            Location::Cloud
-        }
-    }
-
-    /// The site this location denotes in a catalog: site 0 for on-prem, the
-    /// first elastic site for the cloud.
-    pub fn site(self) -> SiteId {
-        match self {
-            Location::OnPrem => SiteId::ON_PREM,
-            Location::Cloud => SiteId::CLOUD,
-        }
-    }
-
-    /// The binary view of a site: site 0 is on-prem, everything else is an
-    /// elastic ("cloud") site.
-    pub fn of_site(site: SiteId) -> Self {
-        if site.is_on_prem() {
-            Location::OnPrem
-        } else {
-            Location::Cloud
-        }
-    }
-}
-
-impl From<Location> for SiteId {
-    fn from(location: Location) -> Self {
-        location.site()
-    }
-}
-
-impl std::fmt::Display for Location {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Location::OnPrem => f.write_str("on-prem"),
-            Location::Cloud => f.write_str("cloud"),
-        }
-    }
-}
 
 /// Latency/bandwidth description of one link class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,7 +40,8 @@ impl LinkSpec {
     }
 }
 
-/// Network characteristics of the hybrid deployment.
+/// The two measured links of the paper's hybrid deployment (§5.1), the
+/// input of [`SiteNetwork::two_site`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkModel {
     /// Link between two components in the same datacenter.
@@ -131,49 +67,11 @@ impl Default for NetworkModel {
     }
 }
 
-impl NetworkModel {
-    /// Link spec for a communication between the two given locations.
-    pub fn link(&self, a: Location, b: Location) -> LinkSpec {
-        if a == b {
-            self.intra
-        } else {
-            self.inter
-        }
-    }
-
-    /// One-way transfer time (µs) for `bytes` between the two locations.
-    pub fn transfer_us(&self, from: Location, to: Location, bytes: f64) -> f64 {
-        self.link(from, to).transfer_us(bytes)
-    }
-
-    /// The paper's Δ (Eq. 2): the *additional* delay incurred by one
-    /// request/response exchange when the callee moves from `before` to
-    /// `after` relative to its caller.
-    pub fn delay_delta_us(
-        &self,
-        caller: Location,
-        callee_before: Location,
-        callee_after: Location,
-        request_bytes: f64,
-        response_bytes: f64,
-    ) -> f64 {
-        let before = self.link(caller, callee_before);
-        let after = self.link(caller, callee_after);
-        // One exchange pays two propagation legs (request + response) plus the
-        // serialization of both payloads: `2γ + (d_req + d_resp)/ν`.
-        let exchange_us =
-            |link: LinkSpec| link.transfer_us(request_bytes) + link.transfer_us(response_bytes);
-        exchange_us(after) - exchange_us(before)
-    }
-}
-
 /// Per-ordered-pair network model over N sites: one [`LinkSpec`] for every
 /// `(from, to)` site pair, stored row-major (`links[from * n + to]`).
 ///
-/// The two-site [`NetworkModel`] converts into a symmetric 2×2 instance
-/// (`[intra, inter; inter, intra]`), and every lookup then returns exactly
-/// the link the binary model would have chosen — the compiled evaluation
-/// kernel and the delay injector are bit-identical through the conversion.
+/// The paper's two measured links ([`NetworkModel`]) make the symmetric 2×2
+/// instance `[intra, inter; inter, intra]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteNetwork {
     site_count: usize,
@@ -196,7 +94,7 @@ impl SiteNetwork {
         Self { site_count, links }
     }
 
-    /// The 2-site matrix of a binary [`NetworkModel`]:
+    /// The 2-site matrix of a [`NetworkModel`]:
     /// `[intra, inter; inter, intra]`.
     pub fn two_site(model: NetworkModel) -> Self {
         Self {
@@ -223,8 +121,8 @@ impl SiteNetwork {
 
     /// Cost (µs) of one request/response exchange between a caller at `a`
     /// and a callee at `b`: the request leg crosses `a → b`, the response
-    /// leg `b → a`. For a symmetric matrix (every 2-site conversion) this
-    /// equals the binary model's `2γ + (d_req + d_resp)/ν` bit for bit.
+    /// leg `b → a`. On a symmetric matrix this is the paper's
+    /// `2γ + (d_req + d_resp)/ν`.
     pub fn exchange_us(
         &self,
         a: SiteId,
@@ -325,8 +223,7 @@ impl SiteSpec {
 /// The N-site generalisation of the hybrid cluster: per-site capacity and
 /// pricing ([`SiteSpec`]) over a per-ordered-pair [`SiteNetwork`]. Site 0 is
 /// the on-premises cluster by convention; [`SiteCatalog::hybrid`] builds the
-/// 2-entry catalog whose defaults reproduce the paper's two-site world
-/// exactly.
+/// 2-entry catalog of the paper's testbed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteCatalog {
     sites: Vec<SiteSpec>,
@@ -426,7 +323,7 @@ impl SiteCatalog {
                     )
                 })
             })
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite prices"))
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(s, _)| s)
     }
 
@@ -482,9 +379,7 @@ pub struct OwnedSiteLimits {
 }
 
 impl Default for SiteCatalog {
-    /// The 2-entry catalog of the paper's testbed with default pricing —
-    /// evaluating against it reproduces the original two-site numbers bit
-    /// for bit.
+    /// The 2-entry catalog of the paper's testbed with default pricing.
     fn default() -> Self {
         Self::hybrid(&ClusterSpec::default(), PricingModel::default())
     }
@@ -561,16 +456,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn location_bit_round_trip() {
-        assert_eq!(Location::OnPrem.as_bit(), 0);
-        assert_eq!(Location::Cloud.as_bit(), 1);
-        assert_eq!(Location::from_bit(0), Location::OnPrem);
-        assert_eq!(Location::from_bit(1), Location::Cloud);
-        assert_eq!(Location::from_bit(7), Location::Cloud);
-        assert_eq!(Location::OnPrem.to_string(), "on-prem");
-    }
-
-    #[test]
     fn link_transfer_time_includes_propagation_and_serialization() {
         let link = LinkSpec {
             latency_ms: 1.0,
@@ -590,107 +475,55 @@ mod tests {
     }
 
     #[test]
-    fn link_selection_by_location() {
+    fn two_site_matrix_selects_links_by_site_pair() {
         let n = NetworkModel::default();
-        assert_eq!(n.link(Location::OnPrem, Location::OnPrem), n.intra);
-        assert_eq!(n.link(Location::Cloud, Location::Cloud), n.intra);
-        assert_eq!(n.link(Location::OnPrem, Location::Cloud), n.inter);
-        assert_eq!(n.link(Location::Cloud, Location::OnPrem), n.inter);
+        let sites = SiteNetwork::two_site(n);
+        assert_eq!(sites.site_count(), 2);
+        assert_eq!(sites.link(SiteId::ON_PREM, SiteId::ON_PREM), n.intra);
+        assert_eq!(sites.link(SiteId::CLOUD, SiteId::CLOUD), n.intra);
+        assert_eq!(sites.link(SiteId::ON_PREM, SiteId::CLOUD), n.inter);
+        assert_eq!(sites.link(SiteId::CLOUD, SiteId::ON_PREM), n.inter);
+        assert_eq!(
+            sites.transfer_us(SiteId::ON_PREM, SiteId::CLOUD, 512.0),
+            n.inter.transfer_us(512.0)
+        );
+        // One exchange is the request leg plus the response leg.
+        assert_eq!(
+            sites.exchange_us(SiteId::CLOUD, SiteId::ON_PREM, 1_000.0, 2_000.0),
+            n.inter.transfer_us(1_000.0) + n.inter.transfer_us(2_000.0)
+        );
+        assert_eq!(SiteNetwork::from(n), SiteNetwork::default());
+    }
+
+    /// Eq. 2 with the caller staying on-prem and only the callee moving.
+    fn callee_moves(before: SiteId, after: SiteId, bytes: f64) -> f64 {
+        SiteNetwork::default().delay_delta_us(
+            SiteId::ON_PREM,
+            before,
+            SiteId::ON_PREM,
+            after,
+            bytes,
+            bytes,
+        )
     }
 
     #[test]
     fn delay_delta_positive_when_offloading_and_negative_when_returning() {
-        let n = NetworkModel::default();
-        let offload = n.delay_delta_us(
-            Location::OnPrem,
-            Location::OnPrem,
-            Location::Cloud,
-            1_000.0,
-            1_000.0,
-        );
+        let offload = callee_moves(SiteId::ON_PREM, SiteId::CLOUD, 1_000.0);
         assert!(offload > 0.0, "offloading must add delay, got {offload}");
-        let restore = n.delay_delta_us(
-            Location::OnPrem,
-            Location::Cloud,
-            Location::OnPrem,
-            1_000.0,
-            1_000.0,
-        );
+        let restore = callee_moves(SiteId::CLOUD, SiteId::ON_PREM, 1_000.0);
         assert!(
             (offload + restore).abs() < 1e-6,
             "delta must be antisymmetric"
         );
-        let unchanged = n.delay_delta_us(
-            Location::OnPrem,
-            Location::Cloud,
-            Location::Cloud,
-            1_000.0,
-            1_000.0,
-        );
-        assert_eq!(unchanged, 0.0);
+        assert_eq!(callee_moves(SiteId::CLOUD, SiteId::CLOUD, 1_000.0), 0.0);
     }
 
     #[test]
     fn delay_delta_grows_with_payload() {
-        let n = NetworkModel::default();
-        let small = n.delay_delta_us(
-            Location::OnPrem,
-            Location::OnPrem,
-            Location::Cloud,
-            100.0,
-            100.0,
-        );
-        let large = n.delay_delta_us(
-            Location::OnPrem,
-            Location::OnPrem,
-            Location::Cloud,
-            1.0e6,
-            1.0e6,
-        );
+        let small = callee_moves(SiteId::ON_PREM, SiteId::CLOUD, 100.0);
+        let large = callee_moves(SiteId::ON_PREM, SiteId::CLOUD, 1.0e6);
         assert!(large > small);
-    }
-
-    #[test]
-    fn locations_map_to_sites_and_back() {
-        assert_eq!(Location::OnPrem.site(), SiteId::ON_PREM);
-        assert_eq!(Location::Cloud.site(), SiteId::CLOUD);
-        assert_eq!(SiteId::from(Location::Cloud), SiteId(1));
-        assert_eq!(Location::of_site(SiteId(0)), Location::OnPrem);
-        assert_eq!(Location::of_site(SiteId(1)), Location::Cloud);
-        assert_eq!(Location::of_site(SiteId(5)), Location::Cloud);
-    }
-
-    #[test]
-    fn two_site_network_reproduces_the_binary_model_bitwise() {
-        let binary = NetworkModel::default();
-        let sites = SiteNetwork::two_site(binary);
-        assert_eq!(sites.site_count(), 2);
-        for (a, b) in [(0u16, 0u16), (0, 1), (1, 0), (1, 1)] {
-            let (sa, sb) = (SiteId(a), SiteId(b));
-            let expected = binary.link(Location::of_site(sa), Location::of_site(sb));
-            assert_eq!(sites.link(sa, sb), expected);
-            for bytes in [0.0, 512.0, 2.0e6] {
-                assert_eq!(
-                    sites.transfer_us(sa, sb, bytes).to_bits(),
-                    expected.transfer_us(bytes).to_bits()
-                );
-            }
-            // Exchange = the binary model's symmetric round trip.
-            let exchange = sites.exchange_us(sa, sb, 1_000.0, 2_000.0);
-            let binary_exchange = expected.transfer_us(1_000.0) + expected.transfer_us(2_000.0);
-            assert_eq!(exchange.to_bits(), binary_exchange.to_bits());
-        }
-        // Δ over sites matches Δ over locations when only the callee moves.
-        let delta = sites.delay_delta_us(SiteId(0), SiteId(0), SiteId(0), SiteId(1), 500.0, 700.0);
-        let binary_delta = binary.delay_delta_us(
-            Location::OnPrem,
-            Location::OnPrem,
-            Location::Cloud,
-            500.0,
-            700.0,
-        );
-        assert_eq!(delta.to_bits(), binary_delta.to_bits());
-        assert_eq!(SiteNetwork::from(binary), SiteNetwork::default());
     }
 
     #[test]
@@ -765,6 +598,20 @@ mod tests {
         );
         assert_eq!(catalog.cheapest_elastic_site(), Some(SiteId(2)));
         assert_eq!(catalog.elastic_sites(), vec![SiteId(1), SiteId(2)]);
+
+        // A NaN price must not panic: it orders after every number, so a
+        // finitely priced site still wins.
+        let mut unpriced = PricingModel::preset(Provider::GcpLike);
+        unpriced.compute_per_node_hour = f64::NAN;
+        let catalog = SiteCatalog::new(
+            vec![
+                SiteSpec::owned("dc", cluster.onprem_cpu_cores, 100.0, 100.0),
+                SiteSpec::elastic("nan", unpriced),
+                SiteSpec::elastic("aws", PricingModel::preset(Provider::AwsLike)),
+            ],
+            SiteNetwork::from_links(3, vec![cluster.network.intra; 9]),
+        );
+        assert_eq!(catalog.cheapest_elastic_site(), Some(SiteId(2)));
     }
 
     #[test]

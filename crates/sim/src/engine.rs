@@ -260,8 +260,7 @@ pub struct Simulator {
     placement: Placement,
     config: SimConfig,
     /// Per-ordered-pair link model; defaults to the two-site matrix of the
-    /// cluster's [`NetworkModel`](crate::cluster::NetworkModel), so binary
-    /// placements simulate exactly as before.
+    /// cluster's [`NetworkModel`](crate::cluster::NetworkModel).
     sites: SiteNetwork,
 }
 
@@ -384,10 +383,8 @@ impl Simulator {
         // Traffic and per-component network I/O are accumulated locally and
         // flushed to the store in time order afterwards, because in-flight
         // requests can emit samples with interleaved timestamps.
-        let mut traffic_acc: HashMap<(usize, usize), std::collections::BTreeMap<u64, (f64, f64)>> =
-            HashMap::new();
-        let mut netio_acc: HashMap<usize, std::collections::BTreeMap<u64, (f64, f64)>> =
-            HashMap::new();
+        let mut traffic_acc: HashMap<(usize, usize), WindowedBytes> = HashMap::new();
+        let mut netio_acc: HashMap<usize, WindowedBytes> = HashMap::new();
 
         for req in schedule.requests() {
             let Some(api) = self.topology.api(&req.api) else {
@@ -496,6 +493,9 @@ impl Simulator {
     }
 }
 
+/// Per-window `(request, response)` byte counters, keyed by window index.
+type WindowedBytes = std::collections::BTreeMap<u64, (f64, f64)>;
+
 /// Mutable state threaded through the recursive call-tree walk of one
 /// request.
 struct ExecContext<'a> {
@@ -505,8 +505,8 @@ struct ExecContext<'a> {
     spans: Vec<Span>,
     busy: &'a mut Vec<Vec<f64>>,
     requests: &'a mut Vec<Vec<u64>>,
-    traffic: &'a mut HashMap<(usize, usize), std::collections::BTreeMap<u64, (f64, f64)>>,
-    netio: &'a mut HashMap<usize, std::collections::BTreeMap<u64, (f64, f64)>>,
+    traffic: &'a mut HashMap<(usize, usize), WindowedBytes>,
+    netio: &'a mut HashMap<usize, WindowedBytes>,
     window_us: u64,
     window_count: usize,
     inflation_onprem: f64,

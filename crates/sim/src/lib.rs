@@ -10,14 +10,13 @@
 //!   which components are invoked, in which order (sequential stages),
 //!   which run in parallel within a stage, and which run in the background
 //!   (paper §4.1.1, Figure 6);
-//! * a hybrid [`cluster::ClusterSpec`] places each component either on-prem
-//!   or in the cloud and a [`cluster::NetworkModel`] provides latency and
-//!   bandwidth between the two locations (defaults match the paper's
-//!   measured 0.168 ms / 941 Mbps intra and 23.015 ms / 921 Mbps inter);
-//!   the N-site generalisation describes sites in a
-//!   [`cluster::SiteCatalog`] (per-site capacity + pricing) over a
-//!   [`cluster::SiteNetwork`] (per-ordered-pair links), with placements as
-//!   vectors of [`cluster::SiteId`];
+//! * a [`cluster::SiteCatalog`] describes the sites components can run at
+//!   (per-site capacity + pricing) over a [`cluster::SiteNetwork`]
+//!   (per-ordered-pair links), with placements as vectors of
+//!   [`cluster::SiteId`]; the default catalog is the paper's hybrid testbed,
+//!   a [`cluster::ClusterSpec`] plus one cloud over the measured links of
+//!   [`cluster::NetworkModel`] (0.168 ms / 941 Mbps intra, 23.015 ms /
+//!   921 Mbps inter);
 //! * the [`engine::Simulator`] executes API requests against a
 //!   [`placement::Placement`], producing Jaeger-style traces, Istio-style
 //!   pairwise traffic and cAdvisor-style component metrics into a
@@ -40,7 +39,7 @@ pub mod topology;
 
 pub use calltree::{CallEdge, CallMode, CallNode, SizeDist, TimeDist};
 pub use cluster::{
-    ClusterSpec, LinkSpec, Location, NetworkModel, NodeSpec, OwnedSiteLimits, SiteCatalog, SiteId,
+    ClusterSpec, LinkSpec, NetworkModel, NodeSpec, OwnedSiteLimits, SiteCatalog, SiteId,
     SiteNetwork, SiteSpec,
 };
 pub use component::{ComponentId, ComponentSpec};

@@ -4,27 +4,18 @@
 //! (`atlas-core::plan::MigrationPlan`) wraps a placement together with the
 //! preferences used to evaluate it.
 //!
-//! Since the N-site generalisation a placement is a vector of [`SiteId`]s
-//! (site 0 = on-prem). The paper's binary encoding survives as the 2-site
-//! special case: [`Placement::from_bits`]/[`Placement::to_bits`] map bit 0 ↔
-//! site 0 and bit 1 ↔ site 1, and the [`Location`] view collapses every
-//! non-zero site to `Cloud`.
+//! A placement is a vector of [`SiteId`]s (site 0 = on-prem); the paper's
+//! binary plan variable `p_c ∈ {0, 1}` is the 2-site case, with
+//! [`SiteId::CLOUD`] as site 1.
 
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{Location, SiteId};
+use crate::cluster::SiteId;
 use crate::component::ComponentId;
 
 /// Error returned by the checked placement constructors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlacementError {
-    /// A binary encoding held a value other than 0 or 1.
-    BitOutOfRange {
-        /// Index of the offending component.
-        component: usize,
-        /// The out-of-range value.
-        bit: u8,
-    },
     /// A site assignment named a site outside the catalog.
     SiteOutOfRange {
         /// Index of the offending component.
@@ -39,10 +30,6 @@ pub enum PlacementError {
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlacementError::BitOutOfRange { component, bit } => write!(
-                f,
-                "component {component}: bit {bit} is not a valid binary plan variable (want 0 or 1)"
-            ),
             PlacementError::SiteOutOfRange {
                 component,
                 site,
@@ -82,13 +69,6 @@ impl Placement {
         }
     }
 
-    /// Build from an explicit location vector (the binary view).
-    pub fn from_locations(locations: Vec<Location>) -> Self {
-        Self {
-            sites: locations.into_iter().map(Location::site).collect(),
-        }
-    }
-
     /// Build from an explicit site vector.
     pub fn from_sites(sites: Vec<SiteId>) -> Self {
         Self { sites }
@@ -109,42 +89,6 @@ impl Placement {
         Ok(Self { sites })
     }
 
-    /// Build from the paper's binary encoding (`0` = on-prem, `1` = cloud).
-    ///
-    /// Debug builds assert every value is a valid plan variable (0 or 1)
-    /// instead of silently collapsing larger values; use
-    /// [`Placement::try_from_bits`] for a checked construction in all
-    /// builds.
-    pub fn from_bits(bits: &[u8]) -> Self {
-        debug_assert!(
-            bits.iter().all(|&b| b <= 1),
-            "binary plan encodings must hold only 0 or 1 (got {bits:?}); \
-             use from_sites for N-site placements"
-        );
-        Self {
-            sites: bits.iter().map(|&b| Location::from_bit(b).site()).collect(),
-        }
-    }
-
-    /// Checked variant of [`Placement::from_bits`]: rejects values other
-    /// than 0 or 1 in every build.
-    pub fn try_from_bits(bits: &[u8]) -> Result<Self, PlacementError> {
-        if let Some((component, &bit)) = bits.iter().enumerate().find(|(_, &b)| b > 1) {
-            return Err(PlacementError::BitOutOfRange { component, bit });
-        }
-        Ok(Self::from_bits(bits))
-    }
-
-    /// The binary encoding of this placement: 0 for on-prem, 1 for any
-    /// elastic site (lossy for N-site placements — use
-    /// [`Placement::sites`] to preserve site identity).
-    pub fn to_bits(&self) -> Vec<u8> {
-        self.sites
-            .iter()
-            .map(|s| Location::of_site(*s).as_bit())
-            .collect()
-    }
-
     /// The site vector of this placement (cloned; see [`Placement::sites`]
     /// for the borrowed form).
     pub fn to_sites(&self) -> Vec<SiteId> {
@@ -161,26 +105,19 @@ impl Placement {
         self.sites.is_empty()
     }
 
-    /// Binary view of a component's placement (site 0 = on-prem, anything
-    /// else = cloud).
-    pub fn location(&self, c: ComponentId) -> Location {
-        Location::of_site(self.sites[c.0])
-    }
-
     /// Site of a component.
     pub fn site(&self, c: ComponentId) -> SiteId {
         self.sites[c.0]
     }
 
-    /// Set the site of a component ([`Location`]s convert implicitly, so the
-    /// binary call sites read unchanged).
+    /// Set the site of a component.
     pub fn set(&mut self, c: ComponentId, site: impl Into<SiteId>) {
         self.sites[c.0] = site.into();
     }
 
     /// Move a component to the cloud (builder style).
     pub fn with_cloud(mut self, c: ComponentId) -> Self {
-        self.set(c, Location::Cloud);
+        self.set(c, SiteId::CLOUD);
         self
     }
 
@@ -258,25 +195,18 @@ mod tests {
     }
 
     #[test]
-    fn bit_encoding_round_trip() {
-        let p = Placement::from_bits(&[0, 1, 1, 0]);
-        assert_eq!(p.location(ComponentId(0)), Location::OnPrem);
-        assert_eq!(p.location(ComponentId(1)), Location::Cloud);
-        assert_eq!(p.to_bits(), vec![0, 1, 1, 0]);
-        assert_eq!(Placement::from_bits(&p.to_bits()), p);
-    }
-
-    #[test]
     fn site_encoding_round_trip() {
         let sites = vec![SiteId(0), SiteId(2), SiteId(1), SiteId(3)];
         let p = Placement::from_sites(sites.clone());
         assert_eq!(p.sites(), sites.as_slice());
         assert_eq!(p.to_sites(), sites);
         assert_eq!(p.site(ComponentId(1)), SiteId(2));
-        // The binary view collapses every elastic site to "cloud".
-        assert_eq!(p.to_bits(), vec![0, 1, 1, 1]);
-        assert_eq!(p.location(ComponentId(3)), Location::Cloud);
+        // Every elastic site counts as off-prem.
         assert_eq!(p.cloud_count(), 3);
+        assert_eq!(
+            p.cloud_components(),
+            vec![ComponentId(1), ComponentId(2), ComponentId(3)]
+        );
         assert_eq!(p.components_at(SiteId(2)), vec![ComponentId(1)]);
         assert_eq!(
             Placement::all_at(SiteId(2), 2).site(ComponentId(0)),
@@ -286,17 +216,6 @@ mod tests {
 
     #[test]
     fn checked_constructors_reject_out_of_range_values() {
-        assert_eq!(
-            Placement::try_from_bits(&[0, 1, 2]),
-            Err(PlacementError::BitOutOfRange {
-                component: 2,
-                bit: 2
-            })
-        );
-        assert_eq!(
-            Placement::try_from_bits(&[0, 1, 1]).unwrap(),
-            Placement::from_bits(&[0, 1, 1])
-        );
         let sites = vec![SiteId(0), SiteId(3)];
         assert_eq!(
             Placement::try_from_sites(sites.clone(), 3),
@@ -311,12 +230,6 @@ mod tests {
             Placement::from_sites(sites)
         );
         // Errors render something useful.
-        let message = PlacementError::BitOutOfRange {
-            component: 2,
-            bit: 7,
-        }
-        .to_string();
-        assert!(message.contains("bit 7"));
         assert!(PlacementError::SiteOutOfRange {
             component: 0,
             site: SiteId(9),
@@ -326,19 +239,10 @@ mod tests {
         .contains("site9"));
     }
 
-    /// Debug builds reject the silent non-binary collapse outright (release
-    /// builds keep the historical lenient behaviour for performance).
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "0 or 1")]
-    fn from_bits_asserts_binary_values_in_debug_builds() {
-        let _ = Placement::from_bits(&[0, 7]);
-    }
-
     #[test]
     fn set_and_builder() {
         let mut p = Placement::all_onprem(3);
-        p.set(ComponentId(1), Location::Cloud);
+        p.set(ComponentId(1), SiteId::CLOUD);
         assert_eq!(p.cloud_components(), vec![ComponentId(1)]);
         let q = Placement::all_onprem(3).with_cloud(ComponentId(2));
         assert_eq!(q.cloud_components(), vec![ComponentId(2)]);
@@ -349,7 +253,9 @@ mod tests {
     #[test]
     fn moved_components_and_distance() {
         let orig = Placement::all_onprem(5);
-        let plan = Placement::from_bits(&[0, 1, 0, 1, 0]);
+        let plan = Placement::all_onprem(5)
+            .with_cloud(ComponentId(1))
+            .with_cloud(ComponentId(3));
         assert_eq!(
             plan.moved_components(&orig),
             vec![ComponentId(1), ComponentId(3)]

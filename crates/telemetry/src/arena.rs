@@ -390,10 +390,7 @@ impl TraceArena {
         let mut span_id = Vec::new();
         let mut span_start_us = Vec::new();
         let mut span_duration_us = Vec::new();
-        for t in 0..n {
-            if !keep[t] {
-                continue;
-            }
+        for t in (0..n).filter(|&t| keep[t]) {
             let (lo, hi) = self.span_range(t as u32);
             trace_ids.push(self.trace_ids[t]);
             api.push(self.api[t]);

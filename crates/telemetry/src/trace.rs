@@ -80,7 +80,6 @@ pub struct Trace {
     pub trace_id: TraceId,
     /// All nodes; index 0 is always the root.
     pub nodes: Vec<TraceNode>,
-    index_of: HashMap<SpanId, usize>,
 }
 
 impl Trace {
@@ -173,18 +172,9 @@ impl Trace {
                 n.children.sort_by_key(|&c| (starts[c], c));
             }
             nodes = new_nodes;
-            index_of = nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.span.span_id, i))
-                .collect();
         }
 
-        Ok(Self {
-            trace_id,
-            nodes,
-            index_of,
-        })
+        Ok(Self { trace_id, nodes })
     }
 
     /// The root span (entry component of the API request).
@@ -215,11 +205,6 @@ impl Trace {
     /// contribute (the client has already received its response).
     pub fn end_to_end_latency_us(&self) -> Micros {
         self.root().duration_us
-    }
-
-    /// Index of a node given its span id.
-    pub fn index_of(&self, span: SpanId) -> Option<usize> {
-        self.index_of.get(&span).copied()
     }
 
     /// Iterate over all spans (pre-order is not guaranteed; use
@@ -447,12 +432,18 @@ mod tests {
         );
     }
 
+    /// Index of the node holding a span.
+    fn node_of(trace: &Trace, span: SpanId) -> usize {
+        let node = trace.nodes.iter().position(|n| n.span.span_id == span);
+        node.expect("span is in the trace")
+    }
+
     #[test]
     fn sibling_relations_match_figure6() {
         let tr = compose_trace();
-        let url = tr.index_of(SpanId(1)).unwrap();
-        let media = tr.index_of(SpanId(2)).unwrap();
-        let post = tr.index_of(SpanId(3)).unwrap();
+        let url = node_of(&tr, SpanId(1));
+        let media = node_of(&tr, SpanId(2));
+        let post = node_of(&tr, SpanId(3));
         assert_eq!(
             tr.sibling_relation(url, media),
             Some(SiblingRelation::Parallel)
@@ -468,8 +459,8 @@ mod tests {
     #[test]
     fn background_detection_matches_figure6() {
         let tr = compose_trace();
-        let wht = tr.index_of(SpanId(4)).unwrap();
-        let post = tr.index_of(SpanId(3)).unwrap();
+        let wht = node_of(&tr, SpanId(4));
+        let post = node_of(&tr, SpanId(3));
         assert!(tr.is_background(wht));
         assert!(!tr.is_background(post));
         assert!(!tr.is_background(0), "root is never background");

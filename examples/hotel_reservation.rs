@@ -9,7 +9,7 @@
 
 use atlas::apps::{hotel_reservation, WorkloadGenerator, WorkloadOptions};
 use atlas::core::{Atlas, AtlasConfig, MigrationPreferences, RecommenderConfig};
-use atlas::sim::{ClusterSpec, Location, OverloadModel, Placement, SimConfig, Simulator};
+use atlas::sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteId};
 use atlas::telemetry::TelemetryStore;
 
 fn main() {
@@ -48,11 +48,8 @@ fn main() {
     // 3. Recommendation: reservations (bookings) must stay on-prem and the
     //    burst no longer fits in 5 on-prem cores.
     let preferences = MigrationPreferences::with_cpu_limit(5.0)
-        .pin(
-            app.component_id("ReserveMongoDB").unwrap(),
-            Location::OnPrem,
-        )
-        .pin(app.component_id("UserMongoDB").unwrap(), Location::OnPrem)
+        .pin(app.component_id("ReserveMongoDB").unwrap(), SiteId::ON_PREM)
+        .pin(app.component_id("UserMongoDB").unwrap(), SiteId::ON_PREM)
         .critical("/reservationAPI");
     let report = atlas.recommend(current, preferences);
     println!(

@@ -51,7 +51,7 @@ fn main() {
     let preferences = MigrationPreferences::with_cpu_limit(14.0)
         .pin(
             app.component_id("UserMongoDB").unwrap(),
-            atlas::sim::Location::OnPrem,
+            atlas::sim::SiteId::ON_PREM,
         )
         .critical("/composeAPI");
     let report = atlas.recommend(current, preferences);

@@ -14,9 +14,11 @@ use atlas::baselines::{
     AffinityGaAdvisor, BaselineContext, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor,
     RemapAdvisor,
 };
-use atlas::cloud::{CostModel, PricingModel, ResourceEstimator, ScalingEstimator};
+use atlas::cloud::{ResourceEstimator, ScalingEstimator};
 use atlas::core::{Atlas, AtlasConfig, MigrationPreferences, RecommenderConfig};
-use atlas::sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
+use atlas::sim::{
+    ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog, SiteId,
+};
 use atlas::telemetry::TelemetryStore;
 
 fn main() {
@@ -89,8 +91,7 @@ fn main() {
     //    peak on-prem, and the first store holds pinned user data.
     let cpu_limit = scenario.burst_cpu_limit(5.0, 0.6);
     let pinned = app.component_id("Store000").expect("first store exists");
-    let preferences =
-        MigrationPreferences::with_cpu_limit(cpu_limit).pin(pinned, atlas::sim::Location::OnPrem);
+    let preferences = MigrationPreferences::with_cpu_limit(cpu_limit).pin(pinned, SiteId::ON_PREM);
 
     // 4. Atlas recommendations.
     let report = atlas.recommend(current, preferences.clone());
@@ -117,7 +118,7 @@ fn main() {
         scenario.component_index(),
         learned_demand,
         preferences,
-        CostModel::new(PricingModel::default()),
+        &SiteCatalog::default(),
     );
     let quality = atlas.quality_model(Placement::all_onprem(n), ctx.preferences.clone());
     let summarize = |name: &str, plans: Vec<atlas::core::MigrationPlan>| {
@@ -136,8 +137,8 @@ fn main() {
         "greedy (largest)",
         vec![GreedyAdvisor::largest_first().recommend(&ctx)],
     );
-    summarize("REMaP", vec![RemapAdvisor::default().recommend(&ctx)]);
-    summarize("IntMA", vec![IntMaAdvisor::default().recommend(&ctx)]);
+    summarize("REMaP", vec![RemapAdvisor.recommend(&ctx)]);
+    summarize("IntMA", vec![IntMaAdvisor.recommend(&ctx)]);
     summarize("affinity GA", AffinityGaAdvisor::fast().recommend(&ctx));
     summarize("random search", RandomSearchAdvisor::fast().recommend(&ctx));
 }

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use atlas::apps::{CallGraphShape, SynthOptions};
 use atlas::core::{ApplicationProfile, MigrationPlan, QualityModel};
-use atlas::sim::Placement;
+use atlas::sim::{Placement, SiteId};
 use atlas::telemetry::{Span, SpanId, TelemetryStore, Trace, TraceId};
 use atlas_bench::{Application, Experiment, ExperimentOptions};
 
@@ -75,13 +75,14 @@ fn probe_plans(n: usize, seed: u64) -> Vec<MigrationPlan> {
         MigrationPlan::new(Placement::all_cloud(n)),
     ];
     for salt in 0u64..6 {
-        let bits: Vec<u8> = (0..n)
+        let sites = (0..n)
             .map(|i| {
-                ((seed ^ salt.wrapping_mul(0x9E37_79B9)).wrapping_add(i as u64 * 0x85EB) >> 7) as u8
-                    & 1
+                let bit =
+                    (seed ^ salt.wrapping_mul(0x9E37_79B9)).wrapping_add(i as u64 * 0x85EB) >> 7;
+                SiteId(bit as u16 & 1)
             })
             .collect();
-        plans.push(MigrationPlan::from_bits(&bits));
+        plans.push(MigrationPlan::from_sites(sites));
     }
     plans
 }

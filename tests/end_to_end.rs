@@ -9,7 +9,7 @@ use atlas::core::{
     RecommenderConfig,
 };
 use atlas::sim::{
-    AppTopology, ClusterSpec, Location, OverloadModel, Placement, SimConfig, Simulator,
+    AppTopology, ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteId,
 };
 use atlas::telemetry::TelemetryStore;
 
@@ -85,7 +85,7 @@ fn social_network_end_to_end_recommendation() {
     let (atlas, current, _store) = learn(&app, WorkloadOptions::social_network_default(), 21);
 
     let preferences = MigrationPreferences::with_cpu_limit(14.0)
-        .pin(app.component_id("UserMongoDB").unwrap(), Location::OnPrem)
+        .pin(app.component_id("UserMongoDB").unwrap(), SiteId::ON_PREM)
         .critical("/composeAPI");
     let report = atlas.recommend(current.clone(), preferences.clone());
 
@@ -101,8 +101,8 @@ fn social_network_end_to_end_recommendation() {
         assert_eq!(
             recommended
                 .plan
-                .location(app.component_id("UserMongoDB").unwrap()),
-            Location::OnPrem
+                .site(app.component_id("UserMongoDB").unwrap()),
+            SiteId::ON_PREM
         );
         // Something must be offloaded: the 5x burst does not fit in 14 cores.
         assert!(!recommended.plan.cloud_components().is_empty());
@@ -121,10 +121,8 @@ fn social_network_end_to_end_recommendation() {
 fn hotel_reservation_end_to_end_recommendation() {
     let app = hotel_reservation();
     let (atlas, current, _store) = learn(&app, WorkloadOptions::hotel_reservation_default(), 33);
-    let preferences = MigrationPreferences::with_cpu_limit(5.0).pin(
-        app.component_id("ReserveMongoDB").unwrap(),
-        Location::OnPrem,
-    );
+    let preferences = MigrationPreferences::with_cpu_limit(5.0)
+        .pin(app.component_id("ReserveMongoDB").unwrap(), SiteId::ON_PREM);
     let report = atlas.recommend(current, preferences);
     assert!(!report.plans.is_empty());
     for recommended in &report.plans {
@@ -132,8 +130,8 @@ fn hotel_reservation_end_to_end_recommendation() {
         assert_eq!(
             recommended
                 .plan
-                .location(app.component_id("ReserveMongoDB").unwrap()),
-            Location::OnPrem
+                .site(app.component_id("ReserveMongoDB").unwrap()),
+            SiteId::ON_PREM
         );
     }
 }
@@ -146,7 +144,7 @@ fn recommendation_is_identical_across_evaluator_thread_counts() {
     let app = social_network(SocialNetworkOptions::default());
     let (atlas, current, _store) = learn(&app, WorkloadOptions::social_network_default(), 21);
     let preferences = MigrationPreferences::with_cpu_limit(14.0)
-        .pin(app.component_id("UserMongoDB").unwrap(), Location::OnPrem);
+        .pin(app.component_id("UserMongoDB").unwrap(), SiteId::ON_PREM);
     let quality = atlas.quality_model(current, preferences);
 
     let reports: Vec<_> = [1usize, 2, 8]
@@ -235,7 +233,7 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
     // Force offloading: keep at most 60 % of the expected burst peak
     // on-prem, and pin the first store like the seed apps' user data.
     let preferences = MigrationPreferences::with_cpu_limit(scenario.burst_cpu_limit(5.0, 0.6))
-        .pin(app.component_id("Store000").unwrap(), Location::OnPrem);
+        .pin(app.component_id("Store000").unwrap(), SiteId::ON_PREM);
     let quality = atlas.quality_model(current, preferences);
 
     let reports: Vec<_> = [1usize, 2, 8]
@@ -257,8 +255,8 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
     for plan in &reference.plans {
         assert!(plan.quality.feasible);
         assert_eq!(
-            plan.plan.location(app.component_id("Store000").unwrap()),
-            Location::OnPrem
+            plan.plan.site(app.component_id("Store000").unwrap()),
+            SiteId::ON_PREM
         );
     }
     for (report, threads) in reports.iter().zip([1usize, 2, 8]) {
@@ -313,8 +311,6 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
 /// drift detector's narrative works against the catalog's link matrix.
 #[test]
 fn multi_region_4_site_recommendation_is_thread_deterministic() {
-    use atlas::sim::SiteId;
-
     let options = SynthOptions {
         components: 100,
         shape: CallGraphShape::Layered,
@@ -369,7 +365,7 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
     let pinned_exact = app.component_id("Store000").unwrap();
     let pinned_set = app.component_id("Store001").unwrap();
     let preferences = MigrationPreferences::with_cpu_limit(scenario.burst_cpu_limit(5.0, 0.6))
-        .pin(pinned_exact, Location::OnPrem)
+        .pin(pinned_exact, SiteId::ON_PREM)
         .pin_to_sites(pinned_set, vec![SiteId(0), SiteId(1)]);
     let quality = atlas.quality_model(current.clone(), preferences);
     assert_eq!(quality.site_count(), 4);
@@ -444,7 +440,7 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
         .min()
         .expect("scenario has APIs")
         .clone();
-    let injector = atlas::core::DelayInjector::with_site_network(
+    let injector = atlas::core::DelayInjector::new(
         scenario.catalog.network().clone(),
         atlas.config().component_index.clone(),
     );
@@ -481,7 +477,7 @@ fn delay_injection_estimates_track_simulated_migrations() {
         "MediaNGINX",
         "MediaMemcached",
     ] {
-        plan.set(app.component_id(name).unwrap(), Location::Cloud);
+        plan.set(app.component_id(name).unwrap(), SiteId::CLOUD);
     }
 
     let sim = Simulator::new(

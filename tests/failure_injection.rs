@@ -7,7 +7,7 @@ use atlas::core::{
     Atlas, AtlasConfig, FootprintLearner, MigrationPlan, MigrationPreferences, RecommenderConfig,
 };
 use atlas::sim::{
-    ClusterSpec, Location, OverloadModel, Placement, RequestSchedule, SimConfig, Simulator,
+    ClusterSpec, OverloadModel, Placement, RequestSchedule, SimConfig, Simulator, SiteId,
 };
 use atlas::telemetry::TelemetryStore;
 
@@ -119,7 +119,7 @@ fn unsatisfiable_constraints_do_not_hang_the_recommender() {
     // Pin every component on-prem and demand an impossible CPU limit.
     let mut preferences = MigrationPreferences::with_cpu_limit(0.5);
     for i in 0..app.component_count() {
-        preferences = preferences.pin(atlas::sim::ComponentId(i), Location::OnPrem);
+        preferences = preferences.pin(atlas::sim::ComponentId(i), SiteId::ON_PREM);
     }
     let report = atlas.recommend(current.clone(), preferences.clone());
     // Nothing can be feasible; whatever comes back must be marked infeasible.
@@ -199,14 +199,14 @@ fn offloading_only_stateless_components_causes_no_disruption() {
         "HomeTimelineRedis",
         "UserMemcached",
     ] {
-        plan.set(app.component_id(name).unwrap(), Location::Cloud);
+        plan.set(app.component_id(name).unwrap(), SiteId::CLOUD);
     }
     assert_eq!(quality.availability(&plan), 0.0);
 
     // Moving a MongoDB immediately disrupts the APIs that use it.
     plan.set(
         app.component_id("UserTimelineMongoDB").unwrap(),
-        Location::Cloud,
+        SiteId::CLOUD,
     );
     assert!(quality.availability(&plan) >= 1.0);
 }

@@ -15,13 +15,17 @@ use atlas::core::{
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{
-    ClusterSpec, ComponentId, Location, NetworkModel, OverloadModel, Placement, SimConfig,
-    Simulator, SiteId,
+    ClusterSpec, ComponentId, OverloadModel, Placement, SimConfig, Simulator, SiteId, SiteNetwork,
 };
 use atlas::telemetry::{TelemetryStore, Trace};
 use atlas_bench::{
     copy_context, corpus_of, shift_corpus, Application, Experiment, ExperimentOptions,
 };
+
+/// A plan from raw site indices.
+fn plan_of(sites: &[u16]) -> MigrationPlan {
+    MigrationPlan::from_sites(sites.iter().map(|&s| SiteId(s)).collect())
+}
 
 /// One quality model (29 components, CPU limit + pinned user data, so random
 /// plans mix feasible and infeasible) shared by every property case.
@@ -85,7 +89,7 @@ fn search_model(idx: usize) -> &'static QualityModel {
             .preferences
             .clone()
             .pin(ComponentId(3), SiteId(2))
-            .pin(ComponentId(11), Location::OnPrem)
+            .pin(ComponentId(11), SiteId::ON_PREM)
             .pin_to_sites(ComponentId(7), vec![SiteId(1), SiteId(3)])
             .pin_to_sites(ComponentId(19), vec![SiteId(0), SiteId(2)]);
         exp.atlas.quality_model(exp.current.clone(), preferences)
@@ -180,23 +184,25 @@ fn simulate_corpus_day(scenario: &SynthScenario, seed: u64) -> TelemetryStore {
 }
 
 proptest! {
-    /// A placement survives the bits → placement → bits round trip.
+    /// A placement survives the sites → plan → sites round trip.
     #[test]
-    fn placement_bit_round_trip(bits in prop::collection::vec(0u8..=1, 1..64)) {
-        let plan = MigrationPlan::from_bits(&bits);
-        prop_assert_eq!(plan.to_bits(), bits);
+    fn placement_bit_round_trip(sites in prop::collection::vec(0u16..4, 1..64)) {
+        let sites: Vec<SiteId> = sites.into_iter().map(SiteId).collect();
+        let plan = MigrationPlan::from_sites(sites.clone());
+        prop_assert_eq!(plan.sites(), sites.as_slice());
+        prop_assert_eq!(plan.to_sites(), sites);
     }
 
-    /// Moved components are exactly the positions whose bits differ.
+    /// Moved components are exactly the positions whose sites differ.
     #[test]
     fn moved_components_match_bit_difference(
-        bits_a in prop::collection::vec(0u8..=1, 1..48),
+        bits_a in prop::collection::vec(0u16..=1, 1..48),
     ) {
-        let bits_b: Vec<u8> = bits_a.iter().map(|b| 1 - b).collect();
-        let a = Placement::from_bits(&bits_a);
-        let b = Placement::from_bits(&bits_b);
-        prop_assert_eq!(a.moved_components(&b).len(), bits_a.len());
-        prop_assert_eq!(a.moved_components(&a).len(), 0);
+        let bits_b: Vec<u16> = bits_a.iter().map(|b| 1 - b).collect();
+        let a = plan_of(&bits_a);
+        let b = plan_of(&bits_b);
+        prop_assert_eq!(a.moved_components(b.placement()).len(), bits_a.len());
+        prop_assert_eq!(a.moved_components(a.placement()).len(), 0);
     }
 
     /// Pareto-front members never dominate each other, and every dominated
@@ -295,16 +301,16 @@ proptest! {
     /// zero when nothing changes.
     #[test]
     fn delay_delta_is_antisymmetric(req in 0.0f64..1.0e6, resp in 0.0f64..1.0e6) {
-        let network = NetworkModel::default();
-        let offload = network.delay_delta_us(
-            Location::OnPrem, Location::OnPrem, Location::Cloud, req, resp);
-        let restore = network.delay_delta_us(
-            Location::OnPrem, Location::Cloud, Location::OnPrem, req, resp);
+        let network = SiteNetwork::default();
+        // The caller stays on-prem; only the callee moves.
+        let callee_moves = |before: SiteId, after: SiteId| {
+            network.delay_delta_us(SiteId::ON_PREM, before, SiteId::ON_PREM, after, req, resp)
+        };
+        let offload = callee_moves(SiteId::ON_PREM, SiteId::CLOUD);
+        let restore = callee_moves(SiteId::CLOUD, SiteId::ON_PREM);
         prop_assert!((offload + restore).abs() < 1e-6);
         prop_assert!(offload >= 0.0);
-        let unchanged = network.delay_delta_us(
-            Location::OnPrem, Location::Cloud, Location::Cloud, req, resp);
-        prop_assert_eq!(unchanged, 0.0);
+        prop_assert_eq!(callee_moves(SiteId::CLOUD, SiteId::CLOUD), 0.0);
     }
 
     /// The compiled evaluation kernel is bit-identical to the interpretive
@@ -314,11 +320,11 @@ proptest! {
     /// (all-on-prem exceeds the burst CPU limit) and pin violators alike.
     #[test]
     fn compiled_kernel_is_bit_identical_to_the_interpretive_oracle(
-        bits in prop::collection::vec(prop::collection::vec(0u8..=1, 29), 1..6),
+        bits in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..6),
     ) {
         let quality = shared_quality();
         let mut plans: Vec<MigrationPlan> =
-            bits.iter().map(|b| MigrationPlan::from_bits(b)).collect();
+            bits.iter().map(|b| plan_of(b)).collect();
         plans.push(MigrationPlan::all_onprem(29)); // infeasible: CPU limit
         plans.push(MigrationPlan::new(Placement::all_cloud(29))); // violates pins
         for plan in &plans {
@@ -353,12 +359,12 @@ proptest! {
     /// CPU limit, and random plans routinely violate the placement pins).
     #[test]
     fn cached_batched_evaluation_is_bit_identical_to_direct(
-        bits in prop::collection::vec(prop::collection::vec(0u8..=1, 29), 1..8),
+        bits in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..8),
         threads in 1usize..5,
     ) {
         let quality = shared_quality();
         let mut plans: Vec<MigrationPlan> =
-            bits.iter().map(|b| MigrationPlan::from_bits(b)).collect();
+            bits.iter().map(|b| plan_of(b)).collect();
         // Guaranteed-infeasible member: 29 on-prem components exceed the
         // experiment's burst CPU limit.
         plans.push(MigrationPlan::all_onprem(29));
@@ -1076,10 +1082,10 @@ proptest! {
             MigrationPlan::new(Placement::all_cloud(components)),
         ];
         for salt in 0u64..6 {
-            let bits: Vec<u8> = (0..components)
-                .map(|i| ((seed ^ salt.wrapping_mul(0x9E37)).wrapping_add(i as u64 * 0x85EB) >> 7) as u8 & 1)
+            let bits: Vec<u16> = (0..components)
+                .map(|i| ((seed ^ salt.wrapping_mul(0x9E37)).wrapping_add(i as u64 * 0x85EB) >> 7) as u16 & 1)
                 .collect();
-            probe.push(MigrationPlan::from_bits(&bits));
+            probe.push(plan_of(&bits));
         }
         let evaluator = PlanEvaluator::new(&exp.quality).with_threads(2);
         let batched = evaluator.evaluate_batch(&probe);

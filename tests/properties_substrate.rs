@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use atlas::cloud::{CostBreakdown, CostModel, ResourceDemand};
+use atlas::cloud::{CostBreakdown, PricingModel, ResourceDemand, SiteCostModel, SiteId};
 use atlas::ga::nsga2::{fast_non_dominated_sort, select_survivors};
 use atlas::telemetry::{Span, SpanId, Trace, TraceId};
 
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn nsga2_survival_is_well_formed(
         objectives in prop::collection::vec(
-            prop::collection::vec(0.0f64..10.0, 2..4usize.min(3)), 1..30),
+            prop::collection::vec(0.0f64..10.0, 2..3), 1..30),
         capacity in 1usize..20,
     ) {
         // Pad objective vectors to equal length (proptest may vary lengths).
@@ -84,14 +84,15 @@ proptest! {
         }
     }
 
-    /// Cloud cost is zero iff nothing is placed in the cloud, and the
+    /// Hosting cost is zero when nothing is placed off-prem, and the
     /// breakdown's total always equals the sum of its parts.
     #[test]
     fn cost_model_total_is_consistent(
         cpu in prop::collection::vec(0.0f64..8.0, 3),
         storage in prop::collection::vec(0.0f64..50.0, 3),
-        in_cloud in prop::collection::vec(any::<bool>(), 3),
+        sites in prop::collection::vec(0u16..3, 3),
     ) {
+        let sites: Vec<SiteId> = sites.into_iter().map(SiteId).collect();
         let names: Vec<String> = (0..3).map(|i| format!("c{i}")).collect();
         let mut demand = ResourceDemand::zeros(names, 4, 600);
         for (i, &cores) in cpu.iter().enumerate() {
@@ -101,10 +102,11 @@ proptest! {
         }
         demand.fill_edge(0, 1, 1.0e6);
         demand.fill_edge(1, 2, 2.0e6);
-        let model = CostModel::default();
-        let cost = model.evaluate(&demand, &in_cloud);
+        let cloud = Some(PricingModel::default());
+        let model = SiteCostModel::from_pricings(vec![None, cloud.clone(), cloud]);
+        let cost = model.evaluate(&demand, &sites);
         prop_assert!((cost.total() - (cost.compute + cost.storage + cost.traffic)).abs() < 1e-9);
-        if in_cloud.iter().all(|&b| !b) {
+        if sites.iter().all(|s| s.is_on_prem()) {
             prop_assert_eq!(cost.total(), 0.0);
         }
         prop_assert!(cost.compute >= 0.0 && cost.storage >= 0.0 && cost.traffic >= 0.0);
