@@ -10,11 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of the social graph used to size the social network
 /// application's payloads and fan-outs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocialGraphStats {
     /// Number of users.
     pub users: usize,
@@ -38,7 +37,7 @@ impl Default for SocialGraphStats {
 }
 
 /// Summary statistics of the media corpus (INRIA substitute).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaStats {
     /// Mean media object size in bytes.
     pub mean_media_bytes: f64,
@@ -59,7 +58,7 @@ impl Default for MediaStats {
 ///
 /// Generated with a preferential-attachment process so that the follower
 /// distribution is heavy-tailed like real social networks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocialGraph {
     /// follower lists per user: `followers[u]` are the users following `u`.
     followers: Vec<Vec<usize>>,
@@ -101,11 +100,6 @@ impl SocialGraph {
     /// Number of users in the graph.
     pub fn user_count(&self) -> usize {
         self.followers.len()
-    }
-
-    /// Number of followers of a user.
-    pub fn follower_count(&self, user: usize) -> usize {
-        self.followers[user].len()
     }
 
     /// Mean follower count across users.

@@ -53,7 +53,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use atlas_cloud::{PricingModel, Provider, ResourceDemand};
 use atlas_sim::{
@@ -65,7 +64,7 @@ use crate::datasets::{MediaStats, SocialGraphStats};
 use crate::workload::{DiurnalProfile, WorkloadOptions, WorkloadShape};
 
 /// Macro-structure of the generated call graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallGraphShape {
     /// A layered architecture (gateway → logic tiers → storage tier), the
     /// shape of monolith decompositions: each tier fans out in parallel to a
@@ -86,7 +85,7 @@ pub enum CallGraphShape {
 
 /// Options of one generated scenario. All fields participate in determinism:
 /// the same options always produce the bit-identical scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthOptions {
     /// Total number of components (entry gateways + services + stores),
     /// between 10 and 500.

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use atlas_sim::{AppTopology, RequestSchedule};
 
 /// Shape of the compressed diurnal curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalProfile {
     /// Length of one compressed "day" in seconds (the paper compresses one
     /// day into five minutes = 300 s).
@@ -59,7 +58,7 @@ impl DiurnalProfile {
 /// diurnal profile; the scenario generator (and any hand-built experiment)
 /// can layer additional structure on top of it to stress the advisor with
 /// traffic the seed applications never produce.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WorkloadShape {
     /// The plain two-peak diurnal curve, identical every day.
     #[default]
@@ -156,7 +155,7 @@ impl WorkloadShape {
 }
 
 /// Options of a workload run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadOptions {
     /// Number of compressed days to generate.
     pub days: u32,

@@ -239,7 +239,7 @@ impl Experiment {
     }
 
     /// A fresh plan evaluator over the experiment's quality model (one
-    /// worker per core). Figure binaries and benches share one of these so
+    /// worker per core). Figure binaries share one of these so
     /// plans scored by several methods are evaluated once.
     pub fn evaluator(&self) -> PlanEvaluator<'_> {
         PlanEvaluator::new(&self.quality)

@@ -5,12 +5,10 @@
 //! demand of the components placed there, and cloud storage grows in steps
 //! whenever the free fraction falls below the headroom threshold.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pricing::PricingModel;
 
 /// Computes node counts and storage capacities over time for a given demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Autoscaler {
     /// Pricing model providing node granularity (`Ω`) and headroom (`δ`).
     pub pricing: PricingModel,

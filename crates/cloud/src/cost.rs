@@ -10,8 +10,6 @@
 //! * **traffic** (Eq. 10): egress traffic leaving the cloud on edges whose
 //!   endpoints sit in different locations (ingress is free).
 
-use serde::{Deserialize, Serialize};
-
 use crate::autoscaler::Autoscaler;
 use crate::demand::ResourceDemand;
 use crate::pricing::PricingModel;
@@ -19,7 +17,7 @@ use crate::site::SiteId;
 
 /// Breakdown of the cloud hosting cost of one plan, in dollars over the
 /// demand's horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Compute-induced cost (Eq. 7).
     pub compute: f64,
@@ -68,7 +66,7 @@ pub struct CostScratch {
 
 /// One elastic site's cost model: its pricing plus the autoscaler it
 /// implies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     pricing: PricingModel,
     autoscaler: Autoscaler,
@@ -140,7 +138,7 @@ impl CostModel {
 /// egress price (free when the sender is on-prem). With one cloud site this
 /// reduces to the paper's rule: half the bytes of every on-prem↔cloud edge
 /// leave the cloud.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteCostModel {
     /// Per-site models, indexed by [`SiteId`]; `None` = no marginal cost
     /// (the on-prem pool, or any other owned site).

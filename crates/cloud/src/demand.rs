@@ -3,11 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Expected resource usage per component per time step, plus expected
 //  per-edge traffic, over the period of interest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDemand {
     /// Length of one time step in seconds (the paper evaluates the cost
     /// every ten minutes; the cost model works with any step).

@@ -7,10 +7,8 @@
 //! $0.096/h, $0.08/GB-month storage, $0.09/GB egress) — so the model is kept
 //! as a plain parameter struct with presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Cloud providers with built-in pricing presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provider {
     /// Amazon-Web-Services-like pricing.
     AwsLike,
@@ -21,7 +19,7 @@ pub enum Provider {
 }
 
 /// Pricing and node-granularity parameters of one cloud provider.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PricingModel {
     /// Name of the node type the cluster autoscaler provisions.
     pub node_type: String,

@@ -8,16 +8,12 @@
 //! in `atlas-cloud` (the lowest crate that prices sites) and is re-exported
 //! by `atlas-sim` next to the `SiteCatalog` describing the sites themselves.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a site in a site catalog. Site `0` is the on-premises cluster by
 /// convention; every other index is an elastic (cloud-like) pool.
 ///
 /// The paper's binary `p_c` is the two-site special case: `SiteId(0)` is
 /// `p_c = 0` (on-prem) and `SiteId(1)` is `p_c = 1` (the cloud).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SiteId(pub u16);
 
 impl SiteId {

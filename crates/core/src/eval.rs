@@ -100,10 +100,8 @@ use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use atlas_sim::{ComponentId, SiteId};
 
@@ -112,7 +110,7 @@ use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
 
 /// Evaluation statistics of one [`PlanEvaluator`] over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
     /// Distinct plans scored by the underlying [`QualityModel`] (the cache
     /// size). This is the quantity the `max_visited` search budget counts.
@@ -199,7 +197,7 @@ pub fn effective_threads(requested: usize) -> usize {
 }
 
 /// Minimum number of items each worker must receive before
-/// [`parallel_map_grouped`] spawns a thread scope. Spawning scoped workers costs tens of
+/// `parallel_map_grouped` spawns a thread scope. Spawning scoped workers costs tens of
 /// microseconds per batch; fanning out a generation-sized batch of cheap
 /// kernel evaluations used to *lose* wall time (PR 3 measured a 0.91×
 /// "speedup"), so small batches now run serially and large batches cap
@@ -261,9 +259,14 @@ pub const LANE_WIDTH: usize = 16;
 /// start-up cost. `f` must return exactly as many results as it was given
 /// items.
 ///
-/// This is the fan-out primitive shared by [`PlanEvaluator`] and the cached
-/// baseline scorer in `atlas-baselines`.
-pub fn parallel_map_grouped<T, R, I, F>(items: &[T], threads: usize, group: usize, f: F) -> Vec<R>
+/// This is the fan-out primitive behind every [`PlanEvaluator`] and
+/// [`MemoCache`] batch path.
+pub(crate) fn parallel_map_grouped<T, R, I, F>(
+    items: &[T],
+    threads: usize,
+    group: usize,
+    f: F,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -301,7 +304,7 @@ where
 }
 
 /// [`parallel_map_grouped`] at group size 1: one call of `f` per item.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -435,6 +438,13 @@ where
     K: Hash + Eq + Clone,
     V: Copy,
 {
+    // Recovers a poisoned guard: scoring runs outside the lock, and under it
+    // there are only whole map operations and counter additions, so the state
+    // is valid wherever a panic (a key's `Hash`/`Eq`) could have struck.
+    fn state(&self) -> MutexGuard<'_, MemoState<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Probe one key — through any borrowed form of it, so a probe never
     /// allocates an owned key — counting a cache hit on success. The caller
     /// computes and [`Self::insert`]s on a miss; the split keeps the
@@ -444,7 +454,7 @@ where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         let value = state.cache.get(key).copied();
         state.cache_hits += usize::from(value.is_some());
         value
@@ -459,7 +469,7 @@ where
 
     /// [`Self::insert`] that also accounts how the value was scored.
     fn insert_routed(&self, key: K, value: V, elapsed: Duration, routes: Routes) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         state.wall_time += elapsed;
         state.routes += routes;
         state.cache.insert(key, value);
@@ -505,7 +515,7 @@ where
     ) -> (Vec<Slot<V>>, Vec<C>, LookupOutcome) {
         let start = Instant::now();
         let probed: Vec<Option<V>> = {
-            let state = self.state.lock();
+            let state = self.state();
             keys.iter()
                 .map(|key| state.cache.get(key).copied())
                 .collect()
@@ -532,7 +542,7 @@ where
             routes,
             elapsed: start.elapsed(),
         };
-        let mut state = self.state.lock();
+        let mut state = self.state();
         for (&i, result) in uncached.iter().zip(&computed) {
             state.cache.insert(keys[i].clone(), value_of(result));
         }
@@ -578,18 +588,18 @@ where
 
     /// Distinct keys computed so far (the cache size).
     pub fn unique(&self) -> usize {
-        self.state.lock().cache.len()
+        self.state().cache.len()
     }
 
     /// Requests answered from the cache so far.
     pub fn cache_hits(&self) -> usize {
-        self.state.lock().cache_hits
+        self.state().cache_hits
     }
 
     /// Snapshot of the accounting as [`EvalStats`], stamped with the worker
     /// count the owner fans batches out across.
     pub fn stats(&self, threads: usize) -> EvalStats {
-        let state = self.state.lock();
+        let state = self.state();
         EvalStats {
             unique_evaluations: state.cache.len(),
             cache_hits: state.cache_hits,

@@ -16,13 +16,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use atlas_telemetry::{Direction, TelemetryStore, Windowing};
 
 /// The learned network footprint: per API, per directed component edge, the
 /// average request and response payload sizes in bytes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkFootprint {
     /// `(api, from, to) → (request_bytes, response_bytes)`.
     entries: HashMap<(String, String, String), (f64, f64)>,

@@ -7,10 +7,8 @@
 //! (performance-focused, cost-focused, …), then finer splits, until the
 //! leaves — individual plans — are reached.
 
-use serde::{Deserialize, Serialize};
-
 /// A node of the dendrogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DendrogramNode {
     /// A single plan, identified by its index in the input list.
     Leaf {
@@ -56,7 +54,7 @@ impl DendrogramNode {
 }
 
 /// The dendrogram over a set of plans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     root: Option<DendrogramNode>,
     point_count: usize,

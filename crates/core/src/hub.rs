@@ -135,10 +135,8 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use atlas_telemetry::Trace;
 
@@ -148,6 +146,15 @@ use crate::quality::{PlanQuality, QualityModel};
 use crate::recommender::{RecommendationReport, Recommender, RecommenderConfig};
 use crate::rl_crossover::TrainedCrossover;
 use crate::service::{AdvisorService, ServiceEvent};
+
+/// Lock `mutex`, recovering the guard when a holder panicked. The snapshot and
+/// batch-slot mutexes only guard whole assignments, so their data is always
+/// valid. A tenant's service can be left mid-update by a panicking feed; it
+/// keeps serving its last published snapshot, and ROADMAP item 1 replaces this
+/// recovery with tenant quarantine.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Identifier of one tenant registered with an [`AdvisorHub`] (its
 /// registration index).
@@ -182,7 +189,7 @@ struct TenantSlot {
 impl TenantSlot {
     /// The tenant's current snapshot, if one was published.
     fn snapshot(&self) -> Option<Arc<PublishedModel>> {
-        self.snapshot.lock().clone()
+        lock(&self.snapshot).clone()
     }
 }
 
@@ -251,7 +258,7 @@ impl AdvisorHub {
             service: Mutex::new(service),
             snapshot: Mutex::new(None),
         };
-        Self::republish(&slot, &slot.service.lock());
+        Self::republish(&slot, &lock(&slot.service));
         self.tenants.push(slot);
         TenantId(self.tenants.len() - 1)
     }
@@ -276,7 +283,7 @@ impl AdvisorHub {
     /// hatch for inspecting timelines, stores or recommendations. Reads on
     /// the serving path never come through here.
     pub fn with_tenant<R>(&self, tenant: TenantId, f: impl FnOnce(&AdvisorService) -> R) -> R {
-        f(&self.tenants[tenant.0].service.lock())
+        f(&lock(&self.tenants[tenant.0].service))
     }
 
     /// Publish the service's model if its generation moved past the
@@ -284,7 +291,7 @@ impl AdvisorHub {
     /// tenant's service lock held, so generations publish in order.
     fn republish(slot: &TenantSlot, service: &AdvisorService) {
         let generation = service.model_generation();
-        let mut snapshot = slot.snapshot.lock();
+        let mut snapshot = lock(&slot.snapshot);
         if snapshot.as_ref().map(|s| s.epoch) == Some(generation) {
             return;
         }
@@ -307,7 +314,7 @@ impl AdvisorHub {
     /// in-flight [`Self::recommend`] — are unaffected.
     pub fn feed(&self, tenant: TenantId, traces: Vec<Trace>) -> Vec<ServiceEvent> {
         let slot = &self.tenants[tenant.0];
-        let mut service = slot.service.lock();
+        let mut service = lock(&slot.service);
         let events = service.feed(traces);
         Self::republish(slot, &service);
         events
@@ -317,7 +324,7 @@ impl AdvisorHub {
     /// publish the first snapshot. See [`AdvisorService::bootstrap`].
     pub fn bootstrap(&self, tenant: TenantId) -> Vec<ServiceEvent> {
         let slot = &self.tenants[tenant.0];
-        let mut service = slot.service.lock();
+        let mut service = lock(&slot.service);
         let events = service.bootstrap();
         Self::republish(slot, &service);
         events
@@ -348,16 +355,16 @@ impl AdvisorHub {
                 let results = &results;
                 scope.spawn(move || {
                     for &i in indices {
-                        let traces = slots[i].lock().take().expect("each batch fed once");
+                        let traces = lock(&slots[i]).take().expect("each batch fed once");
                         let events = self.feed(TenantId(tenant), traces);
-                        *results[i].lock() = Some(events);
+                        *lock(&results[i]) = Some(events);
                     }
                 });
             }
         });
         results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every batch was fed"))
+            .iter()
+            .map(|m| lock(m).take().expect("every batch was fed"))
             .collect()
     }
 
@@ -718,6 +725,35 @@ mod tests {
                 serial.eval.requests()
             );
         }
+    }
+
+    /// A panic under a tenant's service lock poisons the mutex; the hub
+    /// recovers the guard, so the tenant still ingests and both tenants
+    /// still answer, with the fronts they had before. (ROADMAP item 1 will
+    /// change the first half on purpose: the tenant gets quarantined.)
+    #[test]
+    fn a_panic_under_the_service_lock_does_not_wedge_the_hub() {
+        let (sa, corpus) = tenant(17);
+        let mut hub = AdvisorHub::new();
+        let a = hub.add_tenant("a", sa);
+        let b = hub.add_tenant("b", tenant(18).0);
+        hub.bootstrap(a);
+        hub.bootstrap(b);
+        let before_a = hub.recommend(a, 1).report.plans;
+        let before_b = hub.recommend(b, 1).report.plans;
+
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            hub.with_tenant(a, |_| panic!("maintenance closure failed"))
+        }));
+        assert!(panicked.is_err());
+
+        // A same-shape replay: ingested under the poisoned lock, no drift.
+        let api = corpus[0].root().operation.clone();
+        let events = hub.feed(a, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
+        assert!(matches!(events[0], ServiceEvent::Ingested { traces, .. } if traces > 0));
+        assert_eq!(hub.published_epoch(a), Some(1));
+        assert_eq!(hub.recommend(a, 1).report.plans, before_a);
+        assert_eq!(hub.recommend(b, 1).report.plans, before_b);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //!
 //! # Batched lanes
 //!
-//! [`CompiledQuality::performance_lanes`] scores a whole batch of candidate
+//! `CompiledQuality::performance_lanes` scores a whole batch of candidate
 //! plans in **one** walk of the instruction arena. [`LaneScratch::load`]
 //! transposes the batch into component-major site columns —
 //! `soa[c * lanes + l]` is the site component `c` occupies in lane `l` — so
@@ -73,9 +73,9 @@
 //! # Delta re-scoring invariants
 //!
 //! A trace's latency is a pure function of the sites of the components it
-//! references. [`CompiledQuality::performance_scored`] therefore retains
+//! references. `CompiledQuality::performance_scored` therefore retains
 //! one [`ScoredTrace`] (the trace's latency under the scored plan) per
-//! compiled trace, and [`CompiledQuality::performance_delta`] re-scores a
+//! compiled trace, and `CompiledQuality::performance_delta` re-scores a
 //! mutated plan by re-running **only** the traces that reference a changed
 //! component; every other trace inherits its parent latency. Which traces
 //! those are is read off the **component → trace incidence index** the
@@ -265,7 +265,7 @@ impl LaneScratch {
 /// The retained latency of one compiled trace under a parent plan: the unit
 /// of reuse of the delta path. A trace's latency is a pure function of the
 /// sites of the components it references, so
-/// [`CompiledQuality::performance_delta`] re-runs a trace only when one of
+/// `CompiledQuality::performance_delta` re-runs a trace only when one of
 /// those components changed and inherits this value bit-for-bit otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredTrace {
@@ -718,7 +718,7 @@ impl ConstraintKernel {
 
     /// Whether any placement pin (exact or site-set) is violated by the
     /// site assignment.
-    pub fn violates_pins(&self, sites: &[SiteId]) -> bool {
+    pub(crate) fn violates_pins(&self, sites: &[SiteId]) -> bool {
         self.pinned
             .iter()
             .any(|&(i, site)| i < sites.len() && sites[i] != site)
@@ -975,7 +975,7 @@ impl CompiledQuality {
     /// `compile_ms` is restamped with the incremental compile time. The
     /// constraint kernel (including any owned-site limits) is untouched.
     #[allow(clippy::too_many_arguments)]
-    pub fn recompile_apis(
+    pub(crate) fn recompile_apis(
         &mut self,
         profile: &ApplicationProfile,
         footprint: &NetworkFootprint,
@@ -1026,7 +1026,7 @@ impl CompiledQuality {
 
     /// Attach owned-site capacity limits to the compiled constraint kernel
     /// (see [`ConstraintKernel::with_owned_site_limits`]).
-    pub fn set_owned_site_limits(&mut self, limits: Vec<OwnedSiteLimits>) {
+    pub(crate) fn set_owned_site_limits(&mut self, limits: Vec<OwnedSiteLimits>) {
         self.constraints = self.constraints.clone().with_owned_site_limits(limits);
     }
 
@@ -1046,7 +1046,7 @@ impl CompiledQuality {
     }
 
     /// Index of an API in the compiled order, if it was learned.
-    pub fn api_slot(&self, api: &str) -> Option<usize> {
+    pub(crate) fn api_slot(&self, api: &str) -> Option<usize> {
         self.api_index.get(api).copied()
     }
 
@@ -1054,7 +1054,12 @@ impl CompiledQuality {
     /// the candidate site assignment: `Σ wᵢ·latᵢ / Σ wᵢ` over the retained
     /// (representative) traces. 0.0 when no traces were retained, like the
     /// interpretive estimate.
-    pub fn api_latency_ms(&self, slot: usize, sites: &[SiteId], stack: &mut Vec<WaveFrame>) -> f64 {
+    pub(crate) fn api_latency_ms(
+        &self,
+        slot: usize,
+        sites: &[SiteId],
+        stack: &mut Vec<WaveFrame>,
+    ) -> f64 {
         self.apis[slot].mean_latency_ms(|t| t.run(sites, self.site_count, stack))
     }
 
@@ -1085,7 +1090,7 @@ impl CompiledQuality {
     }
 
     /// Total number of compiled traces across every API: the length of the
-    /// flat per-trace state retained by [`Self::performance_scored`].
+    /// flat per-trace state retained by `CompiledQuality::performance_scored`.
     pub fn trace_count(&self) -> usize {
         self.incidence.trace_ops.len()
     }
@@ -1136,7 +1141,7 @@ impl CompiledQuality {
     /// flat API-major layout of [`Self::performance_scored`]; pass a no-op
     /// closure to discard them. Each lane's result — and its retained state
     /// — is bit-identical to the scalar path.
-    pub fn performance_lanes(
+    pub(crate) fn performance_lanes(
         &self,
         scratch: &mut LaneScratch,
         lanes: usize,
@@ -1190,7 +1195,7 @@ impl CompiledQuality {
     /// [`Self::performance`] with the per-trace latencies retained into
     /// `traces` (flat, API-major, in the compiled API order): the parent
     /// state consumed by [`Self::performance_delta`].
-    pub fn performance_scored(
+    pub(crate) fn performance_scored(
         &self,
         sites: &[SiteId],
         stack: &mut Vec<WaveFrame>,
@@ -1209,7 +1214,7 @@ impl CompiledQuality {
     /// is bit-identical to a cold re-score. `prev` must hold
     /// [`Self::trace_count`] entries from the parent's scoring; the fresh
     /// per-trace state is written to `next`.
-    pub fn performance_delta(
+    pub(crate) fn performance_delta(
         &self,
         sites: &[SiteId],
         touched: &[u64],

@@ -9,8 +9,6 @@
 //! of recommendations when the information loss grows by a large factor
 //! (the paper reports 0.47 → 6.09, a 13× loss, for `/homeTimeline`).
 
-use serde::{Deserialize, Serialize};
-
 /// Kullback–Leibler divergence `D_KL(P ‖ Q)` between two empirical latency
 /// distributions, computed over a shared histogram with `bins` bins spanning
 /// the combined range of both sample sets. Each bin receives an ε
@@ -56,7 +54,7 @@ pub fn kl_divergence(p_samples: &[f64], q_samples: &[f64], bins: usize) -> f64 {
 }
 
 /// Outcome of one drift check.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftReport {
     /// Baseline divergence `D_KL(b_real ‖ b_approx)` captured right after
     /// the migration.
@@ -70,7 +68,7 @@ pub struct DriftReport {
 }
 
 /// Drift detector for one API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftDetector {
     /// Latency samples (ms) observed right after the last migration — the
     /// reference distribution `b_real`.

@@ -1,7 +1,5 @@
 //! Migration plans: the unit Atlas recommends and evaluates.
 
-use serde::{Deserialize, Serialize};
-
 use atlas_sim::{ComponentId, Placement, PlacementError, SiteId};
 
 /// A migration plan: a target placement for every component, evaluated
@@ -10,7 +8,7 @@ use atlas_sim::{ComponentId, Placement, PlacementError, SiteId};
 /// Plans are site-indexed (see [`Placement`]):
 /// [`MigrationPlan::from_sites`]/[`MigrationPlan::sites`] carry the
 /// assignment, and the paper's binary plan variable is the two-site case.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MigrationPlan {
     placement: Placement,
 }

@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use atlas_sim::{ComponentId, SiteId};
 
 /// The application owner's migration preferences.
@@ -18,7 +16,7 @@ use atlas_sim::{ComponentId, SiteId};
 /// component to one site, and [`MigrationPreferences::pin_to_sites`]
 /// restricts a component to a *set* of allowed sites (e.g. "any region
 /// inside the jurisdiction").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPreferences {
     /// APIs that are critical to the business; weighted
     /// [`MigrationPreferences::critical_weight`]× in the quality models.

@@ -11,8 +11,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_sim::{Placement, SiteCatalog, SiteId};
 
@@ -24,7 +22,7 @@ use crate::preferences::MigrationPreferences;
 use crate::profile::ApplicationProfile;
 
 /// The three quality indicators of one plan, plus its feasibility.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanQuality {
     /// `Q_Perf`: weighted mean latency ratio (new / current) across APIs;
     /// 1.0 means "as fast as today", larger is worse.
@@ -186,7 +184,7 @@ impl QualityModel {
     /// `dirty` APIs: relearn only those APIs' profiles from the store's
     /// retained traces ([`ApplicationProfile::relearn_dirty`]) and recompile
     /// only their op arenas in place
-    /// ([`CompiledQuality::recompile_apis`]). APIs whose retained traces
+    /// (`CompiledQuality::recompile_apis`). APIs whose retained traces
     /// were all evicted are dropped from the model.
     ///
     /// The network footprint, demand and cost model are deliberately held
@@ -295,7 +293,7 @@ impl QualityModel {
 
     /// Estimated post-migration mean latency (ms) of one API under a plan
     /// (compiled kernel; bit-identical to
-    /// [`Self::estimate_api_latency_ms_interpretive`]).
+    /// `estimate_api_latency_ms_interpretive`).
     pub fn estimate_api_latency_ms(&self, api: &str, plan: &MigrationPlan) -> f64 {
         self.debug_assert_in_catalog(plan);
         let Some(slot) = self.kernel.api_slot(api) else {
@@ -309,7 +307,11 @@ impl QualityModel {
 
     /// Interpretive reference of [`Self::estimate_api_latency_ms`]: replays
     /// the retained traces through the recursive [`DelayInjector`].
-    pub fn estimate_api_latency_ms_interpretive(&self, api: &str, plan: &MigrationPlan) -> f64 {
+    pub(crate) fn estimate_api_latency_ms_interpretive(
+        &self,
+        api: &str,
+        plan: &MigrationPlan,
+    ) -> f64 {
         let Some(profile) = self.profile.apis.get(api) else {
             return 0.0;
         };

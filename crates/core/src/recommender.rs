@@ -49,7 +49,6 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use atlas_ga::nsga2::{survive, take_selected};
 use atlas_ga::{
@@ -69,7 +68,7 @@ use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
 pub const ARCHIVE_CAPACITY: usize = 256;
 
 /// Which crossover operator the search uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossoverStrategy {
     /// The reward-driven learned crossover (Atlas).
     ReinforcementLearning,

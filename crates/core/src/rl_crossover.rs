@@ -37,7 +37,6 @@ use atlas_nn::{Activations, ActorCritic, ActorCriticConfig, Policy};
 
 use atlas_sim::{ComponentId, SiteId};
 
-use crate::eval::PlanEvaluator;
 use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, ScoredPlan};
 
@@ -48,9 +47,6 @@ pub struct RlCrossoverConfig {
     pub iterations: usize,
     /// Hidden sizes of the actor (the paper uses three ReLU layers of 128).
     pub actor_hidden: Vec<usize>,
-    /// Whether the feasibility sign-flip of Eq. 5 is applied. Disabling it
-    /// is the ablation exercised by `bench_reward_ablation`.
-    pub feasibility_penalty: bool,
     /// Seed for sampling parents and actions.
     pub seed: u64,
 }
@@ -60,7 +56,6 @@ impl Default for RlCrossoverConfig {
         Self {
             iterations: 1_000,
             actor_hidden: vec![128, 128, 128],
-            feasibility_penalty: true,
             seed: 17,
         }
     }
@@ -143,38 +138,22 @@ impl CrossoverAgent {
         .iter()
         .filter(|(best_parent, child_q)| *best_parent > *child_q)
         .count() as f64;
-        if self.config.feasibility_penalty && !child.feasible {
+        if !child.feasible {
             -improvements.max(1.0)
         } else {
             improvements
         }
     }
 
-    /// Train the agent on random parent pairs drawn from `dataset`, scoring
-    /// rewards through the shared plan evaluator (the parents are usually
-    /// already cached by the surrounding search, and duplicate rollout
-    /// children are scored once). Returns the per-iteration rewards (the
-    /// reward-progression curve of paper Figure 21b).
-    pub fn train(&mut self, evaluator: &PlanEvaluator<'_>, dataset: &[MigrationPlan]) -> Vec<f64> {
-        let qualities: Vec<PlanQuality> = evaluator.evaluate_batch(dataset);
-        let scored: Vec<ScoredPlan> = dataset
-            .iter()
-            .zip(qualities)
-            .map(|(plan, quality)| ScoredPlan::quality_only(plan.to_sites(), quality))
-            .collect();
-        self.train_scored(&scored, |_, _, child| evaluator.evaluate(child))
-    }
-
-    /// [`Self::train`] over an already-scored dataset: parent qualities come
-    /// from the retained [`ScoredPlan`]s (no re-evaluation), and each rollout
-    /// child is scored by the caller-supplied closure, which receives both
-    /// tournament parents so it can route the child through a delta path
-    /// (e.g. [`PlanEvaluator::evaluate_offspring`] against the nearer
-    /// parent) and observe every evaluated child (e.g. to feed an external
-    /// Pareto archive). The random stream — parent sampling, policy
-    /// sampling, policy updates — is identical to [`Self::train`], so the
-    /// two entry points train bit-identical agents whenever the closure
-    /// returns the same qualities the shared evaluator would.
+    /// Train the agent on random parent pairs drawn from an already-scored
+    /// `dataset`: parent qualities come from the retained [`ScoredPlan`]s (no
+    /// re-evaluation), and each rollout child is scored by the
+    /// caller-supplied closure, which receives both tournament parents so it
+    /// can route the child through a delta path (e.g.
+    /// [`PlanEvaluator::evaluate_offspring`](crate::eval::PlanEvaluator::evaluate_offspring)
+    /// against the nearer parent) and observe every evaluated child (e.g. to
+    /// feed an external Pareto archive). Returns the per-iteration rewards
+    /// (the reward-progression curve of paper Figure 21b).
     pub fn train_scored(
         &mut self,
         dataset: &[ScoredPlan],
@@ -209,35 +188,13 @@ impl CrossoverAgent {
         rewards
     }
 
-    /// Produce a child plan from two parents by sampling the learned policy.
-    pub fn crossover(
-        &mut self,
-        parent_a: &MigrationPlan,
-        parent_b: &MigrationPlan,
-    ) -> MigrationPlan {
-        MigrationPlan::from_sites(self.crossover_sites(parent_a.sites(), parent_b.sites()))
-    }
-
-    /// [`Self::crossover`] over borrowed genomes: samples the learned
-    /// policy on two site assignments and returns the child's sites without
-    /// requiring the parents to exist as [`MigrationPlan`]s (the search
-    /// keeps its population as retained [`ScoredPlan`]s). Consumes the same
-    /// random draws as [`Self::crossover`].
+    /// Produce a child from two parents by sampling the learned policy on
+    /// their site assignments. Works on borrowed genomes, so the parents need
+    /// not exist as [`MigrationPlan`]s (the search keeps its population as
+    /// retained [`ScoredPlan`]s).
     pub fn crossover_sites(&mut self, parent_a: &[SiteId], parent_b: &[SiteId]) -> Vec<SiteId> {
         self.sample_action(parent_a, parent_b);
         child_sites_of(self.site_count, &self.action, parent_a, parent_b).collect()
-    }
-
-    /// Deterministic (greedy) child of two parents.
-    pub fn crossover_greedy(
-        &mut self,
-        parent_a: &MigrationPlan,
-        parent_b: &MigrationPlan,
-    ) -> MigrationPlan {
-        let (a, b) = (parent_a.sites(), parent_b.sites());
-        load_state(&mut self.state, self.site_count, a, b);
-        let action = self.agent.greedy(&self.state);
-        MigrationPlan::from_sites(child_sites_of(self.site_count, &action, a, b).collect())
     }
 
     /// End training and keep what inference needs: the actor's weights
@@ -260,17 +217,6 @@ impl CrossoverAgent {
     /// All rewards observed during training, in order.
     pub fn reward_history(&self) -> &[f64] {
         &self.reward_history
-    }
-
-    /// Mean reward over a window of the most recent training iterations
-    /// (0.0 when the window holds none: no history yet, or `window == 0`).
-    pub fn recent_mean_reward(&self, window: usize) -> f64 {
-        let n = self.reward_history.len();
-        let slice = &self.reward_history[n.saturating_sub(window)..];
-        if slice.is_empty() {
-            return 0.0;
-        }
-        slice.iter().sum::<f64>() / slice.len() as f64
     }
 
     /// Load a parent pair and sample the policy's action for it.
@@ -410,7 +356,6 @@ mod tests {
             RlCrossoverConfig {
                 iterations: 10,
                 actor_hidden: vec![16, 16],
-                feasibility_penalty: true,
                 seed: 4,
             },
         )
@@ -444,29 +389,13 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_penalty_keeps_rewards_non_negative() {
-        let cfg = RlCrossoverConfig {
-            feasibility_penalty: false,
-            actor_hidden: vec![8],
-            ..RlCrossoverConfig::default()
-        };
-        let a = CrossoverAgent::new(3, cfg);
-        let pa = quality(2.0, 1.0, 100.0, true);
-        let pb = quality(3.0, 0.0, 80.0, true);
-        let infeasible_good = quality(1.0, -1.0, 10.0, false);
-        assert!(a.reward(&infeasible_good, &pa, &pb) >= 0.0);
-    }
-
-    #[test]
     fn crossover_produces_plans_of_the_right_size() {
         let mut a = agent(6);
         let p1 = plan(&[0, 0, 0, 1, 1, 1]);
         let p2 = plan(&[1, 1, 1, 0, 0, 0]);
-        let child = a.crossover(&p1, &p2);
+        let child = a.crossover_sites(p1.sites(), p2.sites());
         assert_eq!(child.len(), 6);
-        let greedy = a.crossover_greedy(&p1, &p2);
-        assert_eq!(greedy.len(), 6);
-        assert!(child.sites().iter().all(|s| s.index() <= 1));
+        assert!(child.iter().all(|s| s.index() <= 1));
     }
 
     #[test]
@@ -491,36 +420,20 @@ mod tests {
     fn multi_site_crossover_inherits_genes_from_the_parents() {
         use atlas_sim::SiteId;
         let mut a = agent(6).with_site_count(4);
-        let p1 = MigrationPlan::from_sites(vec![SiteId(3); 6]);
-        let p2 = MigrationPlan::from_sites(vec![SiteId(1); 6]);
+        let (p1, p2) = ([SiteId(3); 6], [SiteId(1); 6]);
         for _ in 0..8 {
-            let child = a.crossover(&p1, &p2);
+            let child = a.crossover_sites(&p1, &p2);
             assert_eq!(child.len(), 6);
             // Every gene comes from one of the parents: only sites 1 and 3
             // can appear, never an arbitrary site.
-            assert!(child
-                .sites()
-                .iter()
-                .all(|&s| s == SiteId(1) || s == SiteId(3)));
+            assert!(child.iter().all(|&s| s == SiteId(1) || s == SiteId(3)));
         }
-        let greedy = a.crossover_greedy(&p1, &p2);
-        assert!(greedy
-            .sites()
-            .iter()
-            .all(|&s| s == SiteId(1) || s == SiteId(3)));
     }
 
     #[test]
-    fn recent_mean_reward_of_untrained_agent_is_zero() {
-        let a = agent(4);
-        assert_eq!(a.recent_mean_reward(100), 0.0);
-        assert!(a.reward_history().is_empty());
-    }
-
-    /// An empty window over a non-empty history is an empty mean, not 0/0.
-    #[test]
-    fn recent_mean_reward_over_an_empty_window_is_zero() {
+    fn training_appends_its_rewards_to_the_history() {
         let mut a = agent(4);
+        assert!(a.reward_history().is_empty());
         let dataset: Vec<ScoredPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
             .iter()
             .map(|sites| {
@@ -529,8 +442,6 @@ mod tests {
             .collect();
         let rewards = a.train_scored(&dataset, |_, _, _| quality(1.0, 0.5, 40.0, true));
         assert_eq!(rewards, vec![3.0; 10]);
-        assert_eq!(a.recent_mean_reward(0), 0.0);
-        assert_eq!(a.recent_mean_reward(4), 3.0);
-        assert_eq!(a.recent_mean_reward(1_000), 3.0);
+        assert_eq!(a.reward_history(), rewards);
     }
 }

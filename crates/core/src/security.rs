@@ -7,14 +7,12 @@
 //! a data breach shows up as observed traffic far above what the served
 //! API requests can justify.
 
-use serde::{Deserialize, Serialize};
-
 use atlas_telemetry::{Direction, PairKey, TelemetryStore, Windowing};
 
 use crate::footprint::NetworkFootprint;
 
 /// One monitored window on one edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowObservation {
     /// Index of the window.
     pub window: usize,
@@ -27,7 +25,7 @@ pub struct WindowObservation {
 }
 
 /// Report of one breach check on one directed edge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreachReport {
     /// The monitored edge.
     pub from: String,
@@ -62,7 +60,7 @@ impl BreachReport {
 }
 
 /// Detects traffic that the served API requests cannot justify.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreachDetector {
     /// Window length (seconds) used for the comparison.
     pub window_s: u64,

@@ -89,11 +89,6 @@ impl<G: Clone + PartialEq, S: AsRef<[f64]>> ParetoArchive<G, S> {
         &self.entries
     }
 
-    /// Consume the archive, yielding its entries.
-    pub fn into_entries(self) -> Vec<(G, S)> {
-        self.entries
-    }
-
     /// Number of archived entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -12,13 +12,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
 use crate::mlp::{Activations, Mlp, Weights};
 
 /// Hyperparameters of the actor-critic agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActorCriticConfig {
     /// Hidden-layer sizes of the actor (the paper uses three ReLU layers of
     /// 128 units).
@@ -181,12 +180,6 @@ impl ActorCritic {
         (Policy { actor }, self.rng)
     }
 
-    /// Greedy action: take each bit with probability ≥ 0.5.
-    pub fn greedy(&mut self, state: &[f64]) -> Vec<bool> {
-        let logits = self.actor.forward(state);
-        logits.iter().map(|&l| sigmoid(l) >= 0.5).collect()
-    }
-
     /// Critic's estimate of the expected reward of a state.
     pub fn value(&mut self, state: &[f64]) -> f64 {
         self.critic.forward(state)[0]
@@ -264,8 +257,6 @@ mod tests {
         let probs = agent.probabilities(&[0.0; 6]);
         assert_eq!(probs.len(), 3);
         assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let greedy = agent.greedy(&[0.0; 6]);
-        assert_eq!(greedy.len(), 3);
     }
 
     #[test]
@@ -311,7 +302,11 @@ mod tests {
     fn log_prob_is_higher_for_likely_actions() {
         let mut agent = ActorCritic::new(2, 4, small_config(4));
         let state = [0.2, 0.4];
-        let likely = agent.greedy(&state);
+        let likely: Vec<bool> = agent
+            .probabilities(&state)
+            .iter()
+            .map(|&p| p >= 0.5)
+            .collect();
         let unlikely: Vec<bool> = likely.iter().map(|b| !b).collect();
         assert!(agent.log_prob(&state, &likely) >= agent.log_prob(&state, &unlikely));
         // Sampling draws valid actions.

@@ -1,10 +1,8 @@
 //! The Adam optimizer (Kingma & Ba, 2014), used by the paper to train the
 //! actor network for 1,000 iterations.
 
-use serde::{Deserialize, Serialize};
-
 /// Adam state for one flat parameter vector, updated tensor by tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f64,

@@ -6,10 +6,9 @@
 //! and access only, no algebra.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,

@@ -23,7 +23,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::adam::Adam;
 use crate::matrix::Matrix;
@@ -31,7 +30,7 @@ use crate::matrix::Matrix;
 /// One dense layer's tensors: `y = x·W + b`, with `W` stored
 /// `inputs × outputs`. The same shape holds a layer's parameters and its
 /// gradients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
@@ -112,7 +111,7 @@ impl Dense {
 /// writes: [`Self::forward`] takes `&self`, so a trained network can be
 /// shared (e.g. behind an `Arc`) by readers that each bring their own
 /// [`Activations`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Weights {
     layers: Vec<Dense>,
     sizes: Vec<usize>,
@@ -187,14 +186,14 @@ impl Weights {
 /// The workspace of a forward pass: `rows[0]` is the last input,
 /// `rows[i + 1]` the output of layer `i` (after its ReLU, for hidden
 /// layers). Built by [`Weights::activations`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Activations {
     rows: Vec<Vec<f64>>,
 }
 
 /// A multi-layer perceptron with ReLU hidden layers and a linear output
 /// layer, together with the workspace of its single-sample training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     weights: Weights,
     /// One gradient tensor pair per layer, overwritten by every backward

@@ -9,7 +9,6 @@
 //! traces with the same structure Jaeger would record.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::component::ComponentId;
 
@@ -18,7 +17,7 @@ use crate::component::ComponentId;
 /// Sampled as a mean plus uniform multiplicative jitter, which is enough to
 /// obtain realistic latency histograms (e.g. Figure 7) without pulling in a
 /// statistics crate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeDist {
     /// Mean duration in microseconds.
     pub mean_us: f64,
@@ -62,7 +61,7 @@ impl TimeDist {
 }
 
 /// A payload-size distribution in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeDist {
     /// Mean size in bytes.
     pub mean_bytes: f64,
@@ -115,7 +114,7 @@ impl SizeDist {
 }
 
 /// Whether a child call blocks its parent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallMode {
     /// The parent waits for the child to complete (foreground).
     Sync,
@@ -126,7 +125,7 @@ pub enum CallMode {
 
 /// An edge in the call tree: the parent invokes `child` transferring
 /// `request` bytes and receiving `response` bytes back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallEdge {
     /// The invoked child operation.
     pub child: CallNode,
@@ -161,7 +160,7 @@ impl CallEdge {
 }
 
 /// One operation of the call tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallNode {
     /// Component executing the operation.
     pub component: ComponentId,

@@ -10,13 +10,11 @@
 //! 2-entry default catalog, built from [`ClusterSpec`] and the two measured
 //! links of [`NetworkModel`].
 
-use serde::{Deserialize, Serialize};
-
 pub use atlas_cloud::SiteId;
 use atlas_cloud::{PricingModel, SiteCostModel};
 
 /// Latency/bandwidth description of one link class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// One-way network latency in milliseconds.
     pub latency_ms: f64,
@@ -42,7 +40,7 @@ impl LinkSpec {
 
 /// The two measured links of the paper's hybrid deployment (§5.1), the
 /// input of [`SiteNetwork::two_site`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Link between two components in the same datacenter.
     pub intra: LinkSpec,
@@ -72,7 +70,7 @@ impl Default for NetworkModel {
 ///
 /// The paper's two measured links ([`NetworkModel`]) make the symmetric 2×2
 /// instance `[intra, inter; inter, intra]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteNetwork {
     site_count: usize,
     links: Vec<LinkSpec>,
@@ -174,7 +172,7 @@ impl Default for SiteNetwork {
 /// finite `cpu_cores` / `memory_gb` / `storage_gb` fields, surfaced to the
 /// constraint kernel through [`SiteCatalog::owned_site_limits`]. Elastic
 /// sites are capacity-unbounded by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteSpec {
     /// Human-readable site name (e.g. `on-prem`, `aws-us-east`).
     pub name: String,
@@ -224,7 +222,7 @@ impl SiteSpec {
 /// pricing ([`SiteSpec`]) over a per-ordered-pair [`SiteNetwork`]. Site 0 is
 /// the on-premises cluster by convention; [`SiteCatalog::hybrid`] builds the
 /// 2-entry catalog of the paper's testbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteCatalog {
     sites: Vec<SiteSpec>,
     network: SiteNetwork,
@@ -386,7 +384,7 @@ impl Default for SiteCatalog {
 }
 
 /// Hardware description of one node type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Marketing name of the node type (e.g. `m5.large`).
     pub name: String,
@@ -409,7 +407,7 @@ impl NodeSpec {
 
 /// The hybrid cluster: a fixed-capacity on-prem side plus an autoscaling
 /// cloud side built from `cloud_node` instances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Total CPU cores available on-prem.
     pub onprem_cpu_cores: f64,

@@ -1,12 +1,10 @@
 //! Component specifications: the containers that make up an application.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a component inside an [`crate::AppTopology`].
 ///
 /// Components are referenced by dense indices so that a migration plan can
 /// be represented as a flat vector of locations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComponentId(pub usize);
 
 impl std::fmt::Display for ComponentId {
@@ -20,7 +18,7 @@ impl std::fmt::Display for ComponentId {
 /// The resource figures describe the *baseline* footprint of the component
 /// plus its marginal per-request demand; the simulator combines them with the
 /// workload to produce cAdvisor-style metric series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Human-readable name, e.g. `UserMongoDB`.
     pub name: String,

@@ -315,12 +315,6 @@ impl Simulator {
         &self.placement
     }
 
-    /// Replace the placement (e.g. after executing a migration plan).
-    pub fn set_placement(&mut self, placement: Placement) {
-        assert_eq!(placement.len(), self.topology.component_count());
-        self.placement = placement;
-    }
-
     /// Run a request schedule, ingesting telemetry into `store`, and return
     /// the per-request outcomes.
     pub fn run(&self, schedule: &RequestSchedule, store: &TelemetryStore) -> SimReport {

@@ -10,10 +10,8 @@
 //! at it; it only needs the simulator to reproduce the qualitative behaviour
 //! that overloaded on-prem components get slow and flaky.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency inflation and failure behaviour as a function of CPU utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadModel {
     /// Utilization below which no inflation is applied.
     pub knee_utilization: f64,

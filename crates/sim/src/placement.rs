@@ -8,8 +8,6 @@
 //! binary plan variable `p_c ∈ {0, 1}` is the 2-site case, with
 //! [`SiteId::CLOUD`] as site 1.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::SiteId;
 use crate::component::ComponentId;
 
@@ -45,7 +43,7 @@ impl std::fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// Assignment of every component to a site, indexed by [`ComponentId`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Placement {
     sites: Vec<SiteId>,
 }

@@ -5,12 +5,10 @@
 //! from "how are they executed" keeps experiments such as the 5× burst or
 //! the behaviour-change drift (paper §5.4) easy to express.
 
-use serde::{Deserialize, Serialize};
-
 use atlas_telemetry::Micros;
 
 /// A single API request arrival.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledRequest {
     /// Arrival time in microseconds since the start of the run.
     pub at_us: Micros,
@@ -19,7 +17,7 @@ pub struct ScheduledRequest {
 }
 
 /// A time-ordered list of request arrivals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequestSchedule {
     requests: Vec<ScheduledRequest>,
 }

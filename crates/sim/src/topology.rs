@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::calltree::CallNode;
 use crate::component::{ComponentId, ComponentSpec};
 
 /// A user-facing API endpoint of the application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApiSpec {
     /// Endpoint name, e.g. `/composeAPI`.
     pub endpoint: String,
@@ -51,13 +49,12 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// An application: its components and its user-facing APIs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppTopology {
     /// Human-readable application name.
     pub name: String,
     components: Vec<ComponentSpec>,
     apis: Vec<ApiSpec>,
-    #[serde(skip)]
     name_index: HashMap<String, ComponentId>,
 }
 
@@ -115,14 +112,6 @@ impl AppTopology {
 
     /// Look a component up by name.
     pub fn component_id(&self, name: &str) -> Option<ComponentId> {
-        if self.name_index.is_empty() && !self.components.is_empty() {
-            // Deserialized topologies skip the index; fall back to a scan.
-            return self
-                .components
-                .iter()
-                .position(|c| c.name == name)
-                .map(ComponentId);
-        }
         self.name_index.get(name).copied()
     }
 

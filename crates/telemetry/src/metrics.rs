@@ -8,13 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::window::Windowing;
 use crate::Seconds;
 
 /// The resource dimensions recorded per component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MetricKind {
     /// CPU usage in cores (1.0 = one fully-busy core).
     CpuCores,
@@ -53,7 +51,7 @@ impl std::fmt::Display for MetricKind {
 }
 
 /// A single observation of a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricPoint {
     /// Timestamp of the observation in seconds since the epoch.
     pub timestamp_s: Seconds,
@@ -62,7 +60,7 @@ pub struct MetricPoint {
 }
 
 /// A time-ordered series of observations for one metric of one component.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSeries {
     points: Vec<MetricPoint>,
 }
@@ -169,7 +167,7 @@ impl MetricSeries {
 }
 
 /// All metric series of a single component.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComponentMetrics {
     /// Component (container) name.
     pub component: String,

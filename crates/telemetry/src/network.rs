@@ -9,13 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::window::Windowing;
 use crate::Seconds;
 
 /// Direction of a data transfer on a caller→callee edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// Bytes flowing from the caller to the callee (the request payload).
     Request,
@@ -24,7 +22,7 @@ pub enum Direction {
 }
 
 /// A directed component pair: caller → callee.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PairKey {
     /// Component initiating the communication.
     pub from: String,
@@ -50,7 +48,7 @@ impl std::fmt::Display for PairKey {
 
 /// One aggregated observation: bytes transferred on an edge, in a direction,
 /// within a time window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSample {
     /// Timestamp of the containing window start, in seconds.
     pub timestamp_s: Seconds,
@@ -61,7 +59,7 @@ pub struct TrafficSample {
 /// Pairwise network traffic for the whole application.
 ///
 /// Internally a map from (edge, direction) to a time series of byte counts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PairwiseTraffic {
     samples: BTreeMap<(PairKey, Direction), Vec<TrafficSample>>,
 }

@@ -5,17 +5,15 @@
 //! span that triggered them, so a set of spans sharing a trace id forms a
 //! tree rooted at the entry component (e.g. `FrontendNGINX`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Micros;
 
 /// Identifier of a trace: one trace per API request received by the
 /// application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
 /// Identifier of a span within the whole telemetry stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl std::fmt::Display for TraceId {
@@ -36,7 +34,7 @@ impl std::fmt::Display for SpanId {
 /// relies on: component (service) name, operation name, start timestamp and
 /// duration, plus the parent span id that lets a [`crate::Trace`] reconstruct
 /// the execution tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to.
     pub trace_id: TraceId,

@@ -10,12 +10,11 @@
 //! Traces are not kept as a flat `Vec<Trace>`: they are normalised into a
 //! columnar [`TraceArena`] at ingest (interned names, SoA span columns,
 //! per-API and per-edge indexes), so every query answers from an index
-//! instead of rescanning the whole store, and learning-stage consumers can
-//! borrow [`crate::arena::TraceView`]s instead of cloning span trees.
+//! instead of rescanning the whole store, and learning-stage consumers get
+//! counts, latencies and weighted representatives without cloning span trees.
 
 use std::collections::{BTreeMap, HashMap};
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::arena::{TraceArena, WeightedTrace};
 use crate::metrics::{ComponentMetrics, MetricKind};
@@ -117,6 +116,18 @@ pub struct IngestReport {
 }
 
 impl TelemetryStore {
+    // Both accessors recover a poisoned guard: a writer panics only on the
+    // caller's trace iterator or a hand-built malformed `Trace`, and answering
+    // from the traces already held beats failing every later query. ROADMAP
+    // item 1 makes the append atomic per trace.
+    fn read(&self) -> RwLockReadGuard<'_, StoreInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, StoreInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Create an empty store.
     pub fn new() -> Self {
         Self::default()
@@ -129,19 +140,19 @@ impl TelemetryStore {
     /// so a resident feed should arrive in batches.
     pub fn with_retention_window_s(window_s: Seconds) -> Self {
         let store = Self::default();
-        store.inner.write().retention_window_s = Some(window_s);
+        store.write().retention_window_s = Some(window_s);
         store
     }
 
     /// Change (or clear) the retention window. Takes effect on the next
     /// ingest.
     pub fn set_retention_window_s(&self, window_s: Option<Seconds>) {
-        self.inner.write().retention_window_s = window_s;
+        self.write().retention_window_s = window_s;
     }
 
     /// The configured retention window, if any.
     pub fn retention_window_s(&self) -> Option<Seconds> {
-        self.inner.read().retention_window_s
+        self.read().retention_window_s
     }
 
     // ------------------------------------------------------------------
@@ -162,7 +173,7 @@ impl TelemetryStore {
     /// [`TelemetryStore::dirty_apis_since`] reports exactly the APIs a
     /// consumer needs to resync.
     pub fn ingest_batch(&self, traces: impl IntoIterator<Item = Trace>) -> IngestReport {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let ingested = inner.append(traces);
         let evicted = if ingested > 0 {
             inner.enforce_retention()
@@ -183,7 +194,7 @@ impl TelemetryStore {
     /// The current store epoch. Starts at 0; bumped once per mutating
     /// ingest call.
     pub fn epoch(&self) -> u64 {
-        self.inner.read().epoch
+        self.read().epoch
     }
 
     /// The APIs whose trace set changed after epoch `since` (sorted), and
@@ -192,7 +203,7 @@ impl TelemetryStore {
     /// An API evicted down to zero traces still appears here — consumers
     /// observe the disappearance and drop the endpoint.
     pub fn dirty_apis_since(&self, since: u64) -> (u64, Vec<String>) {
-        let inner = self.inner.read();
+        let inner = self.read();
         let dirty = inner
             .api_epochs
             .iter()
@@ -210,7 +221,7 @@ impl TelemetryStore {
         timestamp_s: Seconds,
         value: f64,
     ) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner
             .metrics
             .entry(component.to_string())
@@ -227,8 +238,7 @@ impl TelemetryStore {
         timestamp_s: Seconds,
         bytes: f64,
     ) {
-        self.inner
-            .write()
+        self.write()
             .traffic
             .record(PairKey::new(from, to), direction, timestamp_s, bytes);
     }
@@ -237,35 +247,27 @@ impl TelemetryStore {
     // Query surface (used by Atlas and the baselines).
     // ------------------------------------------------------------------
 
-    /// Run `f` against the columnar trace arena under the read lock.
-    ///
-    /// This is the borrow-based escape hatch for learning-stage consumers
-    /// that want [`crate::arena::TraceView`]s instead of owned [`Trace`]s.
-    pub fn with_arena<R>(&self, f: impl FnOnce(&TraceArena) -> R) -> R {
-        f(&self.inner.read().arena)
-    }
-
     /// Total number of stored traces.
     pub fn trace_count(&self) -> usize {
-        self.inner.read().arena.len()
+        self.read().arena.len()
     }
 
     /// Total number of stored spans.
     pub fn span_count(&self) -> usize {
-        self.inner.read().arena.span_count()
+        self.read().arena.span_count()
     }
 
     /// Names of all user-facing APIs observed (root operations of traces),
     /// sorted and deduplicated. Answered from the per-API index: O(#APIs),
     /// not O(#traces).
     pub fn apis(&self) -> Vec<String> {
-        self.inner.read().arena.api_names()
+        self.read().arena.api_names()
     }
 
     /// Names of all components observed in traces or metrics, sorted.
     /// Answered from the interner and the metric keys: no per-span scan.
     pub fn components(&self) -> Vec<String> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut v: Vec<String> = inner.metrics.keys().cloned().collect();
         v.extend(inner.arena.component_names().map(str::to_string));
         v.sort();
@@ -275,19 +277,19 @@ impl TelemetryStore {
 
     /// All traces belonging to a given API, materialised in time order.
     pub fn traces_for_api(&self, api: &str) -> Vec<Trace> {
-        self.inner.read().arena.traces_for_api(api)
+        self.read().arena.traces_for_api(api)
     }
 
     /// Up to `limit` most recent traces of an API (by root start time).
     /// Only the selected traces are materialised.
     pub fn recent_traces_for_api(&self, api: &str, limit: usize) -> Vec<Trace> {
-        self.inner.read().arena.recent_traces_for_api(api, limit)
+        self.read().arena.recent_traces_for_api(api, limit)
     }
 
     /// All traces of an API whose root span starts inside `[start_s, end_s)`,
     /// located by binary search over the time-sorted per-API index.
     pub fn traces_for_api_in(&self, api: &str, start_s: Seconds, end_s: Seconds) -> Vec<Trace> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .arena
             .api_trace_indices_in(api, start_s, end_s)
@@ -298,31 +300,30 @@ impl TelemetryStore {
 
     /// Number of traces stored for an API (no materialisation).
     pub fn api_trace_count(&self, api: &str) -> usize {
-        self.inner.read().arena.api_trace_count(api)
+        self.read().arena.api_trace_count(api)
     }
 
     /// Mean end-to-end latency (ms) over all traces of an API, computed from
     /// the root-latency column without materialising a single trace.
     pub fn api_mean_latency_ms(&self, api: &str) -> f64 {
-        self.inner.read().arena.api_mean_latency_ms(api)
+        self.read().arena.api_mean_latency_ms(api)
     }
 
     /// Sorted names of the distinct components touched by an API's traces.
     pub fn api_components(&self, api: &str) -> Vec<String> {
-        self.inner.read().arena.api_component_names(api)
+        self.read().arena.api_component_names(api)
     }
 
     /// Collapse an API's traces into at most `cap` weighted representative
     /// traces by structural signature (see
     /// [`TraceArena::weighted_representatives`]).
     pub fn weighted_traces_for_api(&self, api: &str, cap: usize) -> Vec<WeightedTrace> {
-        self.inner.read().arena.weighted_representatives(api, cap)
+        self.read().arena.weighted_representatives(api, cap)
     }
 
     /// Latest root start time over all traces, in whole seconds.
     pub fn latest_trace_second(&self) -> Option<Seconds> {
-        self.inner
-            .read()
+        self.read()
             .arena
             .max_root_start_us()
             .map(|us| us / 1_000_000)
@@ -330,13 +331,12 @@ impl TelemetryStore {
 
     /// Metrics of a component, if observed.
     pub fn component_metrics(&self, component: &str) -> Option<ComponentMetrics> {
-        self.inner.read().metrics.get(component).cloned()
+        self.read().metrics.get(component).cloned()
     }
 
     /// Convenience: mean of a metric for a component over the whole period.
     pub fn metric_mean(&self, component: &str, kind: MetricKind) -> f64 {
-        self.inner
-            .read()
+        self.read()
             .metrics
             .get(component)
             .map_or(0.0, |m| m.mean(kind))
@@ -344,8 +344,7 @@ impl TelemetryStore {
 
     /// Convenience: peak of a metric for a component over the whole period.
     pub fn metric_max(&self, component: &str, kind: MetricKind) -> f64 {
-        self.inner
-            .read()
+        self.read()
             .metrics
             .get(component)
             .map_or(0.0, |m| m.max(kind))
@@ -353,12 +352,12 @@ impl TelemetryStore {
 
     /// A clone of the pairwise traffic record.
     pub fn traffic(&self) -> PairwiseTraffic {
-        self.inner.read().traffic.clone()
+        self.read().traffic.clone()
     }
 
     /// All directed communication edges observed by the network metrics.
     pub fn traffic_edges(&self) -> Vec<PairKey> {
-        self.inner.read().traffic.edges()
+        self.read().traffic.edges()
     }
 
     /// `U^{req/resp}_{ci→cj}[t]`: bytes per window on an edge (Eq. 1 input).
@@ -369,8 +368,7 @@ impl TelemetryStore {
         windowing: &Windowing,
         window_count: usize,
     ) -> Vec<f64> {
-        self.inner
-            .read()
+        self.read()
             .traffic
             .windowed_bytes(pair, direction, windowing, window_count)
     }
@@ -388,31 +386,27 @@ impl TelemetryStore {
         windowing: &Windowing,
         window_count: usize,
     ) -> HashMap<String, Vec<f64>> {
-        self.inner
-            .read()
+        self.read()
             .arena
             .windowed_invocations(pair, windowing, window_count)
     }
 
     /// Number of requests per API whose root start falls in `[start_s, end_s)`.
     pub fn api_request_counts_in(&self, start_s: Seconds, end_s: Seconds) -> HashMap<String, u64> {
-        self.inner
-            .read()
-            .arena
-            .api_request_counts_in(start_s, end_s)
+        self.read().arena.api_request_counts_in(start_s, end_s)
     }
 
     /// End-to-end latencies (ms) of all traces of an API, in time order.
     /// Read straight from the root-latency column.
     pub fn api_latencies_ms(&self, api: &str) -> Vec<f64> {
-        self.inner.read().arena.api_latencies_ms(api)
+        self.read().arena.api_latencies_ms(api)
     }
 
     /// Remove every stored trace, metric, and traffic sample. The epoch
     /// keeps counting (a clear is a change), the dirty set resets, and the
     /// retention window is preserved.
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.arena.clear();
         inner.metrics.clear();
         inner.traffic = PairwiseTraffic::new();

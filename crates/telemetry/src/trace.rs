@@ -8,14 +8,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::span::{Span, SpanId, TraceId};
 use crate::Micros;
 
 /// Relation between two sibling spans (children of the same parent), derived
 /// from their temporal overlap as described in paper §4.1.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SiblingRelation {
     /// The two spans' durations overlap significantly: they execute in
     /// parallel (e.g. `URLShortenService` and `MediaService` in Figure 6).
@@ -61,7 +59,7 @@ impl std::error::Error for TraceError {}
 
 /// A node of the reconstructed trace tree: a span plus the indices of its
 /// children, ordered by start time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceNode {
     /// The span stored at this node.
     pub span: Span,
@@ -74,7 +72,7 @@ pub struct TraceNode {
 
 /// A fully-assembled distributed trace: a tree of spans rooted at the entry
 /// component that received the API request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Trace identifier shared by all spans.
     pub trace_id: TraceId,

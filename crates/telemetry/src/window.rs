@@ -6,12 +6,10 @@
 //! paper uses 5-second windows), so the same [`Windowing`] description is
 //! used across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Seconds;
 
 /// A half-open time window `[start, end)` expressed in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimeWindow {
     /// Inclusive start of the window, in seconds since the epoch.
     pub start_s: Seconds,
@@ -43,7 +41,7 @@ impl TimeWindow {
 }
 
 /// A uniform partition of an observation period into fixed-length windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Windowing {
     /// Start of the observation period in seconds.
     pub origin_s: Seconds,
