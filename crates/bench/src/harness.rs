@@ -30,12 +30,6 @@ pub enum Application {
 }
 
 impl Application {
-    /// The topology and the paired learning workload of this application.
-    pub fn topology_and_workload(&self) -> (AppTopology, WorkloadOptions) {
-        let (topology, workload, _) = self.scenario_parts();
-        (topology, workload)
-    }
-
     /// The topology, learning workload and site catalog of this
     /// application. The seed applications run on the paper's default
     /// 2-entry catalog; synthetic scenarios carry their generated one.
@@ -239,8 +233,8 @@ impl Experiment {
     }
 
     /// A fresh plan evaluator over the experiment's quality model (one
-    /// worker per core). Figure binaries share one of these so
-    /// plans scored by several methods are evaluated once.
+    /// worker per core). A figure shares one of these so plans scored by
+    /// several methods are evaluated once.
     pub fn evaluator(&self) -> PlanEvaluator<'_> {
         PlanEvaluator::new(&self.quality)
     }
@@ -291,22 +285,15 @@ impl Experiment {
                 seed: self.options.seed + 2,
             },
         );
-        let workload = WorkloadOptions::social_network_default()
-            .with_seed(self.options.seed + 2)
-            .with_burst(self.options.burst);
-        let schedule = WorkloadGenerator::new(workload)
-            .generate(&self.topology)
-            .expect("workload matches the topology");
+        let schedule = self.burst_schedule(self.options.burst, self.options.seed + 2);
         let throwaway = TelemetryStore::new();
         sim.run(&schedule, &throwaway)
     }
 
-    /// Run the full burst schedule used for drift experiments.
+    /// The application's own workload at `burst` and `seed`, as a request
+    /// schedule (the replay of drift experiments).
     pub fn burst_schedule(&self, burst: f64, seed: u64) -> RequestSchedule {
-        let workload = WorkloadOptions::social_network_default()
-            .with_seed(seed)
-            .with_burst(burst);
-        WorkloadGenerator::new(workload)
+        WorkloadGenerator::new(self.workload_with(seed, burst))
             .generate(&self.topology)
             .expect("workload matches the topology")
     }
@@ -334,15 +321,6 @@ pub fn shift_corpus(traces: &mut [Trace], offset_us: u64, id_tag: u64) {
             node.span.start_us += offset_us;
         }
     }
-}
-
-/// Print one row of a figure table: a label followed by named values.
-pub fn print_row(label: &str, values: &[(&str, f64)]) {
-    let mut row = format!("{label:<28}");
-    for (name, value) in values {
-        row.push_str(&format!("  {name}={value:.3}"));
-    }
-    println!("{row}");
 }
 
 #[cfg(test)]
@@ -395,6 +373,17 @@ mod tests {
         let plan = MigrationPlan::all_onprem(24);
         let report = exp.measure_plan(&plan, 1.0);
         assert!(report.success_count() > 0);
+    }
+
+    #[test]
+    fn burst_schedules_replay_the_experiments_own_application() {
+        let exp = Experiment::set_up(ExperimentOptions {
+            application: Application::HotelReservation,
+            max_visited: 200,
+            population: 12,
+            ..ExperimentOptions::quick()
+        });
+        assert!(!exp.burst_schedule(1.0, 77).is_empty());
     }
 
     #[test]

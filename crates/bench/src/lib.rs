@@ -1,13 +1,13 @@
 //! Experiment harness regenerating the figures of the Atlas evaluation, and
 //! the performance sweep with its regression gate.
 //!
-//! Every figure of the paper's §5 has a corresponding binary in `src/bin/`
-//! (README, "Reproducing the paper figures", has the index). The binaries
-//! share the set-up code in [`harness`]: simulate the application under the
-//! learning workload, let Atlas learn, build the baseline context, and
-//! evaluate candidate plans either with Atlas's quality model or by
-//! re-running the simulator under the candidate placement (the "ground
-//! truth" substitute for an actual migration).
+//! [`figures`] reproduces the fifteen figures of the paper's §5 as values;
+//! the `figures` binary prints them (README, "Reproducing the paper
+//! figures", has the index). They share the set-up code in [`harness`]:
+//! simulate the application under the learning workload, let Atlas learn,
+//! build the baseline context, and evaluate candidate plans either with
+//! Atlas's quality model or by re-running the simulator under the candidate
+//! placement (the "ground truth" substitute for an actual migration).
 //!
 //! [`sweep`] and [`gate`] measure nothing themselves: they run the op loops
 //! and probes of the end-to-end benchmark's library (`benchmark/`, the
@@ -16,10 +16,10 @@
 
 #![deny(missing_docs)]
 
+pub mod figures;
 pub mod gate;
 pub mod harness;
-pub mod multiplan;
 pub mod sweep;
 
 pub use atlas_benchmark::scenario::copy_context;
-pub use harness::{corpus_of, print_row, shift_corpus, Application, Experiment, ExperimentOptions};
+pub use harness::{corpus_of, shift_corpus, Application, Experiment, ExperimentOptions};
