@@ -13,10 +13,11 @@
 //!
 //! Each generated test runs its body over [`CASES`] deterministically seeded
 //! random inputs (seeded from the test name), so failures reproduce across
-//! runs. There is no shrinking — a failing case panics with the ordinary
-//! assertion message. Swap the workspace path dependency for crates.io
-//! `proptest = "1"` to restore shrinking and persistence; the test sources
-//! compile unchanged.
+//! runs. There is no shrinking: a failing case panics with the ordinary
+//! assertion message behind the case number and its inputs, as in
+//! `case 7/64: x = 12, flags = [true, false]: assertion failed: ...`. Swap
+//! the workspace path dependency for crates.io `proptest = "1"` to restore
+//! shrinking and persistence; the test sources compile unchanged.
 
 #![deny(missing_docs)]
 
@@ -41,6 +42,24 @@ pub fn test_rng(test_name: &str) -> TestRng {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     TestRng::seed_from_u64(hash)
+}
+
+/// Runs case `case` (0-based) of a [`proptest!`] test, whose inputs
+/// `inputs` lists as `name = value` pairs; if `body` panics, panics again
+/// with the case and its inputs ahead of the original message. Used by the
+/// [`proptest!`] expansion; not part of the public API surface mirrored
+/// from the real crate.
+pub fn run_case(case: usize, inputs: &str, body: impl FnOnce()) {
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        let message = match payload.downcast_ref::<String>() {
+            Some(message) => message.as_str(),
+            None => payload
+                .downcast_ref::<&str>()
+                .copied()
+                .unwrap_or("(no message)"),
+        };
+        panic!("case {}/{CASES}: {inputs}: {message}", case + 1);
+    }
 }
 
 /// A generator of random values for one test parameter.
@@ -268,11 +287,46 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let mut rng = $crate::test_rng(concat!(module_path!(), "::", stringify!($name)));
-                for _case in 0..$crate::CASES {
+                for case in 0..$crate::CASES {
                     $(let $arg = $crate::Strategy::new_value(&$strategy, &mut rng);)+
-                    $body
+                    let inputs = [$(format!("{} = {:?}", stringify!($arg), $arg)),+].join(", ");
+                    $crate::run_case(case, &inputs, || $body);
                 }
             }
         )+
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::prelude::*;
+
+    proptest! {
+        fn fails_from_fifty(x in 0u32..100, flag in any::<bool>()) {
+            let _ = flag;
+            prop_assert!(x < 50, "x is too large");
+        }
+    }
+
+    #[test]
+    fn a_failing_case_names_itself_and_its_inputs() {
+        let payload = std::panic::catch_unwind(fails_from_fifty).expect_err("some x >= 50");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        let (case, rest) = message
+            .strip_prefix("case ")
+            .and_then(|m| m.split_once("/64: x = "))
+            .expect(message);
+        assert!(
+            (1..=64).contains(&case.parse::<usize>().unwrap()),
+            "{message}"
+        );
+        let (x, rest) = rest.split_once(", flag = ").expect(message);
+        assert!(x.parse::<u32>().unwrap() >= 50, "{message}");
+        assert!(
+            rest.ends_with(": x is too large") && rest.starts_with(['t', 'f']),
+            "{message}"
+        );
+    }
 }

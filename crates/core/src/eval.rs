@@ -135,7 +135,7 @@ pub struct EvalStats {
     pub delta_scored: usize,
     /// Of the unique evaluations, the plans cold-scored by a batch path in
     /// [`LANE_WIDTH`] lane groups. The rest — `unique_evaluations` minus
-    /// both counts — were single-plan scalar walks.
+    /// both counts — were lone plans, walked at width 1.
     pub lane_scored: usize,
 }
 
@@ -211,25 +211,26 @@ pub const MIN_ITEMS_PER_WORKER: usize = 16;
 /// [`PlanEvaluator::evaluate_offspring_batch`]; a wider diff joins a
 /// [`LANE_WIDTH`] cold group.
 ///
-/// The delta path re-runs the touched traces one plan at a time, at the
-/// scalar walk's cost per op; a full lane group walks *every* trace but
-/// shares each op's decode and wave bookkeeping between sixteen plans. The
-/// break-even share is therefore the scalar : 16-lane cost of one trace
-/// walk per plan. Measured by the end-to-end benchmark's kernel probes on
-/// its `cold-wide` workload (500 components, 4 sites, 448 compiled traces;
-/// 2 vCPUs): `kernel.scalar_evals_per_s` 2.4–2.9 k against
-/// `kernel.lanes_evals_per_s` 11.0–12.0 k, i.e. 1 : 4.2 on average — and
-/// that is per whole evaluation, `Q_Cost` and feasibility included, which
-/// both routes pay alike, so the walk alone is a little further apart. A
-/// quarter is that ratio rounded towards the lane path, which leaves room
-/// for the parent diff and the per-child state allocation the delta route
-/// adds. Smaller kernels amortise less (the same two metrics at the `250x2`
-/// and `500x2` points of `BENCH_sweep.json` read 1 : 2.6 and 1 : 2.9), but
-/// there a whole score is cheap enough that the choice stops mattering: at
-/// 100 components the search's scoring is ≈ 1 ms under either route.
+/// The delta path re-runs the touched traces one plan at a time, a walk of
+/// width 1; a full lane group walks *every* trace but shares each op's
+/// decode and wave bookkeeping between sixteen plans. The break-even share
+/// is therefore the width-1 : width-16 cost of one trace walk per plan.
+/// Measured by the end-to-end benchmark's kernel probes on its `cold-wide`
+/// workload (500 components, 4 sites, 448 compiled traces; 2 vCPUs):
+/// `kernel.scalar_evals_per_s` (lone plans, width 1) 2.4–2.9 k against
+/// `kernel.lanes_evals_per_s` (width 16) 11.0–12.0 k, i.e. 1 : 4.2 on
+/// average — and that is per whole evaluation, `Q_Cost` and feasibility
+/// included, which both routes pay alike, so the walk alone is a little
+/// further apart. A quarter is that ratio rounded towards the lane path,
+/// which leaves room for the parent diff and the per-child state allocation
+/// the delta route adds. Smaller kernels amortise less (the same two
+/// metrics at the `250x2` and `500x2` points of `BENCH_sweep.json` read
+/// 1 : 2.6 and 1 : 2.9), but there a whole score is cheap enough that the
+/// choice stops mattering: at 100 components the search's scoring is ≈ 1 ms
+/// under either route.
 ///
 /// One exception needs no constant: a cold group that would hold a single
-/// plan *is* the scalar walk of every trace, and a delta re-score never
+/// plan *is* a width-1 walk of every trace, and a delta re-score never
 /// re-runs more than every trace, so a lone wide child goes back to the
 /// delta route.
 ///
@@ -367,7 +368,7 @@ struct MemoState<K, V> {
 
 /// How the plans one lookup computed were scored (see
 /// [`EvalStats::delta_scored`] and [`EvalStats::lane_scored`]); both zero
-/// for scalar walks and for scorers without a compiled kernel.
+/// for lone plans and for scorers without a compiled kernel.
 #[derive(Debug, Clone, Copy, Default)]
 struct Routes {
     delta: usize,
@@ -1237,7 +1238,7 @@ mod tests {
     /// one gene away from its parent is delta-scored, children 10 % of
     /// their genes away — far under the old 25 %-of-genes cap, yet touching
     /// most of the traces — are lane-scored, and a lone wide child, whose
-    /// cold group would be a one-plan scalar walk, is delta-scored.
+    /// cold group would be a one-plan walk, is delta-scored.
     #[test]
     fn offspring_are_routed_by_touched_work_not_gene_count() {
         let quality = crate::testkit::generated(250, 4, 30, 11).model;
@@ -1304,7 +1305,7 @@ mod tests {
 
         // The single-child form has no lane group to join: any child of a
         // retained parent is delta-scored, however wide; a bare parent's
-        // is a scalar walk, which neither counter counts.
+        // is a lone plan's walk, which neither counter counts.
         let single = PlanEvaluator::new(&quality);
         assert_eq!(
             single.evaluate_offspring(&parent, &wide[0]),

@@ -37,45 +37,55 @@
 //!   the candidate [`Placement`] and a reusable wave-frame stack.
 //!
 //! Scoring a plan is then an iterative, zero-allocation pass: thread-local
-//! [`EvalScratch`] buffers hold the wave stack, the site assignment, the
-//! lane columns and the cost model's scratch, so concurrent
-//! evaluator workers never contend on the allocator.
+//! [`EvalScratch`] buffers hold the walk's per-lane state (site columns,
+//! wave stack, latencies, accumulators), the site assignment and the cost
+//! model's scratch, so concurrent evaluator workers never contend on the
+//! allocator.
 //!
 //! # Bit-identity and the interpretive fallback
 //!
 //! The kernel performs the *same floating-point operations in the same
 //! order* as the interpretive path, so its scores are bit-identical to
 //! [`QualityModel::evaluate_interpretive`] — property tests pin this on
-//! generated scenarios. The interpretive
+//! generated scenarios, at every walk width (see below). The interpretive
 //! [`DelayInjector`](crate::delay::DelayInjector) remains the reference
 //! oracle: fall back to it when scoring against a *different* current
 //! placement than the model was compiled for (e.g. the drift detector's
 //! post-migration replays in [`crate::advisor`]), when traces are not
 //! retained in a profile, or when debugging the kernel itself.
 //!
-//! # Batched lanes
+//! # One walk at any width
 //!
-//! `CompiledQuality::performance_lanes` scores a whole batch of candidate
-//! plans in **one** walk of the instruction arena. [`LaneScratch::load`]
-//! transposes the batch into component-major site columns —
-//! `soa[c * lanes + l]` is the site component `c` occupies in lane `l` — so
-//! when an op touches a component, the sites it occupies across all lanes
-//! sit in one contiguous strip. The interpreter state (the trace cursor, the wave
-//! `base`/`wend` stacks, the per-API accumulator and the `Q_Perf` totals)
-//! becomes a per-lane array updated in a tight inner loop over the lanes.
-//! Every lane performs exactly the floating-point operations of the scalar
-//! interpreter in the same order, so lane scores are bit-identical to
-//! [`CompiledQuality::performance`] at *any* lane count; the differential
-//! property suite pins widths 1, 3, 8 and 64 against both the scalar kernel
-//! and the interpretive oracle. [`LANE_WIDTH`](crate::eval::LANE_WIDTH)
-//! fixes the production width.
+//! The kernel has one trace interpreter, and it scores a *lane group* of
+//! plans in **one** walk of the instruction arena: a lone plan is a group
+//! of width 1, the plan evaluator's batches are groups of
+//! [`LANE_WIDTH`](crate::eval::LANE_WIDTH). The walk reads the group's
+//! sites as component-major columns — `soa[c * lanes + l]` is the site
+//! component `c` occupies in lane `l` — so when an op touches a component,
+//! the sites it occupies across all lanes sit in one contiguous strip; at
+//! width 1 that layout *is* the plan's own site slice, read in place. The
+//! interpreter state (the wave-frame stack with one frame per lane per open
+//! wave, the per-API accumulator and the `Q_Perf` totals) is a per-lane
+//! array updated in a tight inner loop over the lanes, while the op decode,
+//! the wave bookkeeping and the resolution of unindexed components are paid
+//! once per op. Each op reads and writes wave frames only — a child's start
+//! opens its first wave in the same op, a leaf child starts and ends in
+//! one — so no value passes between ops outside the frames, and a trace
+//! walks in about one op per hop and wave. One fold turns the walked
+//! latencies into `Q_Perf`: a cold score of any width, a delta re-score
+//! (width 1, untouched traces inherited) and the per-API estimate are all
+//! calls of it. The lanes are arithmetically independent and every lane
+//! performs the floating-point operations of a lone plan's walk in the same
+//! order, so a plan's score depends neither on the width nor on its lane;
+//! the differential property suite pins widths 1, 3, 8, 16 and 64 against
+//! [`QualityModel::evaluate`] (width 1) and the interpretive oracle.
 //!
 //! # Delta re-scoring invariants
 //!
 //! A trace's latency is a pure function of the sites of the components it
-//! references. `CompiledQuality::performance_scored` therefore retains
-//! one [`ScoredTrace`] (the trace's latency under the scored plan) per
-//! compiled trace, and `CompiledQuality::performance_delta` re-scores a
+//! references. A scored plan therefore retains one [`ScoredTrace`] (the
+//! trace's latency under that plan) per compiled trace, and
+//! `CompiledQuality::performance_delta` re-scores a
 //! mutated plan by re-running **only** the traces that reference a changed
 //! component; every other trace inherits its parent latency. Which traces
 //! those are is read off the **component → trace incidence index** the
@@ -161,6 +171,7 @@
 //! ```
 //!
 //! [`QualityModel`]: crate::quality::QualityModel
+//! [`QualityModel::evaluate`]: crate::quality::QualityModel::evaluate
 //! [`QualityModel::for_catalog`]: crate::quality::QualityModel::for_catalog
 //! [`QualityModel::evaluate_interpretive`]: crate::quality::QualityModel::evaluate_interpretive
 //! [`ScoredPlan`]: crate::quality::ScoredPlan
@@ -183,9 +194,10 @@ use crate::profile::ApplicationProfile;
 const UNKNOWN: u32 = u32::MAX;
 
 /// One frame of the wave stack: the wave's base timestamp and the running
-/// maximum end time of its children ("wave end").
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WaveFrame {
+/// maximum end time of its children ("wave end"). A walk keeps one frame
+/// per lane per open wave, the wave's `lanes` frames side by side.
+#[derive(Debug, Clone, Copy)]
+struct WaveFrame {
     base: f64,
     wend: f64,
 }
@@ -195,14 +207,12 @@ pub struct WaveFrame {
 /// reused across evaluations on the same thread.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    /// Wave-frame stack of the trace interpreter (depth = trace depth).
-    pub stack: Vec<WaveFrame>,
     /// Site assignment of the candidate plan, indexed like the component
     /// index.
     pub sites: Vec<SiteId>,
     /// Scratch of the cloud cost model.
     pub cost: CostScratch,
-    /// Per-lane buffers of the batched (structure-of-arrays) scoring path.
+    /// Per-lane state of the trace walk, at any width.
     pub lanes: LaneScratch,
     /// The traces a change set touches, one bit per compiled trace in the
     /// flat API-major order (see [`CompiledQuality::clear_touched`]).
@@ -211,55 +221,57 @@ pub struct EvalScratch {
     pub scored: Vec<ScoredTrace>,
 }
 
-/// Reusable buffers of the batched scoring path: the candidate plans of one
-/// batch transposed into component-major site columns (structure of arrays)
-/// plus the per-lane cursor, wave-stack and accumulator arrays that let one
-/// walk of a trace's instruction stream price every lane. See the
-/// [module docs](self#batched-lanes) for the layout.
+/// Reusable buffers of the trace walk: a lane group's component-major site
+/// columns plus the per-lane wave-stack, latency and accumulator arrays that
+/// let one walk of a trace's instruction stream price every lane. See the
+/// [module docs](self#one-walk-at-any-width) for the layout.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
-    /// Component-major site columns: `soa[c * lanes + l]` is the site
-    /// component `c` occupies in lane `l`.
+    /// The columns of a group wider than one plan (see [`load`]).
     soa: Vec<SiteId>,
-    /// Per-lane trace cursor (the scalar interpreter's `cur`).
-    cur: Vec<f64>,
-    /// Per-lane wave-frame `base` stack; grows by `lanes` per open wave.
-    base: Vec<f64>,
-    /// Per-lane wave-frame `wend` stack, parallel to `base`.
-    wend: Vec<f64>,
-    /// Per-lane per-API latency accumulator.
+    /// One on-prem site per lane: the column unindexed components read.
+    onprem: Vec<SiteId>,
+    /// Per-lane latency (ms) of the trace just walked; after a fold, the
+    /// last API's weighted mean latency.
+    latency: Vec<f64>,
+    /// The wave-frame stack, `lanes` frames per open wave.
+    stack: Vec<WaveFrame>,
+    /// Per-lane weighted latency sum of the API being folded; zero between
+    /// APIs.
     acc: Vec<f64>,
     /// Per-lane `Q_Perf` totals.
     total: Vec<f64>,
 }
 
-impl LaneScratch {
-    /// Transpose one batch of site assignments (one slice per lane, all of
-    /// equal length) into component-major columns and reset the per-lane
-    /// accumulators.
-    pub fn load(&mut self, plans: &[&[SiteId]]) {
-        let lanes = plans.len();
-        let n = plans.first().map_or(0, |p| p.len());
-        debug_assert!(
-            plans.iter().all(|p| p.len() == n),
-            "every lane of a batch must cover the same components"
+/// The component-major site columns of one lane group over an
+/// `n`-component kernel — `soa[c * lanes + l]` is the site component `c`
+/// occupies in lane `l` — read off each plan's first `n` sites. One plan's
+/// own sites already have that layout and are read in place; a wider group
+/// is transposed into `soa`.
+///
+/// # Panics
+///
+/// Panics if a plan is shorter than the kernel.
+fn load<'a>(soa: &'a mut Vec<SiteId>, plans: &[&'a [SiteId]], n: usize) -> &'a [SiteId] {
+    for plan in plans {
+        assert!(
+            plan.len() >= n,
+            "scoring needs a plan covering every component ({} of {n})",
+            plan.len()
         );
-        self.soa.clear();
-        self.soa.resize(n * lanes, SiteId::ON_PREM);
-        for (l, plan) in plans.iter().enumerate() {
-            for (c, &site) in plan.iter().enumerate() {
-                self.soa[c * lanes + l] = site;
-            }
-        }
-        self.cur.clear();
-        self.cur.resize(lanes, 0.0);
-        self.acc.clear();
-        self.acc.resize(lanes, 0.0);
-        self.total.clear();
-        self.total.resize(lanes, 0.0);
-        self.base.clear();
-        self.wend.clear();
     }
+    if let [plan] = plans {
+        return &plan[..n];
+    }
+    let lanes = plans.len();
+    soa.clear();
+    soa.resize(n * lanes, SiteId::ON_PREM);
+    for (l, plan) in plans.iter().enumerate() {
+        for (c, &site) in plan[..n].iter().enumerate() {
+            soa[c * lanes + l] = site;
+        }
+    }
+    soa
 }
 
 /// The retained latency of one compiled trace under a parent plan: the unit
@@ -298,36 +310,60 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// One instruction of a compiled trace. The stream is the pre-order
-/// linearisation of the interpretive injector's recursion; see
-/// [`CompiledTrace`].
+/// One instruction of a compiled trace: the pre-order linearisation of the
+/// interpretive injector's recursion (see [`CompiledTrace`]), with every
+/// value a node hands to the next step of the recursion kept in the wave
+/// frames. The innermost open wave's frame is the *top* frame.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Open a wave of parallel siblings: push a frame with
-    /// `base = cur + gap` (the parent's own compute before triggering the
-    /// wave) and `wend = cur`.
-    Wave { gap: f64 },
-    /// Start one child of the open wave:
-    /// `cur = (base + offset) + (after_cost − before_cost)`, where the
-    /// after-cost is the hop's link-cost-table entry for the candidate's
-    /// `(caller_site, callee_site)` pair.
-    Call {
-        offset: f64,
-        caller: u32,
-        callee: u32,
-        /// Offset of this hop's `site_count²` exchange-cost table in the
-        /// trace's [`CompiledTrace::link_costs`] arena.
-        cost_base: u32,
-        before: f64,
-    },
-    /// Close one child: fold its end time into the wave end
-    /// (`wend = max(wend, cur)`).
-    Ret,
-    /// Close the wave: `cur = pop().wend`.
-    EndWave,
-    /// The node's trailing own-compute after its last foreground wave:
-    /// `cur += tail`.
-    Tail { tail: f64 },
+    /// Start one child of the top wave and open the child's first wave: at
+    /// the child's `start = hop.start(top.base)`, push a frame with
+    /// `base = start + gap` (the child's own compute before triggering the
+    /// wave) and `wend = start`.
+    Call { hop: Hop, gap: f64 },
+    /// Start and close one child without foreground calls of its own:
+    /// `top.wend = max(top.wend, hop.start(top.base) + tail)`, `tail` being
+    /// the child's own compute.
+    Leaf { hop: Hop, tail: f64 },
+    /// Close the top wave and open the same node's next one (the root's
+    /// first wave too): `top.base = top.wend + gap`.
+    Next { gap: f64 },
+    /// Close a child's last wave and the child: pop its frame, add its
+    /// trailing own-compute after that wave and fold its end into the
+    /// caller's wave (`top.wend = max(top.wend, popped.wend + tail)`).
+    Ret { tail: f64 },
+}
+
+impl Op {
+    /// The hop a `Call` or `Leaf` starts.
+    fn hop(&self) -> Option<&Hop> {
+        match self {
+            Op::Call { hop, .. } | Op::Leaf { hop, .. } => Some(hop),
+            _ => None,
+        }
+    }
+}
+
+/// One caller → callee hop of a trace, started from its wave's base.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    offset: f64,
+    caller: u32,
+    callee: u32,
+    /// Offset of this hop's `site_count²` exchange-cost table in the
+    /// trace's [`CompiledTrace::link_costs`] arena.
+    cost_base: u32,
+    before: f64,
+}
+
+impl Hop {
+    /// The child's start under the candidate's `(caller, callee)` sites
+    /// over an `n`-site catalog: `(base + offset) + (after − before)`, the
+    /// after-cost being the entry for the pair in `table`, the hop's
+    /// exchange-cost table.
+    fn start(&self, base: f64, table: &[f64], a: SiteId, b: SiteId, n: usize) -> f64 {
+        (base + self.offset) + (table[a.index() * n + b.index()] - self.before)
+    }
 }
 
 /// One retained trace compiled to a flat instruction arena. Evaluating it
@@ -338,7 +374,7 @@ enum Op {
 /// result, so they cannot affect the returned latency.
 ///
 /// `link_costs` holds one `site_count × site_count` exchange-cost table per
-/// `Call` op (row-major by caller site), baked from the hop's learned
+/// hop (row-major by caller site), baked from the hop's learned
 /// request/response bytes and the catalog's per-ordered-pair links.
 #[derive(Debug, Clone)]
 struct CompiledTrace {
@@ -348,6 +384,8 @@ struct CompiledTrace {
     /// per-API mean bit-identical to the unweighted one.
     weight: f64,
     ops: Vec<Op>,
+    /// The root's trailing own-compute after its last foreground wave.
+    tail: f64,
     link_costs: Vec<f64>,
 }
 
@@ -363,9 +401,10 @@ impl CompiledTrace {
     ) -> Self {
         let mut ops = Vec::new();
         let mut link_costs = Vec::new();
-        compile_node(
+        let tail = compile_node(
             trace,
             0,
+            None,
             api,
             footprint,
             network,
@@ -378,6 +417,7 @@ impl CompiledTrace {
             root_start: trace.root().start_us as f64,
             weight,
             ops,
+            tail,
             link_costs,
         }
     }
@@ -390,172 +430,103 @@ impl CompiledTrace {
     fn references(&self) -> impl Iterator<Item = u32> + '_ {
         self.ops
             .iter()
-            .filter_map(|op| match *op {
-                Op::Call { caller, callee, .. } => Some([caller, callee]),
-                _ => None,
-            })
-            .flatten()
+            .filter_map(Op::hop)
+            .flat_map(|hop| [hop.caller, hop.callee])
             .filter(|&id| id != UNKNOWN)
     }
 
-    /// Append this trace's latency under some plan to that plan's flat
-    /// per-trace state, passing the latency through.
-    fn retain(&self, latency_ms: f64, traces: &mut Vec<ScoredTrace>) -> f64 {
-        traces.push(ScoredTrace {
-            latency_ms,
-            weight: self.weight,
-        });
-        latency_ms
-    }
-
-    /// New end-to-end latency (ms) of this trace under the candidate
-    /// site assignment `sites` over an `site_count`-site catalog.
-    fn run(&self, sites: &[SiteId], site_count: usize, stack: &mut Vec<WaveFrame>) -> f64 {
-        stack.clear();
-        let mut cur = self.root_start;
-        for op in &self.ops {
-            match *op {
-                Op::Wave { gap } => stack.push(WaveFrame {
-                    base: cur + gap,
-                    wend: cur,
-                }),
-                Op::Call {
-                    offset,
-                    caller,
-                    callee,
-                    cost_base,
-                    before,
-                } => {
-                    let a = site_of(sites, caller);
-                    let b = site_of(sites, callee);
-                    let after =
-                        self.link_costs[cost_base as usize + a.index() * site_count + b.index()];
-                    let base = stack.last().expect("Call only inside a wave").base;
-                    cur = (base + offset) + (after - before);
-                }
-                Op::Ret => {
-                    let frame = stack.last_mut().expect("Ret only inside a wave");
-                    frame.wend = frame.wend.max(cur);
-                }
-                Op::EndWave => cur = stack.pop().expect("EndWave closes a wave").wend,
-                Op::Tail { tail } => cur += tail,
-            }
-        }
-        (cur - self.root_start).max(0.0) / 1_000.0
-    }
-
-    /// Lane-batched [`Self::run`]: advance every lane of the transposed
-    /// batch through one walk of the instruction stream, then hand each
-    /// lane's latency to `retain` (as that lane's [`ScoredTrace`], the
-    /// parent state of the delta path — a no-op closure compiles away) and
-    /// add it into `acc`. Per lane, the floating-point schedule is exactly
-    /// that of [`Self::run`] — the lanes are arithmetically independent, so
-    /// interleaving them preserves bit-identity — while the op decode, the
-    /// wave bookkeeping and the `UNKNOWN` resolution are paid once per op
-    /// instead of once per op per plan.
-    #[allow(clippy::too_many_arguments)]
+    /// The trace interpreter: walk the instruction stream once for every
+    /// lane of a group, writing each lane's end-to-end latency (ms) to
+    /// `latency`. `soa` holds the group's site columns (see [`load`]) over
+    /// a `site_count`-site catalog and `onprem` is one on-prem site per
+    /// lane, the column unindexed components read. Interleaving the
+    /// arithmetically independent lanes keeps each one's floating-point
+    /// schedule that of a lone walk, while the op decode, the wave
+    /// bookkeeping and the `UNKNOWN` resolution are paid once per op.
     fn run_lanes(
         &self,
         soa: &[SiteId],
-        lanes: usize,
+        onprem: &[SiteId],
         site_count: usize,
-        cur: &mut [f64],
-        base: &mut Vec<f64>,
-        wend: &mut Vec<f64>,
-        acc: &mut [f64],
-        retain: &mut impl FnMut(usize, ScoredTrace),
+        latency: &mut [f64],
+        stack: &mut Vec<WaveFrame>,
     ) {
-        base.clear();
-        wend.clear();
-        cur[..lanes].iter_mut().for_each(|c| *c = self.root_start);
+        let lanes = latency.len();
+        let n = site_count;
+        let table = |hop: &Hop| &self.link_costs[hop.cost_base as usize..][..n * n];
+        let sites = |hop: &Hop| {
+            let column = |id: u32| match id {
+                UNKNOWN => onprem,
+                id => &soa[id as usize * lanes..][..lanes],
+            };
+            column(hop.caller).iter().zip(column(hop.callee))
+        };
+        let root = WaveFrame {
+            base: self.root_start,
+            wend: self.root_start,
+        };
+        stack.clear();
+        stack.resize(lanes, root);
+        // The top wave's frames are `stack[top - lanes..top]`; the root's,
+        // which ends the walk holding the root's end, are `stack[..lanes]`.
+        let mut top = lanes;
         for op in &self.ops {
             match *op {
-                Op::Wave { gap } => {
-                    let d = base.len();
-                    wend.extend_from_slice(&cur[..lanes]);
-                    base.resize(d + lanes, 0.0);
-                    for (slot, &c) in base[d..].iter_mut().zip(cur[..lanes].iter()) {
-                        *slot = c + gap;
+                Op::Call { ref hop, gap } => {
+                    if stack.len() < top + lanes {
+                        stack.resize(top + lanes, root);
                     }
-                }
-                Op::Call {
-                    offset,
-                    caller,
-                    callee,
-                    cost_base,
-                    before,
-                } => {
-                    let d = base.len() - lanes;
-                    let table = &self.link_costs[cost_base as usize..];
-                    for l in 0..lanes {
-                        let a = if caller == UNKNOWN {
-                            SiteId::ON_PREM
-                        } else {
-                            soa[caller as usize * lanes + l]
+                    let (wave, child) = stack[top - lanes..top + lanes].split_at_mut(lanes);
+                    let table = table(hop);
+                    for ((frame, opened), (&a, &b)) in wave.iter().zip(child).zip(sites(hop)) {
+                        let start = hop.start(frame.base, table, a, b, n);
+                        *opened = WaveFrame {
+                            base: start + gap,
+                            wend: start,
                         };
-                        let b = if callee == UNKNOWN {
-                            SiteId::ON_PREM
-                        } else {
-                            soa[callee as usize * lanes + l]
-                        };
-                        let after = table[a.index() * site_count + b.index()];
-                        cur[l] = (base[d + l] + offset) + (after - before);
+                    }
+                    top += lanes;
+                }
+                Op::Leaf { ref hop, tail } => {
+                    let table = table(hop);
+                    for (frame, (&a, &b)) in stack[top - lanes..top].iter_mut().zip(sites(hop)) {
+                        let start = hop.start(frame.base, table, a, b, n);
+                        frame.wend = frame.wend.max(start + tail);
                     }
                 }
-                Op::Ret => {
-                    let d = wend.len() - lanes;
-                    for (slot, &c) in wend[d..].iter_mut().zip(cur[..lanes].iter()) {
-                        *slot = slot.max(c);
+                Op::Next { gap } => {
+                    for frame in &mut stack[top - lanes..top] {
+                        frame.base = frame.wend + gap;
                     }
                 }
-                Op::EndWave => {
-                    let d = wend.len() - lanes;
-                    cur[..lanes].copy_from_slice(&wend[d..]);
-                    base.truncate(d);
-                    wend.truncate(d);
-                }
-                Op::Tail { tail } => {
-                    for c in cur[..lanes].iter_mut() {
-                        *c += tail;
+                Op::Ret { tail } => {
+                    top -= lanes;
+                    let (wave, child) = stack[top - lanes..top + lanes].split_at_mut(lanes);
+                    for (frame, closed) in wave.iter_mut().zip(&*child) {
+                        frame.wend = frame.wend.max(closed.wend + tail);
                     }
                 }
             }
         }
-        for l in 0..lanes {
-            // Same schedule as the scalar path: latency first, then the
-            // clustering weight — `weight * latency` per trace.
-            let latency_ms = (cur[l] - self.root_start).max(0.0) / 1_000.0;
-            retain(
-                l,
-                ScoredTrace {
-                    latency_ms,
-                    weight: self.weight,
-                },
-            );
-            acc[l] += self.weight * latency_ms;
+        for (latency, end) in latency.iter_mut().zip(&stack[..lanes]) {
+            *latency = ((end.wend + self.tail) - self.root_start).max(0.0) / 1_000.0;
         }
     }
 }
 
-#[inline]
-fn site_of(sites: &[SiteId], id: u32) -> SiteId {
-    if id == UNKNOWN {
-        SiteId::ON_PREM
-    } else {
-        sites[id as usize]
-    }
-}
-
-/// Emit the instruction stream of one trace node. Mirrors
-/// `DelayInjector::inject`: the wave grouping and every placement-
-/// independent quantity (gaps, child offsets, trailing compute, the per-hop
-/// exchange-cost tables over every ordered site pair) are computed here,
-/// once, with the same arithmetic the interpretive path performs per
-/// evaluation.
+/// Emit the instruction stream of one trace node, which `enter` starts
+/// (`None` for the root). Mirrors `DelayInjector::inject`: the wave
+/// grouping and every placement-independent quantity (gaps, child offsets,
+/// trailing compute, the per-hop exchange-cost tables over every ordered
+/// site pair) are computed here, once, with the same arithmetic the
+/// interpretive path performs per evaluation. Returns the node's trailing
+/// own-compute after its last foreground wave, which closes the node: in
+/// the caller's `Leaf` or `Ret`, or, for the root, in the trace.
 #[allow(clippy::too_many_arguments)]
 fn compile_node(
     trace: &Trace,
     node: usize,
+    mut enter: Option<Hop>,
     api: &str,
     footprint: &NetworkFootprint,
     network: &SiteNetwork,
@@ -563,7 +534,7 @@ fn compile_node(
     id_of: &HashMap<&str, u32>,
     ops: &mut Vec<Op>,
     link_costs: &mut Vec<f64>,
-) {
+) -> f64 {
     let span = &trace.nodes[node].span;
     let orig_start = span.start_us as f64;
     let orig_end = span.end_us() as f64;
@@ -598,7 +569,10 @@ fn compile_node(
             .map(|&c| trace.nodes[c].span.start_us as f64)
             .fold(f64::INFINITY, f64::min);
         let gap = (wave_orig_start - prev_end_orig).max(0.0);
-        ops.push(Op::Wave { gap });
+        ops.push(match enter.take() {
+            Some(hop) => Op::Call { hop, gap },
+            None => Op::Next { gap },
+        });
 
         let mut wave_end_orig = prev_end_orig;
         for &c in wave {
@@ -618,25 +592,36 @@ fn compile_node(
             let before_a = current_site(current, caller);
             let before_b = current_site(current, callee);
             let before = link_costs[cost_base as usize + before_a.index() * n + before_b.index()];
-            ops.push(Op::Call {
+            let hop = Hop {
                 offset: child_span.start_us as f64 - wave_orig_start,
                 caller,
                 callee,
                 cost_base,
                 before,
-            });
-            compile_node(
-                trace, c, api, footprint, network, current, id_of, ops, link_costs,
+            };
+            let emitted = ops.len();
+            let tail = compile_node(
+                trace,
+                c,
+                Some(hop),
+                api,
+                footprint,
+                network,
+                current,
+                id_of,
+                ops,
+                link_costs,
             );
-            ops.push(Op::Ret);
+            ops.push(if ops.len() == emitted {
+                Op::Leaf { hop, tail }
+            } else {
+                Op::Ret { tail }
+            });
             wave_end_orig = wave_end_orig.max(child_span.end_us() as f64);
         }
-        ops.push(Op::EndWave);
         prev_end_orig = wave_end_orig;
     }
-    ops.push(Op::Tail {
-        tail: (orig_end - prev_end_orig).max(0.0),
-    });
+    (orig_end - prev_end_orig).max(0.0)
 }
 
 fn resolve(id_of: &HashMap<&str, u32>, name: &str) -> u32 {
@@ -792,22 +777,6 @@ struct CompiledApi {
     traces: Vec<CompiledTrace>,
 }
 
-impl CompiledApi {
-    /// The weighted per-API mean over the traces in trace order, each
-    /// latency supplied by `latency_ms`; 0.0 without traces. The one
-    /// summation every scalar path shares.
-    fn mean_latency_ms(&self, mut latency_ms: impl FnMut(&CompiledTrace) -> f64) -> f64 {
-        if self.traces.is_empty() {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for trace in &self.traces {
-            sum += trace.weight * latency_ms(trace);
-        }
-        sum / self.trace_weight_total
-    }
-}
-
 /// Compile one API's profile entry into its flat op arena. The result
 /// depends only on the named API's profile entry plus the model-wide
 /// footprint/network/preferences/current placement, which is what makes
@@ -871,7 +840,7 @@ struct Incidence {
     /// is `c`.
     rows: Vec<u64>,
     /// Op count of every compiled trace in the flat API-major order — the
-    /// unit of "work" a walk of that trace costs, scalar or per lane.
+    /// unit of "work" a walk of that trace costs, at any width.
     trace_ops: Vec<u32>,
     /// Σ `trace_ops`: the work of one cold score.
     total_ops: u64,
@@ -908,6 +877,8 @@ pub struct CompiledQuality {
     api_index: HashMap<String, usize>,
     incidence: Incidence,
     constraints: ConstraintKernel,
+    /// The plan length the kernel reads: the component index's.
+    components: usize,
     site_count: usize,
     compile_ms: f64,
 }
@@ -954,6 +925,7 @@ impl CompiledQuality {
             apis,
             api_index,
             constraints: ConstraintKernel::new(preferences),
+            components: component_index.len(),
             site_count: network.site_count(),
             compile_ms: start.elapsed().as_secs_f64() * 1_000.0,
         }
@@ -1050,6 +1022,108 @@ impl CompiledQuality {
         self.api_index.get(api).copied()
     }
 
+    /// The one `Q_Perf` fold (Eq. 1), over one lane group of `plans` (see
+    /// [`load`]): walk every trace of `apis` at the group's width, sum each
+    /// lane's weighted per-API mean `Σ wᵢ·latᵢ / Σ wᵢ` in trace order (0.0
+    /// without traces) and return each lane's weighted mean of per-API
+    /// latency ratios. Every trace's latency goes to `retain(l, state)`,
+    /// API-major in the compiled order — the layout of the flat per-trace
+    /// state. With `reuse = (touched, prev)` a one-plan group walks only
+    /// the traces in `touched` and inherits every other latency from the
+    /// parent state `prev` bit-for-bit; `reuse` indexes the flat state, so
+    /// it comes with every API. The last API's per-lane mean is left in
+    /// `scratch.latency`. Every scoring path is this fold, which is what
+    /// keeps them bit-identical to each other.
+    fn fold<'s>(
+        &self,
+        apis: &[CompiledApi],
+        plans: &[&[SiteId]],
+        scratch: &'s mut LaneScratch,
+        reuse: Option<(&[u64], &[ScoredTrace])>,
+        mut retain: impl FnMut(usize, ScoredTrace),
+    ) -> &'s [f64] {
+        let lanes = plans.len();
+        debug_assert!(
+            reuse.is_none() || lanes == 1,
+            "a delta re-score is one plan"
+        );
+        let LaneScratch {
+            soa,
+            onprem,
+            latency,
+            stack,
+            acc,
+            total,
+        } = scratch;
+        let soa = load(soa, plans, self.components);
+        onprem.resize(lanes, SiteId::ON_PREM);
+        for column in [&mut *latency, &mut *acc, &mut *total] {
+            column.clear();
+            column.resize(lanes, 0.0);
+        }
+        let mut t = 0;
+        let mut weight_sum = 0.0;
+        for api in apis {
+            for trace in &api.traces {
+                match reuse {
+                    Some((touched, prev)) if touched[t / 64] >> (t % 64) & 1 == 0 => {
+                        latency[0] = prev[t].latency_ms;
+                    }
+                    _ => trace.run_lanes(soa, onprem, self.site_count, latency, stack),
+                }
+                for (l, (&latency_ms, sum)) in latency.iter().zip(acc.iter_mut()).enumerate() {
+                    retain(
+                        l,
+                        ScoredTrace {
+                            latency_ms,
+                            weight: trace.weight,
+                        },
+                    );
+                    *sum += trace.weight * latency_ms;
+                }
+                t += 1;
+            }
+            for ((sum, mean), q) in acc.iter_mut().zip(latency.iter_mut()).zip(total.iter_mut()) {
+                *mean = if api.traces.is_empty() {
+                    0.0
+                } else {
+                    *sum / api.trace_weight_total
+                };
+                *sum = 0.0;
+                *q += api.weight * mean.max(1e-9) / api.baseline_ms;
+            }
+            weight_sum += api.weight;
+        }
+        for q in total.iter_mut() {
+            *q = if apis.is_empty() {
+                1.0
+            } else {
+                *q / weight_sum
+            };
+        }
+        total
+    }
+
+    /// `Q_Perf` of every plan of one lane group — a lone plan is a group of
+    /// one — in one walk of the instruction arenas. `retain(l, state)`
+    /// receives lane `l`'s per-trace latencies in the flat API-major layout
+    /// a delta re-score inherits from; pass a no-op closure to discard
+    /// them. A plan longer than the kernel is read over its first
+    /// components; a plan's result, and its retained state, are the same at
+    /// any width and in any lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan is shorter than the kernel.
+    pub fn performance<'s>(
+        &self,
+        plans: &[&[SiteId]],
+        scratch: &'s mut LaneScratch,
+        retain: impl FnMut(usize, ScoredTrace),
+    ) -> &'s [f64] {
+        self.fold(&self.apis, plans, scratch, None, retain)
+    }
+
     /// Weighted mean post-migration latency (ms) of one compiled API under
     /// the candidate site assignment: `Σ wᵢ·latᵢ / Σ wᵢ` over the retained
     /// (representative) traces. 0.0 when no traces were retained, like the
@@ -1058,39 +1132,14 @@ impl CompiledQuality {
         &self,
         slot: usize,
         sites: &[SiteId],
-        stack: &mut Vec<WaveFrame>,
+        scratch: &mut LaneScratch,
     ) -> f64 {
-        self.apis[slot].mean_latency_ms(|t| t.run(sites, self.site_count, stack))
-    }
-
-    /// The one scalar `Q_Perf` fold (Eq. 1): the weighted mean of per-API
-    /// latency ratios, with every trace's latency supplied by `latency_ms`
-    /// — called once per compiled trace, API-major in the compiled order,
-    /// which is also the layout of the flat per-trace state, so a closure
-    /// that re-runs, inherits or retains a trace needs no index from here.
-    /// Every scalar scoring path is this fold over a different closure,
-    /// which is what keeps them bit-identical to each other.
-    fn fold(&self, mut latency_ms: impl FnMut(&CompiledTrace) -> f64) -> f64 {
-        if self.apis.is_empty() {
-            return 1.0;
-        }
-        let mut total = 0.0;
-        let mut weight_sum = 0.0;
-        for api in &self.apis {
-            let estimated = api.mean_latency_ms(&mut latency_ms).max(1e-9);
-            total += api.weight * estimated / api.baseline_ms;
-            weight_sum += api.weight;
-        }
-        total / weight_sum
-    }
-
-    /// `Q_Perf(p)`: weighted mean of per-API latency ratios.
-    pub fn performance(&self, sites: &[SiteId], stack: &mut Vec<WaveFrame>) -> f64 {
-        self.fold(|t| t.run(sites, self.site_count, stack))
+        self.fold(&self.apis[slot..=slot], &[sites], scratch, None, |_, _| {});
+        scratch.latency[0]
     }
 
     /// Total number of compiled traces across every API: the length of the
-    /// flat per-trace state retained by `CompiledQuality::performance_scored`.
+    /// flat per-trace state a scored plan retains.
     pub fn trace_count(&self) -> usize {
         self.incidence.trace_ops.len()
     }
@@ -1127,91 +1176,19 @@ impl CompiledQuality {
         work
     }
 
-    /// The work of walking every compiled trace once: what a cold score
-    /// costs, per plan in the scalar walk and per lane group in the lane
-    /// walk.
+    /// The work of walking every compiled trace once: what a cold score of
+    /// a lane group costs, at any width.
     pub fn total_work(&self) -> u64 {
         self.incidence.total_ops
     }
 
-    /// Lane-batched [`Self::performance`]: compute `Q_Perf` for every lane
-    /// of the batch loaded into `scratch` (see [`LaneScratch::load`]) in one
-    /// walk over the instruction arenas, appending per-lane values to `out`.
-    /// `retain(l, state)` receives lane `l`'s per-trace latencies in the
-    /// flat API-major layout of [`Self::performance_scored`]; pass a no-op
-    /// closure to discard them. Each lane's result — and its retained state
-    /// — is bit-identical to the scalar path.
-    pub(crate) fn performance_lanes(
-        &self,
-        scratch: &mut LaneScratch,
-        lanes: usize,
-        out: &mut Vec<f64>,
-        mut retain: impl FnMut(usize, ScoredTrace),
-    ) {
-        if self.apis.is_empty() {
-            out.extend(std::iter::repeat(1.0).take(lanes));
-            return;
-        }
-        let LaneScratch {
-            soa,
-            cur,
-            base,
-            wend,
-            acc,
-            total,
-        } = scratch;
-        total[..lanes].iter_mut().for_each(|t| *t = 0.0);
-        let mut weight_sum = 0.0;
-        for api in &self.apis {
-            acc[..lanes].iter_mut().for_each(|a| *a = 0.0);
-            for trace in &api.traces {
-                trace.run_lanes(
-                    soa,
-                    lanes,
-                    self.site_count,
-                    cur,
-                    base,
-                    wend,
-                    acc,
-                    &mut retain,
-                );
-            }
-            for l in 0..lanes {
-                // Empty-trace APIs estimate 0.0 like the scalar path; the
-                // max(1e-9) floor then matches bitwise.
-                let estimated = if api.traces.is_empty() {
-                    0.0f64
-                } else {
-                    acc[l] / api.trace_weight_total
-                }
-                .max(1e-9);
-                total[l] += api.weight * estimated / api.baseline_ms;
-            }
-            weight_sum += api.weight;
-        }
-        out.extend(total[..lanes].iter().map(|t| t / weight_sum));
-    }
-
-    /// [`Self::performance`] with the per-trace latencies retained into
-    /// `traces` (flat, API-major, in the compiled API order): the parent
-    /// state consumed by [`Self::performance_delta`].
-    pub(crate) fn performance_scored(
-        &self,
-        sites: &[SiteId],
-        stack: &mut Vec<WaveFrame>,
-        traces: &mut Vec<ScoredTrace>,
-    ) -> f64 {
-        traces.clear();
-        self.fold(|t| t.retain(t.run(sites, self.site_count, stack), traces))
-    }
-
-    /// Incremental [`Self::performance_scored`]: re-score against `sites`
-    /// re-running only the traces in `touched` — the traces that reference
-    /// a changed component, built with [`Self::clear_touched`] and
-    /// [`Self::touch`]; every other trace inherits its parent latency from
-    /// `prev` bit-for-bit. The per-API means and the weighted total are
-    /// re-summed in the original order over identical values, so the result
-    /// is bit-identical to a cold re-score. `prev` must hold
+    /// Incremental [`Self::performance`] of one plan: re-score against
+    /// `sites` re-running only the traces in `touched` — the traces that
+    /// reference a changed component, built with [`Self::clear_touched`]
+    /// and [`Self::touch`]; every other trace inherits its parent latency
+    /// from `prev` bit-for-bit. The per-API means and the weighted total
+    /// are re-summed in the original order over identical values, so the
+    /// result is bit-identical to a cold re-score. `prev` must hold
     /// [`Self::trace_count`] entries from the parent's scoring; the fresh
     /// per-trace state is written to `next`.
     pub(crate) fn performance_delta(
@@ -1220,7 +1197,7 @@ impl CompiledQuality {
         touched: &[u64],
         prev: &[ScoredTrace],
         next: &mut Vec<ScoredTrace>,
-        stack: &mut Vec<WaveFrame>,
+        scratch: &mut LaneScratch,
     ) -> f64 {
         assert_eq!(
             prev.len(),
@@ -1228,15 +1205,8 @@ impl CompiledQuality {
             "parent state does not match this kernel's compiled traces"
         );
         next.clear();
-        self.fold(|t| {
-            let i = next.len();
-            let latency_ms = if touched[i / 64] >> (i % 64) & 1 != 0 {
-                t.run(sites, self.site_count, stack)
-            } else {
-                prev[i].latency_ms
-            };
-            t.retain(latency_ms, next)
-        })
+        let reuse = Some((touched, prev));
+        self.fold(&self.apis, &[sites], scratch, reuse, |_, t| next.push(t))[0]
     }
 
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
@@ -1461,9 +1431,10 @@ mod tests {
             .flat_map(|api| &api.traces)
             .enumerate()
             .filter(|(_, trace)| {
-                trace.ops.iter().any(
-                    |op| matches!(*op, Op::Call { caller, callee, .. } if hit(caller) || hit(callee)),
-                )
+                trace
+                    .ops
+                    .iter()
+                    .any(|op| matches!(op.hop(), Some(hop) if hit(hop.caller) || hit(hop.callee)))
             })
             .map(|(t, _)| t)
             .collect()
@@ -1706,6 +1677,25 @@ mod tests {
                 "bits {bits:?}"
             );
         }
+    }
+
+    /// A plan shorter than the model is refused with a message that says
+    /// why, alone and inside a lane group alike; `is_feasible` already
+    /// calls it infeasible.
+    #[test]
+    #[should_panic(expected = "scoring needs a plan covering every component (1 of 2)")]
+    fn a_plan_shorter_than_the_model_is_refused() {
+        let model = model_with_externals();
+        let short = plan_of(&[1]);
+        assert!(!model.is_feasible(&short));
+        model.evaluate(&short);
+    }
+
+    #[test]
+    #[should_panic(expected = "scoring needs a plan covering every component (1 of 2)")]
+    fn a_lane_group_holding_a_short_plan_is_refused() {
+        let model = model_with_externals();
+        model.evaluate_lanes(&[&plan_of(&[0, 1]), &plan_of(&[1])]);
     }
 
     #[test]

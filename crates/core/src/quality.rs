@@ -2,12 +2,15 @@
 //! feasibility constraints of Eq. 4.
 //!
 //! Scoring is two-tier since PR 4: [`QualityModel::for_catalog`] compiles the
-//! learned traces into a [`CompiledQuality`] kernel (see [`crate::kernel`]) and every hot entry point — `evaluate`,
-//! `performance`, `availability`, `cost`, `is_feasible`,
-//! `estimate_api_latency_ms` — scores through it, allocation-free. The
-//! original interpretive implementations remain available as
-//! `*_interpretive` reference oracles; property tests pin the two paths
-//! bit-identical.
+//! learned traces into a [`CompiledQuality`] kernel (see [`crate::kernel`])
+//! and every hot entry point — `evaluate`, `performance`, `availability`,
+//! `cost`, `is_feasible`, `estimate_api_latency_ms` — scores through it.
+//! The kernel has one trace walk, run at the width of the group it scores:
+//! `evaluate`, `evaluate_scored` and `evaluate_lanes` are one group scorer,
+//! a lone plan being a group of width 1, and the delta re-score and the
+//! per-API estimate walk at width 1 too. The original interpretive
+//! implementations remain available as `*_interpretive` reference oracles;
+//! property tests pin the two paths bit-identical.
 
 use std::collections::HashMap;
 
@@ -246,9 +249,9 @@ impl QualityModel {
     /// plans over a catalog with [`MigrationPlan::try_from_sites`] to get
     /// the checked error in every build.
     #[inline]
-    fn debug_assert_in_catalog(&self, plan: &MigrationPlan) {
+    fn debug_assert_in_catalog(&self, sites: &[SiteId]) {
         debug_assert!(
-            plan.sites().iter().all(|s| s.index() < self.site_count()),
+            sites.iter().all(|s| s.index() < self.site_count()),
             "plan names a site outside the {}-site catalog; build plans with \
              MigrationPlan::try_from_sites",
             self.site_count()
@@ -295,14 +298,11 @@ impl QualityModel {
     /// (compiled kernel; bit-identical to
     /// `estimate_api_latency_ms_interpretive`).
     pub fn estimate_api_latency_ms(&self, api: &str, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan);
+        self.debug_assert_in_catalog(plan.sites());
         let Some(slot) = self.kernel.api_slot(api) else {
             return 0.0;
         };
-        with_scratch(|s| {
-            self.kernel
-                .api_latency_ms(slot, plan.placement().sites(), &mut s.stack)
-        })
+        with_scratch(|s| self.kernel.api_latency_ms(slot, plan.sites(), &mut s.lanes))
     }
 
     /// Interpretive reference of [`Self::estimate_api_latency_ms`]: replays
@@ -327,10 +327,10 @@ impl QualityModel {
     /// `Q_Perf(p)`: weighted mean of per-API latency ratios (compiled
     /// kernel).
     pub fn performance(&self, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan);
+        self.debug_assert_in_catalog(plan.sites());
         with_scratch(|s| {
             self.kernel
-                .performance(plan.placement().sites(), &mut s.stack)
+                .performance(&[plan.sites()], &mut s.lanes, |_, _| {})[0]
         })
     }
 
@@ -357,7 +357,7 @@ impl QualityModel {
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
     /// (compiled kernel).
     pub fn availability(&self, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan);
+        self.debug_assert_in_catalog(plan.sites());
         self.kernel
             .availability(plan.placement().sites(), self.current.sites())
     }
@@ -389,7 +389,7 @@ impl QualityModel {
     /// elastic site billed under its own pricing, computed with the
     /// kernel's reusable scratch buffers.
     pub fn cost(&self, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan);
+        self.debug_assert_in_catalog(plan.sites());
         with_scratch(|s| {
             self.cost_kernel
                 .evaluate_with_scratch(&plan.sites()[..self.component_count()], &mut s.cost)
@@ -421,7 +421,7 @@ impl QualityModel {
     /// [`Self::feasibility`]`.is_none()`, without the diagnostics or their
     /// allocations).
     pub fn is_feasible(&self, plan: &MigrationPlan) -> bool {
-        self.debug_assert_in_catalog(plan);
+        self.debug_assert_in_catalog(plan.sites());
         if plan.len() != self.component_count() {
             return false;
         }
@@ -522,9 +522,9 @@ impl QualityModel {
     }
 
     /// The tail every scoring path shares: given a site assignment's
-    /// `Q_Perf` (however it was obtained — scalar walk, lane walk or delta
-    /// re-sum), fill in `Q_Avai`, `Q_Cost` and feasibility, which are pure
-    /// functions of the assignment.
+    /// `Q_Perf` (from a walk at any width or a delta re-sum), fill in
+    /// `Q_Avai`, `Q_Cost` and feasibility, which are pure functions of the
+    /// assignment.
     fn finish(&self, performance: f64, sites: &[SiteId], scratch: &mut CostScratch) -> PlanQuality {
         let (cost, feasible) = self.cost_and_feasibility(sites, scratch);
         PlanQuality {
@@ -535,54 +535,54 @@ impl QualityModel {
         }
     }
 
-    /// Evaluate all three qualities plus feasibility of a plan through the
-    /// compiled kernel.
-    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
-        self.debug_assert_in_catalog(plan);
+    /// The one group scorer behind every cold entry point: `Q_Perf` of a
+    /// lane group in one walk of the compiled arenas at the group's width
+    /// (a lone plan is width 1), each lane's per-trace latencies going to
+    /// `retain` (see [`CompiledQuality::performance`]), then the shared
+    /// tail per plan, whose quality goes to `emit`, in order. A plan longer
+    /// than the model is priced over its first [`Self::component_count`]
+    /// components and is infeasible; a shorter one panics.
+    fn score(
+        &self,
+        plans: &[&[SiteId]],
+        retain: impl FnMut(usize, ScoredTrace),
+        mut emit: impl FnMut(PlanQuality),
+    ) {
+        plans
+            .iter()
+            .for_each(|sites| self.debug_assert_in_catalog(sites));
         with_scratch(|s| {
-            let performance = self.kernel.performance(plan.sites(), &mut s.stack);
-            self.finish(performance, plan.sites(), &mut s.cost)
+            let performance = self.kernel.performance(plans, &mut s.lanes, retain);
+            for (&performance, sites) in performance.iter().zip(plans) {
+                emit(self.finish(performance, sites, &mut s.cost));
+            }
         })
     }
 
-    /// One structure-of-arrays walk of the compiled arenas over a group of
-    /// full-length plans (the *lanes*): `Q_Perf` of all lanes is computed
-    /// in one pass over the instruction streams, each lane's per-trace
-    /// state going to `retain` (see [`CompiledQuality::performance_lanes`]),
-    /// then the shared tail fills in the rest per lane.
-    fn score_lanes(
-        &self,
-        plans: &[&MigrationPlan],
-        retain: impl FnMut(usize, ScoredTrace),
-    ) -> Vec<PlanQuality> {
-        for plan in plans {
-            self.debug_assert_in_catalog(plan);
-        }
-        with_scratch(|s| {
-            let site_views: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
-            s.lanes.load(&site_views);
-            let mut perf = Vec::with_capacity(plans.len());
-            self.kernel
-                .performance_lanes(&mut s.lanes, plans.len(), &mut perf, retain);
-            perf.into_iter()
-                .zip(site_views)
-                .map(|(performance, sites)| self.finish(performance, sites, &mut s.cost))
-                .collect()
-        })
+    /// Evaluate all three qualities plus feasibility of a plan through the
+    /// compiled kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover every component.
+    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
+        let mut quality = None;
+        self.score(&[plan.sites()], |_, _| {}, |q| quality = Some(q));
+        quality.expect("one plan scores to one quality")
     }
 
     /// Batched [`Self::evaluate`]: score one group of plans through a
     /// single structure-of-arrays walk of the compiled arenas. Every
     /// returned quality is bit-identical to evaluating its plan alone.
     ///
-    /// Groups of fewer than two plans, and groups containing a plan that
-    /// does not cover every component, fall back to the scalar path.
+    /// # Panics
+    ///
+    /// Panics if a plan does not cover every component.
     pub fn evaluate_lanes(&self, plans: &[&MigrationPlan]) -> Vec<PlanQuality> {
-        let n = self.component_count();
-        if plans.len() < 2 || plans.iter().any(|p| p.len() != n) {
-            return plans.iter().map(|p| self.evaluate(p)).collect();
-        }
-        self.score_lanes(plans, |_, _| {})
+        let sites: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
+        let mut qualities = Vec::with_capacity(plans.len());
+        self.score(&sites, |_, _| {}, |q| qualities.push(q));
+        qualities
     }
 
     /// [`Self::evaluate`] with the per-trace latencies retained: the parent
@@ -591,58 +591,42 @@ impl QualityModel {
     ///
     /// # Panics
     ///
-    /// Panics if the plan does not cover every component (the delta path
-    /// needs a full-length site assignment to mutate).
+    /// Panics if the plan does not cover every component.
     pub fn evaluate_scored(&self, plan: &MigrationPlan) -> ScoredPlan {
-        self.debug_assert_in_catalog(plan);
-        self.assert_covers(plan);
-        with_scratch(|s| {
-            let sites = plan.to_sites();
-            let mut traces = Vec::with_capacity(self.kernel.trace_count());
-            let performance = self
-                .kernel
-                .performance_scored(&sites, &mut s.stack, &mut traces);
-            let quality = self.finish(performance, &sites, &mut s.cost);
-            ScoredPlan {
-                sites,
-                traces,
-                quality,
-            }
-        })
+        self.evaluate_scored_group(&[plan]).remove(0)
     }
 
     /// [`Self::evaluate_scored`] for one lane group of the plan evaluator:
-    /// two or more plans share a single structure-of-arrays walk that
-    /// retains every lane's per-trace latencies; each returned
-    /// [`ScoredPlan`] — quality and retained state alike — is bit-identical
-    /// to [`Self::evaluate_scored`] of the same plan.
+    /// the plans share a single structure-of-arrays walk that retains every
+    /// lane's per-trace latencies; each returned [`ScoredPlan`] — quality
+    /// and retained state alike — is bit-identical to
+    /// [`Self::evaluate_scored`] of the same plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a plan does not cover every component.
     pub(crate) fn evaluate_scored_group(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
-        if plans.len() < 2 {
-            return plans.iter().map(|p| self.evaluate_scored(p)).collect();
-        }
-        plans.iter().for_each(|p| self.assert_covers(p));
-        let mut traces: Vec<Vec<ScoredTrace>> = (0..plans.len())
+        let sites: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
+        let mut traces: Vec<Vec<ScoredTrace>> = plans
+            .iter()
             .map(|_| Vec::with_capacity(self.kernel.trace_count()))
             .collect();
-        let qualities = self.score_lanes(plans, |l, trace| traces[l].push(trace));
-        plans
-            .iter()
+        let mut qualities = Vec::with_capacity(plans.len());
+        self.score(
+            &sites,
+            |l, trace| traces[l].push(trace),
+            |q| qualities.push(q),
+        );
+        sites
+            .into_iter()
             .zip(traces)
             .zip(qualities)
-            .map(|((plan, traces), quality)| ScoredPlan {
-                sites: plan.to_sites(),
+            .map(|((sites, traces), quality)| ScoredPlan {
+                sites: sites.to_vec(),
                 traces,
                 quality,
             })
             .collect()
-    }
-
-    fn assert_covers(&self, plan: &MigrationPlan) {
-        assert_eq!(
-            plan.len(),
-            self.component_count(),
-            "delta scoring needs a plan covering every component"
-        );
     }
 
     /// Incrementally re-score a mutation of `parent`: apply `changes`
@@ -668,7 +652,7 @@ impl QualityModel {
                 &s.touched,
                 &parent.traces,
                 &mut traces,
-                &mut s.stack,
+                &mut s.lanes,
             );
             self.finish(performance, &sites, &mut s.cost)
         });
@@ -691,19 +675,18 @@ impl QualityModel {
     ) -> PlanQuality {
         with_scratch(|s| {
             let EvalScratch {
-                stack,
                 sites,
                 cost,
+                lanes,
                 touched,
                 scored,
-                ..
             } = s;
             sites.clear();
             sites.extend_from_slice(&parent.sites);
             self.apply_changes(sites, changes, touched);
             let performance =
                 self.kernel
-                    .performance_delta(sites, touched, &parent.traces, scored, stack);
+                    .performance_delta(sites, touched, &parent.traces, scored, lanes);
             self.finish(performance, sites, cost)
         })
     }

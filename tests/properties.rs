@@ -12,6 +12,7 @@ use atlas::core::recommender::RecommendationReport;
 use atlas::core::{
     kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MemoCache, MigrationPlan,
     MigrationPreferences, PlanEvaluator, QualityModel, Recommender, RecommenderConfig, ScoredPlan,
+    LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{
@@ -481,14 +482,16 @@ proptest! {
         let _ = feasible_seen;
     }
 
-    /// Batched structure-of-arrays lane scoring is bit-identical to the
-    /// scalar kernel at every lane count — 1 (the scalar fallback), 3
-    /// (partial groups), 8 and 64 (beyond the configured width) — and the
-    /// scalar kernel matches the interpretive oracle, on generated
-    /// 2–5-site scenarios across the feasibility spectrum (all-on-prem CPU
-    /// violators, single-site offloads, mixed assignments).
+    /// The one trace walk scores a plan the same at every width: lane
+    /// groups of 1, 3 (partial groups), 8, 16 (the configured width) and 64
+    /// (beyond it) are bit-identical to `evaluate` (a group of one), and
+    /// `evaluate` matches the interpretive oracle, on generated 2–5-site
+    /// scenarios across the feasibility spectrum (all-on-prem CPU
+    /// violators, single-site offloads, mixed assignments, and a plan
+    /// longer than the model, priced over its first components and
+    /// infeasible, in groups of mixed lengths).
     #[test]
-    fn lane_groups_match_scalar_and_oracle_at_every_width(
+    fn lane_groups_match_evaluate_and_oracle_at_every_width(
         components in 10usize..18,
         site_count in 2usize..6,
         shape_idx in 0usize..4,
@@ -521,9 +524,13 @@ proptest! {
         });
         let quality = &exp.quality;
 
-        // ~66 plans: the all-on-prem CPU violator, everything at each
-        // elastic site, and deterministic mixed multi-site assignments.
-        let mut plans: Vec<MigrationPlan> = vec![MigrationPlan::all_onprem(components)];
+        // ~67 plans: the all-on-prem CPU violator, one plan too long for
+        // the model, everything at each elastic site, and deterministic
+        // mixed multi-site assignments.
+        let mut plans: Vec<MigrationPlan> = vec![
+            MigrationPlan::all_onprem(components),
+            MigrationPlan::from_sites(vec![SiteId(1); components + 1]),
+        ];
         for s in 1..site_count as u16 {
             plans.push(MigrationPlan::from_sites(vec![SiteId(s); components]));
         }
@@ -537,24 +544,25 @@ proptest! {
             plans.push(MigrationPlan::from_sites(sites));
         }
         let refs: Vec<&MigrationPlan> = plans.iter().collect();
-        let scalar: Vec<_> = plans.iter().map(|p| quality.evaluate(p)).collect();
-        prop_assert!(scalar.iter().any(|q| !q.feasible));
-        for lane in [1usize, 3, 8, 64] {
+        let alone: Vec<_> = plans.iter().map(|p| quality.evaluate(p)).collect();
+        prop_assert!(alone.iter().any(|q| !q.feasible));
+        prop_assert!(!alone[1].feasible, "a plan longer than the model is infeasible");
+        for lane in [1usize, 3, 8, LANE_WIDTH, 64] {
             let mut grouped = Vec::with_capacity(plans.len());
             for group in refs.chunks(lane) {
                 grouped.extend(quality.evaluate_lanes(group));
             }
-            prop_assert_eq!(grouped.len(), scalar.len());
-            for (s, g) in scalar.iter().zip(&grouped) {
+            prop_assert_eq!(grouped.len(), alone.len());
+            for (s, g) in alone.iter().zip(&grouped) {
                 prop_assert_eq!(s.performance.to_bits(), g.performance.to_bits());
                 prop_assert_eq!(s.availability.to_bits(), g.availability.to_bits());
                 prop_assert_eq!(s.cost.to_bits(), g.cost.to_bits());
                 prop_assert_eq!(s.feasible, g.feasible);
             }
         }
-        // The scalar kernel itself is pinned to the interpretive oracle on
-        // a slice of the spectrum (the oracle allocates per call).
-        for (plan, s) in plans.iter().zip(&scalar).take(12) {
+        // `evaluate` itself is pinned to the interpretive oracle on a slice
+        // of the spectrum (the oracle allocates per call).
+        for (plan, s) in plans.iter().zip(&alone).take(12) {
             let oracle = quality.evaluate_interpretive(plan);
             prop_assert_eq!(s.performance.to_bits(), oracle.performance.to_bits());
             prop_assert_eq!(s.availability.to_bits(), oracle.availability.to_bits());
@@ -777,8 +785,8 @@ proptest! {
             let stats = evaluator.local_stats();
             prop_assert_eq!(stats.unique_evaluations, distinct.len());
             prop_assert_eq!(stats.requests(), precached.len() + children.len());
-            // ...by one of the two routes (the pre-cached ones were scalar
-            // walks), and the batch exercised both.
+            // ...by one of the two routes (the pre-cached ones were lone
+            // plans walked at width 1), and the batch exercised both.
             prop_assert_eq!(
                 stats.delta_scored + stats.lane_scored,
                 distinct.len() - precached_distinct.len()
