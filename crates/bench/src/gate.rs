@@ -110,8 +110,9 @@ pub(crate) const RULES: [Rule; 18] = [
         |m| Some(m("kernel.lanes_evals_per_s")? / m("kernel.scalar_evals_per_s")?),
         0.9,
     ),
-    // Offspring sent down the one-plan route read as an in-search rate at
-    // the scalar kernel's; routed right it sits above the geometric mean.
+    // Offspring scored one plan at a time read as an in-search rate at the
+    // scalar kernel's; scored in lane groups it sits above the geometric
+    // mean.
     at_least(
         WIDE,
         "1000 eval.unique_evals / eval.score_ms / sqrt(kernel.scalar x lanes evals/s)",

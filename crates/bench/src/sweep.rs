@@ -201,14 +201,13 @@ pub(crate) fn metric(point: &Json, name: &str) -> Option<f64> {
 
 /// A sweep document as README's "Current numbers" table: a row per point.
 pub fn table(document: &Json) -> String {
-    const COLUMNS: [&str; 10] = [
+    const COLUMNS: [&str; 9] = [
         "latency_p50_ms",
         "telemetry.ingest_traces_per_s",
         "learn.atlas_learn_ms",
         "kernel.compile_ms",
         "kernel.scalar_evals_per_s",
         "kernel.lanes_evals_per_s",
-        "kernel.delta_probe_evals_per_s",
         "eval.score_ms",
         "rl.train_ms",
         "front_hypervolume",

@@ -25,24 +25,6 @@
 //! Evaluation is pure, so neither the cache nor the thread count changes any
 //! score: a recommendation run is bit-identical at 1 or N worker threads.
 //!
-//! # Offspring routing
-//!
-//! [`PlanEvaluator::evaluate_offspring_batch`] scores each uncached child
-//! of a generation by one of two routes, both pinned bit-identical to
-//! [`QualityModel::evaluate_scored`]: the **delta** route re-runs, one plan
-//! at a time, only the compiled traces the child's diff against its parent
-//! touches; the **lane** route cold-scores [`LANE_WIDTH`] children in one
-//! walk of every trace. What decides between them is the share of the
-//! kernel's work the diff re-runs — the op-weighted count of touched traces
-//! over the total, read exactly off the kernel's component → trace
-//! incidence index ([`CompiledQuality::touched_work`]) — against
-//! [`DELTA_WORK_SHARE`]. It is *not* the number of genes the diff changes:
-//! on a 500-component application a child that changes 5 % of its genes
-//! already touches ~90 % of the traces. [`EvalStats::delta_scored`] and
-//! [`EvalStats::lane_scored`] report how a search's plans split.
-//!
-//! [`CompiledQuality::touched_work`]: crate::kernel::CompiledQuality::touched_work
-//!
 //! # Example
 //!
 //! Score a small batch of plans through the evaluator and observe that
@@ -103,9 +85,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use atlas_sim::{ComponentId, SiteId};
-
-use crate::kernel::with_scratch;
 use crate::plan::MigrationPlan;
 use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
 
@@ -129,14 +108,6 @@ pub struct EvalStats {
     /// at construction (see [`crate::kernel`]); `0.0` for scorers without a
     /// compiled kernel (e.g. the baselines' placement scorer).
     pub kernel_compile_ms: f64,
-    /// Of the unique evaluations, the plans re-scored incrementally against
-    /// a retained parent: only the traces their diff touches were re-run
-    /// (see [`DELTA_WORK_SHARE`]).
-    pub delta_scored: usize,
-    /// Of the unique evaluations, the plans cold-scored by a batch path in
-    /// [`LANE_WIDTH`] lane groups. The rest — `unique_evaluations` minus
-    /// both counts — were lone plans, walked at width 1.
-    pub lane_scored: usize,
 }
 
 impl EvalStats {
@@ -178,8 +149,6 @@ impl EvalStats {
             wall_time_ms: (self.wall_time_ms - earlier.wall_time_ms).max(0.0),
             threads: self.threads,
             kernel_compile_ms: self.kernel_compile_ms,
-            delta_scored: self.delta_scored.saturating_sub(earlier.delta_scored),
-            lane_scored: self.lane_scored.saturating_sub(earlier.lane_scored),
         }
     }
 }
@@ -203,41 +172,6 @@ pub fn effective_threads(requested: usize) -> usize {
 /// "speedup"), so small batches now run serially and large batches cap
 /// their worker count at one worker per `MIN_ITEMS_PER_WORKER` items.
 pub const MIN_ITEMS_PER_WORKER: usize = 16;
-
-/// Largest share of the kernel's work — compiled-trace ops, see
-/// [`CompiledQuality::total_work`](crate::kernel::CompiledQuality::total_work)
-/// — an offspring's diff against its retained parent may touch for the
-/// offspring to ride the incremental delta path in
-/// [`PlanEvaluator::evaluate_offspring_batch`]; a wider diff joins a
-/// [`LANE_WIDTH`] cold group.
-///
-/// The delta path re-runs the touched traces one plan at a time, a walk of
-/// width 1; a full lane group walks *every* trace but shares each op's
-/// decode and wave bookkeeping between sixteen plans. The break-even share
-/// is therefore the width-1 : width-16 cost of one trace walk per plan.
-/// Measured by the end-to-end benchmark's kernel probes on its `cold-wide`
-/// workload (500 components, 4 sites, 448 compiled traces; 2 vCPUs):
-/// `kernel.scalar_evals_per_s` (lone plans, width 1) 2.4–2.9 k against
-/// `kernel.lanes_evals_per_s` (width 16) 11.0–12.0 k, i.e. 1 : 4.2 on
-/// average — and that is per whole evaluation, `Q_Cost` and feasibility
-/// included, which both routes pay alike, so the walk alone is a little
-/// further apart. A quarter is that ratio rounded towards the lane path,
-/// which leaves room for the parent diff and the per-child state allocation
-/// the delta route adds. Smaller kernels amortise less (the same two
-/// metrics at the `250x2` and `500x2` points of `BENCH_sweep.json` read
-/// 1 : 2.6 and 1 : 2.9), but there a whole score is cheap enough that the
-/// choice stops mattering: at 100 components the search's scoring is ≈ 1 ms
-/// under either route.
-///
-/// One exception needs no constant: a cold group that would hold a single
-/// plan *is* a width-1 walk of every trace, and a delta re-score never
-/// re-runs more than every trace, so a lone wide child goes back to the
-/// delta route.
-///
-/// The routing is purely a speed decision: both routes are pinned
-/// bit-identical to [`QualityModel::evaluate_scored`], so this constant
-/// never changes a score.
-pub const DELTA_WORK_SHARE: f64 = 0.25;
 
 /// Number of plans scored per structure-of-arrays lane group by every
 /// [`PlanEvaluator`] batch path (see
@@ -316,11 +250,11 @@ where
 
 /// Deterministic word-folding hasher for plan-keyed tables (the memo cache,
 /// the batch dedupe maps and the recommender's request-local visited set).
-/// A plan key hashes as hundreds of site ids, and the standard library's
-/// DoS-resistant SipHash spends more time on that than the delta re-score
-/// the lookup guards; these tables are process-local and never fed
-/// attacker-chosen keys, so a multiply-xor fold (one rotate + xor +
-/// multiply per 8-byte word) is safe and several times cheaper. Only lookup
+/// A plan key hashes as hundreds of site ids, which the standard library's
+/// DoS-resistant SipHash pays for on every lookup; these tables are
+/// process-local and never fed attacker-chosen keys, so a multiply-xor
+/// fold (one rotate + xor + multiply per 8-byte word) is safe and several
+/// times cheaper. Only lookup
 /// speed changes: nothing iterates these maps, so bucket order — the only
 /// thing a hasher can influence — is unobservable.
 #[derive(Debug, Default)]
@@ -363,23 +297,6 @@ struct MemoState<K, V> {
     cache_hits: usize,
     batches: usize,
     wall_time: Duration,
-    routes: Routes,
-}
-
-/// How the plans one lookup computed were scored (see
-/// [`EvalStats::delta_scored`] and [`EvalStats::lane_scored`]); both zero
-/// for lone plans and for scorers without a compiled kernel.
-#[derive(Debug, Clone, Copy, Default)]
-struct Routes {
-    delta: usize,
-    lanes: usize,
-}
-
-impl std::ops::AddAssign for Routes {
-    fn add_assign(&mut self, other: Self) {
-        self.delta += other.delta;
-        self.lanes += other.lanes;
-    }
 }
 
 /// Which cache/batch slot serves one input position of a batched lookup:
@@ -400,8 +317,6 @@ struct LookupOutcome {
     hits: usize,
     /// Unique keys computed by this lookup.
     computed: usize,
-    /// How the computed keys were scored.
-    routes: Routes,
     /// Wall time of the lookup (probe + compute).
     elapsed: Duration,
 }
@@ -428,7 +343,6 @@ impl<K, V> Default for MemoCache<K, V> {
                 cache_hits: 0,
                 batches: 0,
                 wall_time: Duration::ZERO,
-                routes: Routes::default(),
             }),
         }
     }
@@ -465,14 +379,8 @@ where
     /// Two callers racing to compute the same key both insert the same
     /// value (computation is pure), so last-write-wins is benign.
     pub fn insert(&self, key: K, value: V, elapsed: Duration) {
-        self.insert_routed(key, value, elapsed, Routes::default());
-    }
-
-    /// [`Self::insert`] that also accounts how the value was scored.
-    fn insert_routed(&self, key: K, value: V, elapsed: Duration, routes: Routes) {
         let mut state = self.state();
         state.wall_time += elapsed;
-        state.routes += routes;
         state.cache.insert(key, value);
     }
 
@@ -503,17 +411,14 @@ where
     /// The batched lookup core behind every batch path: probe the whole
     /// batch under one lock, dedupe the misses against each other, compute
     /// the first appearances with `compute_all` (given their input
-    /// positions; one result per position, in order, and a [`Routes`] to
-    /// fill in with how it scored them), then cache `value_of(result)` for
-    /// each and account the batch under one more lock. Returns which slot
-    /// serves each input position, the computed results and the batch's
-    /// counters.
-    fn resolve_batch<C>(
+    /// positions; one value per position, in order), then cache each and
+    /// account the batch under one more lock. Returns the values in input
+    /// order plus the batch's counters.
+    fn values_batch(
         &self,
         keys: &[K],
-        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<C>,
-        value_of: impl Fn(&C) -> V,
-    ) -> (Vec<Slot<V>>, Vec<C>, LookupOutcome) {
+        compute_all: impl FnOnce(&[usize]) -> Vec<V>,
+    ) -> (Vec<V>, LookupOutcome) {
         let start = Instant::now();
         let probed: Vec<Option<V>> = {
             let state = self.state();
@@ -523,7 +428,7 @@ where
         };
         let mut uncached: Vec<usize> = Vec::new();
         let mut pending_of: PlanKeyMap<&K, usize> = PlanKeyMap::default();
-        let slots = probed
+        let slots: Vec<Slot<V>> = probed
             .into_iter()
             .enumerate()
             .map(|(i, cached)| match cached {
@@ -534,34 +439,22 @@ where
                 })),
             })
             .collect();
-        let mut routes = Routes::default();
-        let computed = compute_all(&uncached, &mut routes);
+        let computed = compute_all(&uncached);
         debug_assert_eq!(computed.len(), uncached.len(), "one result per unique key");
         let outcome = LookupOutcome {
             hits: keys.len() - uncached.len(),
             computed: uncached.len(),
-            routes,
             elapsed: start.elapsed(),
         };
-        let mut state = self.state();
-        for (&i, result) in uncached.iter().zip(&computed) {
-            state.cache.insert(keys[i].clone(), value_of(result));
+        {
+            let mut state = self.state();
+            for (&i, &value) in uncached.iter().zip(&computed) {
+                state.cache.insert(keys[i].clone(), value);
+            }
+            state.cache_hits += outcome.hits;
+            state.batches += 1;
+            state.wall_time += outcome.elapsed;
         }
-        state.cache_hits += outcome.hits;
-        state.batches += 1;
-        state.wall_time += outcome.elapsed;
-        state.routes += routes;
-        (slots, computed, outcome)
-    }
-
-    /// [`Self::resolve_batch`] for results that *are* the cached values:
-    /// the values in input order plus the batch's counters.
-    fn values_batch(
-        &self,
-        keys: &[K],
-        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<V>,
-    ) -> (Vec<V>, LookupOutcome) {
-        let (slots, computed, outcome) = self.resolve_batch(keys, compute_all, |&value| value);
         let values = slots
             .into_iter()
             .map(|slot| match slot {
@@ -581,9 +474,8 @@ where
         V: Send,
         F: Fn(&K) -> V + Sync,
     {
-        let compute_all = |uncached: &[usize], _: &mut Routes| {
-            parallel_map(uncached, threads, |&i| compute(&keys[i]))
-        };
+        let compute_all =
+            |uncached: &[usize]| parallel_map(uncached, threads, |&i| compute(&keys[i]));
         self.values_batch(keys, compute_all).0
     }
 
@@ -608,8 +500,6 @@ where
             wall_time_ms: state.wall_time.as_secs_f64() * 1e3,
             threads,
             kernel_compile_ms: 0.0,
-            delta_scored: state.routes.delta,
-            lane_scored: state.routes.lanes,
         }
     }
 }
@@ -636,8 +526,6 @@ struct LocalCounters {
     hits: AtomicUsize,
     batches: AtomicUsize,
     wall_time_nanos: AtomicU64,
-    delta_scored: AtomicUsize,
-    lane_scored: AtomicUsize,
 }
 
 /// Cached, batched, thread-parallel front end to a [`QualityModel`].
@@ -722,43 +610,24 @@ impl<'a> PlanEvaluator<'a> {
         self.local
             .wall_time_nanos
             .fetch_add(outcome.elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.local
-            .delta_scored
-            .fetch_add(outcome.routes.delta, Ordering::Relaxed);
-        self.local
-            .lane_scored
-            .fetch_add(outcome.routes.lanes, Ordering::Relaxed);
     }
 
-    /// The single-plan lookup behind [`Self::evaluate`] and
-    /// [`Self::evaluate_offspring`]: cache first, `compute` on a miss,
-    /// which also says by which route it scored the plan.
-    fn evaluate_one(
-        &self,
-        plan: &MigrationPlan,
-        compute: impl FnOnce() -> (PlanQuality, Routes),
-    ) -> PlanQuality {
+    /// Evaluate one plan, serving duplicates from the cache.
+    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
         if let Some(quality) = self.memo().probe(plan) {
             self.local.hits.fetch_add(1, Ordering::Relaxed);
             return quality;
         }
         let start = Instant::now();
-        let (quality, routes) = compute();
+        let quality = self.quality.evaluate(plan);
         let outcome = LookupOutcome {
             hits: 0,
             computed: 1,
-            routes,
             elapsed: start.elapsed(),
         };
-        self.memo()
-            .insert_routed(plan.clone(), quality, outcome.elapsed, routes);
+        self.memo().insert(plan.clone(), quality, outcome.elapsed);
         self.absorb(outcome, 0);
         quality
-    }
-
-    /// Evaluate one plan, serving duplicates from the cache.
-    pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
-        self.evaluate_one(plan, || (self.quality.evaluate(plan), Routes::default()))
     }
 
     /// Evaluate a batch of plans, returning qualities in input order.
@@ -770,8 +639,7 @@ impl<'a> PlanEvaluator<'a> {
     /// bit-identical to calling [`QualityModel::evaluate`] on each plan
     /// directly, at any thread count.
     pub fn evaluate_batch(&self, plans: &[MigrationPlan]) -> Vec<PlanQuality> {
-        let (values, outcome) = self.memo().values_batch(plans, |uncached, routes| {
-            routes.lanes = uncached.len();
+        let (values, outcome) = self.memo().values_batch(plans, |uncached| {
             let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
             parallel_map_grouped(&uncached, self.threads, LANE_WIDTH, |group| {
                 self.quality.evaluate_lanes(group)
@@ -781,211 +649,38 @@ impl<'a> PlanEvaluator<'a> {
         values
     }
 
-    /// The scored batch lookup behind [`Self::evaluate_scored_batch`] and
-    /// [`Self::evaluate_offspring_batch`]: resolve `plans` against the memo
-    /// cache and each other, score the first appearances with `compute_all`
-    /// (given their input positions), and hand each computed
-    /// [`ScoredPlan`] to its slot in input order, cloning only for in-batch
-    /// duplicates; cache hits materialise as [`ScoredPlan::quality_only`]
-    /// members (the cache stores only qualities).
-    fn scored_batch(
-        &self,
-        plans: &[MigrationPlan],
-        compute_all: impl FnOnce(&[usize], &mut Routes) -> Vec<ScoredPlan>,
-    ) -> Vec<ScoredPlan> {
-        let (slots, computed, outcome) =
-            self.memo()
-                .resolve_batch(plans, compute_all, ScoredPlan::quality);
-        self.absorb(outcome, 1);
-        let mut uses = vec![0usize; computed.len()];
-        for slot in &slots {
-            if let Slot::Pending(k) = slot {
-                uses[*k] += 1;
-            }
-        }
-        let mut computed: Vec<Option<ScoredPlan>> = computed.into_iter().map(Some).collect();
-        slots
-            .into_iter()
-            .zip(plans)
-            .map(|(slot, plan)| match slot {
-                Slot::Hit(quality) => ScoredPlan::quality_only(plan.to_sites(), quality),
-                Slot::Pending(k) => {
-                    uses[k] -= 1;
-                    match uses[k] {
-                        0 => computed[k].take(),
-                        _ => computed[k].clone(),
-                    }
-                    .expect("a computed plan is taken by its last use")
-                }
-            })
+    /// [`Self::evaluate_batch`] with each quality paired with its plan's
+    /// sites: the form in which the search keeps its population. Qualities,
+    /// cache accounting and panics are those of [`Self::evaluate_batch`].
+    pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<ScoredPlan> {
+        plans
+            .iter()
+            .zip(self.evaluate_batch(plans))
+            .map(|(plan, quality)| ScoredPlan::new(plan.to_sites(), quality))
             .collect()
     }
 
-    /// Cold-score plans with their per-trace state retained, in
-    /// [`LANE_WIDTH`] lane groups across the evaluator's worker threads.
-    fn cold_score(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
-        parallel_map_grouped(plans, self.threads, LANE_WIDTH, |group| {
-            self.quality.evaluate_scored_group(group)
-        })
-    }
-
-    /// [`Self::evaluate_batch`] with the per-trace state retained: every
-    /// returned member is a [`ScoredPlan`] ready to serve as a delta parent
-    /// in [`Self::evaluate_offspring_batch`]. Uncached plans are scored
-    /// through the lane-batched kernel; plans already in the memo cache
-    /// come back as [`ScoredPlan::quality_only`] members (the cache stores
-    /// only qualities), which simply fall back to cold scoring when later
-    /// used as parents. Qualities are bit-identical to
-    /// [`Self::evaluate_batch`], and the cache accounting (hits, batches,
-    /// wall time) follows the same rules.
+    /// [`Self::evaluate_scored_batch`] of `children`; the parents are not
+    /// read. Kept, with its parent argument, for the benchmark's offspring
+    /// probe.
     ///
     /// # Panics
     ///
-    /// Panics if any plan does not cover every component of the wrapped
-    /// model (the retained state needs full-length site assignments).
-    pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<ScoredPlan> {
-        self.scored_batch(plans, |uncached, routes| {
-            routes.lanes = uncached.len();
-            let uncached: Vec<&MigrationPlan> = uncached.iter().map(|&i| &plans[i]).collect();
-            self.cold_score(&uncached)
-        })
-    }
-
-    /// Score one generation of GA offspring against their retained parents:
-    /// the delta-native heart of the evolutionary search.
-    ///
-    /// For each `(parents[i], children[i])` pair the memo cache is
-    /// consulted first (hits — including in-batch duplicates — are free and
-    /// come back as [`ScoredPlan::quality_only`] members). Each uncached
-    /// child is then diffed against its parent's site assignment and
-    /// routed (see the [module docs](self#offspring-routing)): when the
-    /// parent carries retained per-trace state and the traces the diff
-    /// touches hold at most [`DELTA_WORK_SHARE`] of the kernel's work, the
-    /// child is re-scored incrementally through
-    /// [`QualityModel::evaluate_delta`] (only those traces re-run);
-    /// otherwise it cold-scores through the lane-batched kernel — except
-    /// that a cold group which would hold a single plan hands it back to
-    /// the delta route. Both routes fan out across the evaluator's worker
-    /// threads.
-    ///
-    /// **Bit-identity contract**: the delta path inherits untouched trace
-    /// latencies bit-for-bit and re-sums in the cold path's order, so every
-    /// returned quality — and the retained state itself — is bit-identical
-    /// to [`QualityModel::evaluate_scored`] of the child, at any thread
-    /// count. The routing decision is pure speed; pinned by the offspring
-    /// differential property test.
+    /// Panics if the two slices differ in length, or as
+    /// [`Self::evaluate_batch`] does.
     pub fn evaluate_offspring_batch(
         &self,
         parents: &[&ScoredPlan],
         children: &[MigrationPlan],
     ) -> Vec<ScoredPlan> {
-        assert_eq!(
-            parents.len(),
-            children.len(),
-            "one retained parent per child"
-        );
-        self.scored_batch(children, |uncached, routes| {
-            // Route each uncached child; `k` is its slot in the result. A
-            // cold child keeps its change set when it has one, in case it
-            // ends up alone in its lane group.
-            let delta_budget = self.quality.kernel().total_work() as f64 * DELTA_WORK_SHARE;
-            let mut delta_jobs = Vec::new();
-            let mut cold = Vec::new();
-            for (k, &i) in uncached.iter().enumerate() {
-                match self.diff(parents[i], &children[i]) {
-                    Some(changes) if self.touched_work(&changes) as f64 <= delta_budget => {
-                        delta_jobs.push((k, parents[i], changes))
-                    }
-                    wide => cold.push((k, wide)),
-                }
-            }
-            if cold.len() % LANE_WIDTH == 1 {
-                if let Some(at) = cold.iter().rposition(|(_, wide)| wide.is_some()) {
-                    let (k, wide) = cold.remove(at);
-                    let changes = wide.expect("picked for having a change set");
-                    delta_jobs.push((k, parents[uncached[k]], changes));
-                }
-            }
-            routes.delta = delta_jobs.len();
-            routes.lanes = cold.len();
-
-            let delta_results = parallel_map(&delta_jobs, self.threads, |(_, parent, changes)| {
-                self.quality.evaluate_delta(parent, changes)
-            });
-            let cold_plans: Vec<&MigrationPlan> =
-                cold.iter().map(|&(k, _)| &children[uncached[k]]).collect();
-            let mut computed: Vec<Option<ScoredPlan>> = vec![None; uncached.len()];
-            for ((k, _, _), scored) in delta_jobs.iter().zip(delta_results) {
-                computed[*k] = Some(scored);
-            }
-            for ((k, _), scored) in cold.iter().zip(self.cold_score(&cold_plans)) {
-                computed[*k] = Some(scored);
-            }
-            computed
-                .into_iter()
-                .map(|s| s.expect("every uncached child is routed exactly once"))
-                .collect()
-        })
+        assert_eq!(parents.len(), children.len(), "one parent per child");
+        self.evaluate_scored_batch(children)
     }
 
-    /// Single-offspring companion of [`Self::evaluate_offspring_batch`] —
-    /// the shape of an RL training rollout, which scores one child per
-    /// policy sample. Cache first; against a state-carrying parent the
-    /// child rides the allocation-free [`QualityModel::probe_delta`]
-    /// however wide its diff — with one plan there is no lane group to
-    /// join, and a delta probe re-runs at most every trace once, which is
-    /// all a cold score does. Only a parent without this model's retained
-    /// state (or a length mismatch) falls back to the cold
-    /// [`QualityModel::evaluate`]. Bit-identical to [`Self::evaluate`] by
-    /// the same contract as the batch path.
-    pub fn evaluate_offspring(&self, parent: &ScoredPlan, child: &MigrationPlan) -> PlanQuality {
-        self.evaluate_one(child, || match self.diff(parent, child) {
-            Some(changes) => (
-                self.quality.probe_delta(parent, &changes),
-                Routes { delta: 1, lanes: 0 },
-            ),
-            None => (self.quality.evaluate(child), Routes::default()),
-        })
-    }
-
-    /// The ascending change set turning `parent` into `child` — one
-    /// `(component, new site)` entry per differing position — when the
-    /// delta route is open at all: the parent carries this model's retained
-    /// per-trace state and both cover every component.
-    fn diff(
-        &self,
-        parent: &ScoredPlan,
-        child: &MigrationPlan,
-    ) -> Option<Vec<(ComponentId, SiteId)>> {
-        let n = self.quality.component_count();
-        if parent.traces().len() != self.quality.kernel().trace_count()
-            || parent.sites().len() != n
-            || child.len() != n
-        {
-            return None;
-        }
-        let changes = parent
-            .sites()
-            .iter()
-            .zip(child.sites())
-            .enumerate()
-            .filter(|&(_, (a, b))| a != b)
-            .map(|(c, (_, &to))| (ComponentId(c), to))
-            .collect();
-        Some(changes)
-    }
-
-    /// The work of the compiled traces a change set touches — what a delta
-    /// re-score of it re-runs — read off the kernel's incidence index.
-    fn touched_work(&self, changes: &[(ComponentId, SiteId)]) -> u64 {
-        let kernel = self.quality.kernel();
-        with_scratch(|s| {
-            kernel.clear_touched(&mut s.touched);
-            for &(component, _) in changes {
-                kernel.touch(component.0, &mut s.touched);
-            }
-            kernel.touched_work(&s.touched)
-        })
+    /// [`Self::evaluate`] of `child`; the parent is not read. Kept, with its
+    /// parent argument, for the benchmark's rollout probe.
+    pub fn evaluate_offspring(&self, _parent: &ScoredPlan, child: &MigrationPlan) -> PlanQuality {
+        self.evaluate(child)
     }
 
     /// Distinct plans scored so far by *anyone* using this evaluator's
@@ -1025,8 +720,6 @@ impl<'a> PlanEvaluator<'a> {
             wall_time_ms: self.local.wall_time_nanos.load(Ordering::Relaxed) as f64 / 1e6,
             threads: self.threads,
             kernel_compile_ms: self.quality.kernel_compile_ms(),
-            delta_scored: self.local.delta_scored.load(Ordering::Relaxed),
-            lane_scored: self.local.lane_scored.load(Ordering::Relaxed),
         }
     }
 }
@@ -1231,103 +924,6 @@ mod tests {
             stats.kernel_compile_ms > 0.0,
             "the quality model's kernel compile time is surfaced"
         );
-    }
-
-    /// Offspring are routed by the trace work their diff touches, not by
-    /// how many genes it changes: on a 250-component 4-site model a child
-    /// one gene away from its parent is delta-scored, children 10 % of
-    /// their genes away — far under the old 25 %-of-genes cap, yet touching
-    /// most of the traces — are lane-scored, and a lone wide child, whose
-    /// cold group would be a one-plan walk, is delta-scored.
-    #[test]
-    fn offspring_are_routed_by_touched_work_not_gene_count() {
-        let quality = crate::testkit::generated(250, 4, 30, 11).model;
-        let n = quality.component_count();
-        let kernel = quality.kernel();
-        assert!(kernel.trace_count() >= 64);
-        let parent_plan = MigrationPlan::all_onprem(n);
-        let parent = quality.evaluate_scored(&parent_plan);
-        // Child `k` moves `genes` evenly spread genes, starting at gene `k`.
-        let child = |k: usize, genes: usize| {
-            let mut sites = parent_plan.to_sites();
-            for g in 0..genes {
-                sites[(k + g * n / genes) % n] = SiteId(1 + (k % 3) as u16);
-            }
-            MigrationPlan::from_sites(sites)
-        };
-        let share = |plan: &MigrationPlan| {
-            let evaluator = PlanEvaluator::new(&quality);
-            let changes = evaluator.diff(&parent, plan).expect("a retained parent");
-            evaluator.touched_work(&changes) as f64 / kernel.total_work() as f64
-        };
-        let narrow = child(7, 1);
-        let wide: Vec<MigrationPlan> = (0..5).map(|k| child(k, n / 10)).collect();
-        assert!(share(&narrow) <= DELTA_WORK_SHARE, "{}", share(&narrow));
-        for plan in &wide {
-            assert!(share(plan) > DELTA_WORK_SHARE, "{}", share(plan));
-        }
-
-        let routed = |children: &[MigrationPlan]| {
-            let evaluator = PlanEvaluator::new(&quality).with_threads(1);
-            let parents = vec![&parent; children.len()];
-            let scored = evaluator.evaluate_offspring_batch(&parents, children);
-            for (child, got) in children.iter().zip(&scored) {
-                let cold = quality.evaluate_scored(child);
-                assert_eq!(got.quality(), cold.quality());
-                assert_eq!(got.traces(), cold.traces());
-            }
-            let stats = evaluator.local_stats();
-            assert_eq!(stats.unique_evaluations, children.len());
-            // On an owned cache the lifetime view carries the same split.
-            let lifetime = evaluator.stats();
-            assert_eq!(
-                (lifetime.delta_scored, lifetime.lane_scored),
-                (stats.delta_scored, stats.lane_scored)
-            );
-            (stats.delta_scored, stats.lane_scored)
-        };
-        // A generation of one narrow and five wide children splits 1 : 5.
-        let mut generation = wide.clone();
-        generation.push(narrow.clone());
-        assert_eq!(routed(&generation), (1, 5));
-        assert_eq!(routed(std::slice::from_ref(&narrow)), (1, 0));
-        // A lone wide child — a cold group of one — goes back to delta, and
-        // so does the one left over after a full lane group.
-        assert_eq!(routed(&wide[..1]), (1, 0));
-        let seventeen: Vec<MigrationPlan> = (0..17).map(|k| child(k, n / 10)).collect();
-        assert_eq!(routed(&seventeen), (1, 16));
-        // Without a retained parent there is nothing to go back to.
-        let bare = ScoredPlan::quality_only(parent_plan.to_sites(), parent.quality());
-        let evaluator = PlanEvaluator::new(&quality);
-        evaluator.evaluate_offspring_batch(&[&bare], &wide[..1]);
-        assert_eq!(evaluator.local_stats().delta_scored, 0);
-        assert_eq!(evaluator.local_stats().lane_scored, 1);
-
-        // The single-child form has no lane group to join: any child of a
-        // retained parent is delta-scored, however wide; a bare parent's
-        // is a lone plan's walk, which neither counter counts.
-        let single = PlanEvaluator::new(&quality);
-        assert_eq!(
-            single.evaluate_offspring(&parent, &wide[0]),
-            quality.evaluate(&wide[0])
-        );
-        assert_eq!(
-            single.evaluate_offspring(&bare, &wide[1]),
-            quality.evaluate(&wide[1])
-        );
-        let stats = single.local_stats();
-        assert_eq!(
-            (
-                stats.unique_evaluations,
-                stats.delta_scored,
-                stats.lane_scored
-            ),
-            (2, 1, 0)
-        );
-        // The counters subtract like the rest of the stream.
-        let later = single.stats();
-        assert_eq!(later.since(&stats).delta_scored, 0);
-        assert_eq!(later.since(&EvalStats::default()).delta_scored, 1);
     }
 
     /// Two evaluator handles over one shared cache: the cache-wide view

@@ -72,56 +72,23 @@
 //! opens its first wave in the same op, a leaf child starts and ends in
 //! one — so no value passes between ops outside the frames, and a trace
 //! walks in about one op per hop and wave. One fold turns the walked
-//! latencies into `Q_Perf`: a cold score of any width, a delta re-score
-//! (width 1, untouched traces inherited) and the per-API estimate are all
-//! calls of it. The lanes are arithmetically independent and every lane
-//! performs the floating-point operations of a lone plan's walk in the same
-//! order, so a plan's score depends neither on the width nor on its lane;
-//! the differential property suite pins widths 1, 3, 8, 16 and 64 against
-//! [`QualityModel::evaluate`] (width 1) and the interpretive oracle.
-//!
-//! # Delta re-scoring invariants
-//!
-//! A trace's latency is a pure function of the sites of the components it
-//! references. A scored plan therefore retains one [`ScoredTrace`] (the
-//! trace's latency under that plan) per compiled trace, and
-//! `CompiledQuality::performance_delta` re-scores a
-//! mutated plan by re-running **only** the traces that reference a changed
-//! component; every other trace inherits its parent latency. Which traces
-//! those are is read off the **component → trace incidence index** the
-//! compile pass builds: one bitset row per component over the flat
-//! API-major trace order (bit `t` of row `c` is set iff trace `t` has a hop
-//! whose caller or callee is `c`), plus every trace's op count. A change
-//! set's touched traces are the OR of its rows
-//! ([`CompiledQuality::touch`]), the delta walk tests one bit per trace,
-//! and the op-weighted popcount ([`CompiledQuality::touched_work`]) is the
-//! exact share of the kernel's work the re-score will re-run — which is
-//! what the evaluator routes offspring on (see
-//! [`DELTA_WORK_SHARE`](crate::eval::DELTA_WORK_SHARE)). The index is
-//! exact, not a filter: a set bit means the trace *does* reference the
-//! component. Three invariants make the shortcut exact rather than
-//! approximate:
-//!
-//! 1. **Purity** — re-running an untouched trace would reproduce its
-//!    retained latency bit-for-bit, so inheriting it loses nothing;
-//! 2. **Same summation tree** — the per-API means and the weighted
-//!    `Q_Perf` total are re-summed in the original trace order over the
-//!    (partially inherited) latencies: the identical sequence of f64
-//!    additions as a cold score;
-//! 3. **Path independence** — a [`ScoredPlan`] depends only on the plan it
-//!    scores, never on the chain of deltas that produced it: mutate
-//!    A → B → A and the second A is bit-identical to the first.
+//! latencies into `Q_Perf`: a score of any width and the per-API estimate
+//! are both calls of it. The lanes are arithmetically independent and
+//! every lane performs the floating-point operations of a lone plan's walk
+//! in the same order, so a plan's score depends neither on the width nor on
+//! its lane; the differential property suite pins widths 1, 3, 8, 16 and
+//! 64 against [`QualityModel::evaluate`] (width 1) and the interpretive
+//! oracle.
 //!
 //! # Example
 //!
-//! Lane-batched scoring and an incremental single-move re-score, both
-//! matching the plain evaluator exactly (the quality model is learned from
-//! a compressed simulated run of the social network):
+//! Lane-batched scoring, matching the plain evaluator exactly (the quality
+//! model is learned from a compressed simulated run of the social network):
 //!
 //! ```
 //! use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
 //! use atlas_core::{Atlas, AtlasConfig, MigrationPlan, MigrationPreferences};
-//! use atlas_sim::{ComponentId, OverloadModel, Placement, SimConfig, Simulator, SiteId};
+//! use atlas_sim::{OverloadModel, Placement, SimConfig, Simulator};
 //! use atlas_telemetry::TelemetryStore;
 //!
 //! let app = social_network(SocialNetworkOptions::default());
@@ -157,24 +124,12 @@
 //! let batch = quality.evaluate_lanes(&[&onprem, &cloud]);
 //! assert_eq!(batch[0], quality.evaluate(&onprem));
 //! assert_eq!(batch[1], quality.evaluate(&cloud));
-//!
-//! // Delta path: move one component, re-running only the traces it touches.
-//! let parent = quality.evaluate_scored(&onprem);
-//! assert_eq!(parent.quality(), batch[0]);
-//! let moved = quality.evaluate_delta(&parent, &[(ComponentId(0), SiteId::CLOUD)]);
-//! let mut cold = onprem.clone();
-//! cold.set(ComponentId(0), SiteId::CLOUD);
-//! assert_eq!(moved.quality(), quality.evaluate(&cold));
-//! // ...and reverting the move restores the parent exactly (A → B → A).
-//! let back = quality.evaluate_delta(&moved, &[(ComponentId(0), SiteId::ON_PREM)]);
-//! assert_eq!(back.quality(), parent.quality());
 //! ```
 //!
 //! [`QualityModel`]: crate::quality::QualityModel
 //! [`QualityModel::evaluate`]: crate::quality::QualityModel::evaluate
 //! [`QualityModel::for_catalog`]: crate::quality::QualityModel::for_catalog
 //! [`QualityModel::evaluate_interpretive`]: crate::quality::QualityModel::evaluate_interpretive
-//! [`ScoredPlan`]: crate::quality::ScoredPlan
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -214,11 +169,6 @@ pub struct EvalScratch {
     pub cost: CostScratch,
     /// Per-lane state of the trace walk, at any width.
     pub lanes: LaneScratch,
-    /// The traces a change set touches, one bit per compiled trace in the
-    /// flat API-major order (see [`CompiledQuality::clear_touched`]).
-    pub touched: Vec<u64>,
-    /// Per-trace latencies retained during a delta probe.
-    pub scored: Vec<ScoredTrace>,
 }
 
 /// Reusable buffers of the trace walk: a lane group's component-major site
@@ -274,32 +224,6 @@ fn load<'a>(soa: &'a mut Vec<SiteId>, plans: &[&'a [SiteId]], n: usize) -> &'a [
     soa
 }
 
-/// The retained latency of one compiled trace under a parent plan: the unit
-/// of reuse of the delta path. A trace's latency is a pure function of the
-/// sites of the components it references, so
-/// `CompiledQuality::performance_delta` re-runs a trace only when one of
-/// those components changed and inherits this value bit-for-bit otherwise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoredTrace {
-    latency_ms: f64,
-    weight: f64,
-}
-
-impl ScoredTrace {
-    /// The trace's estimated end-to-end latency under the parent plan (ms).
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_ms
-    }
-
-    /// The clustering weight of the trace (the number of raw traces this
-    /// representative stands for; 1.0 for unclustered profiles). Carried in
-    /// the per-trace state so delta re-sums weight the inherited latencies
-    /// exactly like a cold score.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-}
-
 thread_local! {
     static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
 }
@@ -332,16 +256,6 @@ enum Op {
     /// trailing own-compute after that wave and fold its end into the
     /// caller's wave (`top.wend = max(top.wend, popped.wend + tail)`).
     Ret { tail: f64 },
-}
-
-impl Op {
-    /// The hop a `Call` or `Leaf` starts.
-    fn hop(&self) -> Option<&Hop> {
-        match self {
-            Op::Call { hop, .. } | Op::Leaf { hop, .. } => Some(hop),
-            _ => None,
-        }
-    }
 }
 
 /// One caller → callee hop of a trace, started from its wave's base.
@@ -420,19 +334,6 @@ impl CompiledTrace {
             tail,
             link_costs,
         }
-    }
-
-    /// The indexed components this trace's latency depends on: the caller
-    /// and callee of every hop (`UNKNOWN` excluded — it always reads as
-    /// on-prem), with repeats. The trace's latency is a pure function of
-    /// the sites of exactly these components, which is what makes per-trace
-    /// reuse in the delta path bitwise-safe.
-    fn references(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ops
-            .iter()
-            .filter_map(Op::hop)
-            .flat_map(|hop| [hop.caller, hop.callee])
-            .filter(|&id| id != UNKNOWN)
     }
 
     /// The trace interpreter: walk the instruction stream once for every
@@ -827,45 +728,6 @@ fn compile_api(
     }
 }
 
-/// The component → trace incidence index of a compiled kernel (see the
-/// [module docs](self#delta-re-scoring-invariants)): which compiled traces
-/// reference which component, and how much walking each trace costs.
-/// About 32 KB at 500 components × 448 traces.
-#[derive(Debug, Clone, PartialEq)]
-struct Incidence {
-    /// `u64` words per row: `trace_ops.len().div_ceil(64)`.
-    words: usize,
-    /// One bitset row per indexed component, `words` words each: bit `t` of
-    /// row `c` is set iff flat trace `t` has a `Call` whose caller or callee
-    /// is `c`.
-    rows: Vec<u64>,
-    /// Op count of every compiled trace in the flat API-major order — the
-    /// unit of "work" a walk of that trace costs, at any width.
-    trace_ops: Vec<u32>,
-    /// Σ `trace_ops`: the work of one cold score.
-    total_ops: u64,
-}
-
-impl Incidence {
-    fn build(apis: &[CompiledApi], components: usize) -> Self {
-        let traces = || apis.iter().flat_map(|api| &api.traces);
-        let trace_ops: Vec<u32> = traces().map(|t| t.ops.len() as u32).collect();
-        let words = trace_ops.len().div_ceil(64);
-        let mut rows = vec![0u64; components * words];
-        for (t, trace) in traces().enumerate() {
-            for id in trace.references() {
-                rows[id as usize * words + t / 64] |= 1u64 << (t % 64);
-            }
-        }
-        Self {
-            words,
-            rows,
-            total_ops: trace_ops.iter().map(|&ops| u64::from(ops)).sum(),
-            trace_ops,
-        }
-    }
-}
-
 /// The compiled evaluation kernel of one [`QualityModel`]: every API's
 /// traces as flat instruction arenas plus the precompiled constraint
 /// kernel. See the [module docs](self) for the compile/score contract.
@@ -875,7 +737,6 @@ impl Incidence {
 pub struct CompiledQuality {
     apis: Vec<CompiledApi>,
     api_index: HashMap<String, usize>,
-    incidence: Incidence,
     constraints: ConstraintKernel,
     /// The plan length the kernel reads: the component index's.
     components: usize,
@@ -921,7 +782,6 @@ impl CompiledQuality {
             ));
         }
         Self {
-            incidence: Incidence::build(&apis, component_index.len()),
             apis,
             api_index,
             constraints: ConstraintKernel::new(preferences),
@@ -942,8 +802,6 @@ impl CompiledQuality {
     /// model-wide footprint, network, current placement and preferences,
     /// which this call must keep fixed), recompiling exactly the dirty APIs
     /// is bit-identical to a cold compile from the updated profile.
-    /// The incidence index is rebuilt whole (a dirty API may change its
-    /// trace count, which shifts every later trace's position).
     /// `compile_ms` is restamped with the incremental compile time. The
     /// constraint kernel (including any owned-site limits) is untouched.
     #[allow(clippy::too_many_arguments)]
@@ -990,7 +848,6 @@ impl CompiledQuality {
             api_index.insert(name.clone(), apis.len());
             apis.push(compiled);
         }
-        self.incidence = Incidence::build(&apis, component_index.len());
         self.apis = apis;
         self.api_index = api_index;
         self.compile_ms = start.elapsed().as_secs_f64() * 1_000.0;
@@ -1026,12 +883,7 @@ impl CompiledQuality {
     /// [`load`]): walk every trace of `apis` at the group's width, sum each
     /// lane's weighted per-API mean `Σ wᵢ·latᵢ / Σ wᵢ` in trace order (0.0
     /// without traces) and return each lane's weighted mean of per-API
-    /// latency ratios. Every trace's latency goes to `retain(l, state)`,
-    /// API-major in the compiled order — the layout of the flat per-trace
-    /// state. With `reuse = (touched, prev)` a one-plan group walks only
-    /// the traces in `touched` and inherits every other latency from the
-    /// parent state `prev` bit-for-bit; `reuse` indexes the flat state, so
-    /// it comes with every API. The last API's per-lane mean is left in
+    /// latency ratios. The last API's per-lane mean is left in
     /// `scratch.latency`. Every scoring path is this fold, which is what
     /// keeps them bit-identical to each other.
     fn fold<'s>(
@@ -1039,14 +891,8 @@ impl CompiledQuality {
         apis: &[CompiledApi],
         plans: &[&[SiteId]],
         scratch: &'s mut LaneScratch,
-        reuse: Option<(&[u64], &[ScoredTrace])>,
-        mut retain: impl FnMut(usize, ScoredTrace),
     ) -> &'s [f64] {
         let lanes = plans.len();
-        debug_assert!(
-            reuse.is_none() || lanes == 1,
-            "a delta re-score is one plan"
-        );
         let LaneScratch {
             soa,
             onprem,
@@ -1061,27 +907,13 @@ impl CompiledQuality {
             column.clear();
             column.resize(lanes, 0.0);
         }
-        let mut t = 0;
         let mut weight_sum = 0.0;
         for api in apis {
             for trace in &api.traces {
-                match reuse {
-                    Some((touched, prev)) if touched[t / 64] >> (t % 64) & 1 == 0 => {
-                        latency[0] = prev[t].latency_ms;
-                    }
-                    _ => trace.run_lanes(soa, onprem, self.site_count, latency, stack),
-                }
-                for (l, (&latency_ms, sum)) in latency.iter().zip(acc.iter_mut()).enumerate() {
-                    retain(
-                        l,
-                        ScoredTrace {
-                            latency_ms,
-                            weight: trace.weight,
-                        },
-                    );
+                trace.run_lanes(soa, onprem, self.site_count, latency, stack);
+                for (&latency_ms, sum) in latency.iter().zip(acc.iter_mut()) {
                     *sum += trace.weight * latency_ms;
                 }
-                t += 1;
             }
             for ((sum, mean), q) in acc.iter_mut().zip(latency.iter_mut()).zip(total.iter_mut()) {
                 *mean = if api.traces.is_empty() {
@@ -1105,108 +937,38 @@ impl CompiledQuality {
     }
 
     /// `Q_Perf` of every plan of one lane group — a lone plan is a group of
-    /// one — in one walk of the instruction arenas. `retain(l, state)`
-    /// receives lane `l`'s per-trace latencies in the flat API-major layout
-    /// a delta re-score inherits from; pass a no-op closure to discard
-    /// them. A plan longer than the kernel is read over its first
-    /// components; a plan's result, and its retained state, are the same at
-    /// any width and in any lane.
+    /// one — in one walk of the instruction arenas. A plan longer than the
+    /// kernel is read over its first components; a plan's result is the
+    /// same at any width and in any lane.
     ///
     /// # Panics
     ///
     /// Panics if a plan is shorter than the kernel.
-    pub fn performance<'s>(
-        &self,
-        plans: &[&[SiteId]],
-        scratch: &'s mut LaneScratch,
-        retain: impl FnMut(usize, ScoredTrace),
-    ) -> &'s [f64] {
-        self.fold(&self.apis, plans, scratch, None, retain)
+    pub fn performance<'s>(&self, plans: &[&[SiteId]], scratch: &'s mut LaneScratch) -> &'s [f64] {
+        self.fold(&self.apis, plans, scratch)
     }
 
     /// Weighted mean post-migration latency (ms) of one compiled API under
     /// the candidate site assignment: `Σ wᵢ·latᵢ / Σ wᵢ` over the retained
     /// (representative) traces. 0.0 when no traces were retained, like the
     /// interpretive estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sites` is shorter than the kernel.
     pub(crate) fn api_latency_ms(
         &self,
         slot: usize,
         sites: &[SiteId],
         scratch: &mut LaneScratch,
     ) -> f64 {
-        self.fold(&self.apis[slot..=slot], &[sites], scratch, None, |_, _| {});
+        self.fold(&self.apis[slot..=slot], &[sites], scratch);
         scratch.latency[0]
     }
 
-    /// Total number of compiled traces across every API: the length of the
-    /// flat per-trace state a scored plan retains.
+    /// Total number of compiled traces across every API.
     pub fn trace_count(&self) -> usize {
-        self.incidence.trace_ops.len()
-    }
-
-    /// Reset `touched` to the empty trace set of this kernel: one bit per
-    /// compiled trace in the flat API-major order, all clear.
-    pub fn clear_touched(&self, touched: &mut Vec<u64>) {
-        touched.clear();
-        touched.resize(self.incidence.words, 0);
-    }
-
-    /// Add to `touched` every compiled trace that references `component`
-    /// (an index into the component index): one OR of its incidence row.
-    pub fn touch(&self, component: usize, touched: &mut [u64]) {
-        let words = self.incidence.words;
-        let row = &self.incidence.rows[component * words..(component + 1) * words];
-        for (word, bits) in touched.iter_mut().zip(row) {
-            *word |= bits;
-        }
-    }
-
-    /// The work — instruction-stream ops — of re-running exactly the traces
-    /// in `touched`: what a delta re-score of that change set walks.
-    pub fn touched_work(&self, touched: &[u64]) -> u64 {
-        let mut work = 0;
-        for (w, &word) in touched.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let t = w * 64 + bits.trailing_zeros() as usize;
-                work += u64::from(self.incidence.trace_ops[t]);
-                bits &= bits - 1;
-            }
-        }
-        work
-    }
-
-    /// The work of walking every compiled trace once: what a cold score of
-    /// a lane group costs, at any width.
-    pub fn total_work(&self) -> u64 {
-        self.incidence.total_ops
-    }
-
-    /// Incremental [`Self::performance`] of one plan: re-score against
-    /// `sites` re-running only the traces in `touched` — the traces that
-    /// reference a changed component, built with [`Self::clear_touched`]
-    /// and [`Self::touch`]; every other trace inherits its parent latency
-    /// from `prev` bit-for-bit. The per-API means and the weighted total
-    /// are re-summed in the original order over identical values, so the
-    /// result is bit-identical to a cold re-score. `prev` must hold
-    /// [`Self::trace_count`] entries from the parent's scoring; the fresh
-    /// per-trace state is written to `next`.
-    pub(crate) fn performance_delta(
-        &self,
-        sites: &[SiteId],
-        touched: &[u64],
-        prev: &[ScoredTrace],
-        next: &mut Vec<ScoredTrace>,
-        scratch: &mut LaneScratch,
-    ) -> f64 {
-        assert_eq!(
-            prev.len(),
-            self.trace_count(),
-            "parent state does not match this kernel's compiled traces"
-        );
-        next.clear();
-        let reuse = Some((touched, prev));
-        self.fold(&self.apis, &[sites], scratch, reuse, |_, t| next.push(t))[0]
+        self.apis.iter().map(|api| api.traces.len()).sum()
     }
 
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
@@ -1420,156 +1182,6 @@ mod tests {
         )
     }
 
-    /// Flat indices of the compiled traces with a `Call` whose caller or
-    /// callee is in `changed`: the definition the incidence index must
-    /// reproduce.
-    fn brute_force_touched(kernel: &CompiledQuality, changed: &[usize]) -> Vec<usize> {
-        let hit = |id: u32| id != UNKNOWN && changed.contains(&(id as usize));
-        kernel
-            .apis
-            .iter()
-            .flat_map(|api| &api.traces)
-            .enumerate()
-            .filter(|(_, trace)| {
-                trace
-                    .ops
-                    .iter()
-                    .any(|op| matches!(op.hop(), Some(hop) if hit(hop.caller) || hit(hop.callee)))
-            })
-            .map(|(t, _)| t)
-            .collect()
-    }
-
-    /// Seeded random change sets of every width: the OR of the incidence
-    /// rows is exactly the brute-force touched set, and its op-weighted
-    /// popcount is exactly the ops of those traces.
-    fn assert_index_matches_brute_force(model: &QualityModel, seed: u64) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let kernel = model.kernel();
-        let n = model.component_count();
-        let ops: Vec<u64> = kernel
-            .apis
-            .iter()
-            .flat_map(|api| &api.traces)
-            .map(|t| t.ops.len() as u64)
-            .collect();
-        assert_eq!(ops.len(), kernel.trace_count());
-        assert_eq!(kernel.total_work(), ops.iter().sum::<u64>());
-        // One row per indexed component: `UNKNOWN` has none.
-        assert_eq!(
-            kernel.incidence.rows.len(),
-            n * kernel.incidence.words,
-            "one row per indexed component"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut touched = Vec::new();
-        for case in 0..200 {
-            let width = match case {
-                0 => 0,
-                1 => n,
-                _ => rng.gen_range(1..=n),
-            };
-            // Repeats allowed: OR-ing a row twice changes nothing.
-            let changed: Vec<usize> = (0..width).map(|_| rng.gen_range(0..n)).collect();
-            kernel.clear_touched(&mut touched);
-            for &c in &changed {
-                kernel.touch(c, &mut touched);
-            }
-            let from_index: Vec<usize> = (0..kernel.trace_count())
-                .filter(|t| touched[t / 64] >> (t % 64) & 1 != 0)
-                .collect();
-            let brute = brute_force_touched(kernel, &changed);
-            assert_eq!(from_index, brute, "change set {changed:?}");
-            assert_eq!(
-                kernel.touched_work(&touched),
-                brute.iter().map(|&t| ops[t]).sum::<u64>(),
-                "change set {changed:?}"
-            );
-            // No bit beyond the last trace is ever set.
-            assert_eq!(
-                touched
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>(),
-                brute.len()
-            );
-        }
-    }
-
-    #[test]
-    fn incidence_index_matches_brute_force_with_unknown_components() {
-        let model = three_site_model_with_externals();
-        assert_index_matches_brute_force(&model, 17);
-        // Every hop of the fixture but Frontend → Store has an unindexed
-        // end; both traces still hang off both indexed components, and off
-        // nothing else.
-        let kernel = model.kernel();
-        assert_eq!(kernel.trace_count(), 2);
-        assert_eq!(kernel.incidence.rows, vec![0b11, 0b11]);
-        for trace in kernel.apis.iter().flat_map(|api| &api.traces) {
-            assert!(trace.references().all(|id| id != UNKNOWN));
-        }
-    }
-
-    #[test]
-    fn incidence_index_matches_brute_force_and_survives_a_relearn() {
-        let crate::testkit::Generated {
-            scenario,
-            store,
-            mut model,
-        } = crate::testkit::generated(200, 4, 30, 5);
-        assert!(model.kernel().trace_count() > 64, "more than one word");
-        assert_index_matches_brute_force(&model, 23);
-
-        // Drift the first API in the compiled order: a later batch of its
-        // traces in which one hop calls a different component. Relearning
-        // changes that API's representatives — shifting every later trace's
-        // flat position — and the components they reference.
-        let api = model.profile().apis.keys().min().unwrap().clone();
-        let index = model.component_index().to_vec();
-        let mut drifted = store.traces_for_api(&api);
-        drifted.truncate(8);
-        for trace in &mut drifted {
-            trace.trace_id = atlas_telemetry::TraceId(trace.trace_id.0 ^ (1 << 62));
-            let callee = trace.nodes[1].span.component.clone();
-            let other = index.iter().rev().find(|name| **name != callee).unwrap();
-            trace.nodes[1].span.component = other.clone();
-            for node in &mut trace.nodes {
-                node.span.trace_id = trace.trace_id;
-                node.span.start_us += 40_000_000;
-            }
-        }
-        store.ingest_batch(drifted);
-        let before = model.kernel().incidence.clone();
-        model.relearn_dirty(
-            &store,
-            &scenario.stateful_names(),
-            crate::testkit::TRACES_PER_API,
-            std::slice::from_ref(&api),
-        );
-        assert!(
-            model.kernel().incidence != before,
-            "the relearn moved the index"
-        );
-
-        let mut api_order: Vec<String> = model.profile().apis.keys().cloned().collect();
-        api_order.sort();
-        let cold = CompiledQuality::compile(
-            model.profile(),
-            model.footprint(),
-            scenario.catalog.network(),
-            model.preferences(),
-            model.current_placement(),
-            model.component_index(),
-            &api_order,
-        );
-        assert!(
-            model.kernel().incidence == cold.incidence,
-            "the relearned index is the cold compile's"
-        );
-        assert_index_matches_brute_force(&model, 29);
-    }
-
     #[test]
     fn three_site_kernel_matches_the_oracle_with_unknown_components() {
         use atlas_sim::SiteId;
@@ -1696,6 +1308,12 @@ mod tests {
     fn a_lane_group_holding_a_short_plan_is_refused() {
         let model = model_with_externals();
         model.evaluate_lanes(&[&plan_of(&[0, 1]), &plan_of(&[1])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scoring needs a plan covering every component")]
+    fn the_per_api_estimate_refuses_a_short_plan() {
+        model_with_externals().estimate_api_latency_ms("/api", &plan_of(&[1]));
     }
 
     #[test]

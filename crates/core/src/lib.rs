@@ -62,7 +62,7 @@ pub use eval::{EvalStats, MemoCache, PlanEvaluator, LANE_WIDTH};
 pub use footprint::{FootprintLearner, NetworkFootprint};
 pub use hierarchy::{Dendrogram, DendrogramNode};
 pub use hub::{AdvisorHub, HubReport, TenantId};
-pub use kernel::{CompiledQuality, ConstraintKernel, ScoredTrace};
+pub use kernel::{CompiledQuality, ConstraintKernel};
 pub use monitor::{kl_divergence, DriftDetector, DriftReport};
 pub use plan::MigrationPlan;
 pub use preferences::MigrationPreferences;

@@ -6,9 +6,9 @@
 //! and every hot entry point — `evaluate`, `performance`, `availability`,
 //! `cost`, `is_feasible`, `estimate_api_latency_ms` — scores through it.
 //! The kernel has one trace walk, run at the width of the group it scores:
-//! `evaluate`, `evaluate_scored` and `evaluate_lanes` are one group scorer,
-//! a lone plan being a group of width 1, and the delta re-score and the
-//! per-API estimate walk at width 1 too. The original interpretive
+//! `evaluate` and `evaluate_lanes` are one group scorer, a lone plan being
+//! a group of width 1, and the per-API estimate walks at width 1 too. The
+//! original interpretive
 //! implementations remain available as `*_interpretive` reference oracles;
 //! property tests pin the two paths bit-identical.
 
@@ -19,7 +19,7 @@ use atlas_sim::{Placement, SiteCatalog, SiteId};
 
 use crate::delay::DelayInjector;
 use crate::footprint::NetworkFootprint;
-use crate::kernel::{with_scratch, CompiledQuality, EvalScratch, ScoredTrace};
+use crate::kernel::{with_scratch, CompiledQuality};
 use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
 use crate::profile::ApplicationProfile;
@@ -50,41 +50,25 @@ impl PlanQuality {
     }
 }
 
-/// A fully evaluated plan with the per-trace state the delta path reuses:
-/// the plan's site assignment, one retained [`ScoredTrace`] per compiled
-/// trace, and the plan's [`PlanQuality`]. Produced by
-/// [`QualityModel::evaluate_scored`] and advanced by
-/// [`QualityModel::evaluate_delta`].
+/// A scored plan: its site assignment paired with its [`PlanQuality`], the
+/// form in which the search keeps its population. Produced by
+/// [`QualityModel::evaluate_scored`] and the plan evaluator's scored
+/// batches.
 #[derive(Debug, Clone)]
 pub struct ScoredPlan {
     sites: Vec<SiteId>,
-    traces: Vec<ScoredTrace>,
     quality: PlanQuality,
 }
 
 impl ScoredPlan {
-    /// A member without retained per-trace state: `traces` is empty, so
-    /// this plan can anchor tournaments and fronts but never serve as a
-    /// delta parent ([`QualityModel::evaluate_delta`] needs the full
-    /// per-trace vector). Used for cache-hit offspring: their quality is
-    /// known but the memo cache stores only [`PlanQuality`].
-    pub fn quality_only(sites: Vec<SiteId>, quality: PlanQuality) -> Self {
-        Self {
-            sites,
-            traces: Vec::new(),
-            quality,
-        }
+    /// Pair a site assignment with its quality.
+    pub fn new(sites: Vec<SiteId>, quality: PlanQuality) -> Self {
+        Self { sites, quality }
     }
 
     /// The plan's site assignment, indexed like the component index.
     pub fn sites(&self) -> &[SiteId] {
         &self.sites
-    }
-
-    /// The retained per-trace latencies (flat, API-major in the kernel's
-    /// compiled order).
-    pub fn traces(&self) -> &[ScoredTrace] {
-        &self.traces
     }
 
     /// The plan's quality indicators.
@@ -296,7 +280,13 @@ impl QualityModel {
 
     /// Estimated post-migration mean latency (ms) of one API under a plan
     /// (compiled kernel; bit-identical to
-    /// `estimate_api_latency_ms_interpretive`).
+    /// `estimate_api_latency_ms_interpretive`); 0.0 for an API the model
+    /// did not learn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `api` was learned and the plan does not cover every
+    /// component.
     pub fn estimate_api_latency_ms(&self, api: &str, plan: &MigrationPlan) -> f64 {
         self.debug_assert_in_catalog(plan.sites());
         let Some(slot) = self.kernel.api_slot(api) else {
@@ -326,12 +316,13 @@ impl QualityModel {
 
     /// `Q_Perf(p)`: weighted mean of per-API latency ratios (compiled
     /// kernel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover every component.
     pub fn performance(&self, plan: &MigrationPlan) -> f64 {
         self.debug_assert_in_catalog(plan.sites());
-        with_scratch(|s| {
-            self.kernel
-                .performance(&[plan.sites()], &mut s.lanes, |_, _| {})[0]
-        })
+        with_scratch(|s| self.kernel.performance(&[plan.sites()], &mut s.lanes)[0])
     }
 
     /// Interpretive reference of [`Self::performance`], summing the APIs in
@@ -521,40 +512,27 @@ impl QualityModel {
         (cost, feasible)
     }
 
-    /// The tail every scoring path shares: given a site assignment's
-    /// `Q_Perf` (from a walk at any width or a delta re-sum), fill in
-    /// `Q_Avai`, `Q_Cost` and feasibility, which are pure functions of the
-    /// assignment.
-    fn finish(&self, performance: f64, sites: &[SiteId], scratch: &mut CostScratch) -> PlanQuality {
-        let (cost, feasible) = self.cost_and_feasibility(sites, scratch);
-        PlanQuality {
-            performance,
-            availability: self.kernel.availability(sites, self.current.sites()),
-            cost,
-            feasible,
-        }
-    }
-
-    /// The one group scorer behind every cold entry point: `Q_Perf` of a
-    /// lane group in one walk of the compiled arenas at the group's width
-    /// (a lone plan is width 1), each lane's per-trace latencies going to
-    /// `retain` (see [`CompiledQuality::performance`]), then the shared
-    /// tail per plan, whose quality goes to `emit`, in order. A plan longer
-    /// than the model is priced over its first [`Self::component_count`]
-    /// components and is infeasible; a shorter one panics.
-    fn score(
-        &self,
-        plans: &[&[SiteId]],
-        retain: impl FnMut(usize, ScoredTrace),
-        mut emit: impl FnMut(PlanQuality),
-    ) {
+    /// The one group scorer behind every entry point: `Q_Perf` of a lane
+    /// group in one walk of the compiled arenas at the group's width (a
+    /// lone plan is width 1), then per plan `Q_Avai`, `Q_Cost` and
+    /// feasibility, which are pure functions of its sites; each plan's
+    /// quality goes to `emit`, in order. A plan longer than the model is
+    /// priced over its first [`Self::component_count`] components and is
+    /// infeasible; a shorter one panics.
+    fn score(&self, plans: &[&[SiteId]], mut emit: impl FnMut(PlanQuality)) {
         plans
             .iter()
             .for_each(|sites| self.debug_assert_in_catalog(sites));
         with_scratch(|s| {
-            let performance = self.kernel.performance(plans, &mut s.lanes, retain);
+            let performance = self.kernel.performance(plans, &mut s.lanes);
             for (&performance, sites) in performance.iter().zip(plans) {
-                emit(self.finish(performance, sites, &mut s.cost));
+                let (cost, feasible) = self.cost_and_feasibility(sites, &mut s.cost);
+                emit(PlanQuality {
+                    performance,
+                    availability: self.kernel.availability(sites, self.current.sites()),
+                    cost,
+                    feasible,
+                });
             }
         })
     }
@@ -567,7 +545,7 @@ impl QualityModel {
     /// Panics if the plan does not cover every component.
     pub fn evaluate(&self, plan: &MigrationPlan) -> PlanQuality {
         let mut quality = None;
-        self.score(&[plan.sites()], |_, _| {}, |q| quality = Some(q));
+        self.score(&[plan.sites()], |q| quality = Some(q));
         quality.expect("one plan scores to one quality")
     }
 
@@ -581,129 +559,37 @@ impl QualityModel {
     pub fn evaluate_lanes(&self, plans: &[&MigrationPlan]) -> Vec<PlanQuality> {
         let sites: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
         let mut qualities = Vec::with_capacity(plans.len());
-        self.score(&sites, |_, _| {}, |q| qualities.push(q));
+        self.score(&sites, |q| qualities.push(q));
         qualities
     }
 
-    /// [`Self::evaluate`] with the per-trace latencies retained: the parent
-    /// state of the delta path. The returned quality is bit-identical to
-    /// [`Self::evaluate`].
+    /// [`Self::evaluate`] paired with the plan's sites.
     ///
     /// # Panics
     ///
     /// Panics if the plan does not cover every component.
     pub fn evaluate_scored(&self, plan: &MigrationPlan) -> ScoredPlan {
-        self.evaluate_scored_group(&[plan]).remove(0)
+        ScoredPlan::new(plan.to_sites(), self.evaluate(plan))
     }
 
-    /// [`Self::evaluate_scored`] for one lane group of the plan evaluator:
-    /// the plans share a single structure-of-arrays walk that retains every
-    /// lane's per-trace latencies; each returned [`ScoredPlan`] — quality
-    /// and retained state alike — is bit-identical to
-    /// [`Self::evaluate_scored`] of the same plan.
+    /// The quality of `parent` with `changes` applied in order (last write
+    /// per component wins): exactly [`Self::evaluate`] of the changed plan,
+    /// which is how it is computed. Kept as the single-move probe the
+    /// benchmark measures.
     ///
     /// # Panics
     ///
-    /// Panics if a plan does not cover every component.
-    pub(crate) fn evaluate_scored_group(&self, plans: &[&MigrationPlan]) -> Vec<ScoredPlan> {
-        let sites: Vec<&[SiteId]> = plans.iter().map(|p| p.sites()).collect();
-        let mut traces: Vec<Vec<ScoredTrace>> = plans
-            .iter()
-            .map(|_| Vec::with_capacity(self.kernel.trace_count()))
-            .collect();
-        let mut qualities = Vec::with_capacity(plans.len());
-        self.score(
-            &sites,
-            |l, trace| traces[l].push(trace),
-            |q| qualities.push(q),
-        );
-        sites
-            .into_iter()
-            .zip(traces)
-            .zip(qualities)
-            .map(|((sites, traces), quality)| ScoredPlan {
-                sites: sites.to_vec(),
-                traces,
-                quality,
-            })
-            .collect()
-    }
-
-    /// Incrementally re-score a mutation of `parent`: apply `changes`
-    /// (last write per component wins) and re-run only the traces that
-    /// reference a component whose site actually changed — O(touched
-    /// traces) instead of O(all traces) — inheriting every other per-trace
-    /// latency from the parent. Availability, cost and feasibility are pure
-    /// functions of the new assignment and are recomputed outright. The
-    /// returned state (including its quality) is bit-identical to a cold
-    /// [`Self::evaluate_scored`] of the mutated plan, so delta chains of
-    /// any length — including reverts — stay exact.
-    pub fn evaluate_delta(
-        &self,
-        parent: &ScoredPlan,
-        changes: &[(atlas_sim::ComponentId, SiteId)],
-    ) -> ScoredPlan {
-        let mut sites = parent.sites.clone();
-        let mut traces = Vec::with_capacity(parent.traces.len());
-        let quality = with_scratch(|s| {
-            self.apply_changes(&mut sites, changes, &mut s.touched);
-            let performance = self.kernel.performance_delta(
-                &sites,
-                &s.touched,
-                &parent.traces,
-                &mut traces,
-                &mut s.lanes,
-            );
-            self.finish(performance, &sites, &mut s.cost)
-        });
-        ScoredPlan {
-            sites,
-            traces,
-            quality,
-        }
-    }
-
-    /// Allocation-free probe of a mutation of `parent`: like
-    /// [`Self::evaluate_delta`] but the new state is kept in thread-local
-    /// scratch and discarded, returning only the quality. This is the shape
-    /// local-search probes want — score a single-component move, usually
-    /// reject it, never materialise the state.
+    /// Panics if a change names a component beyond the parent's sites or a
+    /// site outside the catalog — checked in every build, since such a site
+    /// would index another hop's link-cost table — or if the parent does
+    /// not cover every component.
     pub fn probe_delta(
         &self,
         parent: &ScoredPlan,
         changes: &[(atlas_sim::ComponentId, SiteId)],
     ) -> PlanQuality {
-        with_scratch(|s| {
-            let EvalScratch {
-                sites,
-                cost,
-                lanes,
-                touched,
-                scored,
-            } = s;
-            sites.clear();
-            sites.extend_from_slice(&parent.sites);
-            self.apply_changes(sites, changes, touched);
-            let performance =
-                self.kernel
-                    .performance_delta(sites, touched, &parent.traces, scored, lanes);
-            self.finish(performance, sites, cost)
-        })
-    }
-
-    /// Apply a change list to a site assignment in order, collecting into
-    /// `touched` the compiled traces that reference a component whose site
-    /// differs from the parent's at any point of the application. A change
-    /// that re-states a component's current site is a no-op and touches
-    /// nothing.
-    fn apply_changes(
-        &self,
-        sites: &mut [SiteId],
-        changes: &[(atlas_sim::ComponentId, SiteId)],
-        touched: &mut Vec<u64>,
-    ) {
+        let mut sites = parent.sites.clone();
         let site_count = self.site_count();
-        self.kernel.clear_touched(touched);
         for &(component, site) in changes {
             assert!(
                 component.0 < sites.len(),
@@ -715,11 +601,9 @@ impl QualityModel {
                 site.index() < site_count,
                 "delta change names a site outside the {site_count}-site catalog"
             );
-            if sites[component.0] != site {
-                sites[component.0] = site;
-                self.kernel.touch(component.0, touched);
-            }
+            sites[component.0] = site;
         }
+        self.evaluate(&MigrationPlan::from_sites(sites))
     }
 
     /// Interpretive reference of [`Self::evaluate`]: scores every indicator

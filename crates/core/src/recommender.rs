@@ -9,12 +9,9 @@
 //! total number of plans visited (the paper caps all multi-plan approaches
 //! at 10,000 ≈ 0.002 % of the space).
 //!
-//! The loop is *delta-native*: population members are retained
-//! [`ScoredPlan`]s, and each offspring is diffed against its nearer
-//! tournament parent and then either re-scored incrementally or — when the
-//! diff touches too much of the compiled trace work for that to pay —
-//! cold-scored in a lane group ([`PlanEvaluator::evaluate_offspring_batch`];
-//! both routes pinned bit-identical to cold scoring by property test).
+//! Population members are [`ScoredPlan`]s (sites plus quality), and each
+//! generation's offspring are scored as one batch in lane groups
+//! ([`PlanEvaluator::evaluate_scored_batch`]).
 //! Every feasible plan the search evaluates (initial population,
 //! GA offspring, RL training rollouts) is offered to an external
 //! [`ParetoArchive`], and the recommendation is that archive's front — a
@@ -259,8 +256,7 @@ pub struct Recommender<'a> {
 /// body consumes it.
 struct InitialPopulation {
     seeds: Vec<MigrationPlan>,
-    /// Each seed with its per-trace scoring state retained, so offspring
-    /// (and training rollouts) can be re-scored incrementally against it.
+    /// Each seed with its quality.
     scored: Vec<ScoredPlan>,
     rng: StdRng,
     init_ms: f64,
@@ -387,9 +383,9 @@ impl<'a> Recommender<'a> {
     }
 
     /// Train the agent on the scored initial population. Parent qualities
-    /// come from the retained population; each rollout child is scored
-    /// through the evaluator, incrementally against its nearer parent, and
-    /// recorded with its quality for the search to replay.
+    /// come from the scored population; each rollout child is scored
+    /// through the evaluator and recorded with its quality for the search
+    /// to replay.
     fn train_on(
         &self,
         initial: &InitialPopulation,
@@ -411,12 +407,9 @@ impl<'a> Recommender<'a> {
         let mut rollouts = Vec::with_capacity(rl_config.iterations);
         let mut agent = CrossoverAgent::new(self.quality.component_count(), rl_config)
             .with_site_count(self.quality.site_count());
-        agent.train_scored(&initial.scored, |pi, pj, child| {
+        agent.train_scored(&initial.scored, |_, _, child| {
             let scoring_start = Instant::now();
-            let di = hamming(child.sites(), pi.sites());
-            let dj = hamming(child.sites(), pj.sites());
-            let parent = if dj < di { pj } else { pi };
-            let quality = evaluator.evaluate_offspring(parent, child);
+            let quality = evaluator.evaluate(child);
             rollouts.push((child.clone(), quality));
             scoring += scoring_start.elapsed();
             quality
@@ -515,10 +508,6 @@ impl<'a> Recommender<'a> {
                 .min(self.config.max_visited.saturating_sub(seen.len()))
                 .max(1);
             let mut offspring: Vec<MigrationPlan> = Vec::with_capacity(offspring_target);
-            // For each child, the population index of its nearer tournament
-            // parent (by Hamming distance over the genomes, ties to the
-            // first) — the anchor for incremental re-scoring.
-            let mut parent_of: Vec<usize> = Vec::with_capacity(offspring_target);
             while offspring.len() < offspring_target {
                 let a = binary_tournament(&mut rng, &rank, &crowding);
                 let b = binary_tournament(&mut rng, &rank, &crowding);
@@ -537,13 +526,9 @@ impl<'a> Recommender<'a> {
                 );
                 let mut child = MigrationPlan::from_sites(sites);
                 self.apply_pins(&mut child);
-                let da = hamming(child.sites(), population[a].sites());
-                let db = hamming(child.sites(), population[b].sites());
-                parent_of.push(if db < da { b } else { a });
                 offspring.push(child);
             }
-            let parents: Vec<&ScoredPlan> = parent_of.iter().map(|&i| &population[i]).collect();
-            let scored = evaluator.evaluate_offspring_batch(&parents, &offspring);
+            let scored = evaluator.evaluate_scored_batch(&offspring);
             requested += offspring.len();
             for (plan, child) in offspring.iter().zip(&scored) {
                 mark_seen(&mut seen, plan);
@@ -617,12 +602,6 @@ impl<'a> Recommender<'a> {
             }
         }
     }
-}
-
-/// Hamming distance between two genomes (number of differing genes).
-/// Used to pick the nearer tournament parent as the delta-scoring anchor.
-fn hamming(a: &[SiteId], b: &[SiteId]) -> usize {
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
 /// Draw one placement gene: off-prem with probability `cloud_fraction`,

@@ -146,13 +146,12 @@ impl CrossoverAgent {
     }
 
     /// Train the agent on random parent pairs drawn from an already-scored
-    /// `dataset`: parent qualities come from the retained [`ScoredPlan`]s (no
+    /// `dataset`: parent qualities come from the [`ScoredPlan`]s (no
     /// re-evaluation), and each rollout child is scored by the
-    /// caller-supplied closure, which receives both tournament parents so it
-    /// can route the child through a delta path (e.g.
-    /// [`PlanEvaluator::evaluate_offspring`](crate::eval::PlanEvaluator::evaluate_offspring)
-    /// against the nearer parent) and observe every evaluated child (e.g. to
-    /// feed an external Pareto archive). Returns the per-iteration rewards
+    /// caller-supplied closure, which can observe every evaluated child
+    /// (e.g. to feed an external Pareto archive). The closure also receives
+    /// both parents; nothing in the library reads them, and they stay for
+    /// the benchmark's training probe. Returns the per-iteration rewards
     /// (the reward-progression curve of paper Figure 21b).
     pub fn train_scored(
         &mut self,
@@ -191,7 +190,7 @@ impl CrossoverAgent {
     /// Produce a child from two parents by sampling the learned policy on
     /// their site assignments. Works on borrowed genomes, so the parents need
     /// not exist as [`MigrationPlan`]s (the search keeps its population as
-    /// retained [`ScoredPlan`]s).
+    /// [`ScoredPlan`]s).
     pub fn crossover_sites(&mut self, parent_a: &[SiteId], parent_b: &[SiteId]) -> Vec<SiteId> {
         self.sample_action(parent_a, parent_b);
         child_sites_of(self.site_count, &self.action, parent_a, parent_b).collect()
@@ -436,9 +435,7 @@ mod tests {
         assert!(a.reward_history().is_empty());
         let dataset: Vec<ScoredPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
             .iter()
-            .map(|sites| {
-                ScoredPlan::quality_only(plan(sites).to_sites(), quality(2.0, 1.0, 50.0, true))
-            })
+            .map(|sites| ScoredPlan::new(plan(sites).to_sites(), quality(2.0, 1.0, 50.0, true)))
             .collect();
         let rewards = a.train_scored(&dataset, |_, _, _| quality(1.0, 0.5, 40.0, true));
         assert_eq!(rewards, vec![3.0; 10]);

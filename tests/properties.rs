@@ -11,8 +11,8 @@ use atlas::apps::{
 use atlas::core::recommender::RecommendationReport;
 use atlas::core::{
     kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MemoCache, MigrationPlan,
-    MigrationPreferences, PlanEvaluator, QualityModel, Recommender, RecommenderConfig, ScoredPlan,
-    LANE_WIDTH,
+    MigrationPreferences, PlanEvaluator, PlanQuality, QualityModel, Recommender, RecommenderConfig,
+    ScoredPlan, LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{
@@ -63,7 +63,7 @@ fn four_site_experiment() -> Experiment {
     })
 }
 
-/// The two models of the offspring differential property: the 2-site
+/// The two models of the scored-children property: the 2-site
 /// social network of [`shared_quality`] and a generated 40-component
 /// 4-site scenario.
 fn offspring_model(idx: usize) -> &'static QualityModel {
@@ -571,159 +571,44 @@ proptest! {
         }
     }
 
-    /// Random mutation chains re-scored incrementally through
-    /// `evaluate_delta` (with `probe_delta` shadowing every step) match a
-    /// cold `evaluate_scored` of the mutated plan bit-for-bit at every
-    /// step — retained per-trace latencies included — and a final revert
-    /// restores the original scored state exactly (A→B→A).
+    /// One way to score a child: on the 2-site and the 4-site model, at 1,
+    /// 2 and 8 threads, `evaluate_offspring_batch(parents, children)` —
+    /// `evaluate_scored_batch(children)` — returns each child's sites with
+    /// exactly `QualityModel::evaluate` of the child, and the single-child
+    /// `evaluate_offspring` returns exactly that quality too, on a cold
+    /// cache and a warm one. The batch holds in-batch duplicates and
+    /// children already in the cache, is large enough to fan out across
+    /// workers, and computes each distinct child once. `probe_delta(parent,
+    /// changes)` is `evaluate` of the parent with the changes applied in
+    /// order: a repeated component's last write wins and a change to a
+    /// component's current site does nothing.
     #[test]
-    fn delta_chains_match_cold_rescoring_bit_for_bit(
-        components in 10usize..18,
-        site_count in 2usize..6,
-        steps in 1usize..21,
-        seed in 0u64..50_000,
-    ) {
-        let shape = [
-            CallGraphShape::Layered,
-            CallGraphShape::FanOut,
-            CallGraphShape::Chain,
-            CallGraphShape::Mesh,
-        ][(seed % 4) as usize];
-        let synth = SynthOptions {
-            components,
-            shape,
-            apis: (components / 8).max(1),
-            site_count,
-            seed,
-            ..SynthOptions::default()
-        };
-        let scenario = synthesize(synth).unwrap();
-        let cpu_limit = scenario.burst_cpu_limit(5.0, 0.6);
-        let exp = Experiment::set_up(ExperimentOptions {
-            application: Application::Synthetic(synth),
-            onprem_cpu_limit: cpu_limit,
-            learn_day_seconds: Some(20),
-            max_visited: 20,
-            population: 6,
-            seed: seed ^ 0xde17,
-            ..ExperimentOptions::quick()
-        });
-        let quality = &exp.quality;
-
-        let start: Vec<SiteId> = (0..components)
-            .map(|i| SiteId((((seed ^ (i as u64 * 0xA24B_AED4)) >> 3) % site_count as u64) as u16))
-            .collect();
-        let origin = MigrationPlan::from_sites(start.clone());
-        let mut state = quality.evaluate_scored(&origin);
-        for step in 0..steps {
-            // 1–5 changes per step; components may repeat (last write
-            // wins) and a change may name the current site (no-op).
-            let h = seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9);
-            let count = 1 + (h % 5) as usize;
-            let changes: Vec<(ComponentId, SiteId)> = (0..count as u64)
-                .map(|k| {
-                    let hk = h.wrapping_add(k.wrapping_mul(0xC2B2_AE35));
-                    let c = (hk >> 8) as usize % components;
-                    let s = ((hk >> 40) % site_count as u64) as u16;
-                    (ComponentId(c), SiteId(s))
-                })
-                .collect();
-            let probed = quality.probe_delta(&state, &changes);
-            state = quality.evaluate_delta(&state, &changes);
-            prop_assert_eq!(probed.performance.to_bits(), state.quality().performance.to_bits());
-            prop_assert_eq!(probed.availability.to_bits(), state.quality().availability.to_bits());
-            prop_assert_eq!(probed.cost.to_bits(), state.quality().cost.to_bits());
-            prop_assert_eq!(probed.feasible, state.quality().feasible);
-            let cold = quality.evaluate_scored(&MigrationPlan::from_sites(state.sites().to_vec()));
-            prop_assert_eq!(cold.sites(), state.sites());
-            prop_assert_eq!(cold.quality().performance.to_bits(), state.quality().performance.to_bits());
-            prop_assert_eq!(cold.quality().availability.to_bits(), state.quality().availability.to_bits());
-            prop_assert_eq!(cold.quality().cost.to_bits(), state.quality().cost.to_bits());
-            prop_assert_eq!(cold.quality().feasible, state.quality().feasible);
-            prop_assert_eq!(cold.traces().len(), state.traces().len());
-            for (a, b) in cold.traces().iter().zip(state.traces()) {
-                prop_assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits());
-            }
-        }
-        // Revert in one delta step: the chain comes back to the original
-        // scored state exactly, traces included.
-        let revert: Vec<(ComponentId, SiteId)> = (0..components)
-            .filter(|&c| state.sites()[c] != start[c])
-            .map(|c| (ComponentId(c), start[c]))
-            .collect();
-        let reverted = quality.evaluate_delta(&state, &revert);
-        let cold = quality.evaluate_scored(&origin);
-        prop_assert_eq!(reverted.sites(), cold.sites());
-        prop_assert_eq!(reverted.quality().performance.to_bits(), cold.quality().performance.to_bits());
-        prop_assert_eq!(reverted.quality().availability.to_bits(), cold.quality().availability.to_bits());
-        prop_assert_eq!(reverted.quality().cost.to_bits(), cold.quality().cost.to_bits());
-        prop_assert_eq!(reverted.quality().feasible, cold.quality().feasible);
-        for (a, b) in reverted.traces().iter().zip(cold.traces()) {
-            prop_assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits());
-        }
-    }
-
-    /// The evaluator's offspring routes are invisible: on the 2-site and
-    /// the 4-site model, at 1, 2 and 8 threads,
-    /// `evaluate_offspring_batch(parents, children)` returns — qualities
-    /// *and* retained per-trace state — exactly
-    /// `QualityModel::evaluate_scored` of each child, and the single-child
-    /// `evaluate_offspring` returns exactly `QualityModel::evaluate`. The
-    /// batch mixes diffs on both sides of the `DELTA_WORK_SHARE` cutoff —
-    /// picked by the trace work they touch, not by gene count: no gene, one
-    /// gene, the widest run of genes still under the cutoff, the narrowest
-    /// over it, all but one gene — with in-batch duplicates, children
-    /// already in the cache and `ScoredPlan::quality_only` parents, and is
-    /// large enough that both routes fan out across workers.
-    #[test]
-    fn offspring_routes_match_cold_scoring_bit_for_bit(
+    fn scored_children_and_probes_match_evaluate_bit_for_bit(
         model in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         let quality = offspring_model(model);
         let n = quality.component_count();
         let site_count = quality.site_count() as u64;
-        let kernel = quality.kernel();
-        let delta_budget = kernel.total_work() as f64 * atlas::core::eval::DELTA_WORK_SHARE;
-        // Length of the longest run of genes from `first` on (wrapping)
-        // whose touched trace work stays within the delta budget; one gene
-        // more is the narrowest run over it. 0 when a single gene already
-        // touches too much.
-        let widest_under = |first: usize| {
-            let mut touched = Vec::new();
-            kernel.clear_touched(&mut touched);
-            (0..n)
-                .take_while(|k| {
-                    kernel.touch((first + k) % n, &mut touched);
-                    kernel.touched_work(&touched) as f64 <= delta_budget
-                })
-                .count()
-        };
         let hash = |a: u64, b: u64| {
             (seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
                 .rotate_left(23)
                 .wrapping_mul(0x1656_67B1_9E37_79F9)
         };
+        let bits = |q: PlanQuality| {
+            (q.performance.to_bits(), q.availability.to_bits(), q.cost.to_bits(), q.feasible)
+        };
 
-        // Six parents; every third one carries no retained state.
-        let parent_plans: Vec<MigrationPlan> = (0..6u64)
+        let parents: Vec<ScoredPlan> = (0..6u64)
             .map(|p| {
                 let sites = (0..n as u64).map(|i| SiteId((hash(p, i) % site_count) as u16));
-                MigrationPlan::from_sites(sites.collect())
-            })
-            .collect();
-        let parents: Vec<ScoredPlan> = parent_plans
-            .iter()
-            .enumerate()
-            .map(|(p, plan)| match p % 3 {
-                2 => ScoredPlan::quality_only(plan.to_sites(), quality.evaluate(plan)),
-                _ => quality.evaluate_scored(plan),
+                quality.evaluate_scored(&MigrationPlan::from_sites(sites.collect()))
             })
             .collect();
 
         // 96 children: child j moves a run of `diff` genes of parent j % 6
-        // to a different site, cycling through diffs around the cutoff;
+        // to a different site, cycling through diffs from none to all;
         // every eleventh child repeats an earlier one.
         let mut children: Vec<MigrationPlan> = Vec::new();
         let mut parent_of: Vec<usize> = Vec::new();
@@ -736,10 +621,8 @@ proptest! {
             }
             let p = j % parents.len();
             let first = hash(7, j as u64) as usize % n;
-            let under = widest_under(first);
-            prop_assert!(under < n, "changing every gene re-runs every trace");
-            let diff = [0, 1, under, under + 1, n - 1, (under / 2).max(1), n / 2][j % 7];
-            let mut sites = parent_plans[p].to_sites();
+            let diff = [0, 1, 2, n / 4, n / 2, n - 1, n][j % 7];
+            let mut sites = parents[p].sites().to_vec();
             for g in (0..diff).map(|k| (first + k) % n) {
                 let shift = 1 + hash(j as u64, g as u64) % (site_count - 1);
                 sites[g] = SiteId(((u64::from(sites[g].0) + shift) % site_count) as u16);
@@ -749,10 +632,8 @@ proptest! {
         }
         let parent_refs: Vec<&ScoredPlan> = parent_of.iter().map(|&p| &parents[p]).collect();
         let precached: Vec<&MigrationPlan> = children.iter().step_by(13).collect();
-        let cold: Vec<ScoredPlan> = children.iter().map(|c| quality.evaluate_scored(c)).collect();
+        let want: Vec<_> = children.iter().map(|c| bits(quality.evaluate(c))).collect();
         let distinct: std::collections::HashSet<&MigrationPlan> = children.iter().collect();
-        let precached_distinct: std::collections::HashSet<&MigrationPlan> =
-            precached.iter().copied().collect();
 
         for threads in [1usize, 2, 8] {
             let evaluator = PlanEvaluator::new(quality).with_threads(threads);
@@ -761,53 +642,43 @@ proptest! {
             }
             let scored = evaluator.evaluate_offspring_batch(&parent_refs, &children);
             prop_assert_eq!(scored.len(), children.len());
-            for ((child, got), want) in children.iter().zip(&scored).zip(&cold) {
+            for ((child, got), want) in children.iter().zip(&scored).zip(&want) {
                 prop_assert_eq!(got.sites(), child.sites());
-                prop_assert_eq!(got.quality().performance.to_bits(), want.quality().performance.to_bits());
-                prop_assert_eq!(got.quality().availability.to_bits(), want.quality().availability.to_bits());
-                prop_assert_eq!(got.quality().cost.to_bits(), want.quality().cost.to_bits());
-                prop_assert_eq!(got.quality().feasible, want.quality().feasible);
-                // Cache hits carry no state; everything computed here
-                // (either route, duplicates included) carries the cold
-                // state exactly.
-                if precached.contains(&child) {
-                    prop_assert!(got.traces().is_empty());
-                } else {
-                    prop_assert_eq!(got.traces().len(), want.traces().len());
-                    for (a, b) in got.traces().iter().zip(want.traces()) {
-                        prop_assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits());
-                        prop_assert_eq!(a.weight().to_bits(), b.weight().to_bits());
-                    }
-                }
+                prop_assert_eq!(bits(got.quality()), *want);
             }
             // Every request is either a compute or a hit, and each
             // distinct child was computed exactly once.
             let stats = evaluator.local_stats();
             prop_assert_eq!(stats.unique_evaluations, distinct.len());
             prop_assert_eq!(stats.requests(), precached.len() + children.len());
-            // ...by one of the two routes (the pre-cached ones were lone
-            // plans walked at width 1), and the batch exercised both.
-            prop_assert_eq!(
-                stats.delta_scored + stats.lane_scored,
-                distinct.len() - precached_distinct.len()
-            );
-            prop_assert!(stats.delta_scored > 0 && stats.lane_scored > 0);
 
             // The single-child form, on a cold cache and then a warm one.
             let single = PlanEvaluator::new(quality).with_threads(threads);
             for _pass in 0..2 {
-                for ((parent, child), want) in parent_refs.iter().zip(&children).zip(&cold) {
-                    let got = single.evaluate_offspring(parent, child);
-                    let want = want.quality();
-                    prop_assert_eq!(got, quality.evaluate(child));
-                    prop_assert_eq!(got.performance.to_bits(), want.performance.to_bits());
-                    prop_assert_eq!(got.availability.to_bits(), want.availability.to_bits());
-                    prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
-                    prop_assert_eq!(got.feasible, want.feasible);
+                for ((parent, child), want) in parent_refs.iter().zip(&children).zip(&want) {
+                    prop_assert_eq!(bits(single.evaluate_offspring(parent, child)), *want);
                 }
             }
-            prop_assert_eq!(single.local_stats().unique_evaluations, distinct.len());
-            prop_assert_eq!(single.local_stats().lane_scored, 0);
+            let stats = single.local_stats();
+            prop_assert_eq!(stats.unique_evaluations, distinct.len());
+            prop_assert_eq!(stats.requests(), 2 * children.len());
+        }
+
+        for (p, parent) in parents.iter().enumerate() {
+            let p = p as u64;
+            let moved = hash(31, p) as usize % n;
+            let kept = (moved + 1 + hash(37, p) as usize % (n - 1)) % n;
+            let site = |k: u64| SiteId((hash(41 + k, p) % site_count) as u16);
+            let changes = [
+                (ComponentId(moved), site(0)),
+                (ComponentId(kept), parent.sites()[kept]),
+                (ComponentId(moved), site(1)),
+            ];
+            let mut applied = parent.sites().to_vec();
+            applied[moved] = site(1);
+            let want = quality.evaluate(&MigrationPlan::from_sites(applied));
+            prop_assert_eq!(bits(quality.probe_delta(parent, &changes)), bits(want));
+            prop_assert_eq!(bits(quality.probe_delta(parent, &[])), bits(parent.quality()));
         }
     }
 
