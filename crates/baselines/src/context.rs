@@ -346,54 +346,6 @@ pub(crate) fn test_context_over(cpu_limit: f64, catalog: &SiteCatalog) -> Baseli
     BaselineContext::from_store(&store, names, demand, preferences, catalog)
 }
 
-/// A seeded `n`-component context for the tests that need a search space
-/// too large to enumerate: a call chain plus seeded long-range edges, with
-/// seeded per-component demand and a CPU limit of half the total, so every
-/// feasible placement offloads something.
-#[cfg(test)]
-pub(crate) fn seeded_context(n: usize, seed: u64, catalog: &SiteCatalog) -> BaselineContext {
-    use atlas_telemetry::Direction;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let store = TelemetryStore::new();
-    let names: Vec<String> = (0..n).map(|i| format!("C{i:02}")).collect();
-    let mut demand = ResourceDemand::zeros(names.clone(), 4, 600);
-    let mut total_cpu = 0.0;
-    for c in 0..n {
-        let cpu = rng.gen_range(0.5..4.0);
-        total_cpu += cpu;
-        demand.fill_cpu(c, cpu);
-        demand.fill_memory(c, rng.gen_range(0.5..4.0));
-    }
-    for from in 0..n {
-        let chain = (from + 1 < n).then_some(from + 1);
-        let long_range = (from + 2 < n).then(|| rng.gen_range(from + 2..n));
-        for to in chain.into_iter().chain(long_range) {
-            let request = rng.gen_range(100.0..50_000.0);
-            for t in 0..4u64 {
-                store.record_traffic(&names[from], &names[to], Direction::Request, t, request);
-                store.record_traffic(
-                    &names[from],
-                    &names[to],
-                    Direction::Response,
-                    t,
-                    request / 4.0,
-                );
-            }
-            demand.fill_edge(from, to, request * 1_000.0);
-        }
-    }
-    BaselineContext::from_store(
-        &store,
-        names,
-        demand,
-        MigrationPreferences::with_cpu_limit(total_cpu / 2.0),
-        catalog,
-    )
-}
-
 /// The paper's testbed plus a second elastic region, all links intra-speed.
 #[cfg(test)]
 pub(crate) fn three_site_catalog() -> SiteCatalog {

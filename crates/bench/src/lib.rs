@@ -9,6 +9,9 @@
 //! Atlas's quality model or by re-running the simulator under the candidate
 //! placement (the "ground truth" substitute for an actual migration).
 //!
+//! [`golden`] writes a front as text and holds it, like the figures, against
+//! its recorded file under `tests/golden/`.
+//!
 //! [`sweep`] and [`gate`] measure nothing themselves: they run the op loops
 //! and probes of the end-to-end benchmark's library (`benchmark/`, the
 //! `atlas_benchmark` crate) over a fixed table of points and hold the result
@@ -18,6 +21,7 @@
 
 pub mod figures;
 pub mod gate;
+pub mod golden;
 pub mod harness;
 pub mod sweep;
 

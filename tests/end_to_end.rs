@@ -1,46 +1,27 @@
 //! Cross-crate integration tests: the full Atlas loop on both applications.
+//!
+//! The fronts these tests pin are recorded as text under `tests/golden/`
+//! (see `atlas_bench::golden`), so a change that claims "fronts did not
+//! move" is checked by `cargo test -q`, and one that moves a front on
+//! purpose shows how in the diff of those files.
 
 use atlas::apps::{
     hotel_reservation, social_network, synthesize, CallGraphShape, SocialNetworkOptions,
     SynthOptions, WorkloadGenerator, WorkloadOptions,
 };
+use atlas::baselines::{AffinityGaAdvisor, BaselineContext};
+use atlas::cloud::{PricingModel, ResourceDemand};
 use atlas::core::{
-    Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, RecommendationReport, Recommender,
-    RecommenderConfig,
+    Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, Recommender, RecommenderConfig,
 };
 use atlas::sim::{
-    AppTopology, ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteId,
+    AppTopology, ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog, SiteId,
+    SiteNetwork, SiteSpec,
 };
-use atlas::telemetry::TelemetryStore;
-
-/// FNV-1a digest of everything a recommendation promises to keep stable:
-/// every plan's genome and the bits of its three indicators, in front
-/// order, then the bits of the agent's reward progression. The expected
-/// values in the tests below were recorded on the allocating batch-matrix
-/// `atlas-nn` that PR 12 replaced, so a change that claims "fronts did not
-/// move" is checked by `cargo test -q`, not only by the benchmark's
-/// hypervolume. A digest that moves on purpose is re-recorded and named in
-/// CHANGES.md.
-fn front_digest(report: &RecommendationReport) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for recommended in &report.plans {
-        for site in recommended.plan.sites() {
-            mix(site.index() as u64);
-        }
-        mix(recommended.quality.performance.to_bits());
-        mix(recommended.quality.availability.to_bits());
-        mix(recommended.quality.cost.to_bits());
-    }
-    for reward in &report.reward_progression {
-        mix(reward.to_bits());
-    }
-    hash
-}
+use atlas::telemetry::{Direction, TelemetryStore};
+use atlas_bench::golden::{check, front_text, sites_text};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn learn(
     app: &AppTopology,
@@ -90,11 +71,7 @@ fn social_network_end_to_end_recommendation() {
     let report = atlas.recommend(current.clone(), preferences.clone());
 
     assert!(!report.plans.is_empty(), "Atlas must find feasible plans");
-    assert_eq!(
-        front_digest(&report),
-        0x78CD_B18D_D67C_B43E,
-        "social-network front moved from the PR-12 parent"
-    );
+    check("social_network.txt", &front_text(&report));
     for recommended in &report.plans {
         assert!(recommended.quality.feasible);
         // Pinned user data never leaves the on-prem cluster.
@@ -155,38 +132,11 @@ fn recommendation_is_identical_across_evaluator_thread_counts() {
         .collect();
     let reference = &reports[0];
     assert!(!reference.plans.is_empty());
+    let want = front_text(reference);
     for (report, threads) in reports.iter().zip([1usize, 2, 8]) {
-        // Identical plans with bit-identical qualities, in the same order.
-        assert_eq!(
-            report.plans.len(),
-            reference.plans.len(),
-            "{threads} threads"
-        );
-        for (a, b) in report.plans.iter().zip(&reference.plans) {
-            assert_eq!(a.plan, b.plan, "{threads} threads");
-            assert_eq!(
-                a.quality.performance.to_bits(),
-                b.quality.performance.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.availability.to_bits(),
-                b.quality.availability.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.cost.to_bits(),
-                b.quality.cost.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(a.quality.feasible, b.quality.feasible, "{threads} threads");
-        }
-        // Identical budget accounting and training trajectory.
-        assert_eq!(report.visited, reference.visited, "{threads} threads");
-        assert_eq!(
-            report.reward_progression, reference.reward_progression,
-            "{threads} threads"
-        );
+        // The same plans, bit-identical qualities, budget accounting and
+        // training trajectory.
+        assert_eq!(front_text(report), want, "{threads} threads");
         assert_eq!(
             report.eval.unique_evaluations, reference.eval.unique_evaluations,
             "{threads} threads"
@@ -247,11 +197,8 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
         !reference.plans.is_empty(),
         "the recommender must complete with plans on a 100-component scenario"
     );
-    assert_eq!(
-        front_digest(reference),
-        0xED45_AB54_8F1B_BC13,
-        "100-component 2-site front moved from the PR-12 parent"
-    );
+    let want = front_text(reference);
+    check("synthetic_100x2.txt", &want);
     for plan in &reference.plans {
         assert!(plan.quality.feasible);
         assert_eq!(
@@ -260,48 +207,14 @@ fn synthetic_100_component_recommendation_is_thread_and_seed_deterministic() {
         );
     }
     for (report, threads) in reports.iter().zip([1usize, 2, 8]) {
-        assert_eq!(
-            report.plans.len(),
-            reference.plans.len(),
-            "{threads} threads"
-        );
-        for (a, b) in report.plans.iter().zip(&reference.plans) {
-            assert_eq!(a.plan, b.plan, "{threads} threads");
-            assert_eq!(
-                a.quality.performance.to_bits(),
-                b.quality.performance.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.availability.to_bits(),
-                b.quality.availability.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.cost.to_bits(),
-                b.quality.cost.to_bits(),
-                "{threads} threads"
-            );
-        }
-        assert_eq!(report.visited, reference.visited, "{threads} threads");
-        assert_eq!(
-            report.reward_progression, reference.reward_progression,
-            "{threads} threads"
-        );
+        assert_eq!(front_text(report), want, "{threads} threads");
         assert_eq!(report.eval.threads, threads);
     }
 
     // Re-running the whole pipeline from the same seeds reproduces the
     // recommendation bit-for-bit.
     let again = Recommender::new(&quality, RecommenderConfig::fast().with_threads(1)).recommend();
-    assert_eq!(again.plans.len(), reference.plans.len());
-    for (a, b) in again.plans.iter().zip(&reference.plans) {
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(
-            a.quality.performance.to_bits(),
-            b.quality.performance.to_bits()
-        );
-    }
+    assert_eq!(front_text(&again), want);
 }
 
 /// Multi-region smoke: the full pipeline on a generated 4-site,
@@ -381,11 +294,8 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
         !reference.plans.is_empty(),
         "the multi-region recommender must complete with plans"
     );
-    assert_eq!(
-        front_digest(reference),
-        0x2FE2_8C97_A643_3681,
-        "100-component 4-site front moved from the PR-12 parent"
-    );
+    let want = front_text(reference);
+    check("synthetic_100x4.txt", &want);
     for plan in &reference.plans {
         assert!(plan.quality.feasible);
         assert_eq!(plan.plan.site(pinned_exact), SiteId::ON_PREM);
@@ -397,34 +307,7 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
         assert!(plan.plan.sites().iter().all(|s| s.index() < 4));
     }
     for (report, threads) in reports.iter().zip([1usize, 2, 8]) {
-        assert_eq!(
-            report.plans.len(),
-            reference.plans.len(),
-            "{threads} threads"
-        );
-        for (a, b) in report.plans.iter().zip(&reference.plans) {
-            assert_eq!(a.plan, b.plan, "{threads} threads");
-            assert_eq!(
-                a.quality.performance.to_bits(),
-                b.quality.performance.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.availability.to_bits(),
-                b.quality.availability.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                a.quality.cost.to_bits(),
-                b.quality.cost.to_bits(),
-                "{threads} threads"
-            );
-        }
-        assert_eq!(report.visited, reference.visited, "{threads} threads");
-        assert_eq!(
-            report.reward_progression, reference.reward_progression,
-            "{threads} threads"
-        );
+        assert_eq!(front_text(report), want, "{threads} threads");
         assert_eq!(report.eval.threads, threads);
     }
 
@@ -533,4 +416,82 @@ fn footprints_are_accurate_for_most_apis() {
         good >= 6,
         "at least two thirds of the APIs should have well-learned footprints, got {good}/9"
     );
+}
+
+/// A seeded `n`-component baseline context, a search space too large to
+/// enumerate: a call chain plus seeded long-range edges, with seeded
+/// per-component demand and a CPU limit of half the total, so every
+/// feasible placement offloads something.
+fn seeded_context(n: usize, seed: u64, catalog: &SiteCatalog) -> BaselineContext {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let store = TelemetryStore::new();
+    let names: Vec<String> = (0..n).map(|i| format!("C{i:02}")).collect();
+    let mut demand = ResourceDemand::zeros(names.clone(), 4, 600);
+    let mut total_cpu = 0.0;
+    for c in 0..n {
+        let cpu = rng.gen_range(0.5..4.0);
+        total_cpu += cpu;
+        demand.fill_cpu(c, cpu);
+        demand.fill_memory(c, rng.gen_range(0.5..4.0));
+    }
+    for from in 0..n {
+        let chain = (from + 1 < n).then_some(from + 1);
+        let long_range = (from + 2 < n).then(|| rng.gen_range(from + 2..n));
+        for to in chain.into_iter().chain(long_range) {
+            let request = rng.gen_range(100.0..50_000.0);
+            for t in 0..4u64 {
+                store.record_traffic(&names[from], &names[to], Direction::Request, t, request);
+                store.record_traffic(
+                    &names[from],
+                    &names[to],
+                    Direction::Response,
+                    t,
+                    request / 4.0,
+                );
+            }
+            demand.fill_edge(from, to, request * 1_000.0);
+        }
+    }
+    BaselineContext::from_store(
+        &store,
+        names,
+        demand,
+        MigrationPreferences::with_cpu_limit(total_cpu / 2.0),
+        catalog,
+    )
+}
+
+/// Figures 12–15 compare Atlas against the affinity-based GA, so its fronts
+/// are pinned like Atlas's own, on the paper's two sites and on three: the
+/// front size and cache accounting, then each plan's sites and its two
+/// objectives (cross-site bytes, site cost). The thread count changes
+/// neither.
+#[test]
+fn affinity_ga_fronts_are_pinned_on_a_seeded_40_component_context() {
+    let cluster = ClusterSpec::default();
+    let pricing = PricingModel::default();
+    let three_sites = SiteCatalog::new(
+        vec![
+            SiteSpec::owned("dc", cluster.onprem_cpu_cores, 1_000.0, 1_000.0),
+            SiteSpec::elastic("east", pricing.clone()),
+            SiteSpec::elastic("west", pricing),
+        ],
+        SiteNetwork::from_links(3, vec![cluster.network.intra; 9]),
+    );
+    for catalog in [SiteCatalog::default(), three_sites] {
+        let ctx = seeded_context(40, 17, &catalog);
+        for threads in [1, 2] {
+            let scorer = ctx.scorer().with_threads(threads);
+            let plans = AffinityGaAdvisor::fast().recommend_with(&scorer);
+            let stats = scorer.stats();
+            let (unique, hits) = (stats.unique_evaluations, stats.cache_hits);
+            let mut text = format!("front {} unique {unique} hits {hits}\n", plans.len());
+            for plan in &plans {
+                let sites = plan.sites();
+                let (bytes, cost) = (ctx.cross_site_bytes(sites), ctx.site_cost(sites));
+                text += &format!("{} {bytes:?} {cost:?}\n", sites_text(sites));
+            }
+            check(&format!("affinity_ga_{}_sites.txt", ctx.site_count), &text);
+        }
+    }
 }

@@ -10,6 +10,7 @@ use atlas::sim::{
     ClusterSpec, OverloadModel, Placement, RequestSchedule, SimConfig, Simulator, SiteId,
 };
 use atlas::telemetry::TelemetryStore;
+use atlas_bench::golden::{check, front_text};
 
 fn small_recommender() -> RecommenderConfig {
     RecommenderConfig {
@@ -122,7 +123,10 @@ fn unsatisfiable_constraints_do_not_hang_the_recommender() {
         preferences = preferences.pin(atlas::sim::ComponentId(i), SiteId::ON_PREM);
     }
     let report = atlas.recommend(current.clone(), preferences.clone());
-    // Nothing can be feasible; whatever comes back must be marked infeasible.
+    // Nothing can be feasible: the recommender falls back to the final
+    // population's front, and every plan of it is marked infeasible.
+    assert!(!report.plans.is_empty());
+    check("unsatisfiable.txt", &front_text(&report));
     let quality = atlas.quality_model(current, preferences);
     for plan in &report.plans {
         assert!(!quality.is_feasible(&plan.plan));

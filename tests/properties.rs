@@ -8,7 +8,6 @@ use atlas::apps::{
     synthesize, synthesize_drift_phase, CallGraphShape, SynthOptions, SynthScenario,
     WorkloadGenerator,
 };
-use atlas::core::recommender::RecommendationReport;
 use atlas::core::{
     kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MemoCache, MigrationPlan,
     MigrationPreferences, PlanEvaluator, PlanQuality, QualityModel, Recommender, RecommenderConfig,
@@ -19,6 +18,7 @@ use atlas::sim::{
     ClusterSpec, ComponentId, OverloadModel, Placement, SimConfig, Simulator, SiteId, SiteNetwork,
 };
 use atlas::telemetry::{TelemetryStore, Trace};
+use atlas_bench::golden::front_text;
 use atlas_bench::{
     copy_context, corpus_of, shift_corpus, Application, Experiment, ExperimentOptions,
 };
@@ -97,22 +97,15 @@ fn search_model(idx: usize) -> &'static QualityModel {
     })
 }
 
-/// Everything of a report the train-once property pins, floats as bits:
-/// the plans with their objectives, `visited`, and the reward curve.
-type SearchOutcome = (Vec<(MigrationPlan, [u64; 3])>, usize, Vec<u64>);
-
-fn search_outcome(report: &RecommendationReport) -> SearchOutcome {
-    let plans = report
-        .plans
-        .iter()
-        .map(|p| (p.plan.clone(), p.quality.objectives().map(f64::to_bits)))
-        .collect();
-    let rewards = report
-        .reward_progression
-        .iter()
-        .map(|r| r.to_bits())
-        .collect();
-    (plans, report.visited, rewards)
+/// A quality as the bits of its three indicators and its verdict, so two
+/// qualities compare equal only when they are bit-identical.
+fn bits(q: PlanQuality) -> (u64, u64, u64, bool) {
+    (
+        q.performance.to_bits(),
+        q.availability.to_bits(),
+        q.cost.to_bits(),
+        q.feasible,
+    )
 }
 
 /// Shared two-day replay corpus for the streaming-ingest properties: a
@@ -321,20 +314,16 @@ proptest! {
     /// (all-on-prem exceeds the burst CPU limit) and pin violators alike.
     #[test]
     fn compiled_kernel_is_bit_identical_to_the_interpretive_oracle(
-        bits in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..6),
+        genes in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..6),
     ) {
         let quality = shared_quality();
         let mut plans: Vec<MigrationPlan> =
-            bits.iter().map(|b| plan_of(b)).collect();
+            genes.iter().map(|b| plan_of(b)).collect();
         plans.push(MigrationPlan::all_onprem(29)); // infeasible: CPU limit
         plans.push(MigrationPlan::new(Placement::all_cloud(29))); // violates pins
         for plan in &plans {
             let kernel = quality.evaluate(plan);
-            let oracle = quality.evaluate_interpretive(plan);
-            prop_assert_eq!(kernel.performance.to_bits(), oracle.performance.to_bits());
-            prop_assert_eq!(kernel.availability.to_bits(), oracle.availability.to_bits());
-            prop_assert_eq!(kernel.cost.to_bits(), oracle.cost.to_bits());
-            prop_assert_eq!(kernel.feasible, oracle.feasible);
+            prop_assert_eq!(bits(kernel), bits(quality.evaluate_interpretive(plan)));
             // The individual kernel entry points agree with their oracles
             // and with the composite evaluation.
             prop_assert_eq!(
@@ -360,12 +349,12 @@ proptest! {
     /// CPU limit, and random plans routinely violate the placement pins).
     #[test]
     fn cached_batched_evaluation_is_bit_identical_to_direct(
-        bits in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..8),
+        genes in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..8),
         threads in 1usize..5,
     ) {
         let quality = shared_quality();
         let mut plans: Vec<MigrationPlan> =
-            bits.iter().map(|b| plan_of(b)).collect();
+            genes.iter().map(|b| plan_of(b)).collect();
         // Guaranteed-infeasible member: 29 on-prem components exceed the
         // experiment's burst CPU limit.
         plans.push(MigrationPlan::all_onprem(29));
@@ -377,14 +366,9 @@ proptest! {
         let batched = evaluator.evaluate_batch(&batch);
         prop_assert!(batched.iter().any(|q| !q.feasible));
         for (plan, from_batch) in batch.iter().zip(&batched) {
-            let direct = quality.evaluate(plan);
-            prop_assert_eq!(direct.performance.to_bits(), from_batch.performance.to_bits());
-            prop_assert_eq!(direct.availability.to_bits(), from_batch.availability.to_bits());
-            prop_assert_eq!(direct.cost.to_bits(), from_batch.cost.to_bits());
-            prop_assert_eq!(direct.feasible, from_batch.feasible);
+            prop_assert_eq!(bits(quality.evaluate(plan)), bits(*from_batch));
             // The single-plan cached path agrees too.
-            let cached = evaluator.evaluate(plan);
-            prop_assert_eq!(cached, from_batch.clone());
+            prop_assert_eq!(bits(evaluator.evaluate(plan)), bits(*from_batch));
         }
     }
 
@@ -464,11 +448,7 @@ proptest! {
         for plan in &probe {
             for quality in [&exp.quality, &strict] {
                 let kernel = quality.evaluate(plan);
-                let oracle = quality.evaluate_interpretive(plan);
-                prop_assert_eq!(kernel.performance.to_bits(), oracle.performance.to_bits());
-                prop_assert_eq!(kernel.availability.to_bits(), oracle.availability.to_bits());
-                prop_assert_eq!(kernel.cost.to_bits(), oracle.cost.to_bits());
-                prop_assert_eq!(kernel.feasible, oracle.feasible);
+                prop_assert_eq!(bits(kernel), bits(quality.evaluate_interpretive(plan)));
                 prop_assert_eq!(quality.is_feasible(plan), quality.feasibility(plan).is_none());
                 feasible_seen |= kernel.feasible;
                 infeasible_seen |= !kernel.feasible;
@@ -554,20 +534,13 @@ proptest! {
             }
             prop_assert_eq!(grouped.len(), alone.len());
             for (s, g) in alone.iter().zip(&grouped) {
-                prop_assert_eq!(s.performance.to_bits(), g.performance.to_bits());
-                prop_assert_eq!(s.availability.to_bits(), g.availability.to_bits());
-                prop_assert_eq!(s.cost.to_bits(), g.cost.to_bits());
-                prop_assert_eq!(s.feasible, g.feasible);
+                prop_assert_eq!(bits(*s), bits(*g));
             }
         }
         // `evaluate` itself is pinned to the interpretive oracle on a slice
         // of the spectrum (the oracle allocates per call).
         for (plan, s) in plans.iter().zip(&alone).take(12) {
-            let oracle = quality.evaluate_interpretive(plan);
-            prop_assert_eq!(s.performance.to_bits(), oracle.performance.to_bits());
-            prop_assert_eq!(s.availability.to_bits(), oracle.availability.to_bits());
-            prop_assert_eq!(s.cost.to_bits(), oracle.cost.to_bits());
-            prop_assert_eq!(s.feasible, oracle.feasible);
+            prop_assert_eq!(bits(*s), bits(quality.evaluate_interpretive(plan)));
         }
     }
 
@@ -595,9 +568,6 @@ proptest! {
                 .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
                 .rotate_left(23)
                 .wrapping_mul(0x1656_67B1_9E37_79F9)
-        };
-        let bits = |q: PlanQuality| {
-            (q.performance.to_bits(), q.availability.to_bits(), q.cost.to_bits(), q.feasible)
         };
 
         let parents: Vec<ScoredPlan> = (0..6u64)
@@ -780,12 +750,7 @@ proptest! {
             probe.push(MigrationPlan::from_sites(sites));
         }
         for plan in &probe {
-            let incremental = model.evaluate(plan);
-            let rebuilt = cold.evaluate(plan);
-            prop_assert_eq!(incremental.performance.to_bits(), rebuilt.performance.to_bits());
-            prop_assert_eq!(incremental.availability.to_bits(), rebuilt.availability.to_bits());
-            prop_assert_eq!(incremental.cost.to_bits(), rebuilt.cost.to_bits());
-            prop_assert_eq!(incremental.feasible, rebuilt.feasible);
+            prop_assert_eq!(bits(model.evaluate(plan)), bits(cold.evaluate(plan)));
         }
     }
 
@@ -878,7 +843,7 @@ proptest! {
         }
         let recommender = Recommender::new(quality, config);
         let inline = recommender.recommend();
-        let expected = search_outcome(&inline);
+        let expected = front_text(&inline);
         prop_assert!(!inline.plans.is_empty());
         prop_assert_eq!(inline.reward_progression.is_empty(), strategy == 0);
 
@@ -891,7 +856,7 @@ proptest! {
 
             // Cold for the offspring, warm for what training scored.
             let first = recommender.recommend_trained(&evaluator, trained.as_ref());
-            prop_assert_eq!(&search_outcome(&first), &expected);
+            prop_assert_eq!(&front_text(&first), &expected);
             prop_assert_eq!(first.eval.requests() + rollouts, inline.eval.requests());
             prop_assert_eq!(first.stages.rl_train_ms, 0.0);
             // Training and the search between them scored what the inline
@@ -900,7 +865,7 @@ proptest! {
 
             // Entirely warm, from the same — unmodified — artefact.
             let second = recommender.recommend_trained(&evaluator, trained.as_ref());
-            prop_assert_eq!(&search_outcome(&second), &expected);
+            prop_assert_eq!(&front_text(&second), &expected);
             prop_assert_eq!(second.eval.unique_evaluations, 0);
             prop_assert_eq!(second.eval.requests(), first.eval.requests());
 
@@ -910,7 +875,7 @@ proptest! {
             for _ in 0..2 {
                 let handle = PlanEvaluator::with_shared_cache(quality, &cache).with_threads(threads);
                 let shared = recommender.recommend_trained(&handle, trained.as_ref());
-                prop_assert_eq!(&search_outcome(&shared), &expected);
+                prop_assert_eq!(&front_text(&shared), &expected);
             }
         }
     }
@@ -961,27 +926,22 @@ proptest! {
             MigrationPlan::new(Placement::all_cloud(components)),
         ];
         for salt in 0u64..6 {
-            let bits: Vec<u16> = (0..components)
+            let genes: Vec<u16> = (0..components)
                 .map(|i| ((seed ^ salt.wrapping_mul(0x9E37)).wrapping_add(i as u64 * 0x85EB) >> 7) as u16 & 1)
                 .collect();
-            probe.push(plan_of(&bits));
+            probe.push(plan_of(&genes));
         }
         let evaluator = PlanEvaluator::new(&exp.quality).with_threads(2);
         let batched = evaluator.evaluate_batch(&probe);
         for (plan, from_batch) in probe.iter().zip(&batched) {
             let direct = exp.quality.evaluate(plan);
-            prop_assert_eq!(direct.performance.to_bits(), from_batch.performance.to_bits());
-            prop_assert_eq!(direct.feasible, from_batch.feasible);
+            prop_assert_eq!(bits(direct), bits(*from_batch));
             prop_assert_eq!(exp.quality.is_feasible(plan), direct.feasible);
             prop_assert_eq!(exp.quality.feasibility(plan).is_none(), direct.feasible);
             // The compiled kernel matches the interpretive oracle bit for
             // bit on generated scenarios too (synthetic topologies exercise
             // fan-out/chain/mesh wave structures the seed apps do not).
-            let oracle = exp.quality.evaluate_interpretive(plan);
-            prop_assert_eq!(direct.performance.to_bits(), oracle.performance.to_bits());
-            prop_assert_eq!(direct.availability.to_bits(), oracle.availability.to_bits());
-            prop_assert_eq!(direct.cost.to_bits(), oracle.cost.to_bits());
-            prop_assert_eq!(direct.feasible, oracle.feasible);
+            prop_assert_eq!(bits(direct), bits(exp.quality.evaluate_interpretive(plan)));
         }
 
         // Bit-identical recommendation per seed, and a non-dominated front.
@@ -993,14 +953,8 @@ proptest! {
         };
         let a = atlas::core::Recommender::new(&exp.quality, config.clone()).recommend();
         let b = atlas::core::Recommender::new(&exp.quality, config).recommend();
-        prop_assert_eq!(a.plans.len(), b.plans.len());
         prop_assert!(!a.plans.is_empty());
-        for (x, y) in a.plans.iter().zip(&b.plans) {
-            prop_assert_eq!(&x.plan, &y.plan);
-            prop_assert_eq!(x.quality.performance.to_bits(), y.quality.performance.to_bits());
-            prop_assert_eq!(x.quality.availability.to_bits(), y.quality.availability.to_bits());
-            prop_assert_eq!(x.quality.cost.to_bits(), y.quality.cost.to_bits());
-        }
+        prop_assert_eq!(front_text(&a), front_text(&b));
         for x in &a.plans {
             for y in &a.plans {
                 if x.plan != y.plan {
