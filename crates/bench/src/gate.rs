@@ -123,6 +123,7 @@ pub(crate) const RULES: [Rule; 18] = [
         },
         1.0,
     ),
+    // A drift resync relearns the traces only and holds footprint and demand.
     at_least(
         RESIDENT,
         "learn.atlas_learn_ms / learn.relearn_dirty_ms",

@@ -142,11 +142,7 @@ impl Atlas {
     /// learn the API/component profiles, the network footprints and the
     /// expected resource demand.
     pub fn learn(&mut self, store: &TelemetryStore) {
-        self.profile = Some(ApplicationProfile::learn(
-            store,
-            &self.config.stateful_components,
-            self.config.traces_per_api,
-        ));
+        self.learn_profile(store);
         self.footprint = Some(FootprintLearner::default().learn(store));
         self.demand = Some(
             ScalingEstimator::with_scale(self.config.expected_traffic_scale).estimate(
@@ -156,6 +152,17 @@ impl Atlas {
                 self.config.horizon_step_s,
             ),
         );
+    }
+
+    /// Relearn only the application profile from `store`, holding the
+    /// network footprint and resource demand of the last [`Atlas::learn`]:
+    /// what a resident advisor does when drift fires.
+    pub fn learn_profile(&mut self, store: &TelemetryStore) {
+        self.profile = Some(ApplicationProfile::learn(
+            store,
+            &self.config.stateful_components,
+            self.config.traces_per_api,
+        ));
     }
 
     /// Whether [`Atlas::learn`] has been called.

@@ -308,7 +308,7 @@ impl AdvisorHub {
     }
 
     /// Ingest one trace batch into one tenant: runs the tenant's full
-    /// event loop (retention, drift, incremental relearn,
+    /// event loop (retention, drift, relearn,
     /// re-recommendation) under its service lock, then republishes the
     /// model snapshot if the generation moved. Other tenants — and every
     /// in-flight [`Self::recommend`] — are unaffected.

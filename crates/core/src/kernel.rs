@@ -678,11 +678,8 @@ struct CompiledApi {
     traces: Vec<CompiledTrace>,
 }
 
-/// Compile one API's profile entry into its flat op arena. The result
-/// depends only on the named API's profile entry plus the model-wide
-/// footprint/network/preferences/current placement, which is what makes
-/// per-API recompilation ([`CompiledQuality::recompile_apis`]) bit-identical
-/// to a cold compile.
+/// Compile one API's profile entry into its flat op arena, against the
+/// model-wide footprint, network, preferences and current placement.
 #[allow(clippy::too_many_arguments)]
 fn compile_api(
     profile: &ApplicationProfile,
@@ -789,68 +786,6 @@ impl CompiledQuality {
             site_count: network.site_count(),
             compile_ms: start.elapsed().as_secs_f64() * 1_000.0,
         }
-    }
-
-    /// Recompile only the named APIs in place against an updated profile,
-    /// reusing every other API's compiled op arena untouched.
-    ///
-    /// `api_order` is the model's *new* sorted API order: slots are
-    /// inserted for APIs new to the order and dropped for APIs absent from
-    /// it, so the compiled order always matches a cold
-    /// [`CompiledQuality::compile`] over the same order. Because each API's
-    /// compiled form depends only on its own profile entry (plus the
-    /// model-wide footprint, network, current placement and preferences,
-    /// which this call must keep fixed), recompiling exactly the dirty APIs
-    /// is bit-identical to a cold compile from the updated profile.
-    /// `compile_ms` is restamped with the incremental compile time. The
-    /// constraint kernel (including any owned-site limits) is untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recompile_apis(
-        &mut self,
-        profile: &ApplicationProfile,
-        footprint: &NetworkFootprint,
-        network: &SiteNetwork,
-        preferences: &MigrationPreferences,
-        current: &Placement,
-        component_index: &[String],
-        api_order: &[String],
-        dirty: &[String],
-    ) {
-        let start = std::time::Instant::now();
-        let id_of: HashMap<&str, u32> = component_index
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.as_str(), i as u32))
-            .collect();
-        let dirty: std::collections::HashSet<&str> = dirty.iter().map(String::as_str).collect();
-        let mut old: Vec<Option<CompiledApi>> = std::mem::take(&mut self.apis)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let old_index = std::mem::take(&mut self.api_index);
-        let mut apis = Vec::with_capacity(api_order.len());
-        let mut api_index = HashMap::with_capacity(api_order.len());
-        for name in api_order {
-            let compiled = match old_index.get(name) {
-                Some(&slot) if !dirty.contains(name.as_str()) => {
-                    old[slot].take().expect("compiled slots are reused once")
-                }
-                _ => compile_api(
-                    profile,
-                    name,
-                    &id_of,
-                    footprint,
-                    network,
-                    preferences,
-                    current,
-                ),
-            };
-            api_index.insert(name.clone(), apis.len());
-            apis.push(compiled);
-        }
-        self.apis = apis;
-        self.api_index = api_index;
-        self.compile_ms = start.elapsed().as_secs_f64() * 1_000.0;
     }
 
     /// Attach owned-site capacity limits to the compiled constraint kernel

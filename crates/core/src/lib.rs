@@ -30,7 +30,7 @@
 //! [`advisor::Atlas`] wires the stages together behind one entry point for
 //! batch use; [`service::AdvisorService`] runs the same pipeline as a
 //! resident event loop — streaming ingest, continuous drift detection,
-//! incremental dirty-API relearning and re-recommendation — and
+//! relearning and re-recommendation — and
 //! [`hub::AdvisorHub`] serves many such tenants concurrently over
 //! epoch-stamped model snapshots with per-epoch shared eval caches.
 

@@ -146,37 +146,6 @@ impl ApplicationProfile {
         }
     }
 
-    /// Incrementally relearn only the `dirty` endpoints from the store,
-    /// leaving every other API profile untouched.
-    ///
-    /// Each dirty endpoint runs exactly the clustered per-API pipeline of
-    /// [`ApplicationProfile::learn`]; an endpoint whose traces were all
-    /// evicted is removed. Component profiles are refreshed in full — they
-    /// derive from cheap metric aggregates and component-name unions, and
-    /// both can change under ingest or eviction — so after this call the
-    /// profile is field-for-field identical to a cold
-    /// [`ApplicationProfile::learn`] against the same store contents.
-    pub fn relearn_dirty(
-        &mut self,
-        store: &TelemetryStore,
-        stateful_components: &[String],
-        traces_per_api: usize,
-        dirty: &[String],
-    ) {
-        let stateful: HashSet<&str> = stateful_components.iter().map(String::as_str).collect();
-        for endpoint in dirty {
-            if store.api_trace_count(endpoint) == 0 {
-                self.apis.remove(endpoint);
-                continue;
-            }
-            self.apis.insert(
-                endpoint.clone(),
-                learn_api(store, endpoint, traces_per_api, &stateful, true),
-            );
-        }
-        self.components = learn_components(store, &stateful);
-    }
-
     /// Endpoints of all learned APIs, sorted.
     pub fn api_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.apis.keys().cloned().collect();
@@ -204,9 +173,8 @@ impl ApplicationProfile {
     }
 }
 
-/// Learn one API profile — the shared per-endpoint pipeline behind both the
-/// cold [`ApplicationProfile::learn`] and the incremental
-/// [`ApplicationProfile::relearn_dirty`].
+/// Learn one API profile: the per-endpoint pipeline of
+/// [`ApplicationProfile::learn`], clustered or not.
 fn learn_api(
     store: &TelemetryStore,
     endpoint: &str,

@@ -167,55 +167,6 @@ impl QualityModel {
         }
     }
 
-    /// Incrementally refresh the model after the telemetry store reports
-    /// `dirty` APIs: relearn only those APIs' profiles from the store's
-    /// retained traces ([`ApplicationProfile::relearn_dirty`]) and recompile
-    /// only their op arenas in place
-    /// (`CompiledQuality::recompile_apis`). APIs whose retained traces
-    /// were all evicted are dropped from the model.
-    ///
-    /// The network footprint, demand and cost model are deliberately held
-    /// fixed: footprint learning regresses *jointly* across every API
-    /// sharing an edge, so it has no per-API incremental form — refresh it
-    /// with a full [`Atlas::learn`](crate::advisor::Atlas::learn) pass when
-    /// the traffic mix shifts structurally. Under that fixed context the
-    /// result is bit-identical to a cold model built from the same retained
-    /// traces, footprint and demand (pinned by property test).
-    pub fn relearn_dirty(
-        &mut self,
-        store: &atlas_telemetry::TelemetryStore,
-        stateful_components: &[String],
-        traces_per_api: usize,
-        dirty: &[String],
-    ) {
-        self.profile
-            .relearn_dirty(store, stateful_components, traces_per_api, dirty);
-        for name in dirty {
-            match self.profile.apis.get(name) {
-                Some(api) => {
-                    self.baseline_latency_ms
-                        .insert(name.clone(), api.mean_latency_ms.max(1e-6));
-                }
-                None => {
-                    self.baseline_latency_ms.remove(name);
-                }
-            }
-        }
-        let mut api_order: Vec<String> = self.profile.apis.keys().cloned().collect();
-        api_order.sort();
-        self.api_order = api_order;
-        self.kernel.recompile_apis(
-            &self.profile,
-            &self.footprint,
-            self.injector.site_network(),
-            &self.preferences,
-            &self.current,
-            &self.component_index,
-            &self.api_order,
-            dirty,
-        );
-    }
-
     /// Number of components (the plan length this model expects).
     pub fn component_count(&self) -> usize {
         self.component_index.len()

@@ -7,21 +7,22 @@
 //! the telemetry store retains a bounded window, a [`DriftDetector`] per
 //! API continuously compares the freshest latency window against the
 //! distribution the current model was learned from, and when drift fires
-//! the service relearns **only the APIs whose telemetry changed**
-//! ([`QualityModel::relearn_dirty`] — per-API profile relearn plus per-API
-//! op-arena recompile, bit-identical to a cold rebuild), then re-runs the
-//! recommender and reports how the preferred plan moved.
+//! the service rebuilds the model the way the bootstrap builds it — the
+//! application profile relearned from the retained traces, the kernel
+//! compiled cold, the network footprint and resource demand held from the
+//! bootstrap — then re-runs the recommender and reports how the preferred
+//! plan moved.
 //!
 //! ```text
 //!          ┌──────────── feed(batch) ────────────┐
 //!          ▼                                     │
-//!   TelemetryStore ──ingest_batch──▶ retention eviction + per-API epochs
+//!   TelemetryStore ──ingest_batch──▶ retention eviction
 //!          │                                     │
 //!          ▼ recent window per API               │
-//!   DriftDetector.check ──drifted?──▶ dirty_apis_since(synced epoch)
+//!   DriftDetector.check ──drifted?──▶ Atlas::learn_profile (every API)
 //!                                     │
 //!                                     ▼
-//!                   QualityModel::relearn_dirty (profile + kernel, in place)
+//!            Atlas::quality_model (kernel compiled cold, a fresh Arc)
 //!                                     │
 //!                                     ▼
 //!     Recommender::train_and_recommend ──▶ Arc<TrainedCrossover>, kept
@@ -155,12 +156,13 @@ pub enum ServiceEvent {
     },
     /// The model was (re)learned.
     Relearned {
-        /// The APIs relearned (every API on a cold bootstrap).
+        /// The APIs relearned: every API the store retains.
         apis: Vec<String>,
-        /// Whether this was the cold bootstrap (full learn) rather than an
-        /// incremental dirty-API relearn.
+        /// Whether this was the bootstrap, which also learns the network
+        /// footprint and resource demand, rather than a drift resync, which
+        /// holds them.
         cold: bool,
-        /// Wall-clock milliseconds of the relearn + recompile.
+        /// Wall-clock milliseconds of the relearn + compile.
         elapsed_ms: f64,
     },
     /// The recommender produced a fresh Pareto front.
@@ -171,7 +173,7 @@ pub enum ServiceEvent {
         /// relative to the previous round's preferred plan.
         deltas: Vec<PlanDelta>,
         /// Wall-clock milliseconds from drift confirmation to the new
-        /// recommendation (relearn + recompile + training + search).
+        /// recommendation (relearn + compile + training + search).
         latency_ms: f64,
         /// The part of `latency_ms` spent training the crossover agent for
         /// the new model generation (`0.0` under uniform crossover) — paid
@@ -181,7 +183,7 @@ pub enum ServiceEvent {
 }
 
 /// A resident advisor: streaming ingest, continuous per-API drift
-/// detection, incremental relearning and re-recommendation. See the
+/// detection, relearning and re-recommendation. See the
 /// [module docs](self) for the event loop.
 pub struct AdvisorService {
     config: AdvisorServiceConfig,
@@ -190,21 +192,18 @@ pub struct AdvisorService {
     current: Placement,
     /// The compiled model, shared by `Arc` so a serving layer (the
     /// multi-tenant [`hub`](crate::hub)) can publish an epoch-stamped
-    /// snapshot that in-flight recommenders keep reading while the service
-    /// relearns the next generation in place (`Arc::make_mut` clones only
-    /// when a snapshot is still held elsewhere).
+    /// snapshot that in-flight recommenders keep reading. A relearn builds
+    /// a new model in a fresh `Arc` and never touches a published one.
     model: Option<Arc<QualityModel>>,
-    /// Bumped every time the model changes: the cold bootstrap and each
-    /// incremental resync. Snapshot holders compare generations to know
-    /// when to republish.
+    /// Bumped every time the model changes: the bootstrap and each drift
+    /// resync. Snapshot holders compare generations to know when to
+    /// republish.
     model_generation: u64,
     /// The crossover agent trained for the current model generation by the
     /// service's own recommendation run (`None` before bootstrap, and when
     /// that run had nothing to train). Published next to the model.
     policy: Option<Arc<TrainedCrossover>>,
     detectors: HashMap<String, DriftDetector>,
-    /// Store epoch the model was last synchronised to.
-    synced_epoch: u64,
     recommendation: Option<RecommendationReport>,
     preferred: Option<MigrationPlan>,
     /// Bounded event history (oldest evicted beyond
@@ -238,7 +237,6 @@ impl AdvisorService {
             model_generation: 0,
             policy: None,
             detectors: HashMap::new(),
-            synced_epoch: 0,
             recommendation: None,
             preferred: None,
             timeline: VecDeque::new(),
@@ -260,8 +258,8 @@ impl AdvisorService {
 
     /// A shared handle to the current quality model, if bootstrapped: the
     /// publication primitive of the multi-tenant [`hub`](crate::hub). The
-    /// `Arc` stays valid across later relearns (resync clones-on-write
-    /// instead of mutating a shared model), so a recommender holding it
+    /// `Arc` stays valid across later relearns (each builds a new model
+    /// instead of mutating the shared one), so a recommender holding it
     /// never observes a model change mid-search.
     pub fn shared_model(&self) -> Option<Arc<QualityModel>> {
         self.model.clone()
@@ -277,7 +275,7 @@ impl AdvisorService {
     }
 
     /// The model generation: `0` before bootstrap, bumped by the bootstrap
-    /// and by every incremental relearn. Two equal generations guarantee
+    /// and by every drift resync. Two equal generations guarantee
     /// the same model (and therefore the same scores), so snapshot holders
     /// use this to decide when a republish — and a fresh eval cache — is
     /// due.
@@ -318,8 +316,8 @@ impl AdvisorService {
     }
 
     /// Ingest one batch of traces and run the event loop: retention
-    /// eviction, per-API drift checks and — when drift fires — incremental
-    /// relearn and re-recommendation. Returns the events this batch
+    /// eviction, per-API drift checks and — when drift fires — relearn
+    /// and re-recommendation. Returns the events this batch
     /// produced (also appended to [`AdvisorService::timeline`]).
     ///
     /// Before [`AdvisorService::bootstrap`] the loop only ingests: there is
@@ -331,11 +329,12 @@ impl AdvisorService {
             evicted: report.evicted,
             epoch: report.epoch,
         });
-        if self.model.is_some() {
-            let drifted = self.check_drift();
-            if !drifted.is_empty() {
-                self.resync(&drifted);
-            }
+        if self.model.is_some() && self.check_drift() {
+            // The drift response: relearn the profile from the retained
+            // traces, hold the footprint and demand, rebuild and publish.
+            let start = Instant::now();
+            self.atlas.learn_profile(&self.store);
+            self.publish(start, false);
         }
         self.finish_round()
     }
@@ -369,23 +368,32 @@ impl AdvisorService {
         );
         let start = Instant::now();
         self.atlas.learn(&self.store);
+        self.publish(start, true);
+        self.finish_round()
+    }
+
+    /// Publish what `atlas` has learned as the next model generation: build
+    /// the model in a fresh `Arc`, log [`ServiceEvent::Relearned`] (timed
+    /// from `start`), re-arm one drift detector per retained API and
+    /// re-recommend. `cold` is whether `atlas` relearned the footprint and
+    /// demand too (the bootstrap) or only the profile (a drift resync).
+    fn publish(&mut self, start: Instant, cold: bool) {
         let model = self
             .atlas
             .quality_model(self.current.clone(), self.config.preferences.clone());
-        let apis = self.store.apis();
         self.model = Some(Arc::new(model));
         self.model_generation += 1;
-        self.synced_epoch = self.store.epoch();
+        let apis = self.store.apis();
         self.round_events.push(ServiceEvent::Relearned {
             apis: apis.clone(),
-            cold: true,
+            cold,
             elapsed_ms: start.elapsed().as_secs_f64() * 1_000.0,
         });
+        self.detectors.clear();
         for api in &apis {
             self.arm_detector(api);
         }
         self.recommend(start);
-        self.finish_round()
     }
 
     /// (Re)arm the drift detector of one API from the store's retained
@@ -397,7 +405,6 @@ impl AdvisorService {
     fn arm_detector(&mut self, api: &str) {
         let samples = self.store.api_latencies_ms(api);
         if samples.len() < self.config.min_detector_samples.max(2) {
-            self.detectors.remove(api);
             return;
         }
         let window = self.config.drift_window.min(samples.len() / 2).max(1);
@@ -407,13 +414,12 @@ impl AdvisorService {
         self.detectors.insert(api.to_string(), detector);
     }
 
-    /// Run every armed detector against its API's freshest latency window;
-    /// returns the drifted APIs (sorted) and logs a
-    /// [`ServiceEvent::DriftFired`] per hit.
-    fn check_drift(&mut self) -> Vec<String> {
+    /// Run every armed detector against its API's freshest latency window,
+    /// log a [`ServiceEvent::DriftFired`] per hit (in API order) and return
+    /// whether any fired.
+    fn check_drift(&mut self) -> bool {
         let mut names: Vec<&String> = self.detectors.keys().collect();
         names.sort();
-        let mut drifted = Vec::new();
         let mut events = Vec::new();
         for api in names {
             let samples = self.store.api_latencies_ms(api);
@@ -423,46 +429,15 @@ impl AdvisorService {
             let recent = &samples[samples.len() - self.config.drift_window..];
             let report = self.detectors[api].check(recent);
             if report.drifted {
-                drifted.push(api.clone());
                 events.push(ServiceEvent::DriftFired {
                     api: api.clone(),
                     report,
                 });
             }
         }
+        let fired = !events.is_empty();
         self.round_events.extend(events);
-        drifted
-    }
-
-    /// The drift response: relearn every API the store marked dirty since
-    /// the last sync (a superset of the drifted ones — cheap, and it keeps
-    /// the model equal to a cold rebuild), re-arm their detectors, and
-    /// re-run the recommender over a warm evaluator.
-    fn resync(&mut self, drifted: &[String]) {
-        let start = Instant::now();
-        let (epoch, dirty) = self.store.dirty_apis_since(self.synced_epoch);
-        // Clone-on-write: if a snapshot holder (the hub, an in-flight
-        // recommender) still shares the Arc, relearn a private copy and
-        // leave the published model untouched — readers at the old
-        // generation stay consistent until the new one is republished.
-        let model = Arc::make_mut(self.model.as_mut().expect("resync requires a model"));
-        model.relearn_dirty(
-            &self.store,
-            &self.config.atlas.stateful_components,
-            self.config.atlas.traces_per_api,
-            &dirty,
-        );
-        self.model_generation += 1;
-        self.synced_epoch = epoch;
-        self.round_events.push(ServiceEvent::Relearned {
-            apis: dirty.clone(),
-            cold: false,
-            elapsed_ms: start.elapsed().as_secs_f64() * 1_000.0,
-        });
-        for api in dirty.iter().chain(drifted) {
-            self.arm_detector(api);
-        }
-        self.recommend(start);
+        fired
     }
 
     /// Train the crossover agent for the current model and run the
@@ -648,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn drift_episode_relearns_only_the_dirty_api_and_rerecommends() {
+    fn drift_episode_relearns_every_api_and_rerecommends() {
         let (config, current, corpus) = scenario();
         let mut service = AdvisorService::new(config, current);
         service.feed(corpus.clone());
@@ -664,12 +639,14 @@ mod tests {
                 .any(|e| matches!(e, ServiceEvent::DriftFired { api: a, report } if a == &api && report.drifted)),
             "5x slower traffic must fire the {api} detector: {events:?}"
         );
+        let learned = service.model().unwrap().profile().api_names();
+        assert_eq!(learned.len(), 3);
         assert!(
             events.iter().any(|e| matches!(
                 e,
-                ServiceEvent::Relearned { cold: false, apis, .. } if apis == &vec![api.clone()]
+                ServiceEvent::Relearned { cold: false, apis, .. } if apis == &learned
             )),
-            "only the drifted API is dirty, so only it relearns: {events:?}"
+            "a resync relearns every API: {events:?}"
         );
         assert!(events
             .iter()
@@ -721,7 +698,7 @@ mod tests {
         assert_eq!(service.model_generation(), 1);
 
         // Hold the published snapshot across a drift-triggered relearn: the
-        // relearn clones-on-write, so the held model is untouched while the
+        // relearn builds a new model, so the held one is untouched while the
         // service moves to generation 2.
         let snapshot = service.shared_model().unwrap();
         let api = corpus[0].root().operation.clone();

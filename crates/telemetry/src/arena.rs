@@ -211,19 +211,17 @@ impl TraceArena {
     /// Ingest one trace: intern its names, append its spans to the columns
     /// and update the per-API and per-edge indexes. Returns its index.
     pub fn push(&mut self, trace: &Trace) -> u32 {
-        self.append_batch(std::iter::once(trace), |_| {});
+        self.append_batch(std::iter::once(trace));
         index_u32(self.trace_ids.len() - 1, "trace count fits u32")
     }
 
     /// Ingest a batch of traces in one streaming pass — each trace is
     /// consumed (and, when owned, dropped) right after its spans are
     /// appended — then restore the order of the posting lists the batch
-    /// appended to out of time order. Calls `on_api` once per distinct API
-    /// the batch added a trace to, and returns the number of traces added.
+    /// appended to out of time order. Returns the number of traces added.
     pub(crate) fn append_batch<T: Borrow<Trace>>(
         &mut self,
         traces: impl IntoIterator<Item = T>,
-        mut on_api: impl FnMut(&str),
     ) -> usize {
         let before = self.trace_ids.len();
         for trace in traces {
@@ -237,7 +235,6 @@ impl TraceArena {
             }
             postings.touched = false;
             postings.unsorted = false;
-            on_api(self.operations.resolve(api_id));
         }
         self.trace_ids.len() - before
     }
@@ -346,24 +343,13 @@ impl TraceArena {
     /// compaction. Interned name ids are never recycled, so ids observed
     /// before an eviction stay valid after it.
     ///
-    /// Returns the sorted names of the APIs that lost at least one trace
-    /// (empty when nothing was evicted).
-    pub fn evict_older_than(&mut self, cutoff_us: Micros) -> Vec<String> {
+    /// Returns the number of traces evicted.
+    pub fn evict_older_than(&mut self, cutoff_us: Micros) -> usize {
         let n = self.trace_ids.len();
         let keep: Vec<bool> = (0..n).map(|t| self.root_start_us[t] >= cutoff_us).collect();
         if keep.iter().all(|&k| k) {
-            return Vec::new();
+            return 0;
         }
-
-        let mut affected_ids: Vec<u32> =
-            (0..n).filter(|&t| !keep[t]).map(|t| self.api[t]).collect();
-        affected_ids.sort_unstable();
-        affected_ids.dedup();
-        let mut affected: Vec<String> = affected_ids
-            .into_iter()
-            .map(|id| self.operations.resolve(id).to_string())
-            .collect();
-        affected.sort();
 
         // New index of each kept trace, assigned in kept order.
         let mut remap = vec![u32::MAX; n];
@@ -439,7 +425,7 @@ impl TraceArena {
         if self.trace_ids.is_empty() {
             self.max_root_start_us = None;
         }
-        affected
+        n - kept
     }
 
     /// Latest root start timestamp over all traces (µs), if any.
@@ -981,10 +967,7 @@ mod tests {
             })
             .collect();
         let mut batched = TraceArena::new();
-        let mut stamped = Vec::new();
-        let added = batched.append_batch(&traces, |api| stamped.push(api.to_string()));
-        assert_eq!(added, traces.len());
-        assert_eq!(stamped, vec!["/a", "/b"], "each API reported once");
+        assert_eq!(batched.append_batch(&traces), traces.len());
 
         let mut pushed = TraceArena::new();
         for t in &traces {
@@ -1046,8 +1029,7 @@ mod tests {
         arena.push(&tree_trace(3, "/a", 5_000_000, 300, &["F", "U", "M"]));
         arena.push(&tree_trace(4, "/b", 9_000_000, 400, &["F", "M"]));
 
-        let affected = arena.evict_older_than(3_000_000);
-        assert_eq!(affected, vec!["/a", "/b"]);
+        assert_eq!(arena.evict_older_than(3_000_000), 2);
         assert_eq!(arena.len(), 2);
         assert_eq!(arena.span_count(), 5);
         assert_eq!(arena.max_root_start_us(), Some(9_000_000));
@@ -1067,11 +1049,10 @@ mod tests {
         assert_eq!(inv["/b"], vec![0.0, 1.0]);
 
         // Evicting nothing reports nothing.
-        assert!(arena.evict_older_than(0).is_empty());
+        assert_eq!(arena.evict_older_than(0), 0);
 
         // Evicting everything empties the arena.
-        let affected = arena.evict_older_than(10_000_000);
-        assert_eq!(affected, vec!["/a", "/b"]);
+        assert_eq!(arena.evict_older_than(10_000_000), 2);
         assert!(arena.is_empty());
         assert_eq!(arena.span_count(), 0);
         assert_eq!(arena.max_root_start_us(), None);

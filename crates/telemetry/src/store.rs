@@ -34,10 +34,8 @@ use crate::Seconds;
 /// [`TelemetryStore::ingest_batch`] appends a batch of traces and (when a
 /// retention window is configured) evicts traces older than the window
 /// behind the latest observed root start, keeping every index consistent.
-/// Every mutation of an API's trace set — ingest or eviction — stamps that
-/// API with a monotonically increasing store epoch, so incremental consumers
-/// can ask [`TelemetryStore::dirty_apis_since`] "which APIs changed since my
-/// last sync" instead of relearning the world.
+/// Every ingest call that appends a trace bumps the store
+/// [epoch](TelemetryStore::epoch), a change counter the caller can log.
 #[derive(Debug, Default)]
 pub struct TelemetryStore {
     inner: RwLock<StoreInner>,
@@ -50,38 +48,20 @@ struct StoreInner {
     traffic: PairwiseTraffic,
     /// Monotonic change counter: bumped once per mutating ingest call.
     epoch: u64,
-    /// API → the epoch of the last change to its trace set (ingest or
-    /// eviction). A `BTreeMap` so dirty sets come out sorted.
-    api_epochs: BTreeMap<String, u64>,
     /// When set, [`TelemetryStore::ingest_batch`] evicts traces whose root
     /// starts more than this many seconds before the latest root start.
     retention_window_s: Option<Seconds>,
 }
 
 impl StoreInner {
-    /// The one write path: append `traces` to the arena under a new epoch
-    /// (an empty batch bumps nothing) and stamp every API that received a
-    /// trace with it, once per API. Returns the number of traces appended.
+    /// The one write path: append `traces` to the arena and bump the epoch
+    /// (an empty batch bumps nothing). Returns the number of traces appended.
     fn append(&mut self, traces: impl IntoIterator<Item = Trace>) -> usize {
-        let epoch = self.epoch + 1;
-        let api_epochs = &mut self.api_epochs;
-        let ingested = self
-            .arena
-            .append_batch(traces, |api| Self::stamp(api_epochs, api, epoch));
+        let ingested = self.arena.append_batch(traces);
         if ingested > 0 {
-            self.epoch = epoch;
+            self.epoch += 1;
         }
         ingested
-    }
-
-    /// Record that `api`'s trace set changed at `epoch`.
-    fn stamp(api_epochs: &mut BTreeMap<String, u64>, api: &str, epoch: u64) {
-        match api_epochs.get_mut(api) {
-            Some(e) => *e = epoch,
-            None => {
-                api_epochs.insert(api.to_string(), epoch);
-            }
-        }
     }
 
     /// Enforce the retention window, if any. Returns the eviction count.
@@ -95,11 +75,7 @@ impl StoreInner {
         if cutoff_us == 0 {
             return 0;
         }
-        let before = self.arena.len();
-        for api in self.arena.evict_older_than(cutoff_us) {
-            Self::stamp(&mut self.api_epochs, &api, self.epoch);
-        }
-        before - self.arena.len()
+        self.arena.evict_older_than(cutoff_us)
     }
 }
 
@@ -110,8 +86,7 @@ pub struct IngestReport {
     pub ingested: usize,
     /// Number of traces evicted by the retention window.
     pub evicted: usize,
-    /// The store epoch after the batch. Pass it (or the epoch returned by
-    /// [`TelemetryStore::dirty_apis_since`]) as the next sync point.
+    /// The store epoch after the batch (see [`TelemetryStore::epoch`]).
     pub epoch: u64,
 }
 
@@ -166,12 +141,8 @@ impl TelemetryStore {
 
     /// Streaming ingest: append a batch of traces, then enforce the
     /// retention window (evicting traces older than the window behind the
-    /// latest root start, with every index kept consistent).
-    ///
-    /// The whole batch shares one epoch; every API whose trace set changed —
-    /// by ingest or by eviction — is stamped with it, so
-    /// [`TelemetryStore::dirty_apis_since`] reports exactly the APIs a
-    /// consumer needs to resync.
+    /// latest root start, with every index kept consistent). The whole
+    /// batch bumps the epoch once.
     pub fn ingest_batch(&self, traces: impl IntoIterator<Item = Trace>) -> IngestReport {
         let mut inner = self.write();
         let ingested = inner.append(traces);
@@ -187,30 +158,10 @@ impl TelemetryStore {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Incremental sync surface (used by the resident advisor).
-    // ------------------------------------------------------------------
-
     /// The current store epoch. Starts at 0; bumped once per mutating
-    /// ingest call.
+    /// ingest call and by [`TelemetryStore::clear`].
     pub fn epoch(&self) -> u64 {
         self.read().epoch
-    }
-
-    /// The APIs whose trace set changed after epoch `since` (sorted), and
-    /// the current epoch to use as the next sync point.
-    ///
-    /// An API evicted down to zero traces still appears here — consumers
-    /// observe the disappearance and drop the endpoint.
-    pub fn dirty_apis_since(&self, since: u64) -> (u64, Vec<String>) {
-        let inner = self.read();
-        let dirty = inner
-            .api_epochs
-            .iter()
-            .filter(|&(_, &e)| e > since)
-            .map(|(api, _)| api.clone())
-            .collect();
-        (inner.epoch, dirty)
     }
 
     /// Record a component metric observation.
@@ -403,15 +354,14 @@ impl TelemetryStore {
     }
 
     /// Remove every stored trace, metric, and traffic sample. The epoch
-    /// keeps counting (a clear is a change), the dirty set resets, and the
-    /// retention window is preserved.
+    /// keeps counting (a clear is a change) and the retention window is
+    /// preserved.
     pub fn clear(&self) {
         let mut inner = self.write();
         inner.arena.clear();
         inner.metrics.clear();
         inner.traffic = PairwiseTraffic::new();
         inner.epoch += 1;
-        inner.api_epochs.clear();
     }
 }
 
@@ -545,24 +495,17 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_reports_and_stamps_epochs() {
+    fn ingest_batch_reports_and_bumps_the_epoch() {
         let store = TelemetryStore::new();
         assert_eq!(store.epoch(), 0);
         let report = store.ingest_batch([trace(1, "/a", 0, 10), trace(2, "/b", 1_000_000, 10)]);
         assert_eq!(report.ingested, 2);
         assert_eq!(report.evicted, 0);
         assert_eq!(report.epoch, 1);
+        assert_eq!(store.epoch(), 1);
 
-        // Both APIs are dirty relative to epoch 0; none relative to 1.
-        let (epoch, dirty) = store.dirty_apis_since(0);
-        assert_eq!(epoch, 1);
-        assert_eq!(dirty, vec!["/a", "/b"]);
-        assert_eq!(store.dirty_apis_since(1).1, Vec::<String>::new());
-
-        // A second batch touching only /b dirties only /b.
         let report = store.ingest_batch([trace(3, "/b", 2_000_000, 10)]);
         assert_eq!(report.epoch, 2);
-        assert_eq!(store.dirty_apis_since(1).1, vec!["/b"]);
 
         // Empty batches change nothing.
         let report = store.ingest_batch(std::iter::empty());
@@ -570,11 +513,11 @@ mod tests {
 
         // Single-trace ingest shares the same epoch discipline.
         store.ingest_trace(trace(4, "/a", 3_000_000, 10));
-        assert_eq!(store.dirty_apis_since(2), (3, vec!["/a".to_string()]));
+        assert_eq!(store.epoch(), 3);
     }
 
     #[test]
-    fn retention_window_evicts_and_dirties_affected_apis() {
+    fn retention_window_evicts_old_traces() {
         let store = TelemetryStore::with_retention_window_s(10);
         assert_eq!(store.retention_window_s(), Some(10));
         let report = store.ingest_batch([
@@ -592,10 +535,7 @@ mod tests {
         assert_eq!(store.trace_count(), 2);
         assert_eq!(store.apis(), vec!["/both", "/new"]);
         assert_eq!(store.api_trace_count("/old"), 0);
-        // Everything that changed this epoch is dirty: the ingested API and
-        // both evicted ones.
-        let (_, dirty) = store.dirty_apis_since(1);
-        assert_eq!(dirty, vec!["/both", "/new", "/old"]);
+        assert_eq!(store.api_trace_count("/both"), 1);
 
         // Widening the window stops further eviction.
         store.set_retention_window_s(Some(1_000));

@@ -1,6 +1,6 @@
 //! The resident advisor event loop: stream a generated application's day
 //! into an [`AdvisorService`], bootstrap it, then splice in a drift corpus
-//! and watch the service detect the drift, relearn just the dirty APIs and
+//! and watch the service detect the drift, relearn the profile and
 //! re-recommend — printing the event timeline as it unfolds.
 //!
 //! Run with `cargo run --example resident_advisor`.
@@ -62,7 +62,7 @@ fn print_events(label: &str, events: &[ServiceEvent]) {
                 if *cold {
                     "cold bootstrap"
                 } else {
-                    "incremental"
+                    "footprint and demand held"
                 },
             ),
             ServiceEvent::Rerecommended {
@@ -138,7 +138,8 @@ fn main() {
     print_events("bootstrap", &service.bootstrap());
 
     // Day 2: the drift corpus streams in behind day 1. Detectors fire, the
-    // dirty APIs relearn incrementally, and a fresh recommendation lands.
+    // profile relearns from the retained traces, and a fresh recommendation
+    // lands.
     println!();
     copy_context(&day2_store, service.store(), DAY_S + 1);
     for batch in day2.chunks(day2.len().div_ceil(8)) {

@@ -9,10 +9,10 @@
 //! repeated call-tree shapes) and compare the whole query surface.
 //!
 //! A second reference, [`RetainedReference`], adds the retention window and
-//! the per-API change epochs on top of the flat list, and pins that a stream
-//! leaves the same store behind however it is cut into ingest calls.
+//! the epoch counter on top of the flat list, and pins that a stream leaves
+//! the same store behind however it is cut into ingest calls.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -213,7 +213,6 @@ struct RetainedReference {
     kept: VecStore,
     window_s: u64,
     epoch: u64,
-    api_epochs: BTreeMap<String, u64>,
     ingested: usize,
     evicted: usize,
 }
@@ -224,7 +223,6 @@ impl RetainedReference {
             kept: VecStore::new(Vec::new()),
             window_s,
             epoch: 0,
-            api_epochs: BTreeMap::new(),
             ingested: 0,
             evicted: 0,
         }
@@ -236,37 +234,14 @@ impl RetainedReference {
         }
         self.epoch += 1;
         self.ingested += batch.len();
-        for t in batch {
-            self.api_epochs
-                .insert(t.root().operation.clone(), self.epoch);
-            self.kept.traces.push(t.clone());
-        }
+        self.kept.traces.extend_from_slice(batch);
         let latest = self.kept.traces.iter().map(|t| t.root().start_us).max();
         let cutoff = latest
             .expect("the batch was not empty")
             .saturating_sub(self.window_s * 1_000_000);
         let before = self.kept.traces.len();
-        for t in self
-            .kept
-            .traces
-            .iter()
-            .filter(|t| t.root().start_us < cutoff)
-        {
-            self.api_epochs
-                .insert(t.root().operation.clone(), self.epoch);
-        }
         self.kept.traces.retain(|t| t.root().start_us >= cutoff);
         self.evicted += before - self.kept.traces.len();
-    }
-
-    fn dirty_apis_since(&self, since: u64) -> (u64, Vec<String>) {
-        let dirty = self
-            .api_epochs
-            .iter()
-            .filter(|&(_, &e)| e > since)
-            .map(|(api, _)| api.clone())
-            .collect();
-        (self.epoch, dirty)
     }
 }
 
@@ -414,7 +389,7 @@ proptest! {
     /// calls — one batch, several batches, one `ingest_trace` per trace —
     /// with a retention window evicting (and renumbering) along the way:
     /// each store matches the naive retention model fed the same cuts
-    /// (queries, dirty sets at every epoch, report sums), and the three
+    /// (queries, epochs, report sums), and the three
     /// agree on the clustering pass too.
     #[test]
     fn a_stream_ingests_the_same_however_it_is_batched(
@@ -463,12 +438,7 @@ proptest! {
                 prop_assert_eq!((ingested, evicted), (reference.ingested, reference.evicted));
             }
             assert_matches_reference(&store, &reference.kept, &probe);
-            for since in 0..=reference.epoch {
-                prop_assert_eq!(
-                    store.dirty_apis_since(since),
-                    reference.dirty_apis_since(since)
-                );
-            }
+            prop_assert_eq!(store.epoch(), reference.epoch);
             stores.push(store);
         }
 

@@ -6,33 +6,31 @@
 //! purpose shows how in the diff of those files.
 
 use atlas::apps::{
-    hotel_reservation, social_network, synthesize, CallGraphShape, SocialNetworkOptions,
-    SynthOptions, WorkloadGenerator, WorkloadOptions,
+    hotel_reservation, social_network, synthesize, synthesize_drift_phase, CallGraphShape,
+    SocialNetworkOptions, SynthOptions, WorkloadGenerator, WorkloadOptions,
 };
 use atlas::baselines::{AffinityGaAdvisor, BaselineContext};
 use atlas::cloud::{PricingModel, ResourceDemand};
 use atlas::core::{
-    Atlas, AtlasConfig, MigrationPlan, MigrationPreferences, Recommender, RecommenderConfig,
+    AdvisorService, AdvisorServiceConfig, Atlas, AtlasConfig, MigrationPlan, MigrationPreferences,
+    Recommender, RecommenderConfig, ServiceEvent,
 };
 use atlas::sim::{
     AppTopology, ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog, SiteId,
     SiteNetwork, SiteSpec,
 };
-use atlas::telemetry::{Direction, TelemetryStore};
+use atlas::telemetry::{Direction, TelemetryStore, Trace};
 use atlas_bench::golden::{check, front_text, sites_text};
+use atlas_bench::{copy_context, corpus_of, shift_corpus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn learn(
-    app: &AppTopology,
-    workload: WorkloadOptions,
-    seed: u64,
-) -> (Atlas, Placement, TelemetryStore) {
-    let current = Placement::all_onprem(app.component_count());
+/// One simulated day of `app` under `workload`, all on-prem, overload off.
+fn simulate(app: &AppTopology, workload: WorkloadOptions, seed: u64) -> TelemetryStore {
     let store = TelemetryStore::new();
     let sim = Simulator::new(
         app.clone(),
-        current.clone(),
+        Placement::all_onprem(app.component_count()),
         SimConfig {
             cluster: ClusterSpec::default(),
             overload: OverloadModel::disabled(),
@@ -44,7 +42,16 @@ fn learn(
         .generate(app)
         .expect("workload matches the app");
     sim.run(&schedule, &store);
+    store
+}
 
+fn learn(
+    app: &AppTopology,
+    workload: WorkloadOptions,
+    seed: u64,
+) -> (Atlas, Placement, TelemetryStore) {
+    let current = Placement::all_onprem(app.component_count());
+    let store = simulate(app, workload, seed);
     let component_index: Vec<String> = app.components().iter().map(|c| c.name.clone()).collect();
     let stateful: Vec<String> = app
         .stateful_components()
@@ -240,25 +247,9 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
 
     // Learn from a compressed simulated day with the catalog wired in.
     let current = Placement::all_onprem(app.component_count());
-    let store = TelemetryStore::new();
     let mut workload = scenario.workload.clone();
     workload.profile.day_seconds = 90;
-    Simulator::new(
-        app.clone(),
-        current.clone(),
-        SimConfig {
-            cluster: ClusterSpec::default(),
-            overload: OverloadModel::disabled(),
-            metric_window_s: 5,
-            seed: 41,
-        },
-    )
-    .run(
-        &WorkloadGenerator::new(workload.with_seed(41))
-            .generate(&app)
-            .unwrap(),
-        &store,
-    );
+    let store = simulate(&app, workload, 41);
     let component_index: Vec<String> = app.components().iter().map(|c| c.name.clone()).collect();
     let stateful: Vec<String> = app
         .stateful_components()
@@ -416,6 +407,114 @@ fn footprints_are_accurate_for_most_apis() {
         good >= 6,
         "at least two thirds of the APIs should have well-learned footprints, got {good}/9"
     );
+}
+
+/// The resident advisor's event loop, pinned feed by feed. A generated
+/// application's day 1 streams in under a retention window of 1.5 days and
+/// the service bootstraps. Then a drift-phase day 2 streams in, evicting
+/// day-1 traces of every API. Last, two batches each replay one API's day-2
+/// traces five times slower. Each replay touches its API alone and evicts
+/// nothing, so the second resync follows a batch that changed one API of
+/// three. Each feed's line names the APIs whose detector fired; a feed that
+/// re-recommended is followed by its front.
+///
+/// The detectors re-arm at the first day-2 resync from a window of the new
+/// day against a reference that still holds the old one, so their baseline
+/// divergence is high; a 1.25× threshold lets the replays fire.
+#[test]
+fn resident_drift_event_loop_is_pinned() {
+    const DAY_S: u64 = 60;
+    let options = SynthOptions {
+        components: 24,
+        apis: 3,
+        seed: 7,
+        ..SynthOptions::default()
+    };
+    let scenario = synthesize(options).unwrap();
+    let drift = synthesize_drift_phase(&options).unwrap();
+    let day = |s: &atlas::apps::SynthScenario, seed| {
+        let mut workload = s.workload.clone();
+        workload.profile.day_seconds = DAY_S;
+        simulate(&s.topology, workload, seed)
+    };
+    let (day1_store, day2_store) = (day(&scenario, 7), day(&drift, 8));
+    let day1 = corpus_of(&day1_store);
+    let mut day2 = corpus_of(&day2_store);
+    shift_corpus(&mut day2, (DAY_S + 1) * 1_000_000, 1 << 60);
+
+    let mut atlas = AtlasConfig::new(scenario.component_index(), scenario.stateful_names());
+    atlas.sites = Some(scenario.catalog.clone());
+    atlas.traces_per_api = 30;
+    atlas.horizon_steps = 8;
+    atlas.recommender = RecommenderConfig {
+        population: 8,
+        max_visited: 60,
+        ..RecommenderConfig::fast()
+    };
+    let preferences = MigrationPreferences::with_cpu_limit(scenario.burst_cpu_limit(5.0, 0.6));
+    let mut config =
+        AdvisorServiceConfig::new(atlas, preferences).with_retention_window_s(DAY_S * 3 / 2);
+    config.min_detector_samples = 30;
+    config.drift_window = 20;
+    config.threshold_factor = 1.25;
+    let current = Placement::all_onprem(scenario.topology.component_count());
+    let mut service = AdvisorService::new(config, current);
+
+    for batch in day1.chunks(day1.len().div_ceil(4)) {
+        service.feed(batch.to_vec());
+    }
+    copy_context(&day1_store, service.store(), 0);
+    service.bootstrap();
+    let mut text = format!(
+        "bootstrap\n{}",
+        front_text(service.recommendation().unwrap())
+    );
+
+    // One API's day-2 traces again, five times slower, every one starting
+    // when day 2 ends: the latest root start does not move, so nothing evicts.
+    let end_us = day2.last().unwrap().root().start_us;
+    let slow_replay = |api: &str, id_tag: u64| {
+        let mut slow: Vec<Trace> = day2
+            .iter()
+            .filter(|t| t.root().operation == api)
+            .cloned()
+            .collect();
+        shift_corpus(&mut slow, 0, id_tag);
+        for trace in &mut slow {
+            let shift_us = end_us - trace.root().start_us;
+            for node in &mut trace.nodes {
+                node.span.start_us += shift_us;
+                node.span.duration_us *= 5;
+            }
+        }
+        slow
+    };
+    let apis = service.store().apis();
+    let replays = [
+        slow_replay(&apis[0], 1 << 61),
+        slow_replay(&apis[1], 1 << 62),
+    ];
+    copy_context(&day2_store, service.store(), DAY_S + 1);
+    let batches = day2.chunks(day2.len().div_ceil(8)).map(<[Trace]>::to_vec);
+    for (i, batch) in batches.chain(replays).enumerate() {
+        let events = service.feed(batch);
+        let mut fired: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                ServiceEvent::DriftFired { api, .. } => Some(api.as_str()),
+                _ => None,
+            })
+            .collect();
+        fired.sort_unstable();
+        text += &format!("feed {i} drift [{}]\n", fired.join(" "));
+        if events
+            .iter()
+            .any(|e| matches!(e, ServiceEvent::Rerecommended { .. }))
+        {
+            text += &front_text(service.recommendation().unwrap());
+        }
+    }
+    check("resident_drift.txt", &text);
 }
 
 /// A seeded `n`-component baseline context, a search space too large to

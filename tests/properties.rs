@@ -4,24 +4,15 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use atlas::apps::{
-    synthesize, synthesize_drift_phase, CallGraphShape, SynthOptions, SynthScenario,
-    WorkloadGenerator,
-};
+use atlas::apps::{synthesize, CallGraphShape, SynthOptions};
 use atlas::core::{
-    kl_divergence, ApplicationProfile, Atlas, AtlasConfig, MemoCache, MigrationPlan,
-    MigrationPreferences, PlanEvaluator, PlanQuality, QualityModel, Recommender, RecommenderConfig,
-    ScoredPlan, LANE_WIDTH,
+    kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel, Recommender,
+    RecommenderConfig, ScoredPlan, LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
-use atlas::sim::{
-    ClusterSpec, ComponentId, OverloadModel, Placement, SimConfig, Simulator, SiteId, SiteNetwork,
-};
-use atlas::telemetry::{TelemetryStore, Trace};
+use atlas::sim::{ComponentId, Placement, SiteId, SiteNetwork};
 use atlas_bench::golden::front_text;
-use atlas_bench::{
-    copy_context, corpus_of, shift_corpus, Application, Experiment, ExperimentOptions,
-};
+use atlas_bench::{Application, Experiment, ExperimentOptions};
 
 /// A plan from raw site indices.
 fn plan_of(sites: &[u16]) -> MigrationPlan {
@@ -106,75 +97,6 @@ fn bits(q: PlanQuality) -> (u64, u64, u64, bool) {
         q.cost.to_bits(),
         q.feasible,
     )
-}
-
-/// Shared two-day replay corpus for the streaming-ingest properties: a
-/// generated 18-component scenario's day 1 plus its drift-phase day 2,
-/// time-shifted to follow day 1 on the same clock.
-struct ServiceCorpus {
-    scenario: SynthScenario,
-    day1_store: TelemetryStore,
-    day1: Vec<Trace>,
-    day2_store: TelemetryStore,
-    day2: Vec<Trace>,
-    apis: Vec<String>,
-}
-
-/// Compressed day length of the shared replay corpus, in seconds.
-const CORPUS_DAY_S: u64 = 60;
-
-fn service_corpus() -> &'static ServiceCorpus {
-    static CORPUS: OnceLock<ServiceCorpus> = OnceLock::new();
-    CORPUS.get_or_init(|| {
-        let options = SynthOptions {
-            components: 18,
-            shape: CallGraphShape::Layered,
-            stateful_fraction: 0.2,
-            apis: 3,
-            call_depth: 4,
-            site_count: 2,
-            seed: 21,
-            ..SynthOptions::default()
-        };
-        let scenario = synthesize(options).unwrap();
-        let drift = synthesize_drift_phase(&options).unwrap();
-        let day1_store = simulate_corpus_day(&scenario, options.seed);
-        let day2_store = simulate_corpus_day(&drift, options.seed ^ 0x5EED);
-        let day1 = corpus_of(&day1_store);
-        let mut day2 = corpus_of(&day2_store);
-        shift_corpus(&mut day2, (CORPUS_DAY_S + 1) * 1_000_000, 1 << 60);
-        let apis = day1_store.apis();
-        assert_eq!(apis.len(), 3, "three distinct root operations");
-        ServiceCorpus {
-            scenario,
-            day1_store,
-            day1,
-            day2_store,
-            day2,
-            apis,
-        }
-    })
-}
-
-fn simulate_corpus_day(scenario: &SynthScenario, seed: u64) -> TelemetryStore {
-    let mut workload = scenario.workload.clone();
-    workload.profile.day_seconds = CORPUS_DAY_S;
-    let store = TelemetryStore::new();
-    let sim = Simulator::new(
-        scenario.topology.clone(),
-        Placement::all_onprem(scenario.topology.component_count()),
-        SimConfig {
-            cluster: ClusterSpec::default(),
-            overload: OverloadModel::disabled(),
-            metric_window_s: 5,
-            seed,
-        },
-    );
-    let schedule = WorkloadGenerator::new(workload)
-        .generate(&scenario.topology)
-        .unwrap();
-    sim.run(&schedule, &store);
-    store
 }
 
 proptest! {
@@ -649,108 +571,6 @@ proptest! {
             let want = quality.evaluate(&MigrationPlan::from_sites(applied));
             prop_assert_eq!(bits(quality.probe_delta(parent, &changes)), bits(want));
             prop_assert_eq!(bits(quality.probe_delta(parent, &[])), bits(parent.quality()));
-        }
-    }
-
-    /// Streaming ingest + `relearn_dirty` is bit-identical to a cold
-    /// rebuild: day 1 streams into a fresh store in arbitrary batch
-    /// splits, the model learns, then an arbitrary non-empty subset of
-    /// APIs receives its day-2 drift traces (again in arbitrary splits).
-    /// `dirty_apis_since` reports exactly that subset, and relearning just
-    /// the dirty APIs through [`QualityModel::relearn_dirty`] scores every
-    /// probed plan bit-identically to a cold `ApplicationProfile::learn` +
-    /// `QualityModel::for_catalog` rebuild over the same retained traces.
-    #[test]
-    fn streaming_relearn_is_bit_identical_to_cold_rebuild(
-        day1_batches in 1usize..9,
-        day2_batches in 1usize..5,
-        drift_mask in 1u8..8,
-        plan_seed in 0u64..1_000_000,
-    ) {
-        let fx = service_corpus();
-        let components = fx.scenario.topology.component_count();
-        let component_index = fx.scenario.component_index();
-        let stateful = fx.scenario.stateful_names();
-        let preferences =
-            MigrationPreferences::with_cpu_limit(fx.scenario.burst_cpu_limit(5.0, 0.6));
-        let current = Placement::all_onprem(components);
-        let traces_per_api = 40;
-
-        // Day 1 streams in `day1_batches` contiguous chunks.
-        let store = TelemetryStore::new();
-        copy_context(&fx.day1_store, &store, 0);
-        let size = fx.day1.len().div_ceil(day1_batches).max(1);
-        for chunk in fx.day1.chunks(size) {
-            store.ingest_batch(chunk.to_vec());
-        }
-
-        let mut config = AtlasConfig::new(component_index.clone(), stateful.clone());
-        config.sites = Some(fx.scenario.catalog.clone());
-        config.traces_per_api = traces_per_api;
-        config.horizon_steps = 8;
-        let mut atlas = Atlas::new(config);
-        atlas.learn(&store);
-        let mut model = atlas.quality_model(current.clone(), preferences.clone());
-        let synced = store.epoch();
-
-        // The masked subset of APIs drifts: only its day-2 traces arrive.
-        let drifting: Vec<String> = fx
-            .apis
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| drift_mask & (1 << i) != 0)
-            .map(|(_, api)| api.clone())
-            .collect();
-        copy_context(&fx.day2_store, &store, CORPUS_DAY_S + 1);
-        let stream: Vec<Trace> = fx
-            .day2
-            .iter()
-            .filter(|t| drifting.contains(&t.root().operation))
-            .cloned()
-            .collect();
-        prop_assert!(!stream.is_empty());
-        let size = stream.len().div_ceil(day2_batches).max(1);
-        for chunk in stream.chunks(size) {
-            store.ingest_batch(chunk.to_vec());
-        }
-
-        // The dirty set is exactly the drifted subset, batch splits aside.
-        let (_, dirty) = store.dirty_apis_since(synced);
-        let mut expected = drifting.clone();
-        expected.sort();
-        let mut got = dirty.clone();
-        got.sort();
-        prop_assert_eq!(&got, &expected);
-
-        model.relearn_dirty(&store, &stateful, traces_per_api, &dirty);
-        let cold = QualityModel::for_catalog(
-            ApplicationProfile::learn(&store, &stateful, traces_per_api),
-            atlas.footprint().clone(),
-            &fx.scenario.catalog,
-            atlas.demand().clone(),
-            preferences,
-            current,
-            component_index,
-        );
-
-        // Probe plans across the feasibility spectrum: all-on-prem (CPU
-        // violator), everything offloaded, and hashed mixed assignments.
-        let mut probe = vec![
-            MigrationPlan::all_onprem(components),
-            MigrationPlan::from_sites(vec![SiteId(1); components]),
-        ];
-        for salt in 0u64..4 {
-            let sites: Vec<SiteId> = (0..components)
-                .map(|i| {
-                    let h = plan_seed
-                        ^ salt.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64 * 0x85EB);
-                    SiteId(((h >> 7) % 2) as u16)
-                })
-                .collect();
-            probe.push(MigrationPlan::from_sites(sites));
-        }
-        for plan in &probe {
-            prop_assert_eq!(bits(model.evaluate(plan)), bits(cold.evaluate(plan)));
         }
     }
 
