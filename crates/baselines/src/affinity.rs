@@ -164,7 +164,7 @@ fn affinity_search(scorer: &BaselineScorer<'_>, objective: AffinityObjective) ->
     let n = ctx.component_count();
     let site_count = ctx.site_count as u16;
     let mut sites = vec![SiteId::ON_PREM; n];
-    ctx.apply_pins(&mut sites);
+    ctx.preferences.apply_pins(&mut sites);
 
     let movable: Vec<usize> = (0..n)
         .filter(|&i| {
@@ -309,7 +309,7 @@ mod tests {
         let ctx = test_context(7.0);
         for plan in [RemapAdvisor.recommend(&ctx), IntMaAdvisor.recommend(&ctx)] {
             assert!(
-                ctx.satisfies_site_constraints(plan.sites()),
+                ctx.scorer().score(plan.sites()).feasible,
                 "plan {:?}",
                 plan.sites()
             );

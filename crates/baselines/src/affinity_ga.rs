@@ -94,7 +94,7 @@ impl AffinityGaAdvisor {
                 let mut sites: Vec<SiteId> = (0..n)
                     .map(|_| random_site(&mut rng, fraction, ctx.site_count))
                     .collect();
-                ctx.apply_pins(&mut sites);
+                ctx.preferences.apply_pins(&mut sites);
                 sites
             })
             .collect();
@@ -127,7 +127,7 @@ impl AffinityGaAdvisor {
                 let b = binary_tournament(&mut rng, &rank, &crowding);
                 let mut sites = uniform_crossover(&mut rng, &population[a], &population[b]);
                 alphabet_mutation(&mut rng, &mut sites, &site_alphabet, self.mutation_rate);
-                ctx.apply_pins(&mut sites);
+                ctx.preferences.apply_pins(&mut sites);
                 offspring.push(sites);
             }
             let child_scores = scorer.score_batch(&offspring);
@@ -173,7 +173,7 @@ mod tests {
         let plans = AffinityGaAdvisor::fast().recommend(&ctx);
         assert!(!plans.is_empty());
         for plan in &plans {
-            assert!(ctx.satisfies_site_constraints(plan.sites()));
+            assert!(ctx.scorer().score(plan.sites()).feasible);
         }
         // No plan dominates another under the GA's own objectives.
         let objectives = |plan: &MigrationPlan| {
@@ -220,7 +220,7 @@ mod tests {
         let plans = AffinityGaAdvisor::fast().recommend(&ctx);
         assert!(!plans.is_empty());
         for plan in &plans {
-            assert!(ctx.satisfies_site_constraints(plan.sites()));
+            assert!(ctx.scorer().score(plan.sites()).feasible);
             // Every gene names a catalog site.
             assert!(plan.sites().iter().all(|s| s.index() < 3));
         }

@@ -75,62 +75,6 @@ impl BaselineContext {
         self.demand.peak_cpu(&[c])
     }
 
-    /// Whether a site assignment satisfies the on-prem limits and placement
-    /// pins of the preferences.
-    pub fn satisfies_site_constraints(&self, sites: &[SiteId]) -> bool {
-        // Exact pins.
-        for (&c, &site) in &self.preferences.pinned {
-            if c.0 < sites.len() && sites[c.0] != site {
-                return false;
-            }
-        }
-        // Site-set pins.
-        for (&c, allowed) in &self.preferences.allowed_sites {
-            if c.0 < sites.len() && !allowed.contains(&sites[c.0]) {
-                return false;
-            }
-        }
-        // On-prem resource limits.
-        let onprem: Vec<usize> = (0..sites.len())
-            .filter(|&i| sites[i].is_on_prem())
-            .collect();
-        if self.demand.peak_cpu(&onprem) > self.preferences.onprem_cpu_limit {
-            return false;
-        }
-        if self.demand.peak_memory_gb(&onprem) > self.preferences.onprem_memory_limit_gb {
-            return false;
-        }
-        if self.demand.peak_storage_gb(&onprem) > self.preferences.onprem_storage_limit_gb {
-            return false;
-        }
-        // Capacity limits of owned sites at index > 0 (catalog-declared).
-        for limits in &self.owned_site_limits {
-            let members: Vec<usize> = (0..sites.len())
-                .filter(|&i| sites[i] == limits.site)
-                .collect();
-            if limits.cpu_cores.is_finite() && self.demand.peak_cpu(&members) > limits.cpu_cores {
-                return false;
-            }
-            if limits.memory_gb.is_finite()
-                && self.demand.peak_memory_gb(&members) > limits.memory_gb
-            {
-                return false;
-            }
-            if limits.storage_gb.is_finite()
-                && self.demand.peak_storage_gb(&members) > limits.storage_gb
-            {
-                return false;
-            }
-        }
-        // Budget.
-        if let Some(budget) = self.preferences.budget {
-            if self.cost_model.evaluate(&self.demand, sites).total() > budget {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Cross-site traffic (bytes over the learning period) of a site
     /// assignment: the affinity objective of REMaP/IntMA and the affinity
     /// GA.
@@ -141,21 +85,6 @@ impl BaselineContext {
     /// Hosting cost of a site assignment under the shared cost model.
     pub fn site_cost(&self, sites: &[SiteId]) -> f64 {
         self.cost_model.evaluate(&self.demand, sites).total()
-    }
-
-    /// Apply the placement pins to a site assignment (exact pins overwrite;
-    /// site-set pins snap violating genes to the set's first site).
-    pub fn apply_pins(&self, sites: &mut [SiteId]) {
-        for (&c, &site) in &self.preferences.pinned {
-            if c.0 < sites.len() {
-                sites[c.0] = site;
-            }
-        }
-        for (&c, allowed) in &self.preferences.allowed_sites {
-            if c.0 < sites.len() && !allowed.contains(&sites[c.0]) {
-                sites[c.0] = allowed[0];
-            }
-        }
     }
 
     /// Wrap a site assignment as a migration plan.
@@ -366,29 +295,54 @@ pub(crate) fn three_site_catalog() -> SiteCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_sim::ComponentId as Cid;
+    use atlas_core::{oracle, ApplicationProfile, NetworkFootprint, QualityModel};
+    use atlas_sim::{ComponentId as Cid, Placement};
 
     const P: SiteId = SiteId::ON_PREM;
     const C: SiteId = SiteId::CLOUD;
 
+    /// The scorer's Eq. 4 verdict on `sites`, held to the interpretive
+    /// oracle's over a quality model that shares the context's demand,
+    /// preferences and catalog and learned no API.
+    fn feasible(ctx: &BaselineContext, catalog: &SiteCatalog, sites: &[SiteId]) -> bool {
+        let nothing_learned = ApplicationProfile {
+            apis: Default::default(),
+            components: Default::default(),
+        };
+        let model = QualityModel::for_catalog(
+            nothing_learned,
+            NetworkFootprint::new(),
+            catalog,
+            ctx.demand.clone(),
+            ctx.preferences.clone(),
+            Placement::all_onprem(ctx.component_count()),
+            ctx.component_index.clone(),
+        );
+        let verdict = ctx.scorer().score(sites).feasible;
+        let why = oracle::why_infeasible(&model, &BaselineContext::to_plan(sites));
+        assert_eq!(verdict, why.is_none(), "{sites:?}: {why:?}");
+        verdict
+    }
+
     #[test]
     fn constraint_checks_cover_cpu_and_pins() {
+        let testbed = SiteCatalog::default();
         let ctx = test_context(7.0);
         // All on-prem: 11 cores > 7 → infeasible.
-        assert!(!ctx.satisfies_site_constraints(&[P, P, P]));
+        assert!(!feasible(&ctx, &testbed, &[P, P, P]));
         // Offload B (6 cores): 5 remain → feasible.
-        assert!(ctx.satisfies_site_constraints(&[P, C, P]));
+        assert!(feasible(&ctx, &testbed, &[P, C, P]));
 
         let mut pinned = test_context(100.0);
         pinned.preferences = pinned.preferences.pin(Cid(1), P);
-        assert!(!pinned.satisfies_site_constraints(&[P, C, P]));
-        assert!(pinned.satisfies_site_constraints(&[C, P, P]));
+        assert!(!feasible(&pinned, &testbed, &[P, C, P]));
+        assert!(feasible(&pinned, &testbed, &[C, P, P]));
     }
 
     /// Eq. 4 owned-site limits at sites beyond index 0: the constructor
-    /// extracts the owned edge site's finite pools, and the interpretive
-    /// check and the compiled scorer agree that the undersized site
-    /// rejects components its pools cannot hold.
+    /// extracts the owned edge site's finite pools, and the compiled scorer
+    /// and the interpretive oracle agree that the undersized site rejects
+    /// components its pools cannot hold.
     #[test]
     fn owned_site_limits_gate_baseline_feasibility() {
         use atlas_cloud::PricingModel;
@@ -424,12 +378,8 @@ mod tests {
 
         let b_on_edge = vec![SiteId(0), SiteId(2), SiteId(0)];
         let a_on_edge = vec![SiteId(2), SiteId(0), SiteId(0)];
-        assert!(!ctx.satisfies_site_constraints(&b_on_edge));
-        assert!(ctx.satisfies_site_constraints(&a_on_edge));
-
-        let scorer = ctx.scorer();
-        assert!(!scorer.score(&b_on_edge).feasible);
-        assert!(scorer.score(&a_on_edge).feasible);
+        assert!(!feasible(&ctx, &catalog, &b_on_edge));
+        assert!(feasible(&ctx, &catalog, &a_on_edge));
     }
 
     #[test]
@@ -459,7 +409,10 @@ mod tests {
                 ctx.affinity.cross_site_messages(sites)
             );
             assert_eq!(score.cost, ctx.site_cost(sites));
-            assert_eq!(score.feasible, ctx.satisfies_site_constraints(sites));
+            assert_eq!(
+                score.feasible,
+                feasible(&ctx, &SiteCatalog::default(), sites)
+            );
         }
         assert_eq!(scores[1], scores[3]);
         assert_eq!(scorer.unique_evaluations(), 3);
@@ -534,7 +487,7 @@ mod tests {
         let mut ctx = test_context(7.0);
         ctx.preferences = ctx.preferences.clone().pin(Cid(0), C);
         let mut sites = vec![P; 3];
-        ctx.apply_pins(&mut sites);
+        ctx.preferences.apply_pins(&mut sites);
         assert_eq!(sites, vec![C, P, P]);
         assert_eq!(BaselineContext::to_plan(&sites).sites(), sites.as_slice());
         assert_eq!(ctx.component_count(), 3);
@@ -550,14 +503,15 @@ mod tests {
             .clone()
             .pin_to_sites(Cid(1), vec![SiteId(1)]);
         let mut sites = vec![SiteId::ON_PREM; 3];
-        ctx.apply_pins(&mut sites);
+        ctx.preferences.apply_pins(&mut sites);
         assert_eq!(sites[1], SiteId(1), "snapped to the set's first site");
-        assert!(ctx.satisfies_site_constraints(&sites));
+        let testbed = SiteCatalog::default();
+        assert!(feasible(&ctx, &testbed, &sites));
         let violating = vec![SiteId(0), SiteId(0), SiteId(0)];
-        assert!(!ctx.satisfies_site_constraints(&violating));
+        assert!(!feasible(&ctx, &testbed, &violating));
         // A gene already inside the set is left untouched.
         let mut inside = vec![SiteId(0), SiteId(1), SiteId(0)];
-        ctx.apply_pins(&mut inside);
+        ctx.preferences.apply_pins(&mut inside);
         assert_eq!(inside[1], SiteId(1));
     }
 }

@@ -43,19 +43,14 @@ impl GreedyAdvisor {
 
     /// Recommend a single placement: offload components in busyness order —
     /// to the context's offload site (the catalog's cheapest elastic site;
-    /// the cloud on the paper's testbed) — until the on-prem
-    /// constraints are satisfied.
-    ///
-    /// Unlike the affinity/GA baselines, greedy probes each placement
-    /// exactly once and only for feasibility, so it queries the context
-    /// directly instead of paying for a full cached [`PlacementScore`]
-    /// (see [`BaselineContext::scorer`]) it would never reuse.
-    ///
-    /// [`PlacementScore`]: crate::context::PlacementScore
+    /// the cloud on the paper's testbed) — until the placement satisfies
+    /// Eq. 4, as the context's scorer ([`BaselineContext::scorer`]) judges
+    /// it for every baseline. Demands rank by `total_cmp`, so a NaN one cannot
+    /// abort the sort.
     pub fn recommend(&self, ctx: &BaselineContext) -> MigrationPlan {
         let n = ctx.component_count();
         let mut sites = vec![atlas_sim::SiteId::ON_PREM; n];
-        ctx.apply_pins(&mut sites);
+        ctx.preferences.apply_pins(&mut sites);
 
         let mut candidates: Vec<usize> = (0..n)
             .filter(|&i| {
@@ -67,13 +62,14 @@ impl GreedyAdvisor {
         candidates.sort_by(|&a, &b| {
             let (ca, cb) = (ctx.peak_cpu_of(a), ctx.peak_cpu_of(b));
             match self.order {
-                GreedyOrder::LargestFirst => cb.partial_cmp(&ca).expect("finite"),
-                GreedyOrder::SmallestFirst => ca.partial_cmp(&cb).expect("finite"),
+                GreedyOrder::LargestFirst => cb.total_cmp(&ca),
+                GreedyOrder::SmallestFirst => ca.total_cmp(&cb),
             }
         });
 
+        let scorer = ctx.scorer();
         for &c in &candidates {
-            if ctx.satisfies_site_constraints(&sites) {
+            if scorer.score(&sites).feasible {
                 break;
             }
             sites[c] = ctx.offload_site;
@@ -124,5 +120,19 @@ mod tests {
         assert_eq!(plan.site(ComponentId(1)), SiteId::ON_PREM);
         // It must offload others to compensate (A and C).
         assert!(plan.cloud_components().len() >= 2);
+    }
+
+    /// A NaN peak-CPU demand (hostile telemetry) does not abort the
+    /// ranking: greedy still returns a plan over every component.
+    #[test]
+    fn a_nan_demand_still_yields_a_plan() {
+        let mut ctx = test_context(7.0);
+        ctx.demand.fill_cpu(2, f64::NAN);
+        for advisor in [
+            GreedyAdvisor::largest_first(),
+            GreedyAdvisor::smallest_first(),
+        ] {
+            assert_eq!(advisor.recommend(&ctx).len(), 3);
+        }
     }
 }

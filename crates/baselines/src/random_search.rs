@@ -60,7 +60,7 @@ impl RandomSearchAdvisor {
                 let mut sites: Vec<SiteId> = (0..n)
                     .map(|_| random_site(&mut rng, fraction, ctx.site_count))
                     .collect();
-                ctx.apply_pins(&mut sites);
+                ctx.preferences.apply_pins(&mut sites);
                 sites
             })
             .collect();
@@ -97,7 +97,7 @@ mod tests {
         assert!(!plans.is_empty());
         let mut seen = std::collections::HashSet::new();
         for plan in &plans {
-            assert!(ctx.satisfies_site_constraints(plan.sites()));
+            assert!(ctx.scorer().score(plan.sites()).feasible);
             assert!(seen.insert(plan.sites()), "plans must be unique");
         }
     }

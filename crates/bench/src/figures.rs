@@ -14,7 +14,7 @@ use atlas_baselines::{
     AffinityGaAdvisor, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor, RemapAdvisor,
 };
 use atlas_core::{
-    kl_divergence, BreachDetector, DelayInjector, MigrationPlan, PlanQuality, RecommendationReport,
+    kl_divergence, BreachDetector, DriftDetector, MigrationPlan, PlanQuality, RecommendationReport,
     Recommender,
 };
 use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, SimReport, Simulator};
@@ -215,16 +215,7 @@ fn fig07(runs: &Runs) -> Figure {
         "mean latency (ms)",
         &[("estimated", estimated), ("measured", real)],
     );
-    let injector = DelayInjector::new(
-        exp.catalog.network().clone(),
-        exp.atlas.config().component_index.clone(),
-    );
-    let injected = injector.estimate_latency_distribution_ms(
-        &exp.atlas.profile().apis[api].traces,
-        exp.atlas.footprint(),
-        &exp.current,
-        plan.placement(),
-    );
+    let injected = exp.quality.estimate_latency_distribution_ms(api, plan);
     let kl = kl_divergence(&injected, &latencies(&measured, api), 20);
     fig.row("KL(estimated || measured)", &[("kl_divergence", kl)]);
     fig
@@ -355,7 +346,7 @@ fn fig17(runs: &Runs) -> Figure {
     let mut fig = Figure::new("Figure 17: drift detection on /composeAPI after a behaviour change");
     // Measured latency right after the migration (no mentions yet).
     let measured = latencies(&exp.measure_plan(plan, 1.0), api);
-    let detector = exp.atlas.drift_detector(api, plan, &exp.current, measured);
+    let detector = DriftDetector::from_model(&exp.quality, api, plan, measured);
     fig.row("baseline", &[("kl_divergence", detector.baseline_kl())]);
     // At 12:00 users start tagging friends: rebuild the app with active
     // mentions and replay the workload under the same placement.

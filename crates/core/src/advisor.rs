@@ -59,11 +59,8 @@ use atlas_cloud::{ResourceDemand, ResourceEstimator, ScalingEstimator};
 use atlas_sim::{Placement, SiteCatalog};
 use atlas_telemetry::TelemetryStore;
 
-use crate::delay::DelayInjector;
 use crate::footprint::{FootprintLearner, NetworkFootprint};
 use crate::hierarchy::Dendrogram;
-use crate::monitor::DriftDetector;
-use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
 use crate::profile::ApplicationProfile;
 use crate::quality::QualityModel;
@@ -205,7 +202,11 @@ impl Atlas {
 
     /// Build the quality model for a current placement and a set of owner
     /// preferences (reusable across recommendation rounds), over the sites
-    /// of [`AtlasConfig::sites`].
+    /// of [`AtlasConfig::sites`]. Its estimate of an executed plan is what
+    /// **stage 3 — post-migration monitoring** arms a drift detector
+    /// against ([`DriftDetector::from_model`]).
+    ///
+    /// [`DriftDetector::from_model`]: crate::monitor::DriftDetector::from_model
     pub fn quality_model(
         &self,
         current: Placement,
@@ -249,40 +250,13 @@ impl Atlas {
             .collect();
         Dendrogram::build(&points)
     }
-
-    /// **Stage 3 — post-migration monitoring**: build a drift detector for
-    /// one API from the measured post-migration latencies and the estimate
-    /// that was shown when the executed plan was selected.
-    pub fn drift_detector(
-        &self,
-        api: &str,
-        executed_plan: &MigrationPlan,
-        current_before_migration: &Placement,
-        measured_after_migration_ms: Vec<f64>,
-    ) -> DriftDetector {
-        let injector = DelayInjector::new(
-            self.catalog().network().clone(),
-            self.config.component_index.clone(),
-        );
-        let traces = self
-            .profile()
-            .apis
-            .get(api)
-            .map(|p| p.traces.clone())
-            .unwrap_or_default();
-        let approx = injector.estimate_latency_distribution_ms(
-            &traces,
-            self.footprint(),
-            current_before_migration,
-            executed_plan.placement(),
-        );
-        DriftDetector::new(measured_after_migration_ms, &approx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::DriftDetector;
+    use crate::plan::MigrationPlan;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
     use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, Simulator};
 
@@ -346,10 +320,11 @@ mod tests {
     #[test]
     fn drift_detector_round_trip() {
         let (atlas, current) = learned_atlas();
+        let model = atlas.quality_model(current, MigrationPreferences::default());
         let plan = MigrationPlan::all_onprem(29);
         // Reality matches the approximation → low divergence, no drift.
         let approx_like: Vec<f64> = atlas.profile().apis["/composeAPI"].latency_samples_ms();
-        let detector = atlas.drift_detector("/composeAPI", &plan, &current, approx_like.clone());
+        let detector = DriftDetector::from_model(&model, "/composeAPI", &plan, approx_like.clone());
         assert!(!detector.check(&approx_like).drifted);
         // A large shift is flagged.
         let shifted: Vec<f64> = approx_like.iter().map(|l| l * 6.0 + 80.0).collect();

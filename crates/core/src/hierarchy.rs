@@ -123,7 +123,8 @@ impl Dendrogram {
     }
 
     /// Cut the dendrogram into (up to) `k` clusters and return the member
-    /// indices of each cluster, coarsest splits first.
+    /// indices of each cluster, coarsest splits first. Distances order by
+    /// `total_cmp`, so a NaN objective cannot abort the cut.
     pub fn cut(&self, k: usize) -> Vec<Vec<usize>> {
         let Some(root) = &self.root else {
             return Vec::new();
@@ -141,7 +142,7 @@ impl Dendrogram {
                     DendrogramNode::Merge { distance, .. } => Some((i, *distance)),
                     DendrogramNode::Leaf { .. } => None,
                 })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
             else {
                 break; // all leaves
             };
@@ -155,7 +156,8 @@ impl Dendrogram {
     }
 
     /// A representative plan per cluster when cutting at `k`: the member
-    /// whose normalised quality vector is closest to the cluster centroid.
+    /// whose normalised quality vector is closest to the cluster centroid
+    /// (a NaN distance orders last).
     pub fn representatives(&self, points: &[Vec<f64>], k: usize) -> Vec<usize> {
         let normalised = normalise(points);
         self.cut(k)
@@ -175,8 +177,7 @@ impl Dendrogram {
                     .iter()
                     .min_by(|&&a, &&b| {
                         euclidean(&normalised[a], &centroid)
-                            .partial_cmp(&euclidean(&normalised[b], &centroid))
-                            .expect("finite")
+                            .total_cmp(&euclidean(&normalised[b], &centroid))
                     })
                     .expect("clusters are non-empty")
             })
@@ -325,6 +326,26 @@ mod tests {
         for cluster in clusters {
             let fast = cluster.iter().filter(|&&i| i < 2).count();
             assert!(fast == 0 || fast == cluster.len());
+        }
+    }
+
+    /// A NaN objective (hostile telemetry) orders last instead of
+    /// panicking: the dendrogram still holds every plan, and cutting and
+    /// picking representatives return.
+    #[test]
+    fn a_nan_objective_does_not_panic() {
+        let mut points = two_groups();
+        points[4][0] = f64::NAN;
+        let d = Dendrogram::build(&points);
+        assert_eq!(d.len(), 6);
+        for k in 1..=6 {
+            let clusters = d.cut(k);
+            assert_eq!(clusters.iter().map(Vec::len).sum::<usize>(), 6);
+            let reps = d.representatives(&points, k);
+            assert_eq!(reps.len(), clusters.len());
+            for (rep, cluster) in reps.iter().zip(&clusters) {
+                assert!(cluster.contains(rep));
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Delay injection over retained traces (paper §4.1.1, Figure 6) is the
 //! inner loop of every search path in the workspace, and the interpretive
-//! implementation in [`crate::delay`] pays for its generality on every call:
+//! implementation in [`crate::oracle`] pays for its generality on every call:
 //! each caller→callee hop resolves component names with an O(n) scan over
 //! `component_index`, looks payload sizes up in a `(String, String, String)`
 //! hash map (allocating three `String` keys per probe), and walks the trace
@@ -42,17 +42,17 @@
 //! model's scratch, so concurrent evaluator workers never contend on the
 //! allocator.
 //!
-//! # Bit-identity and the interpretive fallback
+//! # Bit-identity with the oracle
 //!
 //! The kernel performs the *same floating-point operations in the same
-//! order* as the interpretive path, so its scores are bit-identical to
-//! [`QualityModel::evaluate_interpretive`] — property tests pin this on
-//! generated scenarios, at every walk width (see below). The interpretive
-//! [`DelayInjector`](crate::delay::DelayInjector) remains the reference
-//! oracle: fall back to it when scoring against a *different* current
-//! placement than the model was compiled for (e.g. the drift detector's
-//! post-migration replays in [`crate::advisor`]), when traces are not
-//! retained in a profile, or when debugging the kernel itself.
+//! order* as the interpretive oracle, so its scores are bit-identical to
+//! [`oracle::evaluate`], and each sample of
+//! [`QualityModel::estimate_latency_distribution_ms`] to the oracle's
+//! [`DelayInjector`] replay of the same trace — property tests pin this on
+//! generated scenarios, at every walk width (see below). Nothing falls back
+//! to the oracle: every estimate, a drift detector's `b_approx` included,
+//! is taken against the current placement the model was compiled for, the
+//! one its traces were collected under.
 //!
 //! # One walk at any width
 //!
@@ -129,7 +129,9 @@
 //! [`QualityModel`]: crate::quality::QualityModel
 //! [`QualityModel::evaluate`]: crate::quality::QualityModel::evaluate
 //! [`QualityModel::for_catalog`]: crate::quality::QualityModel::for_catalog
-//! [`QualityModel::evaluate_interpretive`]: crate::quality::QualityModel::evaluate_interpretive
+//! [`QualityModel::estimate_latency_distribution_ms`]: crate::quality::QualityModel::estimate_latency_distribution_ms
+//! [`oracle::evaluate`]: crate::oracle::evaluate
+//! [`DelayInjector`]: crate::oracle::DelayInjector
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -282,7 +284,7 @@ impl Hop {
 
 /// One retained trace compiled to a flat instruction arena. Evaluating it
 /// replays the exact floating-point schedule of
-/// [`DelayInjector::estimate_trace_latency_ms`](crate::delay::DelayInjector::estimate_trace_latency_ms)
+/// [`DelayInjector::estimate_trace_latency_ms`](crate::oracle::DelayInjector::estimate_trace_latency_ms)
 /// without recursion, name resolution or hashing. Background subtrees are
 /// not emitted at all: the interpretive path re-times them but discards the
 /// result, so they cannot affect the returned latency.
@@ -619,7 +621,7 @@ impl ConstraintKernel {
     /// ([`CompiledCost::evaluate_with_peaks`]) instead of re-scanning the
     /// demand matrix per call. The peaks are bit-identical to the
     /// interpretive subset sums of
-    /// [`QualityModel::feasibility`](crate::quality::QualityModel::feasibility),
+    /// [`oracle::why_infeasible`](crate::oracle::why_infeasible),
     /// so the verdict is too. `site_peaks` is consulted only for the owned
     /// sites beyond site 0 that carry capacity limits (typically
     /// [`CompiledCost::site_peaks`] over the scratch the cost pass just
@@ -901,6 +903,29 @@ impl CompiledQuality {
         scratch.latency[0]
     }
 
+    /// The latency (ms) of every retained trace of one compiled API under
+    /// the candidate site assignment, in trace order: each trace's width-1
+    /// walk, the samples [`Self::api_latency_ms`] averages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sites` is shorter than the kernel.
+    pub(crate) fn api_latency_samples_ms(
+        &self,
+        slot: usize,
+        sites: &[SiteId],
+        scratch: &mut LaneScratch,
+    ) -> Vec<f64> {
+        let LaneScratch { soa, stack, .. } = scratch;
+        let soa = load(soa, &[sites], self.components);
+        let (onprem, mut latency) = ([SiteId::ON_PREM], [0.0]);
+        let walk = |trace: &CompiledTrace| {
+            trace.run_lanes(soa, &onprem, self.site_count, &mut latency, stack);
+            latency[0]
+        };
+        self.apis[slot].traces.iter().map(walk).collect()
+    }
+
     /// Total number of compiled traces across every API.
     pub fn trace_count(&self) -> usize {
         self.apis.iter().map(|api| api.traces.len()).sum()
@@ -927,10 +952,10 @@ impl CompiledQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayInjector;
+    use crate::oracle::{self, DelayInjector};
     use crate::plan::MigrationPlan;
     use crate::profile::{ApiProfile, ApplicationProfile};
-    use crate::quality::QualityModel;
+    use crate::quality::{PlanQuality, QualityModel};
     use crate::testkit::plan as plan_of;
     use atlas_cloud::{PricingModel, ResourceDemand};
     use atlas_sim::SiteCatalog;
@@ -977,7 +1002,9 @@ mod tests {
         Trace::from_spans(spans).unwrap()
     }
 
-    fn model_with_externals() -> QualityModel {
+    /// A one-API model over [`trace_with_externals`] (retained twice),
+    /// learned on `catalog` with the Store at `store_site`.
+    fn externals_model(catalog: &SiteCatalog, store_site: SiteId) -> QualityModel {
         let component_index = vec!["Frontend".to_string(), "Store".to_string()];
         let trace = trace_with_externals();
         let mut footprint = NetworkFootprint::new();
@@ -986,30 +1013,21 @@ mod tests {
         footprint.insert("/api", "Store", "ExternalClient", 100.0, 100.0);
         footprint.insert("/api", "Frontend", "Notifier", 700.0, 0.0);
 
-        let mut apis = Map::new();
-        apis.insert(
-            "/api".to_string(),
-            ApiProfile {
-                endpoint: "/api".to_string(),
-                traces: vec![trace.clone(), trace],
-                trace_weights: vec![],
-                components: ["Frontend", "Store", "ThirdPartyCDN"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<HashSet<_>>(),
-                stateful_components: ["Store", "GhostStore"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<HashSet<_>>(),
-                mean_latency_ms: 10.0,
-                request_count: 2,
-            },
-        );
+        let names = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<HashSet<_>>();
+        let api = ApiProfile {
+            endpoint: "/api".to_string(),
+            traces: vec![trace.clone(), trace],
+            trace_weights: vec![],
+            components: names(&["Frontend", "Store", "ThirdPartyCDN"]),
+            stateful_components: names(&["Store", "GhostStore"]),
+            mean_latency_ms: 10.0,
+            request_count: 2,
+        };
         let profile = ApplicationProfile {
-            apis,
+            apis: Map::from([("/api".to_string(), api)]),
             components: Map::new(),
         };
-        let current = Placement::all_onprem(2);
+        let current = Placement::from_sites(vec![SiteId::ON_PREM, store_site]);
         let mut demand = ResourceDemand::zeros(component_index.clone(), 4, 600);
         demand.fill_cpu(0, 2.0);
         demand.fill_cpu(1, 3.0);
@@ -1017,7 +1035,7 @@ mod tests {
         QualityModel::for_catalog(
             profile,
             footprint,
-            &SiteCatalog::default(),
+            catalog,
             demand,
             MigrationPreferences::with_cpu_limit(4.0).with_budget(1.0e9),
             current,
@@ -1025,54 +1043,27 @@ mod tests {
         )
     }
 
-    /// The same profile/footprint/demand as [`model_with_externals`], but
-    /// over a 3-site catalog whose links are deliberately asymmetric:
-    /// unknown components must resolve to site 0 in both the kernel and
-    /// the interpretive oracle, for every site assignment. Site 2 is the
-    /// caller's: an elastic region by default, or an owned edge site for
-    /// the Eq. 4 capacity tests.
+    /// [`externals_model`] on the paper's testbed, everything on-prem.
+    fn model_with_externals() -> QualityModel {
+        externals_model(&SiteCatalog::default(), SiteId::ON_PREM)
+    }
+
+    /// [`externals_model`] over a 3-site catalog whose links are
+    /// deliberately asymmetric: unknown components must resolve to site 0
+    /// in both the kernel and the interpretive oracle, for every site
+    /// assignment. The Store starts at site 2, the caller's: an elastic
+    /// region by default, or an owned edge site for the Eq. 4 capacity
+    /// tests.
     fn three_site_model_with_externals() -> QualityModel {
-        use atlas_sim::SiteSpec;
-        three_site_model_with_site2(SiteSpec::elastic(
+        three_site_model_with_site2(atlas_sim::SiteSpec::elastic(
             "west",
             PricingModel::preset(atlas_cloud::Provider::GcpLike),
         ))
     }
 
     fn three_site_model_with_site2(site2: atlas_sim::SiteSpec) -> QualityModel {
-        use atlas_sim::{ClusterSpec, LinkSpec, SiteCatalog, SiteId, SiteNetwork, SiteSpec};
+        use atlas_sim::{ClusterSpec, LinkSpec, SiteSpec};
 
-        let component_index = vec!["Frontend".to_string(), "Store".to_string()];
-        let trace = trace_with_externals();
-        let mut footprint = NetworkFootprint::new();
-        footprint.insert("/api", "Frontend", "ThirdPartyCDN", 2_000.0, 50_000.0);
-        footprint.insert("/api", "Frontend", "Store", 9_000.0, 200.0);
-        footprint.insert("/api", "Store", "ExternalClient", 100.0, 100.0);
-        footprint.insert("/api", "Frontend", "Notifier", 700.0, 0.0);
-
-        let mut apis = Map::new();
-        apis.insert(
-            "/api".to_string(),
-            ApiProfile {
-                endpoint: "/api".to_string(),
-                traces: vec![trace.clone(), trace],
-                trace_weights: vec![],
-                components: ["Frontend", "Store", "ThirdPartyCDN"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<HashSet<_>>(),
-                stateful_components: ["Store", "GhostStore"]
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<HashSet<_>>(),
-                mean_latency_ms: 10.0,
-                request_count: 2,
-            },
-        );
-        let profile = ApplicationProfile {
-            apis,
-            components: Map::new(),
-        };
         let cluster = ClusterSpec::default();
         let mut links = Vec::new();
         for a in 0..3 {
@@ -1101,48 +1092,35 @@ mod tests {
             ],
             SiteNetwork::from_links(3, links),
         );
-        let current = Placement::from_sites(vec![SiteId(0), SiteId(2)]); // Store starts at region 2
-        let mut demand = ResourceDemand::zeros(component_index.clone(), 4, 600);
-        demand.fill_cpu(0, 2.0);
-        demand.fill_cpu(1, 3.0);
-        demand.fill_storage(1, 10.0);
-        QualityModel::for_catalog(
-            profile,
-            footprint,
-            &catalog,
-            demand,
-            MigrationPreferences::with_cpu_limit(4.0).with_budget(1.0e9),
-            current,
-            component_index,
+        externals_model(&catalog, SiteId(2))
+    }
+
+    /// A quality as the bits of its three indicators and its verdict.
+    fn bits(q: PlanQuality) -> (u64, u64, u64, bool) {
+        let PlanQuality {
+            performance,
+            availability,
+            cost,
+            feasible,
+        } = q;
+        (
+            performance.to_bits(),
+            availability.to_bits(),
+            cost.to_bits(),
+            feasible,
         )
     }
 
     #[test]
     fn three_site_kernel_matches_the_oracle_with_unknown_components() {
-        use atlas_sim::SiteId;
         let model = three_site_model_with_externals();
         assert_eq!(model.site_count(), 3);
         for a in 0..3u16 {
             for b in 0..3u16 {
                 let plan = MigrationPlan::from_sites(vec![SiteId(a), SiteId(b)]);
-                let kernel = model.evaluate(&plan);
-                let oracle = model.evaluate_interpretive(&plan);
-                assert_eq!(
-                    kernel.performance.to_bits(),
-                    oracle.performance.to_bits(),
-                    "sites ({a}, {b})"
-                );
-                assert_eq!(
-                    kernel.availability.to_bits(),
-                    oracle.availability.to_bits(),
-                    "sites ({a}, {b})"
-                );
-                assert_eq!(
-                    kernel.cost.to_bits(),
-                    oracle.cost.to_bits(),
-                    "sites ({a}, {b})"
-                );
-                assert_eq!(kernel.feasible, oracle.feasible, "sites ({a}, {b})");
+                let (kernel, reference) = (model.evaluate(&plan), oracle::evaluate(&model, &plan));
+                assert_eq!(bits(kernel), bits(reference), "sites ({a}, {b})");
+                assert_distribution_matches_the_injector(&model, "/api", &plan);
             }
         }
         // Moving the Store between the two regions pays the asymmetric
@@ -1167,12 +1145,12 @@ mod tests {
 
         let frontend_on_edge = MigrationPlan::from_sites(vec![SiteId(2), SiteId(0)]);
         assert!(model.is_feasible(&frontend_on_edge));
-        assert_eq!(model.feasibility(&frontend_on_edge), None);
+        assert_eq!(oracle::why_infeasible(&model, &frontend_on_edge), None);
 
         let store_on_edge = MigrationPlan::from_sites(vec![SiteId(0), SiteId(2)]);
         assert!(!model.is_feasible(&store_on_edge));
         assert!(!model.evaluate(&store_on_edge).feasible);
-        let why = model.feasibility(&store_on_edge).expect("a diagnostic");
+        let why = oracle::why_infeasible(&model, &store_on_edge).expect("a diagnostic");
         assert!(
             why.contains("exceeds capacity"),
             "the diagnostic names the violated pool: {why}"
@@ -1188,7 +1166,7 @@ mod tests {
                 let plan = MigrationPlan::from_sites(vec![SiteId(a), SiteId(b)]);
                 assert_eq!(
                     model.evaluate(&plan).feasible,
-                    model.evaluate_interpretive(&plan).feasible,
+                    oracle::evaluate(&model, &plan).feasible,
                     "sites ({a}, {b})"
                 );
             }
@@ -1198,31 +1176,12 @@ mod tests {
     #[test]
     fn unknown_components_default_to_onprem_bitwise() {
         let model = model_with_externals();
-        for bits in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {
-            let plan = plan_of(&bits);
-            let kernel = model.evaluate(&plan);
-            let oracle = model.evaluate_interpretive(&plan);
-            assert_eq!(
-                kernel.performance.to_bits(),
-                oracle.performance.to_bits(),
-                "bits {bits:?}"
-            );
-            assert_eq!(
-                kernel.availability.to_bits(),
-                oracle.availability.to_bits(),
-                "bits {bits:?}"
-            );
-            assert_eq!(
-                kernel.cost.to_bits(),
-                oracle.cost.to_bits(),
-                "bits {bits:?}"
-            );
-            assert_eq!(kernel.feasible, oracle.feasible, "bits {bits:?}");
-            assert_eq!(
-                model.is_feasible(&plan),
-                model.feasibility(&plan).is_none(),
-                "bits {bits:?}"
-            );
+        for genes in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {
+            let plan = plan_of(&genes);
+            let (kernel, reference) = (model.evaluate(&plan), oracle::evaluate(&model, &plan));
+            assert_eq!(bits(kernel), bits(reference), "genes {genes:?}");
+            let why = oracle::why_infeasible(&model, &plan);
+            assert_eq!(model.is_feasible(&plan), why.is_none(), "genes {genes:?}");
         }
     }
 
@@ -1251,13 +1210,43 @@ mod tests {
         model_with_externals().estimate_api_latency_ms("/api", &plan_of(&[1]));
     }
 
+    /// Each of the kernel's per-trace samples of `api` under `plan` is
+    /// bit-equal to the injector's replay of that trace, and their weighted
+    /// mean is bit-equal to the kernel's per-API estimate.
+    fn assert_distribution_matches_the_injector(
+        model: &QualityModel,
+        api: &str,
+        plan: &MigrationPlan,
+    ) {
+        let learned = &model.profile().apis[api];
+        let samples = model.estimate_latency_distribution_ms(api, plan);
+        let replayed = DelayInjector::new(&model.network, model.component_index())
+            .estimate_latency_distribution_ms(
+                &learned.traces,
+                model.footprint(),
+                model.current_placement(),
+                plan.placement(),
+            );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&samples), bits(&replayed), "{api} under {plan:?}");
+        let (sum, total) =
+            (samples.iter().enumerate()).fold((0.0, 0.0), |(sum, total), (i, &latency)| {
+                let weight = learned.trace_weight(i);
+                (sum + weight * latency, total + weight)
+            });
+        let mean = model.estimate_api_latency_ms(api, plan);
+        assert_eq!(
+            (sum / total).to_bits(),
+            mean.to_bits(),
+            "{api} under {plan:?}"
+        );
+    }
+
     #[test]
     fn kernel_latency_matches_the_interpretive_injector() {
         let model = model_with_externals();
-        let injector = DelayInjector::new(
-            SiteNetwork::default(),
-            vec!["Frontend".to_string(), "Store".to_string()],
-        );
+        let (network, known) = (SiteNetwork::default(), model.component_index());
+        let injector = DelayInjector::new(&network, known);
         let current = Placement::all_onprem(2);
         for bits in [[0u16, 0], [0, 1], [1, 0], [1, 1]] {
             let plan = plan_of(&bits);
@@ -1269,12 +1258,15 @@ mod tests {
             );
             let compiled = model.estimate_api_latency_ms("/api", &plan);
             assert_eq!(compiled.to_bits(), direct.to_bits(), "bits {bits:?}");
+            assert_distribution_matches_the_injector(&model, "/api", &plan);
         }
-        // Unknown APIs estimate to zero, like the interpretive path.
-        assert_eq!(
-            model.estimate_api_latency_ms("/missing", &MigrationPlan::all_onprem(2)),
-            0.0
-        );
+        // Unknown APIs estimate to zero and to no samples, like the
+        // interpretive path.
+        let plan = MigrationPlan::all_onprem(2);
+        assert_eq!(model.estimate_api_latency_ms("/missing", &plan), 0.0);
+        assert!(model
+            .estimate_latency_distribution_ms("/missing", &plan)
+            .is_empty());
     }
 
     #[test]

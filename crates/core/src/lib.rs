@@ -13,19 +13,20 @@
 //!    per-component profiles from telemetry; [`footprint`] learns the
 //!    network footprint of every API (Eq. 1).
 //! 2. **Migration recommendation** — [`quality`] models the three quality
-//!    indicators of a candidate plan ([`delay`] performs the delay-injection
-//!    latency estimate of §4.1.1; [`kernel`] compiles it into a flat,
-//!    index-resolved, allocation-free scoring pass), [`eval`] wraps the
-//!    quality model in a
-//!    cached, batched, thread-parallel evaluation layer shared by every
-//!    search path, [`plan`]/[`preferences`] describe plans and constraints
+//!    indicators of a candidate plan ([`kernel`] compiles the
+//!    delay-injection latency estimate of §4.1.1 into a flat,
+//!    index-resolved, allocation-free scoring pass; [`oracle`] evaluates
+//!    Eq. 1–4 interpretively, as the check the kernel is pinned to), [`eval`]
+//!    wraps the quality model in a cached, batched, thread-parallel
+//!    evaluation layer shared by every search path, [`plan`]/[`preferences`] describe plans and constraints
 //!    (Eq. 4), [`rl_crossover`] trains the reward-driven crossover agent
 //!    (Eq. 5) and [`recommender`] runs the DRL-based genetic algorithm;
 //!    [`hierarchy`] organises the Pareto-optimal plans into a dendrogram for
 //!    selection (§4.2.2).
 //! 3. **Post-migration monitoring** — [`monitor`] detects latency-
-//!    distribution drift with KL divergence (§4.3); [`security`] reuses the
-//!    footprints to flag data-exfiltration anomalies (§6).
+//!    distribution drift with KL divergence against the model's own
+//!    estimate (§4.3); [`security`] reuses the footprints to flag
+//!    data-exfiltration anomalies (§6).
 //!
 //! [`advisor::Atlas`] wires the stages together behind one entry point for
 //! batch use; [`service::AdvisorService`] runs the same pipeline as a
@@ -38,13 +39,13 @@
 #![forbid(unsafe_code)]
 
 pub mod advisor;
-pub mod delay;
 pub mod eval;
 pub mod footprint;
 pub mod hierarchy;
 pub mod hub;
 pub mod kernel;
 pub mod monitor;
+pub mod oracle;
 pub mod plan;
 pub mod preferences;
 pub mod profile;
@@ -57,7 +58,6 @@ pub mod service;
 mod testkit;
 
 pub use advisor::{Atlas, AtlasConfig};
-pub use delay::DelayInjector;
 pub use eval::{EvalStats, MemoCache, PlanEvaluator, LANE_WIDTH};
 pub use footprint::{FootprintLearner, NetworkFootprint};
 pub use hierarchy::{Dendrogram, DendrogramNode};

@@ -8,6 +8,11 @@
 //! divergence observed right after the migration, and triggers a new round
 //! of recommendations when the information loss grows by a large factor
 //! (the paper reports 0.47 → 6.09, a 13× loss, for `/homeTimeline`).
+//! [`DriftDetector::from_model`] arms a detector against the quality
+//! model's own estimate of the executed plan.
+
+use crate::plan::MigrationPlan;
+use crate::quality::QualityModel;
 
 /// Kullback–Leibler divergence `D_KL(P ‖ Q)` between two empirical latency
 /// distributions, computed over a shared histogram with `bins` bins spanning
@@ -102,6 +107,19 @@ impl DriftDetector {
             bins: Self::DEFAULT_BINS,
             threshold_factor: Self::DEFAULT_THRESHOLD_FACTOR,
         }
+    }
+
+    /// Arm a detector for `api` after `plan` was executed: `measured` is the
+    /// post-migration reality `b_real`, and `b_approx` is the model's
+    /// delay-injection estimate of the plan,
+    /// [`QualityModel::estimate_latency_distribution_ms`].
+    pub fn from_model(
+        model: &QualityModel,
+        api: &str,
+        plan: &MigrationPlan,
+        measured: Vec<f64>,
+    ) -> Self {
+        Self::new(measured, &model.estimate_latency_distribution_ms(api, plan))
     }
 
     /// Override the trigger factor (builder style).

@@ -10,41 +10,29 @@
 //! never extend the end-to-end latency.
 
 use atlas_sim::{Placement, SiteId, SiteNetwork};
-use atlas_telemetry::{Micros, Trace};
+use atlas_telemetry::Trace;
 
 use crate::footprint::NetworkFootprint;
 
 /// Estimates post-migration latencies by replaying traces with injected
 /// delays over a [`SiteNetwork`] ([`SiteNetwork::default`] is the paper's
 /// two measured links).
-#[derive(Debug, Clone)]
-pub struct DelayInjector {
-    network: SiteNetwork,
+#[derive(Debug, Clone, Copy)]
+pub struct DelayInjector<'a> {
+    network: &'a SiteNetwork,
     /// Component name → index used by the placements.
-    component_index: Vec<String>,
+    component_index: &'a [String],
 }
 
-impl DelayInjector {
+impl<'a> DelayInjector<'a> {
     /// Create an injector over a link matrix for an application whose
     /// components are indexed by `component_index` (the same order used by
     /// [`Placement`]).
-    pub fn new(network: SiteNetwork, component_index: Vec<String>) -> Self {
+    pub fn new(network: &'a SiteNetwork, component_index: &'a [String]) -> Self {
         Self {
             network,
             component_index,
         }
-    }
-
-    /// The per-ordered-pair link model delays are injected against (used by
-    /// the compiled evaluation kernel to bake per-hop link costs at compile
-    /// time).
-    pub fn site_network(&self) -> &SiteNetwork {
-        &self.network
-    }
-
-    /// The component index the injector resolves span names against.
-    pub fn component_index(&self) -> &[String] {
-        &self.component_index
     }
 
     fn site_of(&self, placement: &Placement, component: &str) -> SiteId {
@@ -150,8 +138,8 @@ impl DelayInjector {
         num / den
     }
 
-    /// The estimated latency distribution (ms, one sample per trace), used
-    /// for the drift-detection baseline (Figure 7 / §4.3).
+    /// The estimated latency distribution (ms, one sample per trace): the
+    /// reference the kernel's drift baseline (Figure 7 / §4.3) is pinned to.
     pub fn estimate_latency_distribution_ms(
         &self,
         traces: &[Trace],
@@ -284,18 +272,6 @@ impl DelayInjector {
         // The parent's trailing own-compute after its last foreground wave.
         prev_end_new + (orig_end - prev_end_orig).max(0.0)
     }
-
-    /// Convenience: new latency (µs) of a single trace.
-    pub fn estimate_trace_latency_us(
-        &self,
-        trace: &Trace,
-        footprint: &NetworkFootprint,
-        current: &Placement,
-        candidate: &Placement,
-    ) -> Micros {
-        (self.estimate_trace_latency_ms(trace, footprint, current, candidate) * 1_000.0).round()
-            as Micros
-    }
 }
 
 #[cfg(test)]
@@ -351,17 +327,19 @@ mod tests {
         Trace::from_spans(spans).unwrap()
     }
 
-    fn injector() -> DelayInjector {
-        DelayInjector::new(
-            SiteNetwork::default(),
-            vec![
-                "Frontend".to_string(),
-                "URLShorten".to_string(),
-                "Media".to_string(),
-                "PostStorage".to_string(),
-                "WriteHomeTimeline".to_string(),
-            ],
-        )
+    fn injector() -> DelayInjector<'static> {
+        static PARTS: std::sync::OnceLock<(SiteNetwork, Vec<String>)> = std::sync::OnceLock::new();
+        let (network, components) = PARTS.get_or_init(|| {
+            let names = [
+                "Frontend",
+                "URLShorten",
+                "Media",
+                "PostStorage",
+                "WriteHomeTimeline",
+            ];
+            (SiteNetwork::default(), names.map(String::from).to_vec())
+        });
+        DelayInjector::new(network, components)
     }
 
     fn footprint() -> NetworkFootprint {
@@ -471,20 +449,10 @@ mod tests {
     fn unknown_components_default_to_onprem() {
         let trace = figure6_trace();
         // The injector only knows about a subset of the components.
-        let inj = DelayInjector::new(SiteNetwork::default(), vec!["Frontend".to_string()]);
+        let (network, known) = (SiteNetwork::default(), ["Frontend".to_string()]);
+        let inj = DelayInjector::new(&network, &known);
         let current = Placement::all_onprem(1);
         let est = inj.estimate_trace_latency_ms(&trace, &footprint(), &current, &current);
         assert!((est - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn us_and_ms_estimates_agree() {
-        let trace = figure6_trace();
-        let inj = injector();
-        let current = Placement::all_onprem(5);
-        let candidate = Placement::all_onprem(5).with_cloud(ComponentId(3));
-        let ms = inj.estimate_trace_latency_ms(&trace, &footprint(), &current, &candidate);
-        let us = inj.estimate_trace_latency_us(&trace, &footprint(), &current, &candidate);
-        assert!((ms * 1_000.0 - us as f64).abs() < 1.0);
     }
 }

@@ -112,6 +112,23 @@ impl MigrationPreferences {
         }
     }
 
+    /// Repair a site assignment to honour the placement pins: exact pins
+    /// overwrite their gene, and a gene outside its site-set pin snaps to
+    /// the set's first site. Pins naming a component beyond `sites` are
+    /// ignored.
+    pub fn apply_pins(&self, sites: &mut [SiteId]) {
+        for (&c, &site) in &self.pinned {
+            if let Some(gene) = sites.get_mut(c.0) {
+                *gene = site;
+            }
+        }
+        for (&c, allowed) in &self.allowed_sites {
+            if let Some(gene) = sites.get_mut(c.0).filter(|gene| !allowed.contains(gene)) {
+                *gene = allowed[0];
+            }
+        }
+    }
+
     /// Whether a plan violates any placement pin (exact or site-set).
     pub fn violates_pins(&self, plan: &crate::plan::MigrationPlan) -> bool {
         self.pinned

@@ -1,23 +1,19 @@
 //! Migration-quality modeling: `Q_Perf`, `Q_Avai`, `Q_Cost` and the
 //! feasibility constraints of Eq. 4.
 //!
-//! Scoring is two-tier since PR 4: [`QualityModel::for_catalog`] compiles the
-//! learned traces into a [`CompiledQuality`] kernel (see [`crate::kernel`])
-//! and every hot entry point — `evaluate`, `performance`, `availability`,
-//! `cost`, `is_feasible`, `estimate_api_latency_ms` — scores through it.
+//! [`QualityModel::for_catalog`] compiles the learned traces into a
+//! [`CompiledQuality`] kernel (see [`crate::kernel`]) and every entry point
+//! — `evaluate`, `performance`, `availability`, `cost`, `is_feasible`, the
+//! per-API estimate and its per-trace distribution — scores through it.
 //! The kernel has one trace walk, run at the width of the group it scores:
 //! `evaluate` and `evaluate_lanes` are one group scorer, a lone plan being
-//! a group of width 1, and the per-API estimate walks at width 1 too. The
-//! original interpretive
-//! implementations remain available as `*_interpretive` reference oracles;
-//! property tests pin the two paths bit-identical.
-
-use std::collections::HashMap;
+//! a group of width 1, and the per-API estimates walk at width 1 too. The
+//! interpretive Eq. 1–4 live apart, in [`crate::oracle`]; property tests
+//! pin the two bit-identical.
 
 use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
-use atlas_sim::{Placement, SiteCatalog, SiteId};
+use atlas_sim::{Placement, SiteCatalog, SiteId, SiteNetwork};
 
-use crate::delay::DelayInjector;
 use crate::footprint::NetworkFootprint;
 use crate::kernel::{with_scratch, CompiledQuality};
 use crate::plan::MigrationPlan;
@@ -82,24 +78,19 @@ impl ScoredPlan {
 pub struct QualityModel {
     profile: ApplicationProfile,
     footprint: NetworkFootprint,
-    injector: DelayInjector,
-    cost_model: SiteCostModel,
-    demand: ResourceDemand,
+    /// The catalog's links, which the oracle injects delays against.
+    pub(crate) network: SiteNetwork,
+    pub(crate) cost_model: SiteCostModel,
+    pub(crate) demand: ResourceDemand,
     preferences: MigrationPreferences,
     current: Placement,
     /// Component names in plan-index order.
     component_index: Vec<String>,
-    /// Current mean latency per API (ms), the denominator of `Q_Perf`.
-    baseline_latency_ms: HashMap<String, f64>,
-    /// API endpoints in sorted order: the deterministic summation order of
-    /// `Q_Perf`/`Q_Avai`, shared by the kernel and the interpretive path.
-    api_order: Vec<String>,
     /// The compiled evaluation kernel (see [`crate::kernel`]).
     kernel: CompiledQuality,
     /// The cost model pre-bound to `demand` (edge totals and step-major
     /// resource columns hoisted); bit-identical to `cost_model`, used by
-    /// every kernel scoring path. [`Self::cost_interpretive`] and
-    /// [`Self::feasibility`] stay on the uncompiled oracle.
+    /// every scoring path. [`crate::oracle`] prices with `cost_model`.
     cost_kernel: CompiledCost,
 }
 
@@ -131,19 +122,14 @@ impl QualityModel {
             current.sites().iter().all(|&s| catalog.contains(s)),
             "the current placement names a site outside the catalog"
         );
-        let injector = DelayInjector::new(catalog.network().clone(), component_index.clone());
         let cost_model = catalog.cost_model();
-        let baseline_latency_ms: HashMap<String, f64> = profile
-            .apis
-            .iter()
-            .map(|(k, v)| (k.clone(), v.mean_latency_ms.max(1e-6)))
-            .collect();
+        // Sorted: the deterministic summation order of `Q_Perf`/`Q_Avai`.
         let mut api_order: Vec<String> = profile.apis.keys().cloned().collect();
         api_order.sort();
         let mut kernel = CompiledQuality::compile(
             &profile,
             &footprint,
-            injector.site_network(),
+            catalog.network(),
             &preferences,
             &current,
             &component_index,
@@ -154,14 +140,12 @@ impl QualityModel {
         Self {
             profile,
             footprint,
-            injector,
+            network: catalog.network().clone(),
             cost_model,
             demand,
             preferences,
             current,
             component_index,
-            baseline_latency_ms,
-            api_order,
             kernel,
             cost_kernel,
         }
@@ -229,10 +213,9 @@ impl QualityModel {
         &self.kernel
     }
 
-    /// Estimated post-migration mean latency (ms) of one API under a plan
-    /// (compiled kernel; bit-identical to
-    /// `estimate_api_latency_ms_interpretive`); 0.0 for an API the model
-    /// did not learn.
+    /// Estimated post-migration mean latency (ms) of one API under a plan:
+    /// the weighted mean of [`Self::estimate_latency_distribution_ms`]; 0.0
+    /// for an API the model did not learn.
     ///
     /// # Panics
     ///
@@ -246,23 +229,24 @@ impl QualityModel {
         with_scratch(|s| self.kernel.api_latency_ms(slot, plan.sites(), &mut s.lanes))
     }
 
-    /// Interpretive reference of [`Self::estimate_api_latency_ms`]: replays
-    /// the retained traces through the recursive [`DelayInjector`].
-    pub(crate) fn estimate_api_latency_ms_interpretive(
-        &self,
-        api: &str,
-        plan: &MigrationPlan,
-    ) -> f64 {
-        let Some(profile) = self.profile.apis.get(api) else {
-            return 0.0;
+    /// The delay-injection latency distribution (ms) of one API under a
+    /// plan: one sample per retained trace, in trace order, each trace
+    /// walked by the kernel at width 1 — the `b_approx` a drift detector is
+    /// armed against (§4.3). Empty for an API the model did not learn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `api` was learned and the plan does not cover every
+    /// component.
+    pub fn estimate_latency_distribution_ms(&self, api: &str, plan: &MigrationPlan) -> Vec<f64> {
+        self.debug_assert_in_catalog(plan.sites());
+        let Some(slot) = self.kernel.api_slot(api) else {
+            return Vec::new();
         };
-        self.injector.estimate_api_latency_ms_weighted(
-            &profile.traces,
-            &profile.trace_weights,
-            &self.footprint,
-            &self.current,
-            plan.placement(),
-        )
+        with_scratch(|s| {
+            self.kernel
+                .api_latency_samples_ms(slot, plan.sites(), &mut s.lanes)
+        })
     }
 
     /// `Q_Perf(p)`: weighted mean of per-API latency ratios (compiled
@@ -276,55 +260,12 @@ impl QualityModel {
         with_scratch(|s| self.kernel.performance(&[plan.sites()], &mut s.lanes)[0])
     }
 
-    /// Interpretive reference of [`Self::performance`], summing the APIs in
-    /// the same sorted order as the kernel.
-    pub fn performance_interpretive(&self, plan: &MigrationPlan) -> f64 {
-        if self.api_order.is_empty() {
-            return 1.0;
-        }
-        let mut total = 0.0;
-        let mut weight_sum = 0.0;
-        for api in &self.api_order {
-            let weight = self.preferences.api_weight(api);
-            let baseline = self.baseline_latency_ms[api];
-            let estimated = self
-                .estimate_api_latency_ms_interpretive(api, plan)
-                .max(1e-9);
-            total += weight * estimated / baseline;
-            weight_sum += weight;
-        }
-        total / weight_sum
-    }
-
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
     /// (compiled kernel).
     pub fn availability(&self, plan: &MigrationPlan) -> f64 {
         self.debug_assert_in_catalog(plan.sites());
         self.kernel
             .availability(plan.placement().sites(), self.current.sites())
-    }
-
-    /// Interpretive reference of [`Self::availability`], resolving stateful
-    /// component names with the original index scan.
-    pub fn availability_interpretive(&self, plan: &MigrationPlan) -> f64 {
-        let mut disruption = 0.0;
-        for api in &self.api_order {
-            let profile = &self.profile.apis[api];
-            let disrupted = profile.stateful_components.iter().any(|c| {
-                self.component_index
-                    .iter()
-                    .position(|n| n == c)
-                    .map(|i| {
-                        plan.site(atlas_sim::ComponentId(i))
-                            != self.current.site(atlas_sim::ComponentId(i))
-                    })
-                    .unwrap_or(false)
-            });
-            if disrupted {
-                disruption += self.preferences.api_weight(api);
-            }
-        }
-        disruption
     }
 
     /// `Q_Cost(p)`: hosting cost over the demand horizon (dollars), each
@@ -339,109 +280,23 @@ impl QualityModel {
         })
     }
 
-    /// Interpretive reference of [`Self::cost`] (allocating per call).
-    pub fn cost_interpretive(&self, plan: &MigrationPlan) -> f64 {
-        let sites: Vec<SiteId> = (0..self.component_count())
-            .map(|i| plan.site(atlas_sim::ComponentId(i)))
-            .collect();
-        self.cost_model.evaluate(&self.demand, &sites).total()
-    }
-
     /// Cost expressed per day, the unit the paper reports.
     pub fn cost_per_day(&self, plan: &MigrationPlan) -> f64 {
-        let sites: Vec<SiteId> = (0..self.component_count())
-            .map(|i| plan.site(atlas_sim::ComponentId(i)))
-            .collect();
-        self.cost_model
-            .evaluate(&self.demand, &sites)
-            .per_day(self.demand.duration_s())
-            .total()
+        let cost =
+            (self.cost_model).evaluate(&self.demand, &plan.sites()[..self.component_count()]);
+        cost.per_day(self.demand.duration_s()).total()
     }
 
     /// `λ(p)`: whether the plan satisfies every constraint of Eq. 4
     /// (compiled constraint kernel; same verdict as
-    /// [`Self::feasibility`]`.is_none()`, without the diagnostics or their
-    /// allocations).
+    /// [`oracle::why_infeasible`](crate::oracle::why_infeasible)`.is_none()`,
+    /// without the diagnostics or their allocations).
     pub fn is_feasible(&self, plan: &MigrationPlan) -> bool {
         self.debug_assert_in_catalog(plan.sites());
         if plan.len() != self.component_count() {
             return false;
         }
         with_scratch(|s| self.cost_and_feasibility(plan.sites(), &mut s.cost).1)
-    }
-
-    /// The first violated constraint, if any (useful for diagnostics).
-    pub fn feasibility(&self, plan: &MigrationPlan) -> Option<String> {
-        if plan.len() != self.component_count() {
-            return Some("plan does not cover every component".to_string());
-        }
-        // Placement pins.
-        if self.preferences.violates_pins(plan) {
-            return Some("violates a placement constraint".to_string());
-        }
-        // On-prem resource limits: peak expected usage of on-prem components.
-        let onprem: Vec<usize> = (0..self.component_count())
-            .filter(|&i| plan.site(atlas_sim::ComponentId(i)).is_on_prem())
-            .collect();
-        let peak_cpu = self.demand.peak_cpu(&onprem);
-        if peak_cpu > self.preferences.onprem_cpu_limit {
-            return Some(format!(
-                "on-prem CPU demand {peak_cpu:.1} exceeds limit {:.1}",
-                self.preferences.onprem_cpu_limit
-            ));
-        }
-        let peak_mem = self.demand.peak_memory_gb(&onprem);
-        if peak_mem > self.preferences.onprem_memory_limit_gb {
-            return Some(format!(
-                "on-prem memory demand {peak_mem:.1} GB exceeds limit {:.1} GB",
-                self.preferences.onprem_memory_limit_gb
-            ));
-        }
-        let peak_storage = self.demand.peak_storage_gb(&onprem);
-        if peak_storage > self.preferences.onprem_storage_limit_gb {
-            return Some(format!(
-                "on-prem storage demand {peak_storage:.1} GB exceeds limit {:.1} GB",
-                self.preferences.onprem_storage_limit_gb
-            ));
-        }
-        // Capacity limits of owned sites at index > 0 (catalog-declared;
-        // empty in the two-site model, where site 1 is elastic).
-        for limits in self.kernel.constraints().owned_site_limits() {
-            let members: Vec<usize> = (0..self.component_count())
-                .filter(|&i| plan.site(atlas_sim::ComponentId(i)) == limits.site)
-                .collect();
-            let site = limits.site.index();
-            let cpu = self.demand.peak_cpu(&members);
-            if limits.cpu_cores.is_finite() && cpu > limits.cpu_cores {
-                return Some(format!(
-                    "site {site} CPU demand {cpu:.1} exceeds capacity {:.1}",
-                    limits.cpu_cores
-                ));
-            }
-            let mem = self.demand.peak_memory_gb(&members);
-            if limits.memory_gb.is_finite() && mem > limits.memory_gb {
-                return Some(format!(
-                    "site {site} memory demand {mem:.1} GB exceeds capacity {:.1} GB",
-                    limits.memory_gb
-                ));
-            }
-            let storage = self.demand.peak_storage_gb(&members);
-            if limits.storage_gb.is_finite() && storage > limits.storage_gb {
-                return Some(format!(
-                    "site {site} storage demand {storage:.1} GB exceeds capacity {:.1} GB",
-                    limits.storage_gb
-                ));
-            }
-        }
-        // Budget (interpretive cost, keeping this diagnostic an oracle
-        // that shares nothing with the compiled kernels).
-        if let Some(budget) = self.preferences.budget {
-            let cost = self.cost_interpretive(plan);
-            if cost > budget {
-                return Some(format!("cost {cost:.2} exceeds budget {budget:.2}"));
-            }
-        }
-        None
     }
 
     /// `Q_Cost` and `λ(p)` of one site assignment, off one pass of the
@@ -557,17 +412,11 @@ impl QualityModel {
         self.evaluate(&MigrationPlan::from_sites(sites))
     }
 
-    /// Interpretive reference of [`Self::evaluate`]: scores every indicator
-    /// through the original recursive/allocating implementations. The
-    /// compiled kernel is pinned bit-identical to this oracle by property
-    /// tests; prefer [`Self::evaluate`] everywhere else.
+    /// [`oracle::evaluate`](crate::oracle::evaluate), kept as a method
+    /// only because the benchmark package calls it; everything else calls
+    /// the oracle directly.
     pub fn evaluate_interpretive(&self, plan: &MigrationPlan) -> PlanQuality {
-        PlanQuality {
-            performance: self.performance_interpretive(plan),
-            availability: self.availability_interpretive(plan),
-            cost: self.cost_interpretive(plan),
-            feasible: self.feasibility(plan).is_none(),
-        }
+        crate::oracle::evaluate(self, plan)
     }
 }
 
@@ -575,6 +424,7 @@ impl QualityModel {
 mod tests {
     use super::*;
     use crate::footprint::FootprintLearner;
+    use crate::oracle;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
     use atlas_cloud::{ResourceEstimator, ScalingEstimator};
     use atlas_sim::{AppTopology, ClusterSpec, ComponentId, OverloadModel, SimConfig, Simulator};
@@ -687,7 +537,8 @@ mod tests {
         let (model, app) = build_model(MigrationPreferences::with_cpu_limit(2.0));
         let identity = MigrationPlan::all_onprem(app.component_count());
         assert!(!model.is_feasible(&identity));
-        assert!(model.feasibility(&identity).unwrap().contains("CPU"));
+        let why = oracle::why_infeasible(&model, &identity);
+        assert!(why.unwrap().contains("CPU"));
         // Offloading everything trivially satisfies the on-prem limit.
         let all_cloud = MigrationPlan::new(Placement::all_cloud(app.component_count()));
         assert!(model.is_feasible(&all_cloud));
@@ -702,14 +553,13 @@ mod tests {
         );
         let mut plan = MigrationPlan::all_onprem(app.component_count());
         plan.set(ComponentId(0), SiteId::CLOUD);
-        assert!(model.feasibility(&plan).unwrap().contains("placement"));
+        let why = oracle::why_infeasible(&model, &plan);
+        assert!(why.unwrap().contains("placement"));
 
         let mut cheap_violation = MigrationPlan::all_onprem(app.component_count());
         cheap_violation.set(ComponentId(5), SiteId::CLOUD);
-        assert!(model
-            .feasibility(&cheap_violation)
-            .unwrap()
-            .contains("budget"));
+        let why = oracle::why_infeasible(&model, &cheap_violation);
+        assert!(why.unwrap().contains("budget"));
     }
 
     #[test]

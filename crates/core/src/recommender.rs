@@ -365,12 +365,11 @@ impl<'a> Recommender<'a> {
         let mut seeds: Vec<MigrationPlan> = Vec::with_capacity(self.config.population);
         while seeds.len() < self.config.population {
             let cloud_fraction = rng.gen_range(0.05..0.95);
-            let sites: Vec<SiteId> = (0..n)
+            let mut sites: Vec<SiteId> = (0..n)
                 .map(|_| random_site(&mut rng, cloud_fraction, site_count))
                 .collect();
-            let mut plan = MigrationPlan::from_sites(sites);
-            self.apply_pins(&mut plan);
-            seeds.push(plan);
+            self.quality.preferences().apply_pins(&mut sites);
+            seeds.push(MigrationPlan::from_sites(sites));
         }
         let init_ms = millis(init_start.elapsed());
         let scored = evaluator.evaluate_scored_batch(&seeds);
@@ -524,9 +523,8 @@ impl<'a> Recommender<'a> {
                     &site_alphabet,
                     self.config.mutation_rate,
                 );
-                let mut child = MigrationPlan::from_sites(sites);
-                self.apply_pins(&mut child);
-                offspring.push(child);
+                self.quality.preferences().apply_pins(&mut sites);
+                offspring.push(MigrationPlan::from_sites(sites));
             }
             let scored = evaluator.evaluate_scored_batch(&offspring);
             requested += offspring.len();
@@ -586,20 +584,6 @@ impl<'a> Recommender<'a> {
             eval: evaluator.local_stats().since(&local_start),
             eval_lifetime: evaluator.stats(),
             stages,
-        }
-    }
-
-    fn apply_pins(&self, plan: &mut MigrationPlan) {
-        for (&c, &site) in &self.quality.preferences().pinned {
-            if c.0 < plan.len() {
-                plan.set(c, site);
-            }
-        }
-        // Site-set pins: snap a violating gene to the set's first site.
-        for (&c, allowed) in &self.quality.preferences().allowed_sites {
-            if c.0 < plan.len() && !allowed.contains(&plan.site(c)) {
-                plan.set(c, allowed[0]);
-            }
         }
     }
 }

@@ -110,7 +110,7 @@ fn assert_models_agree(clustered: &QualityModel, unclustered: &QualityModel, n: 
         // oracles (the oracle scores weighted representatives too).
         for model in [clustered, unclustered] {
             let kernel = model.evaluate(&plan);
-            let oracle = model.evaluate_interpretive(&plan);
+            let oracle = atlas::core::oracle::evaluate(model, &plan);
             assert_eq!(kernel.performance.to_bits(), oracle.performance.to_bits());
             assert_eq!(kernel.availability.to_bits(), oracle.availability.to_bits());
             assert_eq!(kernel.cost.to_bits(), oracle.cost.to_bits());

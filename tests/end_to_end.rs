@@ -12,8 +12,8 @@ use atlas::apps::{
 use atlas::baselines::{AffinityGaAdvisor, BaselineContext};
 use atlas::cloud::{PricingModel, ResourceDemand};
 use atlas::core::{
-    AdvisorService, AdvisorServiceConfig, Atlas, AtlasConfig, MigrationPlan, MigrationPreferences,
-    Recommender, RecommenderConfig, ServiceEvent,
+    AdvisorService, AdvisorServiceConfig, Atlas, AtlasConfig, DriftDetector, MigrationPlan,
+    MigrationPreferences, Recommender, RecommenderConfig, ServiceEvent,
 };
 use atlas::sim::{
     AppTopology, ClusterSpec, OverloadModel, Placement, SimConfig, Simulator, SiteCatalog, SiteId,
@@ -303,9 +303,10 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
     }
 
     // Drift narrative against the multi-region link matrix: the detector's
-    // approximation replays the executed plan's traces through the
-    // catalog's per-ordered-pair links. Post-migration reality matching
-    // that approximation is quiet; a 6× shift is flagged.
+    // approximation is the model's estimate of the executed plan, every
+    // retained trace walked over the catalog's per-ordered-pair links.
+    // Post-migration reality matching that approximation is quiet; a 6×
+    // shift is flagged.
     let executed = &reference.plans[0].plan;
     let api = atlas
         .profile()
@@ -314,17 +315,8 @@ fn multi_region_4_site_recommendation_is_thread_deterministic() {
         .min()
         .expect("scenario has APIs")
         .clone();
-    let injector = atlas::core::DelayInjector::new(
-        scenario.catalog.network().clone(),
-        atlas.config().component_index.clone(),
-    );
-    let approx = injector.estimate_latency_distribution_ms(
-        &atlas.profile().apis[&api].traces,
-        atlas.footprint(),
-        &current,
-        executed.placement(),
-    );
-    let detector = atlas.drift_detector(&api, executed, &current, approx.clone());
+    let approx = quality.estimate_latency_distribution_ms(&api, executed);
+    let detector = DriftDetector::from_model(&quality, &api, executed, approx.clone());
     assert!(
         !detector.check(&approx).drifted,
         "reality matching the multi-region estimate must stay quiet"

@@ -5,12 +5,13 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use atlas::apps::{synthesize, CallGraphShape, SynthOptions};
+use atlas::core::oracle::{self, DelayInjector};
 use atlas::core::{
     kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel, Recommender,
     RecommenderConfig, ScoredPlan, LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
-use atlas::sim::{ComponentId, Placement, SiteId, SiteNetwork};
+use atlas::sim::{ComponentId, Placement, SiteCatalog, SiteId, SiteNetwork};
 use atlas_bench::golden::front_text;
 use atlas_bench::{Application, Experiment, ExperimentOptions};
 
@@ -230,10 +231,13 @@ proptest! {
     }
 
     /// The compiled evaluation kernel is bit-identical to the interpretive
-    /// `DelayInjector`/`QualityModel` oracle: every indicator and the
-    /// feasibility verdict agree to the last bit for arbitrary plans over
-    /// the shared 29-component model — feasible ones, budget/CPU violators
-    /// (all-on-prem exceeds the burst CPU limit) and pin violators alike.
+    /// oracle (`atlas_core::oracle`): every indicator and the feasibility
+    /// verdict agree to the last bit for arbitrary plans over the shared
+    /// 29-component model — feasible ones, budget/CPU violators
+    /// (all-on-prem exceeds the burst CPU limit) and pin violators alike —
+    /// and so does every API's latency distribution: each per-trace sample
+    /// is the injector's replay of that trace, and the samples' weighted
+    /// mean is the per-API estimate.
     #[test]
     fn compiled_kernel_is_bit_identical_to_the_interpretive_oracle(
         genes in prop::collection::vec(prop::collection::vec(0u16..=1, 29), 1..6),
@@ -243,24 +247,37 @@ proptest! {
             genes.iter().map(|b| plan_of(b)).collect();
         plans.push(MigrationPlan::all_onprem(29)); // infeasible: CPU limit
         plans.push(MigrationPlan::new(Placement::all_cloud(29))); // violates pins
+        // The social network runs on the paper's testbed.
+        let testbed = SiteCatalog::default();
+        let injector = DelayInjector::new(testbed.network(), quality.component_index());
         for plan in &plans {
             let kernel = quality.evaluate(plan);
-            prop_assert_eq!(bits(kernel), bits(quality.evaluate_interpretive(plan)));
-            // The individual kernel entry points agree with their oracles
+            let reference = oracle::evaluate(quality, plan);
+            prop_assert_eq!(bits(kernel), bits(reference));
+            // The individual kernel entry points agree with the oracle
             // and with the composite evaluation.
-            prop_assert_eq!(
-                quality.performance(plan).to_bits(),
-                quality.performance_interpretive(plan).to_bits()
-            );
-            prop_assert_eq!(
-                quality.availability(plan).to_bits(),
-                quality.availability_interpretive(plan).to_bits()
-            );
-            prop_assert_eq!(
-                quality.cost(plan).to_bits(),
-                quality.cost_interpretive(plan).to_bits()
-            );
-            prop_assert_eq!(quality.is_feasible(plan), quality.feasibility(plan).is_none());
+            prop_assert_eq!(quality.performance(plan).to_bits(), reference.performance.to_bits());
+            prop_assert_eq!(quality.availability(plan).to_bits(), reference.availability.to_bits());
+            prop_assert_eq!(quality.cost(plan).to_bits(), reference.cost.to_bits());
+            prop_assert_eq!(quality.is_feasible(plan), oracle::why_infeasible(quality, plan).is_none());
+            for (name, api) in &quality.profile().apis {
+                let samples = quality.estimate_latency_distribution_ms(name, plan);
+                let replayed = injector.estimate_latency_distribution_ms(
+                    &api.traces,
+                    quality.footprint(),
+                    quality.current_placement(),
+                    plan.placement(),
+                );
+                prop_assert_eq!(samples.len(), api.traces.len());
+                for (sample, replay) in samples.iter().zip(&replayed) {
+                    prop_assert_eq!(sample.to_bits(), replay.to_bits(), "{}", name);
+                }
+                let (sum, total) = samples.iter().enumerate().fold((0.0, 0.0), |(s, t), (i, &l)| {
+                    (s + api.trace_weight(i) * l, t + api.trace_weight(i))
+                });
+                let mean = quality.estimate_api_latency_ms(name, plan);
+                prop_assert_eq!((sum / total).to_bits(), mean.to_bits(), "{}", name);
+            }
         }
         prop_assert!(plans.iter().any(|p| !quality.is_feasible(p)));
     }
@@ -370,8 +387,8 @@ proptest! {
         for plan in &probe {
             for quality in [&exp.quality, &strict] {
                 let kernel = quality.evaluate(plan);
-                prop_assert_eq!(bits(kernel), bits(quality.evaluate_interpretive(plan)));
-                prop_assert_eq!(quality.is_feasible(plan), quality.feasibility(plan).is_none());
+                prop_assert_eq!(bits(kernel), bits(oracle::evaluate(quality, plan)));
+                prop_assert_eq!(quality.is_feasible(plan), oracle::why_infeasible(quality, plan).is_none());
                 feasible_seen |= kernel.feasible;
                 infeasible_seen |= !kernel.feasible;
             }
@@ -462,7 +479,7 @@ proptest! {
         // `evaluate` itself is pinned to the interpretive oracle on a slice
         // of the spectrum (the oracle allocates per call).
         for (plan, s) in plans.iter().zip(&alone).take(12) {
-            prop_assert_eq!(bits(*s), bits(quality.evaluate_interpretive(plan)));
+            prop_assert_eq!(bits(*s), bits(oracle::evaluate(quality, plan)));
         }
     }
 
@@ -757,11 +774,11 @@ proptest! {
             let direct = exp.quality.evaluate(plan);
             prop_assert_eq!(bits(direct), bits(*from_batch));
             prop_assert_eq!(exp.quality.is_feasible(plan), direct.feasible);
-            prop_assert_eq!(exp.quality.feasibility(plan).is_none(), direct.feasible);
+            prop_assert_eq!(oracle::why_infeasible(&exp.quality, plan).is_none(), direct.feasible);
             // The compiled kernel matches the interpretive oracle bit for
             // bit on generated scenarios too (synthetic topologies exercise
             // fan-out/chain/mesh wave structures the seed apps do not).
-            prop_assert_eq!(bits(direct), bits(exp.quality.evaluate_interpretive(plan)));
+            prop_assert_eq!(bits(direct), bits(oracle::evaluate(&exp.quality, plan)));
         }
 
         // Bit-identical recommendation per seed, and a non-dominated front.
