@@ -18,9 +18,10 @@
 //! * **Statistics** — [`EvalStats`] reports unique evaluations, cache hits
 //!   and scoring wall time, surfaced in
 //!   [`RecommendationReport`](crate::recommender::RecommendationReport).
-//!   Each evaluator handle additionally keeps *local* counters
-//!   ([`PlanEvaluator::local_stats`]) accumulated off the shared path, so a
-//!   request served over a shared cache can attribute its own hit rate.
+//!   An evaluator reports what *it* was asked ([`PlanEvaluator::stats`]),
+//!   so a request served over a shared cache attributes its own hit rate;
+//!   whoever owns a shared cache reads the cache-wide view from
+//!   [`MemoCache::stats`].
 //!
 //! Evaluation is pure, so neither the cache nor the thread count changes any
 //! score: a recommendation run is bit-identical at 1 or N worker threads.
@@ -484,11 +485,6 @@ where
         self.state().cache.len()
     }
 
-    /// Requests answered from the cache so far.
-    pub fn cache_hits(&self) -> usize {
-        self.state().cache_hits
-    }
-
     /// Snapshot of the accounting as [`EvalStats`], stamped with the worker
     /// count the owner fans batches out across.
     pub fn stats(&self, threads: usize) -> EvalStats {
@@ -536,9 +532,9 @@ struct LocalCounters {
 ///
 /// The memo cache is either owned (the default) or shared
 /// ([`Self::with_shared_cache`]) — the multi-tenant hub gives each
-/// concurrent request its own evaluator handle over the tenant's
-/// epoch-stamped cache, so [`Self::stats`] reports the cache lifetime while
-/// [`Self::local_stats`] reports just this handle's requests.
+/// concurrent request its own evaluator handle over the tenant's epoch
+/// cache. Either way [`Self::stats`] reports just this handle's requests;
+/// the cache-wide view of a shared cache is [`MemoCache::stats`].
 #[derive(Debug)]
 pub struct PlanEvaluator<'a> {
     quality: &'a QualityModel,
@@ -683,36 +679,12 @@ impl<'a> PlanEvaluator<'a> {
         self.evaluate(child)
     }
 
-    /// Distinct plans scored so far by *anyone* using this evaluator's
-    /// cache (the cache size). On a shared cache this spans every
-    /// evaluator; the recommender's `max_visited` budget instead counts
-    /// request-locally, so concurrent sharing never changes a search.
-    pub fn unique_evaluations(&self) -> usize {
-        self.memo().unique()
-    }
-
-    /// Requests answered from the cache so far (cache-wide).
-    pub fn cache_hits(&self) -> usize {
-        self.memo().cache_hits()
-    }
-
-    /// Snapshot of the cache-lifetime evaluation statistics, stamped with
-    /// the wrapped model's kernel compile time. On a shared cache this is
-    /// the *lifetime* view across every evaluator of the epoch; pair it
-    /// with [`Self::local_stats`] for the per-request view.
+    /// Snapshot of what was asked *through this handle*: its computes, its
+    /// cache hits, its batches and scoring wall time, stamped with the
+    /// wrapped model's kernel compile time. Exact under any interleaving on
+    /// a shared cache, because the counters live in the handle, not the
+    /// cache.
     pub fn stats(&self) -> EvalStats {
-        let mut stats = self.memo().stats(self.threads);
-        stats.kernel_compile_ms = self.quality.kernel_compile_ms();
-        stats
-    }
-
-    /// Snapshot of the evaluator-local statistics: only the requests issued
-    /// *through this handle*. On an owned cache this coincides with
-    /// [`Self::stats`]; on a shared cache it is the per-request
-    /// attribution (this request's computes, this request's hits), exact
-    /// under any interleaving because the counters live in the handle, not
-    /// the cache.
-    pub fn local_stats(&self) -> EvalStats {
         EvalStats {
             unique_evaluations: self.local.computed.load(Ordering::Relaxed),
             cache_hits: self.local.hits.load(Ordering::Relaxed),
@@ -806,12 +778,10 @@ mod tests {
         let first = evaluator.evaluate(&plan);
         let second = evaluator.evaluate(&plan);
         assert_eq!(first, second);
-        assert_eq!(evaluator.unique_evaluations(), 1);
-        assert_eq!(evaluator.cache_hits(), 1);
-        // On an owned cache, local and lifetime views coincide.
-        let local = evaluator.local_stats();
-        assert_eq!(local.unique_evaluations, 1);
-        assert_eq!(local.cache_hits, 1);
+        assert_eq!(evaluator.memo().unique(), 1);
+        let stats = evaluator.stats();
+        assert_eq!(stats.unique_evaluations, 1);
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]
@@ -824,22 +794,22 @@ mod tests {
         let qualities = evaluator.evaluate_batch(&batch);
         assert_eq!(qualities.len(), 6);
         assert_eq!(qualities[0], qualities[5]);
-        assert_eq!(evaluator.unique_evaluations(), 5);
-        assert_eq!(evaluator.cache_hits(), 1);
+        assert_eq!(evaluator.stats().unique_evaluations, 5);
+        assert_eq!(evaluator.stats().cache_hits, 1);
         // Re-submitting the same batch is all hits.
         let again = evaluator.evaluate_batch(&batch);
         assert_eq!(again, qualities);
-        assert_eq!(evaluator.unique_evaluations(), 5);
-        assert_eq!(evaluator.cache_hits(), 7);
         let stats = evaluator.stats();
+        assert_eq!(stats.unique_evaluations, 5);
+        assert_eq!(stats.cache_hits, 7);
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.requests(), 12);
         assert!(stats.cache_hit_rate() > 0.5);
-        // The local view agrees with the lifetime view (sole user).
-        let local = evaluator.local_stats();
-        assert_eq!(local.unique_evaluations, 5);
-        assert_eq!(local.cache_hits, 7);
-        assert_eq!(local.batches, 2);
+        // The owned cache agrees with its sole user.
+        let cache = evaluator.memo().stats(1);
+        assert_eq!(cache.unique_evaluations, 5);
+        assert_eq!(cache.cache_hits, 7);
+        assert_eq!(cache.batches, 2);
     }
 
     #[test]
@@ -938,21 +908,21 @@ mod tests {
 
         let first = PlanEvaluator::with_shared_cache(&quality, &cache).with_threads(1);
         let cold = first.evaluate_batch(&batch);
-        assert_eq!(first.local_stats().unique_evaluations, 12);
-        assert_eq!(first.local_stats().cache_hits, 0);
+        assert_eq!(first.stats().unique_evaluations, 12);
+        assert_eq!(first.stats().cache_hits, 0);
 
         let second = PlanEvaluator::with_shared_cache(&quality, &cache).with_threads(1);
         let warm = second.evaluate_batch(&batch);
         assert_eq!(warm, cold, "a shared cache never changes scores");
         assert_eq!(
-            second.local_stats().unique_evaluations,
+            second.stats().unique_evaluations,
             0,
             "the second handle computed nothing"
         );
-        assert_eq!(second.local_stats().cache_hits, 12);
+        assert_eq!(second.stats().cache_hits, 12);
 
         // The cache-wide lifetime view aggregates both handles.
-        let lifetime = second.stats();
+        let lifetime = cache.stats(1);
         assert_eq!(lifetime.unique_evaluations, 12);
         assert_eq!(lifetime.cache_hits, 12);
         assert_eq!(lifetime.batches, 2);
@@ -978,7 +948,7 @@ mod tests {
                         PlanEvaluator::with_shared_cache(&quality, &cache).with_threads(1);
                     let scored = evaluator.evaluate_batch(&batch);
                     assert_eq!(scored, direct);
-                    let local = evaluator.local_stats();
+                    let local = evaluator.stats();
                     assert_eq!(local.unique_evaluations + local.cache_hits, batch.len());
                 });
             }

@@ -9,11 +9,14 @@
 //! [`AdvisorHub`] provides that serving layer over N independent tenant
 //! services:
 //!
-//! * **Epoch-stamped model snapshots** — whenever a tenant's model
-//!   generation changes (bootstrap or drift-triggered relearn), the hub
-//!   publishes the compiled [`QualityModel`] `Arc`, the crossover agent
-//!   trained for it and a *fresh* [`MemoCache`] as one epoch-stamped `Arc`
-//!   behind a small lock.
+//! * **One published epoch** — a tenant's service builds one `Arc` per
+//!   model generation (bootstrap or drift-triggered relearn) holding the
+//!   generation, the compiled
+//!   [`QualityModel`](crate::quality::QualityModel), the crossover agent
+//!   trained for it and a *fresh* [`MemoCache`](crate::eval::MemoCache).
+//!   After every service round the hub stores a clone of that same `Arc`
+//!   behind a small lock; it copies nothing out of it, so the model, the
+//!   agent and the generation it serves can only move together.
 //!   A recommendation request ([`AdvisorHub::recommend`]) holds that lock
 //!   only to clone the `Arc`: it never touches the tenant's service mutex,
 //!   so ingest, drift detection and relearn proceed while any number of
@@ -24,9 +27,8 @@
 //! * **One training run per epoch** — the crossover agent is a pure
 //!   function of the model and the tenant's recommender configuration, and
 //!   the tenant's service already trains it for its own post-relearn
-//!   recommendation. The hub publishes that
-//!   [`TrainedCrossover`] next to the model, and every
-//!   request at the epoch searches with it
+//!   recommendation and puts it in the epoch. Every request at the epoch
+//!   searches with it
 //!   ([`Recommender::recommend_trained`]): shared, never cloned, never
 //!   written — a request owns only its activation buffers and its position
 //!   in the sampling stream. A request therefore costs a search, not a
@@ -45,10 +47,10 @@
 //!   interleaving with other tenants.
 //!
 //! ```text
-//!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ publish
-//!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (epoch++)
+//!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ Arc<Epoch>
+//!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (clone)
 //!                                                             ▼
-//!   Mutex<Option<Arc<..>>> ──▶ { epoch, Arc<QualityModel>, Arc<TrainedCrossover>, MemoCache }
+//!   Mutex<Option<Arc<Epoch>>> ──▶ { generation, Arc<QualityModel>, Arc<TrainedCrossover>, MemoCache }
 //!                                                             ▲  Arc clone per request
 //!   serve ────── worker pool ── recommend(tenant) ────────────┘  (searches, never trains)
 //! ```
@@ -134,23 +136,22 @@
 //! }
 //! ```
 
+use std::mem;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use atlas_telemetry::Trace;
 
-use crate::eval::{effective_threads, MemoCache, PlanEvaluator};
-use crate::plan::MigrationPlan;
-use crate::quality::{PlanQuality, QualityModel};
+use crate::eval::{effective_threads, PlanEvaluator};
 use crate::recommender::{RecommendationReport, Recommender, RecommenderConfig};
-use crate::rl_crossover::TrainedCrossover;
-use crate::service::{AdvisorService, ServiceEvent};
+use crate::service::{AdvisorService, Epoch, ServiceEvent};
 
-/// Lock `mutex`, recovering the guard when a holder panicked. The snapshot and
-/// batch-slot mutexes only guard whole assignments, so their data is always
-/// valid. A tenant's service can be left mid-update by a panicking feed; it
-/// keeps serving its last published snapshot, and ROADMAP item 1 replaces this
+/// Lock `mutex`, recovering the guard when a holder panicked. The snapshot
+/// mutex only guards whole assignments, so its data is always valid. A
+/// tenant's service can be left mid-update by a panicking feed; it keeps
+/// serving its last published epoch, and ROADMAP item 2 replaces this
 /// recovery with tenant quarantine.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -161,35 +162,29 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(pub usize);
 
-/// One published model generation of a tenant: the epoch stamp, the shared
-/// compiled model, the crossover agent the service trained for it and the
-/// epoch's own eval cache. Retiring the epoch retires all of them together,
-/// so neither a score computed against an older model nor a policy trained
-/// on one can answer a request at a newer one.
-struct PublishedModel {
-    epoch: u64,
-    model: Arc<QualityModel>,
-    /// `None` when the tenant searches without a learned agent (uniform
-    /// crossover, or a budget that left nothing to train on).
-    policy: Option<Arc<TrainedCrossover>>,
-    cache: MemoCache<MigrationPlan, PlanQuality>,
-}
-
-/// One registered tenant: its serialised service state, its current
-/// published snapshot (`None` before the first publish; requests clone the
-/// `Arc` out and never touch the service mutex), and the request-side
+/// One registered tenant: its serialised service state, the service's
+/// current epoch (`None` before the first publish; requests clone the `Arc`
+/// out and never touch the service mutex), and the request-side
 /// configuration captured at registration.
 struct TenantSlot {
     name: String,
     service: Mutex<AdvisorService>,
-    snapshot: Mutex<Option<Arc<PublishedModel>>>,
+    snapshot: Mutex<Option<Arc<Epoch>>>,
     recommender: RecommenderConfig,
 }
 
 impl TenantSlot {
-    /// The tenant's current snapshot, if one was published.
-    fn snapshot(&self) -> Option<Arc<PublishedModel>> {
+    /// The tenant's published epoch, if any.
+    fn snapshot(&self) -> Option<Arc<Epoch>> {
         lock(&self.snapshot).clone()
+    }
+
+    /// Publish the service's current epoch: the same `Arc`, cloned. Called
+    /// with the service lock held, so epochs publish in order. A retired
+    /// epoch is dropped after the snapshot lock is released.
+    fn publish(&self, service: &AdvisorService) {
+        let epoch = service.epoch().cloned();
+        let _retired = mem::replace(&mut *lock(&self.snapshot), epoch);
     }
 }
 
@@ -205,8 +200,7 @@ pub struct HubReport {
     /// Wall-clock latency of this request, in milliseconds.
     pub latency_ms: f64,
     /// The recommendation itself. `report.eval` is this request's own
-    /// compute/hit accounting; `report.eval_lifetime` spans every request
-    /// served from the same epoch's shared cache.
+    /// compute/hit accounting over the epoch's shared cache.
     pub report: RecommendationReport,
 }
 
@@ -258,7 +252,7 @@ impl AdvisorHub {
             service: Mutex::new(service),
             snapshot: Mutex::new(None),
         };
-        Self::republish(&slot, &lock(&slot.service));
+        slot.publish(&lock(&slot.service));
         self.tenants.push(slot);
         TenantId(self.tenants.len() - 1)
     }
@@ -276,47 +270,26 @@ impl AdvisorHub {
     /// The model epoch a tenant currently serves at, or `None` before its
     /// first publish.
     pub fn published_epoch(&self, tenant: TenantId) -> Option<u64> {
-        self.tenants[tenant.0].snapshot().map(|s| s.epoch)
+        self.tenants[tenant.0].snapshot().map(|s| s.generation)
     }
 
     /// Run `f` against a tenant's service under its lock — the maintenance
-    /// hatch for inspecting timelines, stores or recommendations. Reads on
+    /// hatch for inspecting stores or recommendations. Reads on
     /// the serving path never come through here.
     pub fn with_tenant<R>(&self, tenant: TenantId, f: impl FnOnce(&AdvisorService) -> R) -> R {
         f(&lock(&self.tenants[tenant.0].service))
     }
 
-    /// Publish the service's model if its generation moved past the
-    /// published epoch (or nothing is published yet). Called with the
-    /// tenant's service lock held, so generations publish in order.
-    fn republish(slot: &TenantSlot, service: &AdvisorService) {
-        let generation = service.model_generation();
-        let mut snapshot = lock(&slot.snapshot);
-        if snapshot.as_ref().map(|s| s.epoch) == Some(generation) {
-            return;
-        }
-        if let Some(model) = service.shared_model() {
-            *snapshot = Some(Arc::new(PublishedModel {
-                epoch: generation,
-                model,
-                policy: service.shared_policy(),
-                // A fresh epoch starts from an empty cache: scores computed
-                // against the previous model retire with its snapshot.
-                cache: MemoCache::default(),
-            }));
-        }
-    }
-
     /// Ingest one trace batch into one tenant: runs the tenant's full
     /// event loop (retention, drift, relearn,
-    /// re-recommendation) under its service lock, then republishes the
-    /// model snapshot if the generation moved. Other tenants — and every
+    /// re-recommendation) under its service lock, then publishes the
+    /// service's epoch. Other tenants — and every
     /// in-flight [`Self::recommend`] — are unaffected.
     pub fn feed(&self, tenant: TenantId, traces: Vec<Trace>) -> Vec<ServiceEvent> {
         let slot = &self.tenants[tenant.0];
         let mut service = lock(&slot.service);
         let events = service.feed(traces);
-        Self::republish(slot, &service);
+        slot.publish(&service);
         events
     }
 
@@ -326,7 +299,7 @@ impl AdvisorHub {
         let slot = &self.tenants[tenant.0];
         let mut service = lock(&slot.service);
         let events = service.bootstrap();
-        Self::republish(slot, &service);
+        slot.publish(&service);
         events
     }
 
@@ -336,36 +309,31 @@ impl AdvisorHub {
     /// exactly the event sequence a serial replay would produce). Results
     /// come back in input order.
     pub fn feed_all(&self, batches: Vec<(TenantId, Vec<Trace>)>) -> Vec<Vec<ServiceEvent>> {
-        let mut per_tenant: Vec<Vec<usize>> = vec![Vec::new(); self.tenants.len()];
-        for (i, (tenant, _)) in batches.iter().enumerate() {
-            per_tenant[tenant.0].push(i);
+        let mut per_tenant: Vec<Vec<(usize, Vec<Trace>)>> = vec![Vec::new(); self.tenants.len()];
+        for (i, (tenant, traces)) in batches.into_iter().enumerate() {
+            per_tenant[tenant.0].push((i, traces));
         }
-        let slots: Vec<Mutex<Option<Vec<Trace>>>> = batches
-            .into_iter()
-            .map(|(_, traces)| Mutex::new(Some(traces)))
-            .collect();
-        let results: Vec<Mutex<Option<Vec<ServiceEvent>>>> =
-            (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for (tenant, indices) in per_tenant.iter().enumerate() {
-                if indices.is_empty() {
-                    continue;
-                }
-                let slots = &slots;
-                let results = &results;
-                scope.spawn(move || {
-                    for &i in indices {
-                        let traces = lock(&slots[i]).take().expect("each batch fed once");
-                        let events = self.feed(TenantId(tenant), traces);
-                        *lock(&results[i]) = Some(events);
-                    }
-                });
-            }
+        let mut results: Vec<(usize, Vec<ServiceEvent>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = per_tenant
+                .into_iter()
+                .enumerate()
+                .filter(|(_, group)| !group.is_empty())
+                .map(|(tenant, group)| {
+                    scope.spawn(move || {
+                        group
+                            .into_iter()
+                            .map(|(i, traces)| (i, self.feed(TenantId(tenant), traces)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
+                .collect()
         });
-        results
-            .iter()
-            .map(|m| lock(m).take().expect("every batch was fed"))
-            .collect()
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, events)| events).collect()
     }
 
     /// Answer one recommendation request: take the tenant's published
@@ -396,7 +364,7 @@ impl AdvisorHub {
     fn answer(
         slot: &TenantSlot,
         tenant: TenantId,
-        snapshot: &PublishedModel,
+        snapshot: &Epoch,
         request_threads: usize,
     ) -> HubReport {
         let start = Instant::now();
@@ -410,7 +378,7 @@ impl AdvisorHub {
             .recommend_trained(&evaluator, snapshot.policy.as_deref());
         HubReport {
             tenant,
-            epoch: snapshot.epoch,
+            epoch: snapshot.generation,
             latency_ms: start.elapsed().as_secs_f64() * 1_000.0,
             report,
         }
@@ -612,14 +580,12 @@ mod tests {
         // request — nothing was inherited from epoch 1.
         let unique = after.report.eval.unique_evaluations;
         assert!(0 < unique && unique <= after.report.visited);
+        let lifetime = hub.tenants[t.0].snapshot().unwrap().cache.stats(1);
         assert_eq!(
-            after.report.eval_lifetime.unique_evaluations, after.report.eval.unique_evaluations,
+            lifetime.unique_evaluations, after.report.eval.unique_evaluations,
             "a stale epoch-1 entry survived into the epoch-2 cache"
         );
-        assert_eq!(
-            after.report.eval_lifetime.cache_hits,
-            after.report.eval.cache_hits
-        );
+        assert_eq!(lifetime.cache_hits, after.report.eval.cache_hits);
         // And the answer matches the serial service's own post-drift run.
         let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().plans.clone());
         assert_eq!(after.report.plans, serial);
@@ -658,6 +624,16 @@ mod tests {
         assert_eq!(hub.recommend(t, 1).epoch, 2);
     }
 
+    /// The hub serves the service's own epoch — the same `Arc`, so the
+    /// published generation is the service's — after every kind of round.
+    fn assert_serves_the_services_epoch(hub: &AdvisorHub, t: TenantId) {
+        let published = hub.tenants[t.0].snapshot().expect("published");
+        hub.with_tenant(t, |service| {
+            assert!(Arc::ptr_eq(&published, service.epoch().unwrap()));
+            assert_eq!(hub.published_epoch(t), Some(service.model_generation()));
+        });
+    }
+
     /// A request answers from the snapshot it took — model, agent and
     /// cache of one epoch — even when the next epoch is published before
     /// it finishes; it never searches the old model with the new agent or
@@ -668,13 +644,25 @@ mod tests {
         let mut hub = AdvisorHub::new();
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
+        assert_serves_the_services_epoch(&hub, t);
         let on_time = hub.recommend(t, 1);
         let slot = &hub.tenants[t.0];
         let taken = slot.snapshot().expect("published at bootstrap");
 
         let api = corpus[0].root().operation.clone();
-        hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
+        hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
+        assert_eq!(
+            hub.published_epoch(t),
+            Some(1),
+            "a quiet feed publishes nothing new"
+        );
+        assert_serves_the_services_epoch(&hub, t);
+        hub.feed(
+            t,
+            slow_replay(&corpus, &api, (2 * DAY_S + 2) * 1_000_000, 5),
+        );
         assert_eq!(hub.published_epoch(t), Some(2));
+        assert_serves_the_services_epoch(&hub, t);
         let published = slot.snapshot().expect("republished by the feed");
         let (old, new) = (taken.policy.as_ref(), published.policy.as_ref());
         assert!(
@@ -729,7 +717,7 @@ mod tests {
 
     /// A panic under a tenant's service lock poisons the mutex; the hub
     /// recovers the guard, so the tenant still ingests and both tenants
-    /// still answer, with the fronts they had before. (ROADMAP item 1 will
+    /// still answer, with the fronts they had before. (ROADMAP item 2 will
     /// change the first half on purpose: the tenant gets quarantined.)
     #[test]
     fn a_panic_under_the_service_lock_does_not_wedge_the_hub() {
@@ -767,26 +755,37 @@ mod tests {
         hub.bootstrap(b);
         let api_a = corpus_a[0].root().operation.clone();
         let api_b = corpus_b[0].root().operation.clone();
-        let results = hub.feed_all(vec![
-            (
-                a,
-                slow_replay(&corpus_a, &api_a, (DAY_S + 1) * 1_000_000, 1),
-            ),
-            (
-                b,
-                slow_replay(&corpus_b, &api_b, (DAY_S + 1) * 1_000_000, 1),
-            ),
-            (
-                a,
-                slow_replay(&corpus_a, &api_a, (2 * DAY_S + 2) * 1_000_000, 1),
-            ),
-        ]);
+        // Two same-shape replays of tenant a cut to different lengths around
+        // a 5x drift of tenant b, so every batch has its own size and only
+        // the middle one relearns.
+        let mut first = slow_replay(&corpus_a, &api_a, (DAY_S + 1) * 1_000_000, 1);
+        first.truncate(first.len() - 1);
+        let drift = slow_replay(&corpus_b, &api_b, (DAY_S + 1) * 1_000_000, 5);
+        let mut last = slow_replay(&corpus_a, &api_a, (2 * DAY_S + 2) * 1_000_000, 1);
+        last.truncate(last.len() / 2);
+        let sizes = [first.len(), drift.len(), last.len()];
+        assert!(sizes[0] != sizes[1] && sizes[1] != sizes[2] && sizes[0] != sizes[2]);
+
+        let results = hub.feed_all(vec![(a, first), (b, drift), (a, last)]);
         assert_eq!(results.len(), 3);
-        for events in &results {
-            assert!(matches!(events[0], ServiceEvent::Ingested { traces, .. } if traces > 0));
+        for (events, &size) in results.iter().zip(&sizes) {
+            assert!(
+                matches!(events[0], ServiceEvent::Ingested { traces, .. } if traces == size),
+                "a result belongs to its own batch: {:?} vs {size} traces",
+                events[0]
+            );
         }
-        // Same-shape replays must not drift either tenant.
+        let relearned: Vec<bool> = results
+            .iter()
+            .map(|events| {
+                events
+                    .iter()
+                    .any(|e| matches!(e, ServiceEvent::Relearned { .. }))
+            })
+            .collect();
+        assert_eq!(relearned, [false, true, false]);
+        // Same-shape replays must not drift tenant a; the drift moved b.
         assert_eq!(hub.published_epoch(a), Some(1));
-        assert_eq!(hub.published_epoch(b), Some(1));
+        assert_eq!(hub.published_epoch(b), Some(2));
     }
 }

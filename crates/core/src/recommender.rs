@@ -202,14 +202,8 @@ pub struct RecommendationReport {
     pub reward_progression: Vec<f64>,
     /// Per-request evaluation statistics: the computes, cache hits and
     /// scoring wall time attributable to *this run alone*, exact even when
-    /// the evaluator's cache is shared with other runs or tenants. On a
-    /// fresh evaluator this coincides with [`Self::eval_lifetime`].
+    /// the evaluator's cache is shared with other runs or tenants.
     pub eval: EvalStats,
-    /// Cache-lifetime evaluation statistics of the evaluator that served
-    /// this run: everything its memo cache has accumulated across every
-    /// run that shared it. `eval_lifetime.cache_hits - eval.cache_hits` is
-    /// the warmth inherited from (or contributed by) other requests.
-    pub eval_lifetime: EvalStats,
     /// Where the run's own time went, stage by stage.
     pub stages: SearchStages,
 }
@@ -309,7 +303,7 @@ impl<'a> Recommender<'a> {
         &self,
         evaluator: &PlanEvaluator<'_>,
     ) -> (Option<TrainedCrossover>, RecommendationReport) {
-        let local_start = evaluator.local_stats();
+        let local_start = evaluator.stats();
         let initial = self.initial_population(evaluator);
         let trained = self.train_on(&initial, evaluator);
         let mut report = self.search(evaluator, local_start, initial, trained.as_ref());
@@ -347,7 +341,7 @@ impl<'a> Recommender<'a> {
         evaluator: &PlanEvaluator<'_>,
         trained: Option<&TrainedCrossover>,
     ) -> RecommendationReport {
-        let local_start = evaluator.local_stats();
+        let local_start = evaluator.stats();
         let initial = self.initial_population(evaluator);
         self.search(evaluator, local_start, initial, trained)
     }
@@ -581,8 +575,7 @@ impl<'a> Recommender<'a> {
             plans,
             visited: seen.len(),
             reward_progression,
-            eval: evaluator.local_stats().since(&local_start),
-            eval_lifetime: evaluator.stats(),
+            eval: evaluator.stats().since(&local_start),
             stages,
         }
     }
@@ -743,7 +736,6 @@ mod tests {
             visited: 4,
             reward_progression: Vec::new(),
             eval: EvalStats::default(),
-            eval_lifetime: EvalStats::default(),
             stages: SearchStages::default(),
         };
         assert_eq!(
@@ -787,8 +779,10 @@ mod tests {
         let quality = build_quality(burst_preferences(12.0));
         let config = RecommenderConfig::fast();
         let recommender = Recommender::new(&quality, config.clone());
-        let evaluator = crate::eval::PlanEvaluator::new(&quality);
+        let cache = crate::eval::MemoCache::default();
+        let evaluator = crate::eval::PlanEvaluator::with_shared_cache(&quality, &cache);
         let cold = recommender.recommend_with(&evaluator);
+        let after_cold = cache.stats(1);
         let warm = recommender.recommend_with(&evaluator);
         // The budget is request-local, so the warm run replays the cold
         // run's trajectory bit-for-bit — entirely from the shared cache.
@@ -799,10 +793,14 @@ mod tests {
             "the warm run computed nothing of its own"
         );
         assert!(warm.eval.cache_hits > 0);
-        // The per-request view splits what the lifetime view aggregates.
+        // The per-request view splits what the cache's lifetime view
+        // aggregates.
         assert_eq!(cold.eval.unique_evaluations, cold.visited);
-        assert!(warm.eval_lifetime.cache_hits >= cold.eval_lifetime.cache_hits);
-        assert_eq!(evaluator.unique_evaluations(), cold.visited);
+        assert_eq!(
+            cache.stats(1).cache_hits,
+            after_cold.cache_hits + warm.eval.cache_hits
+        );
+        assert_eq!(cache.unique(), cold.visited);
         assert!(!warm.plans.is_empty());
     }
 

@@ -22,27 +22,30 @@
 //!   DriftDetector.check ──drifted?──▶ Atlas::learn_profile (every API)
 //!                                     │
 //!                                     ▼
-//!            Atlas::quality_model (kernel compiled cold, a fresh Arc)
+//!            Atlas::quality_model (kernel compiled cold)
 //!                                     │
 //!                                     ▼
-//!     Recommender::train_and_recommend ──▶ Arc<TrainedCrossover>, kept
-//!                                     │     for the hub to publish
+//!     Recommender::train_and_recommend ──▶ TrainedCrossover
+//!                                     │
 //!                                     ▼
-//!              ServiceEvent timeline (ingest / drift / relearn / plans)
+//!      one Arc<Epoch> { generation, model, policy, empty eval cache }
 //! ```
 //!
-//! The crossover agent is trained here, once per model generation, as part
-//! of the service's own re-recommendation; the trained artefact is kept
-//! ([`AdvisorService::shared_policy`]) so a serving layer can answer every
-//! later request at that generation without training again.
+//! What the service publishes is one epoch: the model generation, the
+//! compiled model, the crossover agent trained for it by the service's own
+//! re-recommendation and an eval cache for the requests a serving layer
+//! (the multi-tenant [`hub`](crate::hub)) answers at that generation. The
+//! epoch is built only after training returns, so a model is never seen
+//! with another generation's agent, and it is never mutated: a relearn
+//! builds the next one. The hub serves the same `Arc`.
 //!
-//! Every stage appends [`ServiceEvent`]s to the returned timeline, so a
-//! caller replaying a day of traffic gets an auditable log of what the
-//! advisor saw, when it retrained, how long the drift-to-new-plan path
-//! took, and which components the new recommendation moved.
+//! [`AdvisorService::feed`] and [`AdvisorService::bootstrap`] return the
+//! [`ServiceEvent`]s of their round, so a caller replaying a day of traffic
+//! gets an auditable log of what the advisor saw, when it retrained, how
+//! long the drift-to-new-plan path took, and which components the new
+//! recommendation moved. The service keeps no copy of them.
 
-use std::collections::{HashMap, VecDeque};
-use std::mem;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,18 +53,13 @@ use atlas_sim::{Placement, SiteId};
 use atlas_telemetry::{TelemetryStore, Trace};
 
 use crate::advisor::{Atlas, AtlasConfig};
-use crate::eval::PlanEvaluator;
+use crate::eval::{MemoCache, PlanEvaluator};
 use crate::monitor::{DriftDetector, DriftReport};
 use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
-use crate::quality::QualityModel;
+use crate::quality::{PlanQuality, QualityModel};
 use crate::recommender::{RecommendationReport, Recommender};
 use crate::rl_crossover::TrainedCrossover;
-
-/// Default number of [`ServiceEvent`]s a resident service retains in its
-/// timeline before evicting oldest-first (see
-/// [`AdvisorServiceConfig::timeline_cap`]).
-pub const DEFAULT_TIMELINE_CAP: usize = 1024;
 
 /// Configuration of a resident [`AdvisorService`].
 #[derive(Debug, Clone)]
@@ -84,13 +82,6 @@ pub struct AdvisorServiceConfig {
     /// Factor over the baseline divergence that flags drift
     /// (see [`DriftDetector::with_threshold_factor`]).
     pub threshold_factor: f64,
-    /// Maximum [`ServiceEvent`]s retained in the timeline. A resident
-    /// service emits events forever; once the timeline holds this many,
-    /// each new event evicts the oldest one and bumps
-    /// [`AdvisorService::dropped_events`]. The events *returned* by
-    /// [`AdvisorService::feed`] / [`AdvisorService::bootstrap`] are never
-    /// truncated — only the retained history is bounded.
-    pub timeline_cap: usize,
 }
 
 impl AdvisorServiceConfig {
@@ -104,20 +95,12 @@ impl AdvisorServiceConfig {
             drift_window: 50,
             min_detector_samples: 100,
             threshold_factor: DriftDetector::DEFAULT_THRESHOLD_FACTOR,
-            timeline_cap: DEFAULT_TIMELINE_CAP,
         }
     }
 
     /// Set the telemetry retention window (builder style).
     pub fn with_retention_window_s(mut self, window_s: u64) -> Self {
         self.retention_window_s = Some(window_s);
-        self
-    }
-
-    /// Set the timeline event cap (builder style). See
-    /// [`Self::timeline_cap`].
-    pub fn with_timeline_cap(mut self, cap: usize) -> Self {
-        self.timeline_cap = cap;
         self
     }
 }
@@ -134,7 +117,8 @@ pub struct PlanDelta {
     pub to: SiteId,
 }
 
-/// One entry of the service timeline.
+/// One event of a service round, as returned by [`AdvisorService::feed`]
+/// and [`AdvisorService::bootstrap`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceEvent {
     /// A telemetry batch was ingested.
@@ -182,6 +166,20 @@ pub enum ServiceEvent {
     },
 }
 
+/// One published model generation: the generation number, the compiled
+/// model, the crossover agent the service trained for it (`None` under
+/// uniform crossover, or when the budget left nothing to train on) and the
+/// eval cache of the requests served at it. Built whole after training and
+/// never mutated, so the four retire together: neither a score computed
+/// against an older model nor a policy trained on one can answer a request
+/// at a newer one.
+pub(crate) struct Epoch {
+    pub(crate) generation: u64,
+    pub(crate) model: Arc<QualityModel>,
+    pub(crate) policy: Option<Arc<TrainedCrossover>>,
+    pub(crate) cache: MemoCache<MigrationPlan, PlanQuality>,
+}
+
 /// A resident advisor: streaming ingest, continuous per-API drift
 /// detection, relearning and re-recommendation. See the
 /// [module docs](self) for the event loop.
@@ -190,30 +188,12 @@ pub struct AdvisorService {
     store: TelemetryStore,
     atlas: Atlas,
     current: Placement,
-    /// The compiled model, shared by `Arc` so a serving layer (the
-    /// multi-tenant [`hub`](crate::hub)) can publish an epoch-stamped
-    /// snapshot that in-flight recommenders keep reading. A relearn builds
-    /// a new model in a fresh `Arc` and never touches a published one.
-    model: Option<Arc<QualityModel>>,
-    /// Bumped every time the model changes: the bootstrap and each drift
-    /// resync. Snapshot holders compare generations to know when to
-    /// republish.
-    model_generation: u64,
-    /// The crossover agent trained for the current model generation by the
-    /// service's own recommendation run (`None` before bootstrap, and when
-    /// that run had nothing to train). Published next to the model.
-    policy: Option<Arc<TrainedCrossover>>,
+    /// The current epoch (`None` before bootstrap), shared by `Arc` with
+    /// the hub and with every request in flight at it.
+    epoch: Option<Arc<Epoch>>,
     detectors: HashMap<String, DriftDetector>,
     recommendation: Option<RecommendationReport>,
     preferred: Option<MigrationPlan>,
-    /// Bounded event history (oldest evicted beyond
-    /// [`AdvisorServiceConfig::timeline_cap`]).
-    timeline: VecDeque<ServiceEvent>,
-    /// Events of the round in flight, returned (untruncated) by
-    /// `feed`/`bootstrap` before being folded into the bounded timeline.
-    round_events: Vec<ServiceEvent>,
-    /// Events evicted from the timeline so far.
-    dropped_events: u64,
 }
 
 impl AdvisorService {
@@ -233,15 +213,10 @@ impl AdvisorService {
             store,
             atlas,
             current,
-            model: None,
-            model_generation: 0,
-            policy: None,
+            epoch: None,
             detectors: HashMap::new(),
             recommendation: None,
             preferred: None,
-            timeline: VecDeque::new(),
-            round_events: Vec::new(),
-            dropped_events: 0,
         }
     }
 
@@ -253,16 +228,15 @@ impl AdvisorService {
 
     /// The current quality model, if bootstrapped.
     pub fn model(&self) -> Option<&QualityModel> {
-        self.model.as_deref()
+        self.epoch.as_deref().map(|e| &*e.model)
     }
 
-    /// A shared handle to the current quality model, if bootstrapped: the
-    /// publication primitive of the multi-tenant [`hub`](crate::hub). The
+    /// A shared handle to the current quality model, if bootstrapped. The
     /// `Arc` stays valid across later relearns (each builds a new model
     /// instead of mutating the shared one), so a recommender holding it
     /// never observes a model change mid-search.
     pub fn shared_model(&self) -> Option<Arc<QualityModel>> {
-        self.model.clone()
+        self.epoch.as_ref().map(|e| e.model.clone())
     }
 
     /// A shared handle to the crossover agent trained for the current model
@@ -271,16 +245,19 @@ impl AdvisorService {
     /// [`Self::shared_model`] returns. `None` before bootstrap, under
     /// uniform crossover, or when the budget left nothing to train on.
     pub fn shared_policy(&self) -> Option<Arc<TrainedCrossover>> {
-        self.policy.clone()
+        self.epoch.as_ref().and_then(|e| e.policy.clone())
     }
 
     /// The model generation: `0` before bootstrap, bumped by the bootstrap
-    /// and by every drift resync. Two equal generations guarantee
-    /// the same model (and therefore the same scores), so snapshot holders
-    /// use this to decide when a republish — and a fresh eval cache — is
-    /// due.
+    /// and by every drift resync. Two equal generations guarantee the same
+    /// model (and therefore the same scores).
     pub fn model_generation(&self) -> u64 {
-        self.model_generation
+        self.epoch.as_ref().map_or(0, |e| e.generation)
+    }
+
+    /// The current epoch, the one `Arc` a serving layer publishes.
+    pub(crate) fn epoch(&self) -> Option<&Arc<Epoch>> {
+        self.epoch.as_ref()
     }
 
     /// The service configuration.
@@ -298,57 +275,31 @@ impl AdvisorService {
         self.recommendation.as_ref()
     }
 
-    /// The retained event timeline, oldest first. Bounded by
-    /// [`AdvisorServiceConfig::timeline_cap`]: once full, each new event
-    /// evicts the oldest (counted by [`Self::dropped_events`]).
-    pub fn timeline(&self) -> &VecDeque<ServiceEvent> {
-        &self.timeline
-    }
-
-    /// Events evicted from the bounded timeline so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped_events
-    }
-
     /// Whether [`AdvisorService::bootstrap`] has run.
     pub fn is_bootstrapped(&self) -> bool {
-        self.model.is_some()
+        self.epoch.is_some()
     }
 
     /// Ingest one batch of traces and run the event loop: retention
     /// eviction, per-API drift checks and — when drift fires — relearn
     /// and re-recommendation. Returns the events this batch
-    /// produced (also appended to [`AdvisorService::timeline`]).
+    /// produced.
     ///
     /// Before [`AdvisorService::bootstrap`] the loop only ingests: there is
     /// no model to drift from yet.
     pub fn feed(&mut self, traces: Vec<Trace>) -> Vec<ServiceEvent> {
         let report = self.store.ingest_batch(traces);
-        self.round_events.push(ServiceEvent::Ingested {
+        let mut events = vec![ServiceEvent::Ingested {
             traces: report.ingested,
             evicted: report.evicted,
             epoch: report.epoch,
-        });
-        if self.model.is_some() && self.check_drift() {
+        }];
+        if self.epoch.is_some() && self.check_drift(&mut events) {
             // The drift response: relearn the profile from the retained
             // traces, hold the footprint and demand, rebuild and publish.
             let start = Instant::now();
             self.atlas.learn_profile(&self.store);
-            self.publish(start, false);
-        }
-        self.finish_round()
-    }
-
-    /// Fold the in-flight round's events into the bounded timeline and
-    /// return them (untruncated — only the retained history is capped).
-    fn finish_round(&mut self) -> Vec<ServiceEvent> {
-        let events = mem::take(&mut self.round_events);
-        for event in &events {
-            if self.timeline.len() >= self.config.timeline_cap.max(1) {
-                self.timeline.pop_front();
-                self.dropped_events += 1;
-            }
-            self.timeline.push_back(event.clone());
+            self.publish(start, false, &mut events);
         }
         events
     }
@@ -368,23 +319,23 @@ impl AdvisorService {
         );
         let start = Instant::now();
         self.atlas.learn(&self.store);
-        self.publish(start, true);
-        self.finish_round()
+        let mut events = Vec::new();
+        self.publish(start, true, &mut events);
+        events
     }
 
-    /// Publish what `atlas` has learned as the next model generation: build
-    /// the model in a fresh `Arc`, log [`ServiceEvent::Relearned`] (timed
-    /// from `start`), re-arm one drift detector per retained API and
-    /// re-recommend. `cold` is whether `atlas` relearned the footprint and
-    /// demand too (the bootstrap) or only the profile (a drift resync).
-    fn publish(&mut self, start: Instant, cold: bool) {
+    /// Publish what `atlas` has learned as the next epoch: build the model,
+    /// log [`ServiceEvent::Relearned`] (timed from `start`), re-arm one
+    /// drift detector per retained API, re-recommend, and only then swap in
+    /// the new epoch with the agent that run trained. `cold` is whether
+    /// `atlas` relearned the footprint and demand too (the bootstrap) or
+    /// only the profile (a drift resync).
+    fn publish(&mut self, start: Instant, cold: bool, events: &mut Vec<ServiceEvent>) {
         let model = self
             .atlas
             .quality_model(self.current.clone(), self.config.preferences.clone());
-        self.model = Some(Arc::new(model));
-        self.model_generation += 1;
         let apis = self.store.apis();
-        self.round_events.push(ServiceEvent::Relearned {
+        events.push(ServiceEvent::Relearned {
             apis: apis.clone(),
             cold,
             elapsed_ms: start.elapsed().as_secs_f64() * 1_000.0,
@@ -393,7 +344,15 @@ impl AdvisorService {
         for api in &apis {
             self.arm_detector(api);
         }
-        self.recommend(start);
+        let policy = self.recommend(&model, start, events);
+        self.epoch = Some(Arc::new(Epoch {
+            generation: self.model_generation() + 1,
+            model: Arc::new(model),
+            policy: policy.map(Arc::new),
+            // A new epoch starts from an empty cache: scores computed
+            // against the previous model retire with it.
+            cache: MemoCache::default(),
+        }));
     }
 
     /// (Re)arm the drift detector of one API from the store's retained
@@ -417,10 +376,10 @@ impl AdvisorService {
     /// Run every armed detector against its API's freshest latency window,
     /// log a [`ServiceEvent::DriftFired`] per hit (in API order) and return
     /// whether any fired.
-    fn check_drift(&mut self) -> bool {
+    fn check_drift(&self, events: &mut Vec<ServiceEvent>) -> bool {
         let mut names: Vec<&String> = self.detectors.keys().collect();
         names.sort();
-        let mut events = Vec::new();
+        let logged = events.len();
         for api in names {
             let samples = self.store.api_latencies_ms(api);
             if samples.len() < self.config.drift_window {
@@ -435,24 +394,23 @@ impl AdvisorService {
                 });
             }
         }
-        let fired = !events.is_empty();
-        self.round_events.extend(events);
-        fired
+        events.len() > logged
     }
 
-    /// Train the crossover agent for the current model and run the
-    /// recommender with it, through one [`PlanEvaluator`] (shared across
-    /// training and the whole GA run — the memo cache makes revisited plans
-    /// free; it is rebuilt per model generation because a relearn
-    /// invalidates every cached score). Keeps the trained agent for
-    /// [`Self::shared_policy`], records the report and logs the plan deltas
-    /// against the previous round's preferred plan.
-    fn recommend(&mut self, since: Instant) {
-        let model = self.model.as_deref().expect("recommend requires a model");
+    /// Train the crossover agent for `model` and run the recommender with
+    /// it, through one [`PlanEvaluator`] of its own (shared across training
+    /// and the whole GA run — the memo cache makes revisited plans free).
+    /// Records the report, logs the plan deltas against the previous
+    /// round's preferred plan and returns the trained agent.
+    fn recommend(
+        &mut self,
+        model: &QualityModel,
+        since: Instant,
+        events: &mut Vec<ServiceEvent>,
+    ) -> Option<TrainedCrossover> {
         let config = self.config.atlas.recommender.clone();
         let evaluator = PlanEvaluator::new(model).with_threads(config.threads);
         let (trained, report) = Recommender::new(model, config).train_and_recommend(&evaluator);
-        self.policy = trained.map(Arc::new);
         let preferred = report
             .performance_optimized()
             .map(|p| p.plan.clone())
@@ -474,7 +432,7 @@ impl AdvisorService {
                 .collect(),
             _ => Vec::new(),
         };
-        self.round_events.push(ServiceEvent::Rerecommended {
+        events.push(ServiceEvent::Rerecommended {
             plans: report.plans.len(),
             deltas,
             latency_ms: since.elapsed().as_secs_f64() * 1_000.0,
@@ -482,6 +440,7 @@ impl AdvisorService {
         });
         self.preferred = preferred;
         self.recommendation = Some(report);
+        trained
     }
 }
 
@@ -656,35 +615,6 @@ mod tests {
             after > before * 1.5,
             "the relearned profile must absorb the slowdown: {before:.2} -> {after:.2}"
         );
-    }
-
-    #[test]
-    fn timeline_cap_evicts_oldest_events_and_counts_drops() {
-        let (mut config, current, corpus) = scenario();
-        config = config.with_timeline_cap(2);
-        let mut service = AdvisorService::new(config, current);
-        let fed = service.feed(corpus);
-        assert_eq!(fed.len(), 1);
-        assert_eq!(service.dropped_events(), 0);
-
-        // Bootstrap emits Relearned + Rerecommended: together with the
-        // ingest that is 3 events against a cap of 2, so the oldest (the
-        // ingest) evicts — but the *returned* round is never truncated.
-        let booted = service.bootstrap();
-        assert_eq!(booted.len(), 2);
-        assert_eq!(service.timeline().len(), 2);
-        assert_eq!(service.dropped_events(), 1);
-        assert!(
-            matches!(
-                service.timeline().front(),
-                Some(ServiceEvent::Relearned { .. })
-            ),
-            "oldest-first eviction drops the ingest event first"
-        );
-        assert!(matches!(
-            service.timeline().back(),
-            Some(ServiceEvent::Rerecommended { .. })
-        ));
     }
 
     #[test]

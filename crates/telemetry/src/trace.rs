@@ -38,6 +38,9 @@ pub enum TraceError {
     DuplicateSpan(SpanId),
     /// Spans from different trace ids were mixed together.
     MixedTraceIds,
+    /// A span the root cannot reach through parent links: it sits on a
+    /// parent cycle (a self-parent included) or hangs below one.
+    Unreachable(SpanId),
 }
 
 impl std::fmt::Display for TraceError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::DuplicateSpan(id) => write!(f, "duplicate span id {id}"),
             TraceError::MixedTraceIds => write!(f, "spans from different traces were mixed"),
+            TraceError::Unreachable(id) => write!(f, "span {id} is not reachable from the root"),
         }
     }
 }
@@ -140,14 +144,26 @@ impl Trace {
         if roots > 1 {
             return Err(TraceError::MultipleRoots);
         }
-        // Children are already in start-time order because the node vector is
-        // sorted by start time and we push in index order.
-
-        // Move the root to index 0 for convenient access.
         let root_idx = nodes
             .iter()
             .position(|n| n.parent.is_none())
             .expect("root existence checked above");
+        // One root and one parent per span still admits a parent cycle
+        // beside the root's tree: walk the tree and name the first span it
+        // misses.
+        let mut reached = vec![false; nodes.len()];
+        let mut stack = vec![root_idx];
+        while let Some(i) = stack.pop() {
+            reached[i] = true;
+            stack.extend_from_slice(&nodes[i].children);
+        }
+        if let Some(i) = reached.iter().position(|&r| !r) {
+            return Err(TraceError::Unreachable(nodes[i].span.span_id));
+        }
+        // Children are already in start-time order because the node vector is
+        // sorted by start time and we push in index order.
+
+        // Move the root to index 0 for convenient access.
         if root_idx != 0 {
             // Rebuild with the root first by remapping indices.
             let mut order: Vec<usize> = (0..nodes.len()).collect();
@@ -427,6 +443,27 @@ mod tests {
         assert_eq!(
             Trace::from_spans(mixed).unwrap_err(),
             TraceError::MixedTraceIds
+        );
+
+        // One root beside a 2-cycle, and beside a self-parent: neither
+        // cycle is part of the root's tree.
+        let two_cycle = vec![
+            Span::new(t, SpanId(1), None, "A", "x", 0, 10),
+            Span::new(t, SpanId(2), Some(SpanId(3)), "B", "y", 1, 1),
+            Span::new(t, SpanId(3), Some(SpanId(2)), "C", "z", 2, 1),
+        ];
+        assert_eq!(
+            Trace::from_spans(two_cycle).unwrap_err(),
+            TraceError::Unreachable(SpanId(2))
+        );
+        let self_parent = vec![
+            Span::new(t, SpanId(1), None, "A", "x", 0, 10),
+            Span::new(t, SpanId(2), Some(SpanId(1)), "B", "y", 1, 1),
+            Span::new(t, SpanId(3), Some(SpanId(3)), "C", "z", 2, 1),
+        ];
+        assert_eq!(
+            Trace::from_spans(self_parent).unwrap_err(),
+            TraceError::Unreachable(SpanId(3))
         );
     }
 

@@ -38,7 +38,10 @@ fn simulate_day(scenario: &SynthScenario, seed: u64) -> TelemetryStore {
     store
 }
 
-fn print_events(label: &str, events: &[ServiceEvent]) {
+/// Print one round's events, counting them into `totals` as (events,
+/// drift confirmations).
+fn print_events(label: &str, events: &[ServiceEvent], totals: &mut (usize, usize)) {
+    totals.0 += events.len();
     for event in events {
         match event {
             ServiceEvent::Ingested {
@@ -48,10 +51,13 @@ fn print_events(label: &str, events: &[ServiceEvent]) {
             } => {
                 println!("[{label}] ingested {traces} traces (evicted {evicted}, epoch {epoch})");
             }
-            ServiceEvent::DriftFired { api, report } => println!(
-                "[{label}] DRIFT on {api}: KL {:.3} vs baseline {:.3} ({:.1}x information loss)",
-                report.recent_kl, report.baseline_kl, report.information_loss_factor
-            ),
+            ServiceEvent::DriftFired { api, report } => {
+                totals.1 += 1;
+                println!(
+                    "[{label}] DRIFT on {api}: KL {:.3} vs baseline {:.3} ({:.1}x information loss)",
+                    report.recent_kl, report.baseline_kl, report.information_loss_factor
+                );
+            }
             ServiceEvent::Relearned {
                 apis,
                 cold,
@@ -127,15 +133,16 @@ fn main() {
         AdvisorServiceConfig::new(atlas_config, preferences).with_retention_window_s(DAY_S * 3 / 2);
     config.min_detector_samples = 60;
     let mut service = AdvisorService::new(config, Placement::all_onprem(30));
+    let mut totals = (0, 0);
 
     // Day 1 streams in; the service only ingests (no model yet), then the
     // bootstrap learns every API cold and recommends a first plan.
     for batch in day1.chunks(day1.len().div_ceil(4)) {
-        print_events("day 1", &service.feed(batch.to_vec()));
+        print_events("day 1", &service.feed(batch.to_vec()), &mut totals);
     }
     copy_context(&day1_store, service.store(), 0);
     println!();
-    print_events("bootstrap", &service.bootstrap());
+    print_events("bootstrap", &service.bootstrap(), &mut totals);
 
     // Day 2: the drift corpus streams in behind day 1. Detectors fire, the
     // profile relearns from the retained traces, and a fresh recommendation
@@ -143,16 +150,9 @@ fn main() {
     println!();
     copy_context(&day2_store, service.store(), DAY_S + 1);
     for batch in day2.chunks(day2.len().div_ceil(8)) {
-        print_events("day 2", &service.feed(batch.to_vec()));
+        print_events("day 2", &service.feed(batch.to_vec()), &mut totals);
     }
 
-    let drifts = service
-        .timeline()
-        .iter()
-        .filter(|e| matches!(e, ServiceEvent::DriftFired { .. }))
-        .count();
-    println!(
-        "\ntimeline: {} events, {drifts} drift confirmations",
-        service.timeline().len()
-    );
+    let (events, drifts) = totals;
+    println!("\ntimeline: {events} events, {drifts} drift confirmations");
 }

@@ -557,7 +557,7 @@ proptest! {
             }
             // Every request is either a compute or a hit, and each
             // distinct child was computed exactly once.
-            let stats = evaluator.local_stats();
+            let stats = evaluator.stats();
             prop_assert_eq!(stats.unique_evaluations, distinct.len());
             prop_assert_eq!(stats.requests(), precached.len() + children.len());
 
@@ -568,7 +568,7 @@ proptest! {
                     prop_assert_eq!(bits(single.evaluate_offspring(parent, child)), *want);
                 }
             }
-            let stats = single.local_stats();
+            let stats = single.stats();
             prop_assert_eq!(stats.unique_evaluations, distinct.len());
             prop_assert_eq!(stats.requests(), 2 * children.len());
         }
@@ -698,7 +698,7 @@ proptest! {
             prop_assert_eq!(first.stages.rl_train_ms, 0.0);
             // Training and the search between them scored what the inline
             // run scored, once each.
-            prop_assert_eq!(first.eval_lifetime.unique_evaluations, inline.visited);
+            prop_assert_eq!(evaluator.stats().unique_evaluations, inline.visited);
 
             // Entirely warm, from the same — unmodified — artefact.
             let second = recommender.recommend_trained(&evaluator, trained.as_ref());
