@@ -165,7 +165,7 @@ fn fig02(runs: &Runs) -> Figure {
     let demand = probe.peak_onprem_utilization() * probe_cores;
     let capacity = demand / 1.3;
     let overloaded = exp.measure_overloaded_baseline(capacity);
-    let relaxed = exp.measure_plan(&MigrationPlan::new(exp.current.clone()), 1.0);
+    let relaxed = exp.measure_plan(&exp.current, 1.0);
     fig.row("cores", &[("peak_demand", demand), ("capacity", capacity)]);
     let utilization = overloaded.peak_onprem_utilization();
     fig.row("overloaded", &[("peak_utilization", utilization)]);
@@ -360,7 +360,7 @@ fn fig17(runs: &Runs) -> Figure {
         metric_window_s: 5,
         seed: 77,
     };
-    let sim = Simulator::new(drifted_app, plan.placement().clone(), config);
+    let sim = Simulator::new(drifted_app, plan.clone(), config);
     let drifted = sim.run(&exp.burst_schedule(1.0, 77), &TelemetryStore::new());
     let check = detector.check(&latencies(&drifted, api));
     let (kl, loss) = (check.recent_kl, check.information_loss_factor);

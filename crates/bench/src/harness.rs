@@ -254,7 +254,7 @@ impl Experiment {
     pub fn measure_plan(&self, plan: &MigrationPlan, burst: f64) -> SimReport {
         let sim = Simulator::new(
             self.topology.clone(),
-            plan.placement().clone(),
+            plan.clone(),
             SimConfig {
                 cluster: ClusterSpec::default(),
                 overload: OverloadModel::disabled(),

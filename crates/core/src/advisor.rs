@@ -256,7 +256,7 @@ impl Atlas {
 mod tests {
     use super::*;
     use crate::monitor::DriftDetector;
-    use crate::plan::MigrationPlan;
+    use crate::MigrationPlan;
     use atlas_apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
     use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, Simulator};
 

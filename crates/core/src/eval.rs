@@ -68,7 +68,7 @@
 //! let n = app.component_count();
 //! let batch = vec![
 //!     MigrationPlan::all_onprem(n),
-//!     MigrationPlan::new(Placement::all_cloud(n)),
+//!     Placement::all_cloud(n),
 //!     MigrationPlan::all_onprem(n), // duplicate → cache hit
 //! ];
 //! let qualities = evaluator.evaluate_batch(&batch);
@@ -86,14 +86,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::plan::MigrationPlan;
-use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
+use crate::quality::{PlanQuality, QualityModel, RecommendedPlan};
+use crate::MigrationPlan;
 
 /// Evaluation statistics of one [`PlanEvaluator`] over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
-    /// Distinct plans scored by the underlying [`QualityModel`] (the cache
-    /// size). This is the quantity the `max_visited` search budget counts.
+    /// Plans this handle had the underlying [`QualityModel`] score: its
+    /// cache misses. The `max_visited` search budget counts something else,
+    /// the distinct plans a run asked for
+    /// ([`RecommendationReport::visited`](crate::recommender::RecommendationReport::visited)).
     pub unique_evaluations: usize,
     /// Evaluation requests answered from the memo cache, including
     /// duplicates resolved inside a single batch.
@@ -645,14 +647,18 @@ impl<'a> PlanEvaluator<'a> {
         values
     }
 
-    /// [`Self::evaluate_batch`] with each quality paired with its plan's
-    /// sites: the form in which the search keeps its population. Qualities,
-    /// cache accounting and panics are those of [`Self::evaluate_batch`].
-    pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<ScoredPlan> {
+    /// [`Self::evaluate_batch`] with each quality paired with a clone of its
+    /// plan. Qualities, cache accounting and panics are those of
+    /// [`Self::evaluate_batch`]. Kept because the benchmark package calls
+    /// it; the search pairs its own plans with their qualities.
+    pub fn evaluate_scored_batch(&self, plans: &[MigrationPlan]) -> Vec<RecommendedPlan> {
         plans
             .iter()
             .zip(self.evaluate_batch(plans))
-            .map(|(plan, quality)| ScoredPlan::new(plan.to_sites(), quality))
+            .map(|(plan, quality)| RecommendedPlan {
+                plan: plan.clone(),
+                quality,
+            })
             .collect()
     }
 
@@ -666,16 +672,20 @@ impl<'a> PlanEvaluator<'a> {
     /// [`Self::evaluate_batch`] does.
     pub fn evaluate_offspring_batch(
         &self,
-        parents: &[&ScoredPlan],
+        parents: &[&RecommendedPlan],
         children: &[MigrationPlan],
-    ) -> Vec<ScoredPlan> {
+    ) -> Vec<RecommendedPlan> {
         assert_eq!(parents.len(), children.len(), "one parent per child");
         self.evaluate_scored_batch(children)
     }
 
     /// [`Self::evaluate`] of `child`; the parent is not read. Kept, with its
     /// parent argument, for the benchmark's rollout probe.
-    pub fn evaluate_offspring(&self, _parent: &ScoredPlan, child: &MigrationPlan) -> PlanQuality {
+    pub fn evaluate_offspring(
+        &self,
+        _parent: &RecommendedPlan,
+        child: &MigrationPlan,
+    ) -> PlanQuality {
         self.evaluate(child)
     }
 

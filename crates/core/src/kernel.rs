@@ -118,7 +118,7 @@
 //!
 //! let n = app.component_count();
 //! let onprem = MigrationPlan::all_onprem(n);
-//! let cloud = MigrationPlan::new(Placement::all_cloud(n));
+//! let cloud = Placement::all_cloud(n);
 //!
 //! // Batched lanes score both plans in one arena walk, bit-identically.
 //! let batch = quality.evaluate_lanes(&[&onprem, &cloud]);
@@ -195,6 +195,21 @@ pub struct LaneScratch {
     total: Vec<f64>,
 }
 
+/// The first `n` sites of `plan`, the part an `n`-component model scores:
+/// the one refusal of a short plan that every scoring path shares.
+///
+/// # Panics
+///
+/// Panics if the plan is shorter than `n`.
+pub(crate) fn covering(plan: &[SiteId], n: usize) -> &[SiteId] {
+    assert!(
+        plan.len() >= n,
+        "scoring needs a plan covering every component ({} of {n})",
+        plan.len()
+    );
+    &plan[..n]
+}
+
 /// The component-major site columns of one lane group over an
 /// `n`-component kernel — `soa[c * lanes + l]` is the site component `c`
 /// occupies in lane `l` — read off each plan's first `n` sites. One plan's
@@ -205,21 +220,14 @@ pub struct LaneScratch {
 ///
 /// Panics if a plan is shorter than the kernel.
 fn load<'a>(soa: &'a mut Vec<SiteId>, plans: &[&'a [SiteId]], n: usize) -> &'a [SiteId] {
-    for plan in plans {
-        assert!(
-            plan.len() >= n,
-            "scoring needs a plan covering every component ({} of {n})",
-            plan.len()
-        );
-    }
     if let [plan] = plans {
-        return &plan[..n];
+        return covering(plan, n);
     }
     let lanes = plans.len();
     soa.clear();
     soa.resize(n * lanes, SiteId::ON_PREM);
     for (l, plan) in plans.iter().enumerate() {
-        for (c, &site) in plan[..n].iter().enumerate() {
+        for (c, &site) in covering(plan, n).iter().enumerate() {
             soa[c * lanes + l] = site;
         }
     }
@@ -953,10 +961,10 @@ impl CompiledQuality {
 mod tests {
     use super::*;
     use crate::oracle::{self, DelayInjector};
-    use crate::plan::MigrationPlan;
     use crate::profile::{ApiProfile, ApplicationProfile};
     use crate::quality::{PlanQuality, QualityModel};
     use crate::testkit::plan as plan_of;
+    use crate::MigrationPlan;
     use atlas_cloud::{PricingModel, ResourceDemand};
     use atlas_sim::SiteCatalog;
     use atlas_telemetry::{Span, SpanId, TraceId};
@@ -1186,15 +1194,32 @@ mod tests {
     }
 
     /// A plan shorter than the model is refused with a message that says
-    /// why, alone and inside a lane group alike; `is_feasible` already
-    /// calls it infeasible.
+    /// why, by `evaluate` and by every per-indicator accessor alike (and
+    /// inside a lane group, below); `is_feasible` already calls it
+    /// infeasible.
     #[test]
-    #[should_panic(expected = "scoring needs a plan covering every component (1 of 2)")]
     fn a_plan_shorter_than_the_model_is_refused() {
         let model = model_with_externals();
         let short = plan_of(&[1]);
         assert!(!model.is_feasible(&short));
-        model.evaluate(&short);
+        type Accessor = fn(&QualityModel, &MigrationPlan) -> f64;
+        let accessors: [(&str, Accessor); 5] = [
+            ("evaluate", |model, plan| model.evaluate(plan).cost),
+            ("performance", QualityModel::performance),
+            ("availability", QualityModel::availability),
+            ("cost", QualityModel::cost),
+            ("cost_per_day", QualityModel::cost_per_day),
+        ];
+        for (name, score) in accessors {
+            let refused = || score(&model, &short);
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(refused)).expect_err(name);
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some("scoring needs a plan covering every component (1 of 2)"),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -1225,7 +1250,7 @@ mod tests {
                 &learned.traces,
                 model.footprint(),
                 model.current_placement(),
-                plan.placement(),
+                plan,
             );
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&samples), bits(&replayed), "{api} under {plan:?}");
@@ -1254,7 +1279,7 @@ mod tests {
                 &model.profile().apis["/api"].traces,
                 model.footprint(),
                 &current,
-                plan.placement(),
+                &plan,
             );
             let compiled = model.estimate_api_latency_ms("/api", &plan);
             assert_eq!(compiled.to_bits(), direct.to_bits(), "bits {bits:?}");

@@ -18,9 +18,10 @@
 //!    index-resolved, allocation-free scoring pass; [`oracle`] evaluates
 //!    Eq. 1–4 interpretively, as the check the kernel is pinned to), [`eval`]
 //!    wraps the quality model in a cached, batched, thread-parallel
-//!    evaluation layer shared by every search path, [`plan`]/[`preferences`] describe plans and constraints
-//!    (Eq. 4), [`rl_crossover`] trains the reward-driven crossover agent
-//!    (Eq. 5) and [`recommender`] runs the DRL-based genetic algorithm;
+//!    evaluation layer shared by every search path, [`MigrationPlan`] and
+//!    [`preferences`] describe plans and constraints (Eq. 4),
+//!    [`rl_crossover`] trains the reward-driven crossover agent (Eq. 5) and
+//!    [`recommender`] runs the DRL-based genetic algorithm;
 //!    [`hierarchy`] organises the Pareto-optimal plans into a dendrogram for
 //!    selection (§4.2.2).
 //! 3. **Post-migration monitoring** — [`monitor`] detects latency-
@@ -46,7 +47,6 @@ pub mod hub;
 pub mod kernel;
 pub mod monitor;
 pub mod oracle;
-pub mod plan;
 pub mod preferences;
 pub mod profile;
 pub mod quality;
@@ -57,6 +57,11 @@ pub mod service;
 #[cfg(test)]
 mod testkit;
 
+/// A migration plan, the paper's plan variable `p_c` (§4.1): the site of
+/// every component, as the [`Placement`](atlas_sim::Placement) the
+/// application would run under, scored relative to the current one.
+pub type MigrationPlan = atlas_sim::Placement;
+
 pub use advisor::{Atlas, AtlasConfig};
 pub use eval::{EvalStats, MemoCache, PlanEvaluator, LANE_WIDTH};
 pub use footprint::{FootprintLearner, NetworkFootprint};
@@ -64,13 +69,12 @@ pub use hierarchy::{Dendrogram, DendrogramNode};
 pub use hub::{AdvisorHub, HubReport, TenantId};
 pub use kernel::{CompiledQuality, ConstraintKernel};
 pub use monitor::{kl_divergence, DriftDetector, DriftReport};
-pub use plan::MigrationPlan;
 pub use preferences::MigrationPreferences;
 pub use profile::{ApiProfile, ApplicationProfile, ComponentProfile};
-pub use quality::{PlanQuality, QualityModel, ScoredPlan};
+pub use quality::{PlanQuality, QualityModel, RecommendedPlan, ScoredPlan};
 pub use recommender::{
-    random_site, RecommendationReport, RecommendedPlan, Recommender, RecommenderConfig,
-    SearchStages, ARCHIVE_CAPACITY,
+    random_site, RecommendationReport, Recommender, RecommenderConfig, SearchStages,
+    ARCHIVE_CAPACITY,
 };
 pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
 pub use security::{BreachDetector, BreachReport};

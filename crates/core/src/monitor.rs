@@ -11,8 +11,8 @@
 //! [`DriftDetector::from_model`] arms a detector against the quality
 //! model's own estimate of the executed plan.
 
-use crate::plan::MigrationPlan;
 use crate::quality::QualityModel;
+use crate::MigrationPlan;
 
 /// Kullback–Leibler divergence `D_KL(P ‖ Q)` between two empirical latency
 /// distributions, computed over a shared histogram with `bins` bins spanning

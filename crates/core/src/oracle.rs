@@ -17,9 +17,9 @@ pub use delay::DelayInjector;
 
 use atlas_sim::ComponentId;
 
-use crate::plan::MigrationPlan;
 use crate::profile::ApiProfile;
 use crate::quality::{PlanQuality, QualityModel};
+use crate::MigrationPlan;
 
 /// All three indicators of `plan` and its feasibility, interpretively: the
 /// reference [`QualityModel::evaluate`] is pinned to bit for bit.
@@ -57,7 +57,7 @@ fn performance(model: &QualityModel, plan: &MigrationPlan) -> f64 {
                 &api.trace_weights,
                 model.footprint(),
                 model.current_placement(),
-                plan.placement(),
+                plan,
             )
             .max(1e-9);
         total += weight * estimated / api.mean_latency_ms.max(1e-6);

@@ -130,7 +130,7 @@ impl MigrationPreferences {
     }
 
     /// Whether a plan violates any placement pin (exact or site-set).
-    pub fn violates_pins(&self, plan: &crate::plan::MigrationPlan) -> bool {
+    pub fn violates_pins(&self, plan: &crate::MigrationPlan) -> bool {
         self.pinned
             .iter()
             .any(|(&c, &site)| c.0 < plan.len() && plan.site(c) != site)
@@ -144,8 +144,8 @@ impl MigrationPreferences {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::MigrationPlan;
     use crate::testkit::plan;
+    use crate::MigrationPlan;
 
     #[test]
     fn defaults_are_unconstrained() {

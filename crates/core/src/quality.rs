@@ -15,10 +15,10 @@ use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_sim::{Placement, SiteCatalog, SiteId, SiteNetwork};
 
 use crate::footprint::NetworkFootprint;
-use crate::kernel::{with_scratch, CompiledQuality};
-use crate::plan::MigrationPlan;
+use crate::kernel::{covering, with_scratch, CompiledQuality};
 use crate::preferences::MigrationPreferences;
 use crate::profile::ApplicationProfile;
+use crate::MigrationPlan;
 
 /// The three quality indicators of one plan, plus its feasibility.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,32 +46,28 @@ impl PlanQuality {
     }
 }
 
-/// A scored plan: its site assignment paired with its [`PlanQuality`], the
-/// form in which the search keeps its population. Produced by
-/// [`QualityModel::evaluate_scored`] and the plan evaluator's scored
-/// batches.
-#[derive(Debug, Clone)]
-pub struct ScoredPlan {
-    sites: Vec<SiteId>,
-    quality: PlanQuality,
+/// A plan paired with its [`PlanQuality`]: a recommendation, a member of
+/// the search's population and an RL training rollout alike. Produced by
+/// [`QualityModel::evaluate_scored`], the plan evaluator's scored batches
+/// and the recommender.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecommendedPlan {
+    /// The plan itself.
+    pub plan: MigrationPlan,
+    /// Its predicted quality.
+    pub quality: PlanQuality,
 }
 
-impl ScoredPlan {
-    /// Pair a site assignment with its quality.
-    pub fn new(sites: Vec<SiteId>, quality: PlanQuality) -> Self {
-        Self { sites, quality }
-    }
-
-    /// The plan's site assignment, indexed like the component index.
+impl RecommendedPlan {
+    /// The plan's sites, indexed like the component index (the search's
+    /// genome view).
     pub fn sites(&self) -> &[SiteId] {
-        &self.sites
-    }
-
-    /// The plan's quality indicators.
-    pub fn quality(&self) -> PlanQuality {
-        self.quality
+        self.plan.sites()
     }
 }
+
+/// [`RecommendedPlan`] under the name the benchmark package uses.
+pub type ScoredPlan = RecommendedPlan;
 
 /// Models the quality of candidate plans without executing them.
 #[derive(Debug, Clone)]
@@ -262,29 +258,45 @@ impl QualityModel {
 
     /// `Q_Avai(p)`: weighted count of APIs whose stateful dependencies move
     /// (compiled kernel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover every component.
     pub fn availability(&self, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan.sites());
         self.kernel
-            .availability(plan.placement().sites(), self.current.sites())
+            .availability(self.covered(plan), self.current.sites())
     }
 
     /// `Q_Cost(p)`: hosting cost over the demand horizon (dollars), each
     /// elastic site billed under its own pricing, computed with the
     /// kernel's reusable scratch buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover every component.
     pub fn cost(&self, plan: &MigrationPlan) -> f64 {
-        self.debug_assert_in_catalog(plan.sites());
         with_scratch(|s| {
             self.cost_kernel
-                .evaluate_with_scratch(&plan.sites()[..self.component_count()], &mut s.cost)
+                .evaluate_with_scratch(self.covered(plan), &mut s.cost)
                 .total()
         })
     }
 
     /// Cost expressed per day, the unit the paper reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not cover every component.
     pub fn cost_per_day(&self, plan: &MigrationPlan) -> f64 {
-        let cost =
-            (self.cost_model).evaluate(&self.demand, &plan.sites()[..self.component_count()]);
+        let cost = (self.cost_model).evaluate(&self.demand, self.covered(plan));
         cost.per_day(self.demand.duration_s()).total()
+    }
+
+    /// The plan's sites over the model's components, refused as
+    /// [`Self::evaluate`] refuses a plan that does not cover them all.
+    fn covered<'p>(&self, plan: &'p MigrationPlan) -> &'p [SiteId] {
+        self.debug_assert_in_catalog(plan.sites());
+        covering(plan.sites(), self.component_count())
     }
 
     /// `λ(p)`: whether the plan satisfies every constraint of Eq. 4
@@ -369,13 +381,17 @@ impl QualityModel {
         qualities
     }
 
-    /// [`Self::evaluate`] paired with the plan's sites.
+    /// [`Self::evaluate`] paired with a clone of the plan. Kept because the
+    /// benchmark package calls it.
     ///
     /// # Panics
     ///
     /// Panics if the plan does not cover every component.
-    pub fn evaluate_scored(&self, plan: &MigrationPlan) -> ScoredPlan {
-        ScoredPlan::new(plan.to_sites(), self.evaluate(plan))
+    pub fn evaluate_scored(&self, plan: &MigrationPlan) -> RecommendedPlan {
+        RecommendedPlan {
+            plan: plan.clone(),
+            quality: self.evaluate(plan),
+        }
     }
 
     /// The quality of `parent` with `changes` applied in order (last write
@@ -391,25 +407,25 @@ impl QualityModel {
     /// not cover every component.
     pub fn probe_delta(
         &self,
-        parent: &ScoredPlan,
+        parent: &RecommendedPlan,
         changes: &[(atlas_sim::ComponentId, SiteId)],
     ) -> PlanQuality {
-        let mut sites = parent.sites.clone();
+        let mut plan = parent.plan.clone();
         let site_count = self.site_count();
         for &(component, site) in changes {
             assert!(
-                component.0 < sites.len(),
+                component.0 < plan.len(),
                 "delta change names component {} outside the {}-component model",
                 component.0,
-                sites.len()
+                plan.len()
             );
             assert!(
                 site.index() < site_count,
                 "delta change names a site outside the {site_count}-site catalog"
             );
-            sites[component.0] = site;
+            plan.set(component, site);
         }
-        self.evaluate(&MigrationPlan::from_sites(sites))
+        self.evaluate(&plan)
     }
 
     /// [`oracle::evaluate`](crate::oracle::evaluate), kept as a method
@@ -540,7 +556,7 @@ mod tests {
         let why = oracle::why_infeasible(&model, &identity);
         assert!(why.unwrap().contains("CPU"));
         // Offloading everything trivially satisfies the on-prem limit.
-        let all_cloud = MigrationPlan::new(Placement::all_cloud(app.component_count()));
+        let all_cloud = Placement::all_cloud(app.component_count());
         assert!(model.is_feasible(&all_cloud));
     }
 

@@ -9,9 +9,9 @@
 //! total number of plans visited (the paper caps all multi-plan approaches
 //! at 10,000 ≈ 0.002 % of the space).
 //!
-//! Population members are [`ScoredPlan`]s (sites plus quality), and each
+//! Population members are [`RecommendedPlan`]s (plan plus quality), and each
 //! generation's offspring are scored as one batch in lane groups
-//! ([`PlanEvaluator::evaluate_scored_batch`]).
+//! ([`PlanEvaluator::evaluate_batch`]).
 //! Every feasible plan the search evaluates (initial population,
 //! GA offspring, RL training rollouts) is offered to an external
 //! [`ParetoArchive`], and the recommendation is that archive's front — a
@@ -41,7 +41,6 @@
 //! reports the training time and the rollouts' scoring, a run that was
 //! handed the artefact reports neither.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -54,9 +53,9 @@ use atlas_ga::{
 use atlas_sim::SiteId;
 
 use crate::eval::{EvalStats, PlanEvaluator, PlanKeySet};
-use crate::plan::MigrationPlan;
-use crate::quality::{PlanQuality, QualityModel, ScoredPlan};
+use crate::quality::{PlanQuality, QualityModel, RecommendedPlan};
 use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
+use crate::MigrationPlan;
 
 /// Capacity of the external non-dominated archive accumulating every
 /// feasible plan the search evaluates. Beyond this many mutually
@@ -153,15 +152,6 @@ impl RecommenderConfig {
     }
 }
 
-/// One recommended plan together with its predicted quality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecommendedPlan {
-    /// The plan itself.
-    pub plan: MigrationPlan,
-    /// Its predicted quality.
-    pub quality: PlanQuality,
-}
-
 /// Wall-clock milliseconds one run spent in the stages of the search that
 /// are not plan scoring (scoring is [`EvalStats::wall_time_ms`] of
 /// [`RecommendationReport::eval`]). Measured inside the recommender; what
@@ -249,9 +239,7 @@ pub struct Recommender<'a> {
 /// random stream positioned after its draws. Training reads it; the search
 /// body consumes it.
 struct InitialPopulation {
-    seeds: Vec<MigrationPlan>,
-    /// Each seed with its quality.
-    scored: Vec<ScoredPlan>,
+    population: Vec<RecommendedPlan>,
     rng: StdRng,
     init_ms: f64,
 }
@@ -366,10 +354,12 @@ impl<'a> Recommender<'a> {
             seeds.push(MigrationPlan::from_sites(sites));
         }
         let init_ms = millis(init_start.elapsed());
-        let scored = evaluator.evaluate_scored_batch(&seeds);
+        let qualities = evaluator.evaluate_batch(&seeds);
+        let population = (seeds.into_iter().zip(qualities))
+            .map(|(plan, quality)| RecommendedPlan { plan, quality })
+            .collect();
         InitialPopulation {
-            seeds,
-            scored,
+            population,
             rng,
             init_ms,
         }
@@ -384,10 +374,11 @@ impl<'a> Recommender<'a> {
         initial: &InitialPopulation,
         evaluator: &PlanEvaluator<'_>,
     ) -> Option<TrainedCrossover> {
-        let distinct: PlanKeySet<&MigrationPlan> = initial.seeds.iter().collect();
+        let population = &initial.population;
+        let distinct: PlanKeySet<&MigrationPlan> = population.iter().map(|m| &m.plan).collect();
         let remaining = self.config.max_visited.saturating_sub(distinct.len());
         if self.config.strategy != CrossoverStrategy::ReinforcementLearning
-            || initial.scored.len() < 2
+            || population.len() < 2
             || remaining == 0
         {
             return None;
@@ -400,10 +391,13 @@ impl<'a> Recommender<'a> {
         let mut rollouts = Vec::with_capacity(rl_config.iterations);
         let mut agent = CrossoverAgent::new(self.quality.component_count(), rl_config)
             .with_site_count(self.quality.site_count());
-        agent.train_scored(&initial.scored, |_, _, child| {
+        agent.train_scored(population, |_, _, child| {
             let scoring_start = Instant::now();
             let quality = evaluator.evaluate(child);
-            rollouts.push((child.clone(), quality));
+            rollouts.push(RecommendedPlan {
+                plan: child.clone(),
+                quality,
+            });
             scoring += scoring_start.elapsed();
             quality
         });
@@ -428,8 +422,7 @@ impl<'a> Recommender<'a> {
         let site_alphabet: Vec<SiteId> =
             (0..self.quality.site_count() as u16).map(SiteId).collect();
         let InitialPopulation {
-            seeds,
-            scored: mut population,
+            mut population,
             mut rng,
             init_ms,
         } = initial;
@@ -453,10 +446,10 @@ impl<'a> Recommender<'a> {
         // external archive, so the final front survives population churn.
         let mut archive: ParetoArchive<MigrationPlan, [f64; 3]> =
             ParetoArchive::new(ARCHIVE_CAPACITY);
-        for (plan, member) in seeds.iter().zip(&population) {
-            mark_seen(&mut seen, plan);
-            if member.quality().feasible {
-                archive.insert(plan, member.quality().objectives());
+        for member in &population {
+            mark_seen(&mut seen, &member.plan);
+            if member.quality.feasible {
+                archive.insert(&member.plan, member.quality.objectives());
             }
         }
 
@@ -468,10 +461,10 @@ impl<'a> Recommender<'a> {
         let mut sampler = None;
         let mut reward_progression = Vec::new();
         if let Some(trained) = trained {
-            for (child, quality) in trained.rollouts() {
-                mark_seen(&mut seen, child);
-                if quality.feasible {
-                    archive.insert(child, quality.objectives());
+            for rollout in trained.rollouts() {
+                mark_seen(&mut seen, &rollout.plan);
+                if rollout.quality.feasible {
+                    archive.insert(&rollout.plan, rollout.quality.objectives());
                 }
             }
             requested += trained.rollouts().len();
@@ -484,11 +477,9 @@ impl<'a> Recommender<'a> {
         // the rank/crowding driving the tournaments. Survivors are moved
         // (not cloned) into the next generation by index permutation.
         while seen.len() < self.config.max_visited && requested < request_cap {
-            let feasible: Vec<bool> = population.iter().map(|p| p.quality().feasible).collect();
-            let objectives: Vec<[f64; 3]> = population
-                .iter()
-                .map(|p| p.quality().objectives())
-                .collect();
+            let feasible: Vec<bool> = population.iter().map(|p| p.quality.feasible).collect();
+            let objectives: Vec<[f64; 3]> =
+                population.iter().map(|p| p.quality.objectives()).collect();
             let survive_start = Instant::now();
             let survival = survive(&objectives, &feasible, self.config.population);
             population = take_selected(population, &survival.selected);
@@ -520,15 +511,15 @@ impl<'a> Recommender<'a> {
                 self.quality.preferences().apply_pins(&mut sites);
                 offspring.push(MigrationPlan::from_sites(sites));
             }
-            let scored = evaluator.evaluate_scored_batch(&offspring);
+            let qualities = evaluator.evaluate_batch(&offspring);
             requested += offspring.len();
-            for (plan, child) in offspring.iter().zip(&scored) {
-                mark_seen(&mut seen, plan);
-                if child.quality().feasible {
-                    archive.insert(plan, child.quality().objectives());
+            for (plan, quality) in offspring.into_iter().zip(qualities) {
+                mark_seen(&mut seen, &plan);
+                if quality.feasible {
+                    archive.insert(&plan, quality.objectives());
                 }
+                population.push(RecommendedPlan { plan, quality });
             }
-            population.extend(scored);
         }
 
         // The recommendation is the archive: every feasible plan the search
@@ -537,20 +528,13 @@ impl<'a> Recommender<'a> {
         // back to the Pareto front of the final (infeasible) population so
         // the caller still sees the least-bad trade-offs.
         let mut plans: Vec<RecommendedPlan> = if archive.is_empty() {
-            let objectives: Vec<[f64; 3]> = population
-                .iter()
-                .map(|p| p.quality().objectives())
-                .collect();
-            let front = pareto_front_indices(&objectives);
-            // Dedupe by borrowed genome — no per-plan allocation.
-            let mut seen: HashSet<&[SiteId]> = HashSet::new();
-            front
+            let objectives: Vec<[f64; 3]> =
+                population.iter().map(|p| p.quality.objectives()).collect();
+            let mut distinct: PlanKeySet<&MigrationPlan> = PlanKeySet::default();
+            pareto_front_indices(&objectives)
                 .into_iter()
-                .filter(|&i| seen.insert(population[i].sites()))
-                .map(|i| RecommendedPlan {
-                    plan: MigrationPlan::from_sites(population[i].sites().to_vec()),
-                    quality: population[i].quality(),
-                })
+                .filter(|&i| distinct.insert(&population[i].plan))
+                .map(|i| population[i].clone())
                 .collect()
         } else {
             archive

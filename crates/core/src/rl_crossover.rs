@@ -37,8 +37,8 @@ use atlas_nn::{Activations, ActorCritic, ActorCriticConfig, Policy};
 
 use atlas_sim::{ComponentId, SiteId};
 
-use crate::plan::MigrationPlan;
-use crate::quality::{PlanQuality, ScoredPlan};
+use crate::quality::{PlanQuality, RecommendedPlan};
+use crate::MigrationPlan;
 
 /// Hyperparameters of the crossover agent and its training loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +146,7 @@ impl CrossoverAgent {
     }
 
     /// Train the agent on random parent pairs drawn from an already-scored
-    /// `dataset`: parent qualities come from the [`ScoredPlan`]s (no
+    /// `dataset`: parent qualities come from the [`RecommendedPlan`]s (no
     /// re-evaluation), and each rollout child is scored by the
     /// caller-supplied closure, which can observe every evaluated child
     /// (e.g. to feed an external Pareto archive). The closure also receives
@@ -155,8 +155,8 @@ impl CrossoverAgent {
     /// (the reward-progression curve of paper Figure 21b).
     pub fn train_scored(
         &mut self,
-        dataset: &[ScoredPlan],
-        mut score: impl FnMut(&ScoredPlan, &ScoredPlan, &MigrationPlan) -> PlanQuality,
+        dataset: &[RecommendedPlan],
+        mut score: impl FnMut(&RecommendedPlan, &RecommendedPlan, &MigrationPlan) -> PlanQuality,
     ) -> Vec<f64> {
         assert!(dataset.len() >= 2, "training needs at least two plans");
         let mut rewards = Vec::with_capacity(self.config.iterations);
@@ -179,7 +179,7 @@ impl CrossoverAgent {
                 child.set(ComponentId(c), site);
             }
             let child_quality = score(parent_a, parent_b, &child);
-            let reward = self.reward(&child_quality, &parent_a.quality(), &parent_b.quality());
+            let reward = self.reward(&child_quality, &parent_a.quality, &parent_b.quality);
             self.agent.update(&self.state, &self.action, reward);
             rewards.push(reward);
         }
@@ -188,9 +188,7 @@ impl CrossoverAgent {
     }
 
     /// Produce a child from two parents by sampling the learned policy on
-    /// their site assignments. Works on borrowed genomes, so the parents need
-    /// not exist as [`MigrationPlan`]s (the search keeps its population as
-    /// [`ScoredPlan`]s).
+    /// their site assignments (borrowed genomes).
     pub fn crossover_sites(&mut self, parent_a: &[SiteId], parent_b: &[SiteId]) -> Vec<SiteId> {
         self.sample_action(parent_a, parent_b);
         child_sites_of(self.site_count, &self.action, parent_a, parent_b).collect()
@@ -201,7 +199,11 @@ impl CrossoverAgent {
     /// reward curve — plus the `rollouts` the caller observed through
     /// [`Self::train_scored`]'s closure and the `train_ms` it measured.
     /// The critic, both optimizers and every training buffer are dropped.
-    pub(crate) fn into_trained(self, rollouts: Vec<Rollout>, train_ms: f64) -> TrainedCrossover {
+    pub(crate) fn into_trained(
+        self,
+        rollouts: Vec<RecommendedPlan>,
+        train_ms: f64,
+    ) -> TrainedCrossover {
         let (policy, rng) = self.agent.into_policy();
         TrainedCrossover {
             policy,
@@ -253,10 +255,6 @@ fn child_sites_of<'a>(
     })
 }
 
-/// One training rollout: a child the policy proposed and the quality the
-/// evaluator gave it.
-pub type Rollout = (MigrationPlan, PlanQuality);
-
 /// A crossover agent whose training has ended, reduced to what a search
 /// needs (see the [module docs](self)): immutable, `Sync`, and shared —
 /// not cloned — by every search at the model epoch it was trained for.
@@ -267,14 +265,15 @@ pub struct TrainedCrossover {
     /// from a copy.
     rng: StdRng,
     site_count: usize,
-    rollouts: Vec<Rollout>,
+    rollouts: Vec<RecommendedPlan>,
     reward_progression: Vec<f64>,
     train_ms: f64,
 }
 
 impl TrainedCrossover {
-    /// The training rollouts, in training order.
-    pub fn rollouts(&self) -> &[Rollout] {
+    /// The training rollouts — each child the policy proposed, with the
+    /// quality the evaluator gave it — in training order.
+    pub fn rollouts(&self) -> &[RecommendedPlan] {
         &self.rollouts
     }
 
@@ -433,9 +432,12 @@ mod tests {
     fn training_appends_its_rewards_to_the_history() {
         let mut a = agent(4);
         assert!(a.reward_history().is_empty());
-        let dataset: Vec<ScoredPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
+        let dataset: Vec<RecommendedPlan> = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]]
             .iter()
-            .map(|sites| ScoredPlan::new(plan(sites).to_sites(), quality(2.0, 1.0, 50.0, true)))
+            .map(|sites| RecommendedPlan {
+                plan: plan(sites),
+                quality: quality(2.0, 1.0, 50.0, true),
+            })
             .collect();
         let rewards = a.train_scored(&dataset, |_, _, _| quality(1.0, 0.5, 40.0, true));
         assert_eq!(rewards, vec![3.0; 10]);

@@ -55,11 +55,11 @@ use atlas_telemetry::{TelemetryStore, Trace};
 use crate::advisor::{Atlas, AtlasConfig};
 use crate::eval::{MemoCache, PlanEvaluator};
 use crate::monitor::{DriftDetector, DriftReport};
-use crate::plan::MigrationPlan;
 use crate::preferences::MigrationPreferences;
 use crate::quality::{PlanQuality, QualityModel};
 use crate::recommender::{RecommendationReport, Recommender};
 use crate::rl_crossover::TrainedCrossover;
+use crate::MigrationPlan;
 
 /// Configuration of a resident [`AdvisorService`].
 #[derive(Debug, Clone)]
@@ -193,7 +193,6 @@ pub struct AdvisorService {
     epoch: Option<Arc<Epoch>>,
     detectors: HashMap<String, DriftDetector>,
     recommendation: Option<RecommendationReport>,
-    preferred: Option<MigrationPlan>,
 }
 
 impl AdvisorService {
@@ -216,7 +215,6 @@ impl AdvisorService {
             epoch: None,
             detectors: HashMap::new(),
             recommendation: None,
-            preferred: None,
         }
     }
 
@@ -411,25 +409,20 @@ impl AdvisorService {
         let config = self.config.atlas.recommender.clone();
         let evaluator = PlanEvaluator::new(model).with_threads(config.threads);
         let (trained, report) = Recommender::new(model, config).train_and_recommend(&evaluator);
-        let preferred = report
-            .performance_optimized()
-            .map(|p| p.plan.clone())
-            .or_else(|| report.plans.first().map(|p| p.plan.clone()));
-        let deltas = match (&self.preferred, &preferred) {
-            (Some(old), Some(new)) if old.len() == new.len() => model
-                .component_index()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, name)| {
-                    let c = atlas_sim::ComponentId(i);
-                    let (from, to) = (old.site(c), new.site(c));
-                    (from != to).then(|| PlanDelta {
-                        component: name.clone(),
-                        from,
-                        to,
+        let old = self
+            .recommendation
+            .as_ref()
+            .and_then(|r| r.performance_optimized());
+        let deltas = match (old, report.performance_optimized()) {
+            (Some(old), Some(new)) if old.plan.len() == new.plan.len() => {
+                (new.plan.moved_components(&old.plan).into_iter())
+                    .map(|c| PlanDelta {
+                        component: model.component_index()[c.0].clone(),
+                        from: old.plan.site(c),
+                        to: new.plan.site(c),
                     })
-                })
-                .collect(),
+                    .collect()
+            }
             _ => Vec::new(),
         };
         events.push(ServiceEvent::Rerecommended {
@@ -438,7 +431,6 @@ impl AdvisorService {
             latency_ms: since.elapsed().as_secs_f64() * 1_000.0,
             train_ms: report.stages.rl_train_ms,
         });
-        self.preferred = preferred;
         self.recommendation = Some(report);
         trained
     }
@@ -449,7 +441,7 @@ mod tests {
     use super::*;
     use crate::recommender::RecommenderConfig;
     use atlas_apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
-    use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, Simulator};
+    use atlas_sim::{ClusterSpec, ComponentId, OverloadModel, SimConfig, Simulator};
     use atlas_telemetry::TraceId;
 
     const DAY_S: u64 = 60;
@@ -615,6 +607,59 @@ mod tests {
             after > before * 1.5,
             "the relearned profile must absorb the slowdown: {before:.2} -> {after:.2}"
         );
+    }
+
+    /// The preferred (performance-optimised) plan of the service's current
+    /// recommendation.
+    fn preferred(service: &AdvisorService) -> MigrationPlan {
+        let report = service.recommendation().expect("a recommendation");
+        report.performance_optimized().expect("a plan").plan.clone()
+    }
+
+    /// The deltas of the one `Rerecommended` event among `events`.
+    fn deltas_of(events: &[ServiceEvent]) -> &[PlanDelta] {
+        let mut deltas = events.iter().filter_map(|e| match e {
+            ServiceEvent::Rerecommended { deltas, .. } => Some(deltas.as_slice()),
+            _ => None,
+        });
+        let first = deltas.next().expect("a re-recommendation");
+        assert!(deltas.next().is_none(), "one re-recommendation per round");
+        first
+    }
+
+    #[test]
+    fn rerecommendations_list_the_preferred_plans_moves_by_name() {
+        let (config, current, corpus) = scenario();
+        let mut service = AdvisorService::new(config, current);
+        service.feed(corpus.clone());
+        let events = service.bootstrap();
+        assert!(
+            deltas_of(&events).is_empty(),
+            "bootstrap has nothing to diff"
+        );
+        let before = preferred(&service);
+
+        // The owner pins an offloaded component on-prem, so the next
+        // round's preferred plan must move it back.
+        let pinned = ComponentId(before.sites().iter().position(|s| !s.is_on_prem()).unwrap());
+        let preferences = service.config.preferences.clone();
+        service.config.preferences = preferences.pin(pinned, SiteId::ON_PREM);
+        let api = corpus[0].root().operation.clone();
+        let events = service.feed(slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
+        let after = preferred(&service);
+        let names = service.model().unwrap().component_index();
+        let expected: Vec<PlanDelta> = (0..names.len())
+            .filter(|&i| before.sites()[i] != after.sites()[i])
+            .map(|i| PlanDelta {
+                component: names[i].clone(),
+                from: before.sites()[i],
+                to: after.sites()[i],
+            })
+            .collect();
+        assert!(expected
+            .iter()
+            .any(|d| d.component == names[pinned.0] && d.to == SiteId::ON_PREM));
+        assert_eq!(deltas_of(&events), expected.as_slice());
     }
 
     #[test]

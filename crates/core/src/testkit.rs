@@ -2,7 +2,7 @@
 
 use atlas_sim::SiteId;
 
-use crate::plan::MigrationPlan;
+use crate::MigrationPlan;
 
 /// A plan from raw site indices: `plan(&[0, 1, 0])` offloads component 1 to
 /// site 1.

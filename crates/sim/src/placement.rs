@@ -1,8 +1,8 @@
 //! Placements: where every component of an application runs.
 //!
-//! A placement is the object a migration plan describes; Atlas's plan type
-//! (`atlas-core::plan::MigrationPlan`) wraps a placement together with the
-//! preferences used to evaluate it.
+//! A placement is also Atlas's migration plan: `atlas_core::MigrationPlan`
+//! is this type under the paper's name, scored against the placement the
+//! application runs under today.
 //!
 //! A placement is a vector of [`SiteId`]s (site 0 = on-prem); the paper's
 //! binary plan variable `p_c ∈ {0, 1}` is the 2-site case, with
@@ -242,6 +242,9 @@ mod tests {
         let mut p = Placement::all_onprem(3);
         p.set(ComponentId(1), SiteId::CLOUD);
         assert_eq!(p.cloud_components(), vec![ComponentId(1)]);
+        // A raw site index converts.
+        p.set(ComponentId(0), 2u16);
+        assert_eq!(p.site(ComponentId(0)), SiteId(2));
         let q = Placement::all_onprem(3).with_cloud(ComponentId(2));
         assert_eq!(q.cloud_components(), vec![ComponentId(2)]);
         let r = Placement::all_onprem(3).with_site(ComponentId(0), SiteId(2));

@@ -94,7 +94,7 @@ impl TelemetryStore {
     // Both accessors recover a poisoned guard: a writer panics only on the
     // caller's trace iterator or a hand-built malformed `Trace`, and answering
     // from the traces already held beats failing every later query. ROADMAP
-    // item 1 makes the append atomic per trace.
+    // item 2 makes the append atomic per trace.
     fn read(&self) -> RwLockReadGuard<'_, StoreInner> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }

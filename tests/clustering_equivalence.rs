@@ -70,10 +70,7 @@ fn models_for(application: Application, seed: u64) -> (Experiment, QualityModel,
 
 /// Plans across the feasibility spectrum for an `n`-component application.
 fn probe_plans(n: usize, seed: u64) -> Vec<MigrationPlan> {
-    let mut plans = vec![
-        MigrationPlan::all_onprem(n),
-        MigrationPlan::new(Placement::all_cloud(n)),
-    ];
+    let mut plans = vec![MigrationPlan::all_onprem(n), Placement::all_cloud(n)];
     for salt in 0u64..6 {
         let sites = (0..n)
             .map(|i| {

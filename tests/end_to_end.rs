@@ -348,7 +348,7 @@ fn delay_injection_estimates_track_simulated_migrations() {
 
     let sim = Simulator::new(
         app.clone(),
-        plan.placement().clone(),
+        plan.clone(),
         SimConfig {
             cluster: ClusterSpec::default(),
             overload: OverloadModel::disabled(),

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use atlas::apps::{synthesize, CallGraphShape, SynthOptions};
 use atlas::core::oracle::{self, DelayInjector};
 use atlas::core::{
-    kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel, Recommender,
-    RecommenderConfig, ScoredPlan, LANE_WIDTH,
+    kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel,
+    RecommendedPlan, Recommender, RecommenderConfig, LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{ComponentId, Placement, SiteCatalog, SiteId, SiteNetwork};
@@ -118,8 +118,8 @@ proptest! {
         let bits_b: Vec<u16> = bits_a.iter().map(|b| 1 - b).collect();
         let a = plan_of(&bits_a);
         let b = plan_of(&bits_b);
-        prop_assert_eq!(a.moved_components(b.placement()).len(), bits_a.len());
-        prop_assert_eq!(a.moved_components(a.placement()).len(), 0);
+        prop_assert_eq!(a.moved_components(&b).len(), bits_a.len());
+        prop_assert_eq!(a.moved_components(&a).len(), 0);
     }
 
     /// Pareto-front members never dominate each other, and every dominated
@@ -246,7 +246,7 @@ proptest! {
         let mut plans: Vec<MigrationPlan> =
             genes.iter().map(|b| plan_of(b)).collect();
         plans.push(MigrationPlan::all_onprem(29)); // infeasible: CPU limit
-        plans.push(MigrationPlan::new(Placement::all_cloud(29))); // violates pins
+        plans.push(Placement::all_cloud(29)); // violates pins
         // The social network runs on the paper's testbed.
         let testbed = SiteCatalog::default();
         let injector = DelayInjector::new(testbed.network(), quality.component_index());
@@ -266,7 +266,7 @@ proptest! {
                     &api.traces,
                     quality.footprint(),
                     quality.current_placement(),
-                    plan.placement(),
+                    plan,
                 );
                 prop_assert_eq!(samples.len(), api.traces.len());
                 for (sample, replay) in samples.iter().zip(&replayed) {
@@ -485,7 +485,7 @@ proptest! {
 
     /// One way to score a child: on the 2-site and the 4-site model, at 1,
     /// 2 and 8 threads, `evaluate_offspring_batch(parents, children)` —
-    /// `evaluate_scored_batch(children)` — returns each child's sites with
+    /// `evaluate_scored_batch(children)` — returns each child paired with
     /// exactly `QualityModel::evaluate` of the child, and the single-child
     /// `evaluate_offspring` returns exactly that quality too, on a cold
     /// cache and a warm one. The batch holds in-batch duplicates and
@@ -509,7 +509,7 @@ proptest! {
                 .wrapping_mul(0x1656_67B1_9E37_79F9)
         };
 
-        let parents: Vec<ScoredPlan> = (0..6u64)
+        let parents: Vec<RecommendedPlan> = (0..6u64)
             .map(|p| {
                 let sites = (0..n as u64).map(|i| SiteId((hash(p, i) % site_count) as u16));
                 quality.evaluate_scored(&MigrationPlan::from_sites(sites.collect()))
@@ -539,7 +539,7 @@ proptest! {
             children.push(MigrationPlan::from_sites(sites));
             parent_of.push(p);
         }
-        let parent_refs: Vec<&ScoredPlan> = parent_of.iter().map(|&p| &parents[p]).collect();
+        let parent_refs: Vec<&RecommendedPlan> = parent_of.iter().map(|&p| &parents[p]).collect();
         let precached: Vec<&MigrationPlan> = children.iter().step_by(13).collect();
         let want: Vec<_> = children.iter().map(|c| bits(quality.evaluate(c))).collect();
         let distinct: std::collections::HashSet<&MigrationPlan> = children.iter().collect();
@@ -552,8 +552,8 @@ proptest! {
             let scored = evaluator.evaluate_offspring_batch(&parent_refs, &children);
             prop_assert_eq!(scored.len(), children.len());
             for ((child, got), want) in children.iter().zip(&scored).zip(&want) {
-                prop_assert_eq!(got.sites(), child.sites());
-                prop_assert_eq!(bits(got.quality()), *want);
+                prop_assert_eq!(&got.plan, child);
+                prop_assert_eq!(bits(got.quality), *want);
             }
             // Every request is either a compute or a hit, and each
             // distinct child was computed exactly once.
@@ -587,7 +587,7 @@ proptest! {
             applied[moved] = site(1);
             let want = quality.evaluate(&MigrationPlan::from_sites(applied));
             prop_assert_eq!(bits(quality.probe_delta(parent, &changes)), bits(want));
-            prop_assert_eq!(bits(quality.probe_delta(parent, &[])), bits(parent.quality()));
+            prop_assert_eq!(bits(quality.probe_delta(parent, &[])), bits(parent.quality));
         }
     }
 
@@ -760,7 +760,7 @@ proptest! {
         // evaluated flag, for plans across the whole feasibility spectrum.
         let mut probe: Vec<MigrationPlan> = vec![
             MigrationPlan::all_onprem(components),
-            MigrationPlan::new(Placement::all_cloud(components)),
+            Placement::all_cloud(components),
         ];
         for salt in 0u64..6 {
             let genes: Vec<u16> = (0..components)
