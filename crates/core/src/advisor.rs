@@ -55,6 +55,8 @@
 //! assert!(report.eval.cache_hits > 0);
 //! ```
 
+use std::sync::Arc;
+
 use atlas_cloud::{ResourceDemand, ResourceEstimator, ScalingEstimator};
 use atlas_sim::{Placement, SiteCatalog};
 use atlas_telemetry::TelemetryStore;
@@ -109,12 +111,21 @@ impl AtlasConfig {
     }
 }
 
+/// A share of one learned input of the advisor.
+///
+/// # Panics
+///
+/// Panics if [`Atlas::learn`] has not been called.
+fn learned<T>(field: &Option<Arc<T>>) -> Arc<T> {
+    Arc::clone(field.as_ref().expect("call Atlas::learn first"))
+}
+
 /// The Atlas advisor.
 pub struct Atlas {
     config: AtlasConfig,
-    profile: Option<ApplicationProfile>,
-    footprint: Option<NetworkFootprint>,
-    demand: Option<ResourceDemand>,
+    profile: Option<Arc<ApplicationProfile>>,
+    footprint: Option<Arc<NetworkFootprint>>,
+    demand: Option<Arc<ResourceDemand>>,
 }
 
 impl Atlas {
@@ -140,26 +151,26 @@ impl Atlas {
     /// expected resource demand.
     pub fn learn(&mut self, store: &TelemetryStore) {
         self.learn_profile(store);
-        self.footprint = Some(FootprintLearner::default().learn(store));
-        self.demand = Some(
+        self.footprint = Some(Arc::new(FootprintLearner::default().learn(store)));
+        self.demand = Some(Arc::new(
             ScalingEstimator::with_scale(self.config.expected_traffic_scale).estimate(
                 store,
                 &self.config.component_index,
                 self.config.horizon_steps,
                 self.config.horizon_step_s,
             ),
-        );
+        ));
     }
 
     /// Relearn only the application profile from `store`, holding the
     /// network footprint and resource demand of the last [`Atlas::learn`]:
     /// what a resident advisor does when drift fires.
     pub fn learn_profile(&mut self, store: &TelemetryStore) {
-        self.profile = Some(ApplicationProfile::learn(
+        self.profile = Some(Arc::new(ApplicationProfile::learn(
             store,
             &self.config.stateful_components,
             self.config.traces_per_api,
-        ));
+        )));
     }
 
     /// Whether [`Atlas::learn`] has been called.
@@ -173,7 +184,7 @@ impl Atlas {
     ///
     /// Panics if [`Atlas::learn`] has not been called.
     pub fn profile(&self) -> &ApplicationProfile {
-        self.profile.as_ref().expect("call Atlas::learn first")
+        self.profile.as_deref().expect("call Atlas::learn first")
     }
 
     /// The learned network footprint.
@@ -182,7 +193,7 @@ impl Atlas {
     ///
     /// Panics if [`Atlas::learn`] has not been called.
     pub fn footprint(&self) -> &NetworkFootprint {
-        self.footprint.as_ref().expect("call Atlas::learn first")
+        self.footprint.as_deref().expect("call Atlas::learn first")
     }
 
     /// The expected resource demand over the horizon.
@@ -191,7 +202,7 @@ impl Atlas {
     ///
     /// Panics if [`Atlas::learn`] has not been called.
     pub fn demand(&self) -> &ResourceDemand {
-        self.demand.as_ref().expect("call Atlas::learn first")
+        self.demand.as_deref().expect("call Atlas::learn first")
     }
 
     /// The catalog in effect.
@@ -206,6 +217,10 @@ impl Atlas {
     /// **stage 3 — post-migration monitoring** arms a drift detector
     /// against ([`DriftDetector::from_model`]).
     ///
+    /// The model shares the learned profile, footprint and demand with this
+    /// advisor (one [`Arc`] each) rather than copying them: building a
+    /// model pays only for compiling it.
+    ///
     /// [`DriftDetector::from_model`]: crate::monitor::DriftDetector::from_model
     pub fn quality_model(
         &self,
@@ -213,10 +228,10 @@ impl Atlas {
         preferences: MigrationPreferences,
     ) -> QualityModel {
         QualityModel::for_catalog(
-            self.profile().clone(),
-            self.footprint().clone(),
+            learned(&self.profile),
+            learned(&self.footprint),
             self.catalog(),
-            self.demand().clone(),
+            learned(&self.demand),
             preferences,
             current,
             self.config.component_index.clone(),
@@ -304,6 +319,15 @@ mod tests {
         assert_eq!(atlas.profile().apis.len(), 9);
         assert!(!atlas.footprint().is_empty());
         assert_eq!(atlas.demand().component_count(), 29);
+    }
+
+    #[test]
+    fn a_model_shares_the_learned_state_rather_than_copying_it() {
+        let (atlas, current) = learned_atlas();
+        let model = atlas.quality_model(current, MigrationPreferences::default());
+        assert!(std::ptr::eq(atlas.profile(), model.profile()));
+        assert!(std::ptr::eq(atlas.footprint(), model.footprint()));
+        assert!(std::ptr::eq(atlas.demand(), &*model.demand));
     }
 
     #[test]

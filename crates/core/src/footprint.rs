@@ -18,12 +18,23 @@ use std::collections::HashMap;
 
 use atlas_telemetry::{Direction, TelemetryStore, Windowing};
 
+/// One learned edge of an API: `(from, to, (request_bytes, response_bytes))`.
+type Edge = (String, String, (f64, f64));
+
 /// The learned network footprint: per API, per directed component edge, the
 /// average request and response payload sizes in bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkFootprint {
-    /// `(api, from, to) → (request_bytes, response_bytes)`.
-    entries: HashMap<(String, String, String), (f64, f64)>,
+    /// Per API, its learned edges sorted by `(from, to)`, so that a probe by
+    /// `&str` names is a binary search that allocates nothing. No list is
+    /// ever empty.
+    entries: HashMap<String, Vec<Edge>>,
+}
+
+/// Where the `from → to` edge sits in one API's sorted edges: `Ok` at its
+/// index, or `Err` where it would be inserted.
+fn search(edges: &[Edge], from: &str, to: &str) -> Result<usize, usize> {
+    edges.binary_search_by(|(f, t, _)| (f.as_str(), t.as_str()).cmp(&(from, to)))
 }
 
 impl NetworkFootprint {
@@ -41,18 +52,19 @@ impl NetworkFootprint {
         request_bytes: f64,
         response_bytes: f64,
     ) {
-        self.entries.insert(
-            (api.into(), from.into(), to.into()),
-            (request_bytes, response_bytes),
-        );
+        let edges = self.entries.entry(api.into()).or_default();
+        let (from, to, sizes) = (from.into(), to.into(), (request_bytes, response_bytes));
+        match search(edges, &from, &to) {
+            Ok(i) => edges[i].2 = sizes,
+            Err(i) => edges.insert(i, (from, to, sizes)),
+        }
     }
 
     /// The learned `(request, response)` sizes of an edge for an API, or
     /// `None` if the API never exercised that edge.
     pub fn get(&self, api: &str, from: &str, to: &str) -> Option<(f64, f64)> {
-        self.entries
-            .get(&(api.to_string(), from.to_string(), to.to_string()))
-            .copied()
+        let edges = self.entries.get(api)?;
+        search(edges, from, to).ok().map(|i| edges[i].2)
     }
 
     /// Like [`NetworkFootprint::get`] but falling back to zero-byte payloads.
@@ -60,21 +72,16 @@ impl NetworkFootprint {
         self.get(api, from, to).unwrap_or((0.0, 0.0))
     }
 
-    /// All edges known for an API.
+    /// All edges known for an API, sorted by `(from, to)`.
     pub fn edges_of_api(&self, api: &str) -> Vec<(String, String, f64, f64)> {
-        let mut v: Vec<_> = self
-            .entries
-            .iter()
-            .filter(|((a, _, _), _)| a == api)
-            .map(|((_, f, t), &(req, resp))| (f.clone(), t.clone(), req, resp))
-            .collect();
-        v.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        v
+        let edges = self.entries.get(api).into_iter().flatten();
+        let edge = |(f, t, (req, resp)): &Edge| (f.clone(), t.clone(), *req, *resp);
+        edges.map(edge).collect()
     }
 
     /// Number of learned (api, edge) entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(Vec::len).sum()
     }
 
     /// Whether nothing has been learned.
@@ -163,18 +170,19 @@ impl FootprintLearner {
             for direction in [Direction::Request, Direction::Response] {
                 let observed = store.windowed_traffic(&edge, direction, &windowing, window_count);
                 let sizes = solve_nnls(&design, &observed, self.iterations);
-                for (api, size) in apis.iter().zip(sizes.iter()) {
-                    let entry_key = (api.clone(), edge.from.clone(), edge.to.clone());
-                    let (req, resp) = footprint
-                        .entries
-                        .get(&entry_key)
-                        .copied()
-                        .unwrap_or((0.0, 0.0));
-                    let updated = match direction {
-                        Direction::Request => (*size, resp),
-                        Direction::Response => (req, *size),
+                for (api, &size) in apis.iter().zip(sizes.iter()) {
+                    let (req, resp) = footprint.get_or_zero(api, &edge.from, &edge.to);
+                    let (req, resp) = match direction {
+                        Direction::Request => (size, resp),
+                        Direction::Response => (req, size),
                     };
-                    footprint.entries.insert(entry_key, updated);
+                    footprint.insert(
+                        api.as_str(),
+                        edge.from.as_str(),
+                        edge.to.as_str(),
+                        req,
+                        resp,
+                    );
                 }
             }
         }

@@ -18,16 +18,19 @@
 //! * component names are resolved to `u32` indices (unknown/external
 //!   components — e.g. clients — get a sentinel that always reads as
 //!   [`SiteId::ON_PREM`], matching the interpretive injector);
-//! * per-hop request/response bytes from the learned
-//!   [`NetworkFootprint`] are folded into a precomputed `N×N` exchange-cost
-//!   table over the site catalog (the two-site model compiles the familiar
-//!   `[collocated, split]` pair as a 2×2 table), so the paper's Δ of Eq. 2
+//! * a hop's exchange cost depends only on its API's learned
+//!   request/response bytes on that caller→callee edge, so the
+//!   [`NetworkFootprint`] is probed once per edge and folded into a
+//!   precomputed `N×N` exchange-cost table over the site catalog — one
+//!   table per distinct (API, caller, callee) edge, held per API and shared
+//!   by every hop over that edge (the two-site model compiles the familiar
+//!   `[collocated, split]` pair as a 2×2 table) — so the paper's Δ of Eq. 2
 //!   becomes `delta = cost_table[caller_site × N + callee_site] −
 //!   before_cost` — still a table lookup and one subtraction,
 //!   zero-allocation per evaluation;
 //! * because the **`current` placement is fixed per model** (it is the
 //!   deployment the traces were collected under), `before_cost` is a baked
-//!   constant per hop — this is why a `CompiledQuality` cannot be reused
+//!   constant per edge — this is why a `CompiledQuality` cannot be reused
 //!   across different current placements and is rebuilt by
 //!   [`QualityModel::for_catalog`];
 //! * the wave grouping, inter-wave gaps and each node's trailing
@@ -274,8 +277,10 @@ struct Hop {
     offset: f64,
     caller: u32,
     callee: u32,
-    /// Offset of this hop's `site_count²` exchange-cost table in the
-    /// trace's [`CompiledTrace::link_costs`] arena.
+    /// Offset of this hop's `site_count²` exchange-cost table in its API's
+    /// [`CompiledApi::link_costs`] arena, which holds one table per
+    /// distinct (API, caller, callee) edge: every hop over the same edge
+    /// shares it.
     cost_base: u32,
     before: f64,
 }
@@ -297,9 +302,9 @@ impl Hop {
 /// not emitted at all: the interpretive path re-times them but discards the
 /// result, so they cannot affect the returned latency.
 ///
-/// `link_costs` holds one `site_count × site_count` exchange-cost table per
-/// hop (row-major by caller site), baked from the hop's learned
-/// request/response bytes and the catalog's per-ordered-pair links.
+/// Its hops' exchange-cost tables are not its own: there is one table per
+/// distinct (API, caller, callee) edge, held per API in
+/// [`CompiledApi::link_costs`], which the walk is handed.
 #[derive(Debug, Clone)]
 struct CompiledTrace {
     root_start: f64,
@@ -310,52 +315,21 @@ struct CompiledTrace {
     ops: Vec<Op>,
     /// The root's trailing own-compute after its last foreground wave.
     tail: f64,
-    link_costs: Vec<f64>,
 }
 
 impl CompiledTrace {
-    fn compile(
-        trace: &Trace,
-        weight: f64,
-        api: &str,
-        footprint: &NetworkFootprint,
-        network: &SiteNetwork,
-        current: &Placement,
-        id_of: &HashMap<&str, u32>,
-    ) -> Self {
-        let mut ops = Vec::new();
-        let mut link_costs = Vec::new();
-        let tail = compile_node(
-            trace,
-            0,
-            None,
-            api,
-            footprint,
-            network,
-            current,
-            id_of,
-            &mut ops,
-            &mut link_costs,
-        );
-        Self {
-            root_start: trace.root().start_us as f64,
-            weight,
-            ops,
-            tail,
-            link_costs,
-        }
-    }
-
     /// The trace interpreter: walk the instruction stream once for every
     /// lane of a group, writing each lane's end-to-end latency (ms) to
-    /// `latency`. `soa` holds the group's site columns (see [`load`]) over
-    /// a `site_count`-site catalog and `onprem` is one on-prem site per
+    /// `latency`. `link_costs` is the trace's API's table arena, `soa`
+    /// holds the group's site columns (see [`load`]) over a
+    /// `site_count`-site catalog and `onprem` is one on-prem site per
     /// lane, the column unindexed components read. Interleaving the
     /// arithmetically independent lanes keeps each one's floating-point
     /// schedule that of a lone walk, while the op decode, the wave
     /// bookkeeping and the `UNKNOWN` resolution are paid once per op.
     fn run_lanes(
         &self,
+        link_costs: &[f64],
         soa: &[SiteId],
         onprem: &[SiteId],
         site_count: usize,
@@ -364,7 +338,7 @@ impl CompiledTrace {
     ) {
         let lanes = latency.len();
         let n = site_count;
-        let table = |hop: &Hop| &self.link_costs[hop.cost_base as usize..][..n * n];
+        let table = |hop: &Hop| &link_costs[hop.cost_base as usize..][..n * n];
         let sites = |hop: &Hop| {
             let column = |id: u32| match id {
                 UNKNOWN => onprem,
@@ -425,114 +399,137 @@ impl CompiledTrace {
     }
 }
 
-/// Emit the instruction stream of one trace node, which `enter` starts
-/// (`None` for the root). Mirrors `DelayInjector::inject`: the wave
-/// grouping and every placement-independent quantity (gaps, child offsets,
-/// trailing compute, the per-hop exchange-cost tables over every ordered
-/// site pair) are computed here, once, with the same arithmetic the
-/// interpretive path performs per evaluation. Returns the node's trailing
-/// own-compute after its last foreground wave, which closes the node: in
-/// the caller's `Leaf` or `Ret`, or, for the root, in the trace.
-#[allow(clippy::too_many_arguments)]
-fn compile_node(
-    trace: &Trace,
-    node: usize,
-    mut enter: Option<Hop>,
-    api: &str,
-    footprint: &NetworkFootprint,
-    network: &SiteNetwork,
-    current: &Placement,
-    id_of: &HashMap<&str, u32>,
-    ops: &mut Vec<Op>,
-    link_costs: &mut Vec<f64>,
-) -> f64 {
-    let span = &trace.nodes[node].span;
-    let orig_start = span.start_us as f64;
-    let orig_end = span.end_us() as f64;
+/// Compiles one API's retained traces against the model-wide footprint,
+/// network, current placement and component index, into one
+/// [`CompiledApi::link_costs`] arena: one exchange-cost table per distinct
+/// (API, caller, callee) edge, baked the first time a hop crosses it.
+struct ApiCompiler<'a> {
+    api: &'a str,
+    footprint: &'a NetworkFootprint,
+    network: &'a SiteNetwork,
+    current: &'a Placement,
+    id_of: &'a HashMap<&'a str, u32>,
+    link_costs: Vec<f64>,
+    /// Each edge met so far, as its hop at offset 0. Keyed by the caller's
+    /// and callee's names, not their ids: every unindexed component
+    /// resolves to [`UNKNOWN`], yet each has its own learned bytes.
+    edges: HashMap<(&'a str, &'a str), Hop>,
+}
 
-    let foreground: Vec<usize> = trace.nodes[node]
-        .children
-        .iter()
-        .copied()
-        .filter(|&c| !trace.is_background(c))
-        .collect();
+impl<'a> ApiCompiler<'a> {
+    /// The hop over `caller → callee`, at offset 0: on first sight, the
+    /// edge's footprint is probed once and its exchange cost baked for
+    /// every ordered site pair (row-major by caller site).
+    fn edge(&mut self, caller: &'a str, callee: &'a str) -> Hop {
+        if let Some(&hop) = self.edges.get(&(caller, callee)) {
+            return hop;
+        }
+        let (req, resp) = self.footprint.get_or_zero(self.api, caller, callee);
+        let (caller_id, callee_id) = (resolve(self.id_of, caller), resolve(self.id_of, callee));
+        let n = self.network.site_count();
+        let cost_base = self.link_costs.len() as u32;
+        for a in 0..n as u16 {
+            for b in 0..n as u16 {
+                let cost = self.network.exchange_us(SiteId(a), SiteId(b), req, resp);
+                self.link_costs.push(cost);
+            }
+        }
+        let before_a = current_site(self.current, caller_id);
+        let before_b = current_site(self.current, callee_id);
+        let hop = Hop {
+            offset: 0.0,
+            caller: caller_id,
+            callee: callee_id,
+            cost_base,
+            before: self.link_costs[cost_base as usize + before_a.index() * n + before_b.index()],
+        };
+        self.edges.insert((caller, callee), hop);
+        hop
+    }
 
-    // Group foreground children into sequential waves of parallel siblings
-    // (same rule as the interpretive injector).
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    let mut wave_end = f64::NEG_INFINITY;
-    for &c in &foreground {
-        let cs = trace.nodes[c].span.start_us as f64;
-        let ce = trace.nodes[c].span.end_us() as f64;
-        if waves.is_empty() || cs >= wave_end {
-            waves.push(vec![c]);
-            wave_end = ce;
-        } else {
-            waves.last_mut().expect("non-empty").push(c);
-            wave_end = wave_end.max(ce);
+    fn trace(&mut self, trace: &'a Trace, weight: f64) -> CompiledTrace {
+        let mut ops = Vec::new();
+        let tail = self.node(trace, 0, None, &mut ops);
+        CompiledTrace {
+            root_start: trace.root().start_us as f64,
+            weight,
+            ops,
+            tail,
         }
     }
 
-    let mut prev_end_orig = orig_start;
-    for wave in &waves {
-        let wave_orig_start = wave
-            .iter()
-            .map(|&c| trace.nodes[c].span.start_us as f64)
-            .fold(f64::INFINITY, f64::min);
-        let gap = (wave_orig_start - prev_end_orig).max(0.0);
-        ops.push(match enter.take() {
-            Some(hop) => Op::Call { hop, gap },
-            None => Op::Next { gap },
-        });
+    /// Emit the instruction stream of one trace node, which `enter` starts
+    /// (`None` for the root). Mirrors `DelayInjector::inject`: the wave
+    /// grouping and every placement-independent quantity (gaps, child
+    /// offsets, trailing compute) are computed here, once, with the same
+    /// arithmetic the interpretive path performs per evaluation, and each
+    /// hop takes its edge's table from [`Self::edge`]. Returns the node's
+    /// trailing own-compute after its last foreground wave, which closes
+    /// the node: in the caller's `Leaf` or `Ret`, or, for the root, in the
+    /// trace.
+    fn node(
+        &mut self,
+        trace: &'a Trace,
+        node: usize,
+        mut enter: Option<Hop>,
+        ops: &mut Vec<Op>,
+    ) -> f64 {
+        let span = &trace.nodes[node].span;
+        let orig_start = span.start_us as f64;
+        let orig_end = span.end_us() as f64;
+        let start_of = |c: usize| trace.nodes[c].span.start_us as f64;
+        let end_of = |c: usize| trace.nodes[c].span.end_us() as f64;
+        let foreground = |c: &usize| !trace.is_background(*c);
 
-        let mut wave_end_orig = prev_end_orig;
-        for &c in wave {
-            let child_span = &trace.nodes[c].span;
-            let (req, resp) = footprint.get_or_zero(api, &span.component, &child_span.component);
-            let caller = resolve(id_of, &span.component);
-            let callee = resolve(id_of, &child_span.component);
-            // Bake this hop's exchange cost for every ordered site pair
-            // (row-major by caller site).
-            let n = network.site_count();
-            let cost_base = link_costs.len() as u32;
-            for a in 0..n as u16 {
-                for b in 0..n as u16 {
-                    link_costs.push(network.exchange_us(SiteId(a), SiteId(b), req, resp));
+        // Foreground children in sequential waves of parallel siblings
+        // (same rule as the interpretive injector): a wave runs from a
+        // foreground child through every later one that starts before the
+        // wave's running end. `rest` holds the children not yet grouped,
+        // background ones included and skipped, so nothing is collected.
+        let mut rest: &[usize] = &trace.nodes[node].children;
+        let mut prev_end_orig = orig_start;
+        while let Some(first) = rest.iter().position(foreground) {
+            rest = &rest[first..];
+            let mut wave_end = end_of(rest[0]);
+            let mut len = 1;
+            for (i, &c) in rest.iter().enumerate().skip(1) {
+                if foreground(&c) {
+                    if start_of(c) >= wave_end {
+                        break;
+                    }
+                    wave_end = wave_end.max(end_of(c));
+                    len = i + 1;
                 }
             }
-            let before_a = current_site(current, caller);
-            let before_b = current_site(current, callee);
-            let before = link_costs[cost_base as usize + before_a.index() * n + before_b.index()];
-            let hop = Hop {
-                offset: child_span.start_us as f64 - wave_orig_start,
-                caller,
-                callee,
-                cost_base,
-                before,
-            };
-            let emitted = ops.len();
-            let tail = compile_node(
-                trace,
-                c,
-                Some(hop),
-                api,
-                footprint,
-                network,
-                current,
-                id_of,
-                ops,
-                link_costs,
-            );
-            ops.push(if ops.len() == emitted {
-                Op::Leaf { hop, tail }
-            } else {
-                Op::Ret { tail }
+            let (wave, after) = rest.split_at(len);
+            rest = after;
+            let wave = wave.iter().copied().filter(foreground);
+            let wave_orig_start = wave.clone().map(start_of).fold(f64::INFINITY, f64::min);
+            let gap = (wave_orig_start - prev_end_orig).max(0.0);
+            ops.push(match enter.take() {
+                Some(hop) => Op::Call { hop, gap },
+                None => Op::Next { gap },
             });
-            wave_end_orig = wave_end_orig.max(child_span.end_us() as f64);
+
+            let mut wave_end_orig = prev_end_orig;
+            for c in wave {
+                let hop = Hop {
+                    offset: start_of(c) - wave_orig_start,
+                    ..self.edge(&span.component, &trace.nodes[c].span.component)
+                };
+                let emitted = ops.len();
+                let tail = self.node(trace, c, Some(hop), ops);
+                ops.push(if ops.len() == emitted {
+                    Op::Leaf { hop, tail }
+                } else {
+                    Op::Ret { tail }
+                });
+                wave_end_orig = wave_end_orig.max(end_of(c));
+            }
+            prev_end_orig = wave_end_orig;
         }
-        prev_end_orig = wave_end_orig;
+        (orig_end - prev_end_orig).max(0.0)
     }
-    (orig_end - prev_end_orig).max(0.0)
 }
 
 fn resolve(id_of: &HashMap<&str, u32>, name: &str) -> u32 {
@@ -673,8 +670,9 @@ impl ConstraintKernel {
 }
 
 /// One API compiled for scoring: its preference weight, baseline latency,
-/// the indices of its stateful components (for `Q_Avai`) and its retained
-/// traces as instruction arenas.
+/// the indices of its stateful components (for `Q_Avai`), its retained
+/// traces as instruction arenas and the exchange-cost tables their hops
+/// read.
 #[derive(Debug, Clone)]
 struct CompiledApi {
     weight: f64,
@@ -686,15 +684,20 @@ struct CompiledApi {
     trace_weight_total: f64,
     stateful: Vec<u32>,
     traces: Vec<CompiledTrace>,
+    /// One `site_count × site_count` exchange-cost table per distinct
+    /// (API, caller, callee) edge the traces cross (row-major by caller
+    /// site), baked from the edge's learned request/response bytes and the
+    /// catalog's per-ordered-pair links.
+    link_costs: Vec<f64>,
 }
 
-/// Compile one API's profile entry into its flat op arena, against the
-/// model-wide footprint, network, preferences and current placement.
-#[allow(clippy::too_many_arguments)]
-fn compile_api(
-    profile: &ApplicationProfile,
-    name: &str,
-    id_of: &HashMap<&str, u32>,
+/// Compile one API's profile entry into its flat op arenas and edge
+/// tables, against the model-wide footprint, network, preferences and
+/// current placement.
+fn compile_api<'a>(
+    profile: &'a ApplicationProfile,
+    name: &'a str,
+    id_of: &'a HashMap<&'a str, u32>,
     footprint: &NetworkFootprint,
     network: &SiteNetwork,
     preferences: &MigrationPreferences,
@@ -707,21 +710,17 @@ fn compile_api(
         .filter_map(|c| id_of.get(c.as_str()).copied())
         .collect();
     stateful.sort_unstable();
-    let traces: Vec<CompiledTrace> = api
-        .traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            CompiledTrace::compile(
-                t,
-                api.trace_weight(i),
-                name,
-                footprint,
-                network,
-                current,
-                id_of,
-            )
-        })
+    let mut compiler = ApiCompiler {
+        api: name,
+        footprint,
+        network,
+        current,
+        id_of,
+        link_costs: Vec::new(),
+        edges: HashMap::new(),
+    };
+    let traces: Vec<CompiledTrace> = (api.traces.iter().enumerate())
+        .map(|(i, t)| compiler.trace(t, api.trace_weight(i)))
         .collect();
     // Σ wᵢ in trace order, so unit weights reproduce `len() as f64`
     // exactly.
@@ -732,6 +731,7 @@ fn compile_api(
         trace_weight_total,
         stateful,
         traces,
+        link_costs: compiler.link_costs,
     }
 }
 
@@ -809,7 +809,8 @@ impl CompiledQuality {
         self.compile_ms
     }
 
-    /// Number of sites the per-hop cost tables cover.
+    /// Number of sites the exchange-cost tables cover — one table per
+    /// distinct (API, caller, callee) edge, held per API.
     pub fn site_count(&self) -> usize {
         self.site_count
     }
@@ -855,7 +856,14 @@ impl CompiledQuality {
         let mut weight_sum = 0.0;
         for api in apis {
             for trace in &api.traces {
-                trace.run_lanes(soa, onprem, self.site_count, latency, stack);
+                trace.run_lanes(
+                    &api.link_costs,
+                    soa,
+                    onprem,
+                    self.site_count,
+                    latency,
+                    stack,
+                );
                 for (&latency_ms, sum) in latency.iter().zip(acc.iter_mut()) {
                     *sum += trace.weight * latency_ms;
                 }
@@ -927,11 +935,13 @@ impl CompiledQuality {
         let LaneScratch { soa, stack, .. } = scratch;
         let soa = load(soa, &[sites], self.components);
         let (onprem, mut latency) = ([SiteId::ON_PREM], [0.0]);
+        let api = &self.apis[slot];
         let walk = |trace: &CompiledTrace| {
-            trace.run_lanes(soa, &onprem, self.site_count, &mut latency, stack);
+            let n = self.site_count;
+            trace.run_lanes(&api.link_costs, soa, &onprem, n, &mut latency, stack);
             latency[0]
         };
-        self.apis[slot].traces.iter().map(walk).collect()
+        api.traces.iter().map(walk).collect()
     }
 
     /// Total number of compiled traces across every API.
@@ -971,8 +981,11 @@ mod tests {
     use std::collections::{HashMap as Map, HashSet};
 
     /// The Figure 6 trace shape, but with components the model does *not*
-    /// index (`ExternalClient`, `ThirdPartyCDN`) mixed in: unknown names
-    /// must resolve to on-prem in both paths.
+    /// index (`ExternalClient`, `ThirdPartyCDN`, `PaymentGateway`) mixed
+    /// in: unknown names must resolve to on-prem in both paths. The
+    /// Frontend calls two of them in the foreground, in waves of their own
+    /// and with different learned bytes, so both resolve to the same
+    /// unknown id yet must price their own edges.
     fn trace_with_externals() -> Trace {
         let t = TraceId(3);
         let spans = vec![
@@ -987,6 +1000,15 @@ mod tests {
                 2_000,
             ),
             Span::new(t, SpanId(2), Some(SpanId(0)), "Store", "put", 4_000, 3_000),
+            Span::new(
+                t,
+                SpanId(5),
+                Some(SpanId(0)),
+                "PaymentGateway",
+                "charge",
+                7_200,
+                1_500,
+            ),
             Span::new(
                 t,
                 SpanId(3),
@@ -1017,6 +1039,7 @@ mod tests {
         let trace = trace_with_externals();
         let mut footprint = NetworkFootprint::new();
         footprint.insert("/api", "Frontend", "ThirdPartyCDN", 2_000.0, 50_000.0);
+        footprint.insert("/api", "Frontend", "PaymentGateway", 40_000.0, 500.0);
         footprint.insert("/api", "Frontend", "Store", 9_000.0, 200.0);
         footprint.insert("/api", "Store", "ExternalClient", 100.0, 100.0);
         footprint.insert("/api", "Frontend", "Notifier", 700.0, 0.0);
@@ -1178,6 +1201,26 @@ mod tests {
                     "sites ({a}, {b})"
                 );
             }
+        }
+    }
+
+    /// An API holds one exchange-cost table per distinct (caller, callee)
+    /// name pair, not one per hop: the fixture's trace, retained twice,
+    /// crosses four foreground edges (its background `Notifier` call is
+    /// never compiled), two of them from the Frontend to unindexed
+    /// components that share the unknown id.
+    #[test]
+    fn an_api_holds_one_table_per_distinct_edge() {
+        for model in [model_with_externals(), three_site_model_with_externals()] {
+            let n = model.site_count();
+            let api = &model.kernel().apis[0];
+            let hops = |trace: &CompiledTrace| {
+                let hops = trace.ops.iter();
+                hops.filter(|op| matches!(op, Op::Call { .. } | Op::Leaf { .. }))
+                    .count()
+            };
+            assert_eq!(api.traces.iter().map(hops).collect::<Vec<_>>(), [4, 4]);
+            assert_eq!(api.link_costs.len(), 4 * n * n, "{n} sites");
         }
     }
 

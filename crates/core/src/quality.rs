@@ -11,6 +11,8 @@
 //! interpretive Eq. 1–4 live apart, in [`crate::oracle`]; property tests
 //! pin the two bit-identical.
 
+use std::sync::Arc;
+
 use atlas_cloud::{CompiledCost, CostScratch, ResourceDemand, SiteCostModel};
 use atlas_sim::{Placement, SiteCatalog, SiteId, SiteNetwork};
 
@@ -70,14 +72,18 @@ impl RecommendedPlan {
 pub type ScoredPlan = RecommendedPlan;
 
 /// Models the quality of candidate plans without executing them.
+///
+/// The learned profile, footprint and demand are held behind [`Arc`], so a
+/// model built by [`Atlas::quality_model`](crate::Atlas::quality_model)
+/// shares them with the advisor instead of copying them.
 #[derive(Debug, Clone)]
 pub struct QualityModel {
-    profile: ApplicationProfile,
-    footprint: NetworkFootprint,
+    profile: Arc<ApplicationProfile>,
+    footprint: Arc<NetworkFootprint>,
     /// The catalog's links, which the oracle injects delays against.
     pub(crate) network: SiteNetwork,
     pub(crate) cost_model: SiteCostModel,
-    pub(crate) demand: ResourceDemand,
+    pub(crate) demand: Arc<ResourceDemand>,
     preferences: MigrationPreferences,
     current: Placement,
     /// Component names in plan-index order.
@@ -98,17 +104,19 @@ impl QualityModel {
     ///
     /// `component_index` defines the component ordering used by plans and by
     /// the demand; `current` is the placement the application runs under
-    /// today (all on-prem in the paper's experiments).
+    /// today (all on-prem in the paper's experiments). The profile,
+    /// footprint and demand are taken by value or as shared [`Arc`]s.
     #[allow(clippy::too_many_arguments)]
     pub fn for_catalog(
-        profile: ApplicationProfile,
-        footprint: NetworkFootprint,
+        profile: impl Into<Arc<ApplicationProfile>>,
+        footprint: impl Into<Arc<NetworkFootprint>>,
         catalog: &SiteCatalog,
-        demand: ResourceDemand,
+        demand: impl Into<Arc<ResourceDemand>>,
         preferences: MigrationPreferences,
         current: Placement,
         component_index: Vec<String>,
     ) -> Self {
+        let (profile, footprint, demand) = (profile.into(), footprint.into(), demand.into());
         assert_eq!(
             current.len(),
             component_index.len(),
