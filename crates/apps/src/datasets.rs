@@ -108,11 +108,6 @@ impl SocialGraph {
         total as f64 / self.followers.len() as f64
     }
 
-    /// Maximum follower count (the heavy tail).
-    pub fn max_followers(&self) -> usize {
-        self.followers.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Summary statistics suitable for sizing the application model.
     pub fn stats(&self) -> SocialGraphStats {
         SocialGraphStats {
@@ -184,10 +179,10 @@ mod tests {
         assert_eq!(g.user_count(), 500);
         let mean = g.mean_followers();
         assert!(mean > 2.0 && mean < 16.0, "mean followers {mean}");
+        let max = g.followers.iter().map(Vec::len).max().unwrap_or(0);
         assert!(
-            g.max_followers() as f64 > 3.0 * mean,
-            "preferential attachment should produce a heavy tail (max {}, mean {mean})",
-            g.max_followers()
+            max as f64 > 3.0 * mean,
+            "preferential attachment should produce a heavy tail (max {max}, mean {mean})"
         );
     }
 

@@ -239,29 +239,9 @@ impl WorkloadOptions {
         self
     }
 
-    /// Scale the traffic volume (builder style): `scale`× the requests per
-    /// day with an unchanged shape and mix. Unlike [`Self::with_burst`] this
-    /// models more observations of the same behaviours, not a surge scenario.
-    pub fn with_volume(mut self, scale: f64) -> Self {
-        self.volume_scale = scale;
-        self
-    }
-
     /// Replace the seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replace the number of days (builder style).
-    pub fn with_days(mut self, days: u32) -> Self {
-        self.days = days;
-        self
-    }
-
-    /// Replace the workload shape (builder style).
-    pub fn with_shape(mut self, shape: WorkloadShape) -> Self {
-        self.shape = shape;
         self
     }
 }
@@ -426,11 +406,10 @@ mod tests {
         let base = WorkloadGenerator::new(WorkloadOptions::social_network_default().with_seed(3))
             .generate(&app())
             .unwrap();
-        let dense = WorkloadGenerator::new(
-            WorkloadOptions::social_network_default()
-                .with_seed(3)
-                .with_volume(10.0),
-        )
+        let dense = WorkloadGenerator::new(WorkloadOptions {
+            volume_scale: 10.0,
+            ..WorkloadOptions::social_network_default().with_seed(3)
+        })
         .generate(&app())
         .unwrap();
         let ratio = dense.len() as f64 / base.len() as f64;
@@ -456,12 +435,12 @@ mod tests {
 
     #[test]
     fn multi_day_schedules_extend_in_time() {
-        let one = WorkloadGenerator::new(WorkloadOptions::social_network_default().with_days(1))
-            .generate(&app())
-            .unwrap();
-        let two = WorkloadGenerator::new(WorkloadOptions::social_network_default().with_days(2))
-            .generate(&app())
-            .unwrap();
+        let days = |days| WorkloadOptions {
+            days,
+            ..WorkloadOptions::social_network_default()
+        };
+        let one = WorkloadGenerator::new(days(1)).generate(&app()).unwrap();
+        let two = WorkloadGenerator::new(days(2)).generate(&app()).unwrap();
         assert!(two.duration_s() > one.duration_s());
         assert!(two.len() > one.len());
     }
@@ -485,15 +464,19 @@ mod tests {
 
     #[test]
     fn flash_crowd_spikes_only_its_day() {
-        let base = WorkloadOptions::social_network_default()
-            .with_seed(5)
-            .with_days(2);
-        let crowd = base.clone().with_shape(WorkloadShape::FlashCrowd {
-            day: 1,
-            at: 0.3,
-            width: 0.02,
-            magnitude: 6.0,
-        });
+        let base = WorkloadOptions {
+            days: 2,
+            ..WorkloadOptions::social_network_default().with_seed(5)
+        };
+        let crowd = WorkloadOptions {
+            shape: WorkloadShape::FlashCrowd {
+                day: 1,
+                at: 0.3,
+                width: 0.02,
+                magnitude: 6.0,
+            },
+            ..base.clone()
+        };
         let quiet = WorkloadGenerator::new(base).generate(&app()).unwrap();
         let spiky = WorkloadGenerator::new(crowd).generate(&app()).unwrap();
         let day_us = 300u64 * 1_000_000;
@@ -543,12 +526,13 @@ mod tests {
 
     #[test]
     fn weekends_carry_less_traffic() {
-        let opts = WorkloadOptions::social_network_default()
-            .with_seed(6)
-            .with_days(7)
-            .with_shape(WorkloadShape::WeekdayWeekend {
+        let opts = WorkloadOptions {
+            days: 7,
+            shape: WorkloadShape::WeekdayWeekend {
                 weekend_scale: 0.35,
-            });
+            },
+            ..WorkloadOptions::social_network_default().with_seed(6)
+        };
         let schedule = WorkloadGenerator::new(opts).generate(&app()).unwrap();
         let day_us = 300u64 * 1_000_000;
         let per_day: Vec<usize> = (0..7)
@@ -584,15 +568,16 @@ mod tests {
 
     #[test]
     fn shaped_workloads_stay_deterministic() {
-        let opts = WorkloadOptions::social_network_default()
-            .with_seed(8)
-            .with_days(2)
-            .with_shape(WorkloadShape::FlashCrowd {
+        let opts = WorkloadOptions {
+            days: 2,
+            shape: WorkloadShape::FlashCrowd {
                 day: 0,
                 at: 0.6,
                 width: 0.03,
                 magnitude: 4.0,
-            });
+            },
+            ..WorkloadOptions::social_network_default().with_seed(8)
+        };
         let a = WorkloadGenerator::new(opts.clone())
             .generate(&app())
             .unwrap();

@@ -15,16 +15,15 @@ use crate::context::{BaselineContext, BaselineScorer, PlacementScore};
 /// Pairwise affinity between components: total bytes and message counts
 /// observed over the learning period (symmetric).
 ///
-/// Besides the dense matrices, the constructor compiles the *sparse* pair
-/// list of the upper triangle — every `(i, j)` with `i < j` whose bytes or
-/// message count is nonzero, in lexicographic order. The cross-site sums
-/// iterate that list, so a probe costs O(observed edges) instead of O(n²);
-/// skipping the all-zero pairs adds nothing to the accumulator, so the sums
-/// stay bit-identical to the historical dense loops.
+/// The constructor sums the traffic into dense symmetric matrices and keeps
+/// only their *sparse* upper triangle — every `(i, j)` with `i < j` whose
+/// bytes or message count is nonzero, in lexicographic order. The
+/// cross-site sums iterate that list, so a probe costs O(observed edges)
+/// instead of O(n²); skipping the all-zero pairs adds nothing to the
+/// accumulator, so the sums stay bit-identical to the historical dense
+/// loops.
 #[derive(Debug, Clone, Default)]
 pub struct AffinityMatrix {
-    bytes: Vec<Vec<f64>>,
-    messages: Vec<Vec<f64>>,
     pairs: Vec<AffinityPair>,
 }
 
@@ -74,41 +73,16 @@ impl AffinityMatrix {
                 }
             }
         }
-        Self {
-            bytes,
-            messages,
-            pairs,
-        }
-    }
-
-    /// Number of components covered.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the matrix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Bytes exchanged between two components (symmetric).
-    pub fn bytes_between(&self, a: usize, b: usize) -> f64 {
-        self.bytes[a][b]
-    }
-
-    /// Messages exchanged between two components (symmetric).
-    pub fn messages_between(&self, a: usize, b: usize) -> f64 {
-        self.messages[a][b]
+        Self { pairs }
     }
 
     /// Total bytes on pairs whose endpoints sit at *different* sites (on
     /// the paper's testbed, the bytes crossing the on-prem/cloud boundary).
     pub fn cross_site_bytes(&self, sites: &[SiteId]) -> f64 {
-        let n = self.len().min(sites.len());
         let mut total = 0.0;
         for p in &self.pairs {
             let (i, j) = (p.i as usize, p.j as usize);
-            if j < n && sites[i] != sites[j] {
+            if j < sites.len() && sites[i] != sites[j] {
                 total += p.bytes;
             }
         }
@@ -117,11 +91,10 @@ impl AffinityMatrix {
 
     /// Total messages on cross-site pairs (see [`Self::cross_site_bytes`]).
     pub fn cross_site_messages(&self, sites: &[SiteId]) -> f64 {
-        let n = self.len().min(sites.len());
         let mut total = 0.0;
         for p in &self.pairs {
             let (i, j) = (p.i as usize, p.j as usize);
-            if j < n && sites[i] != sites[j] {
+            if j < sites.len() && sites[i] != sites[j] {
                 total += p.messages;
             }
         }
@@ -263,42 +236,60 @@ mod tests {
     use super::*;
     use crate::context::test_context;
 
-    #[test]
-    fn affinity_matrix_is_symmetric_and_counts_both_directions() {
-        let ctx = test_context(7.0);
-        let m = &ctx.affinity;
-        assert_eq!(m.len(), 3);
-        assert!(!m.is_empty());
-        assert_eq!(m.bytes_between(0, 1), m.bytes_between(1, 0));
-        assert!(m.bytes_between(0, 1) > m.bytes_between(1, 2));
-        assert!(m.messages_between(0, 1) > 0.0);
-        assert_eq!(m.bytes_between(0, 2), 0.0);
+    /// Traffic over `names`: A→B both legs, B→A requests, B→C both legs,
+    /// and an edge to an unindexed component.
+    fn traffic(names: &[String]) -> AffinityMatrix {
+        let store = TelemetryStore::new();
+        for t in 0..4u64 {
+            store.record_traffic("A", "B", Direction::Request, t, 1_000.0);
+            store.record_traffic("A", "B", Direction::Response, t, 500.0);
+            store.record_traffic("B", "A", Direction::Request, t, 8.0);
+            store.record_traffic("B", "C", Direction::Request, t, 100.0);
+            store.record_traffic("B", "C", Direction::Response, t, 50.0);
+            store.record_traffic("C", "Ext", Direction::Request, t, 9.0);
+        }
+        AffinityMatrix::from_store(&store, names)
     }
 
-    /// The compiled sparse pair list reproduces the dense upper-triangle
-    /// sums bit-for-bit (the skipped pairs are exactly the all-zero ones).
+    fn names() -> Vec<String> {
+        ["A", "B", "C"].map(String::from).to_vec()
+    }
+
     #[test]
-    fn sparse_pair_sums_match_a_dense_recount() {
-        let ctx = test_context(7.0);
-        let m = &ctx.affinity;
-        let n = m.len();
+    fn affinity_matrix_is_symmetric_and_counts_both_directions() {
+        let m = traffic(&names());
+        // A–B sums both legs of both directions, messages count requests;
+        // A–C carries nothing and the unindexed edge is dropped.
+        let pairs: Vec<_> = m
+            .pairs
+            .iter()
+            .map(|p| (p.i, p.j, p.bytes, p.messages))
+            .collect();
+        assert_eq!(pairs, [(0, 1, 6_032.0, 8.0), (1, 2, 600.0, 4.0)]);
+        // Listing the components in another order describes the same pairs.
+        let reversed = traffic(&["C", "B", "A"].map(String::from));
+        let pairs: Vec<_> = reversed.pairs.iter().map(|p| (p.i, p.j, p.bytes)).collect();
+        assert_eq!(pairs, [(0, 1, 600.0), (1, 2, 6_032.0)]);
+        assert!(AffinityMatrix::default().pairs.is_empty());
+    }
+
+    /// The sparse pair list reproduces a per-edge recount of the store's
+    /// traffic (the skipped pairs are exactly the all-zero ones).
+    #[test]
+    fn sparse_pair_sums_match_an_edge_recount() {
+        let m = traffic(&names());
+        let edges = [(0, 1, 6_000.0, 4.0), (1, 0, 32.0, 4.0), (1, 2, 600.0, 4.0)];
         for sites in [
             vec![SiteId(0), SiteId(1), SiteId(0)],
             vec![SiteId(1), SiteId(0), SiteId(2)],
             vec![SiteId(2), SiteId(2), SiteId(2)],
             vec![SiteId(0), SiteId(1)], // shorter than the matrix
         ] {
-            let k = n.min(sites.len());
-            let mut bytes = 0.0;
-            let mut messages = 0.0;
-            for i in 0..k {
-                for j in (i + 1)..k {
-                    if sites[i] != sites[j] {
-                        bytes += m.bytes_between(i, j);
-                        messages += m.messages_between(i, j);
-                    }
-                }
-            }
+            let crossing = edges
+                .iter()
+                .filter(|&&(i, j, ..)| i < sites.len() && j < sites.len() && sites[i] != sites[j]);
+            let bytes: f64 = crossing.clone().map(|e| e.2).sum();
+            let messages: f64 = crossing.map(|e| e.3).sum();
             assert_eq!(m.cross_site_bytes(&sites), bytes, "sites {sites:?}");
             assert_eq!(m.cross_site_messages(&sites), messages, "sites {sites:?}");
         }

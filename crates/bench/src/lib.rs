@@ -26,4 +26,5 @@ pub mod harness;
 pub mod sweep;
 
 pub use atlas_benchmark::scenario::copy_context;
+pub use atlas_benchmark::{resident, scenario};
 pub use harness::{corpus_of, shift_corpus, Application, Experiment, ExperimentOptions};

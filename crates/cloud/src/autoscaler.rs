@@ -29,14 +29,6 @@ impl Autoscaler {
         by_cpu.max(by_mem).max(0.0) as usize
     }
 
-    /// Node counts for a whole horizon of per-step (cpu, memory) demands.
-    pub fn node_trace(&self, demand: &[(f64, f64)]) -> Vec<usize> {
-        demand
-            .iter()
-            .map(|&(cpu, mem)| self.nodes_required(cpu, mem))
-            .collect()
-    }
-
     /// Storage capacity trace (Eq. 8): start from `initial_gb` and scale up
     /// by the headroom factor whenever the free fraction drops to `δ` or
     /// below, repeating the growth step until the headroom is restored.
@@ -92,15 +84,9 @@ mod tests {
         assert_eq!(a.nodes_required(3.4, 1.0), 2);
         assert_eq!(a.nodes_required(3.0, 1.0), 1);
         assert_eq!(a.nodes_required(0.0, 0.0), 0);
+        assert_eq!(a.nodes_required(10.0, 4.0), 3);
         // Memory-bound: 40 GB with 16 GB nodes → ceil(1.2*40/16)=3.
         assert_eq!(a.nodes_required(0.5, 40.0), 3);
-    }
-
-    #[test]
-    fn node_trace_maps_each_step() {
-        let a = scaler();
-        let trace = a.node_trace(&[(0.0, 0.0), (3.0, 1.0), (10.0, 4.0)]);
-        assert_eq!(trace, vec![0, 1, 3]);
     }
 
     #[test]

@@ -47,15 +47,14 @@ impl CostBreakdown {
     }
 }
 
-/// Reusable buffers for [`SiteCostModel::evaluate_with_scratch`], so hot
-/// evaluation loops (the plan-evaluation kernel, the baselines' scorer) do
-/// not allocate the cloud-component index list and the per-step storage
-/// series on every call.
+/// Reusable buffers for [`CompiledCost`], so hot evaluation loops (the
+/// plan-evaluation kernel, the baselines' scorer) do not allocate the
+/// per-site accumulators and the storage capacity trace on every call.
 #[derive(Debug, Clone, Default)]
 pub struct CostScratch {
-    cloud: Vec<usize>,
+    /// Storage capacity trace of the site being priced.
     used_per_step: Vec<f64>,
-    /// Per-site egress-byte accumulators of [`SiteCostModel`].
+    /// Per-site egress-byte accumulators.
     egress: Vec<f64>,
     /// Per-site per-step resource accumulators of [`CompiledCost`]: one
     /// `2 * steps` block per site (cpu row, then memory row).
@@ -90,12 +89,7 @@ impl CostModel {
     /// Compute (Eq. 6–7) and storage (Eq. 8–9) cost of hosting the
     /// components listed in `pool` (ascending indices) at this model's
     /// site.
-    fn pool_compute_storage(
-        &self,
-        demand: &ResourceDemand,
-        pool: &[usize],
-        used_per_step: &mut Vec<f64>,
-    ) -> (f64, f64) {
+    fn pool_compute_storage(&self, demand: &ResourceDemand, pool: &[usize]) -> (f64, f64) {
         let step_seconds = demand.step_s as f64;
 
         // --- Compute (Eq. 6-7): nodes per step from CPU and memory. ---
@@ -108,14 +102,13 @@ impl CostModel {
         }
 
         // --- Storage (Eq. 8-9): capacity trace from the stateful data. ---
-        used_per_step.clear();
-        used_per_step.extend(
-            (0..demand.steps).map(|t| pool.iter().map(|&c| demand.storage_gb[c][t]).sum::<f64>()),
-        );
+        let used_per_step: Vec<f64> = (0..demand.steps)
+            .map(|t| pool.iter().map(|&c| demand.storage_gb[c][t]).sum::<f64>())
+            .collect();
         let initial_gb = 2.0 * used_per_step.first().copied().unwrap_or(0.0);
         let mut storage = 0.0;
         if used_per_step.iter().any(|&u| u > 0.0) {
-            let capacity = self.autoscaler.storage_trace(initial_gb, used_per_step);
+            let capacity = self.autoscaler.storage_trace(initial_gb, &used_per_step);
             for cap in capacity {
                 storage += self.pricing.storage_cost_for(cap, step_seconds);
             }
@@ -177,37 +170,16 @@ impl SiteCostModel {
         self.sites.len()
     }
 
-    /// The per-site model of one site (`None` for free pools).
-    pub fn site_model(&self, site: SiteId) -> Option<&CostModel> {
-        self.sites.get(site.index()).and_then(|m| m.as_ref())
-    }
-
     /// Evaluate the hosting cost of a site assignment (indexed like
-    /// `demand.component_names`). Allocating convenience around
-    /// [`SiteCostModel::evaluate_with_scratch`].
+    /// `demand.component_names`): the interpretive Eq. 6–11 that the
+    /// oracle prices plans with. Hot loops score through
+    /// [`SiteCostModel::compile`] instead, which is bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `sites.len()` differs from the demand's component count,
     /// or if an assignment names a site this model does not price.
     pub fn evaluate(&self, demand: &ResourceDemand, sites: &[SiteId]) -> CostBreakdown {
-        self.evaluate_with_scratch(demand, sites, &mut CostScratch::default())
-    }
-
-    /// [`SiteCostModel::evaluate`] with caller-provided scratch buffers, the
-    /// allocation-free variant used by the evaluation kernel and the
-    /// baselines' scorer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites.len()` differs from the demand's component count,
-    /// or if an assignment names a site this model does not price.
-    pub fn evaluate_with_scratch(
-        &self,
-        demand: &ResourceDemand,
-        sites: &[SiteId],
-        scratch: &mut CostScratch,
-    ) -> CostBreakdown {
         assert_eq!(
             sites.len(),
             demand.component_count(),
@@ -223,28 +195,23 @@ impl SiteCostModel {
         // leg the callee's). Per-site bucket sums see the same additions in
         // the same (map) order as a per-site edge scan would, so the totals
         // are bit-identical at a single traversal.
-        scratch.egress.clear();
-        scratch.egress.resize(self.sites.len(), 0.0);
+        let mut egress = vec![0.0; self.sites.len()];
         for (&(from, to), series) in &demand.edge_bytes {
             if sites[from] != sites[to] {
                 let half = series.iter().sum::<f64>() / 2.0;
-                scratch.egress[sites[from].index()] += half;
-                scratch.egress[sites[to].index()] += half;
+                egress[sites[from].index()] += half;
+                egress[sites[to].index()] += half;
             }
         }
         let mut total = CostBreakdown::default();
         for (index, model) in self.sites.iter().enumerate() {
             let Some(model) = model else { continue };
             let site = SiteId(index as u16);
-            scratch.cloud.clear();
-            scratch
-                .cloud
-                .extend((0..sites.len()).filter(|&i| sites[i] == site));
-            let (compute, storage) =
-                model.pool_compute_storage(demand, &scratch.cloud, &mut scratch.used_per_step);
+            let pool: Vec<usize> = (0..sites.len()).filter(|&i| sites[i] == site).collect();
+            let (compute, storage) = model.pool_compute_storage(demand, &pool);
             total.compute += compute;
             total.storage += storage;
-            total.traffic += model.pricing.egress_cost_for(scratch.egress[index]);
+            total.traffic += model.pricing.egress_cost_for(egress[index]);
         }
         total
     }
@@ -260,7 +227,7 @@ impl Default for CostModel {
 /// allocation-free fast path of hot evaluation loops.
 ///
 /// Two placement-independent computations dominate
-/// [`SiteCostModel::evaluate_with_scratch`] and are hoisted here once per
+/// [`SiteCostModel::evaluate`] and are hoisted here once per
 /// model instead of being repeated per plan:
 ///
 /// * the per-edge traffic totals (each edge's series is summed and halved
@@ -370,7 +337,7 @@ impl CompiledCost {
     }
 
     /// Evaluate the hosting cost of a site assignment — bit-identical to
-    /// [`SiteCostModel::evaluate_with_scratch`] over the demand this kernel
+    /// [`SiteCostModel::evaluate`] over the demand this kernel
     /// was compiled against.
     ///
     /// # Panics
@@ -557,8 +524,8 @@ mod tests {
     fn all_onprem_costs_nothing() {
         let model = two_site();
         assert_eq!(model.site_count(), 2);
-        assert!(model.site_model(P).is_none());
-        assert!(model.site_model(C).is_some());
+        assert!(model.sites[P.index()].is_none());
+        assert!(model.sites[C.index()].is_some());
         let cost = model.evaluate(&demand(), &[P, P, P]);
         assert_eq!(cost.total(), 0.0);
     }

@@ -72,13 +72,6 @@ impl NetworkFootprint {
         self.get(api, from, to).unwrap_or((0.0, 0.0))
     }
 
-    /// All edges known for an API, sorted by `(from, to)`.
-    pub fn edges_of_api(&self, api: &str) -> Vec<(String, String, f64, f64)> {
-        let edges = self.entries.get(api).into_iter().flatten();
-        let edge = |(f, t, (req, resp)): &Edge| (f.clone(), t.clone(), *req, *resp);
-        edges.map(edge).collect()
-    }
-
     /// Number of learned (api, edge) entries.
     pub fn len(&self) -> usize {
         self.entries.values().map(Vec::len).sum()
@@ -371,14 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn edges_of_api_lists_learned_edges() {
-        let store = two_api_store();
-        let footprint = FootprintLearner::default().learn(&store);
-        let edges = footprint.edges_of_api("/a");
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].0, "Frontend");
-        assert_eq!(edges[0].1, "Service");
-        assert!(footprint.edges_of_api("/nothing").is_empty());
+    fn an_api_holds_only_its_observed_edges() {
+        let footprint = FootprintLearner::default().learn(&two_api_store());
+        assert_eq!(footprint.entries["/a"].len(), 1);
+        assert!(footprint.get("/a", "Frontend", "Service").is_some());
+        assert!(footprint.get("/nothing", "Frontend", "Service").is_none());
     }
 
     #[test]

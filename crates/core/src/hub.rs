@@ -226,17 +226,9 @@ impl AdvisorHub {
         }
     }
 
-    /// Set the serving worker-pool size (builder style; `0` = one per
-    /// available core). Like every concurrency knob in the evaluator
+    /// Set the serving worker-pool size (`0` = one per available core), on
+    /// a new or a live hub. Like every concurrency knob in the evaluator
     /// stack, this never changes any recommendation, only throughput.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Retune the serving worker-pool size on a live hub (`0` = one per
-    /// available core). Safe at any time: worker count never changes any
-    /// recommendation.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -551,7 +543,8 @@ mod tests {
     #[test]
     fn relearn_retires_the_epoch_cache() {
         let (service, corpus) = tenant(13);
-        let mut hub = AdvisorHub::new().with_threads(2);
+        let mut hub = AdvisorHub::new();
+        hub.set_threads(2);
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
         assert_eq!(hub.published_epoch(t), Some(1));

@@ -81,15 +81,13 @@ pub struct DriftDetector {
     /// Baseline divergence `D_KL(b_real ‖ b_approx)` where `b_approx` is the
     /// delay-injection estimate of the executed plan.
     baseline_kl: f64,
-    /// Histogram bins.
-    bins: usize,
     /// Factor over the baseline divergence that triggers a new round of
     /// recommendations.
     threshold_factor: f64,
 }
 
 impl DriftDetector {
-    /// Default number of histogram bins.
+    /// Number of histogram bins of every divergence a detector takes.
     pub const DEFAULT_BINS: usize = 20;
     /// Default trigger factor: the recent divergence must exceed the
     /// baseline by this factor to flag drift (the paper's example is 13×; a
@@ -104,7 +102,6 @@ impl DriftDetector {
         Self {
             reference,
             baseline_kl,
-            bins: Self::DEFAULT_BINS,
             threshold_factor: Self::DEFAULT_THRESHOLD_FACTOR,
         }
     }
@@ -135,7 +132,7 @@ impl DriftDetector {
 
     /// Check the most recent latency samples for drift.
     pub fn check(&self, recent: &[f64]) -> DriftReport {
-        let recent_kl = kl_divergence(&self.reference, recent, self.bins);
+        let recent_kl = kl_divergence(&self.reference, recent, Self::DEFAULT_BINS);
         let factor = recent_kl / self.baseline_kl;
         DriftReport {
             baseline_kl: self.baseline_kl,

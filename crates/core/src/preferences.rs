@@ -97,12 +97,6 @@ impl MigrationPreferences {
         self
     }
 
-    /// Builder: set the on-prem memory limit.
-    pub fn with_memory_limit(mut self, gb: f64) -> Self {
-        self.onprem_memory_limit_gb = gb;
-        self
-    }
-
     /// The weight `τ_A` of an API.
     pub fn api_weight(&self, api: &str) -> f64 {
         if self.critical_apis.iter().any(|a| a == api) {
@@ -206,10 +200,12 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let p = MigrationPreferences::with_cpu_limit(100.0)
-            .with_budget(50.0)
-            .with_memory_limit(256.0)
-            .critical("/x");
+        let p = MigrationPreferences {
+            onprem_memory_limit_gb: 256.0,
+            ..MigrationPreferences::with_cpu_limit(100.0)
+        }
+        .with_budget(50.0)
+        .critical("/x");
         assert_eq!(p.onprem_cpu_limit, 100.0);
         assert_eq!(p.budget, Some(50.0));
         assert_eq!(p.onprem_memory_limit_gb, 256.0);

@@ -159,18 +159,6 @@ impl ApplicationProfile {
         v.sort();
         v
     }
-
-    /// The stateful components used by an API (`SC(A)`), empty if unknown.
-    pub fn stateful_components_of(&self, api: &str) -> Vec<String> {
-        self.apis
-            .get(api)
-            .map(|p| {
-                let mut v: Vec<String> = p.stateful_components.iter().cloned().collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default()
-    }
 }
 
 /// Learn one API profile: the per-endpoint pipeline of
@@ -302,13 +290,13 @@ mod tests {
     #[test]
     fn stateful_usage_matches_the_application() {
         let profile = learned_profile();
-        let compose_stateful = profile.stateful_components_of("/composeAPI");
-        assert!(compose_stateful.contains(&"PostStorageMongoDB".to_string()));
-        assert!(compose_stateful.contains(&"UserMongoDB".to_string()));
-        let follow_stateful = profile.stateful_components_of("/followAPI");
-        assert!(follow_stateful.contains(&"SocialGraphMongoDB".to_string()));
-        assert!(!follow_stateful.contains(&"MediaMongoDB".to_string()));
-        assert!(profile.stateful_components_of("/unknown").is_empty());
+        let compose_stateful = &profile.apis["/composeAPI"].stateful_components;
+        assert!(compose_stateful.contains("PostStorageMongoDB"));
+        assert!(compose_stateful.contains("UserMongoDB"));
+        let follow_stateful = &profile.apis["/followAPI"].stateful_components;
+        assert!(follow_stateful.contains("SocialGraphMongoDB"));
+        assert!(!follow_stateful.contains("MediaMongoDB"));
+        assert!(!profile.apis.contains_key("/unknown"));
     }
 
     #[test]

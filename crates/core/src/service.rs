@@ -273,11 +273,6 @@ impl AdvisorService {
         self.recommendation.as_ref()
     }
 
-    /// Whether [`AdvisorService::bootstrap`] has run.
-    pub fn is_bootstrapped(&self) -> bool {
-        self.epoch.is_some()
-    }
-
     /// Ingest one batch of traces and run the event loop: retention
     /// eviction, per-API drift checks and — when drift fires — relearn
     /// and re-recommendation. Returns the events this batch
@@ -528,7 +523,7 @@ mod tests {
         let (config, current, corpus) = scenario();
         let mut service = AdvisorService::new(config, current);
         let events = service.feed(corpus);
-        assert!(!service.is_bootstrapped());
+        assert!(service.epoch.is_none());
         assert_eq!(events.len(), 1);
         assert!(matches!(
             events[0],
@@ -555,7 +550,7 @@ mod tests {
         );
         service.feed(corpus);
         let events = service.bootstrap();
-        assert!(service.is_bootstrapped());
+        assert!(service.epoch.is_some());
         assert!(matches!(
             &events[0],
             ServiceEvent::Relearned { cold: true, apis, .. } if apis.len() == 3

@@ -214,23 +214,6 @@ impl ActorCritic {
 
         advantage
     }
-
-    /// Log-probability of an action under the current policy (useful for
-    /// diagnostics and tests).
-    pub fn log_prob(&mut self, state: &[f64], action: &[bool]) -> f64 {
-        self.probabilities(state)
-            .iter()
-            .zip(action.iter())
-            .map(|(&p, &a)| {
-                let p = p.clamp(1e-9, 1.0 - 1e-9);
-                if a {
-                    p.ln()
-                } else {
-                    (1.0 - p).ln()
-                }
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -299,18 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn log_prob_is_higher_for_likely_actions() {
+    fn sampling_draws_one_bit_per_output() {
         let mut agent = ActorCritic::new(2, 4, small_config(4));
-        let state = [0.2, 0.4];
-        let likely: Vec<bool> = agent
-            .probabilities(&state)
-            .iter()
-            .map(|&p| p >= 0.5)
-            .collect();
-        let unlikely: Vec<bool> = likely.iter().map(|b| !b).collect();
-        assert!(agent.log_prob(&state, &likely) >= agent.log_prob(&state, &unlikely));
-        // Sampling draws valid actions.
-        let s = agent.sample(&state);
+        let s = agent.sample(&[0.2, 0.4]);
         assert_eq!(s.len(), 4);
     }
 

@@ -244,31 +244,6 @@ impl CallNode {
             edge.child.visit_edges(f);
         }
     }
-
-    /// Expected (mean) number of bytes transferred on the edge from this
-    /// node's component to each directly-invoked child component.
-    pub fn direct_edge_bytes(&self) -> Vec<(ComponentId, ComponentId, f64, f64)> {
-        let mut out = Vec::new();
-        for stage in &self.stages {
-            for e in stage {
-                out.push((
-                    self.component,
-                    e.child.component,
-                    e.request.mean_bytes,
-                    e.response.mean_bytes,
-                ));
-            }
-        }
-        for e in &self.background {
-            out.push((
-                self.component,
-                e.child.component,
-                e.request.mean_bytes,
-                e.response.mean_bytes,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -351,16 +326,5 @@ mod tests {
         assert!(edges.contains(&(ComponentId(0), ComponentId(1))));
         assert!(edges.contains(&(ComponentId(1), ComponentId(2))));
         assert!(edges.contains(&(ComponentId(0), ComponentId(3))));
-    }
-
-    #[test]
-    fn direct_edge_bytes_only_lists_immediate_children() {
-        let tree = small_tree();
-        let edges = tree.direct_edge_bytes();
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0].0, ComponentId(0));
-        assert_eq!(edges[0].1, ComponentId(1));
-        assert_eq!(edges[0].2, 250.0);
-        assert_eq!(edges[1].1, ComponentId(3));
     }
 }

@@ -66,12 +66,6 @@ impl ComponentSpec {
             memory_per_request_gb: 2.0e-5,
         }
     }
-
-    /// Override the per-request memory demand (builder style).
-    pub fn with_memory_per_request(mut self, gb: f64) -> Self {
-        self.memory_per_request_gb = gb;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -92,12 +86,6 @@ mod tests {
         let c = ComponentSpec::stateful("UserMongoDB", 0.2, 1.0, 12.0);
         assert!(c.stateful);
         assert_eq!(c.storage_gb, 12.0);
-    }
-
-    #[test]
-    fn builder_overrides_memory_per_request() {
-        let c = ComponentSpec::stateless("A", 0.1, 0.1).with_memory_per_request(0.5);
-        assert_eq!(c.memory_per_request_gb, 0.5);
     }
 
     #[test]

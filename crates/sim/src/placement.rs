@@ -119,12 +119,6 @@ impl Placement {
         self
     }
 
-    /// Move a component to a site (builder style).
-    pub fn with_site(mut self, c: ComponentId, site: impl Into<SiteId>) -> Self {
-        self.set(c, site);
-        self
-    }
-
     /// All sites indexed by component id.
     pub fn sites(&self) -> &[SiteId] {
         &self.sites
@@ -138,26 +132,6 @@ impl Placement {
             .filter(|(_, s)| !s.is_on_prem())
             .map(|(i, _)| ComponentId(i))
             .collect()
-    }
-
-    /// Ids of components placed on-prem.
-    pub fn onprem_components(&self) -> Vec<ComponentId> {
-        self.components_at(SiteId::ON_PREM)
-    }
-
-    /// Ids of the components placed at one site.
-    pub fn components_at(&self, site: SiteId) -> Vec<ComponentId> {
-        self.sites
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == site)
-            .map(|(i, _)| ComponentId(i))
-            .collect()
-    }
-
-    /// Number of components placed off-prem.
-    pub fn cloud_count(&self) -> usize {
-        self.sites.iter().filter(|s| !s.is_on_prem()).count()
     }
 
     /// Components whose site differs between `self` (the candidate) and
@@ -186,10 +160,10 @@ mod tests {
         let p = Placement::all_onprem(4);
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
-        assert_eq!(p.cloud_count(), 0);
-        assert_eq!(p.onprem_components().len(), 4);
+        assert!(p.cloud_components().is_empty());
+        assert!(p.sites().iter().all(|s| s.is_on_prem()));
         let c = Placement::all_cloud(4);
-        assert_eq!(c.cloud_count(), 4);
+        assert_eq!(c.cloud_components().len(), 4);
     }
 
     #[test]
@@ -200,12 +174,10 @@ mod tests {
         assert_eq!(p.to_sites(), sites);
         assert_eq!(p.site(ComponentId(1)), SiteId(2));
         // Every elastic site counts as off-prem.
-        assert_eq!(p.cloud_count(), 3);
         assert_eq!(
             p.cloud_components(),
             vec![ComponentId(1), ComponentId(2), ComponentId(3)]
         );
-        assert_eq!(p.components_at(SiteId(2)), vec![ComponentId(1)]);
         assert_eq!(
             Placement::all_at(SiteId(2), 2).site(ComponentId(0)),
             SiteId(2)
@@ -247,8 +219,6 @@ mod tests {
         assert_eq!(p.site(ComponentId(0)), SiteId(2));
         let q = Placement::all_onprem(3).with_cloud(ComponentId(2));
         assert_eq!(q.cloud_components(), vec![ComponentId(2)]);
-        let r = Placement::all_onprem(3).with_site(ComponentId(0), SiteId(2));
-        assert_eq!(r.site(ComponentId(0)), SiteId(2));
     }
 
     #[test]

@@ -28,12 +28,6 @@ impl RequestSchedule {
         Self::default()
     }
 
-    /// Build from an unordered list of arrivals (sorted internally).
-    pub fn from_requests(mut requests: Vec<ScheduledRequest>) -> Self {
-        requests.sort_by(|a, b| a.at_us.cmp(&b.at_us).then(a.api.cmp(&b.api)));
-        Self { requests }
-    }
-
     /// Append an arrival (must be non-decreasing in time).
     pub fn push(&mut self, at_us: Micros, api: impl Into<String>) {
         let api = api.into();
@@ -86,23 +80,6 @@ impl RequestSchedule {
                 .collect(),
         }
     }
-
-    /// Merge two schedules, keeping time order.
-    pub fn merged(&self, other: &RequestSchedule) -> RequestSchedule {
-        let mut all = self.requests.clone();
-        all.extend(other.requests.iter().cloned());
-        RequestSchedule::from_requests(all)
-    }
-
-    /// Requests per second averaged over the whole schedule.
-    pub fn mean_rps(&self) -> f64 {
-        let d = self.duration_s();
-        if d == 0 {
-            0.0
-        } else {
-            self.len() as f64 / d as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +96,6 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.duration_s(), 2);
         assert_eq!(s.counts_per_api()["/a"], 2);
-        assert!(s.mean_rps() > 0.0);
     }
 
     #[test]
@@ -128,22 +104,6 @@ mod tests {
         let mut s = RequestSchedule::new();
         s.push(10, "/a");
         s.push(5, "/a");
-    }
-
-    #[test]
-    fn from_requests_sorts() {
-        let s = RequestSchedule::from_requests(vec![
-            ScheduledRequest {
-                at_us: 10,
-                api: "/b".into(),
-            },
-            ScheduledRequest {
-                at_us: 5,
-                api: "/a".into(),
-            },
-        ]);
-        assert_eq!(s.requests()[0].at_us, 5);
-        assert_eq!(s.requests()[1].at_us, 10);
     }
 
     #[test]
@@ -158,22 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_interleaves_in_time_order() {
-        let mut a = RequestSchedule::new();
-        a.push(0, "/a");
-        a.push(2_000_000, "/a");
-        let mut b = RequestSchedule::new();
-        b.push(1_000_000, "/b");
-        let m = a.merged(&b);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.requests()[1].api, "/b");
-    }
-
-    #[test]
     fn empty_schedule_statistics() {
         let s = RequestSchedule::new();
         assert_eq!(s.duration_s(), 0);
-        assert_eq!(s.mean_rps(), 0.0);
         assert!(s.counts_per_api().is_empty());
     }
 }

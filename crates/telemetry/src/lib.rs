@@ -34,7 +34,7 @@ pub use metrics::{ComponentMetrics, MetricKind, MetricPoint, MetricSeries};
 pub use network::{Direction, PairKey, PairwiseTraffic, TrafficSample};
 pub use span::{IdGenerator, Span, SpanId, TraceId};
 pub use store::{IngestReport, TelemetryStore};
-pub use trace::{SiblingRelation, Trace, TraceNode};
+pub use trace::{Trace, TraceNode};
 pub use window::{TimeWindow, Windowing};
 
 /// Microseconds since the start of an observation epoch.
@@ -52,32 +52,13 @@ pub fn us_to_ms(us: Micros) -> f64 {
     us as f64 / 1_000.0
 }
 
-/// Convert (floating-point) milliseconds to microseconds, saturating at zero.
-#[inline]
-pub fn ms_to_us(ms: f64) -> Micros {
-    if ms <= 0.0 {
-        0
-    } else {
-        (ms * 1_000.0).round() as Micros
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn unit_conversions_round_trip() {
+    fn microseconds_convert_to_milliseconds() {
         assert_eq!(us_to_ms(1_500), 1.5);
-        assert_eq!(ms_to_us(1.5), 1_500);
-        assert_eq!(ms_to_us(-3.0), 0);
-        assert_eq!(ms_to_us(0.0), 0);
-    }
-
-    #[test]
-    fn conversion_is_inverse_for_integral_milliseconds() {
-        for ms in [0u64, 1, 10, 250, 100_000] {
-            assert_eq!(us_to_ms(ms_to_us(ms as f64)) as u64, ms);
-        }
+        assert_eq!(us_to_ms(0), 0.0);
     }
 }

@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::window::Windowing;
 use crate::Seconds;
 
 /// The resource dimensions recorded per component.
@@ -71,16 +70,17 @@ impl MetricSeries {
         Self::default()
     }
 
-    /// Append an observation. Observations must be pushed in non-decreasing
-    /// timestamp order; out-of-order pushes are rejected.
+    /// Record an observation at its time position: after every point at or
+    /// before `timestamp_s`, so an in-order push is an append and points
+    /// sharing a timestamp keep the order they arrived in.
     pub fn push(&mut self, timestamp_s: Seconds, value: f64) {
-        if let Some(last) = self.points.last() {
-            assert!(
-                timestamp_s >= last.timestamp_s,
-                "metric observations must be pushed in time order"
-            );
-        }
-        self.points.push(MetricPoint { timestamp_s, value });
+        let at = match self.points.last() {
+            Some(last) if last.timestamp_s > timestamp_s => self
+                .points
+                .partition_point(|p| p.timestamp_s <= timestamp_s),
+            _ => self.points.len(),
+        };
+        self.points.insert(at, MetricPoint { timestamp_s, value });
     }
 
     /// Number of observations.
@@ -124,45 +124,6 @@ impl MetricSeries {
         } else {
             vals.iter().sum::<f64>() / vals.len() as f64
         }
-    }
-
-    /// Sum of values restricted to `[start_s, end_s)`.
-    pub fn sum_in(&self, start_s: Seconds, end_s: Seconds) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.timestamp_s >= start_s && p.timestamp_s < end_s)
-            .map(|p| p.value)
-            .sum()
-    }
-
-    /// Re-aggregate the series onto fixed windows, averaging the points that
-    /// fall into each window. Returns one value per window index covering the
-    /// full series; windows with no observations carry the previous value
-    /// (or 0.0 at the beginning).
-    pub fn resample_mean(&self, windowing: &Windowing) -> Vec<f64> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let last_ts = self.points.last().expect("non-empty").timestamp_s;
-        let n = windowing.count_until(last_ts + 1).max(1);
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for p in &self.points {
-            let idx = windowing.index_of_s(p.timestamp_s);
-            if idx < n {
-                sums[idx] += p.value;
-                counts[idx] += 1;
-            }
-        }
-        let mut out = vec![0.0f64; n];
-        let mut prev = 0.0;
-        for i in 0..n {
-            if counts[i] > 0 {
-                prev = sums[i] / counts[i] as f64;
-            }
-            out[i] = prev;
-        }
-        out
     }
 }
 
@@ -234,16 +195,23 @@ mod tests {
         assert!((s.mean() - 2.0).abs() < 1e-12);
         assert_eq!(s.max(), 3.0);
         assert_eq!(s.mean_in(1, 3), 2.5);
-        assert_eq!(s.sum_in(0, 2), 4.0);
         assert_eq!(s.mean_in(10, 20), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "time order")]
-    fn out_of_order_push_panics() {
-        let mut s = MetricSeries::new();
-        s.push(5, 1.0);
-        s.push(4, 1.0);
+    fn a_shuffled_series_equals_the_in_order_one() {
+        let points = [(0, 1.0), (5, 3.0), (5, 4.0), (9, 2.0), (30, 0.5), (59, 7.0)];
+        let mut in_order = MetricSeries::new();
+        for &(t, v) in &points {
+            in_order.push(t, v);
+        }
+        // The two points at t = 5 arrive in the same relative order.
+        let mut shuffled = MetricSeries::new();
+        for i in [4, 1, 5, 0, 2, 3] {
+            let (t, v) = points[i];
+            shuffled.push(t, v);
+        }
+        assert_eq!(shuffled, in_order);
     }
 
     #[test]
@@ -252,21 +220,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert!(s.is_empty());
-        assert!(s.resample_mean(&Windowing::new(0, 5)).is_empty());
-    }
-
-    #[test]
-    fn resampling_averages_within_windows_and_forward_fills() {
-        let mut s = MetricSeries::new();
-        s.push(0, 2.0);
-        s.push(1, 4.0); // window 0 → mean 3.0
-        s.push(12, 10.0); // window 2 → 10.0; window 1 forward-fills 3.0
-        let w = Windowing::new(0, 5);
-        let resampled = s.resample_mean(&w);
-        assert_eq!(resampled.len(), 3);
-        assert_eq!(resampled[0], 3.0);
-        assert_eq!(resampled[1], 3.0);
-        assert_eq!(resampled[2], 10.0);
     }
 
     #[test]

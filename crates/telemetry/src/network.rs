@@ -72,9 +72,10 @@ impl PairwiseTraffic {
 
     /// Record bytes transferred on `pair` in `direction` at `timestamp_s`.
     ///
-    /// Multiple records with the same timestamp are accumulated, which is
-    /// what a sidecar counter would report when several requests fall in the
-    /// same scrape interval.
+    /// The sample lands at its time position, so samples may arrive out of
+    /// order and an in-order record is an append. Multiple records with the
+    /// same timestamp are accumulated, which is what a sidecar counter would
+    /// report when several requests fall in the same scrape interval.
     pub fn record(
         &mut self,
         pair: PairKey,
@@ -83,17 +84,17 @@ impl PairwiseTraffic {
         bytes: f64,
     ) {
         let series = self.samples.entry((pair, direction)).or_default();
-        if let Some(last) = series.last_mut() {
-            assert!(
-                timestamp_s >= last.timestamp_s,
-                "traffic samples must be recorded in time order"
-            );
-            if last.timestamp_s == timestamp_s {
-                last.bytes += bytes;
-                return;
+        let at = match series.last() {
+            Some(last) if last.timestamp_s > timestamp_s => {
+                series.partition_point(|s| s.timestamp_s < timestamp_s)
             }
+            Some(last) if last.timestamp_s == timestamp_s => series.len() - 1,
+            _ => series.len(),
+        };
+        match series.get_mut(at) {
+            Some(sample) if sample.timestamp_s == timestamp_s => sample.bytes += bytes,
+            _ => series.insert(at, TrafficSample { timestamp_s, bytes }),
         }
-        series.push(TrafficSample { timestamp_s, bytes });
     }
 
     /// All directed edges with at least one sample.
@@ -115,27 +116,6 @@ impl PairwiseTraffic {
     pub fn total_bytes(&self, pair: &PairKey, direction: Direction) -> f64 {
         self.samples(pair, direction)
             .map_or(0.0, |s| s.iter().map(|x| x.bytes).sum())
-    }
-
-    /// Total bytes on an edge/direction restricted to `[start_s, end_s)`.
-    pub fn total_bytes_in(
-        &self,
-        pair: &PairKey,
-        direction: Direction,
-        start_s: Seconds,
-        end_s: Seconds,
-    ) -> f64 {
-        self.samples(pair, direction).map_or(0.0, |s| {
-            s.iter()
-                .filter(|x| x.timestamp_s >= start_s && x.timestamp_s < end_s)
-                .map(|x| x.bytes)
-                .sum()
-        })
-    }
-
-    /// Total bytes in both directions on an edge (request + response).
-    pub fn total_bytes_bidirectional(&self, pair: &PairKey) -> f64 {
-        self.total_bytes(pair, Direction::Request) + self.total_bytes(pair, Direction::Response)
     }
 
     /// Aggregate the samples of an edge/direction onto fixed windows:
@@ -192,11 +172,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "time order")]
-    fn out_of_order_record_panics() {
-        let mut t = PairwiseTraffic::new();
-        t.record(pair(), Direction::Request, 10, 1.0);
-        t.record(pair(), Direction::Request, 9, 1.0);
+    fn a_shuffled_record_equals_the_in_order_one() {
+        let samples = [(0, 1.0), (5, 3.0), (5, 4.0), (9, 2.0), (30, 0.5), (59, 7.0)];
+        let mut in_order = PairwiseTraffic::new();
+        for &(t, bytes) in &samples {
+            in_order.record(pair(), Direction::Request, t, bytes);
+        }
+        let mut shuffled = PairwiseTraffic::new();
+        for i in [4, 2, 5, 0, 1, 3] {
+            let (t, bytes) = samples[i];
+            shuffled.record(pair(), Direction::Request, t, bytes);
+        }
+        assert_eq!(shuffled, in_order);
+        assert_eq!(
+            in_order.samples(&pair(), Direction::Request).unwrap().len(),
+            5
+        );
     }
 
     #[test]
@@ -206,7 +197,6 @@ mod tests {
         t.record(pair(), Direction::Response, 0, 99.0);
         assert_eq!(t.total_bytes(&pair(), Direction::Request), 10.0);
         assert_eq!(t.total_bytes(&pair(), Direction::Response), 99.0);
-        assert_eq!(t.total_bytes_bidirectional(&pair()), 109.0);
     }
 
     #[test]
@@ -231,17 +221,6 @@ mod tests {
         let w = Windowing::new(0, 5);
         let windowed = t.windowed_bytes(&pair(), Direction::Request, &w, 4);
         assert_eq!(windowed, vec![300.0, 0.0, 300.0, 0.0]);
-    }
-
-    #[test]
-    fn time_range_queries() {
-        let mut t = PairwiseTraffic::new();
-        t.record(pair(), Direction::Response, 5, 10.0);
-        t.record(pair(), Direction::Response, 15, 20.0);
-        t.record(pair(), Direction::Response, 25, 40.0);
-        assert_eq!(t.total_bytes_in(&pair(), Direction::Response, 0, 20), 30.0);
-        assert_eq!(t.total_bytes_in(&pair(), Direction::Response, 20, 30), 40.0);
-        assert_eq!(t.total_bytes_in(&pair(), Direction::Response, 30, 40), 0.0);
     }
 
     #[test]

@@ -81,26 +81,12 @@ impl Span {
         self.start_us + self.duration_us
     }
 
-    /// Whether this is the root span of its trace.
-    #[inline]
-    pub fn is_root(&self) -> bool {
-        self.parent_id.is_none()
-    }
-
     /// Whether the execution intervals of two spans overlap.
     ///
     /// Half-open intervals are used: `[start, end)`. Two spans that merely
     /// touch at a boundary do not overlap.
     pub fn overlaps(&self, other: &Span) -> bool {
         self.start_us < other.end_us() && other.start_us < self.end_us()
-    }
-
-    /// Length of the overlap between the two spans' execution intervals, in
-    /// microseconds.
-    pub fn overlap_us(&self, other: &Span) -> Micros {
-        let start = self.start_us.max(other.start_us);
-        let end = self.end_us().min(other.end_us());
-        end.saturating_sub(start)
     }
 }
 
@@ -150,30 +136,22 @@ mod tests {
     }
 
     #[test]
-    fn root_detection() {
-        let mut s = span(0, 1);
-        assert!(s.is_root());
-        s.parent_id = Some(SpanId(7));
-        assert!(!s.is_root());
-    }
-
-    #[test]
-    fn overlap_detection_and_length() {
+    fn overlap_detection_is_half_open() {
         let a = span(0, 100);
         let b = span(50, 100);
         let c = span(100, 10);
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c), "touching intervals do not overlap");
-        assert_eq!(a.overlap_us(&b), 50);
-        assert_eq!(a.overlap_us(&c), 0);
     }
 
     #[test]
     fn overlap_is_symmetric() {
         let a = span(10, 30);
         let b = span(25, 100);
-        assert_eq!(a.overlap_us(&b), b.overlap_us(&a));
+        let c = span(40, 5);
+        assert_eq!(a.overlaps(&b), b.overlaps(&a));
+        assert_eq!(a.overlaps(&c), c.overlaps(&a));
     }
 
     #[test]

@@ -79,6 +79,12 @@ impl StoreInner {
     }
 }
 
+/// Whether a scraped metric or byte count can enter the store: finite and
+/// not negative.
+fn is_sample(value: f64) -> bool {
+    value.is_finite() && value >= 0.0
+}
+
 /// What one [`TelemetryStore::ingest_batch`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
@@ -117,12 +123,6 @@ impl TelemetryStore {
         let store = Self::default();
         store.write().retention_window_s = Some(window_s);
         store
-    }
-
-    /// Change (or clear) the retention window. Takes effect on the next
-    /// ingest.
-    pub fn set_retention_window_s(&self, window_s: Option<Seconds>) {
-        self.write().retention_window_s = window_s;
     }
 
     /// The configured retention window, if any.
@@ -164,23 +164,34 @@ impl TelemetryStore {
         self.read().epoch
     }
 
-    /// Record a component metric observation.
+    /// Record a component metric observation at its time position (see
+    /// [`MetricSeries::push`](crate::MetricSeries::push)), so a late scrape
+    /// sample is accepted. A NaN, infinite or negative value is dropped and
+    /// `false` returned: no resource usage is negative, and one bad sample
+    /// must not reach the learned demand.
     pub fn record_metric(
         &self,
         component: &str,
         kind: MetricKind,
         timestamp_s: Seconds,
         value: f64,
-    ) {
+    ) -> bool {
+        if !is_sample(value) {
+            return false;
+        }
         let mut inner = self.write();
         inner
             .metrics
             .entry(component.to_string())
             .or_insert_with(|| ComponentMetrics::new(component))
             .record(kind, timestamp_s, value);
+        true
     }
 
-    /// Record pairwise traffic bytes.
+    /// Record pairwise traffic bytes at their time position (see
+    /// [`PairwiseTraffic::record`]). A NaN, infinite or negative byte count
+    /// is dropped and `false` returned, as in
+    /// [`TelemetryStore::record_metric`].
     pub fn record_traffic(
         &self,
         from: &str,
@@ -188,10 +199,14 @@ impl TelemetryStore {
         direction: Direction,
         timestamp_s: Seconds,
         bytes: f64,
-    ) {
+    ) -> bool {
+        if !is_sample(bytes) {
+            return false;
+        }
         self.write()
             .traffic
             .record(PairKey::new(from, to), direction, timestamp_s, bytes);
+        true
     }
 
     // ------------------------------------------------------------------
@@ -291,14 +306,6 @@ impl TelemetryStore {
             .metrics
             .get(component)
             .map_or(0.0, |m| m.mean(kind))
-    }
-
-    /// Convenience: peak of a metric for a component over the whole period.
-    pub fn metric_max(&self, component: &str, kind: MetricKind) -> f64 {
-        self.read()
-            .metrics
-            .get(component)
-            .map_or(0.0, |m| m.max(kind))
     }
 
     /// A clone of the pairwise traffic record.
@@ -436,10 +443,25 @@ mod tests {
         store.record_metric("A", MetricKind::CpuCores, 1, 3.0);
         store.record_metric("B", MetricKind::MemoryGb, 0, 4.0);
         assert_eq!(store.metric_mean("A", MetricKind::CpuCores), 2.0);
-        assert_eq!(store.metric_max("A", MetricKind::CpuCores), 3.0);
+        let a = store.component_metrics("A").expect("A was recorded");
+        assert_eq!(a.max(MetricKind::CpuCores), 3.0);
         assert_eq!(store.metric_mean("C", MetricKind::CpuCores), 0.0);
         assert!(store.component_metrics("B").is_some());
         assert!(store.component_metrics("C").is_none());
+    }
+
+    #[test]
+    fn non_finite_or_negative_samples_are_dropped() {
+        let store = TelemetryStore::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(!store.record_metric("A", MetricKind::CpuCores, 0, bad));
+            assert!(!store.record_traffic("A", "B", Direction::Request, 0, bad));
+        }
+        assert!(store.component_metrics("A").is_none());
+        assert!(store.traffic_edges().is_empty());
+        assert!(store.record_metric("A", MetricKind::CpuCores, 0, 0.0));
+        assert!(store.record_traffic("A", "B", Direction::Request, 0, 0.0));
+        assert_eq!(store.traffic_edges().len(), 1);
     }
 
     #[test]
@@ -536,12 +558,6 @@ mod tests {
         assert_eq!(store.apis(), vec!["/both", "/new"]);
         assert_eq!(store.api_trace_count("/old"), 0);
         assert_eq!(store.api_trace_count("/both"), 1);
-
-        // Widening the window stops further eviction.
-        store.set_retention_window_s(Some(1_000));
-        let report = store.ingest_batch([trace(5, "/new", 16_000_000, 10)]);
-        assert_eq!(report.evicted, 0);
-        assert_eq!(store.trace_count(), 3);
     }
 
     #[test]

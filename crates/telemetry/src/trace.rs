@@ -11,18 +11,6 @@ use std::collections::HashMap;
 use crate::span::{Span, SpanId, TraceId};
 use crate::Micros;
 
-/// Relation between two sibling spans (children of the same parent), derived
-/// from their temporal overlap as described in paper §4.1.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SiblingRelation {
-    /// The two spans' durations overlap significantly: they execute in
-    /// parallel (e.g. `URLShortenService` and `MediaService` in Figure 6).
-    Parallel,
-    /// The spans do not overlap: the later one starts only after the earlier
-    /// one finished.
-    Sequential,
-}
-
 /// Error raised when a set of spans cannot be assembled into a valid trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -85,13 +73,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Fraction of mutual overlap above which two siblings are considered to
-    /// run in parallel. The paper says the durations "overlap significantly";
-    /// a 10 % threshold of the shorter sibling's duration is used here so
-    /// that incidental microsecond overlaps caused by clock granularity are
-    /// still classified as sequential.
-    pub const PARALLEL_OVERLAP_FRACTION: f64 = 0.10;
-
     /// Assemble a trace from an unordered set of spans.
     ///
     /// Validates that the spans form a single-rooted tree and share a trace
@@ -284,23 +265,6 @@ impl Trace {
         }
     }
 
-    /// Classify the relation between two sibling spans.
-    ///
-    /// Returns `None` if the spans are not siblings (different parents).
-    pub fn sibling_relation(&self, a: usize, b: usize) -> Option<SiblingRelation> {
-        let (na, nb) = (&self.nodes[a], &self.nodes[b]);
-        if na.parent != nb.parent || na.parent.is_none() {
-            return None;
-        }
-        let overlap = na.span.overlap_us(&nb.span) as f64;
-        let shorter = na.span.duration_us.min(nb.span.duration_us).max(1) as f64;
-        if overlap / shorter >= Self::PARALLEL_OVERLAP_FRACTION {
-            Some(SiblingRelation::Parallel)
-        } else {
-            Some(SiblingRelation::Sequential)
-        }
-    }
-
     /// The depth of the trace tree (root has depth 1).
     pub fn depth(&self) -> usize {
         fn rec(t: &Trace, i: usize) -> usize {
@@ -471,24 +435,6 @@ mod tests {
     fn node_of(trace: &Trace, span: SpanId) -> usize {
         let node = trace.nodes.iter().position(|n| n.span.span_id == span);
         node.expect("span is in the trace")
-    }
-
-    #[test]
-    fn sibling_relations_match_figure6() {
-        let tr = compose_trace();
-        let url = node_of(&tr, SpanId(1));
-        let media = node_of(&tr, SpanId(2));
-        let post = node_of(&tr, SpanId(3));
-        assert_eq!(
-            tr.sibling_relation(url, media),
-            Some(SiblingRelation::Parallel)
-        );
-        assert_eq!(
-            tr.sibling_relation(url, post),
-            Some(SiblingRelation::Sequential)
-        );
-        // Root has no sibling.
-        assert_eq!(tr.sibling_relation(0, url), None);
     }
 
     #[test]

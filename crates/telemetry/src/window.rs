@@ -23,21 +23,6 @@ impl TimeWindow {
         assert!(end_s > start_s, "time window must have positive length");
         Self { start_s, end_s }
     }
-
-    /// Length of the window in seconds.
-    pub fn len_s(&self) -> Seconds {
-        self.end_s - self.start_s
-    }
-
-    /// Whether a timestamp (in seconds) falls inside the window.
-    pub fn contains_s(&self, t_s: Seconds) -> bool {
-        t_s >= self.start_s && t_s < self.end_s
-    }
-
-    /// Whether a timestamp in microseconds falls inside the window.
-    pub fn contains_us(&self, t_us: u64) -> bool {
-        self.contains_s(t_us / 1_000_000)
-    }
 }
 
 /// A uniform partition of an observation period into fixed-length windows.
@@ -90,14 +75,13 @@ mod tests {
 
     #[test]
     fn window_contains_boundaries_half_open() {
-        let w = TimeWindow::new(10, 15);
-        assert_eq!(w.len_s(), 5);
-        assert!(w.contains_s(10));
-        assert!(w.contains_s(14));
-        assert!(!w.contains_s(15));
-        assert!(!w.contains_s(9));
-        assert!(w.contains_us(12_000_000));
-        assert!(!w.contains_us(15_000_000));
+        let w = Windowing::new(10, 5);
+        assert_eq!(w.window(0), TimeWindow::new(10, 15));
+        assert_eq!(w.index_of_s(10), 0);
+        assert_eq!(w.index_of_s(14), 0);
+        assert_eq!(w.index_of_s(15), 1);
+        assert_eq!(w.index_of_us(12_000_000), 0);
+        assert_eq!(w.index_of_us(15_000_000), 1);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 
 use atlas::apps::{social_network, SocialNetworkOptions, WorkloadGenerator, WorkloadOptions};
 use atlas::core::{
-    Atlas, AtlasConfig, FootprintLearner, MigrationPlan, MigrationPreferences, RecommenderConfig,
+    AdvisorService, Atlas, AtlasConfig, FootprintLearner, MigrationPlan, MigrationPreferences,
+    RecommenderConfig,
 };
 use atlas::sim::{
     ClusterSpec, OverloadModel, Placement, RequestSchedule, SimConfig, Simulator, SiteId,
 };
-use atlas::telemetry::TelemetryStore;
+use atlas::telemetry::{Direction, MetricKind, TelemetryStore};
 use atlas_bench::golden::{check, front_text};
+use atlas_bench::scenario::{self, Scenario};
+use atlas_bench::{copy_context, resident};
 
 fn small_recommender() -> RecommenderConfig {
     RecommenderConfig {
@@ -213,4 +216,104 @@ fn offloading_only_stateless_components_causes_no_disruption() {
         SiteId::CLOUD,
     );
     assert!(quality.availability(&plan) >= 1.0);
+}
+
+/// The benchmark's resident scenario (100 components, 2 sites, seed 11)
+/// with its day-1 context in a fresh service, then `fault` applied to the
+/// store, then the day's traces fed and bootstrapped: the bootstrap front.
+fn resident_front(fault: impl FnOnce(&Scenario, &TelemetryStore)) -> String {
+    const SEED: u64 = 11;
+    let sc = scenario::build(&resident::SHAPE, SEED);
+    let config = resident::service_config(&sc, &resident::SHAPE, SEED);
+    let mut service = AdvisorService::new(config, scenario::current_placement(&sc.scenario));
+    copy_context(&sc.day1.source, service.store(), 0);
+    fault(&sc, service.store());
+    for batch in scenario::batches(&sc.day1.corpus, 8) {
+        service.feed(batch);
+    }
+    service.bootstrap();
+    let report = service.recommendation().expect("a bootstrap recommends");
+    front_text(report)
+}
+
+/// One NaN, infinite or negative scrape sample is dropped at the store, so
+/// it can neither panic the bootstrap (a NaN byte count would reach the
+/// search's crowding distance) nor move its front (a NaN CPU or storage
+/// sample on a stateless component would change the learned demand).
+#[test]
+fn a_non_finite_scrape_sample_leaves_the_bootstrap_front_unchanged() {
+    let clean = resident_front(|_, _| {});
+    // `None` is the request bytes of one traffic edge.
+    for metric in [
+        None,
+        Some(MetricKind::CpuCores),
+        Some(MetricKind::StorageGb),
+    ] {
+        let front = resident_front(|sc, store| {
+            let edge = &store.traffic_edges()[0];
+            let component = &sc.scenario.component_index()[0];
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let accepted = match metric {
+                    None => store.record_traffic(&edge.from, &edge.to, Direction::Request, 59, bad),
+                    Some(kind) => store.record_metric(component, kind, 59, bad),
+                };
+                assert!(!accepted, "{metric:?} = {bad} must be rejected");
+            }
+        });
+        assert_eq!(front, clean, "a bad {metric:?} sample moved the front");
+    }
+}
+
+/// A scrape pipeline may deliver samples late. Replaying a day's metric and
+/// traffic context newest-first builds the same series as replaying it in
+/// time order, and a late sample does not take the service down.
+#[test]
+fn late_scrape_samples_land_at_their_time_position() {
+    let sc = scenario::build(&resident::SHAPE, 11);
+    let in_order = TelemetryStore::new();
+    copy_context(&sc.day1.source, &in_order, 0);
+
+    let reversed = TelemetryStore::new();
+    let source = &sc.day1.source;
+    for component in source.components() {
+        let Some(metrics) = source.component_metrics(&component) else {
+            continue;
+        };
+        for kind in MetricKind::ALL {
+            for p in metrics
+                .series(kind)
+                .map_or(&[][..], |s| s.points())
+                .iter()
+                .rev()
+            {
+                reversed.record_metric(&component, kind, p.timestamp_s, p.value);
+            }
+        }
+    }
+    let traffic = source.traffic();
+    for edge in traffic.edges().iter().rev() {
+        for direction in [Direction::Response, Direction::Request] {
+            for s in traffic.samples(edge, direction).unwrap_or(&[]).iter().rev() {
+                reversed.record_traffic(&edge.from, &edge.to, direction, s.timestamp_s, s.bytes);
+            }
+        }
+    }
+    assert_eq!(reversed.traffic(), in_order.traffic());
+    assert_eq!(reversed.components(), in_order.components());
+    for component in in_order.components() {
+        assert_eq!(
+            reversed.component_metrics(&component),
+            in_order.component_metrics(&component),
+            "{component}"
+        );
+    }
+
+    // One late CPU and traffic sample, after the whole day's context.
+    let front = resident_front(|sc, store| {
+        let component = &sc.scenario.component_index()[0];
+        assert!(store.record_metric(component, MetricKind::CpuCores, 30, 0.5));
+        let edge = &store.traffic_edges()[0];
+        assert!(store.record_traffic(&edge.from, &edge.to, Direction::Request, 30, 100.0));
+    });
+    assert!(!front.is_empty());
 }
