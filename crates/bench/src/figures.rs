@@ -13,9 +13,9 @@ use atlas_apps::{social_network, SocialNetworkOptions};
 use atlas_baselines::{
     AffinityGaAdvisor, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor, RemapAdvisor,
 };
+use atlas_core::security::check_edge;
 use atlas_core::{
-    kl_divergence, BreachDetector, DriftDetector, MigrationPlan, PlanQuality, RecommendationReport,
-    Recommender,
+    kl_divergence, DriftDetector, MigrationPlan, PlanQuality, RecommendationReport, Recommender,
 };
 use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, SimReport, Simulator};
 use atlas_telemetry::{Direction, TelemetryStore};
@@ -467,11 +467,7 @@ fn fig22(runs: &Runs) -> Figure {
     let exp = &runs.social.exp;
     let (from, to, horizon) = ("UserService", "UserMongoDB", 300);
     let mut fig = Figure::new("Figure 22: data-breach detection on UserService -> UserMongoDB");
-    let detector = BreachDetector {
-        window_s: 60,
-        ..BreachDetector::default()
-    };
-    let check = || detector.check_edge(&exp.store, exp.atlas.footprint(), from, to, horizon);
+    let check = || check_edge(&exp.store, exp.atlas.footprint(), from, to, horizon);
     let clean = flag(check().breach_detected());
     fig.row("normal operation", &[("breach_detected", clean)]);
     // Inject a 100 MB exfiltration into the horizon's last minute.

@@ -77,5 +77,5 @@ pub use recommender::{
     ARCHIVE_CAPACITY,
 };
 pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
-pub use security::{BreachDetector, BreachReport};
+pub use security::BreachReport;
 pub use service::{AdvisorService, AdvisorServiceConfig, PlanDelta, ServiceEvent};

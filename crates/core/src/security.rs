@@ -59,86 +59,53 @@ impl BreachReport {
     }
 }
 
-/// Detects traffic that the served API requests cannot justify.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreachDetector {
-    /// Window length (seconds) used for the comparison.
-    pub window_s: u64,
-    /// Multiplicative tolerance: a window is anomalous when
-    /// `observed > tolerance_factor · expected + absolute_slack_bytes`.
-    pub tolerance_factor: f64,
-    /// Absolute slack added to the expectation (absorbs keep-alive chatter).
-    pub absolute_slack_bytes: f64,
-}
+/// Window length (seconds) used for the comparison.
+const WINDOW_S: u64 = 60;
+/// Multiplicative tolerance: a window is anomalous when
+/// `observed > TOLERANCE_FACTOR · expected + ABSOLUTE_SLACK_BYTES`.
+const TOLERANCE_FACTOR: f64 = 1.5;
+/// Absolute slack added to the expectation (absorbs keep-alive chatter).
+const ABSOLUTE_SLACK_BYTES: f64 = 10_000.0;
 
-impl Default for BreachDetector {
-    fn default() -> Self {
-        Self {
-            window_s: 60,
-            tolerance_factor: 1.5,
-            absolute_slack_bytes: 10_000.0,
+/// Check one directed edge over `[0, horizon_s)` for traffic that the served
+/// API requests cannot justify, using the footprints and the API request
+/// counts recorded in the store.
+pub fn check_edge(
+    store: &TelemetryStore,
+    footprint: &NetworkFootprint,
+    from: &str,
+    to: &str,
+    horizon_s: u64,
+) -> BreachReport {
+    let windowing = Windowing::new(0, WINDOW_S);
+    let window_count = windowing.count_until(horizon_s).max(1);
+    let pair = PairKey::new(from, to);
+    let observed_req = store.windowed_traffic(&pair, Direction::Request, &windowing, window_count);
+    let observed_resp =
+        store.windowed_traffic(&pair, Direction::Response, &windowing, window_count);
+
+    let mut windows = Vec::with_capacity(window_count);
+    for w in 0..window_count {
+        let start_s = w as u64 * WINDOW_S;
+        let end_s = start_s + WINDOW_S;
+        let api_counts = store.api_request_counts_in(start_s, end_s);
+        let mut expected = 0.0;
+        for (api, count) in &api_counts {
+            expected += footprint.expected_bytes_per_request(api, from, to) * *count as f64;
         }
+        let observed = observed_req[w] + observed_resp[w];
+        let anomalous = observed > TOLERANCE_FACTOR * expected + ABSOLUTE_SLACK_BYTES;
+        windows.push(WindowObservation {
+            window: w,
+            expected_bytes: expected,
+            observed_bytes: observed,
+            anomalous,
+        });
     }
-}
-
-impl BreachDetector {
-    /// Check one directed edge over `[0, horizon_s)` using the footprints
-    /// and the API request counts recorded in the store.
-    pub fn check_edge(
-        &self,
-        store: &TelemetryStore,
-        footprint: &NetworkFootprint,
-        from: &str,
-        to: &str,
-        horizon_s: u64,
-    ) -> BreachReport {
-        let windowing = Windowing::new(0, self.window_s);
-        let window_count = windowing.count_until(horizon_s).max(1);
-        let pair = PairKey::new(from, to);
-        let observed_req =
-            store.windowed_traffic(&pair, Direction::Request, &windowing, window_count);
-        let observed_resp =
-            store.windowed_traffic(&pair, Direction::Response, &windowing, window_count);
-
-        let mut windows = Vec::with_capacity(window_count);
-        for w in 0..window_count {
-            let start_s = w as u64 * self.window_s;
-            let end_s = start_s + self.window_s;
-            let api_counts = store.api_request_counts_in(start_s, end_s);
-            let mut expected = 0.0;
-            for (api, count) in &api_counts {
-                expected += footprint.expected_bytes_per_request(api, from, to) * *count as f64;
-            }
-            let observed = observed_req[w] + observed_resp[w];
-            let anomalous = observed > self.tolerance_factor * expected + self.absolute_slack_bytes;
-            windows.push(WindowObservation {
-                window: w,
-                expected_bytes: expected,
-                observed_bytes: observed,
-                anomalous,
-            });
-        }
-        BreachReport {
-            from: from.to_string(),
-            to: to.to_string(),
-            windows,
-        }
-    }
-
-    /// Check every edge the footprint knows about and return the reports
-    /// that flagged at least one window.
-    pub fn scan(
-        &self,
-        store: &TelemetryStore,
-        footprint: &NetworkFootprint,
-        horizon_s: u64,
-    ) -> Vec<BreachReport> {
-        store
-            .traffic_edges()
-            .into_iter()
-            .map(|edge| self.check_edge(store, footprint, &edge.from, &edge.to, horizon_s))
-            .filter(BreachReport::breach_detected)
-            .collect()
+    BreachReport {
+        from: from.to_string(),
+        to: to.to_string(),
+        windows,
     }
 }
 
@@ -205,8 +172,7 @@ mod tests {
     #[test]
     fn normal_traffic_is_not_flagged() {
         let (store, footprint) = build_store(false);
-        let report =
-            BreachDetector::default().check_edge(&store, &footprint, "Service", "MongoDB", 300);
+        let report = check_edge(&store, &footprint, "Service", "MongoDB", 300);
         assert!(!report.breach_detected(), "no breach expected: {report:?}");
         assert!(report.anomalous_windows().is_empty());
         // Expected and observed roughly agree per window.
@@ -219,48 +185,20 @@ mod tests {
     #[test]
     fn exfiltration_is_flagged_in_the_right_window() {
         let (store, footprint) = build_store(true);
-        let detector = BreachDetector::default();
-        let report = detector.check_edge(&store, &footprint, "Service", "MongoDB", 300);
+        let report = check_edge(&store, &footprint, "Service", "MongoDB", 300);
         assert!(report.breach_detected());
         assert_eq!(report.anomalous_windows(), vec![2]);
         assert!(report.unexplained_bytes() > 4.0e7);
-
-        let flagged = detector.scan(&store, &footprint, 300);
-        assert_eq!(flagged.len(), 1);
-        assert_eq!(flagged[0].to, "MongoDB");
     }
 
     #[test]
     fn unknown_edges_have_zero_expectation_and_tolerate_slack() {
         let (store, footprint) = build_store(false);
-        let detector = BreachDetector::default();
-        let report = detector.check_edge(&store, &footprint, "Ghost", "MongoDB", 300);
+        let report = check_edge(&store, &footprint, "Ghost", "MongoDB", 300);
         assert!(
             !report.breach_detected(),
             "no observed traffic, nothing to flag"
         );
         assert!(report.windows.iter().all(|w| w.expected_bytes == 0.0));
-    }
-
-    #[test]
-    fn tolerance_parameters_control_sensitivity() {
-        let (store, footprint) = build_store(true);
-        let paranoid = BreachDetector {
-            tolerance_factor: 1.01,
-            absolute_slack_bytes: 0.0,
-            ..BreachDetector::default()
-        };
-        // Paranoid settings may flag extra windows but must include the breach.
-        assert!(paranoid
-            .check_edge(&store, &footprint, "Service", "MongoDB", 300)
-            .anomalous_windows()
-            .contains(&2));
-        let oblivious = BreachDetector {
-            tolerance_factor: 1e6,
-            ..BreachDetector::default()
-        };
-        assert!(!oblivious
-            .check_edge(&store, &footprint, "Service", "MongoDB", 300)
-            .breach_detected());
     }
 }

@@ -173,7 +173,7 @@ pub struct Survival {
 
 /// Batch-friendly survival hook: one non-dominated sort yields both the
 /// survivors and their rank/crowding, where callers previously paid for
-/// [`select_survivors`] followed by [`rank_and_crowding`] on the survivor
+/// [`select_survivors`] followed by `rank_and_crowding` on the survivor
 /// subset (two sorts per generation). The results are identical: front
 /// membership is preserved under survival truncation because every member of
 /// front `r+1` is dominated by some member of the fully-kept front `r`, and
@@ -245,26 +245,6 @@ pub fn take_selected<T>(items: Vec<T>, selected: &[usize]) -> Vec<T> {
         .collect()
 }
 
-/// Rank (front index) and crowding distance of every member, used by the
-/// binary tournament.
-pub fn rank_and_crowding<S: AsRef<[f64]>>(
-    objectives: &[S],
-    feasible: &[bool],
-) -> (Vec<usize>, Vec<f64>) {
-    let fronts = fast_non_dominated_sort(objectives, feasible);
-    let n = objectives.len();
-    let mut rank = vec![0usize; n];
-    let mut crowd = vec![0.0f64; n];
-    for (r, front) in fronts.iter().enumerate() {
-        let distances = crowding_distance(objectives, front);
-        for (k, &i) in front.iter().enumerate() {
-            rank[i] = r;
-            crowd[i] = distances[k];
-        }
-    }
-    (rank, crowd)
-}
-
 /// Binary tournament: draw two random members and keep the one with the
 /// better (lower) rank, breaking ties by larger crowding distance.
 pub fn binary_tournament<R: Rng + ?Sized>(rng: &mut R, rank: &[usize], crowding: &[f64]) -> usize {
@@ -288,6 +268,26 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Rank (front index) and crowding distance of every member: the
+    /// two-pass reference [`survive`] is held to.
+    fn rank_and_crowding<S: AsRef<[f64]>>(
+        objectives: &[S],
+        feasible: &[bool],
+    ) -> (Vec<usize>, Vec<f64>) {
+        let fronts = fast_non_dominated_sort(objectives, feasible);
+        let n = objectives.len();
+        let mut rank = vec![0usize; n];
+        let mut crowd = vec![0.0f64; n];
+        for (r, front) in fronts.iter().enumerate() {
+            let distances = crowding_distance(objectives, front);
+            for (k, &i) in front.iter().enumerate() {
+                rank[i] = r;
+                crowd[i] = distances[k];
+            }
+        }
+        (rank, crowd)
+    }
 
     fn all_feasible(n: usize) -> Vec<bool> {
         vec![true; n]

@@ -154,12 +154,6 @@ impl ActorCritic {
         self.actor.input_dim()
     }
 
-    /// The per-bit probabilities `P(bit = 1 | state)`.
-    pub fn probabilities(&mut self, state: &[f64]) -> Vec<f64> {
-        let logits = self.actor.forward(state);
-        logits.iter().map(|&l| sigmoid(l)).collect()
-    }
-
     /// Sample an action (bit vector) from the current policy.
     pub fn sample(&mut self, state: &[f64]) -> Vec<bool> {
         let mut action = Vec::with_capacity(self.action_dim());
@@ -220,6 +214,14 @@ impl ActorCritic {
 mod tests {
     use super::*;
     use crate::reference;
+
+    impl ActorCritic {
+        /// The per-bit probabilities `P(bit = 1 | state)`.
+        fn probabilities(&mut self, state: &[f64]) -> Vec<f64> {
+            let logits = self.actor.forward(state);
+            logits.iter().map(|&l| sigmoid(l)).collect()
+        }
+    }
 
     fn small_config(seed: u64) -> ActorCriticConfig {
         ActorCriticConfig {

@@ -34,14 +34,6 @@ impl TimeDist {
         }
     }
 
-    /// A distribution with explicit jitter (clamped to `[0, 0.95]`).
-    pub fn with_jitter(mean_us: f64, jitter: f64) -> Self {
-        Self {
-            mean_us,
-            jitter: jitter.clamp(0.0, 0.95),
-        }
-    }
-
     /// A deterministic (zero-jitter) distribution.
     pub fn constant(mean_us: f64) -> Self {
         Self {
@@ -83,14 +75,6 @@ impl SizeDist {
         Self {
             mean_bytes,
             jitter: 0.0,
-        }
-    }
-
-    /// A distribution with explicit jitter (clamped to `[0, 0.95]`).
-    pub fn with_jitter(mean_bytes: f64, jitter: f64) -> Self {
-        Self {
-            mean_bytes,
-            jitter: jitter.clamp(0.0, 0.95),
         }
     }
 
@@ -255,7 +239,7 @@ mod tests {
     #[test]
     fn time_dist_sampling_respects_bounds() {
         let mut rng = StdRng::seed_from_u64(7);
-        let d = TimeDist::with_jitter(1000.0, 0.2);
+        let d = TimeDist::new(1000.0);
         for _ in 0..200 {
             let s = d.sample(&mut rng);
             assert!((800.0..=1200.0).contains(&s), "sample {s} out of bounds");
@@ -266,7 +250,7 @@ mod tests {
     #[test]
     fn size_dist_sampling_and_scaling() {
         let mut rng = StdRng::seed_from_u64(3);
-        let d = SizeDist::with_jitter(100.0, 0.1);
+        let d = SizeDist::new(100.0);
         for _ in 0..100 {
             let s = d.sample(&mut rng);
             assert!((90.0..=110.0).contains(&s));
@@ -274,12 +258,6 @@ mod tests {
         let scaled = d.scaled(3.0);
         assert_eq!(scaled.mean_bytes, 300.0);
         assert_eq!(scaled.jitter, d.jitter);
-    }
-
-    #[test]
-    fn jitter_is_clamped() {
-        assert_eq!(TimeDist::with_jitter(1.0, 2.0).jitter, 0.95);
-        assert_eq!(SizeDist::with_jitter(1.0, -1.0).jitter, 0.0);
     }
 
     fn small_tree() -> CallNode {

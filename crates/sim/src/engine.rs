@@ -121,12 +121,11 @@ impl RequestOutcome {
 }
 
 /// Per-API latency summary, built once when the report is constructed so
-/// that repeated latency queries don't rescan (and re-sort) the outcome
-/// list.
+/// that repeated latency queries don't rescan the outcome list.
 #[derive(Debug, Clone, Default)]
 struct ApiLatencySummary {
-    /// Successful latencies, ascending (empty if every request failed).
-    sorted_ms: Vec<f64>,
+    /// Number of successful requests (zero if every request failed).
+    count: usize,
     /// Sum of the successful latencies.
     sum_ms: f64,
 }
@@ -149,8 +148,7 @@ pub struct SimReport {
 
 impl SimReport {
     /// Assemble a report, building the per-API latency index that
-    /// [`Self::api_mean_latency_ms`], [`Self::api_latency_percentile_ms`]
-    /// and [`Self::apis`] answer from.
+    /// [`Self::api_mean_latency_ms`] and [`Self::apis`] answer from.
     pub fn new(
         outcomes: Vec<RequestOutcome>,
         onprem_utilization: Vec<f64>,
@@ -160,14 +158,9 @@ impl SimReport {
         for outcome in &outcomes {
             let entry = api_index.entry(outcome.api.clone()).or_default();
             if let Some(latency) = outcome.latency_ms {
-                entry.sorted_ms.push(latency);
+                entry.count += 1;
                 entry.sum_ms += latency;
             }
-        }
-        for summary in api_index.values_mut() {
-            summary
-                .sorted_ms
-                .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         }
         Self {
             outcomes,
@@ -191,27 +184,11 @@ impl SimReport {
     /// requests only); `None` if the API saw no successful request.
     pub fn api_mean_latency_ms(&self, api: &str) -> Option<f64> {
         let summary = self.api_index.get(api)?;
-        if summary.sorted_ms.is_empty() {
+        if summary.count == 0 {
             None
         } else {
-            Some(summary.sum_ms / summary.sorted_ms.len() as f64)
+            Some(summary.sum_ms / summary.count as f64)
         }
-    }
-
-    /// Latency percentile (0.0–1.0) for an API in milliseconds, using the
-    /// ceil-based nearest-rank convention: the reported order statistic is
-    /// the smallest sample ≥ the requested fraction of the distribution
-    /// (`rank = ⌈q · n⌉`). Rounding the rank instead can select a statistic
-    /// *below* the requested quantile on small samples (e.g. the p90 of 9
-    /// samples would come out as the 8th, which only covers 88.9 %).
-    pub fn api_latency_percentile_ms(&self, api: &str, q: f64) -> Option<f64> {
-        let summary = self.api_index.get(api)?;
-        let n = summary.sorted_ms.len();
-        if n == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * n as f64).ceil().max(1.0) as usize;
-        Some(summary.sorted_ms[rank.min(n) - 1])
     }
 
     /// All distinct APIs that appear in the outcomes.
@@ -771,12 +748,6 @@ mod tests {
         assert!(store.metric_mean("FrontendNGINX", MetricKind::CpuCores) > 0.0);
         assert!(!store.traffic_edges().is_empty());
         assert!(report.api_mean_latency_ms("/composeAPI").unwrap() > 0.0);
-        assert!(
-            report
-                .api_latency_percentile_ms("/composeAPI", 0.99)
-                .unwrap()
-                > 0.0
-        );
         assert_eq!(report.apis(), vec!["/composeAPI"]);
     }
 
@@ -816,60 +787,10 @@ mod tests {
         assert_eq!(report.api_mean_latency_ms("/b"), Some(5.0));
         assert_eq!(report.api_mean_latency_ms("/dead"), None);
         assert_eq!(report.api_mean_latency_ms("/missing"), None);
-        assert_eq!(report.api_latency_percentile_ms("/a", 0.0), Some(10.0));
-        assert_eq!(report.api_latency_percentile_ms("/a", 1.0), Some(30.0));
-        assert_eq!(report.api_latency_percentile_ms("/dead", 0.5), None);
         // All-failed APIs still show up in the API listing.
         assert_eq!(report.apis(), vec!["/a", "/b", "/dead"]);
         assert_eq!(report.failed_count(), 2);
         assert_eq!(report.success_count(), 3);
-    }
-
-    /// Regression test: pin the ceil-based nearest-rank convention on fixed
-    /// small sample sets. The previous `.round()`-based rank picked an order
-    /// statistic *below* the requested quantile on several of these (p90 of
-    /// 9 samples returned the 8th; p50 of 4 samples returned the 3rd).
-    #[test]
-    fn percentiles_use_ceil_based_nearest_rank() {
-        let report_for = |latencies: &[f64]| {
-            let outcomes = latencies
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| RequestOutcome {
-                    api: "/x".to_string(),
-                    at_us: i as u64,
-                    latency_ms: Some(l),
-                })
-                .collect();
-            SimReport::new(outcomes, vec![0.1], vec![0.0])
-        };
-        let p = |report: &SimReport, q: f64| report.api_latency_percentile_ms("/x", q).unwrap();
-
-        // 9 samples: p90 → rank ⌈8.1⌉ = 9 → the maximum (round gave the 8th).
-        let nine = report_for(&[10., 20., 30., 40., 50., 60., 70., 80., 90.]);
-        assert_eq!(p(&nine, 0.9), 90.0);
-        assert_eq!(p(&nine, 0.5), 50.0);
-        assert_eq!(p(&nine, 0.99), 90.0);
-
-        // 4 samples: p50 → rank ⌈2.0⌉ = 2, the lower median (round gave the 3rd).
-        let four = report_for(&[10., 20., 30., 40.]);
-        assert_eq!(p(&four, 0.5), 20.0);
-        assert_eq!(p(&four, 0.9), 40.0);
-
-        // 3 samples: the issue's example — p90 must be the maximum by
-        // construction, not by luck of rounding.
-        let three = report_for(&[5., 6., 7.]);
-        assert_eq!(p(&three, 0.9), 7.0);
-        assert_eq!(p(&three, 0.5), 6.0);
-        assert_eq!(p(&three, 0.34), 6.0);
-
-        // Boundary conventions are unchanged.
-        assert_eq!(p(&three, 0.0), 5.0);
-        assert_eq!(p(&three, 1.0), 7.0);
-        let one = report_for(&[42.0]);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(p(&one, q), 42.0);
-        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   API's list; a list the batch appended to out of time order is sorted
 //!   once when the batch ends. [`TraceArena::push`] is the one-trace batch.
 //!
-//! Consumers that only need to *read* traces borrow [`TraceView`]s over the
-//! columns; full [`Trace`] values are materialised only when a caller needs
-//! an owned tree (e.g. the retained representatives of an API profile).
+//! Queries answer from the columns and indexes; full [`Trace`] values are
+//! materialised ([`TraceArena::materialize`]) only when a caller needs an
+//! owned tree (e.g. the retained representatives of an API profile).
 //!
 //! On top of the columns the arena offers a **structural clustering** pass
 //! ([`TraceArena::weighted_representatives`]): traces of one API are grouped
@@ -433,11 +433,6 @@ impl TraceArena {
         self.max_root_start_us
     }
 
-    /// A borrowed view over one stored trace.
-    pub fn view(&self, trace: u32) -> TraceView<'_> {
-        TraceView { arena: self, trace }
-    }
-
     /// Sorted, deduplicated names of all APIs (root operations) observed.
     pub fn api_names(&self) -> Vec<String> {
         let mut v: Vec<String> = self
@@ -733,80 +728,6 @@ impl TraceArena {
     }
 }
 
-/// A borrowed, allocation-free view over one trace stored in a
-/// [`TraceArena`]. Spans are addressed by node index (root is index 0,
-/// nodes ordered by `(start_us, span_id)` as in [`Trace::nodes`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TraceView<'a> {
-    arena: &'a TraceArena,
-    trace: u32,
-}
-
-impl<'a> TraceView<'a> {
-    /// The trace identifier.
-    pub fn trace_id(&self) -> TraceId {
-        self.arena.trace_ids[self.trace as usize]
-    }
-
-    /// The API endpoint (root operation name).
-    pub fn api(&self) -> &'a str {
-        self.arena
-            .operations
-            .resolve(self.arena.api[self.trace as usize])
-    }
-
-    /// Number of spans in the trace.
-    pub fn len(&self) -> usize {
-        let (lo, hi) = self.arena.span_range(self.trace);
-        hi - lo
-    }
-
-    /// Whether the trace has no spans (never true for validated traces).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Root start timestamp (µs).
-    pub fn root_start_us(&self) -> Micros {
-        self.arena.root_start_us[self.trace as usize]
-    }
-
-    /// End-to-end latency (µs): the root span's duration.
-    pub fn end_to_end_latency_us(&self) -> Micros {
-        self.arena.root_duration_us[self.trace as usize]
-    }
-
-    /// Parent node index of span `i`, or `None` for the root.
-    pub fn parent(&self, i: usize) -> Option<usize> {
-        let (lo, _) = self.arena.span_range(self.trace);
-        let p = self.arena.span_parent[lo + i];
-        (p != NO_PARENT).then_some(p as usize)
-    }
-
-    /// Interned component id of span `i`.
-    pub fn component_id(&self, i: usize) -> u32 {
-        let (lo, _) = self.arena.span_range(self.trace);
-        self.arena.span_component[lo + i]
-    }
-
-    /// Component name of span `i`.
-    pub fn component(&self, i: usize) -> &'a str {
-        self.arena.components.resolve(self.component_id(i))
-    }
-
-    /// Start timestamp (µs) of span `i`.
-    pub fn start_us(&self, i: usize) -> Micros {
-        let (lo, _) = self.arena.span_range(self.trace);
-        self.arena.span_start_us[lo + i]
-    }
-
-    /// Duration (µs) of span `i`.
-    pub fn duration_us(&self, i: usize) -> Micros {
-        let (lo, _) = self.arena.span_range(self.trace);
-        self.arena.span_duration_us[lo + i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,12 +766,6 @@ mod tests {
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.span_count(), 3);
         assert_eq!(arena.materialize(idx), t);
-        let v = arena.view(idx);
-        assert_eq!(v.api(), "/a");
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.parent(0), None);
-        assert_eq!(v.parent(1), Some(0));
-        assert_eq!(v.component(0), "Frontend");
     }
 
     #[test]
@@ -862,7 +777,7 @@ mod tests {
         let starts: Vec<Micros> = arena
             .api_trace_indices("/a")
             .iter()
-            .map(|&t| arena.view(t).root_start_us())
+            .map(|&t| arena.root_start_us[t as usize])
             .collect();
         assert_eq!(starts, vec![1_000_000, 4_000_000, 9_000_000]);
         assert_eq!(arena.api_trace_indices_in("/a", 1, 5).len(), 2);
@@ -978,7 +893,7 @@ mod tests {
             assert_eq!(indices, pushed.api_trace_indices(api));
             let keys: Vec<(Micros, u32)> = indices
                 .iter()
-                .map(|&t| (batched.view(t).root_start_us(), t))
+                .map(|&t| (batched.root_start_us[t as usize], t))
                 .collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "{api}: {keys:?}");
         }
@@ -1071,7 +986,7 @@ mod tests {
         let starts: Vec<Micros> = arena
             .api_trace_indices("/a")
             .iter()
-            .map(|&t| arena.view(t).root_start_us())
+            .map(|&t| arena.root_start_us[t as usize])
             .collect();
         assert_eq!(starts, vec![4_000_000, 6_000_000, 9_000_000]);
         let reps = arena.weighted_representatives("/a", 10);

@@ -29,13 +29,13 @@ pub mod store;
 pub mod trace;
 pub mod window;
 
-pub use arena::{NameInterner, TraceArena, TraceView, WeightedTrace};
+pub use arena::{NameInterner, TraceArena, WeightedTrace};
 pub use metrics::{ComponentMetrics, MetricKind, MetricPoint, MetricSeries};
 pub use network::{Direction, PairKey, PairwiseTraffic, TrafficSample};
 pub use span::{IdGenerator, Span, SpanId, TraceId};
 pub use store::{IngestReport, TelemetryStore};
 pub use trace::{Trace, TraceNode};
-pub use window::{TimeWindow, Windowing};
+pub use window::Windowing;
 
 /// Microseconds since the start of an observation epoch.
 ///

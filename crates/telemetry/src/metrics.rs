@@ -173,11 +173,6 @@ impl ComponentMetrics {
             .get(&kind)
             .map_or(0.0, |s| s.mean_in(start_s, end_s))
     }
-
-    /// Which metric kinds have at least one observation.
-    pub fn kinds(&self) -> impl Iterator<Item = MetricKind> + '_ {
-        self.series.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,6 @@ mod tests {
         assert_eq!(m.max(MetricKind::CpuCores), 1.5);
         assert_eq!(m.mean(MetricKind::StorageGb), 0.0);
         assert_eq!(m.mean_in(MetricKind::CpuCores, 5, 15), 1.5);
-        assert_eq!(m.kinds().count(), 2);
     }
 
     #[test]

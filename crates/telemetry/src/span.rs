@@ -80,14 +80,6 @@ impl Span {
     pub fn end_us(&self) -> Micros {
         self.start_us + self.duration_us
     }
-
-    /// Whether the execution intervals of two spans overlap.
-    ///
-    /// Half-open intervals are used: `[start, end)`. Two spans that merely
-    /// touch at a boundary do not overlap.
-    pub fn overlaps(&self, other: &Span) -> bool {
-        self.start_us < other.end_us() && other.start_us < self.end_us()
-    }
 }
 
 /// Monotonic generator for span / trace identifiers.
@@ -133,25 +125,6 @@ mod tests {
     fn end_is_start_plus_duration() {
         let s = span(100, 50);
         assert_eq!(s.end_us(), 150);
-    }
-
-    #[test]
-    fn overlap_detection_is_half_open() {
-        let a = span(0, 100);
-        let b = span(50, 100);
-        let c = span(100, 10);
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c), "touching intervals do not overlap");
-    }
-
-    #[test]
-    fn overlap_is_symmetric() {
-        let a = span(10, 30);
-        let b = span(25, 100);
-        let c = span(40, 5);
-        assert_eq!(a.overlaps(&b), b.overlaps(&a));
-        assert_eq!(a.overlaps(&c), c.overlaps(&a));
     }
 
     #[test]

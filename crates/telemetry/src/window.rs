@@ -8,23 +8,6 @@
 
 use crate::Seconds;
 
-/// A half-open time window `[start, end)` expressed in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimeWindow {
-    /// Inclusive start of the window, in seconds since the epoch.
-    pub start_s: Seconds,
-    /// Exclusive end of the window, in seconds since the epoch.
-    pub end_s: Seconds,
-}
-
-impl TimeWindow {
-    /// Create a window; `end_s` must be strictly greater than `start_s`.
-    pub fn new(start_s: Seconds, end_s: Seconds) -> Self {
-        assert!(end_s > start_s, "time window must have positive length");
-        Self { start_s, end_s }
-    }
-}
-
 /// A uniform partition of an observation period into fixed-length windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Windowing {
@@ -53,12 +36,6 @@ impl Windowing {
         self.index_of_s(t_us / 1_000_000)
     }
 
-    /// The window with the given index.
-    pub fn window(&self, index: usize) -> TimeWindow {
-        let start = self.origin_s + index as Seconds * self.width_s;
-        TimeWindow::new(start, start + self.width_s)
-    }
-
     /// Number of windows needed to cover `[origin, end_s)`.
     pub fn count_until(&self, end_s: Seconds) -> usize {
         if end_s <= self.origin_s {
@@ -76,7 +53,6 @@ mod tests {
     #[test]
     fn window_contains_boundaries_half_open() {
         let w = Windowing::new(10, 5);
-        assert_eq!(w.window(0), TimeWindow::new(10, 15));
         assert_eq!(w.index_of_s(10), 0);
         assert_eq!(w.index_of_s(14), 0);
         assert_eq!(w.index_of_s(15), 1);
@@ -85,9 +61,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive length")]
-    fn zero_length_window_panics() {
-        let _ = TimeWindow::new(5, 5);
+    #[should_panic(expected = "window width must be positive")]
+    fn zero_width_windowing_panics() {
+        let _ = Windowing::new(5, 0);
     }
 
     #[test]
@@ -102,11 +78,11 @@ mod tests {
 
     #[test]
     fn windowing_index_and_window_are_consistent() {
-        let w = Windowing::new(0, 5);
-        for idx in 0..20 {
-            let win = w.window(idx);
-            assert_eq!(w.index_of_s(win.start_s), idx);
-            assert_eq!(w.index_of_s(win.end_s - 1), idx);
+        let w = Windowing::new(100, 5);
+        for k in 0..20 {
+            let start = w.origin_s + k as Seconds * w.width_s;
+            assert_eq!(w.index_of_s(start), k);
+            assert_eq!(w.index_of_s(start + w.width_s - 1), k);
         }
     }
 
