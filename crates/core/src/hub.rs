@@ -499,7 +499,7 @@ mod tests {
     fn slow_replay(corpus: &[Trace], api: &str, offset_us: u64, factor: u64) -> Vec<Trace> {
         corpus
             .iter()
-            .filter(|t| t.root().operation == api)
+            .filter(|t| t.api() == api)
             .cloned()
             .map(|mut t| {
                 t.trace_id = TraceId(t.trace_id.0 ^ (1 << 62));
@@ -562,7 +562,7 @@ mod tests {
         // Drift → relearn → new epoch with a *fresh* cache: the request
         // after the swap must recompute everything against the new model —
         // a stale epoch-1 score cannot survive into epoch 2.
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
         assert_eq!(hub.published_epoch(t), Some(2));
         let after = hub.recommend(t, 1);
@@ -603,7 +603,7 @@ mod tests {
         );
 
         let hub = &hub; // serving-side access only from here on
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
         assert_eq!(hub.published_epoch(t), Some(2));
         assert!(
@@ -642,7 +642,7 @@ mod tests {
         let slot = &hub.tenants[t.0];
         let taken = slot.snapshot().expect("published at bootstrap");
 
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
         assert_eq!(
             hub.published_epoch(t),
@@ -729,7 +729,7 @@ mod tests {
         assert!(panicked.is_err());
 
         // A same-shape replay: ingested under the poisoned lock, no drift.
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         let events = hub.feed(a, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
         assert!(matches!(events[0], ServiceEvent::Ingested { traces, .. } if traces > 0));
         assert_eq!(hub.published_epoch(a), Some(1));
@@ -746,8 +746,8 @@ mod tests {
         let b = hub.add_tenant("b", sb);
         hub.bootstrap(a);
         hub.bootstrap(b);
-        let api_a = corpus_a[0].root().operation.clone();
-        let api_b = corpus_b[0].root().operation.clone();
+        let api_a = corpus_a[0].api().to_string();
+        let api_b = corpus_b[0].api().to_string();
         // Two same-shape replays of tenant a cut to different lengths around
         // a 5x drift of tenant b, so every batch has its own size and only
         // the middle one relearns.

@@ -504,7 +504,7 @@ mod tests {
     fn slow_replay(corpus: &[Trace], api: &str, offset_us: u64, factor: u64) -> Vec<Trace> {
         corpus
             .iter()
-            .filter(|t| t.root().operation == api)
+            .filter(|t| t.api() == api)
             .cloned()
             .map(|mut t| {
                 t.trace_id = TraceId(t.trace_id.0 ^ (1 << 62));
@@ -542,12 +542,7 @@ mod tests {
     fn bootstrap_learns_recommends_and_stays_calm_on_familiar_traffic() {
         let (config, current, corpus) = scenario();
         let mut service = AdvisorService::new(config, current);
-        let replay = slow_replay(
-            &corpus,
-            &corpus[0].root().operation,
-            (DAY_S + 1) * 1_000_000,
-            1,
-        );
+        let replay = slow_replay(&corpus, corpus[0].api(), (DAY_S + 1) * 1_000_000, 1);
         service.feed(corpus);
         let events = service.bootstrap();
         assert!(service.epoch.is_some());
@@ -575,7 +570,7 @@ mod tests {
         service.feed(corpus.clone());
         service.bootstrap();
 
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         let before = service.model().unwrap().profile().apis[&api].mean_latency_ms;
         let events = service.feed(slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
 
@@ -639,7 +634,7 @@ mod tests {
         let pinned = ComponentId(before.sites().iter().position(|s| !s.is_on_prem()).unwrap());
         let preferences = service.config.preferences.clone();
         service.config.preferences = preferences.pin(pinned, SiteId::ON_PREM);
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         let events = service.feed(slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
         let after = preferred(&service);
         let names = service.model().unwrap().component_index();
@@ -671,7 +666,7 @@ mod tests {
         // relearn builds a new model, so the held one is untouched while the
         // service moves to generation 2.
         let snapshot = service.shared_model().unwrap();
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         let before = snapshot.profile().apis[&api].mean_latency_ms;
         service.feed(slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
         assert_eq!(service.model_generation(), 2);
@@ -697,7 +692,7 @@ mod tests {
         service.bootstrap();
 
         // Day 2 ends past the retention window, so day-1 traces evict.
-        let api = corpus[0].root().operation.clone();
+        let api = corpus[0].api().to_string();
         let events = service.feed(slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
         let evicted: usize = events
             .iter()

@@ -8,6 +8,8 @@
 //! §4.1.1 (parallel, sequential, background) so that the simulator emits
 //! traces with the same structure Jaeger would record.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use crate::component::ComponentId;
@@ -148,8 +150,9 @@ impl CallEdge {
 pub struct CallNode {
     /// Component executing the operation.
     pub component: ComponentId,
-    /// Operation name recorded in the span.
-    pub operation: String,
+    /// Operation name recorded in the span; every span of this node shares
+    /// this one allocation.
+    pub operation: Arc<str>,
     /// Compute time spent by this operation itself (excluding children).
     pub compute: TimeDist,
     /// Sequential stages; the edges inside one stage run in parallel.
@@ -160,7 +163,7 @@ pub struct CallNode {
 
 impl CallNode {
     /// A leaf operation with no downstream calls.
-    pub fn leaf(component: ComponentId, operation: impl Into<String>, compute: TimeDist) -> Self {
+    pub fn leaf(component: ComponentId, operation: impl Into<Arc<str>>, compute: TimeDist) -> Self {
         Self {
             component,
             operation: operation.into(),

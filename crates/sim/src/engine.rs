@@ -60,6 +60,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,6 +240,9 @@ pub struct Simulator {
     /// Per-ordered-pair link model; defaults to the two-site matrix of the
     /// cluster's [`NetworkModel`](crate::cluster::NetworkModel).
     sites: SiteNetwork,
+    /// Component names by id, built once: every span of a component shares
+    /// its one allocation.
+    component_names: Vec<Arc<str>>,
 }
 
 impl Simulator {
@@ -255,11 +259,17 @@ impl Simulator {
             "placement must cover every component"
         );
         let sites = SiteNetwork::two_site(config.cluster.network);
+        let component_names = topology
+            .components()
+            .iter()
+            .map(|c| Arc::from(c.name.as_str()))
+            .collect();
         Self {
             topology,
             placement,
             config,
             sites,
+            component_names,
         }
     }
 
@@ -570,8 +580,8 @@ impl ExecContext<'_> {
             self.trace_id,
             span_id,
             parent,
-            self.sim.topology.component_name(node.component),
-            &node.operation,
+            Arc::clone(&self.sim.component_names[node.component.0]),
+            Arc::clone(&node.operation),
             start_us,
             duration,
         ));
@@ -681,12 +691,12 @@ mod tests {
         let trace = sim.execute_single("/composeAPI", 3).unwrap();
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.api(), "/composeAPI");
-        assert_eq!(trace.root().component, "FrontendNGINX");
+        assert_eq!(&*trace.root().component, "FrontendNGINX");
         // Background fan-out must outlive the root.
         let wht_idx = trace
             .nodes
             .iter()
-            .position(|n| n.span.component == "WriteHomeTimelineService")
+            .position(|n| &*n.span.component == "WriteHomeTimelineService")
             .unwrap();
         assert!(trace.is_background(wht_idx));
     }
@@ -749,6 +759,32 @@ mod tests {
         assert!(!store.traffic_edges().is_empty());
         assert!(report.api_mean_latency_ms("/composeAPI").unwrap() > 0.0);
         assert_eq!(report.apis(), vec!["/composeAPI"]);
+    }
+
+    #[test]
+    fn spans_of_one_component_share_one_name_allocation() {
+        let sim = Simulator::new(figure6_app(), Placement::all_onprem(5), quiet_config());
+        let mut schedule = RequestSchedule::new();
+        schedule.push(0, "/composeAPI");
+        schedule.push(200_000, "/composeAPI");
+        let store = TelemetryStore::new();
+        sim.run(&schedule, &store);
+        let traces = store.traces_for_api("/composeAPI");
+        assert_eq!(traces.len(), 2);
+        // The store keeps the first span's names, so each trace it hands back
+        // names a component with the simulator's own allocation.
+        let root = &sim.topology.api("/composeAPI").unwrap().root;
+        for trace in &traces {
+            for span in trace.spans() {
+                let id = sim.topology.component_id(&span.component).unwrap();
+                assert!(Arc::ptr_eq(&span.component, &sim.component_names[id.0]));
+            }
+            assert!(Arc::ptr_eq(&trace.root().operation, &root.operation));
+        }
+        assert!(Arc::ptr_eq(
+            &traces[0].root().component,
+            &traces[1].root().component
+        ));
     }
 
     /// The index built at construction must answer exactly what a full

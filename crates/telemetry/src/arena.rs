@@ -14,7 +14,9 @@
 //!   through a CSR-style `trace_offsets` column, with per-trace root
 //!   columns (`api`, `root_start_us`, `root_duration_us`) denormalised for
 //!   O(1) access. One span costs ~44 bytes of column data instead of an
-//!   owned `Span` (two heap `String`s plus tree node bookkeeping).
+//!   owned `Span` (80 bytes, whose two names point into shared `Arc<str>`s)
+//!   plus tree node bookkeeping (a parent index and a `children` `Vec`: 40
+//!   bytes, and a heap block for a node with children).
 //! * **Incremental indexes** — a per-API posting list kept sorted by
 //!   `(root_start_us, trace)` and a per-directed-edge posting list of
 //!   `(trace, invocation count)` are maintained at ingest, so
@@ -25,15 +27,18 @@
 //!   adjacency `Vec` indexed by caller id whose few out-edges are sorted by
 //!   callee.
 //! * **One write path** — a batch is ingested in one streaming pass
-//!   (`append_batch`): each trace's spans are appended to the columns, its
-//!   edges are read back from the columns just written and counted by
-//!   sorting a reused scratch buffer, and its index is appended to its
-//!   API's list; a list the batch appended to out of time order is sorted
-//!   once when the batch ends. [`TraceArena::push`] is the one-trace batch.
+//!   (`append_batch`): each trace's tree shape is checked first (a
+//!   malformed trace is skipped whole), its spans are appended to the
+//!   columns, its edges are read back from the columns just written and
+//!   counted by sorting a reused scratch buffer, and its index is appended
+//!   to its API's list; a list the batch appended to out of time order is
+//!   sorted once when the batch ends.
 //!
 //! Queries answer from the columns and indexes; full [`Trace`] values are
 //! materialised ([`TraceArena::materialize`]) only when a caller needs an
-//! owned tree (e.g. the retained representatives of an API profile).
+//! owned tree (e.g. the retained representatives of an API profile). A
+//! materialised span's names are the interner's own `Arc<str>`s, so every
+//! trace handed out shares one allocation per distinct name.
 //!
 //! On top of the columns the arena offers a **structural clustering** pass
 //! ([`TraceArena::weighted_representatives`]): traces of one API are grouped
@@ -66,12 +71,31 @@ fn index_u32(n: usize, what: &str) -> u32 {
     u32::try_from(n).expect(what)
 }
 
+/// Whether the columns can hold `trace` as it stands: at least one node, the
+/// root at index 0 and nowhere else, and every other parent index in range.
+/// [`Trace::from_spans`] guarantees all three, but `Trace`'s fields are
+/// public, and a hand-built trace that breaks one would panic
+/// [`TraceArena::append`] after it had written part of the trace.
+fn is_appendable(trace: &Trace) -> bool {
+    let n = trace.nodes.len();
+    n > 0
+        && trace
+            .nodes
+            .iter()
+            .enumerate()
+            .all(|(i, node)| match node.parent {
+                None => i == 0,
+                Some(p) => i > 0 && p < n,
+            })
+}
+
 /// A string interner mapping names to dense `u32` ids.
 ///
 /// Ids are assigned in first-seen order and never recycled; resolution is an
 /// index into a flat name table. Names arrive in telemetry, so the
-/// name → id map keeps std's keyed hash; a name is stored once and shared
-/// between the table and the map.
+/// name → id map keeps std's keyed hash; a name is stored once, as the
+/// `Arc<str>` it first arrived in, and shared between the table, the map and
+/// every span materialised from the arena.
 #[derive(Debug, Default, Clone)]
 pub struct NameInterner {
     names: Vec<Arc<str>>,
@@ -79,15 +103,15 @@ pub struct NameInterner {
 }
 
 impl NameInterner {
-    /// Intern `name`, returning its id (allocating one if unseen).
-    pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
+    /// Intern `name`, returning its id (allocating one if unseen). An unseen
+    /// name is kept as the caller's `Arc`, not copied.
+    pub fn intern(&mut self, name: &Arc<str>) -> u32 {
+        if let Some(&id) = self.ids.get(&**name) {
             return id;
         }
         let id = index_u32(self.names.len(), "interned name count fits u32");
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.ids.insert(name, id);
+        self.names.push(Arc::clone(name));
+        self.ids.insert(Arc::clone(name), id);
         id
     }
 
@@ -96,8 +120,8 @@ impl NameInterner {
         self.ids.get(name).copied()
     }
 
-    /// The name behind `id`.
-    pub fn resolve(&self, id: u32) -> &str {
+    /// The name behind `id`, as the shared allocation the interner holds.
+    pub fn resolve(&self, id: u32) -> &Arc<str> {
         &self.names[id as usize]
     }
 
@@ -208,24 +232,25 @@ impl TraceArena {
         self.span_parent.len()
     }
 
-    /// Ingest one trace: intern its names, append its spans to the columns
-    /// and update the per-API and per-edge indexes. Returns its index.
-    pub fn push(&mut self, trace: &Trace) -> u32 {
-        self.append_batch(std::iter::once(trace));
-        index_u32(self.trace_ids.len() - 1, "trace count fits u32")
-    }
-
     /// Ingest a batch of traces in one streaming pass — each trace is
     /// consumed (and, when owned, dropped) right after its spans are
     /// appended — then restore the order of the posting lists the batch
-    /// appended to out of time order. Returns the number of traces added.
+    /// appended to out of time order. A trace whose shape the columns cannot
+    /// hold (see [`is_appendable`]) is skipped whole. Returns the number of
+    /// traces added and the number skipped.
     pub(crate) fn append_batch<T: Borrow<Trace>>(
         &mut self,
         traces: impl IntoIterator<Item = T>,
-    ) -> usize {
+    ) -> (usize, usize) {
         let before = self.trace_ids.len();
+        let mut rejected = 0;
         for trace in traces {
-            self.append(trace.borrow());
+            let trace = trace.borrow();
+            if is_appendable(trace) {
+                self.append(trace);
+            } else {
+                rejected += 1;
+            }
         }
         for api_id in self.touched_apis.drain(..) {
             let postings = &mut self.by_api[api_id as usize];
@@ -236,12 +261,13 @@ impl TraceArena {
             postings.touched = false;
             postings.unsorted = false;
         }
-        self.trace_ids.len() - before
+        (self.trace_ids.len() - before, rejected)
     }
 
     /// The one place spans enter the columns and the indexes. Leaves the
     /// trace's per-API posting list possibly out of order, flagged for
-    /// [`TraceArena::append_batch`] to sort once.
+    /// [`TraceArena::append_batch`] to sort once. The caller has checked
+    /// [`is_appendable`], so nothing below can panic partway through a trace.
     fn append(&mut self, trace: &Trace) {
         let idx = index_u32(self.trace_ids.len(), "trace count fits u32");
         let base = self.span_parent.len();
@@ -274,9 +300,7 @@ impl TraceArena {
 
         // Directed edges, read back from the columns just written: a parent
         // may sort after its child (`Trace::nodes` is start-time ordered),
-        // so the callers are only all known once the trace is in. Slicing at
-        // `base` keeps a bad parent index a panic, never another trace's
-        // component.
+        // so the callers are only all known once the trace is in.
         let components = &self.span_component[base..];
         self.edge_scratch.clear();
         for (&parent, &callee) in self.span_parent[base..].iter().zip(components) {
@@ -609,8 +633,8 @@ impl TraceArena {
                     trace_id,
                     self.span_id[s],
                     parent_id,
-                    self.components.resolve(self.span_component[s]),
-                    self.operations.resolve(self.span_operation[s]),
+                    Arc::clone(self.components.resolve(self.span_component[s])),
+                    Arc::clone(self.operations.resolve(self.span_operation[s])),
                     self.span_start_us[s],
                     self.span_duration_us[s],
                 )
@@ -733,6 +757,14 @@ mod tests {
     use super::*;
     use crate::span::{Span, SpanId, TraceId};
 
+    impl TraceArena {
+        /// Ingest one well-formed trace as a one-trace batch; its index.
+        fn push(&mut self, trace: &Trace) -> u32 {
+            assert_eq!(self.append_batch([trace]), (1, 0), "a well-formed trace");
+            index_u32(self.trace_ids.len() - 1, "trace count fits u32")
+        }
+    }
+
     fn tree_trace(id: u64, api: &str, start: Micros, dur: Micros, comps: &[&str]) -> Trace {
         let t = TraceId(id);
         let mut spans = vec![Span::new(
@@ -822,7 +854,7 @@ mod tests {
                 (3, Some(2), "U", 50),
             ],
         );
-        assert_eq!(t.nodes[1].span.component, "U");
+        assert_eq!(&*t.nodes[1].span.component, "U");
         assert_eq!(t.nodes[1].parent, Some(2));
         let mut arena = TraceArena::new();
         let idx = arena.push(&t);
@@ -882,7 +914,7 @@ mod tests {
             })
             .collect();
         let mut batched = TraceArena::new();
-        assert_eq!(batched.append_batch(&traces), traces.len());
+        assert_eq!(batched.append_batch(&traces), (traces.len(), 0));
 
         let mut pushed = TraceArena::new();
         for t in &traces {
@@ -902,15 +934,74 @@ mod tests {
     #[test]
     fn interned_names_are_stored_once_and_resolve_back() {
         let mut names = NameInterner::default();
-        let (a, b) = (names.intern("Frontend"), names.intern("User"));
+        let (frontend, user): (Arc<str>, Arc<str>) = (Arc::from("Frontend"), Arc::from("User"));
+        let (a, b) = (names.intern(&frontend), names.intern(&user));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(names.intern("Frontend"), a);
+        assert_eq!(names.intern(&Arc::from("Frontend")), a);
         assert_eq!(names.get("User"), Some(b));
         assert_eq!(names.get("Media"), None);
-        assert_eq!(names.resolve(b), "User");
+        assert_eq!(&**names.resolve(b), "User");
         assert_eq!(names.iter().collect::<Vec<_>>(), vec!["Frontend", "User"]);
-        // One allocation shared by the id → name table and the name → id map.
-        assert_eq!(Arc::strong_count(&names.names[0]), 2);
+        // The caller's allocation, shared by the id → name table and the
+        // name → id map; the second `Frontend` was not kept.
+        assert!(Arc::ptr_eq(names.resolve(a), &frontend));
+        assert_eq!(Arc::strong_count(&frontend), 3);
+    }
+
+    #[test]
+    fn materialized_spans_share_the_interned_names() {
+        let mut arena = TraceArena::new();
+        arena.push(&tree_trace(1, "/a", 0, 100, &["F", "U", "U"]));
+        arena.push(&tree_trace(2, "/a", 1_000, 100, &["F", "U"]));
+        for trace in arena.traces_for_api("/a") {
+            for span in trace.spans() {
+                let component = arena.components.get(&span.component).unwrap();
+                let operation = arena.operations.get(&span.operation).unwrap();
+                assert!(Arc::ptr_eq(
+                    &span.component,
+                    arena.components.resolve(component)
+                ));
+                assert!(Arc::ptr_eq(
+                    &span.operation,
+                    arena.operations.resolve(operation)
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_trace_is_skipped_whole() {
+        let good = [
+            tree_trace(1, "/a", 9_000_000, 10, &["F", "U"]),
+            tree_trace(2, "/a", 1_000_000, 20, &["F", "M"]),
+        ];
+        let mut reference = TraceArena::new();
+        assert_eq!(reference.append_batch(&good), (2, 0));
+
+        let empty = Trace {
+            trace_id: TraceId(3),
+            nodes: Vec::new(),
+        };
+        let mut late_root = tree_trace(3, "/a", 5_000_000, 10, &["F", "U"]);
+        late_root.nodes[0].parent = Some(1);
+        let mut two_roots = tree_trace(3, "/a", 5_000_000, 10, &["F", "U"]);
+        two_roots.nodes[1].parent = None;
+        let mut dangling = tree_trace(3, "/b", 5_000_000, 10, &["F", "U", "M"]);
+        dangling.nodes[2].parent = Some(7);
+        for bad in [empty, late_root, two_roots, dangling] {
+            let mut arena = TraceArena::new();
+            assert_eq!(arena.append_batch([&good[0], &bad, &good[1]]), (2, 1));
+            // Nothing of the malformed trace reached a column, a name table
+            // or an index, and the batch still sorted its API's list.
+            assert_eq!(arena.span_count(), reference.span_count());
+            assert!(arena.components.iter().eq(reference.components.iter()));
+            assert!(arena.operations.iter().eq(reference.operations.iter()));
+            assert_eq!(arena.by_edge, reference.by_edge);
+            assert_eq!(arena.api_trace_indices("/a"), [1, 0]);
+            for (t, trace) in (0..).zip(&good) {
+                assert_eq!(&arena.materialize(t), trace);
+            }
+        }
     }
 
     #[test]

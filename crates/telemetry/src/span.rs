@@ -5,6 +5,8 @@
 //! span that triggered them, so a set of spans sharing a trace id forms a
 //! tree rooted at the entry component (e.g. `FrontendNGINX`).
 
+use std::sync::Arc;
+
 use crate::Micros;
 
 /// Identifier of a trace: one trace per API request received by the
@@ -34,6 +36,12 @@ impl std::fmt::Display for SpanId {
 /// relies on: component (service) name, operation name, start timestamp and
 /// duration, plus the parent span id that lets a [`crate::Trace`] reconstruct
 /// the execution tree.
+///
+/// Names are shared, not owned: a trace corpus names a few hundred
+/// components and operations across hundreds of thousands of spans, so
+/// every producer (the simulator, [`crate::TraceArena::materialize`]) hands
+/// out one `Arc<str>` per distinct name and a span clone is a reference
+/// count bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Trace this span belongs to.
@@ -43,9 +51,9 @@ pub struct Span {
     /// Parent span that triggered this operation (`None` for the root span).
     pub parent_id: Option<SpanId>,
     /// Name of the component (container / service) executing the operation.
-    pub component: String,
+    pub component: Arc<str>,
     /// Operation name, e.g. `/composeAPI` or `MongoFind`.
-    pub operation: String,
+    pub operation: Arc<str>,
     /// Start timestamp in microseconds since the observation epoch.
     pub start_us: Micros,
     /// Duration of the operation in microseconds.
@@ -59,8 +67,8 @@ impl Span {
         trace_id: TraceId,
         span_id: SpanId,
         parent_id: Option<SpanId>,
-        component: impl Into<String>,
-        operation: impl Into<String>,
+        component: impl Into<Arc<str>>,
+        operation: impl Into<Arc<str>>,
         start_us: Micros,
         duration_us: Micros,
     ) -> Self {

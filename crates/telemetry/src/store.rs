@@ -55,13 +55,14 @@ struct StoreInner {
 
 impl StoreInner {
     /// The one write path: append `traces` to the arena and bump the epoch
-    /// (an empty batch bumps nothing). Returns the number of traces appended.
-    fn append(&mut self, traces: impl IntoIterator<Item = Trace>) -> usize {
-        let ingested = self.arena.append_batch(traces);
+    /// (a batch that appends nothing bumps nothing). Returns the number of
+    /// traces appended and the number of malformed ones skipped.
+    fn append(&mut self, traces: impl IntoIterator<Item = Trace>) -> (usize, usize) {
+        let (ingested, rejected) = self.arena.append_batch(traces);
         if ingested > 0 {
             self.epoch += 1;
         }
-        ingested
+        (ingested, rejected)
     }
 
     /// Enforce the retention window, if any. Returns the eviction count.
@@ -90,6 +91,10 @@ fn is_sample(value: f64) -> bool {
 pub struct IngestReport {
     /// Number of traces appended by the batch.
     pub ingested: usize,
+    /// Number of malformed traces skipped whole: no nodes, a root other than
+    /// node 0, or a parent index outside the trace. Only a hand-built
+    /// `Trace` can be one; [`Trace::from_spans`] never returns one.
+    pub rejected: usize,
     /// Number of traces evicted by the retention window.
     pub evicted: usize,
     /// The store epoch after the batch (see [`TelemetryStore::epoch`]).
@@ -97,10 +102,10 @@ pub struct IngestReport {
 }
 
 impl TelemetryStore {
-    // Both accessors recover a poisoned guard: a writer panics only on the
-    // caller's trace iterator or a hand-built malformed `Trace`, and answering
-    // from the traces already held beats failing every later query. ROADMAP
-    // item 2 makes the append atomic per trace.
+    // Both accessors recover a poisoned guard: a writer panics only inside
+    // the caller's trace iterator, between two traces, and answering from the
+    // traces already held beats failing every later query. A malformed
+    // `Trace` is checked before any of it is written and skipped whole.
     fn read(&self) -> RwLockReadGuard<'_, StoreInner> {
         self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -142,10 +147,11 @@ impl TelemetryStore {
     /// Streaming ingest: append a batch of traces, then enforce the
     /// retention window (evicting traces older than the window behind the
     /// latest root start, with every index kept consistent). The whole
-    /// batch bumps the epoch once.
+    /// batch bumps the epoch once. A malformed trace is skipped whole and
+    /// counted in [`IngestReport::rejected`].
     pub fn ingest_batch(&self, traces: impl IntoIterator<Item = Trace>) -> IngestReport {
         let mut inner = self.write();
-        let ingested = inner.append(traces);
+        let (ingested, rejected) = inner.append(traces);
         let evicted = if ingested > 0 {
             inner.enforce_retention()
         } else {
@@ -153,6 +159,7 @@ impl TelemetryStore {
         };
         IngestReport {
             ingested,
+            rejected,
             evicted,
             epoch: inner.epoch,
         }
@@ -536,6 +543,33 @@ mod tests {
         // Single-trace ingest shares the same epoch discipline.
         store.ingest_trace(trace(4, "/a", 3_000_000, 10));
         assert_eq!(store.epoch(), 3);
+    }
+
+    #[test]
+    fn a_malformed_trace_in_a_batch_is_rejected_and_changes_nothing() {
+        let good = || [trace(1, "/a", 9_000_000, 10), trace(2, "/a", 1_000_000, 20)];
+        let reference = TelemetryStore::new();
+        reference.ingest_batch(good());
+
+        let mut dangling = trace(3, "/b", 5_000_000, 30);
+        dangling.nodes[1].parent = Some(2);
+        let [first, second] = good();
+        let store = TelemetryStore::new();
+        let report = store.ingest_batch([first, dangling, second]);
+        assert_eq!((report.ingested, report.rejected, report.epoch), (2, 1, 1));
+
+        assert_eq!(store.span_count(), reference.span_count());
+        assert_eq!(store.apis(), reference.apis());
+        assert_eq!(store.components(), reference.components());
+        assert_eq!(store.traces_for_api("/a"), reference.traces_for_api("/a"));
+
+        // A batch of nothing but malformed traces is no change.
+        let empty = Trace {
+            trace_id: TraceId(4),
+            nodes: Vec::new(),
+        };
+        let report = store.ingest_batch([empty]);
+        assert_eq!((report.ingested, report.rejected, report.epoch), (0, 1, 1));
     }
 
     #[test]

@@ -223,33 +223,21 @@ impl Trace {
         out
     }
 
-    /// Set of distinct component names touched by this trace.
-    pub fn components(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .nodes
-            .iter()
-            .map(|n| n.span.component.as_str())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Count the number of caller→callee invocations between distinct
     /// components, i.e. `I^A_{ci→cj}` of paper Eq. (1) for this single trace.
     ///
     /// Self-calls (parent and child on the same component) are ignored since
     /// they do not cross the network.
-    pub fn invocation_counts(&self) -> HashMap<(String, String), u64> {
-        let mut counts: HashMap<(String, String), u64> = HashMap::new();
+    pub fn invocation_counts(&self) -> HashMap<(&str, &str), u64> {
+        let mut counts: HashMap<(&str, &str), u64> = HashMap::new();
         for node in &self.nodes {
             let Some(pi) = node.parent else { continue };
-            let caller = &self.nodes[pi].span.component;
-            let callee = &node.span.component;
+            let caller = &*self.nodes[pi].span.component;
+            let callee = &*node.span.component;
             if caller == callee {
                 continue;
             }
-            *counts.entry((caller.clone(), callee.clone())).or_insert(0) += 1;
+            *counts.entry((caller, callee)).or_insert(0) += 1;
         }
         counts
     }
@@ -281,6 +269,8 @@ impl Trace {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::span::{SpanId, TraceId};
 
@@ -338,7 +328,7 @@ mod tests {
     fn builds_tree_and_finds_root() {
         let tr = compose_trace();
         assert_eq!(tr.len(), 5);
-        assert_eq!(tr.root().component, "FrontendNGINX");
+        assert_eq!(&*tr.root().component, "FrontendNGINX");
         assert_eq!(tr.api(), "/composeAPI");
         assert_eq!(tr.end_to_end_latency_us(), 1000);
         assert_eq!(tr.depth(), 2);
@@ -367,7 +357,7 @@ mod tests {
             Span::new(t, SpanId(11), None, "A", "/api", 6, 100),
         ];
         let tr = Trace::from_spans(spans).unwrap();
-        assert_eq!(tr.root().component, "A");
+        assert_eq!(&*tr.root().component, "A");
         assert!(tr.nodes[0].parent.is_none());
     }
 
@@ -452,10 +442,7 @@ mod tests {
         let tr = compose_trace();
         let counts = tr.invocation_counts();
         assert_eq!(counts.len(), 4);
-        assert_eq!(
-            counts[&("FrontendNGINX".to_string(), "URLShortenService".to_string())],
-            1
-        );
+        assert_eq!(counts[&("FrontendNGINX", "URLShortenService")], 1);
     }
 
     #[test]
@@ -469,7 +456,7 @@ mod tests {
         let tr = Trace::from_spans(spans).unwrap();
         let counts = tr.invocation_counts();
         assert_eq!(counts.len(), 1);
-        assert_eq!(counts[&("A".to_string(), "B".to_string())], 1);
+        assert_eq!(counts[&("A", "B")], 1);
     }
 
     #[test]
@@ -485,12 +472,13 @@ mod tests {
     }
 
     #[test]
-    fn components_are_deduplicated_and_sorted() {
+    fn a_cloned_trace_shares_its_span_names() {
         let tr = compose_trace();
-        let comps = tr.components();
-        assert_eq!(comps.len(), 5);
-        let mut sorted = comps.clone();
-        sorted.sort_unstable();
-        assert_eq!(comps, sorted);
+        let copy = tr.clone();
+        assert_eq!(copy, tr);
+        for (a, b) in tr.spans().zip(copy.spans()) {
+            assert!(Arc::ptr_eq(&a.component, &b.component));
+            assert!(Arc::ptr_eq(&a.operation, &b.operation));
+        }
     }
 }

@@ -39,11 +39,7 @@ impl VecStore {
     }
 
     fn apis(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .traces
-            .iter()
-            .map(|t| t.root().operation.clone())
-            .collect();
+        let mut v: Vec<String> = self.traces.iter().map(|t| t.api().to_string()).collect();
         v.sort();
         v.dedup();
         v
@@ -53,7 +49,7 @@ impl VecStore {
         let mut v: Vec<String> = self
             .traces
             .iter()
-            .flat_map(|t| t.nodes.iter().map(|n| n.span.component.clone()))
+            .flat_map(|t| t.spans().map(|s| s.component.to_string()))
             .collect();
         v.sort();
         v.dedup();
@@ -67,7 +63,7 @@ impl VecStore {
         let mut v: Vec<Trace> = self
             .traces
             .iter()
-            .filter(|t| t.root().operation == api)
+            .filter(|t| t.api() == api)
             .cloned()
             .collect();
         v.sort_by_key(|t| t.root().start_us);
@@ -89,10 +85,7 @@ impl VecStore {
     }
 
     fn api_trace_count(&self, api: &str) -> usize {
-        self.traces
-            .iter()
-            .filter(|t| t.root().operation == api)
-            .count()
+        self.traces.iter().filter(|t| t.api() == api).count()
     }
 
     /// Mean latency summed in time order, mirroring the arena's summation
@@ -116,8 +109,8 @@ impl VecStore {
         let mut v: Vec<String> = self
             .traces
             .iter()
-            .filter(|t| t.root().operation == api)
-            .flat_map(|t| t.nodes.iter().map(|n| n.span.component.clone()))
+            .filter(|t| t.api() == api)
+            .flat_map(|t| t.spans().map(|s| s.component.to_string()))
             .collect();
         v.sort();
         v.dedup();
@@ -130,7 +123,7 @@ impl VecStore {
         let mut out = HashMap::new();
         for t in &self.traces {
             if (lo..hi).contains(&t.root().start_us) {
-                *out.entry(t.root().operation.clone()).or_insert(0u64) += 1;
+                *out.entry(t.api().to_string()).or_insert(0u64) += 1;
             }
         }
         out
@@ -143,9 +136,9 @@ impl VecStore {
         let mut n = 0;
         for node in &trace.nodes {
             if let Some(p) = node.parent {
-                let from = &trace.nodes[p].span.component;
-                let to = &node.span.component;
-                if from != to && *from == pair.from && *to == pair.to {
+                let from = &*trace.nodes[p].span.component;
+                let to = &*node.span.component;
+                if from != to && from == pair.from && to == pair.to {
                     n += 1;
                 }
             }
@@ -169,7 +162,7 @@ impl VecStore {
             if idx >= window_count {
                 continue;
             }
-            out.entry(t.root().operation.clone())
+            out.entry(t.api().to_string())
                 .or_insert_with(|| vec![0.0; window_count])[idx] += n as f64;
         }
         out
@@ -199,7 +192,7 @@ impl VecStore {
         }
         let mut v: Vec<PairKey> = seen
             .into_iter()
-            .map(|(from, to)| PairKey::new(&from, &to))
+            .map(|(from, to)| PairKey::new(&*from, &*to))
             .collect();
         v.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         v

@@ -466,11 +466,7 @@ fn resident_drift_event_loop_is_pinned() {
     // when day 2 ends: the latest root start does not move, so nothing evicts.
     let end_us = day2.last().unwrap().root().start_us;
     let slow_replay = |api: &str, id_tag: u64| {
-        let mut slow: Vec<Trace> = day2
-            .iter()
-            .filter(|t| t.root().operation == api)
-            .cloned()
-            .collect();
+        let mut slow: Vec<Trace> = day2.iter().filter(|t| t.api() == api).cloned().collect();
         shift_corpus(&mut slow, 0, id_tag);
         for trace in &mut slow {
             let shift_us = end_us - trace.root().start_us;

@@ -99,7 +99,7 @@ fn tenant(seed: u64) -> (AdvisorService, Vec<Trace>) {
 fn slow_replay(corpus: &[Trace], api: &str, offset_us: u64, factor: u64) -> Vec<Trace> {
     corpus
         .iter()
-        .filter(|t| t.root().operation == api)
+        .filter(|t| t.api() == api)
         .cloned()
         .map(|mut t| {
             t.trace_id = TraceId(t.trace_id.0 ^ (1 << 62));
@@ -258,7 +258,7 @@ fn mid_relearn_requests_stay_epoch_consistent() {
     let a_epoch1 = hub.recommend(a, 1).report.plans;
     let b_epoch1 = hub.recommend(b, 1).report.plans;
 
-    let api = corpus[0].root().operation.clone();
+    let api = corpus[0].api().to_string();
     let drift = slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5);
 
     let racing = std::thread::scope(|scope| {
