@@ -100,7 +100,7 @@ const WIDE: Selector = ("uniform-crossover cold points of >= 250 components", |p
 
 /// The gate. CHANGES.md (PR 17) maps every gate of the retired string-scanning
 /// `gate.rs` to a row here, or to the reason it went.
-pub(crate) const RULES: [Rule; 18] = [
+pub(crate) const RULES: [Rule; 19] = [
     // Every output check of the benchmark library: the same front on every
     // op, hub == serial, oracle agreement, a drift replay that fires.
     at_least(EVERY, "ok_ratio", |m| m("ok_ratio"), 1.0),
@@ -150,6 +150,8 @@ pub(crate) const RULES: [Rule; 18] = [
     within(MULTI_SITE, "kernel.scalar_evals_per_s", 2.0),
     within(MULTI_SITE, "eval.offspring_evals_per_s", 2.0),
     within(MULTI_SITE, "telemetry.ingest_traces_per_s", 2.0),
+    // Ingest is most of an op at volume, where a per-span cost shows most.
+    within(VOLUME, "telemetry.ingest_traces_per_s", 2.0),
     within(VOLUME, "learn.atlas_learn_ms", 2.0),
     // A count, the same on every machine: clustering must not start keeping
     // more representatives of the same corpus.

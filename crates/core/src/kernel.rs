@@ -486,7 +486,7 @@ impl<'a> ApiCompiler<'a> {
         // foreground child through every later one that starts before the
         // wave's running end. `rest` holds the children not yet grouped,
         // background ones included and skipped, so nothing is collected.
-        let mut rest: &[usize] = &trace.nodes[node].children;
+        let mut rest = trace.children(node);
         let mut prev_end_orig = orig_start;
         while let Some(first) = rest.iter().position(foreground) {
             rest = &rest[first..];

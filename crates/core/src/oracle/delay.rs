@@ -173,7 +173,7 @@ impl<'a> DelayInjector<'a> {
 
         // Partition children into foreground and background, keeping the
         // original start order (children are already sorted by start time).
-        let children = &trace.nodes[node].children;
+        let children = trace.children(node);
         let foreground: Vec<usize> = children
             .iter()
             .copied()

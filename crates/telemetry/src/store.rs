@@ -545,31 +545,46 @@ mod tests {
         assert_eq!(store.epoch(), 3);
     }
 
-    #[test]
-    fn a_malformed_trace_in_a_batch_is_rejected_and_changes_nothing() {
+    /// A batch of two good traces around `bad` ingests the two, counts
+    /// `bad` as rejected and matches a store that never saw it; that store.
+    fn assert_rejected(bad: Trace) -> TelemetryStore {
         let good = || [trace(1, "/a", 9_000_000, 10), trace(2, "/a", 1_000_000, 20)];
         let reference = TelemetryStore::new();
         reference.ingest_batch(good());
-
-        let mut dangling = trace(3, "/b", 5_000_000, 30);
-        dangling.nodes[1].parent = Some(2);
         let [first, second] = good();
         let store = TelemetryStore::new();
-        let report = store.ingest_batch([first, dangling, second]);
+        let report = store.ingest_batch([first, bad, second]);
         assert_eq!((report.ingested, report.rejected, report.epoch), (2, 1, 1));
-
         assert_eq!(store.span_count(), reference.span_count());
         assert_eq!(store.apis(), reference.apis());
         assert_eq!(store.components(), reference.components());
         assert_eq!(store.traces_for_api("/a"), reference.traces_for_api("/a"));
+        store
+    }
+
+    #[test]
+    fn a_malformed_trace_in_a_batch_is_rejected_and_changes_nothing() {
+        let mut dangling = trace(3, "/b", 5_000_000, 30);
+        dangling.nodes[1].parent = Some(2);
+        let store = assert_rejected(dangling);
 
         // A batch of nothing but malformed traces is no change.
-        let empty = Trace {
-            trace_id: TraceId(4),
-            nodes: Vec::new(),
-        };
-        let report = store.ingest_batch([empty]);
+        let report = store.ingest_batch([Trace::without_nodes(TraceId(4))]);
         assert_eq!((report.ingested, report.rejected, report.epoch), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_trace_with_a_parent_cycle_is_rejected() {
+        let mut self_parent = trace(3, "/b", 5_000_000, 30);
+        self_parent.nodes[1].parent = Some(1);
+        assert_rejected(self_parent);
+    }
+
+    #[test]
+    fn a_trace_with_a_span_id_twice_is_rejected() {
+        let mut duplicate = trace(3, "/b", 5_000_000, 30);
+        duplicate.nodes[1].span.span_id = duplicate.nodes[0].span.span_id;
+        assert_rejected(duplicate);
     }
 
     #[test]

@@ -49,27 +49,39 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// A node of the reconstructed trace tree: a span plus the indices of its
-/// children, ordered by start time.
+/// A node of the reconstructed trace tree: a span, its parent's index and
+/// where its children sit in the trace's one child array
+/// ([`Trace::children`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceNode {
     /// The span stored at this node.
     pub span: Span,
-    /// Indices (into [`Trace::nodes`]) of the children, ordered by start
-    /// timestamp.
-    pub children: Vec<usize>,
     /// Index of the parent node, if any.
     pub parent: Option<usize>,
+    /// Start of this node's children in [`Trace`]'s child array.
+    first_child: u32,
+    /// Number of children.
+    child_count: u32,
 }
 
 /// A fully-assembled distributed trace: a tree of spans rooted at the entry
 /// component that received the API request.
+///
+/// The tree owns two heap blocks whatever its shape: the nodes and one child
+/// array that every node indexes into, so cloning or dropping a trace costs
+/// two allocations, not one per internal node. The child array is built by
+/// [`Trace::from_spans`] from the nodes' `parent` links; a caller that edits
+/// `nodes[i].parent` afterwards leaves [`Trace::children`] describing the
+/// tree as it was assembled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Trace identifier shared by all spans.
     pub trace_id: TraceId,
     /// All nodes; index 0 is always the root.
     pub nodes: Vec<TraceNode>,
+    /// Every node's children, node by node, each run ordered by
+    /// `(start_us, node index)`.
+    children: Vec<usize>,
 }
 
 impl Trace {
@@ -98,26 +110,24 @@ impl Trace {
         }
 
         let mut roots = 0usize;
-        let mut nodes: Vec<TraceNode> = spans
-            .into_iter()
-            .map(|span| TraceNode {
-                span,
-                children: Vec::new(),
-                parent: None,
-            })
-            .collect();
-
-        for i in 0..nodes.len() {
-            match nodes[i].span.parent_id {
-                None => roots += 1,
-                Some(pid) => {
-                    let Some(&pi) = index_of.get(&pid) else {
-                        return Err(TraceError::DanglingParent(nodes[i].span.span_id));
-                    };
-                    nodes[i].parent = Some(pi);
-                    nodes[pi].children.push(i);
+        let mut nodes = Vec::with_capacity(spans.len());
+        for span in spans {
+            let parent = match span.parent_id {
+                None => {
+                    roots += 1;
+                    None
                 }
-            }
+                Some(pid) => match index_of.get(&pid) {
+                    Some(&pi) => Some(pi),
+                    None => return Err(TraceError::DanglingParent(span.span_id)),
+                },
+            };
+            nodes.push(TraceNode {
+                span,
+                parent,
+                first_child: 0,
+                child_count: 0,
+            });
         }
         if roots == 0 {
             return Err(TraceError::MissingRoot);
@@ -129,47 +139,88 @@ impl Trace {
             .iter()
             .position(|n| n.parent.is_none())
             .expect("root existence checked above");
+
+        // Move the root to index 0 for convenient access: swap it with the
+        // first node and rename the two indices in every parent link.
+        let moved = |i: usize| match i {
+            0 => root_idx,
+            i if i == root_idx => 0,
+            i => i,
+        };
+        if root_idx != 0 {
+            nodes.swap(0, root_idx);
+            for node in &mut nodes {
+                node.parent = node.parent.map(moved);
+            }
+        }
+
+        // One child array: count each node's children, lay the runs out in
+        // node order, then fill each run in index order.
+        for i in 0..nodes.len() {
+            if let Some(p) = nodes[i].parent {
+                nodes[p].child_count += 1;
+            }
+        }
+        let mut next = 0u32;
+        for node in &mut nodes {
+            node.first_child = next;
+            next += node.child_count;
+            node.child_count = 0;
+        }
+        let mut children = vec![0usize; nodes.len() - 1];
+        for i in 0..nodes.len() {
+            if let Some(p) = nodes[i].parent {
+                let parent = &mut nodes[p];
+                children[(parent.first_child + parent.child_count) as usize] = i;
+                parent.child_count += 1;
+            }
+        }
+        // Index order is start-time order except where the root moved, so
+        // only then does a run need sorting.
+        if root_idx != 0 {
+            for node in &nodes {
+                let run = node.first_child as usize..(node.first_child + node.child_count) as usize;
+                children[run].sort_by_key(|&c| (nodes[c].span.start_us, c));
+            }
+        }
+        let trace = Self {
+            trace_id,
+            nodes,
+            children,
+        };
+
         // One root and one parent per span still admits a parent cycle
-        // beside the root's tree: walk the tree and name the first span it
-        // misses.
-        let mut reached = vec![false; nodes.len()];
-        let mut stack = vec![root_idx];
+        // beside the root's tree: walk the tree and name the first span (in
+        // start-time order) it misses.
+        let mut reached = vec![false; trace.nodes.len()];
+        let mut stack = vec![0];
         while let Some(i) = stack.pop() {
             reached[i] = true;
-            stack.extend_from_slice(&nodes[i].children);
+            stack.extend_from_slice(trace.children(i));
         }
-        if let Some(i) = reached.iter().position(|&r| !r) {
-            return Err(TraceError::Unreachable(nodes[i].span.span_id));
+        if let Some(i) = (0..reached.len()).map(moved).find(|&i| !reached[i]) {
+            return Err(TraceError::Unreachable(trace.nodes[i].span.span_id));
         }
-        // Children are already in start-time order because the node vector is
-        // sorted by start time and we push in index order.
+        Ok(trace)
+    }
 
-        // Move the root to index 0 for convenient access.
-        if root_idx != 0 {
-            // Rebuild with the root first by remapping indices.
-            let mut order: Vec<usize> = (0..nodes.len()).collect();
-            order.swap(0, root_idx);
-            let mut remap = vec![0usize; nodes.len()];
-            for (new_i, &old_i) in order.iter().enumerate() {
-                remap[old_i] = new_i;
-            }
-            let mut new_nodes: Vec<TraceNode> =
-                order.iter().map(|&old_i| nodes[old_i].clone()).collect();
-            for n in &mut new_nodes {
-                n.parent = n.parent.map(|p| remap[p]);
-                for c in &mut n.children {
-                    *c = remap[*c];
-                }
-            }
-            // Restore child ordering by start time under the new indices.
-            let starts: Vec<Micros> = new_nodes.iter().map(|n| n.span.start_us).collect();
-            for n in &mut new_nodes {
-                n.children.sort_by_key(|&c| (starts[c], c));
-            }
-            nodes = new_nodes;
+    /// A trace of no nodes at all, which [`Trace::from_spans`] never returns:
+    /// the malformed input the arena's and the store's tests feed ingest.
+    #[cfg(test)]
+    pub(crate) fn without_nodes(trace_id: TraceId) -> Self {
+        Self {
+            trace_id,
+            nodes: Vec::new(),
+            children: Vec::new(),
         }
+    }
 
-        Ok(Self { trace_id, nodes })
+    /// Indices (into [`Trace::nodes`]) of node `i`'s children, ordered by
+    /// `(start_us, index)`.
+    pub fn children(&self, i: usize) -> &[usize] {
+        let node = &self.nodes[i];
+        let first = node.first_child as usize;
+        &self.children[first..first + node.child_count as usize]
     }
 
     /// The root span (entry component of the API request).
@@ -216,7 +267,7 @@ impl Trace {
         while let Some(i) = stack.pop() {
             out.push(i);
             // Push children in reverse start order so they pop in order.
-            for &c in self.nodes[i].children.iter().rev() {
+            for &c in self.children(i).iter().rev() {
                 stack.push(c);
             }
         }
@@ -256,12 +307,7 @@ impl Trace {
     /// The depth of the trace tree (root has depth 1).
     pub fn depth(&self) -> usize {
         fn rec(t: &Trace, i: usize) -> usize {
-            1 + t.nodes[i]
-                .children
-                .iter()
-                .map(|&c| rec(t, c))
-                .max()
-                .unwrap_or(0)
+            1 + t.children(i).iter().map(|&c| rec(t, c)).max().unwrap_or(0)
         }
         rec(self, 0)
     }
@@ -337,8 +383,8 @@ mod tests {
     #[test]
     fn children_sorted_by_start_time() {
         let tr = compose_trace();
-        let starts: Vec<u64> = tr.nodes[0]
-            .children
+        let starts: Vec<u64> = tr
+            .children(0)
             .iter()
             .map(|&c| tr.nodes[c].span.start_us)
             .collect();

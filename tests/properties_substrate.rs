@@ -51,6 +51,38 @@ proptest! {
         prop_assert!(invocations <= (trace.len() - 1) as u64);
     }
 
+    /// `Trace::children(i)` is exactly the nodes whose parent is `i`, in
+    /// `(start_us, index)` order, and every parent link names the span's
+    /// parent: over roots that do not start first, equal start times,
+    /// children that start before their parent (clock skew) and span ids
+    /// in any order.
+    #[test]
+    fn children_are_the_nodes_naming_their_parent_in_start_order(
+        parents in prop::collection::vec(0usize..16, 1..16),
+        starts in prop::collection::vec(0u64..6, 16),
+        ids in prop::collection::vec(any::<u64>(), 16),
+    ) {
+        let n = parents.len() + 1;
+        // Distinct ids in a random order: the low bits are the span's place.
+        let id = |i: usize| SpanId((ids[i] << 5) | i as u64);
+        let t = TraceId(1);
+        let spans = (0..n).map(|i| {
+            let parent = (i > 0).then(|| id(parents[i - 1] % i));
+            Span::new(t, id(i), parent, "c", "op", starts[i], 1)
+        });
+        let trace = Trace::from_spans(spans.collect()).expect("a tree assembles");
+        prop_assert!(trace.nodes[0].parent.is_none());
+        for i in 0..n {
+            let node = &trace.nodes[i];
+            let parent = node.parent.map(|p| trace.nodes[p].span.span_id);
+            prop_assert_eq!(parent, node.span.parent_id);
+            let mut expected: Vec<usize> =
+                (0..n).filter(|&j| trace.nodes[j].parent == Some(i)).collect();
+            expected.sort_by_key(|&j| (trace.nodes[j].span.start_us, j));
+            prop_assert_eq!(trace.children(i), &expected[..]);
+        }
+    }
+
     /// NSGA-II survival returns exactly `min(capacity, n)` distinct members
     /// and never keeps a member that is dominated by a discarded one from a
     /// strictly better front.
