@@ -13,9 +13,11 @@ use atlas_apps::{social_network, SocialNetworkOptions};
 use atlas_baselines::{
     AffinityGaAdvisor, GreedyAdvisor, IntMaAdvisor, RandomSearchAdvisor, RemapAdvisor,
 };
+use atlas_core::recommender::CrossoverStrategy;
 use atlas_core::security::check_edge;
 use atlas_core::{
     kl_divergence, DriftDetector, MigrationPlan, PlanQuality, RecommendationReport, Recommender,
+    RecommenderConfig,
 };
 use atlas_sim::{ClusterSpec, OverloadModel, SimConfig, SimReport, Simulator};
 use atlas_telemetry::{Direction, TelemetryStore};
@@ -436,16 +438,22 @@ fn fig20(runs: &Runs) -> Figure {
 }
 
 /// Figure 21: the DRL-based GA vs a plain NSGA-II variant (a), and the
-/// reward progression of the crossover agent (b).
+/// reward progression of the crossover agent (b), both searches on the
+/// default recommendation's configuration with the crossover named.
 fn fig21(runs: &Runs) -> Figure {
-    let (exp, rl) = (&runs.social.exp, &runs.social.report);
+    let exp = &runs.social.exp;
     let mut fig = Figure::new(
         "Figure 21: fronts (q_perf, q_avai, cost) of the DRL GA vs NSGA-II (a) \
          and the agent's mean reward per 10% chunk (b)",
     );
     let config = exp.atlas.config().recommender.clone();
+    let rl = RecommenderConfig {
+        strategy: CrossoverStrategy::ReinforcementLearning,
+        ..config.clone()
+    };
+    let rl = Recommender::new(&exp.quality, rl).recommend();
     let nsga = Recommender::new(&exp.quality, config.with_uniform_crossover()).recommend();
-    for (label, report) in [("atlas-drl-ga", rl), ("nsga2-uniform", &nsga)] {
+    for (label, report) in [("atlas-drl-ga", &rl), ("nsga2-uniform", &nsga)] {
         for p in &report.plans {
             let q = &p.quality;
             let (perf, avai, cost) = (q.performance, q.availability, q.cost);

@@ -35,7 +35,9 @@ pub(crate) const PARALLEL_PROBE_POINT: &str = "250x2";
 /// names (on their own [`resident::SHAPE`]); every other point is cold.
 pub(crate) type Point = (&'static str, Shape);
 
-const fn rl(components: usize, sites: usize) -> Shape {
+/// A point of the component-count ladder: the benchmark's volume, and the
+/// crossover `RecommenderConfig::fast()` selects (uniform).
+const fn ladder(components: usize, sites: usize) -> Shape {
     Shape {
         components,
         sites,
@@ -46,15 +48,15 @@ const fn rl(components: usize, sites: usize) -> Shape {
 
 /// The sweep: the component-count ladder on 2 sites, its 4-site companion,
 /// then the benchmark's own four workloads under their benchmark names
-/// (`cold-firehose` is the high-volume point, `cold-wide` the 500-component
-/// uniform-crossover one).
+/// (`cold-firehose` is the high-volume point, `cold-wide` the 500-component,
+/// 4-site one).
 pub(crate) const POINTS: [Point; 10] = [
-    ("25x2", rl(25, 2)),
-    ("50x2", rl(50, 2)),
-    ("100x2", rl(100, 2)),
-    ("250x2", rl(250, 2)),
-    ("500x2", rl(500, 2)),
-    ("100x4", rl(100, 4)),
+    ("25x2", ladder(25, 2)),
+    ("50x2", ladder(50, 2)),
+    ("100x2", ladder(100, 2)),
+    ("250x2", ladder(250, 2)),
+    ("500x2", ladder(500, 2)),
+    ("100x4", ladder(100, 4)),
     (spec::COLD_FIREHOSE, cold::FIREHOSE),
     (spec::COLD_WIDE, cold::WIDE),
     (spec::RESIDENT_DRIFT, resident::SHAPE),

@@ -238,8 +238,9 @@ impl Atlas {
         )
     }
 
-    /// **Stage 2 — migration recommendation**: run the DRL-based genetic
-    /// algorithm and return the Pareto-optimal plans.
+    /// **Stage 2 — migration recommendation**: run the genetic algorithm
+    /// (with the crossover [`RecommenderConfig::strategy`](crate::recommender::RecommenderConfig)
+    /// selects) and return the Pareto-optimal plans.
     ///
     /// All candidate scoring flows through the cached, batched,
     /// thread-parallel [`crate::eval::PlanEvaluator`]

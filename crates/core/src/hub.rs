@@ -12,11 +12,11 @@
 //! * **One published epoch** — a tenant's service builds one `Arc` per
 //!   model generation (bootstrap or drift-triggered relearn) holding the
 //!   generation, the compiled
-//!   [`QualityModel`](crate::quality::QualityModel), the crossover agent
-//!   trained for it and a *fresh* [`MemoCache`](crate::eval::MemoCache).
-//!   After every service round the hub stores a clone of that same `Arc`
-//!   behind a small lock; it copies nothing out of it, so the model, the
-//!   agent and the generation it serves can only move together.
+//!   [`QualityModel`](crate::quality::QualityModel) and a *fresh*
+//!   [`MemoCache`](crate::eval::MemoCache). After every service round the
+//!   hub stores a clone of that same `Arc` behind a small lock; it copies
+//!   nothing out of it, so the model and the generation it serves can only
+//!   move together.
 //!   A recommendation request ([`AdvisorHub::recommend`]) holds that lock
 //!   only to clone the `Arc`: it never touches the tenant's service mutex,
 //!   so ingest, drift detection and relearn proceed while any number of
@@ -24,17 +24,14 @@
 //!   the epoch it started with even if a relearn lands mid-search. A
 //!   retired epoch is freed when the last request still holding it
 //!   finishes; nothing needs pruning.
-//! * **One training run per epoch** — the crossover agent is a pure
-//!   function of the model and the tenant's recommender configuration, and
-//!   the tenant's service already trains it for its own post-relearn
-//!   recommendation and puts it in the epoch. Every request at the epoch
-//!   searches with it
-//!   ([`Recommender::recommend_trained`]): shared, never cloned, never
-//!   written — a request owns only its activation buffers and its position
-//!   in the sampling stream. A request therefore costs a search, not a
-//!   training run, and still returns the service's own answer bit for bit
-//!   (the agent's training rollouts are replayed into the request's
-//!   budget and archive).
+//! * **A request is one search** with the tenant's recommender
+//!   configuration ([`Recommender::recommend_with`]). Under the default
+//!   uniform crossover nothing is trained anywhere. A tenant that opts into
+//!   the learned crossover agent
+//!   ([`CrossoverStrategy::ReinforcementLearning`](crate::recommender::CrossoverStrategy))
+//!   pays for that on every request: each search trains its own agent
+//!   inline, exactly as the tenant's service did, so the answer is still
+//!   the service's own, bit for bit.
 //! * **Per-epoch shared eval caches** — every request served at one epoch
 //!   warms the same memo cache (scores are pure, so sharing can only add
 //!   cache hits, never change a result), and a new epoch starts from an
@@ -50,9 +47,9 @@
 //!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ Arc<Epoch>
 //!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (clone)
 //!                                                             ▼
-//!   Mutex<Option<Arc<Epoch>>> ──▶ { generation, Arc<QualityModel>, Arc<TrainedCrossover>, MemoCache }
+//!   Mutex<Option<Arc<Epoch>>> ──▶ { generation, Arc<QualityModel>, MemoCache }
 //!                                                             ▲  Arc clone per request
-//!   serve ────── worker pool ── recommend(tenant) ────────────┘  (searches, never trains)
+//!   serve ────── worker pool ── recommend(tenant) ────────────┘  (one search each)
 //! ```
 //!
 //! # Example
@@ -151,7 +148,7 @@ use crate::service::{AdvisorService, Epoch, ServiceEvent};
 /// Lock `mutex`, recovering the guard when a holder panicked. The snapshot
 /// mutex only guards whole assignments, so its data is always valid. A
 /// tenant's service can be left mid-update by a panicking feed; it keeps
-/// serving its last published epoch, and ROADMAP item 2 replaces this
+/// serving its last published epoch, and ROADMAP item 9 replaces this
 /// recovery with tenant quarantine.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -329,15 +326,14 @@ impl AdvisorHub {
     }
 
     /// Answer one recommendation request: take the tenant's published
-    /// snapshot, search with the epoch's trained crossover agent over the
-    /// epoch's shared eval cache with `request_threads` evaluator workers
-    /// (`0` = the tenant's configured count), and stamp the result with the
-    /// epoch it was served at. Nothing is trained here — the service
-    /// trained the agent when it produced the model — and the request
-    /// never touches the tenant's service mutex, so ingest and relearn
-    /// proceed concurrently; a relearn landing mid-request is invisible
-    /// (the request keeps its snapshot — model, agent and cache — alive
-    /// until it returns).
+    /// snapshot, search its model over the epoch's shared eval cache with
+    /// `request_threads` evaluator workers (`0` = the tenant's configured
+    /// count), and stamp the result with the epoch it was served at. The
+    /// request never touches the tenant's service mutex, so ingest and
+    /// relearn proceed concurrently; a relearn landing mid-request is
+    /// invisible (the request keeps its snapshot — model and cache — alive
+    /// until it returns). A tenant that opted into the learned crossover
+    /// agent trains one per request (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -366,8 +362,7 @@ impl AdvisorHub {
         }
         let evaluator = PlanEvaluator::with_shared_cache(&snapshot.model, &snapshot.cache)
             .with_threads(config.threads);
-        let report = Recommender::new(&snapshot.model, config)
-            .recommend_trained(&evaluator, snapshot.policy.as_deref());
+        let report = Recommender::new(&snapshot.model, config).recommend_with(&evaluator);
         HubReport {
             tenant,
             epoch: snapshot.generation,
@@ -429,6 +424,7 @@ mod tests {
     use super::*;
     use crate::advisor::AtlasConfig;
     use crate::preferences::MigrationPreferences;
+    use crate::recommender::CrossoverStrategy;
     use crate::service::AdvisorServiceConfig;
     use atlas_apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
     use atlas_sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
@@ -439,6 +435,11 @@ mod tests {
     /// A small synthetic tenant: its fed (not yet bootstrapped) service
     /// plus the day-1 corpus for drift replays.
     fn tenant(seed: u64) -> (AdvisorService, Vec<Trace>) {
+        tenant_with(seed, CrossoverStrategy::Uniform)
+    }
+
+    /// [`tenant`] with the crossover operator its recommender asks for.
+    fn tenant_with(seed: u64, strategy: CrossoverStrategy) -> (AdvisorService, Vec<Trace>) {
         let options = SynthOptions {
             components: 12,
             shape: CallGraphShape::Layered,
@@ -481,10 +482,11 @@ mod tests {
         atlas.sites = Some(scenario.catalog.clone());
         atlas.traces_per_api = 20;
         atlas.horizon_steps = 6;
-        atlas.recommender = crate::recommender::RecommenderConfig {
+        atlas.recommender = RecommenderConfig {
             population: 8,
             max_visited: 40,
-            ..crate::recommender::RecommenderConfig::fast()
+            strategy,
+            ..RecommenderConfig::fast()
         };
         let preferences = MigrationPreferences::with_cpu_limit(scenario.burst_cpu_limit(5.0, 0.6));
         let mut config = AdvisorServiceConfig::new(atlas, preferences);
@@ -568,11 +570,9 @@ mod tests {
         let after = hub.recommend(t, 1);
         assert_eq!(after.epoch, 2);
         // The epoch-2 cache starts empty: this request computed every plan
-        // it asked for itself (all it visited but the agent's replayed
-        // rollouts), and the cache's lifetime totals are exactly this one
-        // request — nothing was inherited from epoch 1.
-        let unique = after.report.eval.unique_evaluations;
-        assert!(0 < unique && unique <= after.report.visited);
+        // it visited itself, and the cache's lifetime totals are exactly
+        // this one request — nothing was inherited from epoch 1.
+        assert_eq!(after.report.eval.unique_evaluations, after.report.visited);
         let lifetime = hub.tenants[t.0].snapshot().unwrap().cache.stats(1);
         assert_eq!(
             lifetime.unique_evaluations, after.report.eval.unique_evaluations,
@@ -586,8 +586,7 @@ mod tests {
 
     /// A retired epoch is reclaimed while serving through `&self`: with no
     /// request in flight, publishing epoch 2 drops the last reference to
-    /// the epoch-1 model and the agent trained for it (and, with them, the
-    /// epoch-1 cache).
+    /// the epoch-1 model (and, with it, the epoch-1 cache).
     #[test]
     fn retired_epochs_are_freed_without_exclusive_access() {
         let (service, corpus) = tenant(16);
@@ -595,10 +594,9 @@ mod tests {
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
         let epoch1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_model().unwrap()));
-        let policy1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_policy().unwrap()));
         hub.recommend(t, 1);
         assert!(
-            epoch1.upgrade().is_some() && policy1.upgrade().is_some(),
+            epoch1.upgrade().is_some(),
             "epoch 1 is live while published"
         );
 
@@ -609,10 +607,6 @@ mod tests {
         assert!(
             epoch1.upgrade().is_none(),
             "the retired epoch-1 model is still retained"
-        );
-        assert!(
-            policy1.upgrade().is_none(),
-            "the retired epoch-1 crossover agent is still retained"
         );
         assert_eq!(hub.recommend(t, 1).epoch, 2);
     }
@@ -627,12 +621,10 @@ mod tests {
         });
     }
 
-    /// A request answers from the snapshot it took — model, agent and
-    /// cache of one epoch — even when the next epoch is published before
-    /// it finishes; it never searches the old model with the new agent or
-    /// the other way round.
+    /// A request answers from the snapshot it took — model and cache of one
+    /// epoch — even when the next epoch is published before it finishes.
     #[test]
-    fn a_request_keeps_its_epochs_agent_across_a_publish() {
+    fn a_request_keeps_its_epoch_across_a_publish() {
         let (service, corpus) = tenant(17);
         let mut hub = AdvisorHub::new();
         let t = hub.add_tenant("drifty", service);
@@ -656,61 +648,40 @@ mod tests {
         );
         assert_eq!(hub.published_epoch(t), Some(2));
         assert_serves_the_services_epoch(&hub, t);
-        let published = slot.snapshot().expect("republished by the feed");
-        let (old, new) = (taken.policy.as_ref(), published.policy.as_ref());
-        assert!(
-            !Arc::ptr_eq(old.unwrap(), new.unwrap()),
-            "one agent per epoch"
-        );
 
         let late = AdvisorHub::answer(slot, t, &taken, 1);
         assert_eq!(late.epoch, 1);
         assert_eq!(late.report.plans, on_time.report.plans);
         assert_eq!(late.report.visited, on_time.report.visited);
-        assert_eq!(
-            late.report.reward_progression,
-            on_time.report.reward_progression
-        );
         let after = hub.recommend(t, 1);
         let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().clone());
         assert_eq!(after.epoch, 2);
         assert_eq!(after.report.plans, serial.plans);
-        assert_eq!(after.report.reward_progression, serial.reward_progression);
     }
 
-    /// A hub request trains nothing: it bills no training time, and what it
-    /// asks the evaluator for is the initial population and the offspring —
-    /// the agent's rollouts come with the published epoch.
+    /// A tenant that opted into the learned crossover agent gets its serial
+    /// service's answer — plans, `visited` and the agent's reward curve —
+    /// and pays for it: every request trains an agent of its own.
     #[test]
-    fn requests_search_with_the_published_agent_and_never_train() {
+    fn a_tenant_that_opts_into_rl_gets_its_services_answer() {
         let mut hub = AdvisorHub::new();
-        let t = hub.add_tenant("steady", tenant(18).0);
+        let (service, _) = tenant_with(18, CrossoverStrategy::ReinforcementLearning);
+        let t = hub.add_tenant("learned", service);
         hub.bootstrap(t);
-        let (serial, policy) = hub.with_tenant(t, |s| {
-            (
-                s.recommendation().unwrap().clone(),
-                s.shared_policy().unwrap(),
-            )
-        });
-        // The service's own run paid for training, and says so.
-        assert!(serial.stages.rl_train_ms > 0.0);
-        assert_eq!(serial.stages.rl_train_ms, policy.train_ms());
+        let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().clone());
+        assert!(!serial.reward_progression.is_empty());
         for _ in 0..2 {
             let served = hub.recommend(t, 1).report;
-            assert_eq!(served.stages.rl_train_ms, 0.0);
             assert_eq!(served.plans, serial.plans);
             assert_eq!(served.visited, serial.visited);
-            assert_eq!(served.reward_progression, policy.reward_progression());
-            assert_eq!(
-                served.eval.requests() + policy.rollouts().len(),
-                serial.eval.requests()
-            );
+            assert_eq!(served.reward_progression, serial.reward_progression);
+            assert!(served.stages.rl_train_ms > 0.0);
         }
     }
 
     /// A panic under a tenant's service lock poisons the mutex; the hub
     /// recovers the guard, so the tenant still ingests and both tenants
-    /// still answer, with the fronts they had before. (ROADMAP item 2 will
+    /// still answer, with the fronts they had before. (ROADMAP item 9 will
     /// change the first half on purpose: the tenant gets quarantined.)
     #[test]
     fn a_panic_under_the_service_lock_does_not_wedge_the_hub() {

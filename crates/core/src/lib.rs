@@ -20,8 +20,9 @@
 //!    wraps the quality model in a cached, batched, thread-parallel
 //!    evaluation layer shared by every search path, [`MigrationPlan`] and
 //!    [`preferences`] describe plans and constraints (Eq. 4),
-//!    [`rl_crossover`] trains the reward-driven crossover agent (Eq. 5) and
-//!    [`recommender`] runs the DRL-based genetic algorithm;
+//!    [`recommender`] runs the genetic algorithm — NSGA-II with uniform
+//!    crossover by default, or with the reward-driven crossover agent of
+//!    [`rl_crossover`] (Eq. 5) when asked for;
 //!    [`hierarchy`] organises the Pareto-optimal plans into a dendrogram for
 //!    selection (§4.2.2).
 //! 3. **Post-migration monitoring** — [`monitor`] detects latency-
@@ -76,6 +77,6 @@ pub use recommender::{
     random_site, RecommendationReport, Recommender, RecommenderConfig, SearchStages,
     ARCHIVE_CAPACITY,
 };
-pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
+pub use rl_crossover::{CrossoverAgent, RlCrossoverConfig};
 pub use security::BreachReport;
 pub use service::{AdvisorService, AdvisorServiceConfig, PlanDelta, ServiceEvent};

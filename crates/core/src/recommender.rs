@@ -18,28 +18,19 @@
 //! Pareto-optimal plan discovered early can no longer be displaced from
 //! the answer by later population churn.
 //!
-//! # Train once, search many times
+//! # Uniform crossover by default; the agent is opt-in
 //!
-//! The paper trains Λ_θ while it learns the application and only *uses* it
-//! when a recommendation is asked for. The recommender is split the same
-//! way: [`Recommender::train`] turns the scored initial population into a
-//! [`TrainedCrossover`] — a pure function of the model and the
-//! configuration, so one artefact serves a whole model epoch — and one
-//! search body runs with whatever artefact it is handed.
-//! [`Recommender::recommend`] / [`Recommender::recommend_with`] train and
-//! then call that body; [`Recommender::recommend_trained`] calls it with an
-//! artefact trained earlier (the hub's path) and never trains.
-//!
-//! The training rollouts are part of the recommendation — their unique
-//! plans spend budget and their feasible plans compete for the front — so
-//! they travel in the artefact and the body replays them into its own
-//! visited set, request count and archive, in training order, before the
-//! first generation. The budget therefore stays request-local whether
-//! training ran a moment ago or once for the epoch, and both entry points
-//! return the same plans, `visited` and `reward_progression`, bit for bit
-//! (pinned by property test). What differs is the bill: a run that trained
-//! reports the training time and the rollouts' scoring, a run that was
-//! handed the artefact reports neither.
+//! [`RecommenderConfig::default`] and [`RecommenderConfig::fast`] select
+//! [`CrossoverStrategy::Uniform`], the NSGA-II baseline of paper Fig. 21a:
+//! on this reproduction the learned agent never beat it, at the
+//! benchmark's settings or at any budget from 250 to 10,000 plans, and it
+//! cost most of each request's time. [`CrossoverStrategy::ReinforcementLearning`]
+//! asks for the agent by name. Such a run trains a fresh agent inline,
+//! right after the initial population, on every call — there is no
+//! trained artefact to share across requests. The training rollouts are
+//! part of the recommendation: each is scored, counted against the
+//! budget and offered to the archive as it is drawn, and the generations
+//! then sample the trained agent for their offspring.
 
 use std::time::{Duration, Instant};
 
@@ -54,7 +45,7 @@ use atlas_sim::SiteId;
 
 use crate::eval::{EvalStats, PlanEvaluator, PlanKeySet};
 use crate::quality::{PlanQuality, QualityModel, RecommendedPlan};
-use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig, TrainedCrossover};
+use crate::rl_crossover::{CrossoverAgent, RlCrossoverConfig};
 use crate::MigrationPlan;
 
 /// Capacity of the external non-dominated archive accumulating every
@@ -66,9 +57,11 @@ pub const ARCHIVE_CAPACITY: usize = 256;
 /// Which crossover operator the search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossoverStrategy {
-    /// The reward-driven learned crossover (Atlas).
+    /// The reward-driven learned crossover (Atlas), trained inline on every
+    /// run that asks for it.
     ReinforcementLearning,
-    /// Plain uniform crossover + mutation (NSGA-II baseline of Figure 21a).
+    /// Plain uniform crossover + mutation (NSGA-II baseline of Figure 21a);
+    /// the default.
     Uniform,
 }
 
@@ -106,7 +99,7 @@ impl Default for RecommenderConfig {
             population: 100,
             max_visited: 10_000,
             mutation_rate: 0.02,
-            strategy: CrossoverStrategy::ReinforcementLearning,
+            strategy: CrossoverStrategy::Uniform,
             rl: RlCrossoverConfig::default(),
             seed: 23,
             threads: 0,
@@ -121,7 +114,7 @@ impl RecommenderConfig {
             population: 24,
             max_visited: 600,
             mutation_rate: 0.03,
-            strategy: CrossoverStrategy::ReinforcementLearning,
+            strategy: CrossoverStrategy::Uniform,
             rl: RlCrossoverConfig {
                 iterations: 120,
                 actor_hidden: vec![48, 48],
@@ -132,7 +125,8 @@ impl RecommenderConfig {
         }
     }
 
-    /// Switch to plain uniform crossover (builder style).
+    /// Select plain uniform crossover (builder style). It is already the
+    /// default; the builder names the choice where a caller depends on it.
     pub fn with_uniform_crossover(mut self) -> Self {
         self.strategy = CrossoverStrategy::Uniform;
         self
@@ -163,10 +157,7 @@ pub struct SearchStages {
     pub init_ms: f64,
     /// Building and training the crossover agent — parent sampling, policy
     /// sampling, policy-gradient updates — without the time its rollout
-    /// children spent being scored. Zero for uniform crossover, and zero
-    /// for a run that was handed an agent trained earlier
-    /// ([`Recommender::recommend_trained`]): the run that trained it
-    /// reports the cost.
+    /// children spent being scored. Zero for uniform crossover.
     pub rl_train_ms: f64,
     /// The crossover operator producing offspring: policy inference for the
     /// learned agent, the coin flips for uniform crossover.
@@ -181,14 +172,12 @@ pub struct RecommendationReport {
     /// The Pareto-optimal plans found, sorted by predicted performance.
     pub plans: Vec<RecommendedPlan>,
     /// Number of *distinct* candidate plans behind this recommendation —
-    /// initial population, training rollouts (scored by this run or
-    /// replayed from the agent it was handed) and offspring: what the
+    /// initial population, training rollouts and offspring: what the
     /// [`RecommenderConfig::max_visited`] budget counts. Request-local:
     /// independent of cache warmth or concurrent sharing.
     pub visited: usize,
     /// Reward progression of the crossover agent (empty for uniform
-    /// crossover) — the curve of paper Figure 21b. A run handed an agent
-    /// trained earlier reports that agent's curve.
+    /// crossover) — the curve of paper Figure 21b.
     pub reward_progression: Vec<f64>,
     /// Per-request evaluation statistics: the computes, cache hits and
     /// scoring wall time attributable to *this run alone*, exact even when
@@ -235,15 +224,6 @@ pub struct Recommender<'a> {
     config: RecommenderConfig,
 }
 
-/// What ① leaves behind: the initial population, scored, and the search's
-/// random stream positioned after its draws. Training reads it; the search
-/// body consumes it.
-struct InitialPopulation {
-    population: Vec<RecommendedPlan>,
-    rng: StdRng,
-    init_ms: f64,
-}
-
 /// Count `plan` against the request-local budget (cloning it only the first
 /// time it is seen).
 fn mark_seen(seen: &mut PlanKeySet<MigrationPlan>, plan: &MigrationPlan) {
@@ -258,8 +238,7 @@ impl<'a> Recommender<'a> {
         Self { quality, config }
     }
 
-    /// Train the crossover agent, then search with it, and return the
-    /// Pareto-optimal recommendations.
+    /// Run the search and return the Pareto-optimal recommendations.
     ///
     /// All scoring goes through a fresh [`PlanEvaluator`] with
     /// [`RecommenderConfig::threads`] workers; use [`Self::recommend_with`]
@@ -279,141 +258,7 @@ impl<'a> Recommender<'a> {
     /// this). [`RecommendationReport::eval`] likewise reports only this
     /// run's computes and hits.
     pub fn recommend_with(&self, evaluator: &PlanEvaluator<'_>) -> RecommendationReport {
-        self.train_and_recommend(evaluator).1
-    }
-
-    /// [`Self::recommend_with`], also handing back the agent it trained so
-    /// later requests at the same model can [`Self::recommend_trained`]
-    /// with it instead of training again. The report is that of a run that
-    /// trained: [`SearchStages::rl_train_ms`] is the training time and
-    /// [`RecommendationReport::eval`] includes the rollouts' scoring.
-    pub fn train_and_recommend(
-        &self,
-        evaluator: &PlanEvaluator<'_>,
-    ) -> (Option<TrainedCrossover>, RecommendationReport) {
         let local_start = evaluator.stats();
-        let initial = self.initial_population(evaluator);
-        let trained = self.train_on(&initial, evaluator);
-        let mut report = self.search(evaluator, local_start, initial, trained.as_ref());
-        report.stages.rl_train_ms = trained.as_ref().map_or(0.0, TrainedCrossover::train_ms);
-        (trained, report)
-    }
-
-    /// Train the crossover agent on the initial population (the paper
-    /// trains Λ_θ during the application-learning phase) without searching.
-    /// The artefact is a pure function of the model and this recommender's
-    /// configuration — the initial population comes from
-    /// [`RecommenderConfig::seed`], the agent from
-    /// [`RecommenderConfig::rl`] — so it is valid for every request at
-    /// this model epoch. `None` when there is nothing to train: uniform
-    /// crossover, fewer than two plans to pair, or no budget left after the
-    /// initial population.
-    pub fn train(&self, evaluator: &PlanEvaluator<'_>) -> Option<TrainedCrossover> {
-        self.train_on(&self.initial_population(evaluator), evaluator)
-    }
-
-    /// Search with an agent trained earlier by [`Self::train`] (or
-    /// [`Self::train_and_recommend`]) *on this model with this
-    /// configuration*; `None` searches with uniform crossover. Nothing is
-    /// trained and the artefact is not written to. The training rollouts
-    /// recorded in the artefact are replayed into this run's visited set,
-    /// request count and archive at the point training used to run, so the
-    /// budget stays request-local and plans, `visited` and
-    /// `reward_progression` are bit-identical to [`Self::recommend_with`];
-    /// [`SearchStages::rl_train_ms`] is `0.0` and
-    /// [`RecommendationReport::eval`] counts what this run asked the
-    /// evaluator for — the initial population and the offspring, not the
-    /// replayed rollouts.
-    pub fn recommend_trained(
-        &self,
-        evaluator: &PlanEvaluator<'_>,
-        trained: Option<&TrainedCrossover>,
-    ) -> RecommendationReport {
-        let local_start = evaluator.stats();
-        let initial = self.initial_population(evaluator);
-        self.search(evaluator, local_start, initial, trained)
-    }
-
-    /// ① Population initialisation: random plans that respect the pins
-    /// (cheap to enforce up-front) with varying off-prem fractions.
-    /// Off-prem genes pick their site uniformly; in the two-site model the
-    /// site is forced (no extra draw), preserving the historical random
-    /// stream.
-    fn initial_population(&self, evaluator: &PlanEvaluator<'_>) -> InitialPopulation {
-        let n = self.quality.component_count();
-        let site_count = self.quality.site_count();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let init_start = Instant::now();
-        let mut seeds: Vec<MigrationPlan> = Vec::with_capacity(self.config.population);
-        while seeds.len() < self.config.population {
-            let cloud_fraction = rng.gen_range(0.05..0.95);
-            let mut sites: Vec<SiteId> = (0..n)
-                .map(|_| random_site(&mut rng, cloud_fraction, site_count))
-                .collect();
-            self.quality.preferences().apply_pins(&mut sites);
-            seeds.push(MigrationPlan::from_sites(sites));
-        }
-        let init_ms = millis(init_start.elapsed());
-        let qualities = evaluator.evaluate_batch(&seeds);
-        let population = (seeds.into_iter().zip(qualities))
-            .map(|(plan, quality)| RecommendedPlan { plan, quality })
-            .collect();
-        InitialPopulation {
-            population,
-            rng,
-            init_ms,
-        }
-    }
-
-    /// Train the agent on the scored initial population. Parent qualities
-    /// come from the scored population; each rollout child is scored
-    /// through the evaluator and recorded with its quality for the search
-    /// to replay.
-    fn train_on(
-        &self,
-        initial: &InitialPopulation,
-        evaluator: &PlanEvaluator<'_>,
-    ) -> Option<TrainedCrossover> {
-        let population = &initial.population;
-        let distinct: PlanKeySet<&MigrationPlan> = population.iter().map(|m| &m.plan).collect();
-        let remaining = self.config.max_visited.saturating_sub(distinct.len());
-        if self.config.strategy != CrossoverStrategy::ReinforcementLearning
-            || population.len() < 2
-            || remaining == 0
-        {
-            return None;
-        }
-        let train_start = Instant::now();
-        let mut scoring = Duration::ZERO;
-        let mut rl_config = self.config.rl.clone();
-        // Keep training within half of the remaining budget.
-        rl_config.iterations = rl_config.iterations.min((remaining / 2).max(1));
-        let mut rollouts = Vec::with_capacity(rl_config.iterations);
-        let mut agent = CrossoverAgent::new(self.quality.component_count(), rl_config)
-            .with_site_count(self.quality.site_count());
-        agent.train_scored(population, |_, _, child| {
-            let scoring_start = Instant::now();
-            let quality = evaluator.evaluate(child);
-            rollouts.push(RecommendedPlan {
-                plan: child.clone(),
-                quality,
-            });
-            scoring += scoring_start.elapsed();
-            quality
-        });
-        let train_ms = millis(train_start.elapsed().saturating_sub(scoring));
-        Some(agent.into_trained(rollouts, train_ms))
-    }
-
-    /// ②–⑤ The one search body, run with whatever agent it is handed —
-    /// freshly trained by the caller, shared from an earlier run, or none.
-    fn search(
-        &self,
-        evaluator: &PlanEvaluator<'_>,
-        local_start: EvalStats,
-        initial: InitialPopulation,
-        trained: Option<&TrainedCrossover>,
-    ) -> RecommendationReport {
         // The gene alphabet of the search: every site of the catalog. On
         // the paper's testbed this is {on-prem, cloud}: uniform crossover
         // draws one bool per gene at any alphabet size and the alphabet
@@ -421,11 +266,7 @@ impl<'a> Recommender<'a> {
         // on the random stream their recorded fronts were found on.
         let site_alphabet: Vec<SiteId> =
             (0..self.quality.site_count() as u16).map(SiteId).collect();
-        let InitialPopulation {
-            mut population,
-            mut rng,
-            init_ms,
-        } = initial;
+        let (mut population, mut rng, init_ms) = self.initial_population(evaluator);
         let mut stages = SearchStages {
             init_ms,
             ..SearchStages::default()
@@ -453,23 +294,26 @@ impl<'a> Recommender<'a> {
             }
         }
 
-        // The agent's training rollouts are plans this recommendation
-        // visited: unique ones count against the budget and feasible ones
-        // compete for the front, whether training ran a moment ago or once
-        // for the whole model epoch. Replaying them here, in training
-        // order, is what keeps the budget request-local.
-        let mut sampler = None;
-        let mut reward_progression = Vec::new();
-        if let Some(trained) = trained {
-            for rollout in trained.rollouts() {
-                mark_seen(&mut seen, &rollout.plan);
-                if rollout.quality.feasible {
-                    archive.insert(&rollout.plan, rollout.quality.objectives());
+        // The learned agent, when asked for, is built and trained here.
+        // Parent qualities come from the scored population; each rollout
+        // child is scored, counted against the budget and offered to the
+        // archive as it is drawn.
+        let train_start = Instant::now();
+        let mut agent = self.untrained_agent(&population, seen.len());
+        if let Some(agent) = &mut agent {
+            let mut scoring = Duration::ZERO;
+            agent.train_scored(&population, |_, _, child| {
+                let scoring_start = Instant::now();
+                let quality = evaluator.evaluate(child);
+                scoring += scoring_start.elapsed();
+                mark_seen(&mut seen, child);
+                requested += 1;
+                if quality.feasible {
+                    archive.insert(child, quality.objectives());
                 }
-            }
-            requested += trained.rollouts().len();
-            reward_progression = trained.reward_progression().to_vec();
-            sampler = Some(trained.sampler());
+                quality
+            });
+            stages.rl_train_ms = millis(train_start.elapsed().saturating_sub(scoring));
         }
 
         // Generations: evaluate, survive, pair, cross over. One fused
@@ -497,8 +341,8 @@ impl<'a> Recommender<'a> {
                 let b = binary_tournament(&mut rng, &rank, &crowding);
                 let crossover_start = Instant::now();
                 let (parent_a, parent_b) = (population[a].sites(), population[b].sites());
-                let mut sites = match &mut sampler {
-                    Some(sampler) => sampler.crossover_sites(parent_a, parent_b),
+                let mut sites = match &mut agent {
+                    Some(agent) => agent.crossover_sites(parent_a, parent_b),
                     None => uniform_crossover(&mut rng, parent_a, parent_b),
                 };
                 stages.crossover_ms += millis(crossover_start.elapsed());
@@ -558,10 +402,64 @@ impl<'a> Recommender<'a> {
         RecommendationReport {
             plans,
             visited: seen.len(),
-            reward_progression,
+            reward_progression: agent.map_or_else(Vec::new, |a| a.reward_history().to_vec()),
             eval: evaluator.stats().since(&local_start),
             stages,
         }
+    }
+
+    /// ① Population initialisation: random plans that respect the pins
+    /// (cheap to enforce up-front) with varying off-prem fractions, scored.
+    /// Off-prem genes pick their site uniformly; in the two-site model the
+    /// site is forced (no extra draw), preserving the historical random
+    /// stream. Returns the population, the search's random stream
+    /// positioned after its draws, and the milliseconds spent drawing.
+    fn initial_population(
+        &self,
+        evaluator: &PlanEvaluator<'_>,
+    ) -> (Vec<RecommendedPlan>, StdRng, f64) {
+        let n = self.quality.component_count();
+        let site_count = self.quality.site_count();
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let init_start = Instant::now();
+        let mut seeds: Vec<MigrationPlan> = Vec::with_capacity(self.config.population);
+        while seeds.len() < self.config.population {
+            let cloud_fraction = rng.gen_range(0.05..0.95);
+            let mut sites: Vec<SiteId> = (0..n)
+                .map(|_| random_site(&mut rng, cloud_fraction, site_count))
+                .collect();
+            self.quality.preferences().apply_pins(&mut sites);
+            seeds.push(MigrationPlan::from_sites(sites));
+        }
+        let init_ms = millis(init_start.elapsed());
+        let qualities = evaluator.evaluate_batch(&seeds);
+        let population = (seeds.into_iter().zip(qualities))
+            .map(|(plan, quality)| RecommendedPlan { plan, quality })
+            .collect();
+        (population, rng, init_ms)
+    }
+
+    /// The untrained crossover agent for this run, or `None` when there is
+    /// nothing to train: uniform crossover, fewer than two plans to pair,
+    /// or no budget left after the `visited` plans of the initial
+    /// population. Training is capped at half of the remaining budget.
+    fn untrained_agent(
+        &self,
+        population: &[RecommendedPlan],
+        visited: usize,
+    ) -> Option<CrossoverAgent> {
+        let remaining = self.config.max_visited.saturating_sub(visited);
+        if self.config.strategy != CrossoverStrategy::ReinforcementLearning
+            || population.len() < 2
+            || remaining == 0
+        {
+            return None;
+        }
+        let mut rl_config = self.config.rl.clone();
+        rl_config.iterations = rl_config.iterations.min((remaining / 2).max(1));
+        let agent = CrossoverAgent::new(self.quality.component_count(), rl_config)
+            .with_site_count(self.quality.site_count());
+        Some(agent)
     }
 }
 
@@ -645,6 +543,14 @@ mod tests {
     /// the burst demand, and user data must stay on-prem.
     fn burst_preferences(quality_cpu_limit: f64) -> MigrationPreferences {
         MigrationPreferences::with_cpu_limit(quality_cpu_limit)
+    }
+
+    /// [`RecommenderConfig::fast`] with the learned agent asked for by name.
+    fn fast_rl() -> RecommenderConfig {
+        RecommenderConfig {
+            strategy: CrossoverStrategy::ReinforcementLearning,
+            ..RecommenderConfig::fast()
+        }
     }
 
     #[test]
@@ -747,7 +653,7 @@ mod tests {
     #[test]
     fn budget_counts_unique_evaluations_and_reports_cache_hits() {
         let quality = build_quality(burst_preferences(12.0));
-        let report = Recommender::new(&quality, RecommenderConfig::fast()).recommend();
+        let report = Recommender::new(&quality, fast_rl()).recommend();
         assert!(report.visited <= RecommenderConfig::fast().max_visited);
         assert_eq!(report.visited, report.eval.unique_evaluations);
         // The RL trainer re-scores the just-evaluated initial population, so
@@ -789,16 +695,16 @@ mod tests {
     }
 
     /// Degenerate budgets train nothing instead of panicking or
-    /// overspending: one plan cannot be paired, and a budget the initial
-    /// population already used up leaves no rollout to pay for. Both fall
-    /// back to uniform crossover.
+    /// overspending, even when the agent is asked for: one plan cannot be
+    /// paired, and a budget the initial population already used up leaves
+    /// no rollout to pay for. Both fall back to uniform crossover.
     #[test]
     fn degenerate_budgets_skip_training() {
         let quality = build_quality(burst_preferences(12.0));
         let single = RecommenderConfig {
             population: 1,
             max_visited: 12,
-            ..RecommenderConfig::fast()
+            ..fast_rl()
         };
         let report = Recommender::new(&quality, single).recommend();
         assert!(report.reward_progression.is_empty());
@@ -807,12 +713,9 @@ mod tests {
         let spent = RecommenderConfig {
             population: 8,
             max_visited: 8,
-            ..RecommenderConfig::fast()
+            ..fast_rl()
         };
-        let recommender = Recommender::new(&quality, spent);
-        let evaluator = crate::eval::PlanEvaluator::new(&quality);
-        assert!(recommender.train(&evaluator).is_none());
-        let report = recommender.recommend_with(&evaluator);
+        let report = Recommender::new(&quality, spent).recommend();
         assert!(
             report.visited <= 8,
             "visited {} > max_visited",
@@ -824,12 +727,13 @@ mod tests {
 
     #[test]
     fn rl_strategy_records_reward_progression_and_uniform_does_not() {
+        for default in [RecommenderConfig::default(), RecommenderConfig::fast()] {
+            assert_eq!(default.strategy, CrossoverStrategy::Uniform);
+        }
         let quality = build_quality(burst_preferences(12.0));
-        let rl = Recommender::new(&quality, RecommenderConfig::fast()).recommend();
+        let rl = Recommender::new(&quality, fast_rl()).recommend();
         assert!(!rl.reward_progression.is_empty());
-        let uniform =
-            Recommender::new(&quality, RecommenderConfig::fast().with_uniform_crossover())
-                .recommend();
+        let uniform = Recommender::new(&quality, RecommenderConfig::fast()).recommend();
         assert!(uniform.reward_progression.is_empty());
         assert!(!uniform.plans.is_empty());
 

@@ -10,30 +10,17 @@
 //! Reward(p; p_i, p_j) = (−1)^{1−λ(p)} · Σ_Q 𝟙[ min(Q(p_i), Q(p_j)) > Q(p) ]
 //! ```
 //!
-//! Two types split the agent's life the way the paper does: a
-//! [`CrossoverAgent`] is the agent *while it trains* (actor, critic, both
-//! optimizers, every training buffer), and the recommender ends that by
-//! reducing it to a [`TrainedCrossover`] — the inference-only artefact a
-//! recommendation uses. The artefact holds
-//!
-//! * the actor's weights ([`atlas_nn::Policy`]), read through `&self`;
-//! * the policy-sampling random stream as training left it;
-//! * the training rollouts — every child the policy proposed, with the
-//!   quality it scored — and the reward curve.
-//!
-//! It is a pure function of (model, recommender config), so it is built
-//! once per model epoch and shared behind an `Arc`: each search takes a
-//! sampler that owns its activation buffers and its own copy of the random
-//! stream, and never writes to the artefact. The rollouts are
-//! kept because the search counts them: they are plans the recommendation
-//! visited, so a search that uses the artefact replays them into its own
-//! budget and archive (see [`Recommender`](crate::recommender::Recommender))
-//! and returns exactly the front it would have found by training inline.
+//! The agent is opt-in
+//! ([`CrossoverStrategy::ReinforcementLearning`](crate::recommender::CrossoverStrategy)):
+//! a recommender that asks for it builds one [`CrossoverAgent`] per run,
+//! trains it on the scored initial population with
+//! [`CrossoverAgent::train_scored`] and then samples it for every
+//! generation's offspring with [`CrossoverAgent::crossover_sites`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use atlas_nn::{Activations, ActorCritic, ActorCriticConfig, Policy};
+use atlas_nn::{ActorCritic, ActorCriticConfig};
 
 use atlas_sim::{ComponentId, SiteId};
 
@@ -194,27 +181,6 @@ impl CrossoverAgent {
         child_sites_of(self.site_count, &self.action, parent_a, parent_b).collect()
     }
 
-    /// End training and keep what inference needs: the actor's weights
-    /// (moved, not copied), the policy-sampling stream where it stands, the
-    /// reward curve — plus the `rollouts` the caller observed through
-    /// [`Self::train_scored`]'s closure and the `train_ms` it measured.
-    /// The critic, both optimizers and every training buffer are dropped.
-    pub(crate) fn into_trained(
-        self,
-        rollouts: Vec<RecommendedPlan>,
-        train_ms: f64,
-    ) -> TrainedCrossover {
-        let (policy, rng) = self.agent.into_policy();
-        TrainedCrossover {
-            policy,
-            rng,
-            site_count: self.site_count,
-            rollouts,
-            reward_progression: self.reward_history,
-            train_ms,
-        }
-    }
-
     /// All rewards observed during training, in order.
     pub fn reward_history(&self) -> &[f64] {
         &self.reward_history
@@ -253,85 +219,6 @@ fn child_sites_of<'a>(
         (false, true) => a[i],
         (false, false) => b[i],
     })
-}
-
-/// A crossover agent whose training has ended, reduced to what a search
-/// needs (see the [module docs](self)): immutable, `Sync`, and shared —
-/// not cloned — by every search at the model epoch it was trained for.
-#[derive(Debug)]
-pub struct TrainedCrossover {
-    policy: Policy,
-    /// The policy-sampling stream as training left it; every sampler starts
-    /// from a copy.
-    rng: StdRng,
-    site_count: usize,
-    rollouts: Vec<RecommendedPlan>,
-    reward_progression: Vec<f64>,
-    train_ms: f64,
-}
-
-impl TrainedCrossover {
-    /// The training rollouts — each child the policy proposed, with the
-    /// quality the evaluator gave it — in training order.
-    pub fn rollouts(&self) -> &[RecommendedPlan] {
-        &self.rollouts
-    }
-
-    /// The reward of each training iteration (paper Figure 21b).
-    pub fn reward_progression(&self) -> &[f64] {
-        &self.reward_progression
-    }
-
-    /// Wall-clock milliseconds the training run spent outside plan scoring
-    /// (what [`SearchStages::rl_train_ms`](crate::recommender::SearchStages)
-    /// reports for the run that trained).
-    pub fn train_ms(&self) -> f64 {
-        self.train_ms
-    }
-
-    /// A sampler over the shared policy, positioned where training ended.
-    /// Samplers are independent: each replays the same stream.
-    pub(crate) fn sampler(&self) -> CrossoverSampler<'_> {
-        CrossoverSampler {
-            trained: self,
-            rng: self.rng.clone(),
-            activations: self.policy.activations(),
-            state: Vec::with_capacity(self.policy.state_dim()),
-            action: Vec::with_capacity(self.policy.action_dim()),
-        }
-    }
-}
-
-/// One search's handle on a [`TrainedCrossover`]: the activation buffers
-/// and the random-stream position are its own, the weights are borrowed.
-#[derive(Debug)]
-pub(crate) struct CrossoverSampler<'a> {
-    trained: &'a TrainedCrossover,
-    rng: StdRng,
-    activations: Activations,
-    state: Vec<f64>,
-    action: Vec<bool>,
-}
-
-impl CrossoverSampler<'_> {
-    /// [`CrossoverAgent::crossover_sites`] on the shared policy: the same
-    /// child, from the same draws, that the agent itself would have
-    /// produced at this point of its stream.
-    pub(crate) fn crossover_sites(
-        &mut self,
-        parent_a: &[SiteId],
-        parent_b: &[SiteId],
-    ) -> Vec<SiteId> {
-        let trained = self.trained;
-        load_state(&mut self.state, trained.site_count, parent_a, parent_b);
-        trained.policy.sample_into(
-            &mut self.activations,
-            &mut self.rng,
-            &self.state,
-            &mut self.action,
-        );
-        child_sites_of(trained.site_count, &self.action, parent_a, parent_b).collect()
-    }
 }
 
 #[cfg(test)]

@@ -25,19 +25,17 @@
 //!            Atlas::quality_model (kernel compiled cold)
 //!                                     │
 //!                                     ▼
-//!     Recommender::train_and_recommend ──▶ TrainedCrossover
+//!                        Recommender::recommend
 //!                                     │
 //!                                     ▼
-//!      one Arc<Epoch> { generation, model, policy, empty eval cache }
+//!         one Arc<Epoch> { generation, model, empty eval cache }
 //! ```
 //!
 //! What the service publishes is one epoch: the model generation, the
-//! compiled model, the crossover agent trained for it by the service's own
-//! re-recommendation and an eval cache for the requests a serving layer
-//! (the multi-tenant [`hub`](crate::hub)) answers at that generation. The
-//! epoch is built only after training returns, so a model is never seen
-//! with another generation's agent, and it is never mutated: a relearn
-//! builds the next one. The hub serves the same `Arc`.
+//! compiled model and an eval cache for the requests a serving layer (the
+//! multi-tenant [`hub`](crate::hub)) answers at that generation. The epoch
+//! is built after the service's own re-recommendation returns and is never
+//! mutated: a relearn builds the next one. The hub serves the same `Arc`.
 //!
 //! [`AdvisorService::feed`] and [`AdvisorService::bootstrap`] return the
 //! [`ServiceEvent`]s of their round, so a caller replaying a day of traffic
@@ -53,12 +51,11 @@ use atlas_sim::{Placement, SiteId};
 use atlas_telemetry::{TelemetryStore, Trace};
 
 use crate::advisor::{Atlas, AtlasConfig};
-use crate::eval::{MemoCache, PlanEvaluator};
+use crate::eval::MemoCache;
 use crate::monitor::{DriftDetector, DriftReport};
 use crate::preferences::MigrationPreferences;
 use crate::quality::{PlanQuality, QualityModel};
 use crate::recommender::{RecommendationReport, Recommender};
-use crate::rl_crossover::TrainedCrossover;
 use crate::MigrationPlan;
 
 /// Configuration of a resident [`AdvisorService`].
@@ -157,26 +154,19 @@ pub enum ServiceEvent {
         /// relative to the previous round's preferred plan.
         deltas: Vec<PlanDelta>,
         /// Wall-clock milliseconds from drift confirmation to the new
-        /// recommendation (relearn + compile + training + search).
+        /// recommendation (relearn + compile + search, and training when
+        /// the recommender asks for the learned crossover agent).
         latency_ms: f64,
-        /// The part of `latency_ms` spent training the crossover agent for
-        /// the new model generation (`0.0` under uniform crossover) — paid
-        /// here once, not by the requests served at that generation.
-        train_ms: f64,
     },
 }
 
 /// One published model generation: the generation number, the compiled
-/// model, the crossover agent the service trained for it (`None` under
-/// uniform crossover, or when the budget left nothing to train on) and the
-/// eval cache of the requests served at it. Built whole after training and
-/// never mutated, so the four retire together: neither a score computed
-/// against an older model nor a policy trained on one can answer a request
-/// at a newer one.
+/// model and the eval cache of the requests served at it. Built whole and
+/// never mutated, so the three retire together: a score computed against
+/// an older model cannot answer a request at a newer one.
 pub(crate) struct Epoch {
     pub(crate) generation: u64,
     pub(crate) model: Arc<QualityModel>,
-    pub(crate) policy: Option<Arc<TrainedCrossover>>,
     pub(crate) cache: MemoCache<MigrationPlan, PlanQuality>,
 }
 
@@ -235,15 +225,6 @@ impl AdvisorService {
     /// never observes a model change mid-search.
     pub fn shared_model(&self) -> Option<Arc<QualityModel>> {
         self.epoch.as_ref().map(|e| e.model.clone())
-    }
-
-    /// A shared handle to the crossover agent trained for the current model
-    /// generation — the inference-only artefact of the service's own latest
-    /// recommendation run, valid for exactly the model
-    /// [`Self::shared_model`] returns. `None` before bootstrap, under
-    /// uniform crossover, or when the budget left nothing to train on.
-    pub fn shared_policy(&self) -> Option<Arc<TrainedCrossover>> {
-        self.epoch.as_ref().and_then(|e| e.policy.clone())
     }
 
     /// The model generation: `0` before bootstrap, bumped by the bootstrap
@@ -320,7 +301,7 @@ impl AdvisorService {
     /// Publish what `atlas` has learned as the next epoch: build the model,
     /// log [`ServiceEvent::Relearned`] (timed from `start`), re-arm one
     /// drift detector per retained API, re-recommend, and only then swap in
-    /// the new epoch with the agent that run trained. `cold` is whether
+    /// the new epoch. `cold` is whether
     /// `atlas` relearned the footprint and demand too (the bootstrap) or
     /// only the profile (a drift resync).
     fn publish(&mut self, start: Instant, cold: bool, events: &mut Vec<ServiceEvent>) {
@@ -337,11 +318,10 @@ impl AdvisorService {
         for api in &apis {
             self.arm_detector(api);
         }
-        let policy = self.recommend(&model, start, events);
+        self.recommend(&model, start, events);
         self.epoch = Some(Arc::new(Epoch {
             generation: self.model_generation() + 1,
             model: Arc::new(model),
-            policy: policy.map(Arc::new),
             // A new epoch starts from an empty cache: scores computed
             // against the previous model retire with it.
             cache: MemoCache::default(),
@@ -390,20 +370,10 @@ impl AdvisorService {
         events.len() > logged
     }
 
-    /// Train the crossover agent for `model` and run the recommender with
-    /// it, through one [`PlanEvaluator`] of its own (shared across training
-    /// and the whole GA run — the memo cache makes revisited plans free).
-    /// Records the report, logs the plan deltas against the previous
-    /// round's preferred plan and returns the trained agent.
-    fn recommend(
-        &mut self,
-        model: &QualityModel,
-        since: Instant,
-        events: &mut Vec<ServiceEvent>,
-    ) -> Option<TrainedCrossover> {
-        let config = self.config.atlas.recommender.clone();
-        let evaluator = PlanEvaluator::new(model).with_threads(config.threads);
-        let (trained, report) = Recommender::new(model, config).train_and_recommend(&evaluator);
+    /// Run the recommender on `model`, record the report and log the plan
+    /// deltas against the previous round's preferred plan.
+    fn recommend(&mut self, model: &QualityModel, since: Instant, events: &mut Vec<ServiceEvent>) {
+        let report = Recommender::new(model, self.config.atlas.recommender.clone()).recommend();
         let old = self
             .recommendation
             .as_ref()
@@ -424,10 +394,8 @@ impl AdvisorService {
             plans: report.plans.len(),
             deltas,
             latency_ms: since.elapsed().as_secs_f64() * 1_000.0,
-            train_ms: report.stages.rl_train_ms,
         });
         self.recommendation = Some(report);
-        trained
     }
 }
 

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::adam::Adam;
-use crate::mlp::{Activations, Mlp, Weights};
+use crate::mlp::Mlp;
 
 /// Hyperparameters of the actor-critic agent.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,57 +66,6 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Draw one action from a Bernoulli policy's logits into `action` (cleared
-/// first): one uniform per bit, in order. Every sampling entry point —
-/// training and shared inference — ends here.
-fn sample_bits(logits: &[f64], rng: &mut StdRng, action: &mut Vec<bool>) {
-    action.clear();
-    action.extend(logits.iter().map(|&l| rng.gen::<f64>() < sigmoid(l)));
-}
-
-/// The actor of an agent whose training has ended: its weights and nothing
-/// else — no critic, no optimizer moments, no gradient or activation
-/// buffers. Sampling reads the weights through `&self`, so one policy can
-/// be shared (e.g. behind an `Arc`) by any number of concurrent samplers,
-/// each owning only an [`Activations`] workspace and its position in the
-/// random stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Policy {
-    actor: Weights,
-}
-
-impl Policy {
-    /// Dimensionality of the action (number of Bernoulli bits).
-    pub fn action_dim(&self) -> usize {
-        self.actor.output_dim()
-    }
-
-    /// Dimensionality of the state.
-    pub fn state_dim(&self) -> usize {
-        self.actor.input_dim()
-    }
-
-    /// A workspace for [`Self::sample_into`]: one per sampler.
-    pub fn activations(&self) -> Activations {
-        self.actor.activations()
-    }
-
-    /// [`ActorCritic::sample_into`] on the frozen actor: the same forward
-    /// pass and the same draws, with the workspace and the random stream
-    /// supplied by the caller. Continuing from the [`StdRng`] that
-    /// [`ActorCritic::into_policy`] returned reproduces, bit for bit, what
-    /// the agent itself would have sampled next.
-    pub fn sample_into(
-        &self,
-        activations: &mut Activations,
-        rng: &mut StdRng,
-        state: &[f64],
-        action: &mut Vec<bool>,
-    ) {
-        sample_bits(self.actor.forward(state, activations), rng, action);
-    }
-}
-
 impl ActorCritic {
     /// Create an agent mapping `state_dim` inputs to `action_dim` Bernoulli
     /// probabilities.
@@ -162,16 +111,12 @@ impl ActorCritic {
     }
 
     /// [`Self::sample`] into a caller-owned buffer (cleared first): the
-    /// same draws from the same random stream, one per bit in order.
+    /// same draws from the same random stream, one uniform per bit in
+    /// order.
     pub fn sample_into(&mut self, state: &[f64], action: &mut Vec<bool>) {
-        sample_bits(self.actor.forward(state), &mut self.rng, action);
-    }
-
-    /// End training: keep the actor's weights (moved, not copied) and the
-    /// sampling stream where it stands, drop everything else.
-    pub fn into_policy(self) -> (Policy, StdRng) {
-        let actor = self.actor.into_weights();
-        (Policy { actor }, self.rng)
+        let logits = self.actor.forward(state);
+        action.clear();
+        action.extend(logits.iter().map(|&l| self.rng.gen::<f64>() < sigmoid(l)));
     }
 
     /// Critic's estimate of the expected reward of a state.
@@ -313,33 +258,6 @@ mod tests {
             "a surprising reward should have positive advantage"
         );
     }
-    /// A frozen policy continues the agent's sampling stream: after some
-    /// training, the shared actor and the agent it came from draw the same
-    /// actions — and two samplers of one policy do not disturb each other.
-    #[test]
-    fn frozen_policy_samples_what_the_agent_would_have() {
-        let mut agent = ActorCritic::new(6, 4, small_config(8));
-        let states = [[0.0, 1.0, 0.5, 0.0, 1.0, 0.25], [1.0; 6], [0.0; 6]];
-        for (step, state) in states.iter().cycle().take(30).enumerate() {
-            let action = agent.sample(state);
-            agent.update(state, &action, (step % 3) as f64 - 1.0);
-        }
-        let (policy, rng) = agent.clone().into_policy();
-        assert_eq!((policy.state_dim(), policy.action_dim()), (6, 4));
-        let mut samplers = [
-            (policy.activations(), rng.clone()),
-            (policy.activations(), rng),
-        ];
-        let mut action = Vec::new();
-        for state in states.iter().cycle().take(12) {
-            let expected = agent.sample(state);
-            for (activations, rng) in &mut samplers {
-                policy.sample_into(activations, rng, state, &mut action);
-                assert_eq!(action, expected);
-            }
-        }
-    }
-
     /// Train the fused agent and the allocating oracle side by side for
     /// `steps` steps on fresh random states whose features are
     /// `site / (site_count − 1)`, sampling every action from both so the
@@ -402,8 +320,8 @@ mod tests {
         );
     }
 
-    /// The dims every serving request trains at: 100 components,
-    /// `RecommenderConfig::fast()` hidden sizes, the default critic.
+    /// The dims an agent of `RecommenderConfig::fast()` trains at on 100
+    /// components: its hidden sizes, the default critic.
     fn serving_config() -> ActorCriticConfig {
         ActorCriticConfig {
             actor_hidden: vec![48, 48],

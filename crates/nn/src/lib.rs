@@ -7,33 +7,23 @@
 //!
 //! * [`matrix`] — dense row-major weight storage;
 //! * [`mlp`] — multi-layer perceptrons with ReLU hidden activations and
-//!   manual backpropagation, split into shareable [`Weights`] and a
-//!   per-reader [`Activations`] workspace;
+//!   manual backpropagation;
 //! * [`adam`] — the Adam optimizer;
 //! * [`actor_critic`] — a Bernoulli-policy actor plus a scalar critic with a
 //!   single-sample advantage update, which is exactly what the
-//!   reward-driven crossover agent of Atlas needs, and the inference-only
-//!   [`Policy`] an agent leaves behind when its training ends.
+//!   reward-driven crossover agent of Atlas needs.
 //!
-//! # Design: one sample, no allocation, weights apart from workspace
+//! # Design: one sample, no allocation
 //!
 //! Atlas trains its agent one `(state, action, reward)` sample per step,
-//! once per model epoch, and then samples it from every recommendation
-//! request served at that epoch — concurrently. There is no batch dimension
+//! inside the recommendation that asked for it, and then samples it for
+//! that recommendation's offspring. There is no batch dimension
 //! and no matrix algebra: an [`Mlp`] owns one activation row per layer and
 //! two delta rows, `forward` and `backward` overwrite those and the
 //! per-layer gradient buffers, and [`Adam`] updates weights in place
 //! through an offset into its moment vectors. After construction,
-//! [`ActorCritic::update`] touches the heap only to read and write buffers
-//! it already owns.
-//!
-//! What a forward pass *reads* is kept apart from what it *writes*:
-//! [`Weights::forward`] takes `&self` and a caller-owned [`Activations`].
-//! [`ActorCritic::into_policy`] ends training by moving the actor's weights
-//! into a [`Policy`] — no critic, no optimizer moments, no gradients — and
-//! any number of samplers then share that one copy, each bringing its own
-//! workspace and its own position in the sampling stream. Sampling a shared
-//! policy allocates nothing either.
+//! [`ActorCritic::update`] and [`ActorCritic::sample_into`] touch the heap
+//! only to read and write buffers they already own.
 //!
 //! # The operation-order contract
 //!
@@ -45,10 +35,7 @@
 //! * **forward** — output `j` of a layer starts at `0.0`, accumulates
 //!   `x_k · W[k][j]` over `k` ascending, skips `x_k == 0`, and adds the
 //!   bias last (then ReLU on hidden layers). There is one implementation,
-//!   [`Weights::forward`]: the training step and a shared [`Policy`] run
-//!   the same loops over the same weights, so a request that samples the
-//!   shared policy draws, bit for bit, what the agent that trained it
-//!   would have drawn;
+//!   [`Mlp::forward`], which training and sampling both run;
 //! * **backward** — a weight gradient is `0.0 + x_k · δ_j` (all zeros
 //!   where `x_k == 0`), a bias gradient `0.0 + δ_j`; the delta handed to
 //!   the layer below is, per input `k`, the sum of `δ_j · W[k][j]` over `j`
@@ -58,9 +45,7 @@
 //!   and a square root, no hoisted reciprocal;
 //! * **randomness** — He-init draws weights layer by layer in row-major
 //!   order, and sampling draws one uniform per action bit, in order, from
-//!   one stream: [`ActorCritic::into_policy`] hands that stream over where
-//!   training left it, and a sampler that continues from a copy of it
-//!   continues the agent's own sequence.
+//!   one stream the agent owns.
 //!
 //! The allocating batch-matrix implementation this replaced survives as a
 //! test-only oracle, and differential tests compare the two with
@@ -76,7 +61,7 @@ pub mod mlp;
 #[cfg(test)]
 mod reference;
 
-pub use actor_critic::{ActorCritic, ActorCriticConfig, Policy};
+pub use actor_critic::{ActorCritic, ActorCriticConfig};
 pub use adam::Adam;
 pub use matrix::Matrix;
-pub use mlp::{Activations, Mlp, Weights};
+pub use mlp::Mlp;

@@ -2,20 +2,13 @@
 //! time, over preallocated buffers.
 //!
 //! The network is a stack of dense layers with ReLU activations on every
-//! hidden layer and a linear final layer. It is split along what a reader
-//! may share:
-//!
-//! * [`Weights`] — the parameters alone. [`Weights::forward`] reads them
-//!   through `&self`, so any number of threads can run the same trained
-//!   network at once;
-//! * [`Activations`] — one output row per layer: the workspace a forward
-//!   pass writes, owned by whoever runs it;
-//! * [`Mlp`] — weights, one workspace, and the gradient and delta buffers
-//!   of the training step. [`Mlp::forward`] *is* [`Weights::forward`] over
-//!   the network's own workspace, [`Mlp::backward`] overwrites each layer's
-//!   gradient buffers from those rows, and [`Mlp::step`] hands weights and
-//!   gradients to [`Adam`] tensor by tensor — a training step allocates
-//!   nothing and copies no parameter.
+//! hidden layer and a linear final layer. An [`Mlp`] owns its parameters
+//! and every buffer of its single-sample training step: one activation row
+//! per layer, one gradient tensor pair per layer and two delta rows.
+//! [`Mlp::forward`] overwrites the activation rows, [`Mlp::backward`]
+//! overwrites each layer's gradient buffers from those rows, and
+//! [`Mlp::step`] hands weights and gradients to [`Adam`] tensor by tensor —
+//! a training step allocates nothing and copies no parameter.
 //!
 //! The loops keep the floating-point operations, and their order, of the
 //! batch-matrix implementation they replaced (see the crate docs for the
@@ -107,20 +100,30 @@ impl Dense {
     }
 }
 
-/// The parameters of a multi-layer perceptron, and nothing a forward pass
-/// writes: [`Self::forward`] takes `&self`, so a trained network can be
-/// shared (e.g. behind an `Arc`) by readers that each bring their own
-/// [`Activations`].
+/// A multi-layer perceptron with ReLU hidden layers and a linear output
+/// layer, together with the workspace of its single-sample training step.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Weights {
+pub struct Mlp {
     layers: Vec<Dense>,
     sizes: Vec<usize>,
+    /// One gradient tensor pair per layer, overwritten by every backward
+    /// pass.
+    grads: Vec<Dense>,
+    /// `rows[0]` is the last input, `rows[i + 1]` the output of layer `i`
+    /// (after its ReLU, for hidden layers).
+    rows: Vec<Vec<f64>>,
+    /// Two rows as wide as the widest layer: the backward pass reads the
+    /// current layer's delta from one and writes the next one's into the
+    /// other.
+    deltas: [Vec<f64>; 2],
 }
 
-impl Weights {
-    /// He-initialised parameters for the given layer sizes, drawn layer by
-    /// layer in row-major order from `seed`.
-    fn new(sizes: &[usize], seed: u64) -> Self {
+impl Mlp {
+    /// Create an MLP with the given layer sizes, e.g. `\[58, 128, 128, 128, 29\]`
+    /// for the paper's actor network on the social network application.
+    /// Parameters are He-initialised, drawn layer by layer in row-major
+    /// order from `seed`.
+    pub fn new(sizes: &[usize], seed: u64) -> Self {
         assert!(
             sizes.len() >= 2,
             "an MLP needs at least input and output sizes"
@@ -134,9 +137,13 @@ impl Weights {
                 bias: vec![0.0; w[1]],
             })
             .collect();
+        let widest = *sizes.iter().max().expect("sizes validated above");
         Self {
             layers,
             sizes: sizes.to_vec(),
+            grads: sizes.windows(2).map(|w| Dense::zeros(w[0], w[1])).collect(),
+            rows: sizes.iter().map(|&s| vec![0.0; s]).collect(),
+            deltas: [vec![0.0; widest], vec![0.0; widest]],
         }
     }
 
@@ -150,7 +157,7 @@ impl Weights {
         *self.sizes.last().expect("sizes validated in constructor")
     }
 
-    /// Number of parameters.
+    /// Number of trainable parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers
             .iter()
@@ -158,21 +165,12 @@ impl Weights {
             .sum()
     }
 
-    /// A zeroed workspace shaped for this network.
-    pub fn activations(&self) -> Activations {
-        Activations {
-            rows: self.sizes.iter().map(|&s| vec![0.0; s]).collect(),
-        }
-    }
-
-    /// Run the network on one sample, writing every layer's output into
-    /// `activations`, and return the last one. The only forward pass in the
-    /// crate: training ([`Mlp::forward`]) and shared inference run these
-    /// same loops, so they agree bit for bit.
-    pub fn forward<'a>(&self, input: &[f64], activations: &'a mut Activations) -> &'a [f64] {
+    /// Run the network on one sample and return its output, which stays
+    /// readable (and is what [`Self::backward`] differentiates) until the
+    /// next call.
+    pub fn forward(&mut self, input: &[f64]) -> &[f64] {
         assert_eq!(input.len(), self.input_dim(), "input width mismatch");
-        let rows = &mut activations.rows;
-        assert_eq!(rows.len(), self.sizes.len(), "workspace depth mismatch");
+        let rows = &mut self.rows;
         rows[0].copy_from_slice(input);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
@@ -181,72 +179,6 @@ impl Weights {
         }
         &rows[last + 1]
     }
-}
-
-/// The workspace of a forward pass: `rows[0]` is the last input,
-/// `rows[i + 1]` the output of layer `i` (after its ReLU, for hidden
-/// layers). Built by [`Weights::activations`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Activations {
-    rows: Vec<Vec<f64>>,
-}
-
-/// A multi-layer perceptron with ReLU hidden layers and a linear output
-/// layer, together with the workspace of its single-sample training step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Mlp {
-    weights: Weights,
-    /// One gradient tensor pair per layer, overwritten by every backward
-    /// pass.
-    grads: Vec<Dense>,
-    activations: Activations,
-    /// Two rows as wide as the widest layer: the backward pass reads the
-    /// current layer's delta from one and writes the next one's into the
-    /// other.
-    deltas: [Vec<f64>; 2],
-}
-
-impl Mlp {
-    /// Create an MLP with the given layer sizes, e.g. `\[58, 128, 128, 128, 29\]`
-    /// for the paper's actor network on the social network application.
-    pub fn new(sizes: &[usize], seed: u64) -> Self {
-        let weights = Weights::new(sizes, seed);
-        let widest = *sizes.iter().max().expect("sizes validated above");
-        Self {
-            grads: sizes.windows(2).map(|w| Dense::zeros(w[0], w[1])).collect(),
-            activations: weights.activations(),
-            deltas: [vec![0.0; widest], vec![0.0; widest]],
-            weights,
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.weights.input_dim()
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.weights.output_dim()
-    }
-
-    /// Number of trainable parameters.
-    pub fn parameter_count(&self) -> usize {
-        self.weights.parameter_count()
-    }
-
-    /// Give up the training buffers and keep the parameters: what is left
-    /// of a network once training has ended and only inference remains.
-    pub fn into_weights(self) -> Weights {
-        self.weights
-    }
-
-    /// Run the network on one sample and return its output, which stays
-    /// readable (and is what [`Self::backward`] differentiates) until the
-    /// next call.
-    pub fn forward(&mut self, input: &[f64]) -> &[f64] {
-        self.weights.forward(input, &mut self.activations)
-    }
 
     /// Backpropagate `d_output` (gradient of the loss w.r.t. the output of
     /// the last [`Self::forward`]) and *overwrite* every layer's parameter
@@ -254,12 +186,12 @@ impl Mlp {
     /// nothing reads it.
     pub fn backward(&mut self, d_output: &[f64]) {
         assert_eq!(d_output.len(), self.output_dim(), "output width mismatch");
-        let sizes = &self.weights.sizes;
-        let rows = &self.activations.rows;
+        let sizes = &self.sizes;
+        let rows = &self.rows;
         let last = self.grads.len() - 1;
         let [delta, next] = &mut self.deltas;
         delta[..d_output.len()].copy_from_slice(d_output);
-        let layers = self.weights.layers.iter().zip(&mut self.grads);
+        let layers = self.layers.iter().zip(&mut self.grads);
         for (i, (layer, grad)) in layers.enumerate().rev() {
             let delta_i = &mut delta[..sizes[i + 1]];
             if i != last {
@@ -278,7 +210,7 @@ impl Mlp {
     /// One optimizer step on the gradients of the last [`Self::backward`],
     /// in place: `optimizer` sees each layer's weights, then its bias.
     pub fn step(&mut self, optimizer: &mut Adam) {
-        let layers = self.weights.layers.iter_mut().zip(&self.grads);
+        let layers = self.layers.iter_mut().zip(&self.grads);
         optimizer.step(layers.flat_map(|(layer, grad)| {
             [
                 (layer.weights.data_mut(), grad.weights.data()),
@@ -294,7 +226,7 @@ impl Mlp {
 impl Mlp {
     /// All parameters (weights then bias per layer — [`Self::step`]'s order).
     pub(crate) fn parameters(&self) -> Vec<f64> {
-        let layers = self.weights.layers.iter();
+        let layers = self.layers.iter();
         let tensors = layers.flat_map(|l| [l.weights.data(), &l.bias]);
         tensors.flatten().copied().collect()
     }
@@ -309,7 +241,7 @@ impl Mlp {
     pub(crate) fn set_parameters(&mut self, params: &[f64]) {
         assert_eq!(params.len(), self.parameter_count());
         let mut rest = params;
-        for layer in &mut self.weights.layers {
+        for layer in &mut self.layers {
             for tensor in [layer.weights.data_mut(), &mut layer.bias[..]] {
                 let (head, tail) = rest.split_at(tensor.len());
                 tensor.copy_from_slice(head);

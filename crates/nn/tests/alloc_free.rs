@@ -1,11 +1,9 @@
-//! The training step allocates nothing, and neither does sampling a shared
-//! policy: a counting global allocator sees zero allocations on this thread
-//! across `ActorCritic::update` and `Policy::sample_into`.
+//! The training step allocates nothing: a counting global allocator sees
+//! zero allocations on this thread across `ActorCritic::sample_into` and
+//! `ActorCritic::update`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
-use std::sync::Arc;
 
 use atlas_nn::{ActorCritic, ActorCriticConfig};
 
@@ -67,37 +65,4 @@ fn update_and_sample_into_do_not_allocate() {
         allocations, 0,
         "the training step must not touch the allocator"
     );
-}
-
-#[test]
-fn sampling_a_shared_policy_does_not_allocate() {
-    let config = ActorCriticConfig {
-        actor_hidden: vec![48, 48],
-        ..ActorCriticConfig::default()
-    };
-    let (policy, rng) = ActorCritic::new(200, 100, config).into_policy();
-    let policy = Arc::new(policy);
-    let state: Vec<f64> = (0..200).map(|i| f64::from(i % 3 == 0)).collect();
-
-    // Two samplers of one policy: each owns a workspace, a stream position
-    // and an action buffer (sized by its first call); the weights are
-    // shared, so neither setting one up nor using it copies them.
-    let mut samplers: Vec<_> = (0..2)
-        .map(|_| (policy.activations(), rng.clone(), Vec::new()))
-        .collect();
-    for (activations, rng, action) in &mut samplers {
-        policy.sample_into(activations, rng, &state, action);
-    }
-    let allocations = allocations_during(|| {
-        for _ in 0..4 {
-            for (activations, rng, action) in &mut samplers {
-                policy.sample_into(activations, rng, &state, action);
-            }
-        }
-    });
-    assert_eq!(
-        allocations, 0,
-        "shared sampling must not touch the allocator"
-    );
-    assert_eq!(samplers[0].2, samplers[1].2, "same stream, same actions");
 }

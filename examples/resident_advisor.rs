@@ -75,11 +75,10 @@ fn print_events(label: &str, events: &[ServiceEvent], totals: &mut (usize, usize
                 plans,
                 deltas,
                 latency_ms,
-                train_ms,
             } => {
                 println!(
-                    "[{label}] re-recommended: {plans} Pareto plans in {latency_ms:.1} ms \
-                     ({train_ms:.1} ms training the crossover agent), {} component moves",
+                    "[{label}] re-recommended: {plans} Pareto plans in {latency_ms:.1} ms, \
+                     {} component moves",
                     deltas.len()
                 );
                 for d in deltas.iter().take(5) {

@@ -5,7 +5,8 @@
 //! individual crates for details:
 //!
 //! * [`core`] (`atlas-core`) — the advisor itself: application learning,
-//!   migration-quality modeling, the DRL-based genetic recommender,
+//!   migration-quality modeling, the genetic recommender (uniform
+//!   crossover by default, the paper's learned crossover agent by name),
 //!   hierarchical post-processing, post-migration monitoring and
 //!   footprint-based breach detection.
 //! * [`sim`] (`atlas-sim`) — the discrete-event microservice simulator used
@@ -17,7 +18,7 @@
 //! * [`cloud`] (`atlas-cloud`) — pricing, autoscaling, cost model and the
 //!   resource estimator.
 //! * [`nn`] / [`ga`] — the neural-network and NSGA-II machinery behind the
-//!   DRL-based genetic algorithm.
+//!   genetic algorithm and its learned crossover agent.
 //! * [`baselines`] (`atlas-baselines`) — the comparison advisors from the
 //!   paper's evaluation.
 

@@ -14,8 +14,9 @@
 //! * **Mid-relearn consistency** — requests racing a tenant's
 //!   drift-triggered relearn are each served at a well-defined epoch:
 //!   every answer matches that epoch's serial recommendation — its plans
-//!   and the reward curve of the crossover agent trained for that epoch —
-//!   and other tenants are entirely unaffected.
+//!   and, for tenants that opted into the learned crossover agent, the
+//!   reward curve of the agent the request trained — and other tenants are
+//!   entirely unaffected.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -23,6 +24,7 @@ use proptest::prelude::*;
 
 use atlas::apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
 use atlas::core::hub::{AdvisorHub, TenantId};
+use atlas::core::recommender::CrossoverStrategy;
 use atlas::core::service::{AdvisorService, AdvisorServiceConfig};
 use atlas::core::{AtlasConfig, MigrationPreferences, RecommendedPlan, RecommenderConfig};
 use atlas::sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
@@ -89,7 +91,13 @@ fn tenant_parts(seed: u64) -> (AdvisorServiceConfig, Placement, Vec<Trace>) {
 
 /// A fed (not yet bootstrapped) tenant service plus its corpus.
 fn tenant(seed: u64) -> (AdvisorService, Vec<Trace>) {
-    let (config, current, corpus) = tenant_parts(seed);
+    tenant_with(seed, CrossoverStrategy::Uniform)
+}
+
+/// [`tenant`] with the crossover operator its recommender asks for.
+fn tenant_with(seed: u64, strategy: CrossoverStrategy) -> (AdvisorService, Vec<Trace>) {
+    let (mut config, current, corpus) = tenant_parts(seed);
+    config.atlas.recommender.strategy = strategy;
     let mut service = AdvisorService::new(config, current);
     service.feed(corpus.clone());
     (service, corpus)
@@ -229,22 +237,24 @@ proptest! {
 
 /// A tenant relearning mid-flight never disturbs another tenant's
 /// concurrent requests, and its own racing requests are each served at a
-/// well-defined epoch whose answer matches that epoch's serial run: the
-/// model *and* the crossover agent of the snapshot the request took, even
-/// when the feed published the next epoch before it finished. (The forced
-/// version of that interleaving is
-/// `hub::tests::a_request_keeps_its_epochs_agent_across_a_publish`.)
+/// well-defined epoch whose answer matches that epoch's serial run — the
+/// model of the snapshot the request took, even when the feed published
+/// the next epoch before it finished. Both tenants opted into the learned
+/// crossover agent, so every request trains one, and its reward curve is
+/// that of its epoch's serial run too. (The forced version of that
+/// interleaving is `hub::tests::a_request_keeps_its_epoch_across_a_publish`.)
 #[test]
 fn mid_relearn_requests_stay_epoch_consistent() {
-    let (drifting, corpus) = tenant(41);
-    let (steady, _) = tenant(42);
+    let learned = CrossoverStrategy::ReinforcementLearning;
+    let (drifting, corpus) = tenant_with(41, learned);
+    let (steady, _) = tenant_with(42, learned);
     let mut hub = AdvisorHub::new();
     let a = hub.add_tenant("drifting", drifting);
     let b = hub.add_tenant("steady", steady);
     hub.bootstrap(a);
     hub.bootstrap(b);
-    // A request reports the reward curve of the agent it searched with,
-    // and the service's own run is the one that trained that agent.
+    // A request reports the reward curve of the agent it trained, which is
+    // the one the service's own run at that epoch trained.
     let trained_rewards = |t: TenantId| {
         hub.with_tenant(t, |s| {
             s.recommendation().unwrap().reward_progression.clone()
@@ -283,10 +293,6 @@ fn mid_relearn_requests_stay_epoch_consistent() {
     let a_rewards2 = trained_rewards(a);
 
     for report in racing {
-        assert_eq!(
-            report.report.stages.rl_train_ms, 0.0,
-            "requests never train"
-        );
         if report.tenant == b {
             assert_eq!(report.epoch, 1, "tenant B never relearned");
             assert_eq!(report.report.plans, b_epoch1);

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use atlas::apps::{synthesize, CallGraphShape, SynthOptions};
 use atlas::core::oracle::{self, DelayInjector};
+use atlas::core::recommender::CrossoverStrategy;
 use atlas::core::{
     kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel,
     RecommendedPlan, Recommender, RecommenderConfig, LANE_WIDTH,
@@ -650,18 +651,16 @@ proptest! {
         }
     }
 
-    /// Training once and searching with the artefact is invisible: on the
-    /// 2-site social network, the generated 4-site model and its pinned
-    /// variant, under the learned agent and under uniform crossover (no
-    /// artefact), `train` + `recommend_trained` returns the plans, quality
-    /// bits, `visited` and `reward_progression` of `recommend()` — at 1, 2
-    /// and 8 evaluator threads, on a cold cache, on a warm one and on a
-    /// cache shared between handles. The artefact is not written to: every
-    /// search from it returns the same answer. The bill differs exactly as
-    /// documented: a search that was handed the artefact asks the evaluator
-    /// for everything `recommend()` does except the replayed rollouts.
+    /// A search's answer does not depend on the evaluator it runs on: on
+    /// the 2-site social network, the generated 4-site model and its pinned
+    /// variant, under uniform crossover and under the learned agent,
+    /// `recommend_with` returns the plans, quality bits, `visited` and
+    /// `reward_progression` of `recommend()` — at 1, 2 and 8 evaluator
+    /// threads, on a cold evaluator, on the same evaluator warm and on a
+    /// cache shared between handles. A warm run asks for the same plans as
+    /// the cold one and computes none of them.
     #[test]
-    fn training_once_then_searching_matches_training_inline(
+    fn recommend_with_matches_recommend_on_any_evaluator(
         model in 0usize..3,
         strategy in 0usize..3,
         seed in 0u64..1_000_000,
@@ -675,8 +674,8 @@ proptest! {
             ..RecommenderConfig::fast()
         };
         config.rl.seed = seed ^ 0x51ED;
-        if strategy == 0 {
-            config = config.with_uniform_crossover();
+        if strategy != 0 {
+            config.strategy = CrossoverStrategy::ReinforcementLearning;
         }
         let recommender = Recommender::new(quality, config);
         let inline = recommender.recommend();
@@ -686,32 +685,22 @@ proptest! {
 
         for threads in [1usize, 2, 8] {
             let evaluator = PlanEvaluator::new(quality).with_threads(threads);
-            let trained = recommender.train(&evaluator);
-            prop_assert_eq!(trained.is_none(), strategy == 0);
-            let rollouts = trained.as_ref().map_or(0, |t| t.rollouts().len());
-            prop_assert_eq!(rollouts, inline.reward_progression.len());
+            let cold = recommender.recommend_with(&evaluator);
+            prop_assert_eq!(&front_text(&cold), &expected);
+            prop_assert_eq!(cold.eval.requests(), inline.eval.requests());
+            prop_assert_eq!(cold.eval.unique_evaluations, inline.visited);
 
-            // Cold for the offspring, warm for what training scored.
-            let first = recommender.recommend_trained(&evaluator, trained.as_ref());
-            prop_assert_eq!(&front_text(&first), &expected);
-            prop_assert_eq!(first.eval.requests() + rollouts, inline.eval.requests());
-            prop_assert_eq!(first.stages.rl_train_ms, 0.0);
-            // Training and the search between them scored what the inline
-            // run scored, once each.
-            prop_assert_eq!(evaluator.stats().unique_evaluations, inline.visited);
-
-            // Entirely warm, from the same — unmodified — artefact.
-            let second = recommender.recommend_trained(&evaluator, trained.as_ref());
-            prop_assert_eq!(&front_text(&second), &expected);
-            prop_assert_eq!(second.eval.unique_evaluations, 0);
-            prop_assert_eq!(second.eval.requests(), first.eval.requests());
+            let warm = recommender.recommend_with(&evaluator);
+            prop_assert_eq!(&front_text(&warm), &expected);
+            prop_assert_eq!(warm.eval.unique_evaluations, 0);
+            prop_assert_eq!(warm.eval.requests(), cold.eval.requests());
 
             // A cache shared between handles, as the hub shares an epoch's:
             // cold for the first handle, warm for the second.
             let cache = MemoCache::default();
             for _ in 0..2 {
                 let handle = PlanEvaluator::with_shared_cache(quality, &cache).with_threads(threads);
-                let shared = recommender.recommend_trained(&handle, trained.as_ref());
+                let shared = recommender.recommend_with(&handle);
                 prop_assert_eq!(&front_text(&shared), &expected);
             }
         }
