@@ -12,51 +12,36 @@
 //! * **One published epoch** — a tenant's service builds one `Arc` per
 //!   model generation (bootstrap or drift-triggered relearn) holding the
 //!   generation, the compiled
-//!   [`QualityModel`](crate::quality::QualityModel) and a *fresh*
-//!   [`MemoCache`](crate::eval::MemoCache). After every service round the
-//!   hub stores a clone of that same `Arc` behind a small lock; it copies
-//!   nothing out of it, so the model and the generation it serves can only
-//!   move together.
-//!   A recommendation request ([`AdvisorHub::recommend`]) holds that lock
-//!   only to clone the `Arc`: it never touches the tenant's service mutex,
-//!   so ingest, drift detection and relearn proceed while any number of
-//!   recommenders are in flight — and a recommender keeps scoring against
-//!   the epoch it started with even if a relearn lands mid-search. A
-//!   retired epoch is freed when the last request still holding it
-//!   finishes; nothing needs pruning.
-//! * **A request is one search** with the tenant's recommender
-//!   configuration ([`Recommender::recommend_with`]). Under the default
-//!   uniform crossover nothing is trained anywhere. A tenant that opts into
-//!   the learned crossover agent
-//!   ([`CrossoverStrategy::ReinforcementLearning`](crate::recommender::CrossoverStrategy))
-//!   pays for that on every request: each search trains its own agent
-//!   inline, exactly as the tenant's service did, so the answer is still
-//!   the service's own, bit for bit.
-//! * **Per-epoch shared eval caches** — every request served at one epoch
-//!   warms the same memo cache (scores are pure, so sharing can only add
-//!   cache hits, never change a result), and a new epoch starts from an
-//!   empty cache *by construction*: a stale score cannot survive a relearn
-//!   because the cache it lived in is retired with its epoch.
-//! * **Determinism** — the recommender's search budget is request-local
-//!   (see [`RecommenderConfig::max_visited`]), so a tenant's
-//!   recommendation is bit-identical to running its `AdvisorService`
-//!   serially, at any hub worker count, request-thread count and
-//!   interleaving with other tenants.
+//!   [`QualityModel`](crate::quality::QualityModel) and the
+//!   [`RecommendationReport`] the service computed on it. After every
+//!   service round the hub stores a clone of that same `Arc` behind a small
+//!   lock; it copies nothing out of it, so the report and the generation it
+//!   is stamped with can only move together.
+//! * **A request is a read** ([`AdvisorHub::recommend`]): it holds that lock
+//!   only to clone the `Arc` and hands back the epoch's report, shared by
+//!   `Arc` with the service and every other request at that epoch. It runs
+//!   no search, scores no plan, trains nothing and starts no thread, and it
+//!   never touches the tenant's service mutex, so ingest, drift detection
+//!   and relearn proceed while requests are answered. A retired epoch is
+//!   freed when the next one is published; a report handed out at it lives
+//!   as long as its holder keeps it.
+//! * **Determinism** — an answer is the tenant's serial service's own
+//!   recommendation at the epoch it is stamped with, at any interleaving
+//!   with other tenants' requests and feeds.
 //!
 //! ```text
 //!   feed_all ──┬── tenant A: Mutex<AdvisorService> ─ relearn ─┐ Arc<Epoch>
 //!              └── tenant B: Mutex<AdvisorService> ─ relearn ─┤ (clone)
 //!                                                             ▼
-//!   Mutex<Option<Arc<Epoch>>> ──▶ { generation, Arc<QualityModel>, MemoCache }
+//!   Mutex<Option<Arc<Epoch>>> ──▶ { generation, model, Arc<RecommendationReport> }
 //!                                                             ▲  Arc clone per request
-//!   serve ────── worker pool ── recommend(tenant) ────────────┘  (one search each)
+//!   serve ────── recommend(tenant) ───────────────────────────┘  (a read)
 //! ```
 //!
 //! # Example
 //!
-//! Run two tenants through the hub and serve their recommendations
-//! concurrently — each identical to what the tenant's own serial service
-//! computed at bootstrap:
+//! Run two tenants through the hub and serve their recommendations — each
+//! the report the tenant's own serial service computed at bootstrap:
 //!
 //! ```
 //! use atlas_apps::{synthesize, SynthOptions, WorkloadGenerator};
@@ -120,10 +105,10 @@
 //! hub.bootstrap(a);
 //! hub.bootstrap(b);
 //!
-//! // Four concurrent requests across the two tenants...
+//! // Four requests across the two tenants...
 //! let reports = hub.serve(&[a, b, a, b], 1);
 //! assert_eq!(reports.len(), 4);
-//! // ...are bit-identical to each tenant's own serial recommendation.
+//! // ...are each tenant's own serial recommendation.
 //! for report in &reports {
 //!     let serial = hub.with_tenant(report.tenant, |service| {
 //!         service.recommendation().unwrap().plans.clone()
@@ -135,20 +120,18 @@
 
 use std::mem;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use atlas_telemetry::Trace;
 
-use crate::eval::{effective_threads, PlanEvaluator};
-use crate::recommender::{RecommendationReport, Recommender, RecommenderConfig};
+use crate::recommender::RecommendationReport;
 use crate::service::{AdvisorService, Epoch, ServiceEvent};
 
 /// Lock `mutex`, recovering the guard when a holder panicked. The snapshot
 /// mutex only guards whole assignments, so its data is always valid. A
 /// tenant's service can be left mid-update by a panicking feed; it keeps
-/// serving its last published epoch, and ROADMAP item 9 replaces this
+/// serving its last published epoch, and ROADMAP item 12 replaces this
 /// recovery with tenant quarantine.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -159,15 +142,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(pub usize);
 
-/// One registered tenant: its serialised service state, the service's
+/// One registered tenant: its serialised service state and the service's
 /// current epoch (`None` before the first publish; requests clone the `Arc`
-/// out and never touch the service mutex), and the request-side
-/// configuration captured at registration.
+/// out and never touch the service mutex).
 struct TenantSlot {
     name: String,
     service: Mutex<AdvisorService>,
     snapshot: Mutex<Option<Arc<Epoch>>>,
-    recommender: RecommenderConfig,
 }
 
 impl TenantSlot {
@@ -194,18 +175,20 @@ pub struct HubReport {
     /// [`AdvisorService::model_generation`] when its snapshot was
     /// published).
     pub epoch: u64,
-    /// Wall-clock latency of this request, in milliseconds.
+    /// Wall-clock latency of this request (the snapshot read), in
+    /// milliseconds.
     pub latency_ms: f64,
-    /// The recommendation itself. `report.eval` is this request's own
-    /// compute/hit accounting over the epoch's shared cache.
-    pub report: RecommendationReport,
+    /// The recommendation itself: the epoch's published report, shared by
+    /// `Arc` with the tenant's service and every other request at that
+    /// epoch. Its `eval` (and `stages`) is the accounting of the service's
+    /// publish run, not of this request, which scores nothing.
+    pub report: Arc<RecommendationReport>,
 }
 
 /// A multi-tenant serving layer over independent [`AdvisorService`]s. See
 /// the [module docs](self) for the architecture and an end-to-end example.
 pub struct AdvisorHub {
     tenants: Vec<TenantSlot>,
-    threads: usize,
 }
 
 impl Default for AdvisorHub {
@@ -215,20 +198,17 @@ impl Default for AdvisorHub {
 }
 
 impl AdvisorHub {
-    /// An empty hub with one serving worker per available core.
+    /// An empty hub.
     pub fn new() -> Self {
         Self {
             tenants: Vec::new(),
-            threads: 0,
         }
     }
 
-    /// Set the serving worker-pool size (`0` = one per available core), on
-    /// a new or a live hub. Like every concurrency knob in the evaluator
-    /// stack, this never changes any recommendation, only throughput.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
+    /// Accepted and ignored: a request is a read, so there is no serving
+    /// pool to size. It stays only because the benchmark package calls it,
+    /// until ROADMAP item 7 moves that caller.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Register a tenant. If the service is already bootstrapped its model
     /// is published immediately; otherwise the first
@@ -237,7 +217,6 @@ impl AdvisorHub {
     pub fn add_tenant(&mut self, name: impl Into<String>, service: AdvisorService) -> TenantId {
         let slot = TenantSlot {
             name: name.into(),
-            recommender: service.config().atlas.recommender.clone(),
             service: Mutex::new(service),
             snapshot: Mutex::new(None),
         };
@@ -325,96 +304,37 @@ impl AdvisorHub {
         results.into_iter().map(|(_, events)| events).collect()
     }
 
-    /// Answer one recommendation request: take the tenant's published
-    /// snapshot, search its model over the epoch's shared eval cache with
-    /// `request_threads` evaluator workers (`0` = the tenant's configured
-    /// count), and stamp the result with the epoch it was served at. The
-    /// request never touches the tenant's service mutex, so ingest and
-    /// relearn proceed concurrently; a relearn landing mid-request is
-    /// invisible (the request keeps its snapshot — model and cache — alive
-    /// until it returns). A tenant that opted into the learned crossover
-    /// agent trains one per request (see the [module docs](self)).
+    /// Answer one recommendation request: the tenant's published report,
+    /// stamped with the epoch it was published at. The request never
+    /// touches the tenant's service mutex, so ingest and relearn proceed
+    /// concurrently; it runs no search. `request_threads` is accepted and
+    /// ignored; it stays only because the benchmark package passes it,
+    /// until ROADMAP item 7 moves that caller.
     ///
     /// # Panics
     ///
     /// Panics if the tenant has never published a model (bootstrap it
     /// first).
-    pub fn recommend(&self, tenant: TenantId, request_threads: usize) -> HubReport {
-        let slot = &self.tenants[tenant.0];
-        let snapshot = slot
+    pub fn recommend(&self, tenant: TenantId, _request_threads: usize) -> HubReport {
+        let start = Instant::now();
+        let snapshot = self.tenants[tenant.0]
             .snapshot()
             .expect("bootstrap the tenant before requesting recommendations");
-        Self::answer(slot, tenant, &snapshot, request_threads)
-    }
-
-    /// Answer a request from the snapshot it took, whatever has been
-    /// published since.
-    fn answer(
-        slot: &TenantSlot,
-        tenant: TenantId,
-        snapshot: &Epoch,
-        request_threads: usize,
-    ) -> HubReport {
-        let start = Instant::now();
-        let mut config = slot.recommender.clone();
-        if request_threads != 0 {
-            config.threads = request_threads;
-        }
-        let evaluator = PlanEvaluator::with_shared_cache(&snapshot.model, &snapshot.cache)
-            .with_threads(config.threads);
-        let report = Recommender::new(&snapshot.model, config).recommend_with(&evaluator);
         HubReport {
             tenant,
             epoch: snapshot.generation,
+            report: Arc::clone(&snapshot.report),
             latency_ms: start.elapsed().as_secs_f64() * 1_000.0,
-            report,
         }
     }
 
-    /// Answer a slice of recommendation requests from the hub's worker
-    /// pool, each request with `request_threads` evaluator workers (`1` is
-    /// the natural choice when the pool itself saturates the cores).
-    /// Requests to the same tenant share that epoch's eval cache — pure
-    /// scores, so sharing only adds hits. Results come back in input
-    /// order, each bit-identical to a serial [`Self::recommend`] of the
-    /// same tenant at the same epoch.
+    /// Answer a slice of recommendation requests in input order, one
+    /// [`Self::recommend`] each. `request_threads` is accepted and ignored,
+    /// as there.
     pub fn serve(&self, requests: &[TenantId], request_threads: usize) -> Vec<HubReport> {
-        let workers = effective_threads(self.threads).min(requests.len()).max(1);
-        if workers <= 1 {
-            return requests
-                .iter()
-                .map(|&tenant| self.recommend(tenant, request_threads))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut reports: Vec<Option<HubReport>> = Vec::with_capacity(requests.len());
-        reports.resize_with(requests.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut answered = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= requests.len() {
-                                break;
-                            }
-                            answered.push((i, self.recommend(requests[i], request_threads)));
-                        }
-                        answered
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, report) in handle.join().expect("serving worker panicked") {
-                    reports[i] = Some(report);
-                }
-            }
-        });
-        reports
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
+        requests
+            .iter()
+            .map(|&tenant| self.recommend(tenant, request_threads))
             .collect()
     }
 }
@@ -424,7 +344,7 @@ mod tests {
     use super::*;
     use crate::advisor::AtlasConfig;
     use crate::preferences::MigrationPreferences;
-    use crate::recommender::CrossoverStrategy;
+    use crate::recommender::{CrossoverStrategy, RecommenderConfig};
     use crate::service::AdvisorServiceConfig;
     use atlas_apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
     use atlas_sim::{ClusterSpec, OverloadModel, Placement, SimConfig, Simulator};
@@ -531,62 +451,61 @@ mod tests {
         hub.bootstrap(b);
         let requests = [a, b, a, b, a, b];
         let serial: Vec<HubReport> = requests.iter().map(|&t| hub.recommend(t, 1)).collect();
-        for threads in [2, 8] {
-            hub.threads = threads;
-            let concurrent = hub.serve(&requests, 1);
-            for (s, c) in serial.iter().zip(&concurrent) {
-                assert_eq!(s.report.plans, c.report.plans);
-                assert_eq!(s.report.visited, c.report.visited);
+        let concurrent: Vec<Vec<HubReport>> = std::thread::scope(|scope| {
+            let hub = &hub;
+            let callers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| hub.serve(&requests, 1)))
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for reports in &concurrent {
+            for (s, c) in serial.iter().zip(reports) {
+                assert_eq!(s.tenant, c.tenant);
                 assert_eq!(s.epoch, c.epoch);
+                assert!(Arc::ptr_eq(&s.report, &c.report));
             }
         }
     }
 
+    /// The report a request is handed: the same allocation as the service's
+    /// own recommendation at the epoch the hub publishes.
+    fn assert_answers_with_the_services_report(hub: &AdvisorHub, t: TenantId, report: &HubReport) {
+        hub.with_tenant(t, |service| {
+            assert_eq!(report.epoch, service.model_generation());
+            let served: &RecommendationReport = &report.report;
+            assert!(std::ptr::eq(served, service.recommendation().unwrap()));
+        });
+    }
+
     #[test]
-    fn relearn_retires_the_epoch_cache() {
+    fn relearn_retires_the_epochs_report() {
         let (service, corpus) = tenant(13);
         let mut hub = AdvisorHub::new();
-        hub.set_threads(2);
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
         assert_eq!(hub.published_epoch(t), Some(1));
 
-        // Warm the epoch-1 cache with a request.
+        // Two requests at one epoch share one report, the service's.
         let before = hub.recommend(t, 1);
         assert_eq!(before.epoch, 1);
-        let warm = hub.recommend(t, 1);
-        assert_eq!(
-            warm.report.eval.unique_evaluations, 0,
-            "the second epoch-1 request replays entirely from the shared cache"
-        );
-        assert_eq!(warm.report.plans, before.report.plans);
+        let again = hub.recommend(t, 1);
+        assert!(Arc::ptr_eq(&again.report, &before.report));
+        assert_answers_with_the_services_report(&hub, t, &before);
 
-        // Drift → relearn → new epoch with a *fresh* cache: the request
-        // after the swap must recompute everything against the new model —
-        // a stale epoch-1 score cannot survive into epoch 2.
+        // Drift → relearn → a new epoch with the report the relearn's
+        // re-recommendation computed: the epoch-1 answer is not served again.
         let api = corpus[0].api().to_string();
         hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5));
         assert_eq!(hub.published_epoch(t), Some(2));
         let after = hub.recommend(t, 1);
         assert_eq!(after.epoch, 2);
-        // The epoch-2 cache starts empty: this request computed every plan
-        // it visited itself, and the cache's lifetime totals are exactly
-        // this one request — nothing was inherited from epoch 1.
-        assert_eq!(after.report.eval.unique_evaluations, after.report.visited);
-        let lifetime = hub.tenants[t.0].snapshot().unwrap().cache.stats(1);
-        assert_eq!(
-            lifetime.unique_evaluations, after.report.eval.unique_evaluations,
-            "a stale epoch-1 entry survived into the epoch-2 cache"
-        );
-        assert_eq!(lifetime.cache_hits, after.report.eval.cache_hits);
-        // And the answer matches the serial service's own post-drift run.
-        let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().plans.clone());
-        assert_eq!(after.report.plans, serial);
+        assert!(!Arc::ptr_eq(&after.report, &before.report));
+        assert_answers_with_the_services_report(&hub, t, &after);
     }
 
-    /// A retired epoch is reclaimed while serving through `&self`: with no
-    /// request in flight, publishing epoch 2 drops the last reference to
-    /// the epoch-1 model (and, with it, the epoch-1 cache).
+    /// A retired epoch is reclaimed while serving through `&self`: publishing
+    /// epoch 2 drops the last reference to the epoch-1 model, even while a
+    /// report handed out at epoch 1 is still held.
     #[test]
     fn retired_epochs_are_freed_without_exclusive_access() {
         let (service, corpus) = tenant(16);
@@ -594,7 +513,7 @@ mod tests {
         let t = hub.add_tenant("drifty", service);
         hub.bootstrap(t);
         let epoch1 = Arc::downgrade(&hub.with_tenant(t, |s| s.shared_model().unwrap()));
-        hub.recommend(t, 1);
+        let held = hub.recommend(t, 1);
         assert!(
             epoch1.upgrade().is_some(),
             "epoch 1 is live while published"
@@ -608,6 +527,8 @@ mod tests {
             epoch1.upgrade().is_none(),
             "the retired epoch-1 model is still retained"
         );
+        assert_eq!(held.epoch, 1);
+        assert!(!held.report.plans.is_empty());
         assert_eq!(hub.recommend(t, 1).epoch, 2);
     }
 
@@ -621,8 +542,8 @@ mod tests {
         });
     }
 
-    /// A request answers from the snapshot it took — model and cache of one
-    /// epoch — even when the next epoch is published before it finishes.
+    /// A request answers with the report of the epoch it read, and keeps it
+    /// when the next epoch is published after it returns.
     #[test]
     fn a_request_keeps_its_epoch_across_a_publish() {
         let (service, corpus) = tenant(17);
@@ -631,8 +552,8 @@ mod tests {
         hub.bootstrap(t);
         assert_serves_the_services_epoch(&hub, t);
         let on_time = hub.recommend(t, 1);
-        let slot = &hub.tenants[t.0];
-        let taken = slot.snapshot().expect("published at bootstrap");
+        let taken = hub.tenants[t.0].snapshot().expect("published at bootstrap");
+        let plans = on_time.report.plans.clone();
 
         let api = corpus[0].api().to_string();
         hub.feed(t, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
@@ -642,6 +563,7 @@ mod tests {
             "a quiet feed publishes nothing new"
         );
         assert_serves_the_services_epoch(&hub, t);
+        assert!(Arc::ptr_eq(&hub.recommend(t, 1).report, &on_time.report));
         hub.feed(
             t,
             slow_replay(&corpus, &api, (2 * DAY_S + 2) * 1_000_000, 5),
@@ -649,39 +571,35 @@ mod tests {
         assert_eq!(hub.published_epoch(t), Some(2));
         assert_serves_the_services_epoch(&hub, t);
 
-        let late = AdvisorHub::answer(slot, t, &taken, 1);
-        assert_eq!(late.epoch, 1);
-        assert_eq!(late.report.plans, on_time.report.plans);
-        assert_eq!(late.report.visited, on_time.report.visited);
+        assert_eq!(on_time.epoch, 1);
+        assert!(Arc::ptr_eq(&on_time.report, &taken.report));
+        assert_eq!(on_time.report.plans, plans);
         let after = hub.recommend(t, 1);
-        let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().clone());
         assert_eq!(after.epoch, 2);
-        assert_eq!(after.report.plans, serial.plans);
+        assert_answers_with_the_services_report(&hub, t, &after);
     }
 
     /// A tenant that opted into the learned crossover agent gets its serial
     /// service's answer — plans, `visited` and the agent's reward curve —
-    /// and pays for it: every request trains an agent of its own.
+    /// and pays for the agent once, when the service publishes: a request
+    /// is handed that run's report and trains nothing.
     #[test]
     fn a_tenant_that_opts_into_rl_gets_its_services_answer() {
         let mut hub = AdvisorHub::new();
         let (service, _) = tenant_with(18, CrossoverStrategy::ReinforcementLearning);
         let t = hub.add_tenant("learned", service);
         hub.bootstrap(t);
-        let serial = hub.with_tenant(t, |s| s.recommendation().unwrap().clone());
-        assert!(!serial.reward_progression.is_empty());
         for _ in 0..2 {
-            let served = hub.recommend(t, 1).report;
-            assert_eq!(served.plans, serial.plans);
-            assert_eq!(served.visited, serial.visited);
-            assert_eq!(served.reward_progression, serial.reward_progression);
-            assert!(served.stages.rl_train_ms > 0.0);
+            let served = hub.recommend(t, 1);
+            assert_answers_with_the_services_report(&hub, t, &served);
+            assert!(!served.report.reward_progression.is_empty());
+            assert!(served.report.stages.rl_train_ms > 0.0);
         }
     }
 
     /// A panic under a tenant's service lock poisons the mutex; the hub
     /// recovers the guard, so the tenant still ingests and both tenants
-    /// still answer, with the fronts they had before. (ROADMAP item 9 will
+    /// still answer, with the fronts they had before. (ROADMAP item 12 will
     /// change the first half on purpose: the tenant gets quarantined.)
     #[test]
     fn a_panic_under_the_service_lock_does_not_wedge_the_hub() {
@@ -691,8 +609,8 @@ mod tests {
         let b = hub.add_tenant("b", tenant(18).0);
         hub.bootstrap(a);
         hub.bootstrap(b);
-        let before_a = hub.recommend(a, 1).report.plans;
-        let before_b = hub.recommend(b, 1).report.plans;
+        let before_a = hub.recommend(a, 1).report;
+        let before_b = hub.recommend(b, 1).report;
 
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             hub.with_tenant(a, |_| panic!("maintenance closure failed"))
@@ -704,8 +622,8 @@ mod tests {
         let events = hub.feed(a, slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 1));
         assert!(matches!(events[0], ServiceEvent::Ingested { traces, .. } if traces > 0));
         assert_eq!(hub.published_epoch(a), Some(1));
-        assert_eq!(hub.recommend(a, 1).report.plans, before_a);
-        assert_eq!(hub.recommend(b, 1).report.plans, before_b);
+        assert!(Arc::ptr_eq(&hub.recommend(a, 1).report, &before_a));
+        assert!(Arc::ptr_eq(&hub.recommend(b, 1).report, &before_b));
     }
 
     #[test]

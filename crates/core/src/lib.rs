@@ -34,8 +34,9 @@
 //! batch use; [`service::AdvisorService`] runs the same pipeline as a
 //! resident event loop — streaming ingest, continuous drift detection,
 //! relearning and re-recommendation — and
-//! [`hub::AdvisorHub`] serves many such tenants concurrently over
-//! epoch-stamped model snapshots with per-epoch shared eval caches.
+//! [`hub::AdvisorHub`] serves many such tenants concurrently, answering
+//! each request with the report its tenant published at the current
+//! epoch.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -74,10 +74,9 @@ pub struct RecommenderConfig {
     /// evaluator to score, including the initial population and the RL
     /// training rollouts (the paper caps all multi-plan approaches at
     /// 10,000). Duplicates within the run do not burn budget. The count is
-    /// request-local — it depends only on the run's own trajectory, never
-    /// on how warm a shared evaluator cache happens to be — so a
-    /// recommendation is bit-identical whether its evaluator is cold, warm
-    /// or concurrently shared.
+    /// run-local — it depends only on the run's own trajectory, never on
+    /// how warm the evaluator's cache happens to be — so a recommendation
+    /// is bit-identical whether its evaluator is cold or warm.
     pub max_visited: usize,
     /// Mutation rate applied to offspring (keeps diversity).
     pub mutation_rate: f64,
@@ -173,8 +172,8 @@ pub struct RecommendationReport {
     pub plans: Vec<RecommendedPlan>,
     /// Number of *distinct* candidate plans behind this recommendation —
     /// initial population, training rollouts and offspring: what the
-    /// [`RecommenderConfig::max_visited`] budget counts. Request-local:
-    /// independent of cache warmth or concurrent sharing.
+    /// [`RecommenderConfig::max_visited`] budget counts. Run-local:
+    /// independent of cache warmth.
     pub visited: usize,
     /// Reward progression of the crossover agent (empty for uniform
     /// crossover) — the curve of paper Figure 21b.
@@ -253,10 +252,9 @@ impl<'a> Recommender<'a> {
     /// *distinct plans this run requests* — tracked in a request-local set,
     /// not by watching the cache grow — so the search trajectory, the
     /// stopping point and therefore the recommendation are bit-identical
-    /// whether the cache is cold, warm from earlier runs, or being filled
-    /// concurrently by other requests (the multi-tenant hub relies on
-    /// this). [`RecommendationReport::eval`] likewise reports only this
-    /// run's computes and hits.
+    /// whether the cache is cold or warm from earlier runs.
+    /// [`RecommendationReport::eval`] likewise reports only this run's
+    /// computes and hits.
     pub fn recommend_with(&self, evaluator: &PlanEvaluator<'_>) -> RecommendationReport {
         let local_start = evaluator.stats();
         // The gene alphabet of the search: every site of the catalog. On
@@ -271,11 +269,11 @@ impl<'a> Recommender<'a> {
             init_ms,
             ..SearchStages::default()
         };
-        // The request-local visited set: every distinct plan this run asks
-        // the evaluator to score, whether the (possibly shared) cache
-        // answers it or not. Scoring is pure, so tracking requests instead
-        // of cache growth keeps the trajectory — and the recommendation —
-        // independent of cache warmth and of concurrent requests.
+        // The run-local visited set: every distinct plan this run asks the
+        // evaluator to score, whether its (possibly warm) cache answers it
+        // or not. Scoring is pure, so tracking requests instead of cache
+        // growth keeps the trajectory — and the recommendation —
+        // independent of cache warmth.
         let mut seen: PlanKeySet<MigrationPlan> = PlanKeySet::default();
         // The budget counts distinct plans, so a converged population
         // producing mostly repeated offspring could spin for a long time;
@@ -669,13 +667,11 @@ mod tests {
         let quality = build_quality(burst_preferences(12.0));
         let config = RecommenderConfig::fast();
         let recommender = Recommender::new(&quality, config.clone());
-        let cache = crate::eval::MemoCache::default();
-        let evaluator = crate::eval::PlanEvaluator::with_shared_cache(&quality, &cache);
+        let evaluator = PlanEvaluator::new(&quality);
         let cold = recommender.recommend_with(&evaluator);
-        let after_cold = cache.stats(1);
         let warm = recommender.recommend_with(&evaluator);
-        // The budget is request-local, so the warm run replays the cold
-        // run's trajectory bit-for-bit — entirely from the shared cache.
+        // The budget is run-local, so the warm run replays the cold run's
+        // trajectory bit-for-bit — entirely from the evaluator's cache.
         assert_eq!(warm.plans, cold.plans, "cache warmth never changes plans");
         assert_eq!(warm.visited, cold.visited);
         assert_eq!(
@@ -683,14 +679,15 @@ mod tests {
             "the warm run computed nothing of its own"
         );
         assert!(warm.eval.cache_hits > 0);
-        // The per-request view splits what the cache's lifetime view
+        // Each run's view splits what the evaluator's lifetime view
         // aggregates.
         assert_eq!(cold.eval.unique_evaluations, cold.visited);
+        let lifetime = evaluator.stats();
         assert_eq!(
-            cache.stats(1).cache_hits,
-            after_cold.cache_hits + warm.eval.cache_hits
+            lifetime.cache_hits,
+            cold.eval.cache_hits + warm.eval.cache_hits
         );
-        assert_eq!(cache.unique(), cold.visited);
+        assert_eq!(lifetime.unique_evaluations, cold.visited);
         assert!(!warm.plans.is_empty());
     }
 

@@ -28,14 +28,15 @@
 //!                        Recommender::recommend
 //!                                     │
 //!                                     ▼
-//!         one Arc<Epoch> { generation, model, empty eval cache }
+//!            one Arc<Epoch> { generation, model, report }
 //! ```
 //!
 //! What the service publishes is one epoch: the model generation, the
-//! compiled model and an eval cache for the requests a serving layer (the
-//! multi-tenant [`hub`](crate::hub)) answers at that generation. The epoch
-//! is built after the service's own re-recommendation returns and is never
-//! mutated: a relearn builds the next one. The hub serves the same `Arc`.
+//! compiled model and the recommendation the service computed on it. The
+//! epoch is built after the service's own re-recommendation returns and is
+//! never mutated: a relearn builds the next one. A serving layer (the
+//! multi-tenant [`hub`](crate::hub)) answers every request at that
+//! generation with the same `Arc`'d report.
 //!
 //! [`AdvisorService::feed`] and [`AdvisorService::bootstrap`] return the
 //! [`ServiceEvent`]s of their round, so a caller replaying a day of traffic
@@ -51,12 +52,10 @@ use atlas_sim::{Placement, SiteId};
 use atlas_telemetry::{TelemetryStore, Trace};
 
 use crate::advisor::{Atlas, AtlasConfig};
-use crate::eval::MemoCache;
 use crate::monitor::{DriftDetector, DriftReport};
 use crate::preferences::MigrationPreferences;
-use crate::quality::{PlanQuality, QualityModel};
+use crate::quality::QualityModel;
 use crate::recommender::{RecommendationReport, Recommender};
-use crate::MigrationPlan;
 
 /// Configuration of a resident [`AdvisorService`].
 #[derive(Debug, Clone)]
@@ -161,13 +160,13 @@ pub enum ServiceEvent {
 }
 
 /// One published model generation: the generation number, the compiled
-/// model and the eval cache of the requests served at it. Built whole and
-/// never mutated, so the three retire together: a score computed against
-/// an older model cannot answer a request at a newer one.
+/// model and the recommendation computed on it. Built whole and never
+/// mutated, so the three retire together: a front computed on an older
+/// model cannot answer a request at a newer one.
 pub(crate) struct Epoch {
     pub(crate) generation: u64,
     pub(crate) model: Arc<QualityModel>,
-    pub(crate) cache: MemoCache<MigrationPlan, PlanQuality>,
+    pub(crate) report: Arc<RecommendationReport>,
 }
 
 /// A resident advisor: streaming ingest, continuous per-API drift
@@ -179,10 +178,9 @@ pub struct AdvisorService {
     atlas: Atlas,
     current: Placement,
     /// The current epoch (`None` before bootstrap), shared by `Arc` with
-    /// the hub and with every request in flight at it.
+    /// the hub.
     epoch: Option<Arc<Epoch>>,
     detectors: HashMap<String, DriftDetector>,
-    recommendation: Option<RecommendationReport>,
 }
 
 impl AdvisorService {
@@ -204,7 +202,6 @@ impl AdvisorService {
             current,
             epoch: None,
             detectors: HashMap::new(),
-            recommendation: None,
         }
     }
 
@@ -249,9 +246,9 @@ impl AdvisorService {
         &self.current
     }
 
-    /// The latest recommendation report, if any.
+    /// The latest recommendation report, if any: the current epoch's.
     pub fn recommendation(&self) -> Option<&RecommendationReport> {
-        self.recommendation.as_ref()
+        self.epoch.as_deref().map(|e| &*e.report)
     }
 
     /// Ingest one batch of traces and run the event loop: retention
@@ -318,13 +315,11 @@ impl AdvisorService {
         for api in &apis {
             self.arm_detector(api);
         }
-        self.recommend(&model, start, events);
+        let report = self.recommend(&model, start, events);
         self.epoch = Some(Arc::new(Epoch {
             generation: self.model_generation() + 1,
             model: Arc::new(model),
-            // A new epoch starts from an empty cache: scores computed
-            // against the previous model retire with it.
-            cache: MemoCache::default(),
+            report: Arc::new(report),
         }));
     }
 
@@ -370,13 +365,17 @@ impl AdvisorService {
         events.len() > logged
     }
 
-    /// Run the recommender on `model`, record the report and log the plan
-    /// deltas against the previous round's preferred plan.
-    fn recommend(&mut self, model: &QualityModel, since: Instant, events: &mut Vec<ServiceEvent>) {
+    /// Run the recommender on `model`, log the plan deltas against the
+    /// previous round's preferred plan and return the report.
+    fn recommend(
+        &self,
+        model: &QualityModel,
+        since: Instant,
+        events: &mut Vec<ServiceEvent>,
+    ) -> RecommendationReport {
         let report = Recommender::new(model, self.config.atlas.recommender.clone()).recommend();
         let old = self
-            .recommendation
-            .as_ref()
+            .recommendation()
             .and_then(|r| r.performance_optimized());
         let deltas = match (old, report.performance_optimized()) {
             (Some(old), Some(new)) if old.plan.len() == new.plan.len() => {
@@ -395,7 +394,7 @@ impl AdvisorService {
             deltas,
             latency_ms: since.elapsed().as_secs_f64() * 1_000.0,
         });
-        self.recommendation = Some(report);
+        report
     }
 }
 
@@ -403,6 +402,7 @@ impl AdvisorService {
 mod tests {
     use super::*;
     use crate::recommender::RecommenderConfig;
+    use crate::MigrationPlan;
     use atlas_apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
     use atlas_sim::{ClusterSpec, ComponentId, OverloadModel, SimConfig, Simulator};
     use atlas_telemetry::TraceId;

@@ -2,28 +2,26 @@
 //!
 //! Three pinned relationships:
 //!
-//! * **Concurrent == serial** — a recommendation served by the hub's
-//!   worker pool is bit-identical to serving the same tenant one request
-//!   at a time, for arbitrary request patterns, hub worker counts and
-//!   per-request evaluator thread counts (the search budget is
-//!   request-local, so neither cache warmth nor interleaving can steer a
-//!   trajectory).
+//! * **Concurrent == serial** — a recommendation served to callers racing
+//!   on the hub is the very report (`Arc::ptr_eq`) a single request gets,
+//!   for arbitrary request patterns and caller counts, and that report is
+//!   the tenant's own serial recommendation.
 //! * **Batch-split invariance** — splitting a tenant's ingest corpus into
 //!   arbitrary order-preserving batches produces the same bootstrap
 //!   recommendation as one monolithic feed.
 //! * **Mid-relearn consistency** — requests racing a tenant's
 //!   drift-triggered relearn are each served at a well-defined epoch:
-//!   every answer matches that epoch's serial recommendation — its plans
-//!   and, for tenants that opted into the learned crossover agent, the
-//!   reward curve of the agent the request trained — and other tenants are
+//!   every answer is that epoch's serial recommendation — its plans and,
+//!   for tenants that opted into the learned crossover agent, the reward
+//!   curve of the agent the publish run trained — and other tenants are
 //!   entirely unaffected.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use atlas::apps::{synthesize, CallGraphShape, SynthOptions, WorkloadGenerator, WorkloadShape};
-use atlas::core::hub::{AdvisorHub, TenantId};
+use atlas::core::hub::{AdvisorHub, HubReport, TenantId};
 use atlas::core::recommender::CrossoverStrategy;
 use atlas::core::service::{AdvisorService, AdvisorServiceConfig};
 use atlas::core::{AtlasConfig, MigrationPreferences, RecommendedPlan, RecommenderConfig};
@@ -122,36 +120,30 @@ fn slow_replay(corpus: &[Trace], api: &str, offset_us: u64, factor: u64) -> Vec<
 }
 
 /// Shared serving fixture: a bootstrapped 3-tenant hub plus each tenant's
-/// serial ground truth (one request at a time, single evaluator thread).
+/// serial ground truth (one request at a time).
 struct ServingFixture {
-    hub: Mutex<AdvisorHub>,
-    serial_plans: Vec<Vec<RecommendedPlan>>,
-    serial_visited: Vec<usize>,
+    hub: AdvisorHub,
+    serial: Vec<HubReport>,
 }
 
 fn serving_fixture() -> &'static ServingFixture {
     static FIXTURE: OnceLock<ServingFixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let mut hub = AdvisorHub::new();
-        let mut serial_plans = Vec::new();
-        let mut serial_visited = Vec::new();
+        let mut serial = Vec::new();
         for seed in [31, 32, 33] {
             let id = hub.add_tenant(format!("tenant-{seed}"), tenant(seed).0);
             hub.bootstrap(id);
-            let serial = hub.recommend(id, 1);
+            let answer = hub.recommend(id, 1);
             // The hub's serial answer IS the tenant's own serial answer:
-            // the service ran the same recommender at bootstrap.
-            let in_service = hub.with_tenant(id, |s| s.recommendation().unwrap().plans.clone());
-            assert_eq!(serial.report.plans, in_service);
-            assert_eq!(serial.epoch, 1);
-            serial_plans.push(serial.report.plans);
-            serial_visited.push(serial.report.visited);
+            // the report the service computed at bootstrap.
+            hub.with_tenant(id, |s| {
+                assert!(std::ptr::eq(&*answer.report, s.recommendation().unwrap()));
+            });
+            assert_eq!(answer.epoch, 1);
+            serial.push(answer);
         }
-        ServingFixture {
-            hub: Mutex::new(hub),
-            serial_plans,
-            serial_visited,
-        }
+        ServingFixture { hub, serial }
     })
 }
 
@@ -182,28 +174,32 @@ fn split_fixture() -> &'static SplitFixture {
 }
 
 proptest! {
-    /// Hub-concurrent == hub-serial, bit for bit: arbitrary request
-    /// patterns over 1–3 tenants, hub worker counts 1/2/8 and per-request
-    /// evaluator thread counts 1/2/8.
+    /// Hub-concurrent == hub-serial: arbitrary request patterns over 1–3
+    /// tenants, served to 1, 2 or 8 callers at once.
     #[test]
     fn concurrent_serving_matches_serial_ground_truth(
         pattern in prop::collection::vec(0usize..3, 1..7),
-        workers_pick in 0usize..3,
-        request_threads_pick in 0usize..3,
+        callers_pick in 0usize..3,
     ) {
         let fixture = serving_fixture();
-        let workers = [1usize, 2, 8][workers_pick];
-        let request_threads = [1usize, 2, 8][request_threads_pick];
+        let callers = [1usize, 2, 8][callers_pick];
         let requests: Vec<TenantId> = pattern.iter().map(|&i| TenantId(i)).collect();
-        let mut hub = fixture.hub.lock().unwrap();
-        hub.set_threads(workers);
-        let reports = hub.serve(&requests, request_threads);
-        prop_assert_eq!(reports.len(), requests.len());
-        for (request, report) in requests.iter().zip(&reports) {
-            prop_assert_eq!(report.tenant, *request);
-            prop_assert_eq!(report.epoch, 1);
-            prop_assert_eq!(&report.report.plans, &fixture.serial_plans[request.0]);
-            prop_assert_eq!(report.report.visited, fixture.serial_visited[request.0]);
+        let served: Vec<Vec<HubReport>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..callers)
+                .map(|_| scope.spawn(|| fixture.hub.serve(&requests, 1)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for reports in &served {
+            prop_assert_eq!(reports.len(), requests.len());
+            for (request, report) in requests.iter().zip(reports) {
+                let serial = &fixture.serial[request.0];
+                prop_assert_eq!(report.tenant, *request);
+                prop_assert_eq!(report.epoch, 1);
+                prop_assert!(Arc::ptr_eq(&report.report, &serial.report));
+                prop_assert_eq!(&report.report.plans, &serial.report.plans);
+                prop_assert_eq!(report.report.visited, serial.report.visited);
+            }
         }
     }
 
@@ -238,11 +234,12 @@ proptest! {
 /// A tenant relearning mid-flight never disturbs another tenant's
 /// concurrent requests, and its own racing requests are each served at a
 /// well-defined epoch whose answer matches that epoch's serial run — the
-/// model of the snapshot the request took, even when the feed published
-/// the next epoch before it finished. Both tenants opted into the learned
-/// crossover agent, so every request trains one, and its reward curve is
-/// that of its epoch's serial run too. (The forced version of that
-/// interleaving is `hub::tests::a_request_keeps_its_epoch_across_a_publish`.)
+/// report of the snapshot the request took, even when the feed published
+/// the next epoch right after. Both tenants opted into the learned
+/// crossover agent, so each publish trains one, and an answer's reward
+/// curve is that of its epoch's serial run too. (The forced version of
+/// that interleaving is
+/// `hub::tests::a_request_keeps_its_epoch_across_a_publish`.)
 #[test]
 fn mid_relearn_requests_stay_epoch_consistent() {
     let learned = CrossoverStrategy::ReinforcementLearning;
@@ -253,8 +250,8 @@ fn mid_relearn_requests_stay_epoch_consistent() {
     let b = hub.add_tenant("steady", steady);
     hub.bootstrap(a);
     hub.bootstrap(b);
-    // A request reports the reward curve of the agent it trained, which is
-    // the one the service's own run at that epoch trained.
+    // A request reports the reward curve of the agent the service's own
+    // run at that epoch trained.
     let trained_rewards = |t: TenantId| {
         hub.with_tenant(t, |s| {
             s.recommendation().unwrap().reward_progression.clone()
@@ -265,8 +262,8 @@ fn mid_relearn_requests_stay_epoch_consistent() {
         !a_rewards1.is_empty(),
         "the tenants search with a learned agent"
     );
-    let a_epoch1 = hub.recommend(a, 1).report.plans;
-    let b_epoch1 = hub.recommend(b, 1).report.plans;
+    let a_epoch1 = hub.recommend(a, 1);
+    let b_epoch1 = hub.recommend(b, 1);
 
     let api = corpus[0].api().to_string();
     let drift = slow_replay(&corpus, &api, (DAY_S + 1) * 1_000_000, 5);
@@ -289,31 +286,33 @@ fn mid_relearn_requests_stay_epoch_consistent() {
 
     assert_eq!(hub.published_epoch(a), Some(2), "the drift must relearn");
     assert_eq!(hub.published_epoch(b), Some(1));
-    let a_epoch2 = hub.with_tenant(a, |s| s.recommendation().unwrap().plans.clone());
+    let a_epoch2 = hub.recommend(a, 1);
+    let a_plans2 = hub.with_tenant(a, |s| {
+        assert!(std::ptr::eq(&*a_epoch2.report, s.recommendation().unwrap()));
+        s.recommendation().unwrap().plans.clone()
+    });
     let a_rewards2 = trained_rewards(a);
+    assert!(!Arc::ptr_eq(&a_epoch2.report, &a_epoch1.report));
 
     for report in racing {
         if report.tenant == b {
             assert_eq!(report.epoch, 1, "tenant B never relearned");
-            assert_eq!(report.report.plans, b_epoch1);
+            assert!(Arc::ptr_eq(&report.report, &b_epoch1.report));
         } else {
-            let (plans, rewards) = match report.epoch {
-                1 => (&a_epoch1, &a_rewards1),
-                2 => (&a_epoch2, &a_rewards2),
+            let (epoch, plans, rewards) = match report.epoch {
+                1 => (&a_epoch1, &a_epoch1.report.plans, &a_rewards1),
+                2 => (&a_epoch2, &a_plans2, &a_rewards2),
                 epoch => panic!("request served at impossible epoch {epoch}"),
             };
+            assert!(Arc::ptr_eq(&report.report, &epoch.report));
             assert_eq!(&report.report.plans, plans);
             assert_eq!(&report.report.reward_progression, rewards);
         }
     }
 
-    // After the dust settles, serving A concurrently matches its new
-    // serial ground truth at 1/2/8 request threads.
-    for request_threads in [1, 2, 8] {
-        let reports = hub.serve(&[a, a], request_threads);
-        for report in reports {
-            assert_eq!(report.epoch, 2);
-            assert_eq!(report.report.plans, a_epoch2);
-        }
+    // After the dust settles, serving A matches its new serial ground truth.
+    for report in hub.serve(&[a, a], 1) {
+        assert_eq!(report.epoch, 2);
+        assert!(Arc::ptr_eq(&report.report, &a_epoch2.report));
     }
 }

@@ -8,8 +8,8 @@ use atlas::apps::{synthesize, CallGraphShape, SynthOptions};
 use atlas::core::oracle::{self, DelayInjector};
 use atlas::core::recommender::CrossoverStrategy;
 use atlas::core::{
-    kl_divergence, MemoCache, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel,
-    RecommendedPlan, Recommender, RecommenderConfig, LANE_WIDTH,
+    kl_divergence, MigrationPlan, PlanEvaluator, PlanQuality, QualityModel, RecommendedPlan,
+    Recommender, RecommenderConfig, LANE_WIDTH,
 };
 use atlas::ga::{dominates, pareto_front_indices, ParetoArchive};
 use atlas::sim::{ComponentId, Placement, SiteCatalog, SiteId, SiteNetwork};
@@ -656,9 +656,9 @@ proptest! {
     /// variant, under uniform crossover and under the learned agent,
     /// `recommend_with` returns the plans, quality bits, `visited` and
     /// `reward_progression` of `recommend()` — at 1, 2 and 8 evaluator
-    /// threads, on a cold evaluator, on the same evaluator warm and on a
-    /// cache shared between handles. A warm run asks for the same plans as
-    /// the cold one and computes none of them.
+    /// threads, on a cold evaluator, on the same evaluator warm and on one
+    /// a search at another seed warmed. A warm run asks for the same plans
+    /// as the cold one and computes none of them.
     #[test]
     fn recommend_with_matches_recommend_on_any_evaluator(
         model in 0usize..3,
@@ -677,6 +677,7 @@ proptest! {
         if strategy != 0 {
             config.strategy = CrossoverStrategy::ReinforcementLearning;
         }
+        let other_seed = Recommender::new(quality, RecommenderConfig { seed: seed ^ 1, ..config.clone() });
         let recommender = Recommender::new(quality, config);
         let inline = recommender.recommend();
         let expected = front_text(&inline);
@@ -695,14 +696,13 @@ proptest! {
             prop_assert_eq!(warm.eval.unique_evaluations, 0);
             prop_assert_eq!(warm.eval.requests(), cold.eval.requests());
 
-            // A cache shared between handles, as the hub shares an epoch's:
-            // cold for the first handle, warm for the second.
-            let cache = MemoCache::default();
-            for _ in 0..2 {
-                let handle = PlanEvaluator::with_shared_cache(quality, &cache).with_threads(threads);
-                let shared = recommender.recommend_with(&handle);
-                prop_assert_eq!(&front_text(&shared), &expected);
-            }
+            // A cache another search filled, holding some of this run's
+            // plans and many it never asks for.
+            let elsewhere = PlanEvaluator::new(quality).with_threads(threads);
+            other_seed.recommend_with(&elsewhere);
+            let reused = recommender.recommend_with(&elsewhere);
+            prop_assert_eq!(&front_text(&reused), &expected);
+            prop_assert_eq!(reused.eval.requests(), cold.eval.requests());
         }
     }
 
