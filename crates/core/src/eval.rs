@@ -175,9 +175,10 @@ pub const MIN_ITEMS_PER_WORKER: usize = 16;
 /// [`PlanEvaluator`] batch path (see
 /// [`QualityModel::evaluate_lanes`]). Sixteen lanes amortise the op decode
 /// and wave bookkeeping of the compiled kernel without spilling the
-/// per-lane cursor/stack working set out of cache (measured on a
-/// 250-component scenario: 16 lanes ≈ 1.5× the throughput of 8, and 32
-/// adds only a few percent more).
+/// per-lane Δ table and wave-stack columns out of cache. (Measured on a
+/// 250-component scenario before the kernel priced each edge once per
+/// group: 16 lanes ≈ 1.5× the throughput of 8, and 32 only a few percent
+/// more; not re-measured since.)
 pub const LANE_WIDTH: usize = 16;
 
 /// Deterministically map a pure function over a slice with up to `threads`

@@ -22,12 +22,13 @@
 //!   request/response bytes on that caller→callee edge, so the
 //!   [`NetworkFootprint`] is probed once per edge and folded into a
 //!   precomputed `N×N` exchange-cost table over the site catalog — one
-//!   table per distinct (API, caller, callee) edge, held per API and shared
-//!   by every hop over that edge (the two-site model compiles the familiar
-//!   `[collocated, split]` pair as a 2×2 table) — so the paper's Δ of Eq. 2
-//!   becomes `delta = cost_table[caller_site × N + callee_site] −
-//!   before_cost` — still a table lookup and one subtraction,
-//!   zero-allocation per evaluation;
+//!   edge and one table per distinct (API, caller, callee) edge, held per
+//!   API, which every hop over that edge names by slot (the two-site model
+//!   compiles the familiar `[collocated, split]` pair as a 2×2 table). The
+//!   paper's Δ of Eq. 2, `cost_table[caller_site × N + callee_site] −
+//!   before_cost`, then depends only on the edge and the plan, so a score
+//!   prices each edge once per lane group into a lane-contiguous Δ table,
+//!   before the API's traces are walked, instead of once per hop;
 //! * because the **`current` placement is fixed per model** (it is the
 //!   deployment the traces were collected under), `before_cost` is a baked
 //!   constant per edge — this is why a `CompiledQuality` cannot be reused
@@ -41,7 +42,8 @@
 //!
 //! Scoring a plan is then an iterative, zero-allocation pass: thread-local
 //! [`EvalScratch`] buffers hold the walk's per-lane state (site columns,
-//! wave stack, latencies, accumulators), the site assignment and the cost
+//! the Δ table, the two wave-stack columns, latencies, accumulators), the
+//! site assignment and the cost
 //! model's scratch, so concurrent evaluator workers never contend on the
 //! allocator.
 //!
@@ -66,12 +68,17 @@
 //! sites as component-major columns — `soa[c * lanes + l]` is the site
 //! component `c` occupies in lane `l` — so when an op touches a component,
 //! the sites it occupies across all lanes sit in one contiguous strip; at
-//! width 1 that layout *is* the plan's own site slice, read in place. The
-//! interpreter state (the wave-frame stack with one frame per lane per open
-//! wave, the per-API accumulator and the `Q_Perf` totals) is a per-lane
-//! array updated in a tight inner loop over the lanes, while the op decode,
-//! the wave bookkeeping and the resolution of unindexed components are paid
-//! once per op. Each op reads and writes wave frames only — a child's start
+//! width 1 that layout *is* the plan's own site slice, read in place. Per
+//! API, one pass over its distinct edges reads those columns (an unindexed
+//! component reads an on-prem column) and fills the Δ table, `delta[e *
+//! lanes + l]` being edge `e`'s Δ in lane `l`; a hop's child then starts at
+//! `(base + offset) + delta[hop.edge * lanes + l]`. The interpreter state
+//! (the wave-frame stack as two `f64` columns, `base` and `wend`, with
+//! `lanes` entries per open wave, the per-API accumulator and the `Q_Perf`
+//! totals) is a per-lane array, so every op's lane loop is one pass over
+//! contiguous strips that the compiler vectorises, while the op decode and
+//! the wave bookkeeping are paid once per op. Each op reads and writes
+//! wave frames only — a child's start
 //! opens its first wave in the same op, a leaf child starts and ends in
 //! one — so no value passes between ops outside the frames, and a trace
 //! walks in about one op per hop and wave. One fold turns the walked
@@ -153,15 +160,6 @@ use crate::profile::ApplicationProfile;
 /// `site_of`.
 const UNKNOWN: u32 = u32::MAX;
 
-/// One frame of the wave stack: the wave's base timestamp and the running
-/// maximum end time of its children ("wave end"). A walk keeps one frame
-/// per lane per open wave, the wave's `lanes` frames side by side.
-#[derive(Debug, Clone, Copy)]
-struct WaveFrame {
-    base: f64,
-    wend: f64,
-}
-
 /// Reusable per-thread scratch buffers for kernel evaluation. Obtain one
 /// with [`with_scratch`]; buffers grow to the working-set size once and are
 /// reused across evaluations on the same thread.
@@ -177,8 +175,9 @@ pub struct EvalScratch {
 }
 
 /// Reusable buffers of the trace walk: a lane group's component-major site
-/// columns plus the per-lane wave-stack, latency and accumulator arrays that
-/// let one walk of a trace's instruction stream price every lane. See the
+/// columns, the Δ table of the API being walked, and the per-lane wave-frame,
+/// latency and accumulator columns that let one walk of a trace's
+/// instruction stream price every lane. See the
 /// [module docs](self#one-walk-at-any-width) for the layout.
 #[derive(Debug, Default)]
 pub struct LaneScratch {
@@ -186,11 +185,19 @@ pub struct LaneScratch {
     soa: Vec<SiteId>,
     /// One on-prem site per lane: the column unindexed components read.
     onprem: Vec<SiteId>,
+    /// The Δ of Eq. 2 of every edge of the API being walked, lane-
+    /// contiguous: `delta[e * lanes + l]` is edge `e`'s after-cost under
+    /// lane `l`'s sites minus its before-cost (see
+    /// [`CompiledApi::price_edges`]).
+    delta: Vec<f64>,
     /// Per-lane latency (ms) of the trace just walked; after a fold, the
     /// last API's weighted mean latency.
     latency: Vec<f64>,
-    /// The wave-frame stack, `lanes` frames per open wave.
-    stack: Vec<WaveFrame>,
+    /// The wave-frame stack as two columns, `lanes` entries per open wave:
+    /// each wave's base timestamp ...
+    base: Vec<f64>,
+    /// ... and the running maximum end time of its children ("wave end").
+    wend: Vec<f64>,
     /// Per-lane weighted latency sum of the API being folded; zero between
     /// APIs.
     acc: Vec<f64>,
@@ -250,17 +257,17 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut EvalScratch) -> R) -> R {
 /// One instruction of a compiled trace: the pre-order linearisation of the
 /// interpretive injector's recursion (see [`CompiledTrace`]), with every
 /// value a node hands to the next step of the recursion kept in the wave
-/// frames. The innermost open wave's frame is the *top* frame.
+/// frames. The innermost open wave's frame is the *top* frame; `start`
+/// below is a hop's child start, `(top.base + hop.offset) + Δ[hop.edge]`.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Start one child of the top wave and open the child's first wave: at
-    /// the child's `start = hop.start(top.base)`, push a frame with
-    /// `base = start + gap` (the child's own compute before triggering the
-    /// wave) and `wend = start`.
+    /// Start one child of the top wave and open the child's first wave:
+    /// push a frame with `base = start + gap` (the child's own compute
+    /// before triggering the wave) and `wend = start`.
     Call { hop: Hop, gap: f64 },
     /// Start and close one child without foreground calls of its own:
-    /// `top.wend = max(top.wend, hop.start(top.base) + tail)`, `tail` being
-    /// the child's own compute.
+    /// `top.wend = max(top.wend, start + tail)`, `tail` being the child's
+    /// own compute.
     Leaf { hop: Hop, tail: f64 },
     /// Close the top wave and open the same node's next one (the root's
     /// first wave too): `top.base = top.wend + gap`.
@@ -271,28 +278,27 @@ enum Op {
     Ret { tail: f64 },
 }
 
-/// One caller → callee hop of a trace, started from its wave's base.
+/// One caller → callee hop of a trace, started from its wave's base: the
+/// child starts `offset` after the base, plus its edge's Δ.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
     offset: f64,
-    caller: u32,
-    callee: u32,
-    /// Offset of this hop's `site_count²` exchange-cost table in its API's
-    /// [`CompiledApi::link_costs`] arena, which holds one table per
-    /// distinct (API, caller, callee) edge: every hop over the same edge
-    /// shares it.
-    cost_base: u32,
-    before: f64,
+    /// The hop's slot in its API's [`CompiledApi::edges`], which holds one
+    /// entry per distinct (API, caller, callee) edge: every hop over the
+    /// same edge names it, and the walk reads that edge's Δ row.
+    edge: u32,
 }
 
-impl Hop {
-    /// The child's start under the candidate's `(caller, callee)` sites
-    /// over an `n`-site catalog: `(base + offset) + (after − before)`, the
-    /// after-cost being the entry for the pair in `table`, the hop's
-    /// exchange-cost table.
-    fn start(&self, base: f64, table: &[f64], a: SiteId, b: SiteId, n: usize) -> f64 {
-        (base + self.offset) + (table[a.index() * n + b.index()] - self.before)
-    }
+/// One distinct (API, caller, callee) edge of an API's traces: the
+/// resolved endpoints, the offset of its `site_count²` exchange-cost table
+/// in the API's [`CompiledApi::link_costs`] arena, and its cost under the
+/// current placement.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    caller: u32,
+    callee: u32,
+    cost_base: u32,
+    before: f64,
 }
 
 /// One retained trace compiled to a flat instruction arena. Evaluating it
@@ -302,9 +308,9 @@ impl Hop {
 /// not emitted at all: the interpretive path re-times them but discards the
 /// result, so they cannot affect the returned latency.
 ///
-/// Its hops' exchange-cost tables are not its own: there is one table per
-/// distinct (API, caller, callee) edge, held per API in
-/// [`CompiledApi::link_costs`], which the walk is handed.
+/// Its hops' edges are not its own: there is one [`Edge`] per distinct
+/// (API, caller, callee) edge, held per API in [`CompiledApi::edges`], and
+/// the walk is handed the API's Δ table over them.
 #[derive(Debug, Clone)]
 struct CompiledTrace {
     root_start: f64,
@@ -320,89 +326,84 @@ struct CompiledTrace {
 impl CompiledTrace {
     /// The trace interpreter: walk the instruction stream once for every
     /// lane of a group, writing each lane's end-to-end latency (ms) to
-    /// `latency`. `link_costs` is the trace's API's table arena, `soa`
-    /// holds the group's site columns (see [`load`]) over a
-    /// `site_count`-site catalog and `onprem` is one on-prem site per
-    /// lane, the column unindexed components read. Interleaving the
-    /// arithmetically independent lanes keeps each one's floating-point
-    /// schedule that of a lone walk, while the op decode, the wave
-    /// bookkeeping and the `UNKNOWN` resolution are paid once per op.
+    /// `latency`. `delta` is the trace's API's Δ table at the group's
+    /// width (see [`CompiledApi::price_edges`]); `base` and `wend` are the
+    /// two columns of the wave-frame stack. Interleaving the arithmetically
+    /// independent lanes keeps each one's floating-point schedule that of a
+    /// lone walk, while the op decode and the wave bookkeeping are paid once
+    /// per op, and every op's lane loop runs over contiguous strips.
     fn run_lanes(
         &self,
-        link_costs: &[f64],
-        soa: &[SiteId],
-        onprem: &[SiteId],
-        site_count: usize,
+        delta: &[f64],
         latency: &mut [f64],
-        stack: &mut Vec<WaveFrame>,
+        base: &mut Vec<f64>,
+        wend: &mut Vec<f64>,
     ) {
         let lanes = latency.len();
-        let n = site_count;
-        let table = |hop: &Hop| &link_costs[hop.cost_base as usize..][..n * n];
-        let sites = |hop: &Hop| {
-            let column = |id: u32| match id {
-                UNKNOWN => onprem,
-                id => &soa[id as usize * lanes..][..lanes],
-            };
-            column(hop.caller).iter().zip(column(hop.callee))
-        };
-        let root = WaveFrame {
-            base: self.root_start,
-            wend: self.root_start,
-        };
-        stack.clear();
-        stack.resize(lanes, root);
-        // The top wave's frames are `stack[top - lanes..top]`; the root's,
-        // which ends the walk holding the root's end, are `stack[..lanes]`.
+        let row = |hop: &Hop| &delta[hop.edge as usize * lanes..][..lanes];
+        for column in [&mut *base, &mut *wend] {
+            column.clear();
+            column.resize(lanes, self.root_start);
+        }
+        // The top wave's frames are `[top - lanes..top]` of both columns;
+        // the root's, which end the walk holding the root's end, are
+        // `[..lanes]`.
         let mut top = lanes;
         for op in &self.ops {
             match *op {
                 Op::Call { ref hop, gap } => {
-                    if stack.len() < top + lanes {
-                        stack.resize(top + lanes, root);
+                    if base.len() < top + lanes {
+                        base.resize(top + lanes, 0.0);
+                        wend.resize(top + lanes, 0.0);
                     }
-                    let (wave, child) = stack[top - lanes..top + lanes].split_at_mut(lanes);
-                    let table = table(hop);
-                    for ((frame, opened), (&a, &b)) in wave.iter().zip(child).zip(sites(hop)) {
-                        let start = hop.start(frame.base, table, a, b, n);
-                        *opened = WaveFrame {
-                            base: start + gap,
-                            wend: start,
-                        };
+                    let (wave, opened) = base[top - lanes..top + lanes].split_at_mut(lanes);
+                    let opened_end = &mut wend[top..top + lanes];
+                    let strips = wave
+                        .iter()
+                        .zip(row(hop))
+                        .zip(opened.iter_mut().zip(opened_end));
+                    for ((&base, &delta), (opened, opened_end)) in strips {
+                        let start = (base + hop.offset) + delta;
+                        *opened = start + gap;
+                        *opened_end = start;
                     }
                     top += lanes;
                 }
                 Op::Leaf { ref hop, tail } => {
-                    let table = table(hop);
-                    for (frame, (&a, &b)) in stack[top - lanes..top].iter_mut().zip(sites(hop)) {
-                        let start = hop.start(frame.base, table, a, b, n);
-                        frame.wend = frame.wend.max(start + tail);
+                    let wave = base[top - lanes..top].iter().zip(row(hop));
+                    for (end, (&base, &delta)) in wend[top - lanes..top].iter_mut().zip(wave) {
+                        let start = (base + hop.offset) + delta;
+                        *end = end.max(start + tail);
                     }
                 }
                 Op::Next { gap } => {
-                    for frame in &mut stack[top - lanes..top] {
-                        frame.base = frame.wend + gap;
+                    for (base, &end) in base[top - lanes..top]
+                        .iter_mut()
+                        .zip(&wend[top - lanes..top])
+                    {
+                        *base = end + gap;
                     }
                 }
                 Op::Ret { tail } => {
                     top -= lanes;
-                    let (wave, child) = stack[top - lanes..top + lanes].split_at_mut(lanes);
-                    for (frame, closed) in wave.iter_mut().zip(&*child) {
-                        frame.wend = frame.wend.max(closed.wend + tail);
+                    let (wave, closed) = wend[top - lanes..top + lanes].split_at_mut(lanes);
+                    for (end, &closed) in wave.iter_mut().zip(&*closed) {
+                        *end = end.max(closed + tail);
                     }
                 }
             }
         }
-        for (latency, end) in latency.iter_mut().zip(&stack[..lanes]) {
-            *latency = ((end.wend + self.tail) - self.root_start).max(0.0) / 1_000.0;
+        for (latency, &end) in latency.iter_mut().zip(&wend[..lanes]) {
+            *latency = ((end + self.tail) - self.root_start).max(0.0) / 1_000.0;
         }
     }
 }
 
 /// Compiles one API's retained traces against the model-wide footprint,
 /// network, current placement and component index, into one
-/// [`CompiledApi::link_costs`] arena: one exchange-cost table per distinct
-/// (API, caller, callee) edge, baked the first time a hop crosses it.
+/// [`CompiledApi::edges`] list and its [`CompiledApi::link_costs`] arena:
+/// one edge and one exchange-cost table per distinct (API, caller, callee)
+/// edge, baked the first time a hop crosses it.
 struct ApiCompiler<'a> {
     api: &'a str,
     footprint: &'a NetworkFootprint,
@@ -410,19 +411,20 @@ struct ApiCompiler<'a> {
     current: &'a Placement,
     id_of: &'a HashMap<&'a str, u32>,
     link_costs: Vec<f64>,
-    /// Each edge met so far, as its hop at offset 0. Keyed by the caller's
+    edges: Vec<Edge>,
+    /// Each edge met so far, as its slot in `edges`. Keyed by the caller's
     /// and callee's names, not their ids: every unindexed component
     /// resolves to [`UNKNOWN`], yet each has its own learned bytes.
-    edges: HashMap<(&'a str, &'a str), Hop>,
+    slots: HashMap<(&'a str, &'a str), u32>,
 }
 
 impl<'a> ApiCompiler<'a> {
-    /// The hop over `caller → callee`, at offset 0: on first sight, the
-    /// edge's footprint is probed once and its exchange cost baked for
-    /// every ordered site pair (row-major by caller site).
-    fn edge(&mut self, caller: &'a str, callee: &'a str) -> Hop {
-        if let Some(&hop) = self.edges.get(&(caller, callee)) {
-            return hop;
+    /// The slot of the edge `caller → callee`: on first sight, the edge's
+    /// footprint is probed once and its exchange cost baked for every
+    /// ordered site pair (row-major by caller site).
+    fn edge(&mut self, caller: &'a str, callee: &'a str) -> u32 {
+        if let Some(&slot) = self.slots.get(&(caller, callee)) {
+            return slot;
         }
         let (req, resp) = self.footprint.get_or_zero(self.api, caller, callee);
         let (caller_id, callee_id) = (resolve(self.id_of, caller), resolve(self.id_of, callee));
@@ -436,15 +438,15 @@ impl<'a> ApiCompiler<'a> {
         }
         let before_a = current_site(self.current, caller_id);
         let before_b = current_site(self.current, callee_id);
-        let hop = Hop {
-            offset: 0.0,
+        let slot = self.edges.len() as u32;
+        self.edges.push(Edge {
             caller: caller_id,
             callee: callee_id,
             cost_base,
             before: self.link_costs[cost_base as usize + before_a.index() * n + before_b.index()],
-        };
-        self.edges.insert((caller, callee), hop);
-        hop
+        });
+        self.slots.insert((caller, callee), slot);
+        slot
     }
 
     fn trace(&mut self, trace: &'a Trace, weight: f64) -> CompiledTrace {
@@ -463,7 +465,7 @@ impl<'a> ApiCompiler<'a> {
     /// grouping and every placement-independent quantity (gaps, child
     /// offsets, trailing compute) are computed here, once, with the same
     /// arithmetic the interpretive path performs per evaluation, and each
-    /// hop takes its edge's table from [`Self::edge`]. Returns the node's
+    /// hop takes its edge's slot from [`Self::edge`]. Returns the node's
     /// trailing own-compute after its last foreground wave, which closes
     /// the node: in the caller's `Leaf` or `Ret`, or, for the root, in the
     /// trace.
@@ -515,7 +517,7 @@ impl<'a> ApiCompiler<'a> {
             for c in wave {
                 let hop = Hop {
                     offset: start_of(c) - wave_orig_start,
-                    ..self.edge(&span.component, &trace.nodes[c].span.component)
+                    edge: self.edge(&span.component, &trace.nodes[c].span.component),
                 };
                 let emitted = ops.len();
                 let tail = self.node(trace, c, Some(hop), ops);
@@ -671,8 +673,8 @@ impl ConstraintKernel {
 
 /// One API compiled for scoring: its preference weight, baseline latency,
 /// the indices of its stateful components (for `Q_Avai`), its retained
-/// traces as instruction arenas and the exchange-cost tables their hops
-/// read.
+/// traces as instruction arenas, and the distinct edges their hops cross
+/// with the exchange-cost tables those edges read.
 #[derive(Debug, Clone)]
 struct CompiledApi {
     weight: f64,
@@ -684,11 +686,37 @@ struct CompiledApi {
     trace_weight_total: f64,
     stateful: Vec<u32>,
     traces: Vec<CompiledTrace>,
-    /// One `site_count × site_count` exchange-cost table per distinct
-    /// (API, caller, callee) edge the traces cross (row-major by caller
-    /// site), baked from the edge's learned request/response bytes and the
-    /// catalog's per-ordered-pair links.
+    /// One entry per distinct (API, caller, callee) edge the traces cross,
+    /// in order of first sight; a hop names its edge by slot.
+    edges: Vec<Edge>,
+    /// One `site_count × site_count` exchange-cost table per edge (row-major
+    /// by caller site), baked from the edge's learned request/response bytes
+    /// and the catalog's per-ordered-pair links.
     link_costs: Vec<f64>,
+}
+
+impl CompiledApi {
+    /// Fill `delta` with this API's Δ table for one lane group: `delta[e *
+    /// lanes + l] = table_e[a_l × n + b_l] − before_e`, where `a_l` and
+    /// `b_l` are the sites lane `l` gives edge `e`'s caller and callee
+    /// (`soa` holds the group's site columns, see [`load`]; `onprem`, one
+    /// on-prem site per lane, is the column unindexed components read) and
+    /// `n` is the catalog's site count. A hop's start adds its edge's row
+    /// to `base + offset`, so each edge is priced once per group rather
+    /// than once per hop, with the subtraction a lone hop would perform.
+    fn price_edges(&self, soa: &[SiteId], onprem: &[SiteId], n: usize, delta: &mut Vec<f64>) {
+        let lanes = onprem.len();
+        let column = |id: u32| match id {
+            UNKNOWN => onprem,
+            id => &soa[id as usize * lanes..][..lanes],
+        };
+        delta.clear();
+        for edge in &self.edges {
+            let table = &self.link_costs[edge.cost_base as usize..][..n * n];
+            let sites = column(edge.caller).iter().zip(column(edge.callee));
+            delta.extend(sites.map(|(a, b)| table[a.index() * n + b.index()] - edge.before));
+        }
+    }
 }
 
 /// Compile one API's profile entry into its flat op arenas and edge
@@ -717,7 +745,8 @@ fn compile_api<'a>(
         current,
         id_of,
         link_costs: Vec::new(),
-        edges: HashMap::new(),
+        edges: Vec::new(),
+        slots: HashMap::new(),
     };
     let traces: Vec<CompiledTrace> = (api.traces.iter().enumerate())
         .map(|(i, t)| compiler.trace(t, api.trace_weight(i)))
@@ -731,6 +760,7 @@ fn compile_api<'a>(
         trace_weight_total,
         stateful,
         traces,
+        edges: compiler.edges,
         link_costs: compiler.link_costs,
     }
 }
@@ -842,8 +872,10 @@ impl CompiledQuality {
         let LaneScratch {
             soa,
             onprem,
+            delta,
             latency,
-            stack,
+            base,
+            wend,
             acc,
             total,
         } = scratch;
@@ -855,15 +887,9 @@ impl CompiledQuality {
         }
         let mut weight_sum = 0.0;
         for api in apis {
+            api.price_edges(soa, onprem, self.site_count, delta);
             for trace in &api.traces {
-                trace.run_lanes(
-                    &api.link_costs,
-                    soa,
-                    onprem,
-                    self.site_count,
-                    latency,
-                    stack,
-                );
+                trace.run_lanes(delta, latency, base, wend);
                 for (&latency_ms, sum) in latency.iter().zip(acc.iter_mut()) {
                     *sum += trace.weight * latency_ms;
                 }
@@ -932,13 +958,19 @@ impl CompiledQuality {
         sites: &[SiteId],
         scratch: &mut LaneScratch,
     ) -> Vec<f64> {
-        let LaneScratch { soa, stack, .. } = scratch;
+        let LaneScratch {
+            soa,
+            delta,
+            base,
+            wend,
+            ..
+        } = scratch;
         let soa = load(soa, &[sites], self.components);
-        let (onprem, mut latency) = ([SiteId::ON_PREM], [0.0]);
         let api = &self.apis[slot];
+        api.price_edges(soa, &[SiteId::ON_PREM], self.site_count, delta);
+        let mut latency = [0.0];
         let walk = |trace: &CompiledTrace| {
-            let n = self.site_count;
-            trace.run_lanes(&api.link_costs, soa, &onprem, n, &mut latency, stack);
+            trace.run_lanes(delta, &mut latency, base, wend);
             latency[0]
         };
         api.traces.iter().map(walk).collect()
@@ -1204,23 +1236,53 @@ mod tests {
         }
     }
 
-    /// An API holds one exchange-cost table per distinct (caller, callee)
-    /// name pair, not one per hop: the fixture's trace, retained twice,
-    /// crosses four foreground edges (its background `Notifier` call is
-    /// never compiled), two of them from the Frontend to unindexed
-    /// components that share the unknown id.
+    /// An API holds one edge and one exchange-cost table per distinct
+    /// (caller, callee) name pair, not one per hop: the fixture's trace,
+    /// retained twice, crosses four foreground edges (its background
+    /// `Notifier` call is never compiled), two of them from the Frontend to
+    /// unindexed components that share the unknown id. The eight hops of
+    /// the two traces name exactly those four slots, so the walk reads four
+    /// Δ rows.
     #[test]
     fn an_api_holds_one_table_per_distinct_edge() {
         for model in [model_with_externals(), three_site_model_with_externals()] {
             let n = model.site_count();
             let api = &model.kernel().apis[0];
             let hops = |trace: &CompiledTrace| {
-                let hops = trace.ops.iter();
-                hops.filter(|op| matches!(op, Op::Call { .. } | Op::Leaf { .. }))
-                    .count()
+                let ops = trace.ops.iter();
+                ops.filter_map(|op| match op {
+                    Op::Call { hop, .. } | Op::Leaf { hop, .. } => Some(hop.edge),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
             };
-            assert_eq!(api.traces.iter().map(hops).collect::<Vec<_>>(), [4, 4]);
+            let per_trace: Vec<Vec<u32>> = api.traces.iter().map(hops).collect();
+            assert_eq!(per_trace.iter().map(Vec::len).collect::<Vec<_>>(), [4, 4]);
+            let named: HashSet<u32> = per_trace.concat().into_iter().collect();
+            assert_eq!(named, HashSet::from([0, 1, 2, 3]), "{n} sites");
+            assert_eq!(api.edges.len(), 4, "{n} sites");
             assert_eq!(api.link_costs.len(), 4 * n * n, "{n} sites");
+        }
+    }
+
+    /// Every site assignment of the fixtures' two indexed components,
+    /// scored as one lane group, is bit-equal to its lone evaluation and
+    /// to the oracle: the Δ pass is where an unindexed caller or callee
+    /// reads the on-prem column, at every lane.
+    #[test]
+    fn lane_groups_through_unindexed_components_match_evaluate_and_the_oracle() {
+        for model in [model_with_externals(), three_site_model_with_externals()] {
+            let n = model.site_count() as u16;
+            let plans: Vec<MigrationPlan> = (0..n)
+                .flat_map(|a| (0..n).map(move |b| plan_of(&[a, b])))
+                .collect();
+            let group: Vec<&MigrationPlan> = plans.iter().collect();
+            let lanes = model.evaluate_lanes(&group);
+            assert_eq!(lanes.len(), plans.len());
+            for (plan, &lane) in plans.iter().zip(&lanes) {
+                assert_eq!(bits(lane), bits(model.evaluate(plan)), "{plan:?}");
+                assert_eq!(bits(lane), bits(oracle::evaluate(&model, plan)), "{plan:?}");
+            }
         }
     }
 
